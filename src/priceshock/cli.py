@@ -11,20 +11,26 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from ._version import __version__
 from .data import (
     CategorySet,
     load_household_survey,
     load_income_survey,
+    load_mrio,
     write_household_survey,
 )
 from .errors import DataValidationError, NumericalModelError
 from .fixtures import write_fixture_bundle
 from .imputation import impute_expenditure_patterns
 from .inputoutput import leontief_inverse, leontief_residual, technology_matrix
-from .scenario import emit_reports, parse_config, rebuild_tables_from_csv, run_scenario
+from .scenario import (
+    emit_reports,
+    parse_config,
+    rebuild_tables_from_csv,
+    run_scenario,
+    write_tables,
+)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -85,8 +91,6 @@ def _cmd_validate(args) -> int:
     _say(args, f"households: {survey.report.n_loaded} loaded, "
                f"{survey.report.n_dropped_zero_total} dropped (zero expenditure)")
     if all(k in cfg.files for k in ("mrio_z", "mrio_d", "mrio_x", "mrio_f")):
-        from .data import load_mrio
-
         table = load_mrio(cfg.files["mrio_z"], cfg.files["mrio_d"],
                           cfg.files["mrio_x"], cfg.files["mrio_f"])
         tech = technology_matrix(table)
@@ -130,15 +134,7 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     cfg = _load_config(args)
     tables, _ = rebuild_tables_from_csv(args.results, cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    from .scenario import _format_cell
-
-    for name, (header, rows) in tables.items():
-        with open(outdir / f"{name}.csv", "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(c) for c in row) + "\n")
+    write_tables(tables, args.out)
     _say(args, f"re-emitted {len(tables)} tables to {args.out}")
     return EXIT_OK
 

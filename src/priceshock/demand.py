@@ -6,6 +6,11 @@ calibrated to reproduce each household's observed basket, and the
 calibrated system prices out compensating variation and equivalent
 income in closed form.
 
+The linear expenditure system functions take one household or a block:
+baskets, shares and parameters are arrays whose last axis is the
+category and whose optional leading axis is the household. A 1-D call
+returns a float, a block one value per row.
+
 Committed quantities are expressed in physical units at base prices
 normalised to 1, so base-period expenditure and quantity coincide.
 """
@@ -57,7 +62,7 @@ class ElasticitySet:
 
 @dataclass(frozen=True)
 class LesParameters:
-    """Committed quantities and marginal budget shares of the demand system."""
+    """Committed quantities and marginal budget shares: (k,) or (n, k) arrays."""
 
     gamma: np.ndarray
     phi: np.ndarray
@@ -69,13 +74,18 @@ class LesParameters:
             object.__setattr__(self, name, v)
         if np.any(self.phi < 0) or np.any(self.phi > 1):
             raise DataValidationError("marginal budget shares must lie in [0, 1]")
-        if abs(float(self.phi.sum()) - 1.0) > 1e-9:
-            raise DataValidationError(
-                f"marginal budget shares sum to {self.phi.sum():.12g}, expected 1"
-            )
+        sums = np.ravel(self.phi.sum(axis=-1))
+        off = sums[np.abs(sums - 1.0) > 1e-9]
+        if len(off):
+            raise DataValidationError(f"marginal budget shares sum to {off[0]:.12g}, expected 1")
 
-    def committed_cost(self, prices: np.ndarray) -> float:
-        return float(np.dot(prices, self.gamma))
+    def committed_cost(self, prices: np.ndarray):
+        return _value((np.asarray(prices, dtype=float) * self.gamma).sum(axis=-1))
+
+
+def _value(v):
+    """A 0-d result as a float; one value per row of a block otherwise."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def budget_elasticity(share, slope, curvature, ln_total):
@@ -137,12 +147,6 @@ def price_elasticities(budget: np.ndarray, shares: np.ndarray, xi: float) -> np.
     return outer + np.diag(budget / xi)
 
 
-def derive_elasticities(budget: np.ndarray, shares: np.ndarray, xi: float) -> ElasticitySet:
-    return ElasticitySet(
-        budget=budget, matrix=price_elasticities(budget, shares, xi), shares=shares, xi=xi
-    )
-
-
 def les_calibrate(
     own_price: np.ndarray,
     budget: np.ndarray,
@@ -183,8 +187,7 @@ def les_calibrate(
     denom = 1.0 - phi
     if np.any(active & (denom <= 1e-12)):
         raise DataValidationError("a single good absorbs the whole marginal budget")
-    gamma = np.zeros_like(phi)
-    gamma[active] = (own_price[active] + 1.0) * quantities[active] / denom[active]
+    gamma = np.where(active, (own_price + 1.0) * quantities / denom, 0.0)
     committed = float(gamma.sum())  # base prices are 1
     if total - committed <= 0:
         raise InfeasibleBudgetError(
@@ -198,7 +201,7 @@ def les_calibrate_frisch(
     xi: float,
     shares: np.ndarray,
     quantities: np.ndarray,
-    total: float,
+    total,
 ) -> LesParameters:
     """Calibrate a household system from group elasticities and its own basket.
 
@@ -208,6 +211,8 @@ def les_calibrate_frisch(
     exactly even when the elasticities were estimated on a different
     (group-level) share vector. When the shares coincide this is
     algebraically identical to the own-price-elasticity calibration.
+    ``shares`` and ``quantities`` may be (n, k) blocks with one ``total``
+    per row; ``budget`` broadcasts against them and ``xi`` applies to all.
     """
     if xi >= -1.0:
         raise DataValidationError("money flexibility must be below -1 for a feasible budget")
@@ -216,16 +221,39 @@ def les_calibrate_frisch(
     quantities = np.asarray(quantities, dtype=float)
     active = quantities > 0
     phi = np.where(active, budget * shares, 0.0)
-    total_phi = float(phi.sum())
-    if total_phi <= 0:
+    total_phi = phi.sum(axis=-1, keepdims=True)
+    if np.any(total_phi <= 0):
         raise DataValidationError("no good has a positive marginal budget share")
     phi = phi / total_phi
-    supernumerary = -total / xi
+    supernumerary = -_column(total) / xi
     gamma = np.where(active, quantities - phi * supernumerary, 0.0)
     return LesParameters(gamma=gamma, phi=phi)
 
 
-def les_demand(prices: np.ndarray, total: float, params: LesParameters) -> np.ndarray:
+def _column(v) -> np.ndarray:
+    """Per-row values as a column that broadcasts against (..., k)."""
+    return np.asarray(v, dtype=float)[..., np.newaxis]
+
+
+def _supernumerary(prices: np.ndarray, total, params: LesParameters):
+    """Budget left after buying the committed bundle; it must be positive."""
+    supernumerary = total - params.committed_cost(prices)
+    short = np.asarray(supernumerary <= 0)
+    if np.any(short):
+        raise InfeasibleBudgetError(
+            f"{short.sum()} of {short.size} budgets do not cover the committed bundle"
+        )
+    return supernumerary
+
+
+def _log_price_index(prices: np.ndarray, params: LesParameters):
+    """ln of prod((p_i / phi_i) ** phi_i) over the goods with phi_i > 0."""
+    phi = params.phi
+    log_phi = np.log(phi, out=np.zeros_like(phi), where=phi > 0)
+    return (phi * (np.log(prices) - log_phi)).sum(axis=-1)
+
+
+def les_demand(prices: np.ndarray, total, params: LesParameters) -> np.ndarray:
     """Quantities demanded at the given prices and budget.
 
     Spending on good i is p_i gamma_i + phi_i * (supernumerary budget);
@@ -235,47 +263,32 @@ def les_demand(prices: np.ndarray, total: float, params: LesParameters) -> np.nd
     prices = np.asarray(prices, dtype=float)
     if np.any(prices <= 0):
         raise DataValidationError("prices must be strictly positive")
-    committed = params.committed_cost(prices)
-    supernumerary = total - committed
-    if supernumerary <= 0:
-        raise InfeasibleBudgetError(
-            f"committed bundle costs {committed:.6g}, budget is {total:.6g}"
-        )
-    spending = prices * params.gamma + params.phi * supernumerary
+    supernumerary = _supernumerary(prices, total, params)
+    spending = prices * params.gamma + params.phi * _column(supernumerary)
     return spending / prices
 
 
-def _active(params: LesParameters) -> np.ndarray:
-    return params.phi > 0
-
-
-def indirect_utility(prices: np.ndarray, total: float, params: LesParameters) -> float:
+def indirect_utility(prices: np.ndarray, total, params: LesParameters):
     """Utility attained at (prices, budget); zero-share goods are excluded."""
-    prices = np.asarray(prices, dtype=float)
-    supernumerary = total - params.committed_cost(prices)
-    if supernumerary <= 0:
-        raise InfeasibleBudgetError("budget does not cover the committed bundle")
-    a = _active(params)
-    return supernumerary * float(np.prod((params.phi[a] / prices[a]) ** params.phi[a]))
+    supernumerary = _supernumerary(prices, total, params)
+    return _value(supernumerary * np.exp(-_log_price_index(prices, params)))
 
 
-def expenditure_needed(prices: np.ndarray, utility: float, params: LesParameters) -> float:
+def expenditure_needed(prices: np.ndarray, utility, params: LesParameters):
     """Minimum spending that reaches ``utility`` at the given prices."""
-    prices = np.asarray(prices, dtype=float)
-    a = _active(params)
-    price_index = float(np.prod((prices[a] / params.phi[a]) ** params.phi[a]))
-    return params.committed_cost(prices) + utility * price_index
+    return _value(params.committed_cost(prices)
+                  + utility * np.exp(_log_price_index(prices, params)))
 
 
-def compensating_variation(p0: np.ndarray, p1: np.ndarray, total: float,
-                           params: LesParameters) -> float:
+def compensating_variation(p0: np.ndarray, p1: np.ndarray, total,
+                           params: LesParameters):
     """Money needed after the price change to restore pre-change utility."""
     u0 = indirect_utility(p0, total, params)
     return expenditure_needed(p1, u0, params) - total
 
 
-def equivalent_income(p_ref: np.ndarray, p: np.ndarray, total: float,
-                      params: LesParameters) -> float:
+def equivalent_income(p_ref: np.ndarray, p: np.ndarray, total,
+                      params: LesParameters):
     """Income at reference prices delivering the utility attained at (p, total)."""
     u = indirect_utility(p, total, params)
     return expenditure_needed(p_ref, u, params)

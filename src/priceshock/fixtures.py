@@ -314,7 +314,6 @@ scenario.recycling = none
 elasticity.exchange_rate = 180.0
 elasticity.months_per_period = 1.0
 elasticity.size_bands = 2,5
-distribution.epsilon = 1.0
 distribution.atkinson_epsilon = 2.0
 distribution.scale = sqrt
 distribution.groups = 5

@@ -97,7 +97,6 @@ class RunConfig:
     size_bands: tuple[int, int] = (2, 5)
     engel_scale: str = "household_total"
     imputation_link: str = "logit"
-    epsilon: float = 1.0
     atkinson_epsilon: float = 2.0
     scale: str = "sqrt"
     groups: int = 5
@@ -145,6 +144,46 @@ def _as_float(value: str, key: str) -> float:
         raise DataValidationError(f"config key {key!r}: expected a number, got {value!r}") from None
 
 
+def _as_int(value: str, key: str) -> int:
+    return int(_as_float(value, key))
+
+
+def _as_text(value: str, key: str) -> str:
+    return value
+
+
+def _as_size_bands(value: str, key: str) -> tuple[int, int]:
+    parts = [int(p) for p in value.split(",")]
+    if len(parts) != 2 or parts[0] >= parts[1]:
+        raise DataValidationError("elasticity.size_bands must be two increasing cuts")
+    return parts[0], parts[1]
+
+
+# config key -> (RunConfig field, parser of its text value)
+CONFIG_KEYS = {
+    "scenario.carbon_tax": ("carbon_tax", _as_float),
+    "scenario.pass_through": ("pass_through", _as_float),
+    "scenario.border_adjustment": ("border_adjustment", _as_bool),
+    "scenario.recycling": ("recycling", _as_text),
+    "scenario.recycling_quantile": ("recycling_quantile", _as_int),
+    "scenario.impute": ("impute", _as_bool),
+    "elasticity.exchange_rate": ("exchange_rate", _as_float),
+    "elasticity.months_per_period": ("months_per_period", _as_float),
+    "elasticity.frisch_level": ("frisch_level", _as_float),
+    "elasticity.frisch_slope": ("frisch_slope", _as_float),
+    "elasticity.frisch_shift": ("frisch_shift", _as_float),
+    "elasticity.frisch_cap": ("frisch_cap", _as_float),
+    "elasticity.size_bands": ("size_bands", _as_size_bands),
+    "elasticity.engel_scale": ("engel_scale", _as_text),
+    "imputation.link": ("imputation_link", _as_text),
+    "distribution.atkinson_epsilon": ("atkinson_epsilon", _as_float),
+    "distribution.scale": ("scale", _as_text),
+    "distribution.groups": ("groups", _as_int),
+    "distribution.skip_empty_categories": ("skip_empty_categories", _as_bool),
+    "seed": ("seed", _as_int),
+}
+
+
 def build_config(raw: dict[str, str], base_dir) -> RunConfig:
     base_dir = Path(base_dir)
     cfg = RunConfig(files={}, raw=dict(raw))
@@ -158,55 +197,9 @@ def build_config(raw: dict[str, str], base_dir) -> RunConfig:
             if field_name not in ("vat", "advalorem", "excise", "base_price"):
                 raise DataValidationError(f"unknown tax field in config key {key!r}")
             cfg.taxes.setdefault(cat, {})[field_name] = _as_float(value, key)
-        elif key == "scenario.carbon_tax":
-            cfg.carbon_tax = _as_float(value, key)
-        elif key == "scenario.pass_through":
-            cfg.pass_through = _as_float(value, key)
-        elif key == "scenario.border_adjustment":
-            cfg.border_adjustment = _as_bool(value, key)
-        elif key == "scenario.recycling":
-            cfg.recycling = value
-        elif key == "scenario.recycling_quantile":
-            cfg.recycling_quantile = int(_as_float(value, key))
-        elif key == "scenario.impute":
-            cfg.impute = _as_bool(value, key)
-        elif key == "elasticity.exchange_rate":
-            cfg.exchange_rate = _as_float(value, key)
-        elif key == "elasticity.months_per_period":
-            cfg.months_per_period = _as_float(value, key)
-        elif key == "elasticity.frisch_level":
-            cfg.frisch_level = _as_float(value, key)
-        elif key == "elasticity.frisch_slope":
-            cfg.frisch_slope = _as_float(value, key)
-        elif key == "elasticity.frisch_shift":
-            cfg.frisch_shift = _as_float(value, key)
-        elif key == "elasticity.frisch_cap":
-            cfg.frisch_cap = _as_float(value, key)
-        elif key == "elasticity.size_bands":
-            parts = [int(p) for p in value.split(",")]
-            if len(parts) != 2 or parts[0] >= parts[1]:
-                raise DataValidationError("elasticity.size_bands must be two increasing cuts")
-            cfg.size_bands = (parts[0], parts[1])
-        elif key == "elasticity.engel_scale":
-            if value not in ("household_total", "per_capita_month"):
-                raise DataValidationError(f"unknown engel scale {value!r}")
-            cfg.engel_scale = value
-        elif key == "imputation.link":
-            if value not in ("logit", "probit"):
-                raise DataValidationError(f"unknown imputation link {value!r}")
-            cfg.imputation_link = value
-        elif key == "distribution.epsilon":
-            cfg.epsilon = _as_float(value, key)
-        elif key == "distribution.atkinson_epsilon":
-            cfg.atkinson_epsilon = _as_float(value, key)
-        elif key == "distribution.scale":
-            cfg.scale = value
-        elif key == "distribution.groups":
-            cfg.groups = int(_as_float(value, key))
-        elif key == "distribution.skip_empty_categories":
-            cfg.skip_empty_categories = _as_bool(value, key)
-        elif key == "seed":
-            cfg.seed = int(_as_float(value, key))
+        elif key in CONFIG_KEYS:
+            name, parse = CONFIG_KEYS[key]
+            setattr(cfg, name, parse(value, key))
         else:
             raise DataValidationError(f"unknown config key {key!r}")
     validate_config(cfg)
@@ -219,7 +212,7 @@ def validate_config(cfg: RunConfig) -> None:
     for name, p in cfg.files.items():
         if not p.exists():
             raise DataValidationError(f"configured file files.{name} does not exist: {p}")
-    if cfg.epsilon < 0 or cfg.atkinson_epsilon < 0:
+    if cfg.atkinson_epsilon < 0:
         raise DataValidationError("inequality aversion must be nonnegative")
     if cfg.groups < 2:
         raise DataValidationError("distribution.groups must be at least 2")
@@ -227,8 +220,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise DataValidationError("carbon tax must be nonnegative")
     if cfg.recycling not in RECYCLING_SCHEMES:
         raise DataValidationError(f"unknown recycling scheme {cfg.recycling!r}")
+    if cfg.engel_scale not in ("household_total", "per_capita_month"):
+        raise DataValidationError(f"unknown engel scale {cfg.engel_scale!r}")
+    if cfg.imputation_link not in ("logit", "probit"):
+        raise DataValidationError(f"unknown imputation link {cfg.imputation_link!r}")
     if cfg.exchange_rate <= 0:
         raise DataValidationError("elasticity.exchange_rate must be positive")
+    if cfg.frisch_cap >= -1.0:
+        raise DataValidationError(f"elasticity.frisch_cap must be below -1, got {cfg.frisch_cap}")
     if cfg.carbon_tax > 0:
         for required in ("mrio_z", "mrio_d", "mrio_x", "mrio_f", "bridge"):
             if required not in cfg.files:
@@ -273,6 +272,7 @@ class CarbonTaxResult:
     indirect_relatives: np.ndarray
     direct_relatives: np.ndarray
     producer_relatives: np.ndarray
+    unit_emissions: np.ndarray
 
 
 def carbon_tax_scenario(
@@ -292,7 +292,8 @@ def carbon_tax_scenario(
     intensity (domestic sectors only unless border adjustment is on),
     passed through the supply chain and bridged to categories. Purchased
     fuels in ``fuel_map`` additionally carry the tax on their combustion
-    content directly.
+    content directly. The same pass gives each category's emissions per
+    currency of spending, embodied plus direct combustion.
     """
     if rate < 0:
         raise DataValidationError("carbon tax rate must be nonnegative")
@@ -304,16 +305,19 @@ def carbon_tax_scenario(
     inv = leontief_inverse(technology_matrix(mrio))
     producer = cost_passthrough(inv, shock, pass_through)
     indirect = bridge_to_categories(bridge, producer)
+    unit_emissions = bridge.shares @ embodied_intensity(inv, intensity)["total"]
     direct = np.zeros(k)
     for cat_index, fuel in (fuel_map or {}).items():
         if fuels is None:
             raise DataValidationError("fuel map supplied without a fuel table")
         direct[cat_index] = rate * direct_fuel_intensity(fuels, fuel)
+        unit_emissions[cat_index] += direct_fuel_intensity(fuels, fuel)
     return CarbonTaxResult(
         category_relatives=compose_relatives(indirect, direct),
         indirect_relatives=indirect,
         direct_relatives=direct,
         producer_relatives=producer,
+        unit_emissions=unit_emissions,
     )
 
 
@@ -510,41 +514,39 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         rel_inflation = load_price_relatives(cfg.files["prices"], categories)
 
     fuel_map_idx = {categories.index(c): f for c, f in cfg.fuel_map.items()}
+    vat, advalorem, excise, base_prices = (
+        np.array([cfg.taxes.get(c, {}).get(name, default) for c in categories])
+        for name, default in (("vat", 0.0), ("advalorem", 0.0), ("excise", 0.0),
+                              ("base_price", 1.0))
+    )
     rel_carbon = np.zeros(k)
-    carbon = None
-    if cfg.carbon_tax > 0:
-        if mrio is None or bridge is None:
-            raise DataValidationError("carbon tax scenarios need the inter-industry inputs")
+    unit_emissions = np.zeros(k)
+    if cfg.carbon_tax > 0 and (mrio is None or bridge is None):
+        raise DataValidationError("carbon tax scenarios need the inter-industry inputs")
+    if mrio is not None and bridge is not None:
+        # one inter-industry pass gives both the price relatives and the
+        # emission content of each category (used even without a tax)
         carbon = carbon_tax_scenario(
             cfg.carbon_tax, mrio, bridge,
             pass_through=cfg.pass_through, border_adjustment=cfg.border_adjustment,
             fuels=fuels, fuel_map=fuel_map_idx if fuels is not None else None,
             n_categories=k,
         )
+        unit_emissions = carbon.unit_emissions
         # producer-side component runs through the indirect-tax schedule;
         # the combustion component is already a consumer-level change
         taxed = np.array([
-            consumer_price(
-                carbon.indirect_relatives[j],
-                vat=cfg.taxes.get(c, {}).get("vat", 0.0),
-                advalorem=cfg.taxes.get(c, {}).get("advalorem", 0.0),
-                excise_per_unit=cfg.taxes.get(c, {}).get("excise", 0.0),
-                base_price=cfg.taxes.get(c, {}).get("base_price", 1.0),
-            )
-            for j, c in enumerate(categories)
+            consumer_price(r, vat=v, advalorem=a, excise_per_unit=e, base_price=b)
+            for r, v, a, e, b in zip(carbon.indirect_relatives, vat, advalorem, excise,
+                                     base_prices)
         ])
         rel_carbon = compose_relatives(taxed, carbon.direct_relatives)
     rel_tax = np.zeros(k)  # reserved for schedule-change scenarios
     rel_total = compose_relatives(rel_inflation, rel_carbon, rel_tax)
     # the typed scenario record re-validates the composed prices
     scenario = PriceScenario(
-        category_relatives=rel_total,
-        carbon_tax=cfg.carbon_tax,
-        vat=np.array([cfg.taxes.get(c, {}).get("vat", 0.0) for c in categories]),
-        advalorem=np.array([cfg.taxes.get(c, {}).get("advalorem", 0.0) for c in categories]),
-        excise_per_unit=np.array([cfg.taxes.get(c, {}).get("excise", 0.0) for c in categories]),
-        base_prices=np.array([cfg.taxes.get(c, {}).get("base_price", 1.0) for c in categories]),
-        recycling=cfg.recycling,
+        category_relatives=rel_total, carbon_tax=cfg.carbon_tax, vat=vat, advalorem=advalorem,
+        excise_per_unit=excise, base_prices=base_prices, recycling=cfg.recycling,
         border_adjustment=cfg.border_adjustment,
     )
 
@@ -557,6 +559,9 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
 
     eq = equivalise(totals, sizes, cfg.scale)
     quintiles = weighted_quantile_groups(eq, weights, cfg.groups)
+    if len(np.unique(quintiles)) < cfg.groups:
+        raise DataValidationError(f"distribution.groups = {cfg.groups} leaves some groups "
+                                  f"empty: the sample has only {n} households")
 
     pi_h = shares @ rel_total
     burden_h = pi_h * totals
@@ -576,44 +581,36 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
 
     p0 = np.ones(k)
     p1 = 1.0 + rel_total
-    cv = np.zeros(n)
-    ye = np.zeros(n)
-    ye_net = np.zeros(n)
-    fp_before = np.zeros(n)
-    fp_after = np.zeros(n)
+    cv, ye, ye_net, fp_after = (np.zeros(n) for _ in range(4))
+    fp_before = exp @ unit_emissions
+    infeasible = np.zeros(n, dtype=bool)
     n_cobb_douglas = 0
 
-    unit_emissions = np.zeros(k)
-    if mrio is not None and bridge is not None:
-        inv = leontief_inverse(technology_matrix(mrio))
-        embodied = embodied_intensity(inv, sector_intensity(mrio))
-        unit_emissions = bridge.shares @ embodied["total"]
-        for cat_index, fuel in fuel_map_idx.items():
-            if fuels is not None:
-                unit_emissions[cat_index] += direct_fuel_intensity(fuels, fuel)
-
-    for i in range(n):
-        g = groups[assignment[i]]
-        try:
-            params = les_calibrate_frisch(g.budget, g.xi, shares[i], exp[i], totals[i])
-        except (InfeasibleBudgetError, DataValidationError):
-            active = exp[i] > 0
-            phi = np.where(active, shares[i], 0.0)
-            params = LesParameters(gamma=np.zeros(k), phi=phi / phi.sum())
-            n_cobb_douglas += 1
-        try:
-            cv[i] = compensating_variation(p0, p1, totals[i], params)
-            ye[i] = equivalent_income(p0, p1, totals[i], params)
-            ye_net[i] = equivalent_income(p0, p1, totals[i] + transfers[i], params)
-            if np.any(unit_emissions > 0):
-                fp_before[i] = float(np.dot(unit_emissions, exp[i]))
-                q1 = les_demand(p1, totals[i] + transfers[i], params)
-                fp_after[i] = float(np.dot(unit_emissions, q1))
-        except InfeasibleBudgetError as exc:
-            raise InfeasibleBudgetError(
-                f"household {records[i].id!r}: {exc} (price change too large for the "
-                "committed bundle)"
-            ) from None
+    # one block of households per demand group, each valued with array calls
+    for gi, g in enumerate(groups):
+        sel = assignment == gi
+        exp_g, shares_g, totals_g = exp[sel], shares[sel], totals[sel]
+        # households buying no good with a positive group budget elasticity
+        # have no marginal budget to calibrate: value them as Cobb-Douglas
+        # (phi = their own shares, gamma = 0)
+        cobb_douglas = ~np.any((exp_g > 0) & (g.budget > 0), axis=1)[:, np.newaxis]
+        n_cobb_douglas += int(cobb_douglas.sum())
+        fit = les_calibrate_frisch(np.where(cobb_douglas, 1.0, g.budget), g.xi,
+                                   shares_g, exp_g, totals_g)
+        params = LesParameters(gamma=np.where(cobb_douglas, 0.0, fit.gamma), phi=fit.phi)
+        infeasible[sel] = params.committed_cost(p1) >= totals_g
+        if np.any(infeasible[sel]):
+            continue
+        net_g = totals_g + transfers[sel]
+        cv[sel] = compensating_variation(p0, p1, totals_g, params)
+        ye[sel] = equivalent_income(p0, p1, totals_g, params)
+        ye_net[sel] = equivalent_income(p0, p1, net_g, params)
+        if np.any(unit_emissions > 0):
+            fp_after[sel] = les_demand(p1, net_g, params) @ unit_emissions
+    if np.any(infeasible):
+        ids = ", ".join(repr(records[i].id) for i in np.flatnonzero(infeasible)[:5])
+        raise InfeasibleBudgetError(f"{infeasible.sum()} of {n} households cannot afford their "
+                                    f"committed bundle after the price change (first: {ids})")
 
     cv_net = cv - transfers
 
@@ -651,18 +648,13 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     # expressed per currency unit of total expenditure
     elasticity_rows: list[list] = []
     for label, g in zip(group_labels, groups):
-        try:
-            gp = les_calibrate_frisch(g.budget, g.xi, g.mean_shares, g.mean_shares, 1.0)
-            phi_g, gamma_g = gp.phi, gp.gamma
-        except DataValidationError:
-            phi_g = np.zeros(k)
-            gamma_g = np.zeros(k)
+        gp = les_calibrate_frisch(g.budget, g.xi, g.mean_shares, g.mean_shares, 1.0)
         for j, cat in enumerate(categories):
             if cfg.skip_empty_categories and g.mean_shares[j] <= 0:
                 continue
             elasticity_rows.append([
                 label, cat, g.mean_shares[j], g.budget[j], g.own_price[j],
-                phi_g[j], gamma_g[j], g.xi,
+                gp.phi[j], gp.gamma[j], g.xi,
             ])
 
     tables = build_tables(household, group_names, cfg)
@@ -824,41 +816,40 @@ def _format_cell(value) -> str:
     return f"{float(value):.6g}"
 
 
-def _format_money(value) -> str:
-    return f"{float(value):.6f}"
-
-
-def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
-    """Write the aggregate tables, the per-household frame and a run manifest."""
+def write_tables(tables, outdir) -> dict[str, Path]:
+    """Write each aggregate table to ``<name>.csv`` in ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
-    for name, (header, rows) in result.tables.items():
+    for name, (header, rows) in tables.items():
         p = outdir / f"{name}.csv"
         with open(p, "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_format_cell(c) for c in row) + "\n")
         paths[name] = p
+    return paths
+
+
+def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
+    """Write the aggregate tables, the per-household frame and a run manifest."""
+    outdir = Path(outdir)
+    paths = write_tables(result.tables, outdir)
 
     hh = result.household
     p = outdir / "households.csv"
     columns = list(hh.keys())
+    formats = [
+        str if c == "id"
+        else (lambda v: str(int(v))) if c == "quintile"
+        else (lambda v: f"{float(v):.6f}") if c in MONEY_COLUMNS or c.startswith("burden_")
+        else _format_cell
+        for c in columns
+    ]
     with open(p, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for i in range(len(hh["id"])):
-            cells = []
-            for c in columns:
-                v = hh[c][i]
-                if c == "id":
-                    cells.append(str(v))
-                elif c == "quintile":
-                    cells.append(str(int(v)))
-                elif c in MONEY_COLUMNS or c.startswith("burden_"):
-                    cells.append(_format_money(v))
-                else:
-                    cells.append(_format_cell(v))
-            fh.write(",".join(cells) + "\n")
+        for row in zip(*(hh[c] for c in columns)):
+            fh.write(",".join(f(v) for f, v in zip(formats, row)) + "\n")
     paths["households"] = p
 
     p = outdir / "consumer_prices.csv"

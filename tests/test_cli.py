@@ -71,6 +71,30 @@ class TestRun:
                                                "scenario.carbon_tax = 5.0"))
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet") == 2
 
+    def test_infeasible_households_counted_and_named(self, tmp_path, capsys):
+        # at this rate 8 demo households, the first of them hh0008, cannot
+        # pay for their committed bundle; the rest could
+        run_cli("fixtures", "--out", tmp_path / "b")
+        cfg = tmp_path / "b" / "config.txt"
+        cfg.write_text(cfg.read_text().replace("scenario.carbon_tax = 0.0",
+                                               "scenario.carbon_tax = 1.25"))
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "8 of 240 households" in err
+        assert "(first: 'hh0008'," in err
+
+    def test_more_groups_than_households_is_data_error(self, tmp_path, capsys):
+        run_cli("fixtures", "--out", tmp_path / "b")
+        cfg = tmp_path / "b" / "config.txt"
+        cfg.write_text(cfg.read_text().replace("distribution.groups = 5",
+                                               "distribution.groups = 300"))
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "distribution.groups" in err
+        assert "240 households" in err
+
 
 class TestReport:
     def test_report_reproduces_run_tables(self, bundle_dir, tmp_path):

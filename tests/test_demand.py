@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from priceshock.demand import (
     ElasticitySet,
@@ -19,6 +22,7 @@ from priceshock.demand import (
     indirect_utility,
     laspeyres_cost,
     les_calibrate,
+    les_calibrate_frisch,
     les_demand,
     price_elasticities,
 )
@@ -360,3 +364,65 @@ class TestBehaviouralEmissions:
             unit[j] = 1.0
             before, after = behavioural_emissions(np.ones(len(w)), p1, total, params, unit)
             assert after <= before + 1e-12
+
+
+@st.composite
+def household_blocks(draw):
+    """A demand group's elasticities, n household baskets and a price rise."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 6))
+    budget = draw(arrays(float, k, elements=st.floats(0.2, 2.0)))
+    xi = draw(st.floats(-4.0, -1.3))
+    raw = draw(arrays(float, (n, k), elements=st.floats(0.0, 1.0)))
+    raw[:, 0] += 0.1  # every household buys the first good
+    shares = raw / raw.sum(axis=1, keepdims=True)
+    totals = draw(arrays(float, n, elements=st.floats(10.0, 1e5)))
+    p1 = 1.0 + draw(arrays(float, k, elements=st.floats(0.0, 1.0)))
+    return budget, xi, shares, shares * totals[:, np.newaxis], totals, p1
+
+
+class TestBlocks:
+    """A block call equals the row-by-row 1-D calls of the same functions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(household_blocks())
+    def test_block_matches_rows(self, block):
+        budget, xi, shares, q, totals, p1 = block
+        p0 = np.ones(len(p1))
+        params = les_calibrate_frisch(budget, xi, shares, q, totals)
+        rows = [les_calibrate_frisch(budget, xi, w, x, t) for w, x, t in zip(shares, q, totals)]
+        np.testing.assert_allclose(params.gamma, [r.gamma for r in rows], rtol=1e-12)
+        np.testing.assert_allclose(params.phi, [r.phi for r in rows], rtol=1e-12)
+        feasible = params.committed_cost(p1) < totals
+        if not np.all(feasible):
+            with pytest.raises(InfeasibleBudgetError, match=f"{int((~feasible).sum())} of"):
+                equivalent_income(p0, p1, totals, params)
+            return
+        checks = [
+            (compensating_variation(p0, p1, totals, params),
+             [compensating_variation(p0, p1, t, r) for t, r in zip(totals, rows)]),
+            (equivalent_income(p0, p1, totals, params),
+             [equivalent_income(p0, p1, t, r) for t, r in zip(totals, rows)]),
+            (les_demand(p1, totals, params), [les_demand(p1, t, r) for t, r in zip(totals, rows)]),
+        ]
+        for block_value, row_values in checks:
+            np.testing.assert_allclose(block_value, row_values, rtol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(household_blocks())
+    def test_compensation_restores_utility(self, block):
+        budget, xi, shares, q, totals, p1 = block
+        p0 = np.ones(len(p1))
+        params = les_calibrate_frisch(budget, xi, shares, q, totals)
+        cv = compensating_variation(p0, p1, totals, params)
+        np.testing.assert_allclose(indirect_utility(p1, totals + cv, params),
+                                   indirect_utility(p0, totals, params), rtol=1e-9)
+
+    def test_one_household_gives_floats(self, calibrated):
+        f, params = calibrated
+        p0, p1 = np.ones(3), np.array([1.2, 1.0, 1.0])
+        for value in (params.committed_cost(p1),
+                      indirect_utility(p1, f.total, params),
+                      compensating_variation(p0, p1, f.total, params),
+                      equivalent_income(p0, p1, f.total, params)):
+            assert type(value) is float

@@ -172,6 +172,31 @@ class TestConfig:
         with pytest.raises(DataValidationError, match="duplicate key"):
             parse_config(p)
 
+    def test_frisch_cap_at_or_above_minus_one_rejected(self, tmp_path, bundle_dir):
+        for cap in ("-1.0", "-0.5"):
+            p = derived_config(bundle_dir, tmp_path, "c.txt",
+                               lambda t: t + f"\nelasticity.frisch_cap = {cap}")
+            with pytest.raises(DataValidationError, match="elasticity.frisch_cap"):
+                parse_config(p)
+
+    @pytest.mark.parametrize("line, message", [
+        ("elasticity.engel_scale = weekly", "unknown engel scale 'weekly'"),
+        ("imputation.link = cloglog", "unknown imputation link 'cloglog'"),
+        ("elasticity.size_bands = 5,2", "elasticity.size_bands"),
+        ("scenario.recycling_quantile = many", "expected a number, got 'many'"),
+        ("scenario.impute = maybe", "'scenario.impute': expected a boolean"),
+    ])
+    def test_bad_values_rejected(self, tmp_path, bundle_dir, line, message):
+        p = derived_config(bundle_dir, tmp_path, "c.txt", lambda t: t + "\n" + line)
+        with pytest.raises(DataValidationError, match=message):
+            parse_config(p)
+
+    def test_removed_epsilon_key_is_unknown(self, tmp_path, bundle_dir):
+        p = derived_config(bundle_dir, tmp_path, "c.txt",
+                           lambda t: t + "\ndistribution.epsilon = 1.0")
+        with pytest.raises(DataValidationError, match="unknown config key"):
+            parse_config(p)
+
     def test_carbon_tax_requires_io_inputs(self, tmp_path, bundle_dir):
         text = "files.households = households.csv\n" \
                "elasticity.exchange_rate = 180\nscenario.carbon_tax = 1.0\n"
