@@ -1,10 +1,11 @@
 """Command-line entry points.
 
-Subcommands: ``validate`` (config and data check), ``impute`` (expenditure
-imputation into an income dataset), ``run`` (full scenario), ``report``
-(re-emit aggregate tables from stored per-household results), ``fixtures``
-(write the bundled demonstration inputs). Exit codes: 0 success, 1 data or
-validation error, 2 numerical failure.
+Subcommands: ``validate`` (config and data check; prices the scenario but
+writes nothing), ``impute`` (expenditure imputation into an income
+dataset), ``run`` (full scenario), ``report`` (re-emit aggregate tables
+from stored per-household results), ``fixtures`` (write the bundled
+demonstration inputs). Exit codes: 0 success, 1 data or validation error,
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,17 +14,11 @@ import argparse
 import sys
 
 from ._version import __version__
-from .data import (
-    CategorySet,
-    load_household_survey,
-    load_income_survey,
-    load_mrio,
-    write_household_survey,
-)
+from .data import CategorySet, load_household_survey, load_income_survey, write_household_survey
 from .errors import DataValidationError, NumericalModelError
 from .fixtures import write_fixture_bundle
 from .imputation import impute_expenditure_patterns
-from .inputoutput import leontief_inverse, leontief_residual, technology_matrix
+from .inputoutput import leontief_residual
 from .scenario import (
     emit_reports,
     parse_config,
@@ -50,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    p = sub.add_parser("validate", help="check the configuration and all referenced data")
+    p = sub.add_parser("validate", help="check the configuration and data, and price the scenario")
     common(p)
 
     p = sub.add_parser("impute", help="impute expenditure patterns into the income dataset")
@@ -86,16 +81,13 @@ def _say(args, message: str) -> None:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args)
-    categories = CategorySet.default()
-    survey = load_household_survey(cfg.files["households"], categories)
-    _say(args, f"households: {survey.report.n_loaded} loaded, "
-               f"{survey.report.n_dropped_zero_total} dropped (zero expenditure)")
-    if all(k in cfg.files for k in ("mrio_z", "mrio_d", "mrio_x", "mrio_f")):
-        table = load_mrio(cfg.files["mrio_z"], cfg.files["mrio_d"],
-                          cfg.files["mrio_x"], cfg.files["mrio_f"])
-        tech = technology_matrix(table)
-        inv = leontief_inverse(tech)
-        _say(args, f"inter-industry table: {table.n} sectors, "
+    result = run_scenario(cfg)  # prices the scenario; writes nothing
+    report = result.load_report
+    _say(args, f"households: {report.n_loaded} loaded, "
+               f"{report.n_dropped_zero_total} dropped (zero expenditure)")
+    if result.carbon is not None:
+        tech, inv = result.carbon.technology, result.carbon.inverse
+        _say(args, f"inter-industry table: {len(tech.sectors)} sectors, "
                    f"inverse residual {leontief_residual(tech, inv):.3g}")
     for name in ("bridge", "prices", "fuels", "income"):
         if name in cfg.files:

@@ -18,14 +18,18 @@ prices.csv       category, pi
 fuels.csv        fuel, price, kgco2_per_unit
 
 Rows of keyed files may appear in any order; the full label set must match
-the registry with no duplicates. Values are written back with at most 12
-significant digits, which round-trips bit-for-bit through the loaders.
+the registry with no duplicates. Every numeric cell must be text that
+``float()`` reads as a finite number. Values are written back with at most
+12 significant digits, which round-trips bit-for-bit through the loaders.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -236,6 +240,9 @@ class MrioTable:
         bad = set(self.origin) - {"domestic", "imported"}
         if bad:
             raise DataValidationError(f"unknown origin flags {sorted(bad)}")
+        if not all(np.isfinite(v).all() for v in (self.flows, self.final_demand, self.output,
+                                                   self.emissions)):
+            raise DataValidationError("flows, final demand, output and emissions must be finite")
         if np.any(self.flows < 0) or np.any(self.final_demand < 0) or np.any(self.emissions < 0):
             raise DataValidationError("flows, final demand and emissions must be nonnegative")
         if np.any(self.output <= 0):
@@ -271,6 +278,8 @@ class BridgingMatrix:
         object.__setattr__(self, "shares", _freeze(self.shares))
         if self.shares.shape != (len(self.categories), len(self.products)):
             raise DataValidationError("bridging matrix shape does not match its labels")
+        if not np.isfinite(self.shares).all():
+            raise DataValidationError("bridging shares must be finite")
         if np.any(self.shares < 0):
             raise DataValidationError("bridging shares must be nonnegative")
         rows = self.shares.sum(axis=1)
@@ -297,6 +306,8 @@ class FuelTable:
             raise DataValidationError("duplicate fuel names")
         if self.price.shape != (len(self.fuels),) or self.carbon_kg_per_unit.shape != (len(self.fuels),):
             raise DataValidationError("fuel table vectors do not match the fuel list")
+        if not (np.isfinite(self.price).all() and np.isfinite(self.carbon_kg_per_unit).all()):
+            raise DataValidationError("fuel prices and carbon contents must be finite")
         if np.any(self.price <= 0):
             raise DataValidationError("fuel prices must be strictly positive")
         if np.any(self.carbon_kg_per_unit <= 0):
@@ -379,8 +390,30 @@ class LoadReport:
 
 @dataclass
 class HouseholdSurvey:
-    records: list[HouseholdRecord]
+    """The kept households as columns: ``expenditure`` in CategorySet order,
+    ``demographics`` one column per ``demographic_names`` entry (``demo_``
+    prefix removed), ``income`` None when the file has no ``inc`` column."""
+
+    ids: np.ndarray
+    weight: np.ndarray
+    size: np.ndarray
+    income: np.ndarray | None
+    demographic_names: tuple[str, ...]
+    demographics: np.ndarray
+    expenditure: np.ndarray
     report: LoadReport
+
+    @cached_property
+    def records(self) -> list[HouseholdRecord]:
+        """The same households as one HouseholdRecord each."""
+        income = [None] * len(self.ids) if self.income is None else self.income.tolist()
+        return [
+            HouseholdRecord(id=hid, weight=w, size=s, expenditure=e, disposable_income=inc,
+                            demographics=dict(zip(self.demographic_names, demo)))
+            for hid, w, s, e, demo, inc in zip(self.ids.tolist(), self.weight.tolist(),
+                                               self.size.tolist(), self.expenditure,
+                                               self.demographics.tolist(), income)
+        ]
 
 
 @dataclass
@@ -420,35 +453,101 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _parse_cell(text: str, path, lineno: int, column: str) -> float:
+def _float_or_nan(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise DataValidationError(
-            f"{path}: row {lineno}, column {column!r}: non-numeric value {text!r}"
-        ) from None
+        return float("nan")
 
 
-def _keyed_rows(path, key_column: str, expected: Sequence[str]) -> dict[str, tuple[int, list[str]]]:
-    """Rows of a keyed file, validated against the expected label set."""
-    header, rows = read_table(path)
+def _parse_cells(rows, positions) -> np.ndarray:
+    """The chosen columns of ``rows`` as an (n, m) float block, read in one
+    pass with ``float()``; a cell that ``float()`` rejects reads as nan."""
+    shape = (len(rows), len(positions))
+    pick = itemgetter(*positions)
+
+    def cells():  # itemgetter picks one cell bare, several as a tuple
+        picked = map(pick, rows)
+        return picked if len(positions) == 1 else chain.from_iterable(picked)
+
+    try:
+        flat = np.fromiter(map(float, cells()), dtype=float, count=shape[0] * shape[1])
+    except ValueError:
+        flat = np.fromiter(map(_float_or_nan, cells()), dtype=float, count=shape[0] * shape[1])
+    return flat.reshape(shape)
+
+
+def _cell_error(path, lineno: int, column: str, text: str) -> DataValidationError:
+    try:
+        float(text)
+        problem = "non-finite"
+    except ValueError:
+        problem = "non-numeric"
+    return DataValidationError(f"{path}: row {lineno}, column {column!r}: {problem} value {text!r}")
+
+
+def _parse_block(rows, positions, names, path) -> np.ndarray:
+    """The chosen columns of ``read_table`` rows as an (n, m) float block.
+
+    Accepts exactly the cells ``float()`` reads as a finite number; the
+    first other cell, row by row, raises with its row and column
+    (``names[j]`` names the column at ``positions[j]``).
+    """
+    block = _parse_cells(rows, positions)
+    if not np.isfinite(block).all():
+        i, j = np.argwhere(~np.isfinite(block))[0]
+        raise _cell_error(path, i + 2, names[j], rows[i][positions[j]])
+    return block
+
+
+def _duplicates(ids: np.ndarray) -> np.ndarray:
+    """Mask of the ids that repeat an earlier one."""
+    dup = np.ones(len(ids), dtype=bool)
+    dup[np.unique(ids, return_index=True)[1]] = False
+    return dup
+
+
+def _raise_first_fault(path, rows, idx: Mapping[str, int], checks) -> None:
+    """Raise the fault a row-by-row loader would meet first.
+
+    ``checks`` lists (row mask, column, message template) in the order the
+    checks run on one row; a template of None marks a cell that is not a
+    finite number. Templates may use {path}, {row}, {col}, {hid} (the row's
+    id) and {value} (the cell as a float).
+    """
+    faults = np.column_stack([mask for mask, _, _ in checks])
+    faulty = faults.any(axis=1)
+    if not faulty.any():
+        return
+    i = int(np.argmax(faulty))
+    _, col, template = checks[int(np.argmax(faults[i]))]
+    text = rows[i][idx[col]]
+    if template is None:
+        raise _cell_error(path, i + 2, col, text)
+    raise DataValidationError(template.format(path=path, row=i + 2, col=col, hid=rows[i][idx["id"]],
+                                              value=_float_or_nan(text)))
+
+
+def _keyed_order(path, header: list[str], rows: list[list[str]], key_column: str,
+                 expected: Sequence[str]) -> list[int]:
+    """Index into ``rows`` of each expected label, validated against the label set."""
     if header[0] != key_column:
         raise DataValidationError(f"{path}: first column must be {key_column!r}, got {header[0]!r}")
-    seen: dict[str, tuple[int, list[str]]] = {}
-    for lineno, row in enumerate(rows, start=2):
-        key = row[0]
-        if key in seen:
-            raise DataValidationError(f"{path}: duplicate {key_column} {key!r}")
-        seen[key] = (lineno, row)
+    seen: dict[str, int] = {}
+    for i, row in enumerate(rows):
+        if row[0] in seen:
+            raise DataValidationError(f"{path}: duplicate {key_column} {row[0]!r}")
+        seen[row[0]] = i
     missing = [k for k in expected if k not in seen]
-    extra = [k for k in seen if k not in set(expected)]
+    known = set(expected)
+    extra = [k for k in seen if k not in known]
     if missing or extra:
         raise DataValidationError(
             f"{path}: {key_column} labels do not match the registry"
             + (f"; missing {missing}" if missing else "")
             + (f"; unexpected {extra}" if extra else "")
         )
-    return seen
+    return [seen[k] for k in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +559,10 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     """Load households.csv, dropping (and counting) zero-expenditure rows.
 
     A missing ``inc`` column is legal; operations that require income must
-    fail loudly when it is absent rather than default it here.
+    fail loudly when it is absent rather than default it here. A dropped
+    row's ``demo_*`` and ``inc`` cells are not checked. Ids are copied into
+    an array: a kept cell would keep the memory of every row from being
+    returned.
     """
     path = Path(path)
     header, rows = read_table(path)
@@ -476,53 +578,46 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     if unknown:
         raise DataValidationError(f"{path}: unknown expenditure columns {sorted(unknown)}")
     demo_cols = [c for c in header if c.startswith(DEMOGRAPHIC_PREFIX)]
-    has_income = "inc" in header
-    idx = {c: header.index(c) for c in header}
+    extra_cols = demo_cols + (["inc"] if "inc" in header else [])
+    exp_names = [exp_cols[c] for c in categories]
+    idx = {c: j for j, c in enumerate(header)}
 
-    report = LoadReport(source=str(path), n_rows=len(rows))
-    records: list[HouseholdRecord] = []
-    seen_ids: set[str] = set()
-    for lineno, row in enumerate(rows, start=2):
-        hid = row[idx["id"]]
-        if hid in seen_ids:
-            raise DataValidationError(f"{path}: row {lineno}: duplicate household id {hid!r}")
-        seen_ids.add(hid)
-        weight = _parse_cell(row[idx["weight"]], path, lineno, "weight")
-        size = _parse_cell(row[idx["size"]], path, lineno, "size")
-        if weight < 0:
-            raise DataValidationError(f"{path}: row {lineno}, column 'weight': negative value {weight}")
-        if size < 1:
-            raise DataValidationError(f"{path}: row {lineno}, column 'size': value {size} < 1")
-        exp = np.empty(len(categories))
-        for j, cat in enumerate(categories):
-            col = exp_cols[cat]
-            v = _parse_cell(row[idx[col]], path, lineno, col)
-            if v < 0:
-                raise DataValidationError(
-                    f"{path}: row {lineno}, column {col!r}: negative expenditure {v}"
-                )
-            exp[j] = v
-        if exp.sum() <= 0:
-            report.n_dropped_zero_total += 1
-            continue
-        demo = {c[len(DEMOGRAPHIC_PREFIX):]: _parse_cell(row[idx[c]], path, lineno, c) for c in demo_cols}
-        income = None
-        if has_income:
-            income = _parse_cell(row[idx["inc"]], path, lineno, "inc")
-        records.append(
-            HouseholdRecord(
-                id=hid, weight=weight, size=size, expenditure=exp,
-                demographics=demo, disposable_income=income,
-            )
-        )
-    report.n_loaded = len(records)
+    ids = np.array([row[idx["id"]] for row in rows], dtype=str)
+    k = len(exp_names)
+    values = _parse_cells(rows, [idx[c] for c in ("weight", "size", *exp_names, *extra_cols)])
+    bad = ~np.isfinite(values)
+    values[bad] = 0.0  # reported as a bad cell, not also as a bad value
+    weight, size, exp, extra = values[:, 0], values[:, 1], values[:, 2:2 + k], values[:, 2 + k:]
+    keep = exp.sum(axis=1) > 0
+    bad[~keep, 2 + k:] = False  # a dropped row's demo_* and inc cells are not checked
+    checks = [
+        (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {hid!r}"),
+        (bad[:, 0], "weight", None),
+        (bad[:, 1], "size", None),
+        (weight < 0, "weight", "{path}: row {row}, column 'weight': negative value {value}"),
+        (size < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
+    ]
+    negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
+    for j, col in enumerate(exp_names):
+        checks += [(bad[:, 2 + j], col, None), (exp[:, j] < 0, col, negative)]
+    checks += [(bad[:, 2 + k + j], col, None) for j, col in enumerate(extra_cols)]
+    _raise_first_fault(path, rows, idx, checks)
+
+    kept = np.flatnonzero(keep)
+    report = LoadReport(source=str(path), n_rows=len(rows), n_loaded=len(kept),
+                        n_dropped_zero_total=len(rows) - len(kept))
     if report.n_dropped_zero_total:
         report.notes.append(
             f"dropped {report.n_dropped_zero_total} household(s) with zero total expenditure"
         )
-    if not records:
+    if not len(kept):
         raise DataValidationError(f"{path}: no usable household rows")
-    return HouseholdSurvey(records=records, report=report)
+    return HouseholdSurvey(
+        ids=ids[kept], weight=weight[kept], size=size[kept],
+        income=extra[kept, -1] if "inc" in header else None,
+        demographic_names=tuple(c[len(DEMOGRAPHIC_PREFIX):] for c in demo_cols),
+        demographics=extra[kept, :len(demo_cols)], expenditure=exp[kept], report=report,
+    )
 
 
 def load_income_survey(path) -> IncomeSurvey:
@@ -543,25 +638,22 @@ def load_income_survey(path) -> IncomeSurvey:
     report = LoadReport(source=str(path), n_rows=len(rows))
     if ignored:
         report.notes.append(f"ignored {len(ignored)} expenditure column(s) in the income dataset")
-    records: list[IncomeRecord] = []
-    seen: set[str] = set()
-    for lineno, row in enumerate(rows, start=2):
-        rid = row[idx["id"]]
-        if rid in seen:
-            raise DataValidationError(f"{path}: row {lineno}: duplicate id {rid!r}")
-        seen.add(rid)
-        records.append(
-            IncomeRecord(
-                id=rid,
-                weight=_parse_cell(row[idx["weight"]], path, lineno, "weight"),
-                size=_parse_cell(row[idx["size"]], path, lineno, "size"),
-                disposable_income=_parse_cell(row[idx["inc"]], path, lineno, "inc"),
-                demographics={
-                    c[len(DEMOGRAPHIC_PREFIX):]: _parse_cell(row[idx[c]], path, lineno, c)
-                    for c in demo_cols
-                },
-            )
-        )
+    ids = [row[idx["id"]] for row in rows]
+    cols = ["weight", "size", "inc", *demo_cols]
+    values = _parse_cells(rows, [idx[c] for c in cols])
+    bad = ~np.isfinite(values)
+    _raise_first_fault(path, rows, idx, [
+        (_duplicates(np.array(ids, dtype=str)), "id", "{path}: row {row}: duplicate id {hid!r}"),
+        *((bad[:, j], col, None) for j, col in enumerate(cols)),
+        (values[:, 0] < 0, "weight", "record {hid}: negative weight {value}"),
+        (values[:, 1] < 1, "size", "record {hid}: size {value} < 1"),
+    ])
+    demo_names = [c[len(DEMOGRAPHIC_PREFIX):] for c in demo_cols]
+    records = [
+        IncomeRecord(id=rid, weight=w, size=s, disposable_income=inc,
+                     demographics=dict(zip(demo_names, demo)))
+        for rid, (w, s, inc, *demo) in zip(ids, values.tolist())
+    ]
     report.n_loaded = len(records)
     if not records:
         raise DataValidationError(f"{path}: no income rows")
@@ -606,39 +698,33 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
         raise DataValidationError(f"{z_path}: duplicate sector rows")
     if set(col_sectors) != set(row_sectors) or len(col_sectors) != len(row_sectors):
         raise DataValidationError(f"{z_path}: row and column sector labels differ")
-    sectors = tuple(row_sectors)
+    # the header's label strings: a row cell kept past this call would keep
+    # the memory of all rows from being returned
+    labels = {s: s for s in col_sectors}
+    sectors = tuple(labels[s] for s in row_sectors)
     col_pos = {s: j + 1 for j, s in enumerate(col_sectors)}
-    n = len(sectors)
-    Z = np.empty((n, n))
-    for i, (lineno, row) in enumerate(zip(range(2, 2 + n), rows)):
-        for j, s in enumerate(sectors):
-            Z[i, j] = _parse_cell(row[col_pos[s]], z_path, lineno, s)
+    Z = _parse_block(rows, [col_pos[s] for s in sectors], sectors, z_path)
 
     def vector(path, value_col):
-        keyed = _keyed_rows(path, "sector", sectors)
-        header_v, _ = read_table(path)
+        header_v, rows_v = read_table(path)
+        order = _keyed_order(path, header_v, rows_v, "sector", sectors)
         if value_col not in header_v:
             raise DataValidationError(f"{path}: missing column {value_col!r}")
-        vi = header_v.index(value_col)
-        out = np.empty(n)
-        for k, s in enumerate(sectors):
-            lineno, row = keyed[s]
-            out[k] = _parse_cell(row[vi], path, lineno, value_col)
-        return out, keyed, header_v
+        values = _parse_block(rows_v, [header_v.index(value_col)], [value_col], path)[order, 0]
+        return values, header_v, rows_v, order
 
-    d, _, _ = vector(d_path, "d")
-    x, x_keyed, x_header = vector(x_path, "x")
-    f, _, _ = vector(f_path, "f")
+    d = vector(d_path, "d")[0]
+    x, x_header, x_rows, x_order = vector(x_path, "x")
+    f = vector(f_path, "f")[0]
     origin = tuple("domestic" for _ in sectors)
     if "origin" in x_header:
         oi = x_header.index("origin")
         flags = []
-        for s in sectors:
-            lineno, row = x_keyed[s]
-            flag = row[oi] or "domestic"
+        for i in x_order:
+            flag = x_rows[i][oi] or "domestic"
             if flag not in ("domestic", "imported"):
                 raise DataValidationError(
-                    f"{x_path}: row {lineno}, column 'origin': expected domestic/imported, got {flag!r}"
+                    f"{x_path}: row {i + 2}, column 'origin': expected domestic/imported, got {flag!r}"
                 )
             flags.append(flag)
         origin = tuple(flags)
@@ -650,31 +736,23 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
 
 def load_bridge(path, categories: CategorySet) -> BridgingMatrix:
     path = Path(path)
-    header, _ = read_table(path)
+    header, rows = read_table(path)
     products = tuple(header[1:])
     if not products:
         raise DataValidationError(f"{path}: bridging matrix needs product columns")
-    keyed = _keyed_rows(path, "category", categories.ids)
-    B = np.empty((len(categories), len(products)))
-    for i, cat in enumerate(categories):
-        lineno, row = keyed[cat]
-        for j, p in enumerate(products):
-            B[i, j] = _parse_cell(row[j + 1], path, lineno, p)
+    order = _keyed_order(path, header, rows, "category", categories.ids)
+    B = _parse_block(rows, range(1, len(header)), products, path)[order]
     return BridgingMatrix(categories=categories.ids, products=products, shares=B)
 
 
 def load_price_relatives(path, categories: CategorySet) -> np.ndarray:
     """prices.csv -> per-category price relatives in registry order."""
     path = Path(path)
-    header, _ = read_table(path)
+    header, rows = read_table(path)
     if "pi" not in header:
         raise DataValidationError(f"{path}: missing column 'pi'")
-    vi = header.index("pi")
-    keyed = _keyed_rows(path, "category", categories.ids)
-    out = np.empty(len(categories))
-    for i, cat in enumerate(categories):
-        lineno, row = keyed[cat]
-        out[i] = _parse_cell(row[vi], path, lineno, "pi")
+    order = _keyed_order(path, header, rows, "category", categories.ids)
+    out = _parse_block(rows, [header.index("pi")], ["pi"], path)[order, 0]
     if np.any(out <= -1.0):
         raise DataValidationError(f"{path}: price relatives must exceed -1")
     return out
@@ -686,10 +764,8 @@ def load_fuels(path) -> FuelTable:
     for col in ("fuel", "price", "kgco2_per_unit"):
         if col not in header:
             raise DataValidationError(f"{path}: missing column {col!r}")
-    fi, pi, ci = header.index("fuel"), header.index("price"), header.index("kgco2_per_unit")
-    names, prices, carbon = [], [], []
-    for lineno, row in enumerate(rows, start=2):
-        names.append(row[fi])
-        prices.append(_parse_cell(row[pi], path, lineno, "price"))
-        carbon.append(_parse_cell(row[ci], path, lineno, "kgco2_per_unit"))
-    return FuelTable(fuels=tuple(names), price=np.array(prices), carbon_kg_per_unit=np.array(carbon))
+    values = _parse_block(rows, [header.index("price"), header.index("kgco2_per_unit")],
+                          ["price", "kgco2_per_unit"], path)
+    fi = header.index("fuel")
+    return FuelTable(fuels=tuple(row[fi] for row in rows), price=values[:, 0],
+                     carbon_kg_per_unit=values[:, 1])

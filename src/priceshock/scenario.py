@@ -22,8 +22,10 @@ from .data import (
     DEFAULT_REPORT_GROUPS,
     BridgingMatrix,
     FuelTable,
+    LoadReport,
     MrioTable,
     PriceScenario,
+    _parse_block,
     load_bridge,
     load_fuels,
     load_household_survey,
@@ -45,6 +47,8 @@ from .demand import (
 from .errors import DataValidationError, InfeasibleBudgetError
 from .imputation import impute_expenditure_patterns, wls_fit
 from .inputoutput import (
+    LeontiefInverse,
+    TechnologyMatrix,
     bridge_to_categories,
     cost_passthrough,
     direct_fuel_intensity,
@@ -273,6 +277,8 @@ class CarbonTaxResult:
     direct_relatives: np.ndarray
     producer_relatives: np.ndarray
     unit_emissions: np.ndarray
+    technology: TechnologyMatrix
+    inverse: LeontiefInverse
 
 
 def carbon_tax_scenario(
@@ -302,7 +308,8 @@ def carbon_tax_scenario(
     k = n_categories or bridge.shares.shape[0]
     intensity = sector_intensity(mrio)
     shock = rate * (intensity.total if border_adjustment else intensity.domestic)
-    inv = leontief_inverse(technology_matrix(mrio))
+    tech = technology_matrix(mrio)
+    inv = leontief_inverse(tech)
     producer = cost_passthrough(inv, shock, pass_through)
     indirect = bridge_to_categories(bridge, producer)
     unit_emissions = bridge.shares @ embodied_intensity(inv, intensity)["total"]
@@ -318,6 +325,8 @@ def carbon_tax_scenario(
         direct_relatives=direct,
         producer_relatives=producer,
         unit_emissions=unit_emissions,
+        technology=tech,
+        inverse=inv,
     )
 
 
@@ -482,22 +491,27 @@ class ScenarioResult:
     scenario: PriceScenario | None = None
     elasticities: list[list] = field(default_factory=list)
     diagnostics: dict[str, float] = field(default_factory=dict)
+    load_report: LoadReport | None = None
+    carbon: CarbonTaxResult | None = None
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioResult:
     """Execute the full pipeline described in the module docstring."""
     categories = CategorySet.default()
     survey = load_household_survey(cfg.files["households"], categories)
-    records = survey.records
+    ids, weights, sizes, exp = survey.ids, survey.weight, survey.size, survey.expenditure
 
     if cfg.impute:
         if "income" not in cfg.files:
             raise DataValidationError("scenario.impute requires files.income")
         income = load_income_survey(cfg.files["income"])
-        result = impute_expenditure_patterns(
-            records, income.records, categories, seed=cfg.seed, link=cfg.imputation_link
-        )
-        records = result.records
+        records = impute_expenditure_patterns(
+            survey.records, income.records, categories, seed=cfg.seed, link=cfg.imputation_link
+        ).records
+        ids = np.array([r.id for r in records])
+        weights = np.array([r.weight for r in records])
+        sizes = np.array([r.size for r in records])
+        exp = np.vstack([r.expenditure for r in records])
 
     mrio = bridge = fuels = None
     if all(k in cfg.files for k in ("mrio_z", "mrio_d", "mrio_x", "mrio_f")):
@@ -521,6 +535,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     )
     rel_carbon = np.zeros(k)
     unit_emissions = np.zeros(k)
+    carbon = None
     if cfg.carbon_tax > 0 and (mrio is None or bridge is None):
         raise DataValidationError("carbon tax scenarios need the inter-industry inputs")
     if mrio is not None and bridge is not None:
@@ -550,10 +565,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         border_adjustment=cfg.border_adjustment,
     )
 
-    n = len(records)
-    weights = np.array([r.weight for r in records])
-    sizes = np.array([r.size for r in records])
-    exp = np.vstack([r.expenditure for r in records])
+    n = len(ids)
     totals = exp.sum(axis=1)
     shares = exp / totals[:, np.newaxis]
 
@@ -608,9 +620,9 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         if np.any(unit_emissions > 0):
             fp_after[sel] = les_demand(p1, net_g, params) @ unit_emissions
     if np.any(infeasible):
-        ids = ", ".join(repr(records[i].id) for i in np.flatnonzero(infeasible)[:5])
+        first = ", ".join(map(repr, ids[np.flatnonzero(infeasible)[:5]].tolist()))
         raise InfeasibleBudgetError(f"{infeasible.sum()} of {n} households cannot afford their "
-                                    f"committed bundle after the price change (first: {ids})")
+                                    f"committed bundle after the price change (first: {first})")
 
     cv_net = cv - transfers
 
@@ -624,7 +636,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     )
 
     household = {
-        "id": np.array([r.id for r in records]),
+        "id": ids,
         "weight": weights,
         "size": sizes,
         "quintile": quintiles,
@@ -678,6 +690,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             "elasticity_clamps": sum(g.clamped for g in groups),
             "dropped_zero_total": survey.report.n_dropped_zero_total,
         },
+        load_report=survey.report,
+        carbon=carbon,
     )
 
 
@@ -834,41 +848,33 @@ def write_tables(tables, outdir) -> dict[str, Path]:
 def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
     """Write the aggregate tables, the per-household frame and a run manifest."""
     outdir = Path(outdir)
-    paths = write_tables(result.tables, outdir)
+    relatives = (result.relatives_total, result.relatives_inflation, result.relatives_carbon,
+                 result.relatives_tax)
+    paths = write_tables({
+        **result.tables,
+        "consumer_prices": (["category", "relative", "inflation", "carbon", "tax"],
+                            [[c, *(f"{r[j]:.12g}" for r in relatives)]
+                             for j, c in enumerate(result.categories)]),
+        "elasticities": (["group", "category", "share", "eta", "eta_own", "phi", "gamma", "xi"],
+                         result.elasticities),
+    }, outdir)
 
+    # one %-format per row: each spec gives the text that _format_cell (or
+    # {:.6f} for money columns) gives the column's cells
     hh = result.household
     p = outdir / "households.csv"
     columns = list(hh.keys())
-    formats = [
-        str if c == "id"
-        else (lambda v: str(int(v))) if c == "quintile"
-        else (lambda v: f"{float(v):.6f}") if c in MONEY_COLUMNS or c.startswith("burden_")
-        else _format_cell
+    row_format = ",".join(
+        "%s" if c == "id"
+        else "%.6f" if c in MONEY_COLUMNS or c.startswith("burden_")
+        else "%d" if c == "quintile"
+        else "%.6g"
         for c in columns
-    ]
+    ) + "\n"
     with open(p, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in zip(*(hh[c] for c in columns)):
-            fh.write(",".join(f(v) for f, v in zip(formats, row)) + "\n")
+        fh.writelines(map(row_format.__mod__, zip(*(hh[c].tolist() for c in columns))))
     paths["households"] = p
-
-    p = outdir / "consumer_prices.csv"
-    with open(p, "w") as fh:
-        fh.write("category,relative,inflation,carbon,tax\n")
-        for j, c in enumerate(result.categories):
-            fh.write(
-                f"{c},{result.relatives_total[j]:.12g},{result.relatives_inflation[j]:.12g},"
-                f"{result.relatives_carbon[j]:.12g},{result.relatives_tax[j]:.12g}\n"
-            )
-    paths["consumer_prices"] = p
-
-    p = outdir / "elasticities.csv"
-    with open(p, "w") as fh:
-        fh.write("group,category,share,eta,eta_own,phi,gamma,xi\n")
-        for row in result.elasticities:
-            fh.write(row[0] + "," + row[1] + ","
-                     + ",".join(_format_cell(v) for v in row[2:]) + "\n")
-    paths["elasticities"] = p
 
     p = outdir / "run_manifest.json"
     manifest = {
@@ -886,17 +892,13 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
 def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
     """Recompute every aggregate table from a stored per-household frame."""
     header, rows = read_table(households_csv)
-    idx = {c: j for j, c in enumerate(header)}
     needed = {"weight", "size", "quintile", "x", "equivalised", "pi", "burden", "cv", "ye_net"}
     missing = needed - set(header)
     if missing:
         raise DataValidationError(f"{households_csv}: missing columns {sorted(missing)}")
-    hh: dict[str, np.ndarray] = {}
-    for c in header:
-        if c == "id":
-            hh[c] = np.array([r[idx[c]] for r in rows])
-        else:
-            hh[c] = np.array([float(r[idx[c]]) for r in rows])
+    numeric = [j for j, c in enumerate(header) if c != "id"]
+    block = _parse_block(rows, numeric, [header[j] for j in numeric], households_csv)
+    hh = {header[j]: block[:, i] for i, j in enumerate(numeric)}
     group_names = tuple(
         c[len("share_"):] for c in header if c.startswith("share_")
     )

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import shutil
 from pathlib import Path
+
+import pytest
 
 from priceshock.cli import main
 
@@ -19,6 +22,26 @@ class TestFixturesAndValidate:
 
     def test_missing_config_is_data_error(self, tmp_path):
         assert run_cli("validate", "--config", tmp_path / "nope.txt") == 1
+
+    def test_validate_prices_the_scenario(self, tmp_path, capsys):
+        # the configuration is well formed, but the run it describes fails
+        run_cli("fixtures", "--out", tmp_path / "b")
+        cfg = tmp_path / "b" / "config.txt"
+        cfg.write_text(cfg.read_text().replace("scenario.carbon_tax = 0.0",
+                                               "scenario.carbon_tax = 1.25"))
+        capsys.readouterr()
+        assert run_cli("validate", "--config", cfg) == 2
+        captured = capsys.readouterr()
+        assert "8 of 240 households" in captured.err
+        assert "'hh0008'" in captured.err
+        assert "configuration valid" not in captured.out
+
+    def test_validate_writes_nothing(self, bundle_dir, tmp_path, capsys):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        before = sorted(p.name for p in work.iterdir())
+        assert run_cli("validate", "--config", work / "config.txt") == 0
+        assert sorted(p.name for p in work.iterdir()) == before
+        assert "inverse residual" in capsys.readouterr().out
 
     def test_broken_data_is_data_error(self, tmp_path):
         run_cli("fixtures", "--out", tmp_path / "b")
@@ -96,6 +119,46 @@ class TestRun:
         assert "240 households" in err
 
 
+def replace_cell(path, row, column, text):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[row - 1].split(",")
+    cells[header.index(column)] = text
+    lines[row - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestNonFiniteCells:
+    # (file, row, column) of one cell per loader of the demo run
+    CELLS = [
+        ("households.csv", 2, "weight"),
+        ("households.csv", 7, "exp_food"),
+        ("households.csv", 3, "inc"),
+        ("mrio_z.csv", 3, "energy"),
+        ("mrio_d.csv", 2, "d"),
+        ("mrio_x.csv", 2, "x"),
+        ("mrio_f.csv", 3, "f"),
+        ("bridge.csv", 4, "energy"),
+        ("prices.csv", 2, "pi"),
+        ("fuels.csv", 2, "price"),
+        ("income.csv", 5, "inc"),
+    ]
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("name,row,column", CELLS)
+    def test_non_finite_cell_is_named(self, bundle_dir, tmp_path, capsys, name, row, column, text):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        cfg = work / "config.txt"
+        if name == "income.csv":
+            shutil.copyfile(work / "households.csv", work / name)
+            cfg.write_text(cfg.read_text() + "files.income = income.csv\nscenario.impute = true\n")
+        replace_cell(work / name, row, column, text)
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert f"{name}: row {row}, column {column!r}: non-finite value {text!r}" in err
+
+
 class TestReport:
     def test_report_reproduces_run_tables(self, bundle_dir, tmp_path):
         out = tmp_path / "results"
@@ -105,6 +168,16 @@ class TestReport:
                        "--results", out / "households.csv", "--out", rep, "--quiet") == 0
         for name in ("t7_welfare.csv", "t8_atkinson.csv", "t9_decomposition.csv"):
             assert (rep / name).read_bytes() == (out / name).read_bytes()
+
+    def test_bad_cell_in_results_is_named(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "results"
+        run_cli("run", "--config", bundle_dir / "config.txt", "--out", out, "--quiet")
+        replace_cell(out / "households.csv", 4, "cv", "abc")
+        capsys.readouterr()
+        assert run_cli("report", "--config", bundle_dir / "config.txt",
+                       "--results", out / "households.csv", "--out", tmp_path / "t") == 1
+        err = capsys.readouterr().err
+        assert "households.csv: row 4, column 'cv': non-numeric value 'abc'" in err
 
 
 class TestImpute:

@@ -1,7 +1,13 @@
 """Loader validation, load reports, and CSV round-trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from priceshock.data import (
     CategorySet,
@@ -9,6 +15,7 @@ from priceshock.data import (
     MrioTable,
     BridgingMatrix,
     FuelTable,
+    _parse_block,
     load_bridge,
     load_fuels,
     load_household_survey,
@@ -18,6 +25,14 @@ from priceshock.data import (
     write_household_survey,
 )
 from priceshock.errors import DataValidationError
+from priceshock.scenario import (
+    MONEY_COLUMNS,
+    ScenarioResult,
+    _format_cell,
+    emit_reports,
+    parse_config,
+    run_scenario,
+)
 
 CATS = CategorySet(("food", "fuel", "rest"))
 
@@ -299,6 +314,15 @@ class TestTypeInvariants:
             BridgingMatrix(categories=("a",), products=("p", "q"),
                            shares=np.array([[1.5, -0.5]]))
 
+    def test_tables_reject_non_finite_values(self):
+        with pytest.raises(DataValidationError, match="must be finite"):
+            MrioTable(sectors=("a",), flows=np.array([[np.nan]]), final_demand=np.array([1.0]),
+                      output=np.array([2.0]), emissions=np.array([0.0]), origin=("domestic",))
+        with pytest.raises(DataValidationError, match="must be finite"):
+            BridgingMatrix(categories=("a",), products=("p",), shares=np.array([[np.inf]]))
+        with pytest.raises(DataValidationError, match="must be finite"):
+            FuelTable(fuels=("a",), price=np.array([np.nan]), carbon_kg_per_unit=np.array([1.0]))
+
     def test_price_scenario_invariants(self):
         from priceshock.data import PriceScenario
 
@@ -313,3 +337,264 @@ class TestTypeInvariants:
             PriceScenario(category_relatives=np.array([0.1]), vat=np.array([-0.1]))
         with pytest.raises(DataValidationError, match="one entry per category"):
             PriceScenario(category_relatives=np.array([0.1, 0.2]), vat=np.array([0.1]))
+
+
+# ---------------------------------------------------------------------------
+# Bulk loaders and writer against per-cell references
+# ---------------------------------------------------------------------------
+
+# text forms float() accepts for the same value
+NUMBER_TEXTS = (repr, "{:.6g}".format, "{:E}".format, " {!r} ".format, "{:_}".format)
+NON_FINITE = ("nan", "inf", "-Infinity", "1e400")
+
+
+def ref_cell(text, path, lineno, column):
+    """Per-cell reference: float(), then the finite-number rule."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise DataValidationError(
+            f"{path}: row {lineno}, column {column!r}: non-numeric value {text!r}") from None
+    if not np.isfinite(v):
+        raise DataValidationError(
+            f"{path}: row {lineno}, column {column!r}: non-finite value {text!r}")
+    return v
+
+
+def ref_household_survey(path, categories):
+    """The row-by-row household loader that the bulk loader replaced."""
+    header, rows = read_table(path)
+    idx = {c: header.index(c) for c in header}
+    demo_cols = [c for c in header if c.startswith("demo_")]
+    out = {"ids": [], "weight": [], "size": [], "income": [], "demo": [], "exp": []}
+    seen = set()
+    for lineno, row in enumerate(rows, start=2):
+        hid = row[idx["id"]]
+        if hid in seen:
+            raise DataValidationError(f"{path}: row {lineno}: duplicate household id {hid!r}")
+        seen.add(hid)
+        weight = ref_cell(row[idx["weight"]], path, lineno, "weight")
+        size = ref_cell(row[idx["size"]], path, lineno, "size")
+        if weight < 0:
+            raise DataValidationError(f"{path}: row {lineno}, column 'weight': negative value {weight}")
+        if size < 1:
+            raise DataValidationError(f"{path}: row {lineno}, column 'size': value {size} < 1")
+        exp = []
+        for cat in categories:
+            col = "exp_" + cat
+            v = ref_cell(row[idx[col]], path, lineno, col)
+            if v < 0:
+                raise DataValidationError(
+                    f"{path}: row {lineno}, column {col!r}: negative expenditure {v}")
+            exp.append(v)
+        if sum(exp) <= 0:
+            continue
+        out["demo"].append([ref_cell(row[idx[c]], path, lineno, c) for c in demo_cols])
+        if "inc" in header:
+            out["income"].append(ref_cell(row[idx["inc"]], path, lineno, "inc"))
+        for key, v in (("ids", hid), ("weight", weight), ("size", size), ("exp", exp)):
+            out[key].append(v)
+    if not out["ids"]:
+        raise DataValidationError(f"{path}: no usable household rows")
+    return out
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def survey_tables(draw):
+    """households.csv text: shuffled columns, optional inc and demo_*, some
+    zero-total rows, numbers in several float() spellings."""
+    n = draw(st.integers(1, 8))
+    columns = ["id", "weight", "size", "exp_food", "exp_fuel", "exp_rest"]
+    columns += [c for c in ("inc", "demo_urban") if draw(st.booleans())]
+    columns = draw(st.permutations(columns))
+
+    def number(lo, hi):
+        v = draw(st.floats(lo, hi))
+        return draw(st.sampled_from(NUMBER_TEXTS))(v)
+
+    rows = []
+    for i in range(n):
+        zero = draw(st.booleans()) and draw(st.booleans())
+        cells = {"id": f"h{i}", "weight": number(0.0, 1e6), "size": number(1.0, 12.0),
+                 "inc": number(-1e6, 1e6), "demo_urban": number(0.0, 1.0)}
+        for c in ("exp_food", "exp_fuel", "exp_rest"):
+            cells[c] = "0" if zero else number(0.0, 1e7)
+        rows.append([cells[c] for c in columns])
+    return columns, rows
+
+
+def write_rows(path, header, rows):
+    path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    return path
+
+
+def load_both(path):
+    """(bulk result or error text, reference result or error text)."""
+    results = []
+    for loader in (load_household_survey, ref_household_survey):
+        try:
+            results.append(loader(path, CATS))
+        except DataValidationError as exc:
+            results.append(str(exc))
+    return results
+
+
+@pytest.fixture(scope="module")
+def new_dir(tmp_path_factory):
+    """A new empty directory on each call, one per Hypothesis example."""
+    root = tmp_path_factory.mktemp("bulk")
+    return lambda: Path(tempfile.mkdtemp(dir=root))
+
+
+class TestBulkLoaders:
+    @settings(max_examples=100, deadline=None)
+    @given(table=survey_tables())
+    def test_household_columns_equal_per_cell_parse(self, new_dir, table):
+        path = write_rows(new_dir() / "hh.csv", *table)
+        survey, ref = load_both(path)
+        if isinstance(ref, str):  # every row had zero total
+            assert survey == ref
+            return
+        assert survey.ids.tolist() == ref["ids"]
+        assert bits(survey.weight) == bits(ref["weight"])
+        assert bits(survey.size) == bits(ref["size"])
+        assert bits(survey.expenditure) == bits(ref["exp"])
+        assert bits(survey.demographics) == bits(np.reshape(ref["demo"], survey.demographics.shape))
+        if "inc" in table[0]:
+            assert bits(survey.income) == bits(ref["income"])
+        else:
+            assert survey.income is None
+        assert survey.report.n_dropped_zero_total == len(table[1]) - len(ref["ids"])
+        assert [r.id for r in survey.records] == ref["ids"]
+
+    @settings(max_examples=250, deadline=None)
+    @given(table=survey_tables(), data=st.data())
+    def test_first_fault_message_equals_row_loop(self, new_dir, table, data):
+        header, rows = table
+        kinds = {
+            "non-numeric": lambda c: data.draw(st.sampled_from(["abc", "", "1.2.3", "0x10"])),
+            "non-finite": lambda c: data.draw(st.sampled_from(NON_FINITE)),
+            "negative weight": lambda c: "-0.5",
+            "size below 1": lambda c: "0.75",
+            "negative expenditure": lambda c: "-3",
+            "duplicate id": lambda c: rows[0][header.index("id")],
+        }
+        targets = {"negative weight": ["weight"], "size below 1": ["size"],
+                   "duplicate id": ["id"],
+                   "negative expenditure": ["exp_food", "exp_fuel", "exp_rest"]}
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(sorted(kinds)))
+            col = data.draw(st.sampled_from(targets.get(kind, [c for c in header if c != "id"])))
+            i = data.draw(st.integers(0, len(rows) - 1))
+            rows[i][header.index(col)] = kinds[kind](col)
+        survey, ref = load_both(write_rows(new_dir() / "hh.csv", header, rows))
+        if isinstance(ref, str):
+            assert survey == ref
+        else:  # faults only in the demo/inc cells of dropped rows
+            assert survey.ids.tolist() == ref["ids"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_parse_block_equals_per_cell_parse(self, data):
+        n, m = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 4))
+        valid = st.builds(lambda f, v: f(v), st.sampled_from(NUMBER_TEXTS), st.floats(allow_nan=False,
+                                                                                      allow_infinity=False))
+        cells = st.one_of(valid, valid, st.sampled_from(["x", "", "nan", "-inf", "1e999", "1_0"]))
+        rows = [["key", *(data.draw(cells) for _ in range(m))] for _ in range(n)]
+        names = [f"c{j}" for j in range(m)]
+        try:
+            expected = [[ref_cell(r[j + 1], "t.csv", i + 2, names[j]) for j in range(m)]
+                        for i, r in enumerate(rows)]
+        except DataValidationError as exc:
+            with pytest.raises(DataValidationError) as got:
+                _parse_block(rows, list(range(1, m + 1)), names, "t.csv")
+            assert str(got.value) == str(exc)
+        else:
+            block = _parse_block(rows, list(range(1, m + 1)), names, "t.csv")
+            assert block.shape == (n, m)
+            assert bits(block) == bits(np.reshape(expected, (n, m)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_keyed_loaders_equal_per_cell_parse(self, new_dir, data):
+        scratch = new_dir()
+        n = data.draw(st.integers(1, 5))
+        sectors = [f"s{i}" for i in range(n)]
+        fmt = st.sampled_from(NUMBER_TEXTS)
+        z = [[data.draw(fmt)(data.draw(st.floats(0.0, 1e4))) for _ in sectors] for _ in sectors]
+        d = [data.draw(fmt)(data.draw(st.floats(1.0, 1e4))) for _ in sectors]
+        f = [data.draw(fmt)(data.draw(st.floats(0.0, 1e3))) for _ in sectors]
+        z_ref = np.array([[float(c) for c in row] for row in z])
+        d_ref, f_ref = np.array([float(c) for c in d]), np.array([float(c) for c in f])
+        x_ref = z_ref.sum(axis=1) + d_ref
+        order = data.draw(st.permutations(range(n)))  # keyed rows in any order
+        write_rows(scratch / "z.csv", ["sector", *sectors], [[s, *r] for s, r in zip(sectors, z)])
+        for name, col, cells in (("d", "d", d), ("x", "x", [repr(v) for v in x_ref.tolist()]), ("f", "f", f)):
+            write_rows(scratch / f"{name}.csv", ["sector", col], [[sectors[i], cells[i]] for i in order])
+        t = load_mrio(*(scratch / f"{name}.csv" for name in "zdxf"))
+        assert bits(t.flows) == bits(z_ref)
+        assert bits(t.final_demand) == bits(d_ref)
+        assert bits(t.output) == bits(x_ref)
+        assert bits(t.emissions) == bits(f_ref)
+        pi = [data.draw(fmt)(data.draw(st.floats(-0.99, 5.0))) for _ in CATS]
+        write_rows(scratch / "prices.csv", ["category", "pi"],
+                   [[CATS.ids[i], pi[i]] for i in data.draw(st.permutations(range(len(CATS))))])
+        assert bits(load_price_relatives(scratch / "prices.csv", CATS)) == bits([float(c) for c in pi])
+
+
+def ref_households_csv(hh):
+    """The cell-by-cell households.csv text that the row-format writer replaced."""
+    columns = list(hh)
+    formats = [
+        str if c == "id"
+        else (lambda v: str(int(v))) if c == "quintile"
+        else (lambda v: f"{float(v):.6f}") if c in MONEY_COLUMNS or c.startswith("burden_")
+        else _format_cell
+        for c in columns
+    ]
+    lines = [",".join(columns)]
+    lines += [",".join(f(v) for f, v in zip(formats, row)) for row in zip(*(hh[c] for c in columns))]
+    return "\n".join(lines) + "\n"
+
+
+class TestHouseholdWriter:
+    EDGES = (0.0, -0.0, 1e16, -3.5e17, 1e300, 5e-324, -2.2250738585072014e-308, 0.5, 999999.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_row_format_equals_per_cell_format(self, new_dir, data):
+        n = data.draw(st.integers(1, 6))
+        values = st.one_of(st.sampled_from(self.EDGES),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        col = lambda: data.draw(arrays(float, n, elements=values))  # noqa: E731
+        hh = {"id": np.array([data.draw(st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True))
+                              for _ in range(n)]),
+              "weight": col(), "size": col(),
+              "quintile": np.array([data.draw(st.integers(0, 9)) for _ in range(n)]),
+              "x": col(), "cv": col(), "pi": col(), "share_food": col(), "burden_food": col()}
+        result = ScenarioResult(
+            categories=CATS, group_names=("food",), relatives_total=np.zeros(3),
+            relatives_inflation=np.zeros(3), relatives_carbon=np.zeros(3),
+            relatives_tax=np.zeros(3), household=hh, tables={}, revenue=0.0, seed=0,
+            config_hash="",
+        )
+        out = new_dir()
+        emit_reports(result, out)
+        assert (out / "households.csv").read_text() == ref_households_csv(hh)
+
+
+def test_run_builds_no_household_record(bundle_dir, monkeypatch):
+    """The survey stays in columns from the loader to the written tables."""
+    built = []
+    original = HouseholdRecord.__post_init__
+    monkeypatch.setattr(HouseholdRecord, "__post_init__",
+                        lambda self: (built.append(self.id), original(self)))
+    result = run_scenario(parse_config(bundle_dir / "config.txt"))
+    assert len(result.household["id"]) == 240
+    assert built == []
+    load_household_survey(bundle_dir / "households.csv", CategorySet.default()).records
+    assert len(built) == 240  # the records view still builds them on request
