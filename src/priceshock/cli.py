@@ -104,7 +104,7 @@ def _cmd_impute(args) -> int:
     source = load_household_survey(cfg.files["households"], categories)
     income = load_income_survey(cfg.files["income"])
     result = impute_expenditure_patterns(
-        source.records, income.records, categories, seed=cfg.seed, link=cfg.imputation_link
+        source, income, categories, seed=cfg.seed, link=cfg.imputation_link
     )
     write_household_survey(args.out, result.records, categories,
                            extra_columns=result.provenance)

@@ -418,8 +418,61 @@ class HouseholdSurvey:
 
 @dataclass
 class IncomeSurvey:
-    records: list[IncomeRecord]
+    """The imputation target as columns: a HouseholdSurvey without
+    expenditure, whose ``income`` is always present."""
+
+    ids: np.ndarray
+    weight: np.ndarray
+    size: np.ndarray
+    income: np.ndarray
+    demographic_names: tuple[str, ...]
+    demographics: np.ndarray
     report: LoadReport
+
+    @cached_property
+    def records(self) -> list[IncomeRecord]:
+        """The same rows as one IncomeRecord each."""
+        return [
+            IncomeRecord(id=rid, weight=w, size=s, disposable_income=inc,
+                         demographics=dict(zip(self.demographic_names, demo)))
+            for rid, w, s, inc, demo in zip(self.ids.tolist(), self.weight.tolist(),
+                                            self.size.tolist(), self.income.tolist(),
+                                            self.demographics.tolist())
+        ]
+
+
+def as_survey(data) -> HouseholdSurvey | IncomeSurvey:
+    """A survey frame as it is; a list of records as the matching frame.
+
+    The frame's demographic names are the first record's keys, sorted; a
+    record missing one of them is rejected. Its ``income`` is None when a
+    record has none.
+    """
+    if isinstance(data, (HouseholdSurvey, IncomeSurvey)):
+        return data
+    records = list(data)
+    if not records:
+        raise DataValidationError("no records")
+    names = tuple(sorted(records[0].demographics))
+    for r in records:
+        missing = [k for k in names if k not in r.demographics]
+        if missing:
+            raise DataValidationError(f"record {r.id!r}: missing covariate(s) {missing}")
+    n = len(records)
+    income = [r.disposable_income for r in records]
+    columns = dict(
+        ids=np.array([r.id for r in records], dtype=str),
+        weight=np.array([r.weight for r in records], dtype=float),
+        size=np.array([r.size for r in records], dtype=float),
+        income=None if None in income else np.array(income, dtype=float),
+        demographic_names=names,
+        demographics=np.array([[r.demographics[k] for k in names] for r in records],
+                              dtype=float).reshape(n, len(names)),
+        report=LoadReport(source="records", n_rows=n, n_loaded=n),
+    )
+    if isinstance(records[0], IncomeRecord):
+        return IncomeSurvey(**columns)
+    return HouseholdSurvey(**columns, expenditure=np.vstack([r.expenditure for r in records]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +480,12 @@ class IncomeSurvey:
 # ---------------------------------------------------------------------------
 
 
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV file into (header, rows), rejecting ragged or headerless files."""
+def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
+    """Read a CSV file into (header, rows, lines), rejecting ragged or headerless files.
+
+    Blank rows are skipped; ``lines[i]`` is the row number in the file of
+    ``rows[i]`` (the header is row 1), which every message about a row names.
+    """
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"file not found: {path}")
@@ -438,19 +495,20 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
             header = next(reader)
         except StopIteration:
             raise DataValidationError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataValidationError(
-                    f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
-                )
-            rows.append(row)
+        rows = list(reader)
+    lines: Sequence[int] = range(2, len(rows) + 2)
+    if not all(rows):
+        lines = [lineno for lineno, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    if set(map(len, rows)) - {len(header)}:
+        i = next(i for i, row in enumerate(rows) if len(row) != len(header))
+        raise DataValidationError(
+            f"{path}: row {lines[i]} has {len(rows[i])} cells, header has {len(header)}"
+        )
     if len(set(header)) != len(header):
         dupes = sorted({c for c in header if header.count(c) > 1})
         raise DataValidationError(f"{path}: duplicate columns {dupes}")
-    return header, rows
+    return header, rows, lines
 
 
 def _float_or_nan(text: str) -> float:
@@ -486,17 +544,17 @@ def _cell_error(path, lineno: int, column: str, text: str) -> DataValidationErro
     return DataValidationError(f"{path}: row {lineno}, column {column!r}: {problem} value {text!r}")
 
 
-def _parse_block(rows, positions, names, path) -> np.ndarray:
+def _parse_block(rows, positions, names, path, lines) -> np.ndarray:
     """The chosen columns of ``read_table`` rows as an (n, m) float block.
 
     Accepts exactly the cells ``float()`` reads as a finite number; the
-    first other cell, row by row, raises with its row and column
-    (``names[j]`` names the column at ``positions[j]``).
+    first other cell, row by row, raises with its file row (``lines``) and
+    column (``names[j]`` names the column at ``positions[j]``).
     """
     block = _parse_cells(rows, positions)
     if not np.isfinite(block).all():
         i, j = np.argwhere(~np.isfinite(block))[0]
-        raise _cell_error(path, i + 2, names[j], rows[i][positions[j]])
+        raise _cell_error(path, lines[i], names[j], rows[i][positions[j]])
     return block
 
 
@@ -507,13 +565,13 @@ def _duplicates(ids: np.ndarray) -> np.ndarray:
     return dup
 
 
-def _raise_first_fault(path, rows, idx: Mapping[str, int], checks) -> None:
+def _raise_first_fault(path, rows, lines, idx: Mapping[str, int], checks) -> None:
     """Raise the fault a row-by-row loader would meet first.
 
     ``checks`` lists (row mask, column, message template) in the order the
     checks run on one row; a template of None marks a cell that is not a
-    finite number. Templates may use {path}, {row}, {col}, {hid} (the row's
-    id) and {value} (the cell as a float).
+    finite number. Templates may use {path}, {row} (the file row, from
+    ``lines``), {col}, {hid} (the row's id) and {value} (the cell as a float).
     """
     faults = np.column_stack([mask for mask, _, _ in checks])
     faulty = faults.any(axis=1)
@@ -523,9 +581,9 @@ def _raise_first_fault(path, rows, idx: Mapping[str, int], checks) -> None:
     _, col, template = checks[int(np.argmax(faults[i]))]
     text = rows[i][idx[col]]
     if template is None:
-        raise _cell_error(path, i + 2, col, text)
-    raise DataValidationError(template.format(path=path, row=i + 2, col=col, hid=rows[i][idx["id"]],
-                                              value=_float_or_nan(text)))
+        raise _cell_error(path, lines[i], col, text)
+    raise DataValidationError(template.format(path=path, row=lines[i], col=col,
+                                              hid=rows[i][idx["id"]], value=_float_or_nan(text)))
 
 
 def _keyed_order(path, header: list[str], rows: list[list[str]], key_column: str,
@@ -565,7 +623,7 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     returned.
     """
     path = Path(path)
-    header, rows = read_table(path)
+    header, rows, lines = read_table(path)
     required = ["id", "weight", "size"]
     missing = [c for c in required if c not in header]
     if missing:
@@ -601,7 +659,7 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     for j, col in enumerate(exp_names):
         checks += [(bad[:, 2 + j], col, None), (exp[:, j] < 0, col, negative)]
     checks += [(bad[:, 2 + k + j], col, None) for j, col in enumerate(extra_cols)]
-    _raise_first_fault(path, rows, idx, checks)
+    _raise_first_fault(path, rows, lines, idx, checks)
 
     kept = np.flatnonzero(keep)
     report = LoadReport(source=str(path), n_rows=len(rows), n_loaded=len(kept),
@@ -624,10 +682,11 @@ def load_income_survey(path) -> IncomeSurvey:
     """Load the imputation target: id, weight, size, inc, demo_* columns.
 
     Expenditure columns, if present, are ignored (and noted in the report);
-    the dataset's own incomes define the calibration targets.
+    the dataset's own incomes define the calibration targets. The rows come
+    back as columns; ``records`` is a view built on request.
     """
     path = Path(path)
-    header, rows = read_table(path)
+    header, rows, lines = read_table(path)
     required = ["id", "weight", "size", "inc"]
     missing = [c for c in required if c not in header]
     if missing:
@@ -638,26 +697,24 @@ def load_income_survey(path) -> IncomeSurvey:
     report = LoadReport(source=str(path), n_rows=len(rows))
     if ignored:
         report.notes.append(f"ignored {len(ignored)} expenditure column(s) in the income dataset")
-    ids = [row[idx["id"]] for row in rows]
+    ids = np.array([row[idx["id"]] for row in rows], dtype=str)
     cols = ["weight", "size", "inc", *demo_cols]
     values = _parse_cells(rows, [idx[c] for c in cols])
     bad = ~np.isfinite(values)
-    _raise_first_fault(path, rows, idx, [
-        (_duplicates(np.array(ids, dtype=str)), "id", "{path}: row {row}: duplicate id {hid!r}"),
+    _raise_first_fault(path, rows, lines, idx, [
+        (_duplicates(ids), "id", "{path}: row {row}: duplicate id {hid!r}"),
         *((bad[:, j], col, None) for j, col in enumerate(cols)),
         (values[:, 0] < 0, "weight", "record {hid}: negative weight {value}"),
         (values[:, 1] < 1, "size", "record {hid}: size {value} < 1"),
     ])
-    demo_names = [c[len(DEMOGRAPHIC_PREFIX):] for c in demo_cols]
-    records = [
-        IncomeRecord(id=rid, weight=w, size=s, disposable_income=inc,
-                     demographics=dict(zip(demo_names, demo)))
-        for rid, (w, s, inc, *demo) in zip(ids, values.tolist())
-    ]
-    report.n_loaded = len(records)
-    if not records:
+    report.n_loaded = len(rows)
+    if not rows:
         raise DataValidationError(f"{path}: no income rows")
-    return IncomeSurvey(records=records, report=report)
+    return IncomeSurvey(
+        ids=ids, weight=values[:, 0], size=values[:, 1], income=values[:, 2],
+        demographic_names=tuple(c[len(DEMOGRAPHIC_PREFIX):] for c in demo_cols),
+        demographics=values[:, 3:], report=report,
+    )
 
 
 def write_household_survey(path, records: Sequence[HouseholdRecord], categories: CategorySet,
@@ -689,7 +746,7 @@ def write_household_survey(path, records: Sequence[HouseholdRecord], categories:
 def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDENTITY_RTOL) -> MrioTable:
     """Load the four MRIO files and verify the accounting identity."""
     z_path = Path(z_path)
-    header, rows = read_table(z_path)
+    header, rows, lines = read_table(z_path)
     if len(header) < 2:
         raise DataValidationError(f"{z_path}: flow matrix needs at least one sector column")
     col_sectors = header[1:]
@@ -703,18 +760,19 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
     labels = {s: s for s in col_sectors}
     sectors = tuple(labels[s] for s in row_sectors)
     col_pos = {s: j + 1 for j, s in enumerate(col_sectors)}
-    Z = _parse_block(rows, [col_pos[s] for s in sectors], sectors, z_path)
+    Z = _parse_block(rows, [col_pos[s] for s in sectors], sectors, z_path, lines)
 
     def vector(path, value_col):
-        header_v, rows_v = read_table(path)
+        header_v, rows_v, lines_v = read_table(path)
         order = _keyed_order(path, header_v, rows_v, "sector", sectors)
         if value_col not in header_v:
             raise DataValidationError(f"{path}: missing column {value_col!r}")
-        values = _parse_block(rows_v, [header_v.index(value_col)], [value_col], path)[order, 0]
-        return values, header_v, rows_v, order
+        values = _parse_block(rows_v, [header_v.index(value_col)], [value_col], path,
+                              lines_v)[order, 0]
+        return values, header_v, rows_v, lines_v, order
 
     d = vector(d_path, "d")[0]
-    x, x_header, x_rows, x_order = vector(x_path, "x")
+    x, x_header, x_rows, x_lines, x_order = vector(x_path, "x")
     f = vector(f_path, "f")[0]
     origin = tuple("domestic" for _ in sectors)
     if "origin" in x_header:
@@ -724,7 +782,8 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
             flag = x_rows[i][oi] or "domestic"
             if flag not in ("domestic", "imported"):
                 raise DataValidationError(
-                    f"{x_path}: row {i + 2}, column 'origin': expected domestic/imported, got {flag!r}"
+                    f"{x_path}: row {x_lines[i]}, column 'origin': expected domestic/imported, "
+                    f"got {flag!r}"
                 )
             flags.append(flag)
         origin = tuple(flags)
@@ -736,23 +795,23 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
 
 def load_bridge(path, categories: CategorySet) -> BridgingMatrix:
     path = Path(path)
-    header, rows = read_table(path)
+    header, rows, lines = read_table(path)
     products = tuple(header[1:])
     if not products:
         raise DataValidationError(f"{path}: bridging matrix needs product columns")
     order = _keyed_order(path, header, rows, "category", categories.ids)
-    B = _parse_block(rows, range(1, len(header)), products, path)[order]
+    B = _parse_block(rows, range(1, len(header)), products, path, lines)[order]
     return BridgingMatrix(categories=categories.ids, products=products, shares=B)
 
 
 def load_price_relatives(path, categories: CategorySet) -> np.ndarray:
     """prices.csv -> per-category price relatives in registry order."""
     path = Path(path)
-    header, rows = read_table(path)
+    header, rows, lines = read_table(path)
     if "pi" not in header:
         raise DataValidationError(f"{path}: missing column 'pi'")
     order = _keyed_order(path, header, rows, "category", categories.ids)
-    out = _parse_block(rows, [header.index("pi")], ["pi"], path)[order, 0]
+    out = _parse_block(rows, [header.index("pi")], ["pi"], path, lines)[order, 0]
     if np.any(out <= -1.0):
         raise DataValidationError(f"{path}: price relatives must exceed -1")
     return out
@@ -760,12 +819,12 @@ def load_price_relatives(path, categories: CategorySet) -> np.ndarray:
 
 def load_fuels(path) -> FuelTable:
     path = Path(path)
-    header, rows = read_table(path)
+    header, rows, lines = read_table(path)
     for col in ("fuel", "price", "kgco2_per_unit"):
         if col not in header:
             raise DataValidationError(f"{path}: missing column {col!r}")
     values = _parse_block(rows, [header.index("price"), header.index("kgco2_per_unit")],
-                          ["price", "kgco2_per_unit"], path)
+                          ["price", "kgco2_per_unit"], path, lines)
     fi = header.index("fuel")
     return FuelTable(fuels=tuple(row[fi] for row in rows), price=values[:, 0],
                      carbon_kg_per_unit=values[:, 1])

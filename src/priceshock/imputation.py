@@ -9,8 +9,10 @@ curves with simulated disturbances, floored at zero and rescaled to sum
 to one.
 
 The module carries its own weighted least-squares and binary-response
-estimators. All disturbances are drawn from per-record seeded generators,
-so results are reproducible and independent of processing order.
+estimators. All disturbances are counter-based keyed draws (one hash per
+record id, then array mixing; see ``randutil.keyed_normals``), so results
+are reproducible and independent of processing order. The pipeline works
+on column frames (``HouseholdSurvey``, ``IncomeSurvey``) in and out.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .data import CategorySet, HouseholdRecord, IncomeRecord
+from .data import (CategorySet, HouseholdRecord, HouseholdSurvey, IncomeRecord, IncomeSurvey,
+                   as_survey)
 from .errors import ConvergenceError, DataValidationError, SeparationError
-from .randutil import normals, rng_for
+from .randutil import keyed_normals
 
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITER = 200
@@ -244,14 +247,11 @@ def calibrate_income(values: np.ndarray, target_mean: float, target_sd: float) -
 
 def impute_total_expenditure(fit: RegressionFit, design: np.ndarray, names,
                              record_ids, seed: int) -> np.ndarray:
-    """Simulated total expenditure: exp(linear predictor + seeded disturbance)."""
+    """Simulated total expenditure: exp(linear predictor + keyed disturbance)."""
     pred = fit.predict(np.asarray(design, dtype=float), names)
     sd = math.sqrt(max(fit.residual_var, 0.0))
-    noise = np.array([
-        float(normals(rng_for(seed, "total_expenditure", rid), 1, fit.residual_mean, sd)[0])
-        for rid in record_ids
-    ])
-    return np.exp(pred + noise)
+    z = keyed_normals(seed, "total_expenditure", record_ids, ["total"])[:, 0]
+    return np.exp(pred + (fit.residual_mean + sd * z))
 
 
 def impute_participation(probabilities: np.ndarray, weights: np.ndarray,
@@ -285,26 +285,23 @@ def impute_budget_shares(
     seed: int,
     categories: CategorySet,
 ) -> np.ndarray:
-    """Conditional budget shares with seeded disturbances, floored and rescaled.
+    """Conditional budget shares with keyed disturbances, floored and rescaled.
 
-    Categories without a participation flag (or without a fitted Engel
-    curve) get a zero share; each record's vector is rescaled to sum to
-    exactly one.
+    Every (record, category) cell is drawn, so a cell's draw does not depend
+    on which others participate. Categories without a participation flag
+    (or without a fitted Engel curve) get a zero share; each record's vector
+    is rescaled to sum to exactly one.
     """
     design = np.asarray(design, dtype=float)
-    n = design.shape[0]
-    k = len(categories)
-    raw = np.zeros((n, k))
+    z = keyed_normals(seed, "share", record_ids, categories.ids)
+    raw = np.zeros(z.shape)
     for j, cat in enumerate(categories):
         fit = fits.get(cat)
         if fit is None:
             continue
-        pred = fit.predict(design, names)
         sd = math.sqrt(max(fit.residual_var, 0.0))
-        for i, rid in enumerate(record_ids):
-            if indicators[i, j]:
-                noise = float(normals(rng_for(seed, "share", rid, cat), 1, fit.residual_mean, sd)[0])
-                raw[i, j] = max(0.0, pred[i] + noise)
+        raw[:, j] = fit.predict(design, names) + (fit.residual_mean + sd * z[:, j])
+    raw = np.where(indicators, np.maximum(0.0, raw), 0.0)
     sums = raw.sum(axis=1)
     if np.any(sums <= 0):
         i = int(np.argmin(sums))
@@ -319,29 +316,27 @@ def impute_budget_shares(
 # ---------------------------------------------------------------------------
 
 
-def demographic_design(records, *, size_bands=(2, 5), age_bands=(35, 55),
+def demographic_design(survey, *, size_bands=(2, 5), age_bands=(35, 55),
                        age_key: str = "head_age") -> tuple[np.ndarray, list[str]]:
     """Covariate columns: household-size bands, flags, head-age bands.
 
-    Size bands split at the configured cut points; every demographic key
-    present in the records becomes a numeric regressor, with the age key
-    expanded into band dummies. A key missing from any record is an error.
+    ``survey`` is a column frame or a list of records (converted once by
+    ``as_survey``, which rejects a record missing a covariate). Size bands
+    split at the configured cut points; every demographic column becomes a
+    numeric regressor, in name order, with the age key expanded into band
+    dummies.
     """
-    keys = sorted(records[0].demographics.keys())
-    for r in records:
-        missing = [k for k in keys if k not in r.demographics]
-        if missing:
-            raise DataValidationError(f"record {r.id!r}: missing covariate(s) {missing}")
+    survey = as_survey(survey)
     cols: list[np.ndarray] = []
     names: list[str] = []
-    sizes = np.array([r.size for r in records])
+    sizes = survey.size
     lo, hi = size_bands
     cols.append(((sizes > lo) & (sizes <= hi)).astype(float))
     names.append(f"size_{lo + 1}_{hi}")
     cols.append((sizes > hi).astype(float))
     names.append(f"size_gt{hi}")
-    for key in keys:
-        v = np.array([r.demographics[key] for r in records], dtype=float)
+    for key in sorted(survey.demographic_names):
+        v = survey.demographics[:, survey.demographic_names.index(key)]
         if key == age_key:
             a, b = age_bands
             cols.append(((v >= a) & (v < b)).astype(float))
@@ -351,7 +346,7 @@ def demographic_design(records, *, size_bands=(2, 5), age_bands=(35, 55),
         else:
             cols.append(v)
             names.append(key)
-    return np.column_stack(cols) if cols else np.empty((len(records), 0)), names
+    return np.column_stack(cols), names
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +364,19 @@ class ImputationReport:
 
 @dataclass
 class ImputationResult:
-    records: list[HouseholdRecord]
+    survey: HouseholdSurvey
     report: ImputationReport
     provenance: dict[str, list]
 
+    @property
+    def records(self) -> list[HouseholdRecord]:
+        """The imputed households as one HouseholdRecord each (a view of ``survey``)."""
+        return self.survey.records
+
 
 def impute_expenditure_patterns(
-    source: list[HouseholdRecord],
-    income_records: list[HouseholdRecord] | list[IncomeRecord],
+    source: HouseholdSurvey | list[HouseholdRecord],
+    income: HouseholdSurvey | IncomeSurvey | list[HouseholdRecord] | list[IncomeRecord],
     categories: CategorySet,
     *,
     seed: int,
@@ -384,33 +384,39 @@ def impute_expenditure_patterns(
 ) -> ImputationResult:
     """Impute the source survey's expenditure patterns into an income dataset.
 
-    The income side needs only id, weight, size, income and demographics
-    (closure runs may pass the source survey itself). Source incomes are
-    first calibrated (outlier-robust affine map) to the income dataset's
-    moments; the three imputation steps then run with disturbances keyed
-    on ``seed`` and the record ids.
+    Both sides are column frames; lists of records are converted once on
+    entry. The income side needs only ids, weight, size, income and
+    demographics (closure runs may pass the source survey itself). Source
+    incomes are first calibrated (outlier-robust affine map) to the income
+    dataset's moments; the three imputation steps then run with
+    disturbances keyed on ``seed`` and the record ids. The imputed
+    households come back as a HouseholdSurvey with the income side's
+    columns and the imputed expenditure.
     """
-    if any(r.disposable_income is None for r in source):
+    same = income is source
+    source = as_survey(source)
+    income = source if same else as_survey(income)
+    if source.income is None:
         raise DataValidationError("source survey lacks disposable income; cannot impute")
-    if any(r.disposable_income is None for r in income_records):
+    if income.income is None:
         raise DataValidationError("income dataset lacks disposable income")
 
-    source_income = np.array([r.disposable_income for r in source])
-    target_income = np.array([r.disposable_income for r in income_records])
+    target_income = income.income
     target_core = target_income[~chauvenet_outliers(target_income)]
     calibration = calibrate_income(
-        source_income, float(target_core.mean()), float(target_core.std(ddof=1))
+        source.income, float(target_core.mean()), float(target_core.std(ddof=1))
     )
     if np.any(calibration.values <= 0):
         raise DataValidationError("calibrated incomes are not all positive; cannot take logs")
 
-    source_w = np.array([r.weight for r in source])
-    source_x = np.array([r.total for r in source])
-    source_exp = np.vstack([r.expenditure for r in source])
+    source_w = source.weight
+    source_exp = source.expenditure
+    source_x = source_exp.sum(axis=1)
     ln_x = np.log(source_x)
+    n_src, n_inc = len(source_w), len(income.weight)
 
     demo_source, demo_names = demographic_design(source)
-    demo_inc, demo_names_inc = demographic_design(income_records)
+    demo_inc, demo_names_inc = demographic_design(income)
     if demo_names_inc != demo_names:
         raise DataValidationError(
             f"income dataset covariates {demo_names_inc} differ from survey covariates {demo_names}"
@@ -418,21 +424,17 @@ def impute_expenditure_patterns(
 
     # Step 1: total expenditure from income and demographics.
     names_total = ["const", "ln_income"] + demo_names
-    design_total = np.column_stack([np.ones(len(source)), np.log(calibration.values), demo_source])
+    design_total = np.column_stack([np.ones(n_src), np.log(calibration.values), demo_source])
     fit_total = wls_fit(design_total, ln_x, source_w, names_total)
-    design_total_inc = np.column_stack(
-        [np.ones(len(income_records)), np.log(target_income), demo_inc]
-    )
-    ids_inc = [r.id for r in income_records]
+    design_total_inc = np.column_stack([np.ones(n_inc), np.log(target_income), demo_inc])
+    ids_inc = income.ids.tolist()
     x_hat = impute_total_expenditure(fit_total, design_total_inc, names_total, ids_inc, seed)
 
     # Steps 2 and 3 share the quadratic-in-log-expenditure design.
     names_engel = ["const", "ln_x", "ln_x_sq"] + demo_names
-    design_engel_source = np.column_stack([np.ones(len(source)), ln_x, ln_x**2, demo_source])
+    design_engel_source = np.column_stack([np.ones(n_src), ln_x, ln_x**2, demo_source])
     ln_x_hat = np.log(x_hat)
-    design_engel_inc = np.column_stack(
-        [np.ones(len(income_records)), ln_x_hat, ln_x_hat**2, demo_inc]
-    )
+    design_engel_inc = np.column_stack([np.ones(n_inc), ln_x_hat, ln_x_hat**2, demo_inc])
 
     w_total = float(source_w.sum())
     targets: dict[str, float] = {}
@@ -453,8 +455,7 @@ def impute_expenditure_patterns(
                 design_engel_source[sel], source_exp[sel, j] / source_x[sel], source_w[sel], names_engel
             )
 
-    inc_w = np.array([r.weight for r in income_records])
-    n_inc = len(income_records)
+    inc_w = income.weight
     indicators = np.zeros((n_inc, len(categories)), dtype=int)
     for j, cat in enumerate(categories):
         share = targets[cat]
@@ -469,17 +470,11 @@ def impute_expenditure_patterns(
     shares = impute_budget_shares(
         share_fits, design_engel_inc, names_engel, indicators, ids_inc, seed, categories
     )
-    expenditures = shares * x_hat[:, np.newaxis]
-
-    records: list[HouseholdRecord] = []
-    for i, base in enumerate(income_records):
-        records.append(
-            HouseholdRecord(
-                id=base.id, weight=base.weight, size=base.size,
-                expenditure=expenditures[i], demographics=dict(base.demographics),
-                disposable_income=base.disposable_income,
-            )
-        )
+    imputed = HouseholdSurvey(
+        ids=income.ids, weight=inc_w, size=income.size, income=target_income,
+        demographic_names=income.demographic_names, demographics=income.demographics,
+        expenditure=shares * x_hat[:, np.newaxis], report=income.report,
+    )
     achieved = {
         cat: float(np.dot(inc_w, indicators[:, j])) / float(inc_w.sum())
         for j, cat in enumerate(categories)
@@ -498,4 +493,4 @@ def impute_expenditure_patterns(
         "imputation_seed": [seed] * n_inc,
         "model_version": [__version__] * n_inc,
     }
-    return ImputationResult(records=records, report=report, provenance=provenance)
+    return ImputationResult(survey=imputed, report=report, provenance=provenance)

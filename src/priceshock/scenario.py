@@ -45,7 +45,7 @@ from .demand import (
     LesParameters,
 )
 from .errors import DataValidationError, InfeasibleBudgetError
-from .imputation import impute_expenditure_patterns, wls_fit
+from .imputation import ImputationReport, impute_expenditure_patterns, wls_fit
 from .inputoutput import (
     LeontiefInverse,
     TechnologyMatrix,
@@ -493,25 +493,23 @@ class ScenarioResult:
     diagnostics: dict[str, float] = field(default_factory=dict)
     load_report: LoadReport | None = None
     carbon: CarbonTaxResult | None = None
+    imputation: ImputationReport | None = None
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioResult:
     """Execute the full pipeline described in the module docstring."""
     categories = CategorySet.default()
     survey = load_household_survey(cfg.files["households"], categories)
-    ids, weights, sizes, exp = survey.ids, survey.weight, survey.size, survey.expenditure
-
+    frame, imputation = survey, None
     if cfg.impute:
         if "income" not in cfg.files:
             raise DataValidationError("scenario.impute requires files.income")
         income = load_income_survey(cfg.files["income"])
-        records = impute_expenditure_patterns(
-            survey.records, income.records, categories, seed=cfg.seed, link=cfg.imputation_link
-        ).records
-        ids = np.array([r.id for r in records])
-        weights = np.array([r.weight for r in records])
-        sizes = np.array([r.size for r in records])
-        exp = np.vstack([r.expenditure for r in records])
+        imputed = impute_expenditure_patterns(
+            survey, income, categories, seed=cfg.seed, link=cfg.imputation_link
+        )
+        frame, imputation = imputed.survey, imputed.report
+    ids, weights, sizes, exp = frame.ids, frame.weight, frame.size, frame.expenditure
 
     mrio = bridge = fuels = None
     if all(k in cfg.files for k in ("mrio_z", "mrio_d", "mrio_x", "mrio_f")):
@@ -692,6 +690,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         },
         load_report=survey.report,
         carbon=carbon,
+        imputation=imputation,
     )
 
 
@@ -830,6 +829,14 @@ def _format_cell(value) -> str:
     return f"{float(value):.6g}"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with quotes doubled, when it holds a
+    comma, a quote or a line break; otherwise as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_tables(tables, outdir) -> dict[str, Path]:
     """Write each aggregate table to ``<name>.csv`` in ``outdir``."""
     outdir = Path(outdir)
@@ -871,9 +878,13 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
         else "%.6g"
         for c in columns
     ) + "\n"
+    cells = [hh[c].tolist() for c in columns]
+    i = columns.index("id")
+    if any(c in "".join(cells[i]) for c in ',"\r\n'):  # quote only if some id needs it
+        cells[i] = list(map(_csv_field, cells[i]))
     with open(p, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(map(row_format.__mod__, zip(*(hh[c].tolist() for c in columns))))
+        fh.writelines(map(row_format.__mod__, zip(*cells)))
     paths["households"] = p
 
     p = outdir / "run_manifest.json"
@@ -884,6 +895,17 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
         "revenue": f"{result.revenue:.6f}",
         "diagnostics": {k: int(v) for k, v in result.diagnostics.items()},
     }
+    if result.imputation is not None:
+        imp = result.imputation
+        manifest["imputation"] = {
+            "participation": {
+                cat: {"target": f"{target:.6f}",
+                      "achieved": f"{imp.achieved_participation[cat]:.6f}"}
+                for cat, target in imp.target_participation.items()
+            },
+            "calibration_outliers": imp.calibration_outliers,
+            "notes": list(imp.notes),
+        }
     p.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     paths["manifest"] = p
     return paths
@@ -891,13 +913,13 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
 
 def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
     """Recompute every aggregate table from a stored per-household frame."""
-    header, rows = read_table(households_csv)
+    header, rows, lines = read_table(households_csv)
     needed = {"weight", "size", "quintile", "x", "equivalised", "pi", "burden", "cv", "ye_net"}
     missing = needed - set(header)
     if missing:
         raise DataValidationError(f"{households_csv}: missing columns {sorted(missing)}")
     numeric = [j for j, c in enumerate(header) if c != "id"]
-    block = _parse_block(rows, numeric, [header[j] for j in numeric], households_csv)
+    block = _parse_block(rows, numeric, [header[j] for j in numeric], households_csv, lines)
     hh = {header[j]: block[:, i] for i, j in enumerate(numeric)}
     group_names = tuple(
         c[len("share_"):] for c in header if c.startswith("share_")

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import csv
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from priceshock.cli import main
+from priceshock.data import CategorySet
 
 
 def run_cli(*argv):
@@ -117,6 +120,69 @@ class TestRun:
         err = capsys.readouterr().err
         assert "distribution.groups" in err
         assert "240 households" in err
+
+    def test_manifest_without_imputation_has_no_imputation_block(self, bundle_dir, tmp_path):
+        import json
+
+        run_cli("run", "--config", bundle_dir / "config.txt", "--out", tmp_path / "r", "--quiet")
+        manifest = json.loads((tmp_path / "r" / "run_manifest.json").read_text())
+        assert sorted(manifest) == ["config_sha256", "diagnostics", "package_version", "revenue",
+                                    "seed"]
+
+    def test_manifest_reports_imputation(self, bundle_dir, tmp_path):
+        import json
+
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        shutil.copyfile(work / "households.csv", work / "income.csv")
+        cfg = work / "config.txt"
+        cfg.write_text(cfg.read_text() + "files.income = income.csv\nscenario.impute = true\n")
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert run_cli("run", "--config", cfg, "--out", out1, "--quiet") == 0
+        assert run_cli("run", "--config", cfg, "--out", out2, "--quiet") == 0
+        text = (out1 / "run_manifest.json").read_text()
+        assert text == (out2 / "run_manifest.json").read_text()
+        block = json.loads(text)["imputation"]
+        assert sorted(block) == ["calibration_outliers", "notes", "participation"]
+        assert sorted(block["participation"]) == sorted(CategorySet.default().ids)
+        for cells in block["participation"].values():
+            assert re.fullmatch(r"[01]\.\d{6}", cells["target"])
+            assert cells["achieved"] == cells["target"]  # closure: the survey imputed into itself
+        assert block["participation"]["alcohol"]["target"] == "0.000000"
+        assert isinstance(block["calibration_outliers"], int)
+        assert all(isinstance(n, str) for n in block["notes"])
+
+
+class TestFileRows:
+    @pytest.mark.parametrize("text,problem", [
+        ("abc", "non-numeric value 'abc'"),
+        ("-1", "negative value -1.0"),
+    ])
+    def test_messages_name_the_file_row_past_a_blank_line(self, bundle_dir, tmp_path, capsys,
+                                                          text, problem):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        hh = work / "households.csv"
+        lines = hh.read_text().splitlines()
+        hh.write_text("\n".join([lines[0], ""] + lines[1:]) + "\n")
+        replace_cell(hh, 3, "weight", text)
+        capsys.readouterr()
+        assert run_cli("validate", "--config", work / "config.txt") == 1
+        assert f"households.csv: row 3, column 'weight': {problem}" in capsys.readouterr().err
+
+    def test_household_id_with_comma_round_trips_through_report(self, bundle_dir, tmp_path):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        hh = work / "households.csv"
+        hh.write_text(hh.read_text().replace("\nhh0000,", '\n"hh,0001",', 1))
+        out, rebuilt = tmp_path / "results", tmp_path / "rebuilt"
+        assert run_cli("run", "--config", work / "config.txt", "--out", out, "--quiet") == 0
+        with open(out / "households.csv", newline="") as fh:
+            ids = [row[0] for row in csv.reader(fh)][1:]
+        assert ids[:2] == ["hh,0001", "hh0001"]
+        assert run_cli("report", "--config", work / "config.txt",
+                       "--results", out / "households.csv", "--out", rebuilt, "--quiet") == 0
+        assert len(list(rebuilt.iterdir())) == 7
+        # the tables that survive the rounding of households.csv, as in TestReport
+        for name in ("t7_welfare.csv", "t8_atkinson.csv", "t9_decomposition.csv"):
+            assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def replace_cell(path, row, column, text):

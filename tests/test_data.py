@@ -1,5 +1,7 @@
 """Loader validation, load reports, and CSV round-trips."""
 
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -363,12 +365,12 @@ def ref_cell(text, path, lineno, column):
 
 def ref_household_survey(path, categories):
     """The row-by-row household loader that the bulk loader replaced."""
-    header, rows = read_table(path)
+    header, rows, lines = read_table(path)
     idx = {c: header.index(c) for c in header}
     demo_cols = [c for c in header if c.startswith("demo_")]
     out = {"ids": [], "weight": [], "size": [], "income": [], "demo": [], "exp": []}
     seen = set()
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         hid = row[idx["id"]]
         if hid in seen:
             raise DataValidationError(f"{path}: row {lineno}: duplicate household id {hid!r}")
@@ -511,10 +513,10 @@ class TestBulkLoaders:
                         for i, r in enumerate(rows)]
         except DataValidationError as exc:
             with pytest.raises(DataValidationError) as got:
-                _parse_block(rows, list(range(1, m + 1)), names, "t.csv")
+                _parse_block(rows, list(range(1, m + 1)), names, "t.csv", range(2, n + 2))
             assert str(got.value) == str(exc)
         else:
-            block = _parse_block(rows, list(range(1, m + 1)), names, "t.csv")
+            block = _parse_block(rows, list(range(1, m + 1)), names, "t.csv", range(2, n + 2))
             assert block.shape == (n, m)
             assert bits(block) == bits(np.reshape(expected, (n, m)))
 
@@ -546,11 +548,18 @@ class TestBulkLoaders:
         assert bits(load_price_relatives(scratch / "prices.csv", CATS)) == bits([float(c) for c in pi])
 
 
+def csv_field(text):
+    """``text`` as the csv module writes it as one field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]
+
+
 def ref_households_csv(hh):
     """The cell-by-cell households.csv text that the row-format writer replaced."""
     columns = list(hh)
     formats = [
-        str if c == "id"
+        csv_field if c == "id"
         else (lambda v: str(int(v))) if c == "quintile"
         else (lambda v: f"{float(v):.6f}") if c in MONEY_COLUMNS or c.startswith("burden_")
         else _format_cell
@@ -571,7 +580,8 @@ class TestHouseholdWriter:
         values = st.one_of(st.sampled_from(self.EDGES),
                            st.floats(allow_nan=False, allow_infinity=False))
         col = lambda: data.draw(arrays(float, n, elements=values))  # noqa: E731
-        hh = {"id": np.array([data.draw(st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True))
+        hh = {"id": np.array([data.draw(st.from_regex(r'[A-Za-z0-9_.,"\r\n -]{1,8}',
+                                                     fullmatch=True))
                               for _ in range(n)]),
               "weight": col(), "size": col(),
               "quintile": np.array([data.draw(st.integers(0, 9)) for _ in range(n)]),
@@ -584,7 +594,10 @@ class TestHouseholdWriter:
         )
         out = new_dir()
         emit_reports(result, out)
-        assert (out / "households.csv").read_text() == ref_households_csv(hh)
+        text = (out / "households.csv").read_bytes().decode()
+        assert text == ref_households_csv(hh)
+        _, rows, _ = read_table(out / "households.csv")
+        assert [row[0] for row in rows] == hh["id"].tolist()
 
 
 def test_run_builds_no_household_record(bundle_dir, monkeypatch):

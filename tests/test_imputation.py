@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from priceshock.data import CategorySet
+from priceshock.data import CategorySet, load_household_survey, load_income_survey
 from priceshock.errors import DataValidationError, SeparationError
 from priceshock.imputation import (
     RegressionFit,
@@ -341,3 +341,31 @@ class TestPipeline:
         broken = [dataclasses.replace(bundle.households[0], demographics={"urban": 1.0})]
         with pytest.raises(DataValidationError, match="head_age"):
             demographic_design(bundle.households[:5] + broken)
+
+
+class TestColumnFrames:
+    def test_permuting_income_records_permutes_the_baskets(self, bundle):
+        """Each record's draws are keyed on its id, not on its position."""
+        income = bundle.households
+        order = np.random.default_rng(0).permutation(len(income))
+        base = impute_expenditure_patterns(bundle.households, income, bundle.categories, seed=3)
+        moved = impute_expenditure_patterns(bundle.households, [income[i] for i in order],
+                                            bundle.categories, seed=3)
+        assert moved.survey.ids.tolist() == base.survey.ids[order].tolist()
+        expected = base.survey.expenditure[order]
+        assert np.array_equal(moved.survey.expenditure > 0, expected > 0)
+        np.testing.assert_allclose(moved.survey.expenditure, expected, rtol=1e-12, atol=0)
+        assert moved.report == base.report
+
+    def test_frames_and_record_lists_give_the_same_result(self, bundle_dir, categories):
+        survey = load_household_survey(bundle_dir / "households.csv", categories)
+        income = load_income_survey(bundle_dir / "households.csv")
+        frames = impute_expenditure_patterns(survey, income, categories, seed=5)
+        lists = impute_expenditure_patterns(survey.records, income.records, categories, seed=5)
+        for a, b in ((frames.survey, lists.survey), (frames.survey, income)):
+            assert a.ids.tolist() == b.ids.tolist()
+            for name in ("weight", "size", "income"):
+                assert getattr(a, name).tolist() == getattr(b, name).tolist()
+        assert frames.survey.expenditure.tolist() == lists.survey.expenditure.tolist()
+        assert frames.report == lists.report
+        assert [r.id for r in frames.records] == income.ids.tolist()

@@ -269,7 +269,7 @@ class TestRunScenario:
 
     def test_null_scenario_zero_burden_and_cv(self, bundle_dir, tmp_path):
         prices = tmp_path / "prices0.csv"
-        header, rows = read_table(bundle_dir / "prices.csv")
+        _, rows, _ = read_table(bundle_dir / "prices.csv")
         prices.write_text("\n".join(["category,pi"] + [f"{r[0]},0" for r in rows]) + "\n")
         cfg_path = derived_config(
             bundle_dir, tmp_path, "null.txt",
@@ -285,7 +285,7 @@ class TestRunScenario:
 
     def test_composability_of_relatives(self, bundle_dir, tmp_path):
         zero_prices = tmp_path / "prices0.csv"
-        header, rows = read_table(bundle_dir / "prices.csv")
+        _, rows, _ = read_table(bundle_dir / "prices.csv")
         zero_prices.write_text("\n".join(["category,pi"] + [f"{r[0]},0" for r in rows]) + "\n")
 
         p1 = derived_config(bundle_dir, tmp_path, "inflation.txt")
@@ -380,7 +380,7 @@ class TestEmitAndReload:
         ]
         for name in required:
             assert paths[name].exists()
-            header, rows = read_table(paths[name])
+            _, rows, _ = read_table(paths[name])
             assert len(rows) >= 2
 
     def test_rebuild_from_stored_households_matches(self, run_result, tmp_path, bundle_dir):
