@@ -72,6 +72,9 @@ from .inputoutput import (
     energy_industry_intensity,
     household_footprint,
     leontief_inverse,
+    leontief_residual,
+    leontief_solve,
+    leontief_solve_residual,
     sector_intensity,
     technology_matrix,
 )

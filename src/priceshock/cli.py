@@ -18,7 +18,7 @@ from .data import CategorySet, load_household_survey, load_income_survey, write_
 from .errors import DataValidationError, NumericalModelError
 from .fixtures import write_fixture_bundle
 from .imputation import impute_expenditure_patterns
-from .inputoutput import leontief_residual
+from .inputoutput import leontief_solve_residual
 from .scenario import (
     emit_reports,
     parse_config,
@@ -86,9 +86,11 @@ def _cmd_validate(args) -> int:
     _say(args, f"households: {report.n_loaded} loaded, "
                f"{report.n_dropped_zero_total} dropped (zero expenditure)")
     if result.carbon is not None:
-        tech, inv = result.carbon.technology, result.carbon.inverse
-        _say(args, f"inter-industry table: {len(tech.sectors)} sectors, "
-                   f"inverse residual {leontief_residual(tech, inv):.3g}")
+        carbon = result.carbon
+        residual = leontief_solve_residual(carbon.technology, carbon.leontief_rows,
+                                           carbon.leontief_solution)
+        _say(args, f"inter-industry table: {len(carbon.technology.sectors)} sectors, "
+                   f"Leontief solve residual {residual:.3g}")
     for name in ("bridge", "prices", "fuels", "income"):
         if name in cfg.files:
             _say(args, f"{name}: ok ({cfg.files[name].name})")
@@ -106,9 +108,9 @@ def _cmd_impute(args) -> int:
     result = impute_expenditure_patterns(
         source, income, categories, seed=cfg.seed, link=cfg.imputation_link
     )
-    write_household_survey(args.out, result.records, categories,
+    write_household_survey(args.out, result.survey, categories,
                            extra_columns=result.provenance)
-    _say(args, f"imputed {len(result.records)} households -> {args.out}")
+    _say(args, f"imputed {len(result.survey.ids)} households -> {args.out}")
     for note in result.report.notes:
         _say(args, f"note: {note}")
     return EXIT_OK

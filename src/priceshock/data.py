@@ -445,8 +445,9 @@ def as_survey(data) -> HouseholdSurvey | IncomeSurvey:
     """A survey frame as it is; a list of records as the matching frame.
 
     The frame's demographic names are the first record's keys, sorted; a
-    record missing one of them is rejected. Its ``income`` is None when a
-    record has none.
+    record missing one of them, or holding another, is rejected. Its
+    ``income`` is None when no record has one; a record without income
+    among records with one is rejected.
     """
     if isinstance(data, (HouseholdSurvey, IncomeSurvey)):
         return data
@@ -458,8 +459,14 @@ def as_survey(data) -> HouseholdSurvey | IncomeSurvey:
         missing = [k for k in names if k not in r.demographics]
         if missing:
             raise DataValidationError(f"record {r.id!r}: missing covariate(s) {missing}")
+        if len(r.demographics) > len(names):
+            extra = sorted(set(r.demographics) - set(names))
+            raise DataValidationError(f"record {r.id!r}: covariate(s) {extra} not in the first record")
     n = len(records)
     income = [r.disposable_income for r in records]
+    if None in income and any(v is not None for v in income):
+        hid = records[income.index(None)].id
+        raise DataValidationError(f"record {hid!r}: no disposable income, unlike other records")
     columns = dict(
         ids=np.array([r.id for r in records], dtype=str),
         weight=np.array([r.weight for r in records], dtype=float),
@@ -493,9 +500,11 @@ def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise DataValidationError(f"{path}: empty file") from None
-        rows = list(reader)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise DataValidationError(f"{path}: row {reader.line_num}: {exc}") from None
     lines: Sequence[int] = range(2, len(rows) + 2)
     if not all(rows):
         lines = [lineno for lineno, row in zip(lines, rows) if row]
@@ -509,6 +518,92 @@ def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
         dupes = sorted({c for c in header if header.count(c) > 1})
         raise DataValidationError(f"{path}: duplicate columns {dupes}")
     return header, rows, lines
+
+
+@dataclass
+class LabelledTable:
+    """A CSV table whose first column holds labels and whose other columns
+    hold numbers, as ``read_labelled_table`` leaves it.
+
+    ``values`` has one row per non-blank file row and one column per header
+    column after the first; a cell that is not a finite number reads as nan
+    or inf there, and its row's value cells are kept as text in ``faulty``
+    (by row index) for ``check_cells`` to name.
+    """
+
+    path: Path
+    header: list[str]
+    labels: list[str]
+    values: np.ndarray
+    lines: list[int]
+    faulty: dict[int, list[str]]
+
+    def check_cells(self, columns: Sequence[int], names: Sequence[str]) -> None:
+        """Raise for the first cell that is not a finite number, row by row
+        and, within a row, in the order of ``columns`` (indices into the
+        columns of ``values``; ``names[j]`` names ``columns[j]``)."""
+        for i, cells in self.faulty.items():  # filled in row order
+            for col, name in zip(columns, names):
+                if not np.isfinite(_float_or_nan(cells[col])):
+                    raise _cell_error(self.path, self.lines[i], name, cells[col])
+
+
+def read_labelled_table(path) -> LabelledTable:
+    """Read a labelled numeric CSV table in one pass over its rows.
+
+    Each row's value cells become a float vector as the row is read, so
+    the table's text is never held at once. A file line opened with
+    ``newline=""`` ends at its one line break, so a line without a quote
+    is the record ``csv.reader`` would read: its cells split at commas.
+    File, header, ragged-row and duplicate-column faults raise as
+    ``read_table`` raises them; the caller checks the labels, then calls
+    ``check_cells``.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataValidationError(f"file not found: {path}")
+    labels: list[str] = []
+    vectors: list[np.ndarray] = []
+    lines: list[int] = []
+    faulty: dict[int, list[str]] = {}
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise DataValidationError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise DataValidationError(f"{path}: row 1: {exc}") from None
+        width = len(header)
+        for lineno, line in enumerate(fh, start=2):
+            if '"' in line:  # csv.reader reads the record, and any lines a quoted cell spans
+                try:
+                    row = next(csv.reader(chain([line], fh)))
+                except csv.Error as exc:
+                    raise DataValidationError(f"{path}: row {lineno}: {exc}") from None
+            else:  # split as csv.reader splits a line without quotes, three times faster
+                row = line.rstrip("\r\n").split(",")
+                if row == [""]:
+                    continue
+            if len(row) != width:
+                raise DataValidationError(
+                    f"{path}: row {lineno} has {len(row)} cells, header has {width}"
+                )
+            cells = row[1:]
+            try:
+                v = np.array(cells, dtype=float)  # accepts what float() accepts
+            except ValueError:
+                v = np.fromiter(map(_float_or_nan, cells), dtype=float, count=width - 1)
+            if not np.isfinite(v).all():
+                faulty[len(vectors)] = cells
+            labels.append(row[0])
+            vectors.append(v)
+            lines.append(lineno)
+    if len(set(header)) != width:
+        dupes = sorted({c for c in header if header.count(c) > 1})
+        raise DataValidationError(f"{path}: duplicate columns {dupes}")
+    values = np.array(vectors).reshape(len(vectors), max(width - 1, 0))
+    return LabelledTable(path=path, header=header, labels=labels, values=values, lines=lines,
+                         faulty=faulty)
 
 
 def _float_or_nan(text: str) -> float:
@@ -586,16 +681,17 @@ def _raise_first_fault(path, rows, lines, idx: Mapping[str, int], checks) -> Non
                                               hid=rows[i][idx["id"]], value=_float_or_nan(text)))
 
 
-def _keyed_order(path, header: list[str], rows: list[list[str]], key_column: str,
+def _keyed_order(path, header: list[str], labels: Sequence[str], key_column: str,
                  expected: Sequence[str]) -> list[int]:
-    """Index into ``rows`` of each expected label, validated against the label set."""
+    """Index into ``labels`` (each row's first cell) of each expected label,
+    validated against the label set."""
     if header[0] != key_column:
         raise DataValidationError(f"{path}: first column must be {key_column!r}, got {header[0]!r}")
     seen: dict[str, int] = {}
-    for i, row in enumerate(rows):
-        if row[0] in seen:
-            raise DataValidationError(f"{path}: duplicate {key_column} {row[0]!r}")
-        seen[row[0]] = i
+    for i, label in enumerate(labels):
+        if label in seen:
+            raise DataValidationError(f"{path}: duplicate {key_column} {label!r}")
+        seen[label] = i
     missing = [k for k in expected if k not in seen]
     known = set(expected)
     extra = [k for k in seen if k not in known]
@@ -717,54 +813,78 @@ def load_income_survey(path) -> IncomeSurvey:
     )
 
 
-def write_household_survey(path, records: Sequence[HouseholdRecord], categories: CategorySet,
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it as one field of a row: quoted,
+    with quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(texts: list[str]) -> list[str]:
+    """``_csv_field`` of each text, with one scan when none needs quoting."""
+    if any(c in "".join(texts) for c in ',"\r\n'):
+        return list(map(_csv_field, texts))
+    return texts
+
+
+def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRecord],
+                           categories: CategorySet,
                            extra_columns: Mapping[str, Sequence] | None = None) -> None:
-    """Write records in the households.csv schema (12-significant-digit text)."""
-    path = Path(path)
-    demo_keys = sorted({k for r in records for k in r.demographics})
-    has_income = any(r.disposable_income is not None for r in records)
+    """Write a survey frame in the households.csv schema (12-significant-digit text).
+
+    A list of records is converted once with ``as_survey``. Demographic
+    columns come in name order, extra columns as ``str()`` of each value;
+    rows end in CRLF, as the csv module ends them. Each row is one
+    %-format over the frame's columns.
+    """
+    frame = as_survey(survey)
+    names = sorted(frame.demographic_names)
+    blocks = [frame.weight[:, np.newaxis], frame.size[:, np.newaxis]]
     header = ["id", "weight", "size"]
-    if has_income:
+    if frame.income is not None:
+        blocks.append(frame.income[:, np.newaxis])
         header.append("inc")
-    header += [DEMOGRAPHIC_PREFIX + k for k in demo_keys]
+    blocks.append(frame.demographics[:, [frame.demographic_names.index(k) for k in names]])
+    header += [DEMOGRAPHIC_PREFIX + k for k in names]
+    blocks.append(frame.expenditure)
     header += [EXPENDITURE_PREFIX + c for c in categories]
     extras = dict(extra_columns or {})
     header += list(extras)
+    values = np.hstack(blocks)
+    row_format = ",".join(["%s"] + ["%.12g"] * values.shape[1] + ["%s"] * len(extras)) + "\r\n"
+    ids = _csv_column(frame.ids.tolist())
+    extra_cells = [_csv_column(list(map(str, column))) for column in extras.values()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, r in enumerate(records):
-            row = [r.id, format_value(r.weight), format_value(r.size)]
-            if has_income:
-                row.append("" if r.disposable_income is None else format_value(r.disposable_income))
-            row += [format_value(r.demographics.get(k, 0.0)) for k in demo_keys]
-            row += [format_value(v) for v in r.expenditure]
-            row += [str(extras[c][i]) for c in extras]
-            writer.writerow(row)
+        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+        fh.writelines(map(row_format.__mod__, zip(ids, *values.T.tolist(), *extra_cells)))
 
 
 def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDENTITY_RTOL) -> MrioTable:
     """Load the four MRIO files and verify the accounting identity."""
     z_path = Path(z_path)
-    header, rows, lines = read_table(z_path)
+    table = read_labelled_table(z_path)
+    header = table.header
     if len(header) < 2:
         raise DataValidationError(f"{z_path}: flow matrix needs at least one sector column")
     col_sectors = header[1:]
-    row_sectors = [r[0] for r in rows]
+    row_sectors = table.labels
     if len(set(row_sectors)) != len(row_sectors):
         raise DataValidationError(f"{z_path}: duplicate sector rows")
     if set(col_sectors) != set(row_sectors) or len(col_sectors) != len(row_sectors):
         raise DataValidationError(f"{z_path}: row and column sector labels differ")
-    # the header's label strings: a row cell kept past this call would keep
-    # the memory of all rows from being returned
-    labels = {s: s for s in col_sectors}
-    sectors = tuple(labels[s] for s in row_sectors)
-    col_pos = {s: j + 1 for j, s in enumerate(col_sectors)}
-    Z = _parse_block(rows, [col_pos[s] for s in sectors], sectors, z_path, lines)
+    sectors = tuple(row_sectors)
+    col_pos = {s: j for j, s in enumerate(col_sectors)}
+    columns = [col_pos[s] for s in sectors]  # Z's columns in row-label order
+    table.check_cells(columns, sectors)
+    Z = table.values
+    del table  # so that a reordered copy below replaces the block as read
+    if columns != list(range(len(columns))):
+        Z = Z[:, columns]
 
     def vector(path, value_col):
         header_v, rows_v, lines_v = read_table(path)
-        order = _keyed_order(path, header_v, rows_v, "sector", sectors)
+        order = _keyed_order(path, header_v, [r[0] for r in rows_v], "sector", sectors)
         if value_col not in header_v:
             raise DataValidationError(f"{path}: missing column {value_col!r}")
         values = _parse_block(rows_v, [header_v.index(value_col)], [value_col], path,
@@ -794,14 +914,14 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
 
 
 def load_bridge(path, categories: CategorySet) -> BridgingMatrix:
-    path = Path(path)
-    header, rows, lines = read_table(path)
-    products = tuple(header[1:])
+    table = read_labelled_table(path)
+    products = tuple(table.header[1:])
     if not products:
-        raise DataValidationError(f"{path}: bridging matrix needs product columns")
-    order = _keyed_order(path, header, rows, "category", categories.ids)
-    B = _parse_block(rows, range(1, len(header)), products, path, lines)[order]
-    return BridgingMatrix(categories=categories.ids, products=products, shares=B)
+        raise DataValidationError(f"{table.path}: bridging matrix needs product columns")
+    order = _keyed_order(table.path, table.header, table.labels, "category", categories.ids)
+    table.check_cells(range(len(products)), products)
+    return BridgingMatrix(categories=categories.ids, products=products,
+                          shares=table.values[order])
 
 
 def load_price_relatives(path, categories: CategorySet) -> np.ndarray:
@@ -810,7 +930,7 @@ def load_price_relatives(path, categories: CategorySet) -> np.ndarray:
     header, rows, lines = read_table(path)
     if "pi" not in header:
         raise DataValidationError(f"{path}: missing column 'pi'")
-    order = _keyed_order(path, header, rows, "category", categories.ids)
+    order = _keyed_order(path, header, [r[0] for r in rows], "category", categories.ids)
     out = _parse_block(rows, [header.index("pi")], ["pi"], path, lines)[order, 0]
     if np.any(out <= -1.0):
         raise DataValidationError(f"{path}: price relatives must exceed -1")

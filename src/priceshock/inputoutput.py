@@ -1,7 +1,8 @@
 """Input-output algebra.
 
 Technology coefficients, the total-requirements (Leontief) inverse by
-direct solve or power series, forward cost pass-through, carbon
+direct solve or power series, a few rows of that inverse by one linear
+solve (what a scenario run uses), forward cost pass-through, carbon
 intensities of output, emissions embodied in final demand, and the
 category-to-product bridging used to attach all of this to household
 spending. Everything here is a pure function of immutable inputs.
@@ -130,6 +131,32 @@ def leontief_residual(tech: TechnologyMatrix, inv: LeontiefInverse) -> float:
     L = inv.matrix
     resid = L - (np.eye(L.shape[0]) + tech.coefficients @ L)
     return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(L))))
+
+
+def leontief_solve(tech: TechnologyMatrix, rows: np.ndarray) -> np.ndarray:
+    """``rows (I - A)^-1`` for an (m, n) block of row vectors.
+
+    One LU solve of (I - A)^T with the m rows as right-hand sides; the
+    n x n inverse, which takes four times the arithmetic, is never formed.
+    ``leontief_inverse`` followed by a product is its reference.
+    """
+    A = tech.coefficients
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != A.shape[0]:
+        raise DataValidationError("row vectors do not match the sector count")
+    M = -A.T
+    M[np.diag_indices_from(M)] += 1.0
+    try:
+        return np.linalg.solve(M, rows.T).T
+    except np.linalg.LinAlgError:
+        raise NumericalModelError("I - A is singular; input table is corrupt") from None
+
+
+def leontief_solve_residual(tech: TechnologyMatrix, rows: np.ndarray,
+                            solution: np.ndarray) -> float:
+    """Max relative residual of y = v + y A for a ``leontief_solve`` result."""
+    resid = solution - (rows + solution @ tech.coefficients)
+    return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(solution))))
 
 
 def cost_passthrough(inv: LeontiefInverse, shock: np.ndarray, rate: float = 1.0) -> np.ndarray:

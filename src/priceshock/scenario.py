@@ -25,6 +25,7 @@ from .data import (
     LoadReport,
     MrioTable,
     PriceScenario,
+    _csv_column,
     _parse_block,
     load_bridge,
     load_fuels,
@@ -47,13 +48,10 @@ from .demand import (
 from .errors import DataValidationError, InfeasibleBudgetError
 from .imputation import ImputationReport, impute_expenditure_patterns, wls_fit
 from .inputoutput import (
-    LeontiefInverse,
     TechnologyMatrix,
     bridge_to_categories,
-    cost_passthrough,
     direct_fuel_intensity,
-    embodied_intensity,
-    leontief_inverse,
+    leontief_solve,
     sector_intensity,
     technology_matrix,
 )
@@ -278,7 +276,9 @@ class CarbonTaxResult:
     producer_relatives: np.ndarray
     unit_emissions: np.ndarray
     technology: TechnologyMatrix
-    inverse: LeontiefInverse
+    # [cost shock; sector intensity] and their products with (I - A)^-1
+    leontief_rows: np.ndarray
+    leontief_solution: np.ndarray
 
 
 def carbon_tax_scenario(
@@ -309,10 +309,16 @@ def carbon_tax_scenario(
     intensity = sector_intensity(mrio)
     shock = rate * (intensity.total if border_adjustment else intensity.domestic)
     tech = technology_matrix(mrio)
-    inv = leontief_inverse(tech)
-    producer = cost_passthrough(inv, shock, pass_through)
+    if not 0.0 <= pass_through <= 1.0:
+        raise DataValidationError(f"pass-through rate {pass_through} outside [0, 1]")
+    # the two rows of the total-requirements inverse a run needs, in one solve:
+    # cost pass-through (as cost_passthrough) and embodied emissions (as
+    # embodied_intensity)
+    rows = np.vstack([shock, intensity.total])
+    solution = leontief_solve(tech, rows)
+    producer = pass_through * solution[0]
     indirect = bridge_to_categories(bridge, producer)
-    unit_emissions = bridge.shares @ embodied_intensity(inv, intensity)["total"]
+    unit_emissions = bridge.shares @ solution[1]
     direct = np.zeros(k)
     for cat_index, fuel in (fuel_map or {}).items():
         if fuels is None:
@@ -326,7 +332,8 @@ def carbon_tax_scenario(
         producer_relatives=producer,
         unit_emissions=unit_emissions,
         technology=tech,
-        inverse=inv,
+        leontief_rows=rows,
+        leontief_solution=solution,
     )
 
 
@@ -569,7 +576,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
 
     eq = equivalise(totals, sizes, cfg.scale)
     quintiles = weighted_quantile_groups(eq, weights, cfg.groups)
-    if len(np.unique(quintiles)) < cfg.groups:
+    if not np.bincount(quintiles, minlength=cfg.groups).all():
         raise DataValidationError(f"distribution.groups = {cfg.groups} leaves some groups "
                                   f"empty: the sample has only {n} households")
 
@@ -829,14 +836,6 @@ def _format_cell(value) -> str:
     return f"{float(value):.6g}"
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field: quoted, with quotes doubled, when it holds a
-    comma, a quote or a line break; otherwise as it is."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_tables(tables, outdir) -> dict[str, Path]:
     """Write each aggregate table to ``<name>.csv`` in ``outdir``."""
     outdir = Path(outdir)
@@ -867,7 +866,8 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
     }, outdir)
 
     # one %-format per row: each spec gives the text that _format_cell (or
-    # {:.6f} for money columns) gives the column's cells
+    # {:.6f} for money columns) gives the column's cells; budget shares keep
+    # format_value's 12 digits, so that ``report`` rebuilds t3 as ``run`` wrote it
     hh = result.household
     p = outdir / "households.csv"
     columns = list(hh.keys())
@@ -875,13 +875,13 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
         "%s" if c == "id"
         else "%.6f" if c in MONEY_COLUMNS or c.startswith("burden_")
         else "%d" if c == "quintile"
+        else "%.12g" if c.startswith("share_")
         else "%.6g"
         for c in columns
     ) + "\n"
     cells = [hh[c].tolist() for c in columns]
     i = columns.index("id")
-    if any(c in "".join(cells[i]) for c in ',"\r\n'):  # quote only if some id needs it
-        cells[i] = list(map(_csv_field, cells[i]))
+    cells[i] = _csv_column(cells[i])
     with open(p, "w") as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(map(row_format.__mod__, zip(*cells)))

@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import csv
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import priceshock
 from priceshock.cli import main
 from priceshock.data import CategorySet
 
@@ -44,7 +48,8 @@ class TestFixturesAndValidate:
         before = sorted(p.name for p in work.iterdir())
         assert run_cli("validate", "--config", work / "config.txt") == 0
         assert sorted(p.name for p in work.iterdir()) == before
-        assert "inverse residual" in capsys.readouterr().out
+        residual = re.search(r"2 sectors, Leontief solve residual (\S+)\n", capsys.readouterr().out)
+        assert residual and float(residual[1]) < 1e-12
 
     def test_broken_data_is_data_error(self, tmp_path):
         run_cli("fixtures", "--out", tmp_path / "b")
@@ -120,6 +125,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "distribution.groups" in err
         assert "240 households" in err
+
+    def test_run_does_not_import_numpy_ma(self, bundle_dir, tmp_path):
+        # numpy.ma costs milliseconds to import, and a run needs none of it
+        code = ("import sys; from priceshock.cli import main; "
+                f"code = main(['run', '--config', {str(bundle_dir / 'config.txt')!r}, "
+                f"'--out', {str(tmp_path / 'r')!r}, '--quiet']); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(priceshock.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split() == ["0", "False"]
 
     def test_manifest_without_imputation_has_no_imputation_block(self, bundle_dir, tmp_path):
         import json
@@ -227,13 +243,19 @@ class TestNonFiniteCells:
 
 class TestReport:
     def test_report_reproduces_run_tables(self, bundle_dir, tmp_path):
+        # households.csv keeps the budget shares at 12 digits, so t3 too is
+        # rebuilt as the run wrote it
         out = tmp_path / "results"
-        run_cli("run", "--config", bundle_dir / "config.txt", "--out", out, "--quiet")
+        assert run_cli("run", "--config", bundle_dir / "config.txt", "--out", out, "--quiet") == 0
         rep = tmp_path / "rebuilt"
         assert run_cli("report", "--config", bundle_dir / "config.txt",
                        "--results", out / "households.csv", "--out", rep, "--quiet") == 0
-        for name in ("t7_welfare.csv", "t8_atkinson.csv", "t9_decomposition.csv"):
-            assert (rep / name).read_bytes() == (out / name).read_bytes()
+        rebuilt = sorted(p.name for p in rep.iterdir())
+        assert rebuilt == ["t2_inflation_drivers.csv", "t3_budget_shares.csv", "t5_incidence.csv",
+                           "t6_progressivity.csv", "t7_welfare.csv", "t8_atkinson.csv",
+                           "t9_decomposition.csv"]
+        for name in rebuilt:
+            assert (rep / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_bad_cell_in_results_is_named(self, bundle_dir, tmp_path, capsys):
         out = tmp_path / "results"

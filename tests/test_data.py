@@ -3,6 +3,7 @@
 import csv
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,15 @@ from priceshock.data import (
     MrioTable,
     BridgingMatrix,
     FuelTable,
+    _keyed_order,
     _parse_block,
+    format_value,
     load_bridge,
     load_fuels,
     load_household_survey,
     load_mrio,
     load_price_relatives,
+    read_labelled_table,
     read_table,
     write_household_survey,
 )
@@ -250,6 +254,16 @@ class TestOtherLoaders:
         p.write_text("a,b\n1,2\n3\n")
         with pytest.raises(DataValidationError, match="row 3"):
             read_table(p)
+
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path):
+        big = "x" * (csv.field_size_limit() + 1)
+        p = tmp_path / "x.csv"
+        p.write_text(f"a,b\n1,2\n{big},3\n")
+        with pytest.raises(DataValidationError, match=r"x.csv: row 3: field larger than field limit"):
+            read_table(p)
+        p.write_text(f'category,p1\nfood,1\n"{big}",1\n')
+        with pytest.raises(DataValidationError, match=r"x.csv: row 3: field larger than field limit"):
+            load_bridge(p, CATS)
 
     def test_income_survey_loader(self, tmp_path):
         from priceshock.data import load_income_survey
@@ -562,6 +576,7 @@ def ref_households_csv(hh):
         csv_field if c == "id"
         else (lambda v: str(int(v))) if c == "quintile"
         else (lambda v: f"{float(v):.6f}") if c in MONEY_COLUMNS or c.startswith("burden_")
+        else format_value if c.startswith("share_")
         else _format_cell
         for c in columns
     ]
@@ -600,6 +615,70 @@ class TestHouseholdWriter:
         assert [row[0] for row in rows] == hh["id"].tolist()
 
 
+def ref_write_household_survey(path, records, categories, extra_columns=None):
+    """The per-cell csv.writer version of write_household_survey."""
+    demo_keys = sorted({k for r in records for k in r.demographics})
+    has_income = any(r.disposable_income is not None for r in records)
+    header = ["id", "weight", "size", *(["inc"] if has_income else [])]
+    header += ["demo_" + k for k in demo_keys] + ["exp_" + c for c in categories]
+    extras = dict(extra_columns or {})
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + list(extras))
+        for i, r in enumerate(records):
+            row = [r.id, format_value(r.weight), format_value(r.size)]
+            if has_income:
+                row.append(format_value(r.disposable_income))
+            row += [format_value(r.demographics[k]) for k in demo_keys]
+            row += [format_value(v) for v in r.expenditure]
+            writer.writerow(row + [str(extras[c][i]) for c in extras])
+
+
+class TestSurveyWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_frame_writer_equals_per_cell_writer(self, new_dir, data):
+        n = data.draw(st.integers(1, 6))
+        values = st.one_of(st.sampled_from(TestHouseholdWriter.EDGES),
+                           st.floats(0.0, 1e12), st.floats(allow_nan=False, allow_infinity=False))
+        names = data.draw(st.lists(st.sampled_from(["urban", "head_age", "b,c", "a"]),
+                                   unique=True))
+        has_income = data.draw(st.booleans())
+        ids = data.draw(st.lists(st.from_regex(r'[A-Za-z0-9_.,"\r\n -]{1,8}', fullmatch=True),
+                                 min_size=n, max_size=n, unique=True))
+        records = [
+            HouseholdRecord(
+                id=hid, weight=data.draw(st.floats(0.0, 1e6)), size=data.draw(st.floats(1.0, 20.0)),
+                expenditure=np.array([data.draw(st.floats(0.0, 1e9)) for _ in CATS]) + 1.0,
+                demographics={k: data.draw(values) for k in names},
+                disposable_income=data.draw(values) if has_income else None,
+            )
+            for hid in ids
+        ]
+        extras = data.draw(st.sampled_from([None, {"imputed": [1] * n, "model_version": ["0.1,x"] * n}]))
+        out = new_dir()
+        ref_write_household_survey(out / "ref.csv", records, CATS, extras)
+        write_household_survey(out / "records.csv", records, CATS, extras)
+        frame = load_household_survey(out / "ref.csv", CATS)
+        write_household_survey(out / "frame.csv", frame, CATS, extras)
+        expected = (out / "ref.csv").read_bytes()
+        assert (out / "records.csv").read_bytes() == expected
+        assert (out / "frame.csv").read_bytes() == expected
+
+
+    @pytest.mark.parametrize("second,match", [
+        ({"demographics": {"urban": 1.0, "age": 3.0}}, r"'b': covariate\(s\) \['age'\] not in"),
+        ({"demographics": {}}, r"'b': missing covariate\(s\) \['urban'\]"),
+        ({"disposable_income": None}, r"'b': no disposable income"),
+    ])
+    def test_records_that_do_not_form_one_frame_are_rejected(self, tmp_path, second, match):
+        first = dict(id="a", weight=1.0, size=1.0, expenditure=np.ones(3),
+                     demographics={"urban": 0.0}, disposable_income=10.0)
+        records = [HouseholdRecord(**first), HouseholdRecord(**{**first, "id": "b", **second})]
+        with pytest.raises(DataValidationError, match=match):
+            write_household_survey(tmp_path / "hh.csv", records, CATS)
+
+
 def test_run_builds_no_household_record(bundle_dir, monkeypatch):
     """The survey stays in columns from the loader to the written tables."""
     built = []
@@ -611,3 +690,205 @@ def test_run_builds_no_household_record(bundle_dir, monkeypatch):
     assert built == []
     load_household_survey(bundle_dir / "households.csv", CategorySet.default()).records
     assert len(built) == 240  # the records view still builds them on request
+
+
+# ---------------------------------------------------------------------------
+# Streaming reader of labelled tables against read_table + _parse_block
+# ---------------------------------------------------------------------------
+
+
+def labelled_csv_text(header, rows, quote_all, blanks, terminator="\n"):
+    """CSV text of ``header`` and ``rows``, with a blank line inserted before
+    each line index in ``blanks``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL,
+                        lineterminator=terminator)
+    lines = []
+    for row in [header, *rows]:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        lines.append(buf.getvalue())
+    for pos in sorted(blanks, reverse=True):
+        lines.insert(pos, terminator)
+    return "".join(lines)
+
+
+FINITE_TEXT = st.builds(lambda f, v: f(v), st.sampled_from(NUMBER_TEXTS),
+                        st.floats(0.0, 1e6))
+FAULTS = ("non-numeric", "nan", "inf", "1e400", "ragged", "duplicate label",
+          "duplicate column", "unknown label")
+
+
+def inject_faults(data, header, rows):
+    """Put 1-3 faults drawn from FAULTS into ``header`` and ``rows`` in place,
+    most of them into one row, so that a row often holds several."""
+    hot = data.draw(st.integers(0, len(rows) - 1))
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(FAULTS))
+        i = hot if data.draw(st.booleans()) else data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(1, len(header) - 1))
+        if kind in ("non-numeric", "nan", "inf", "1e400") and j >= len(rows[i]):
+            continue  # a row made ragged has lost that cell
+        if kind == "non-numeric":
+            rows[i][j] = data.draw(st.sampled_from(["abc", "", "1.2.3", "0x10", "1__0"]))
+        elif kind in ("nan", "inf", "1e400"):
+            rows[i][j] = kind
+        elif kind == "ragged":
+            rows[i] = rows[i][:-1] if data.draw(st.booleans()) else [*rows[i], "1"]
+        elif kind == "duplicate label":
+            rows[i][0] = rows[data.draw(st.integers(0, len(rows) - 1))][0]
+        elif kind == "duplicate column":
+            header[j] = header[data.draw(st.integers(1, len(header) - 1))]
+        else:
+            rows[i][0] = "zz"
+
+
+def message(fn, *args):
+    """``fn(*args)``'s DataValidationError text, or None when it returns."""
+    try:
+        fn(*args)
+    except DataValidationError as exc:
+        return str(exc)
+    return None
+
+
+def ref_flows(path):
+    """(sectors, Z) as load_mrio read them with read_table and _parse_block."""
+    header, rows, lines = read_table(path)
+    if len(header) < 2:
+        raise DataValidationError(f"{path}: flow matrix needs at least one sector column")
+    col_sectors, row_sectors = header[1:], [r[0] for r in rows]
+    if len(set(row_sectors)) != len(row_sectors):
+        raise DataValidationError(f"{path}: duplicate sector rows")
+    if set(col_sectors) != set(row_sectors) or len(col_sectors) != len(row_sectors):
+        raise DataValidationError(f"{path}: row and column sector labels differ")
+    col_pos = {s: j + 1 for j, s in enumerate(col_sectors)}
+    sectors = tuple(row_sectors)
+    return sectors, _parse_block(rows, [col_pos[s] for s in sectors], sectors, path, lines)
+
+
+def ref_bridge(path, categories):
+    """load_bridge as read_table and _parse_block read the matrix."""
+    header, rows, lines = read_table(path)
+    products = tuple(header[1:])
+    if not products:
+        raise DataValidationError(f"{path}: bridging matrix needs product columns")
+    order = _keyed_order(path, header, [r[0] for r in rows], "category", categories.ids)
+    B = _parse_block(rows, range(1, len(header)), products, path, lines)[order]
+    return BridgingMatrix(categories=categories.ids, products=products, shares=B)
+
+
+class TestLabelledReader:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_reader_equals_read_table_and_parse_block(self, new_dir, data):
+        n, m = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
+        header = ["key", *(f"c{j}" for j in range(m))]
+        # labels that need quoting, some with a line break inside the quotes
+        labels = st.from_regex(r'[a-z0-9 ,"\r\n]{0,4}', fullmatch=True)
+        rows = [[data.draw(labels), *(data.draw(FINITE_TEXT) for _ in range(m))] for _ in range(n)]
+        if n and m and data.draw(st.integers(0, 3)):
+            inject_faults(data, header, rows)
+        blanks = data.draw(st.lists(st.integers(0, n + 1), max_size=3))
+        path = new_dir() / "t.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(labelled_csv_text(header, rows, data.draw(st.booleans()), blanks,
+                                       data.draw(st.sampled_from(["\n", "\r\n", "\r"]))))
+        try:
+            header_r, rows_r, lines_r = read_table(path)
+        except DataValidationError as exc:
+            assert message(read_labelled_table, path) == str(exc)
+            return
+        table = read_labelled_table(path)
+        assert table.header == header_r
+        assert table.labels == [r[0] for r in rows_r]
+        assert table.lines == list(lines_r)
+        assert table.values.shape == (len(rows_r), max(len(header_r) - 1, 0))
+        if len(header_r) < 2:
+            return
+        # any column order, as load_mrio reads Z in row-label order
+        columns = data.draw(st.permutations(range(len(header_r) - 1)))
+        names = [header_r[j + 1] for j in columns]
+        try:
+            block = _parse_block(rows_r, [j + 1 for j in columns], names, path, lines_r)
+        except DataValidationError as exc:
+            assert message(table.check_cells, columns, names) == str(exc)
+        else:
+            table.check_cells(columns, names)
+            assert bits(table.values[:, columns]) == bits(block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_load_mrio_flows_equal_per_cell_parse(self, new_dir, data):
+        scratch = new_dir()
+        n = data.draw(st.integers(1, 5))
+        sectors = data.draw(st.permutations([f"s{i}" for i in range(n)]))
+        columns = data.draw(st.permutations(sectors))  # header order free of row order
+        header = ["sector", *columns]
+        rows = [[s, *(data.draw(FINITE_TEXT) for _ in columns)] for s in sectors]
+        z = np.array([[float(c) for c in r[1:]] for r in rows])[:, [columns.index(s) for s in sectors]]
+        d = np.full(n, 10.0)
+        for name, col, values in (("d", "d", d), ("x", "x", z.sum(axis=1) + d), ("f", "f", d)):
+            write_rows(scratch / f"{name}.csv", ["sector", col],
+                       [[s, repr(v)] for s, v in zip(sectors, values.tolist())])
+        if data.draw(st.booleans()):
+            inject_faults(data, header, rows)
+        blanks = data.draw(st.lists(st.integers(1, n + 1), max_size=3))
+        zp = scratch / "z.csv"
+        zp.write_text(labelled_csv_text(header, rows, data.draw(st.booleans()), blanks))
+        paths = [zp, *(scratch / f"{name}.csv" for name in "dxf")]
+        expected = message(ref_flows, zp)
+        if expected is not None:
+            assert message(load_mrio, *paths) == expected
+            return
+        ref_sectors, ref_z = ref_flows(zp)
+        t = load_mrio(*paths)
+        assert t.sectors == ref_sectors == tuple(sectors)
+        assert bits(t.flows) == bits(ref_z) == bits(z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_load_bridge_equals_per_cell_parse(self, new_dir, data):
+        m = data.draw(st.integers(1, 4))
+        products = [f"p{j}" for j in range(m)]
+        exact = st.sampled_from((repr, " {!r} ".format, "{:_}".format))
+        rows = []
+        for cat in data.draw(st.permutations(CATS.ids)):
+            w = np.array([data.draw(st.floats(0.0, 1e3)) for _ in products]) + 1.0
+            rows.append([cat, *(data.draw(exact)(v) for v in (w / w.sum()).tolist())])
+        header = ["category", *products]
+        if data.draw(st.booleans()):
+            inject_faults(data, header, rows)
+        blanks = data.draw(st.lists(st.integers(1, len(rows) + 1), max_size=3))
+        path = new_dir() / "bridge.csv"
+        path.write_text(labelled_csv_text(header, rows, data.draw(st.booleans()), blanks))
+        expected = message(ref_bridge, path, CATS)
+        if expected is not None:
+            assert message(load_bridge, path, CATS) == expected
+            return
+        assert bits(load_bridge(path, CATS).shares) == bits(ref_bridge(path, CATS).shares)
+
+
+def test_load_mrio_peak_memory_stays_near_the_matrix(tmp_path):
+    """load_mrio's traced peak stays under 4x the bytes of the flow matrix;
+    holding every cell as text first took about 9x."""
+    n = 400
+    rng = np.random.default_rng(5)
+    z = rng.random((n, n)) * 10.0
+    d = np.full(n, 100.0)
+    sectors = [f"s{i}" for i in range(n)]
+    write_rows(tmp_path / "z.csv", ["sector", *sectors],
+               [[s, *map(repr, row)] for s, row in zip(sectors, z.tolist())])
+    for name, col, values in (("d", "d", d), ("x", "x", z.sum(axis=1) + d), ("f", "f", d)):
+        write_rows(tmp_path / f"{name}.csv", ["sector", col],
+                   [[s, repr(v)] for s, v in zip(sectors, values.tolist())])
+    paths = [tmp_path / f"{name}.csv" for name in "zdxf"]
+    tracemalloc.start()
+    try:
+        t = load_mrio(*paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits(t.flows) == bits(z)
+    assert peak < 4 * z.nbytes, f"peak {peak / z.nbytes:.2f}x the matrix"

@@ -1,9 +1,13 @@
 """Inter-industry algebra against hand-derived and exact-rational oracles."""
 
+import shutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from priceshock import inputoutput, scenario
+from priceshock.cli import main
 
 from priceshock.data import BridgingMatrix, FuelTable, HouseholdRecord, MrioTable
 from priceshock.errors import (
@@ -23,9 +27,12 @@ from priceshock.inputoutput import (
     household_footprint,
     leontief_inverse,
     leontief_residual,
+    leontief_solve,
+    leontief_solve_residual,
     sector_intensity,
     technology_matrix,
 )
+from priceshock.scenario import carbon_tax_scenario
 
 # hand derivation on the two-sector table: det(I - A) = 0.8*0.9 - 0.12 = 0.6
 L_HAND = np.array([[0.9, 0.3], [0.4, 0.8]]) / 0.6
@@ -311,3 +318,85 @@ class TestFootprint:
     def test_direct_intensity_helper(self):
         fuels = fuel_table()
         assert abs(direct_fuel_intensity(fuels, "diesel") - 2.68 / 73.4 / 1000) < 1e-18
+
+
+def random_economy(rng, n, k=4):
+    """A productive n-sector table (x = (I - A)^-1 d, Z = A diag(x)) and a
+    k x n row-stochastic bridge."""
+    tech = random_productive(rng, n)
+    d = rng.uniform(1.0, 100.0, n)
+    x = np.linalg.solve(np.eye(n) - tech.coefficients, d)
+    sectors = tech.sectors
+    table = MrioTable(sectors=sectors, flows=tech.coefficients * x, final_demand=d, output=x,
+                      emissions=rng.uniform(0.0, 5.0, n) * x,
+                      origin=tuple(rng.choice(["domestic", "imported"], n).tolist()))
+    shares = rng.random((k, n))
+    bridge = BridgingMatrix(categories=tuple(f"c{j}" for j in range(k)), products=sectors,
+                            shares=shares / shares.sum(axis=1, keepdims=True))
+    return table, bridge
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestLeontiefSolve:
+    def test_rows_equal_rows_of_the_inverse(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(1, 31))
+            tech = random_productive(rng, n)
+            rows = rng.uniform(0.0, 2.0, (int(rng.integers(1, 4)), n))
+            got = leontief_solve(tech, rows)
+            assert rel_err(got, rows @ leontief_inverse(tech).matrix) < 1e-12
+            assert leontief_solve_residual(tech, rows, got) < 1e-12
+
+    def test_hand_two_by_two(self):
+        tech = technology_matrix(io2_table())
+        rows = np.array([[1.0, 0.0], [0.5, 2.0]])
+        assert np.allclose(leontief_solve(tech, rows), rows @ L_HAND, rtol=1e-14, atol=0)
+
+    def test_row_length_must_match(self):
+        with pytest.raises(DataValidationError, match="sector count"):
+            leontief_solve(technology_matrix(io2_table()), np.ones((2, 3)))
+
+    def test_carbon_tax_scenario_equals_inverse_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            table, bridge = random_economy(rng, int(rng.integers(1, 31)))
+            rate, pass_through = rng.uniform(0.1, 3.0), rng.uniform(0.0, 1.0)
+            border = bool(rng.integers(0, 2))
+            res = carbon_tax_scenario(rate, table, bridge, pass_through=pass_through,
+                                      border_adjustment=border)
+            inv = leontief_inverse(technology_matrix(table))
+            intensity = sector_intensity(table)
+            shock = rate * (intensity.total if border else intensity.domestic)
+            if shock.any():
+                producer = cost_passthrough(inv, shock, pass_through)
+                assert rel_err(res.producer_relatives, producer) < 1e-12
+                assert rel_err(res.indirect_relatives, bridge_to_categories(bridge, producer)) < 1e-12
+            else:
+                assert not res.producer_relatives.any()
+            embodied = bridge.shares @ embodied_intensity(inv, intensity)["total"]
+            assert rel_err(res.unit_emissions, embodied) < 1e-12
+            assert leontief_solve_residual(res.technology, res.leontief_rows,
+                                           res.leontief_solution) < 1e-12
+
+    def test_pass_through_outside_unit_interval_rejected(self):
+        table, bridge = random_economy(np.random.default_rng(3), 4)
+        with pytest.raises(DataValidationError, match="pass-through rate"):
+            carbon_tax_scenario(1.0, table, bridge, pass_through=1.5)
+
+
+def test_run_never_forms_the_inverse(bundle_dir, tmp_path, monkeypatch):
+    """A taxed demo run prices and emits without calling leontief_inverse."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("leontief_inverse called")
+
+    monkeypatch.setattr(inputoutput, "leontief_inverse", refuse)
+    monkeypatch.setattr(scenario, "leontief_inverse", refuse, raising=False)
+    work = shutil.copytree(bundle_dir, tmp_path / "b")
+    cfg = work / "config.txt"
+    cfg.write_text(cfg.read_text().replace("scenario.carbon_tax = 0.0", "scenario.carbon_tax = 0.5"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    assert (tmp_path / "r" / "households.csv").exists()
