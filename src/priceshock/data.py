@@ -660,7 +660,7 @@ def _duplicates(ids: np.ndarray) -> np.ndarray:
     return dup
 
 
-def _raise_first_fault(path, rows, lines, idx: Mapping[str, int], checks) -> None:
+def _raise_first_fault(path, rows, lines, header: list[str], checks) -> None:
     """Raise the fault a row-by-row loader would meet first.
 
     ``checks`` lists (row mask, column, message template) in the order the
@@ -674,11 +674,98 @@ def _raise_first_fault(path, rows, lines, idx: Mapping[str, int], checks) -> Non
         return
     i = int(np.argmax(faulty))
     _, col, template = checks[int(np.argmax(faults[i]))]
-    text = rows[i][idx[col]]
+    text = rows[i][header.index(col)]
     if template is None:
         raise _cell_error(path, lines[i], col, text)
     raise DataValidationError(template.format(path=path, row=lines[i], col=col,
-                                              hid=rows[i][idx["id"]], value=_float_or_nan(text)))
+                                              hid=rows[i][header.index("id")],
+                                              value=_float_or_nan(text)))
+
+
+# printable ASCII but the quote, and line breaks: a file of these bytes alone
+# splits and parses under np.loadtxt as under csv.reader and float()
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
+
+
+def _loadtxt_survey(path: Path, value_columns) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """(header, ids, values) of a survey file parsed by ``np.loadtxt``, or
+    None for a file that ``read_table`` and ``float()`` might read otherwise.
+
+    ``value_columns(header)`` names the columns of ``values`` and raises for
+    a missing one, as the row path does. A file qualifies when it holds only
+    ``_PLAIN_BYTES``, with ``\\n`` or ``\\r\\n`` line ends; every line holds
+    the header's count of commas (so none is blank or ragged, which
+    ``loadtxt`` would skip or accept) and fits the csv field limit; the
+    header repeats no column; at least one row follows it; and every value
+    is finite. Such a file splits at its commas under ``csv.reader``, and
+    ``loadtxt`` reads each value as ``float()`` reads it. The ids are cut
+    from the bytes at the comma positions that the check finds.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    if not data or data.translate(None, _PLAIN_BYTES) or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # each line's end: its \n, or the end of the file
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(buf))
+    header = data[:ends[0]].decode("ascii").rstrip("\r").split(",")
+    width = len(header)
+    commas = np.flatnonzero(buf == ord(","))
+    if width < 2 or len(ends) < 2 or len(commas) != len(ends) * (width - 1):
+        return None
+    commas = commas.reshape(len(ends), width - 1)  # row i: line i's commas, if it has its share
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    if ((commas[:, 0] < starts).any() or (commas[:, -1] > ends).any()
+            or int((ends - starts).max()) > csv.field_size_limit()
+            or len(set(header)) != width):
+        return None
+    columns = value_columns(header)
+    at = header.index("id")
+    begin = starts if at == 0 else commas[:, at - 1] + 1
+    end = commas[:, at] if at < width - 1 else ends - (buf[ends - 1] == ord("\r"))
+    cells = zip(begin[1:].tolist(), end[1:].tolist())
+    ids = np.array([data[b:e].decode("ascii") for b, e in cells], dtype=str)
+    del buf, data, commas
+    try:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                            usecols=[header.index(c) for c in columns], ndmin=2)
+    except ValueError:  # a cell float() may still read, such as 1_0
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return header, ids, values
+
+
+def _read_survey(path: Path, value_columns, checks, fast: bool):
+    """(header, ids, values) of a survey file without a fault.
+
+    ``value_columns(header)`` names the columns of ``values``;
+    ``checks(header, ids, values, bad)`` lists a loader's row checks for
+    ``_raise_first_fault``, ``bad`` marking the cells that are not finite
+    numbers (0 in ``values``). A file that ``_loadtxt_survey`` takes and
+    that passes every check is returned as parsed. Any other file is read
+    again by ``read_table`` and ``_parse_cells``, and its first fault is
+    raised. ``fast=False`` goes to the row path at once.
+    """
+    table = _loadtxt_survey(path, value_columns) if fast else None
+    if table is not None:
+        header, ids, values = table
+        faults = checks(header, ids, values, np.zeros(values.shape, dtype=bool))
+        if not np.column_stack([mask for mask, _, _ in faults]).any():
+            return table
+    header, rows, lines = read_table(path)
+    columns = value_columns(header)
+    at = header.index("id")
+    ids = np.array([row[at] for row in rows], dtype=str)
+    values = _parse_cells(rows, [header.index(c) for c in columns])
+    bad = ~np.isfinite(values)
+    values[bad] = 0.0  # reported as a bad cell, not also as a bad value
+    _raise_first_fault(path, rows, lines, header, checks(header, ids, values, bad))
+    return header, ids, values
 
 
 def _keyed_order(path, header: list[str], labels: Sequence[str], key_column: str,
@@ -709,17 +796,9 @@ def _keyed_order(path, header: list[str], labels: Sequence[str], key_column: str
 # ---------------------------------------------------------------------------
 
 
-def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
-    """Load households.csv, dropping (and counting) zero-expenditure rows.
-
-    A missing ``inc`` column is legal; operations that require income must
-    fail loudly when it is absent rather than default it here. A dropped
-    row's ``demo_*`` and ``inc`` cells are not checked. Ids are copied into
-    an array: a kept cell would keep the memory of every row from being
-    returned.
-    """
-    path = Path(path)
-    header, rows, lines = read_table(path)
+def _household_columns(path, header: list[str], categories: CategorySet):
+    """(expenditure, demo_*, extra) columns of a households.csv header, in
+    load order; extra is the demo_* columns then ``inc`` when present."""
     required = ["id", "weight", "size"]
     missing = [c for c in required if c not in header]
     if missing:
@@ -733,33 +812,54 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
         raise DataValidationError(f"{path}: unknown expenditure columns {sorted(unknown)}")
     demo_cols = [c for c in header if c.startswith(DEMOGRAPHIC_PREFIX)]
     extra_cols = demo_cols + (["inc"] if "inc" in header else [])
-    exp_names = [exp_cols[c] for c in categories]
-    idx = {c: j for j, c in enumerate(header)}
+    return [exp_cols[c] for c in categories], demo_cols, extra_cols
 
-    ids = np.array([row[idx["id"]] for row in rows], dtype=str)
+
+def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
+    """Load households.csv, dropping (and counting) zero-expenditure rows.
+
+    A missing ``inc`` column is legal; operations that require income must
+    fail loudly when it is absent rather than default it here. A dropped
+    row's ``demo_*`` and ``inc`` cells are not checked. Ids are copied into
+    an array: a kept cell would keep the memory of every row from being
+    returned. A plain file is parsed by ``np.loadtxt``; any other file, and
+    any file with a fault, is read again row by row, which names the fault.
+    """
+    return _load_household_survey(Path(path), categories, fast=True)
+
+
+def _load_household_survey(path: Path, categories: CategorySet, fast: bool) -> HouseholdSurvey:
+    def value_columns(header):
+        exp_names, _, extra_cols = _household_columns(path, header, categories)
+        return ["weight", "size", *exp_names, *extra_cols]
+
+    def checks(header, ids, values, bad):
+        exp_names, _, extra_cols = _household_columns(path, header, categories)
+        k = len(exp_names)
+        exp = values[:, 2:2 + k]
+        bad[exp.sum(axis=1) <= 0, 2 + k:] = False  # a dropped row's demo_* and inc are not checked
+        negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
+        return [
+            (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {hid!r}"),
+            (bad[:, 0], "weight", None),
+            (bad[:, 1], "size", None),
+            (values[:, 0] < 0, "weight",
+             "{path}: row {row}, column 'weight': negative value {value}"),
+            (values[:, 1] < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
+            *((mask, col, template) for j, col in enumerate(exp_names)
+              for mask, template in ((bad[:, 2 + j], None), (exp[:, j] < 0, negative))),
+            *((bad[:, 2 + k + j], col, None) for j, col in enumerate(extra_cols)),
+        ]
+
+    header, ids, values = _read_survey(path, value_columns, checks, fast)
+    exp_names, demo_cols, extra_cols = _household_columns(path, header, categories)
     k = len(exp_names)
-    values = _parse_cells(rows, [idx[c] for c in ("weight", "size", *exp_names, *extra_cols)])
-    bad = ~np.isfinite(values)
-    values[bad] = 0.0  # reported as a bad cell, not also as a bad value
     weight, size, exp, extra = values[:, 0], values[:, 1], values[:, 2:2 + k], values[:, 2 + k:]
     keep = exp.sum(axis=1) > 0
-    bad[~keep, 2 + k:] = False  # a dropped row's demo_* and inc cells are not checked
-    checks = [
-        (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {hid!r}"),
-        (bad[:, 0], "weight", None),
-        (bad[:, 1], "size", None),
-        (weight < 0, "weight", "{path}: row {row}, column 'weight': negative value {value}"),
-        (size < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
-    ]
-    negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
-    for j, col in enumerate(exp_names):
-        checks += [(bad[:, 2 + j], col, None), (exp[:, j] < 0, col, negative)]
-    checks += [(bad[:, 2 + k + j], col, None) for j, col in enumerate(extra_cols)]
-    _raise_first_fault(path, rows, lines, idx, checks)
 
     kept = np.flatnonzero(keep)
-    report = LoadReport(source=str(path), n_rows=len(rows), n_loaded=len(kept),
-                        n_dropped_zero_total=len(rows) - len(kept))
+    report = LoadReport(source=str(path), n_rows=len(ids), n_loaded=len(kept),
+                        n_dropped_zero_total=len(ids) - len(kept))
     if report.n_dropped_zero_total:
         report.notes.append(
             f"dropped {report.n_dropped_zero_total} household(s) with zero total expenditure"
@@ -774,41 +874,47 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     )
 
 
+def _income_columns(path, header: list[str]) -> list[str]:
+    """The value columns of an income-survey header: weight, size, inc, demo_*."""
+    required = ["id", "weight", "size", "inc"]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DataValidationError(f"{path}: missing required columns {missing}")
+    return ["weight", "size", "inc", *(c for c in header if c.startswith(DEMOGRAPHIC_PREFIX))]
+
+
 def load_income_survey(path) -> IncomeSurvey:
     """Load the imputation target: id, weight, size, inc, demo_* columns.
 
     Expenditure columns, if present, are ignored (and noted in the report);
     the dataset's own incomes define the calibration targets. The rows come
-    back as columns; ``records`` is a view built on request.
+    back as columns; ``records`` is a view built on request. Files are read
+    as ``load_household_survey`` reads them.
     """
-    path = Path(path)
-    header, rows, lines = read_table(path)
-    required = ["id", "weight", "size", "inc"]
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise DataValidationError(f"{path}: missing required columns {missing}")
-    demo_cols = [c for c in header if c.startswith(DEMOGRAPHIC_PREFIX)]
+    return _load_income_survey(Path(path), fast=True)
+
+
+def _load_income_survey(path: Path, fast: bool) -> IncomeSurvey:
+    def checks(header, ids, values, bad):
+        return [
+            (_duplicates(ids), "id", "{path}: row {row}: duplicate id {hid!r}"),
+            *((bad[:, j], col, None) for j, col in enumerate(_income_columns(path, header))),
+            (values[:, 0] < 0, "weight", "record {hid}: negative weight {value}"),
+            (values[:, 1] < 1, "size", "record {hid}: size {value} < 1"),
+        ]
+
+    header, ids, values = _read_survey(path, lambda h: _income_columns(path, h), checks, fast)
+    cols = _income_columns(path, header)
     ignored = [c for c in header if c.startswith(EXPENDITURE_PREFIX)]
-    idx = {c: header.index(c) for c in header}
-    report = LoadReport(source=str(path), n_rows=len(rows))
+    report = LoadReport(source=str(path), n_rows=len(ids))
     if ignored:
         report.notes.append(f"ignored {len(ignored)} expenditure column(s) in the income dataset")
-    ids = np.array([row[idx["id"]] for row in rows], dtype=str)
-    cols = ["weight", "size", "inc", *demo_cols]
-    values = _parse_cells(rows, [idx[c] for c in cols])
-    bad = ~np.isfinite(values)
-    _raise_first_fault(path, rows, lines, idx, [
-        (_duplicates(ids), "id", "{path}: row {row}: duplicate id {hid!r}"),
-        *((bad[:, j], col, None) for j, col in enumerate(cols)),
-        (values[:, 0] < 0, "weight", "record {hid}: negative weight {value}"),
-        (values[:, 1] < 1, "size", "record {hid}: size {value} < 1"),
-    ])
-    report.n_loaded = len(rows)
-    if not rows:
+    report.n_loaded = len(ids)
+    if not len(ids):
         raise DataValidationError(f"{path}: no income rows")
     return IncomeSurvey(
         ids=ids, weight=values[:, 0], size=values[:, 1], income=values[:, 2],
-        demographic_names=tuple(c[len(DEMOGRAPHIC_PREFIX):] for c in demo_cols),
+        demographic_names=tuple(c[len(DEMOGRAPHIC_PREFIX):] for c in cols[3:]),
         demographics=values[:, 3:], report=report,
     )
 

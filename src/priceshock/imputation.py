@@ -51,12 +51,16 @@ def _norm_pdf(z):
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Weighted least-squares fit with the residual moments of its sample."""
+    """Weighted least-squares fit with the residual moments of its sample.
+
+    For a matrix outcome, ``coefficients`` has one column per outcome and
+    the residual moments are arrays with one entry per outcome.
+    """
 
     names: tuple[str, ...]
     coefficients: np.ndarray
-    residual_mean: float
-    residual_var: float
+    residual_mean: float | np.ndarray
+    residual_var: float | np.ndarray
     n_obs: int
 
     def predict(self, design: np.ndarray, names) -> np.ndarray:
@@ -100,7 +104,11 @@ def _collinear_columns(design: np.ndarray, names) -> tuple[list[int], list[str]]
 
 
 def wls_fit(design: np.ndarray, y: np.ndarray, weights: np.ndarray, names) -> RegressionFit:
-    """Weighted least squares with residual moments on the estimation sample."""
+    """Weighted least squares with residual moments on the estimation sample.
+
+    ``y`` is one outcome (n,) or several (n, m) on the same design: one
+    rank check and one lstsq serve every column.
+    """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -114,11 +122,11 @@ def wls_fit(design: np.ndarray, y: np.ndarray, weights: np.ndarray, names) -> Re
     if np.linalg.matrix_rank(xw) < p:
         _, flagged = _collinear_columns(xw, names)
         raise DataValidationError(f"design matrix is rank deficient; collinear columns: {flagged}")
-    beta, *_ = np.linalg.lstsq(xw, y * sw, rcond=None)
+    beta, *_ = np.linalg.lstsq(xw, (y.T * sw).T, rcond=None)  # each row of y times its sw
     resid = y - design @ beta
     w_total = weights.sum()
-    r_mean = float(np.dot(weights, resid)) / w_total
-    r_var = float(np.dot(weights, (resid - r_mean) ** 2)) / w_total
+    r_mean = weights @ resid / w_total
+    r_var = weights @ (resid - r_mean) ** 2 / w_total
     return RegressionFit(
         names=tuple(names), coefficients=beta, residual_mean=r_mean,
         residual_var=r_var, n_obs=n,

@@ -9,7 +9,7 @@ keep their stable input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,32 +90,42 @@ def _midranks(weights_in_order: np.ndarray) -> np.ndarray:
     return (cum - weights_in_order / 2.0) / cum[-1]
 
 
-def concentration(values, weights, rank_by) -> float:
+def _nonnegative(values: np.ndarray) -> None:
+    if np.any(values < 0):
+        raise DataValidationError("Gini requires nonnegative values")
+
+
+def concentration(values, weights, rank_by):
     """Concentration index of ``values`` when ranked by ``rank_by``.
 
     2 cov_w(y, F) / mean(y) with F the weighted mid-rank of the ranking
-    variable. Ranking by the values themselves gives the Gini.
+    variable (Lerman and Yitzhaki 1984). Ranking by the values themselves
+    gives the Gini. ``values`` of shape (n, m) gives an array of m indices,
+    one per column, from one sort; each equals the call on that column.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    rank_by = np.asarray(rank_by, dtype=float)
     total = weights.sum()
     if total <= 0:
         raise DataValidationError("total weight must be positive")
-    mean = float(np.dot(weights, values)) / total
-    if mean == 0:
+    columns = values.T if values.ndim == 2 else [values]
+    # one dot per column, not a matrix product: each mean keeps the bits of
+    # the call on that column alone
+    means = [float(np.dot(weights, y)) / total for y in columns]
+    if 0 in means:
         raise DataValidationError("concentration undefined for a zero-mean variable")
-    order = np.argsort(rank_by, kind="stable")
-    f = _midranks(weights[order])
-    cov = float(np.dot(weights[order], values[order] * (f - 0.5))) / total
-    return 2.0 * cov / mean
+    order = np.argsort(np.asarray(rank_by, dtype=float), kind="stable")
+    w = weights[order]
+    centred = _midranks(w) - 0.5
+    indices = [2.0 * (float(np.dot(w, y[order] * centred)) / total) / mean
+               for y, mean in zip(columns, means)]
+    return np.array(indices) if values.ndim == 2 else indices[0]
 
 
 def gini(values, weights) -> float:
     """Weighted Gini coefficient (values must be nonnegative)."""
     values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise DataValidationError("Gini requires nonnegative values")
+    _nonnegative(values)
     return concentration(values, weights, values)
 
 
@@ -204,60 +214,52 @@ def progressivity_table(
     burdens = np.asarray(group_burdens, dtype=float)
     if burdens.shape != (len(x), len(group_names)):
         raise DataValidationError("group burden matrix shape mismatch")
-    g_pre = gini(x, w)
-    total_x = float(np.dot(w, x))
+    _nonnegative(x)
     total_burden_h = burdens.sum(axis=1)
-    overall_rate = float(np.dot(w, total_burden_h)) / total_x
-
-    rows: list[ProgressivityRow] = []
-    k_by_group = []
-    rate_by_group = []
-    for j, name in enumerate(group_names):
-        b = burdens[:, j]
-        rate_j = float(np.dot(w, b)) / total_x
-        if np.dot(w, b) != 0:
-            ci_burden = concentration(b, w, x)
-            kakwani = ci_burden - g_pre
-        else:  # no burden from this group: progressivity is undefined, report 0
-            ci_burden = 0.0
-            kakwani = 0.0
-        adjusted = x + b  # expenditure needed after this group's price change alone
-        ci_adjusted = concentration(adjusted, w, x)
-        rs = ci_adjusted - g_pre
-        real = x / (1.0 + np.divide(b, x, out=np.zeros_like(b), where=x > 0))
-        reranking = gini(real, w) - concentration(real, w, x)
-        rows.append(
-            ProgressivityRow(
-                name=name, ci_pre=g_pre, ci_burden=ci_burden, ci_adjusted=ci_adjusted,
-                rs=rs, kakwani=kakwani, avg_rate=rate_j, reranking=reranking,
-                contribution_to_k=0.0,
-            )
-        )
-        k_by_group.append(kakwani)
-        rate_by_group.append(rate_j)
-
-    k_total_parts = [r * k for r, k in zip(rate_by_group, k_by_group)]
-    denom = sum(k_total_parts)
-    for i, row in enumerate(rows):
-        contrib = k_total_parts[i] / denom if denom != 0 else 0.0
-        rows[i] = replace(row, contribution_to_k=contrib)
-
+    group_b = list(burdens.T)
+    burdened = [np.dot(w, b) != 0 for b in group_b] + [np.dot(w, total_burden_h) != 0]
+    # real expenditure after each group's price change alone, and after all
+    real = [x / (1.0 + np.divide(b, x, out=np.zeros_like(b), where=x > 0)) for b in group_b]
     pi_h = np.divide(total_burden_h, x, out=np.zeros_like(total_burden_h), where=x > 0)
     real_total = x / (1.0 + pi_h)
-    if np.dot(w, total_burden_h) != 0:
-        ci_burden_total = concentration(total_burden_h, w, x)
-        k_total = ci_burden_total - g_pre
-    else:
-        ci_burden_total = 0.0
-        k_total = 0.0
-    ci_real = concentration(real_total, w, x)
-    rs_total = g_pre - gini(real_total, w)
-    reranking_total = gini(real_total, w) - ci_real
+
+    # every index ranked by pre-change expenditure comes from one sort: x
+    # itself (the pre-change Gini), x after each group's price change alone,
+    # real expenditure, and each burden that is not zero
+    by_x = iter(concentration(
+        np.array([x, *(x + b for b in group_b), *real, real_total,
+                  *(b for b, nonzero in zip([*group_b, total_burden_h], burdened) if nonzero)]).T,
+        w, x,
+    ).tolist())
+    g_pre = next(by_x)
+    ci_adjusted = [next(by_x) for _ in group_b]
+    ci_real = [next(by_x) for _ in group_b]
+    ci_real_total = next(by_x)
+    # no burden from a group: its progressivity is undefined, report 0
+    ci_burden = [next(by_x) if nonzero else 0.0 for nonzero in burdened]
+    kakwani = [c - g_pre if nonzero else 0.0 for c, nonzero in zip(ci_burden, burdened)]
+    total_x = float(np.dot(w, x))
+    overall_rate = float(np.dot(w, total_burden_h)) / total_x
+    rates = [float(np.dot(w, b)) / total_x for b in group_b]
+
+    k_total_parts = [r * k for r, k in zip(rates, kakwani[:-1])]
+    denom = sum(k_total_parts)
+    rows = [
+        ProgressivityRow(
+            name=name, ci_pre=g_pre, ci_burden=ci_burden[j], ci_adjusted=ci_adjusted[j],
+            rs=ci_adjusted[j] - g_pre, kakwani=kakwani[j], avg_rate=rates[j],
+            reranking=gini(real[j], w) - ci_real[j],
+            contribution_to_k=k_total_parts[j] / denom if denom != 0 else 0.0,
+        )
+        for j, name in enumerate(group_names)
+    ]
+    gini_real_total = gini(real_total, w)
     rows.append(
         ProgressivityRow(
-            name="total", ci_pre=g_pre, ci_burden=ci_burden_total, ci_adjusted=ci_real,
-            rs=rs_total, kakwani=k_total, avg_rate=overall_rate,
-            reranking=reranking_total, contribution_to_k=1.0 if denom != 0 else 0.0,
+            name="total", ci_pre=g_pre, ci_burden=ci_burden[-1], ci_adjusted=ci_real_total,
+            rs=g_pre - gini_real_total, kakwani=kakwani[-1], avg_rate=overall_rate,
+            reranking=gini_real_total - ci_real_total,
+            contribution_to_k=1.0 if denom != 0 else 0.0,
         )
     )
     return rows

@@ -36,6 +36,7 @@ from .data import (
     read_table,
 )
 from .demand import (
+    _value,
     budget_elasticity,
     compensating_variation,
     equivalent_income,
@@ -147,7 +148,14 @@ def _as_float(value: str, key: str) -> float:
 
 
 def _as_int(value: str, key: str) -> int:
-    return int(_as_float(value, key))
+    """An integer written as one (``5``) or as an integral number (``5.0``, ``5e0``)."""
+    try:
+        return int(value)
+    except ValueError:
+        number = _as_float(value, key)
+    if not number.is_integer():
+        raise DataValidationError(f"config key {key!r}: expected an integer, got {value!r}")
+    return int(number)
 
 
 def _as_text(value: str, key: str) -> str:
@@ -155,7 +163,7 @@ def _as_text(value: str, key: str) -> str:
 
 
 def _as_size_bands(value: str, key: str) -> tuple[int, int]:
-    parts = [int(p) for p in value.split(",")]
+    parts = [_as_int(p.strip(), key) for p in value.split(",")]
     if len(parts) != 2 or parts[0] >= parts[1]:
         raise DataValidationError("elasticity.size_bands must be two increasing cuts")
     return parts[0], parts[1]
@@ -218,6 +226,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise DataValidationError("inequality aversion must be nonnegative")
     if cfg.groups < 2:
         raise DataValidationError("distribution.groups must be at least 2")
+    if not 1 <= cfg.recycling_quantile <= cfg.groups:
+        raise DataValidationError(
+            f"scenario.recycling_quantile must be between 1 and distribution.groups "
+            f"({cfg.groups}), got {cfg.recycling_quantile}"
+        )
     if cfg.carbon_tax < 0:
         raise DataValidationError("carbon tax must be nonnegative")
     if cfg.recycling not in RECYCLING_SCHEMES:
@@ -241,22 +254,23 @@ def validate_config(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def consumer_price(producer_relative: float, vat: float = 0.0, advalorem: float = 0.0,
-                   excise_per_unit: float = 0.0, base_price: float = 1.0) -> float:
+def consumer_price(producer_relative, vat=0.0, advalorem=0.0, excise_per_unit=0.0,
+                   base_price=1.0):
     """Consumer price relative implied by a producer price relative.
 
     The consumer price is (producer + excise) * (1 + advalorem) * (1 + vat);
     the relative compares the same formula before and after the producer
     change, so purely multiplicative taxes leave relatives untouched while
-    a per-unit excise dampens them.
+    a per-unit excise dampens them. Arguments may be arrays (one entry per
+    category, broadcast together); all-scalar arguments give a float.
     """
-    if vat < 0 or advalorem < 0 or excise_per_unit < 0:
+    if any(np.any(np.asarray(rate) < 0) for rate in (vat, advalorem, excise_per_unit)):
         raise DataValidationError("tax rates must be nonnegative")
-    if base_price <= 0:
+    if np.any(np.asarray(base_price) <= 0):
         raise DataValidationError("base price must be positive")
     before = (base_price + excise_per_unit) * (1.0 + advalorem) * (1.0 + vat)
     after = (base_price * (1.0 + producer_relative) + excise_per_unit) * (1.0 + advalorem) * (1.0 + vat)
-    return after / before - 1.0
+    return _value(after / before - 1.0)
 
 
 def compose_relatives(*relatives: np.ndarray) -> np.ndarray:
@@ -399,7 +413,11 @@ class GroupDemand:
 
 def _engel_fit(exp: np.ndarray, totals: np.ndarray, weights: np.ndarray,
                cfg: RunConfig, sizes: np.ndarray) -> GroupDemand:
-    """Per-category quadratic Engel curves -> budget and own-price elasticities."""
+    """Per-category quadratic Engel curves -> budget and own-price elasticities.
+
+    One weighted least-squares solve fits the curves of every category
+    with a positive mean share.
+    """
     k = exp.shape[1]
     if cfg.engel_scale == "per_capita_month":
         scale_total = totals / sizes / cfg.months_per_period
@@ -412,19 +430,14 @@ def _engel_fit(exp: np.ndarray, totals: np.ndarray, weights: np.ndarray,
     w_total = float(weights.sum())
     mean_shares = weights @ shares / w_total
     ln_c = float(np.dot(weights, ln_x)) / w_total
-    budget = np.ones(k)
-    clamped = 0
-    for j in range(k):
-        if mean_shares[j] <= 0:
-            budget[j] = 0.0
-            continue
-        fit = wls_fit(design, shares[:, j], weights, names)
-        beta, curvature = fit.coefficients[1], fit.coefficients[2]
-        eta = float(budget_elasticity(mean_shares[j], beta, curvature, ln_c))
-        lo, hi = BUDGET_ELASTICITY_BOUNDS
-        if eta < lo or eta > hi:
-            clamped += 1
-        budget[j] = min(max(eta, lo), hi)
+    bought = mean_shares > 0  # a category nobody buys gets budget elasticity 0
+    budget = np.zeros(k)
+    fit = wls_fit(design, shares[:, bought], weights, names)
+    _, slope, curvature = fit.coefficients
+    eta = budget_elasticity(mean_shares[bought], slope, curvature, ln_c)
+    lo, hi = BUDGET_ELASTICITY_BOUNDS
+    clamped = int(np.sum((eta < lo) | (eta > hi)))
+    budget[bought] = np.clip(eta, lo, hi)
     consumption_pc_month = float(np.dot(weights, totals / sizes)) / w_total / cfg.months_per_period
     xi = frisch_parameter(
         consumption_pc_month, cfg.exchange_rate,
@@ -555,11 +568,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         unit_emissions = carbon.unit_emissions
         # producer-side component runs through the indirect-tax schedule;
         # the combustion component is already a consumer-level change
-        taxed = np.array([
-            consumer_price(r, vat=v, advalorem=a, excise_per_unit=e, base_price=b)
-            for r, v, a, e, b in zip(carbon.indirect_relatives, vat, advalorem, excise,
-                                     base_prices)
-        ])
+        taxed = consumer_price(carbon.indirect_relatives, vat=vat, advalorem=advalorem,
+                               excise_per_unit=excise, base_price=base_prices)
         rel_carbon = compose_relatives(taxed, carbon.direct_relatives)
     rel_tax = np.zeros(k)  # reserved for schedule-change scenarios
     rel_total = compose_relatives(rel_inflation, rel_carbon, rel_tax)

@@ -321,3 +321,38 @@ class TestImpute:
     def test_impute_without_income_dataset(self, bundle_dir):
         assert run_cli("impute", "--config", bundle_dir / "config.txt",
                        "--out", "/tmp/never.csv") == 1
+
+
+class TestConfigIntegers:
+    """Integer keys take integers: no silent truncation, and the key is named."""
+
+    @pytest.mark.parametrize("lines, key", [
+        (["distribution.groups = 2.7"], "distribution.groups"),
+        (["scenario.recycling = targeted_bottom_q", "scenario.recycling_quantile = 9"],
+         "scenario.recycling_quantile"),
+        (["scenario.recycling = targeted_bottom_q", "scenario.recycling_quantile = 1.9"],
+         "scenario.recycling_quantile"),
+        (["elasticity.size_bands = 2,x"], "elasticity.size_bands"),
+    ], ids=["fractional groups", "quantile above groups", "fractional quantile",
+            "non-numeric size band"])
+    def test_bad_integer_exits_1_naming_the_key(self, bundle_dir, tmp_path, capsys, lines, key):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        cfg = work / "config.txt"
+        keys = {line.partition("=")[0].strip() for line in lines}
+        kept = [line for line in cfg.read_text().splitlines()
+                if line.partition("=")[0].strip() not in keys]
+        cfg.write_text("\n".join(kept + lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_integral_spellings_still_accepted(self, bundle_dir, tmp_path):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        cfg = work / "config.txt"
+        text = cfg.read_text().replace("distribution.groups = 5", "distribution.groups = 5.0")
+        text = text.replace("elasticity.size_bands = 2,5", "elasticity.size_bands = 2, 5")
+        cfg.write_text(text + "scenario.recycling_quantile = 5\n")
+        assert run_cli("validate", "--config", cfg, "--quiet") == 0

@@ -832,7 +832,8 @@ class TestLabelledReader:
         for name, col, values in (("d", "d", d), ("x", "x", z.sum(axis=1) + d), ("f", "f", d)):
             write_rows(scratch / f"{name}.csv", ["sector", col],
                        [[s, repr(v)] for s, v in zip(sectors, values.tolist())])
-        if data.draw(st.booleans()):
+        faulted = data.draw(st.booleans())
+        if faulted:
             inject_faults(data, header, rows)
         blanks = data.draw(st.lists(st.integers(1, n + 1), max_size=3))
         zp = scratch / "z.csv"
@@ -843,9 +844,15 @@ class TestLabelledReader:
             assert message(load_mrio, *paths) == expected
             return
         ref_sectors, ref_z = ref_flows(zp)
+        # x.csv from the flows as they stand: a row that lost its last cell
+        # and then gained a "1" is whole again, with a changed value
+        write_rows(scratch / "x.csv", ["sector", "x"],
+                   [[s, repr(v)] for s, v in zip(ref_sectors, (ref_z.sum(axis=1) + d).tolist())])
         t = load_mrio(*paths)
         assert t.sectors == ref_sectors == tuple(sectors)
-        assert bits(t.flows) == bits(ref_z) == bits(z)
+        assert bits(t.flows) == bits(ref_z)
+        if not faulted:
+            assert bits(ref_z) == bits(z)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

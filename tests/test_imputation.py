@@ -72,6 +72,47 @@ class TestWls:
         assert abs(fit.residual_var - 25.0) < 1e-12
 
 
+
+class TestWlsMatrixOutcome:
+    """One rank check and one lstsq for several outcomes on one design."""
+
+    def test_matrix_fit_matches_per_column_fits(self):
+        rng = np.random.default_rng(11)
+        for n, m in ((40, 1), (300, 7), (2000, 19)):
+            ln_x = rng.normal(9.0, 0.8, n)
+            design = np.column_stack([np.ones(n), ln_x, ln_x ** 2])
+            y = rng.dirichlet(np.ones(m), n) + 0.01 * ln_x[:, np.newaxis]
+            w = rng.uniform(0.2, 30.0, n)
+            fit = wls_fit(design, y, w, ["const", "ln_x", "ln_x_sq"])
+            assert fit.coefficients.shape == (3, m)
+            assert fit.residual_mean.shape == fit.residual_var.shape == (m,)
+            for j in range(m):
+                one = wls_fit(design, y[:, j], w, ["const", "ln_x", "ln_x_sq"])
+                scale = np.max(np.abs(one.coefficients))
+                assert np.max(np.abs(fit.coefficients[:, j] - one.coefficients)) <= 1e-12 * scale
+                assert abs(fit.residual_var[j] - one.residual_var) <= 1e-12 * one.residual_var
+                # the residual mean is rounding noise around 0: compare on the outcome's scale
+                assert abs(fit.residual_mean[j] - one.residual_mean) <= 1e-12 * np.std(y[:, j])
+
+    def test_matrix_fit_names_collinear_columns(self):
+        x = np.linspace(1, 5, 30)
+        design = np.column_stack([np.ones(30), x, 2.0 * x])
+        with pytest.raises(DataValidationError, match="double_x"):
+            wls_fit(design, np.column_stack([x, x ** 2]), np.ones(30), ["const", "x", "double_x"])
+
+    def test_one_outcome_is_bit_identical_to_the_pinned_fit(self):
+        # pinned from the per-outcome implementation; imputation relies on it
+        x = np.linspace(1.0, 3.0, 40)
+        design = np.column_stack([np.ones(40), x, x ** 2])
+        y = 0.3 * np.sin(7.0 * x) + 0.1 * x
+        w = 1.0 + np.arange(40) % 5
+        fit = wls_fit(design, y, w, ["const", "x", "x_sq"])
+        assert [c.hex() for c in fit.coefficients.tolist()] == [
+            "0x1.2e0b33864a038p+0", "-0x1.23e78ba07d073p+0", "0x1.3a2b15e9f7ccdp-2"]
+        assert float(fit.residual_mean).hex() == "-0x1.2cccccccccccdp-52"
+        assert float(fit.residual_var).hex() == "0x1.39dae061dc563p-5"
+
+
 def golden_section_loglik(x, y, w, lo=-10.0, hi=10.0, iters=200):
     """1-D ML oracle for a no-intercept logit: maximise over the slope."""
     def nll(beta):

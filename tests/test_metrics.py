@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priceshock.errors import DataValidationError
 from priceshock.metrics import (
@@ -351,3 +353,93 @@ class TestWeightedSample:
         s = WeightedSample(values=np.array([1.0, 2.0]), weights=np.ones(2),
                            rank_key=np.array([2.0, 1.0]))
         assert s.rank_key is not None
+
+
+# ---------------------------------------------------------------------------
+# One sort per ranking: the block form against its n = 1 calls
+# ---------------------------------------------------------------------------
+
+
+def progressivity_reference(x, w, burdens, names):
+    """progressivity_table as one concentration or gini call (and one sort)
+    per index, each on a contiguous copy of the 1-D array it is built from;
+    the rates are dots over the burden matrix's own columns."""
+    g_pre = gini(x, w)
+    total_x = float(np.dot(w, x))
+    total_burden_h = burdens.sum(axis=1)
+    rows, parts = [], []
+    for j, name in enumerate(names):
+        b = burdens[:, j]
+        rate = float(np.dot(w, b)) / total_x
+        ci_b = concentration(b.copy(), w, x) if np.dot(w, b) != 0 else 0.0
+        kak = ci_b - g_pre if np.dot(w, b) != 0 else 0.0
+        ci_adj = concentration(x + b, w, x)
+        real = x / (1.0 + np.divide(b, x, out=np.zeros_like(b), where=x > 0))
+        rows.append([name, g_pre, ci_b, ci_adj, ci_adj - g_pre, kak, rate,
+                     gini(real, w) - concentration(real, w, x)])
+        parts.append(rate * kak)
+    denom = sum(parts)
+    for row, part in zip(rows, parts):
+        row.append(part / denom if denom != 0 else 0.0)
+    real_total = x / (1.0 + np.divide(total_burden_h, x, out=np.zeros_like(total_burden_h),
+                                      where=x > 0))
+    burdened = np.dot(w, total_burden_h) != 0
+    ci_b = concentration(total_burden_h, w, x) if burdened else 0.0
+    ci_real = concentration(real_total, w, x)
+    rows.append(["total", g_pre, ci_b, ci_real, g_pre - gini(real_total, w),
+                 ci_b - g_pre if burdened else 0.0, float(np.dot(w, total_burden_h)) / total_x,
+                 gini(real_total, w) - ci_real, 1.0 if denom != 0 else 0.0])
+    return rows
+
+
+@st.composite
+def weighted_blocks(draw):
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    ties = draw(st.booleans())  # ranking keys with many ties, broken by input order
+    key = rng.integers(0, 4, n).astype(float) if ties else rng.lognormal(8.0, 1.0, n)
+    w = rng.random(n) * 10.0 + draw(st.sampled_from([0.0, 0.1]))
+    w[0] += 1.0
+    block = rng.normal(1.0, 2.0, (n, m))
+    if draw(st.booleans()):
+        block = np.asfortranarray(block)
+    return key, w, block
+
+
+class TestConcentrationBlock:
+    @settings(max_examples=150, deadline=None)
+    @given(case=weighted_blocks())
+    def test_block_equals_its_column_calls_bit_for_bit(self, case):
+        key, w, block = case
+        got = concentration(block, w, key)
+        assert got.shape == (block.shape[1],)
+        for j in range(block.shape[1]):
+            assert got[j] == concentration(block[:, j], w, key)
+
+    def test_scalar_call_is_the_one_column_block(self):
+        rng = np.random.default_rng(4)
+        x, w, key = rng.random(50) + 0.1, rng.random(50) + 0.5, rng.random(50)
+        one = concentration(x, w, key)
+        assert isinstance(one, float)
+        assert concentration(x[:, np.newaxis], w, key).tolist() == [one]
+
+    def test_zero_mean_column_rejected(self):
+        block = np.column_stack([np.arange(1.0, 6.0), [1.0, -1.0, 2.0, -2.0, 0.0]])
+        with pytest.raises(DataValidationError, match="zero-mean"):
+            concentration(block, np.ones(5), np.arange(5.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=weighted_blocks(), zero_group=st.booleans())
+    def test_progressivity_table_equals_per_index_calls_bit_for_bit(self, case, zero_group):
+        key, w, block = case
+        x = key + 1.0
+        burdens = np.ascontiguousarray(np.abs(block) * x[:, np.newaxis] * 0.1)
+        if zero_group:
+            burdens[:, 0] = 0.0
+        names = [f"g{j}" for j in range(burdens.shape[1])]
+        got = [[r.name, r.ci_pre, r.ci_burden, r.ci_adjusted, r.rs, r.kakwani, r.avg_rate,
+                r.reranking, r.contribution_to_k]
+               for r in progressivity_table(x, w, burdens, names)]
+        assert got == progressivity_reference(x, w, burdens, names)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from priceshock.data import BridgingMatrix, read_table
 from priceshock.errors import DataValidationError
@@ -36,6 +39,39 @@ class TestConsumerPrice:
             consumer_price(0.1, vat=-0.1)
         with pytest.raises(DataValidationError):
             consumer_price(0.1, base_price=0.0)
+
+
+class TestConsumerPriceArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_array_form_equals_per_element_scalar_calls(self, data):
+        k = data.draw(st.integers(1, 19))
+
+        def column(lo, hi):
+            return data.draw(arrays(float, k, elements=st.floats(lo, hi)))
+
+        r, vat, adv = column(-0.99, 10.0), column(0.0, 1.0), column(0.0, 1.0)
+        excise, base = column(0.0, 100.0), column(0.01, 500.0)
+        got = consumer_price(r, vat=vat, advalorem=adv, excise_per_unit=excise, base_price=base)
+        expected = [consumer_price(*args) for args in zip(r.tolist(), vat.tolist(), adv.tolist(),
+                                                          excise.tolist(), base.tolist())]
+        assert all(type(v) is float for v in expected)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_scalar_taxes_broadcast_over_relatives(self):
+        r = np.array([0.0, 0.1, 0.5])
+        got = consumer_price(r, vat=0.2, excise_per_unit=5.0, base_price=50.0)
+        assert got.tolist() == [consumer_price(v, vat=0.2, excise_per_unit=5.0, base_price=50.0)
+                                for v in r.tolist()]
+
+    def test_array_errors_keep_their_messages(self):
+        r = np.zeros(3)
+        with pytest.raises(DataValidationError, match="^tax rates must be nonnegative$"):
+            consumer_price(r, vat=np.array([0.1, -0.1, 0.0]))
+        with pytest.raises(DataValidationError, match="^tax rates must be nonnegative$"):
+            consumer_price(r, excise_per_unit=np.array([0.0, 0.0, -1.0]))
+        with pytest.raises(DataValidationError, match="^base price must be positive$"):
+            consumer_price(r, base_price=np.array([1.0, 0.0, 2.0]))
 
 
 class TestComposeRelatives:
@@ -441,3 +477,36 @@ class TestBuildTablesDirect:
         assert abs(rows[-1][2] - 0.1) < 1e-12
         _, rows7 = tables["t7_welfare"]
         assert all(abs(r[3] - (-0.01)) < 1e-12 for r in rows7)
+
+
+class TestEngelFitOneSolvePerGroup:
+    def test_budget_elasticities_match_per_category_fits(self, bundle_dir):
+        from priceshock.data import CategorySet, load_household_survey
+        from priceshock.demand import budget_elasticity, price_elasticities
+        from priceshock.imputation import wls_fit
+        from priceshock.scenario import BUDGET_ELASTICITY_BOUNDS, OWN_PRICE_BOUNDS, _engel_fit
+
+        cfg = parse_config(bundle_dir / "config.txt")
+        survey = load_household_survey(bundle_dir / "households.csv", CategorySet.default())
+        exp, w, sizes = survey.expenditure, survey.weight, survey.size
+        totals = exp.sum(axis=1)
+        for sel in (np.ones(len(totals), dtype=bool), sizes <= 2, sizes > 2):
+            got = _engel_fit(exp[sel], totals[sel], w[sel], cfg, sizes[sel])
+            # one wls_fit per bought category, as the elasticities were first computed
+            ln_x = np.log(totals[sel])
+            design = np.column_stack([np.ones(sel.sum()), ln_x, ln_x ** 2])
+            shares = exp[sel] / totals[sel][:, np.newaxis]
+            mean_shares = w[sel] @ shares / w[sel].sum()
+            ln_c = float(np.dot(w[sel], ln_x)) / float(w[sel].sum())
+            lo, hi = BUDGET_ELASTICITY_BOUNDS
+            budget, clamped = np.zeros(exp.shape[1]), 0
+            for j in np.flatnonzero(mean_shares > 0):
+                beta = wls_fit(design, shares[:, j], w[sel], ["c", "x", "x2"]).coefficients
+                eta = float(budget_elasticity(mean_shares[j], beta[1], beta[2], ln_c))
+                clamped += not lo <= eta <= hi
+                budget[j] = min(max(eta, lo), hi)
+            assert np.allclose(got.budget, budget, rtol=1e-10, atol=0.0)
+            assert (got.budget == 0).tolist() == (mean_shares <= 0).tolist()
+            own = np.diag(price_elasticities(budget, mean_shares, got.xi))
+            clamped += int(np.sum((own < OWN_PRICE_BOUNDS[0]) | (own > OWN_PRICE_BOUNDS[1])))
+            assert got.clamped == clamped
