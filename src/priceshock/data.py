@@ -934,6 +934,281 @@ def _csv_column(texts: list[str]) -> list[str]:
     return texts
 
 
+# Rows that _write_rows formats per numpy pass: enough that the cost per
+# numpy call vanishes, few enough that a block's temporaries (about 3 kB a
+# households.csv row) stay near the few MB that %-formatting a small frame
+# takes.
+CSV_BLOCK_ROWS = 1024
+
+# the number specs _write_rows places itself: kind and precision
+_NUMBER_SPECS = {"%.6f": ("f", 6), "%.6g": ("g", 6), "%.12g": ("g", 12), "%d": ("d", 0)}
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**22 < 2**53
+_POW10_INT = 10 ** np.arange(17, dtype=np.int64)
+_EXACT = 2.0**52  # below it every half-integer is a double
+# Text is assembled in little-endian 8-byte words, so that a word's first
+# byte in memory is its lowest: viewed as bytes, words read left to right.
+_WORD = np.dtype("<u8")
+_ZEROS = 0x3030303030303030  # eight ASCII '0'
+
+
+def _product_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a·b − s exactly, where s = fl(a·b): Dekker's two-product, each
+    factor split at 2**27 + 1 (Veltkamp) into halves whose products are
+    exact."""
+    def split(x):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    ah, al = split(a)
+    bh, bl = split(b)
+    return ((ah * bh - s) + ah * bl + al * bh) + al * bl
+
+
+def _round_scaled(a: np.ndarray, decimals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, r): s = fl(a·10**decimals) and r = round-half-even of the exact
+    product, for a ≥ 0; r is exact wherever s < 2**52.
+
+    Rounding s itself gives r unless s sits on a half-integer: every
+    half-integer below 2**52 is a double, so the exact product cannot lie
+    across one from s. On a tie, the sign of the product's rounding error
+    says which way the exact product breaks it."""
+    p = _POW10[decimals]
+    s = a * p
+    r = np.rint(s)
+    tie = np.flatnonzero(np.abs(s - r) == 0.5)
+    if tie.size:
+        st = s.flat[tie]
+        err = _product_error(a.flat[tie], p.flat[tie], st)
+        r.flat[tie] = np.where(err > 0, st + 0.5, np.where(err < 0, st - 0.5, r.flat[tie]))
+    return s, r
+
+
+def _scaled_integers(x: np.ndarray, kind: str, precision: int):
+    """(r, decimals, bad) for magnitudes ``x`` under one number spec:
+    ``spec % v`` writes r with ``decimals`` digits after a point (%g then
+    strips the fraction's trailing zeros). ``bad`` marks the cells this
+    cannot prove: non-finite, r at or over 2**52, or a %g value that ``%``
+    writes in exponent form."""
+    if kind == "d":  # %d truncates
+        r = np.trunc(x)
+        return r, np.zeros(x.shape, np.int64), ~(r < _EXACT)
+    if kind == "f":
+        decimals = np.full(x.shape, precision)
+        s, r = _round_scaled(x, decimals)
+        return r, decimals, ~(s < _EXACT)
+    # %g: precision significant digits, the decimal exponent estimated by
+    # log10 and moved one decade where the rounded digits say it was off
+    exponent = np.floor(np.log10(np.where(np.isfinite(x) & (x > 0), x, 1.0)))
+    decimals = np.clip(precision - 1 - exponent, 0, 22).astype(np.int64)
+    _, r = _round_scaled(x, decimals)
+    low, high = _POW10[precision - 1], _POW10[precision]
+    move = np.flatnonzero(((r < low) & (x > 0)) | (r >= high))
+    if move.size:
+        moved = decimals.flat[move] + np.where(r.flat[move] < low, 1, -1)
+        r.flat[move] = _round_scaled(x.flat[move], np.clip(moved, 0, 22))[1]
+        decimals.flat[move] = moved
+    # fixed notation: the exponent, precision - 1 - decimals, is in [-4, precision)
+    bad = ((r < low) & (x > 0)) | ~(r < high) | (decimals < 0) | (decimals > precision + 3)
+    return r, decimals, bad
+
+
+def _digit_words(x: np.ndarray, words: int) -> np.ndarray:
+    """The decimal digits of integers 0 <= x < 10**(8·words), zero-padded,
+    one byte each (0-9, not ASCII) in ``words`` words per integer.
+
+    Each 8-digit chunk is split in SIMD-within-a-register fashion: into two
+    4-digit lanes, each lane into two 2-digit lanes (x·10486 >> 20 is
+    x // 100 below 10**4), each of those into two digits (x·103 >> 10 is
+    x // 10 below 100)."""
+    x = x.astype(np.uint64)
+    out = np.empty(x.shape + (words,), _WORD)
+    for k in range(words - 1, -1, -1):
+        chunk = x % 10**8 if k else x
+        x = x // 10**8
+        high = chunk // 10**4
+        v = high | ((chunk - high * 10**4) << 32)
+        q = ((v * 10486) >> 20) & 0x0000007F0000007F
+        v = q | ((v - q * 100) << 16)
+        q = ((v * 103) >> 10) & 0x000F000F000F000F
+        out[..., k] = q | ((v - q * 10) << 8)
+    return out
+
+
+def _last_nonzero_byte(digits: np.ndarray) -> np.ndarray:
+    """The position of the last nonzero byte in each row of digit words
+    (bytes 0-9), or 0 where all are zero."""
+    last = np.zeros(digits.shape[:-1], np.int64)
+    for k in range(digits.shape[-1]):
+        # bit 7 of each byte set where the digit is nonzero; the highest
+        # such bit, by log2 (exact: the bits are 8 apart), is the last
+        flags = ((digits[..., k] + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080).astype(float)
+        top = np.log2(np.maximum(flags, 1.0)).astype(np.int64)
+        last = np.where(flags > 0, 8 * k + top // 8, last)
+    return last
+
+
+def _integer_fields(words: int) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, keep) for integer fields of ``words`` words, row
+    4·length + 2·comma + negative: what to take from the bytes of a
+    zero-padded ASCII integer of ``length`` digits to turn the zeros before
+    it into its sign and, before that, a comma; and which bytes the cell
+    keeps."""
+    size = 8 * words
+    length, comma, negative = (
+        grid.reshape(-1, 1)
+        for grid in np.meshgrid(np.arange(size + 1), [0, 1], [0, 1], indexing="ij"))
+    position = np.arange(size)
+    sign = size - length - 1
+    delta = (np.where((negative == 1) & (position == sign), 0x30 - ord("-"), 0)
+             + np.where((comma == 1) & (position == sign - negative), 0x30 - ord(","), 0))
+    keep = position > sign - negative - comma
+    return delta.astype(np.uint8).view(_WORD), keep.astype(np.uint8).view(_WORD)
+
+
+def _leading_bytes(words: int) -> np.ndarray:
+    """Row c: words whose first c bytes are 1 and the others 0."""
+    return (np.arange(8 * words) < np.arange(8 * words + 1)[:, np.newaxis]).astype(
+        np.uint8).view(_WORD)
+
+
+# an integer part is at most 16 digits, a fraction 15: three and two words
+_INTEGER_FIELDS = {words: _integer_fields(words) for words in (1, 2, 3)}
+_LEADING_BYTES = {words: _leading_bytes(words) for words in (1, 2)}
+
+
+def _number_words(values: np.ndarray, spec: str, comma: np.ndarray):
+    """(words, keep, bad): ``spec % v`` for a (rows × columns) block of
+    numbers, each cell preceded by a comma where ``comma`` (one flag per
+    column). A cell is the bytes of ``words[i, j]`` whose ``keep[i, j]``
+    byte is 1; ``bad`` marks the cells whose text is not proven (see
+    ``_scaled_integers``).
+
+    A cell's words hold a right-aligned integer part, with its sign and
+    comma before it, then, if any cell has a fraction, the point and a
+    left-aligned fraction."""
+    kind, precision = _NUMBER_SPECS[spec]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        r, decimals, bad = _scaled_integers(np.abs(values), kind, precision)
+    negative = np.signbit(values) & ~bad
+    if kind == "d":  # the sign of the truncated integer: '%d' % -0.5 is '0'
+        negative &= r > 0
+    r[bad] = 0.0
+    r = r.astype(np.int64)
+    decimals[bad] = 0
+    scale = _POW10_INT[precision] if kind == "f" else _POW10_INT[decimals]
+    whole = r // scale
+    length = np.searchsorted(_POW10_INT[1:], whole, side="right") + 1
+    # bytes of the integer part with the sign and comma before it
+    int_words = -(-int((length + negative + comma).max(initial=1)) // 8)
+    places = int(decimals.max(initial=0))
+    frac_words = -(-(places + 1) // 8) if places else 0
+    words = np.empty(r.shape + (int_words + frac_words,), _WORD)
+    keep = np.empty(words.shape, _WORD)
+    delta, int_keep = _INTEGER_FIELDS[int_words]
+    field = 4 * length + 2 * comma + negative
+    words[..., :int_words] = _digit_words(whole, int_words)
+    words[..., :int_words] |= _ZEROS
+    words[..., :int_words] -= delta[field]
+    keep[..., :int_words] = int_keep[field]
+    if frac_words:
+        # the fraction left-aligned after the point, which takes the place
+        # of a leading zero
+        fraction = (r - whole * scale) * _POW10_INT[8 * frac_words - 1 - decimals]
+        words[..., int_words:] = _digit_words(fraction, frac_words)
+        kept = decimals if kind == "f" else _last_nonzero_byte(words[..., int_words:])
+        words[..., int_words:] |= _ZEROS
+        words[..., int_words] -= 0x30 - ord(".")
+        keep[..., int_words:] = _LEADING_BYTES[frac_words][np.where(kept > 0, kept + 1, 0)]
+    return words, keep, bad
+
+
+def _text_words(texts: list[str], comma: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(words, keep) for a column of texts as ``_number_words`` gives them:
+    the UTF-8 bytes of each text, after a comma if ``comma``, left-aligned.
+    ``surrogatepass`` lets every str through, and decoding the bytes the
+    same way gives back the very texts."""
+    joined = "".join(texts)
+    if joined.isascii():
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    else:
+        lengths = np.array([len(t.encode("utf-8", "surrogatepass")) for t in texts])
+    lengths += comma
+    keep = np.arange(-(-int(lengths.max(initial=0)) // 8) * 8) < lengths[:, np.newaxis]
+    text = keep.copy()
+    text[:, :comma] = False
+    cells = np.zeros(keep.shape, np.uint8)
+    cells[:, :comma] = ord(",")
+    cells[text] = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
+    return cells.view(_WORD), keep.view(np.uint8).view(_WORD)
+
+
+def _block_text(specs: Sequence[str], columns: Sequence, start: int, stop: int,
+                texts: dict[int, list[str]], line_end: str):
+    """(data, ends, fallback) for rows ``start:stop`` as ``_write_rows``
+    writes them: the UTF-8 bytes of the rows, where row i ends at
+    ``ends[i]`` bytes, with the rows listed in ``fallback`` left out."""
+    n = stop - start
+    cells = {j: _text_words(column, j > 0) for j, column in texts.items()}
+    bad = np.zeros(n, bool)
+    for spec in dict.fromkeys(specs):
+        if spec != "%s":
+            cols = [j for j, s in enumerate(specs) if s == spec]
+            values = np.empty((n, len(cols)))
+            for k, j in enumerate(cols):
+                values[:, k] = columns[j][start:stop]
+            words, keep, spec_bad = _number_words(values, spec, np.array(cols) > 0)
+            bad |= spec_bad.any(axis=1)
+            cells.update((j, (words[:, k], keep[:, k])) for k, j in enumerate(cols))
+    widths = [cells[j][0].shape[1] for j in range(len(specs))]
+    block = np.empty((n, sum(widths) + 1), _WORD)
+    keep = np.empty(block.shape, _WORD)
+    offset = 0
+    for j, width in enumerate(widths):
+        block[:, offset:offset + width], keep[:, offset:offset + width] = cells.pop(j)
+        offset += width
+    block[:, -1] = np.frombuffer(line_end.encode().ljust(8, b"\0"), _WORD)
+    keep[:, -1] = _LEADING_BYTES[1][len(line_end)]
+    fallback = np.flatnonzero(bad)
+    keep[fallback] = 0
+    keep = keep.view(np.uint8).view(bool)
+    ends = np.cumsum(keep.sum(axis=1)) if fallback.size else None
+    return np.compress(keep.ravel(), block.view(np.uint8).ravel()), ends, fallback.tolist()
+
+
+def _write_rows(fh, specs: Sequence[str], columns: Sequence, line_end: str) -> None:
+    """Write ``row_format % row`` for each row of ``columns`` to the text
+    file ``fh``, where ``row_format`` is ``specs`` joined by commas, then
+    ``line_end``.
+
+    A ``%s`` column's values are written as ``str()`` of each, CSV-quoted
+    (``_csv_column``); every other column is a numeric array under one of
+    ``_NUMBER_SPECS``. Blocks of ``CSV_BLOCK_ROWS`` rows are formatted in
+    numpy, rounded exactly as ``%`` rounds (``_number_words``), and each
+    block is written as one text. A row holding a cell that path cannot
+    prove is written by ``row_format % row`` in its place.
+    """
+    row_format = ",".join(specs) + line_end
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, len(columns[0]))
+        texts = {}
+        for j, spec in enumerate(specs):
+            if spec == "%s":
+                column = columns[j][start:stop]
+                if isinstance(column, np.ndarray):
+                    column = column.tolist()
+                texts[j] = _csv_column(list(map(str, column)))
+        data, ends, fallback = _block_text(specs, columns, start, stop, texts, line_end)
+        done = 0
+        for i in fallback:
+            row = tuple(texts[j][i] if j in texts else columns[j][start + i].item()
+                        for j in range(len(specs)))
+            fh.write(str(data[done:ends[i]], "utf-8", "surrogatepass"))
+            fh.write(row_format % row)
+            done = ends[i]
+        fh.write(str(data[done:], "utf-8", "surrogatepass"))
+
+
 def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRecord],
                            categories: CategorySet,
                            extra_columns: Mapping[str, Sequence] | None = None) -> None:
@@ -941,8 +1216,8 @@ def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRec
 
     A list of records is converted once with ``as_survey``. Demographic
     columns come in name order, extra columns as ``str()`` of each value;
-    rows end in CRLF, as the csv module ends them. Each row is one
-    %-format over the frame's columns.
+    rows end in CRLF, as the csv module ends them. Rows are written by
+    ``_write_rows``, as one %-format over the frame's columns writes them.
     """
     frame = as_survey(survey)
     names = sorted(frame.demographic_names)
@@ -958,12 +1233,10 @@ def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRec
     extras = dict(extra_columns or {})
     header += list(extras)
     values = np.hstack(blocks)
-    row_format = ",".join(["%s"] + ["%.12g"] * values.shape[1] + ["%s"] * len(extras)) + "\r\n"
-    ids = _csv_column(frame.ids.tolist())
-    extra_cells = [_csv_column(list(map(str, column))) for column in extras.values()]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(_csv_field, header)) + "\r\n")
-        fh.writelines(map(row_format.__mod__, zip(ids, *values.T.tolist(), *extra_cells)))
+        _write_rows(fh, ["%s"] + ["%.12g"] * values.shape[1] + ["%s"] * len(extras),
+                    [frame.ids, *values.T, *extras.values()], "\r\n")
 
 
 def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDENTITY_RTOL) -> MrioTable:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,8 +26,8 @@ from .data import (
     LoadReport,
     MrioTable,
     PriceScenario,
-    _csv_column,
     _parse_block,
+    _write_rows,
     load_bridge,
     load_fuels,
     load_household_survey,
@@ -142,9 +143,12 @@ def _as_bool(value: str, key: str) -> bool:
 
 def _as_float(value: str, key: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise DataValidationError(f"config key {key!r}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise DataValidationError(f"config key {key!r}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value: str, key: str) -> int:
@@ -241,6 +245,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise DataValidationError(f"unknown imputation link {cfg.imputation_link!r}")
     if cfg.exchange_rate <= 0:
         raise DataValidationError("elasticity.exchange_rate must be positive")
+    if cfg.months_per_period <= 0:
+        raise DataValidationError("elasticity.months_per_period must be positive")
     if cfg.frisch_cap >= -1.0:
         raise DataValidationError(f"elasticity.frisch_cap must be below -1, got {cfg.frisch_cap}")
     if cfg.carbon_tax > 0:
@@ -875,26 +881,23 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
                          result.elasticities),
     }, outdir)
 
-    # one %-format per row: each spec gives the text that _format_cell (or
-    # {:.6f} for money columns) gives the column's cells; budget shares keep
-    # format_value's 12 digits, so that ``report`` rebuilds t3 as ``run`` wrote it
+    # each spec gives the text that _format_cell (or {:.6f} for money
+    # columns) gives the column's cells; budget shares keep format_value's
+    # 12 digits, so that ``report`` rebuilds t3 as ``run`` wrote it
     hh = result.household
     p = outdir / "households.csv"
     columns = list(hh.keys())
-    row_format = ",".join(
+    specs = [
         "%s" if c == "id"
         else "%.6f" if c in MONEY_COLUMNS or c.startswith("burden_")
         else "%d" if c == "quintile"
         else "%.12g" if c.startswith("share_")
         else "%.6g"
         for c in columns
-    ) + "\n"
-    cells = [hh[c].tolist() for c in columns]
-    i = columns.index("id")
-    cells[i] = _csv_column(cells[i])
+    ]
     with open(p, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(map(row_format.__mod__, zip(*cells)))
+        _write_rows(fh, specs, [hh[c] for c in columns], "\n")
     paths["households"] = p
 
     p = outdir / "run_manifest.json"

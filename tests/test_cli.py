@@ -323,6 +323,33 @@ class TestImpute:
                        "--out", "/tmp/never.csv") == 1
 
 
+class TestConfigNumbers:
+    """A number key that is not finite, or a period of no months, is named
+    at exit 1 before anything is written."""
+
+    @pytest.mark.parametrize("line, key", [
+        ("scenario.carbon_tax = nan", "scenario.carbon_tax"),
+        ("distribution.atkinson_epsilon = nan", "distribution.atkinson_epsilon"),
+        ("tax.food.vat = nan", "tax.food.vat"),
+        ("tax.food.excise = inf", "tax.food.excise"),
+        ("scenario.pass_through = 1e400", "scenario.pass_through"),
+        ("elasticity.months_per_period = 0", "elasticity.months_per_period"),
+    ], ids=["nan carbon tax", "nan inequality aversion", "nan vat", "infinite excise",
+            "overflowing pass-through", "zero months per period"])
+    def test_bad_number_exits_1_naming_the_key(self, bundle_dir, tmp_path, capsys, line, key):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        cfg = work / "config.txt"
+        kept = [old for old in cfg.read_text().splitlines()
+                if old.partition("=")[0].strip() != key]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+
 class TestConfigIntegers:
     """Integer keys take integers: no silent truncation, and the key is named."""
 

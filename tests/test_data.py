@@ -20,6 +20,10 @@ from priceshock.data import (
     FuelTable,
     _keyed_order,
     _parse_block,
+    CSV_BLOCK_ROWS,
+    _csv_column,
+    _number_words,
+    _write_rows,
     format_value,
     load_bridge,
     load_fuels,
@@ -595,7 +599,7 @@ class TestHouseholdWriter:
         values = st.one_of(st.sampled_from(self.EDGES),
                            st.floats(allow_nan=False, allow_infinity=False))
         col = lambda: data.draw(arrays(float, n, elements=values))  # noqa: E731
-        hh = {"id": np.array([data.draw(st.from_regex(r'[A-Za-z0-9_.,"\r\n -]{1,8}',
+        hh = {"id": np.array([data.draw(st.from_regex(r'[A-Za-z0-9_.,"\r\né -]{1,8}',
                                                      fullmatch=True))
                               for _ in range(n)]),
               "weight": col(), "size": col(),
@@ -613,6 +617,78 @@ class TestHouseholdWriter:
         assert text == ref_households_csv(hh)
         _, rows, _ = read_table(out / "households.csv")
         assert [row[0] for row in rows] == hh["id"].tolist()
+
+
+def edge_values(n):
+    """Values at the block writer's edges, ``n`` or more of each kind."""
+    rng = np.random.default_rng(7)
+    sign = rng.choice([-1.0, 1.0], n)
+    tens = 10.0 ** rng.integers(-20, 21, n // 3)
+    decimals = np.floor(10.0 ** rng.uniform(0, 13, n // 3)) + 0.5
+    halfway = decimals / 10.0 ** rng.integers(0, 20, n // 3)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                        2.0**52, 2.0**52 - 0.5, 2.0**53 + 2, 1e16, 1e300, 0.0078125, 999999.5])
+    return {
+        "log-uniform": sign * 10.0 ** rng.uniform(-12, 12, n),
+        "ties k/2^m": sign * rng.integers(0, 2**20, n) / 2.0 ** rng.integers(0, 30, n),
+        "k/10^m near rounding": np.concatenate(
+            [halfway, np.nextafter(halfway, 0), np.nextafter(halfway, np.inf)]),
+        "powers of ten": np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]),
+        "zeros, non-finite, subnormal, huge": sign * np.concatenate([
+            np.resize(special, n // 3), rng.random(n // 3) * 2.2250738585072014e-308,
+            2.0**52 * 10.0 ** rng.uniform(0, 30, n - 2 * (n // 3))]),
+    }
+
+
+class TestRowWriter:
+    """The block writer against per-cell ``spec % v``."""
+
+    VALUES = edge_values(100_002)
+    SPECS = ("%.6f", "%.6g", "%.12g", "%d")
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("kind", list(VALUES))
+    def test_cells_equal_percent_format(self, spec, kind):
+        values = self.VALUES[kind]
+        if spec == "%d":  # '%d' % nan raises, as the writer does (below)
+            values = values[np.isfinite(values)]
+        out = io.StringIO()
+        _write_rows(out, [spec], [values], "\n")
+        got = out.getvalue().split("\n")[:-1]
+        assert len(got) == len(values)
+        wrong = [(v, text) for v, text in zip(values.tolist(), got) if spec % v != text]
+        assert not wrong, wrong[:5]
+
+    @pytest.mark.parametrize("value, error", [(np.nan, ValueError), (np.inf, OverflowError)])
+    def test_percent_d_of_a_non_finite_value_raises_as_percent_does(self, value, error):
+        with pytest.raises(error):
+            "%d" % value
+        with pytest.raises(error):
+            _write_rows(io.StringIO(), ["%d"], [np.array([1.0, value])], "\n")
+
+    def test_a_value_rounding_up_a_decade_is_placed_without_falling_back(self):
+        values = np.array([[9.9999996, 0.00999999999, 99999.96]])
+        _, _, bad = _number_words(values, "%.6g", np.array([False, True, True]))
+        assert not bad.any()
+
+    def test_rows_at_block_edges_fall_back_in_place(self):
+        n = 2 * CSV_BLOCK_ROWS + 1
+        rng = np.random.default_rng(11)
+        ids = np.array([f"h{i}" for i in range(n)], dtype=object)
+        ids[[3, CSV_BLOCK_ROWS]] = ["a,b", "\u00e9\ud800"]  # quoted; no UTF-8 form
+        columns = [ids] + [rng.random(n) * 1e4 - 5e3 for _ in self.SPECS] + [["1,x"] * n]
+        specs = ["%s", *self.SPECS, "%s"]
+        # exponent form, non-finite, at or over 2**52: one per edge row
+        for row, col, value in ((0, 2, 1e300), (CSV_BLOCK_ROWS - 1, 1, np.nan),
+                                (CSV_BLOCK_ROWS, 4, 2.0**60), (2 * CSV_BLOCK_ROWS - 1, 3, 1e-7),
+                                (2 * CSV_BLOCK_ROWS, 1, -np.inf)):
+            columns[col][row] = value
+        out = io.StringIO()
+        _write_rows(out, specs, columns, "\r\n")
+        row_format = ",".join(specs) + "\r\n"
+        texts = [_csv_column(list(map(str, columns[0]))), *(c.tolist() for c in columns[1:-1]),
+                 _csv_column(columns[-1])]
+        assert out.getvalue() == "".join(row_format % row for row in zip(*texts))
 
 
 def ref_write_household_survey(path, records, categories, extra_columns=None):
@@ -875,6 +951,37 @@ class TestLabelledReader:
             assert message(load_bridge, path, CATS) == expected
             return
         assert bits(load_bridge(path, CATS).shares) == bits(ref_bridge(path, CATS).shares)
+
+
+def test_emit_reports_peak_memory_stays_under_the_frame(tmp_path):
+    """Writing households.csv takes less traced memory than the frame's own
+    number columns; formatting it through Python floats took about 4x."""
+    n = 100_000
+    rng = np.random.default_rng(3)
+    groups = ("food", "motor_fuels", "domestic_energy_electricity", "other")
+    hh = {"id": np.array([f"h{i}" for i in range(n)]), "weight": rng.random(n) * 500,
+          "size": rng.integers(1, 8, n).astype(float), "quintile": rng.integers(0, 5, n)}
+    for c in ("x", "equivalised", "pi", "burden", "cv", "transfer", "cv_net", "ye", "ye_net",
+              "fp_before", "fp_after"):
+        hh[c] = rng.random(n) * 1e5
+    for g in groups:
+        hh[f"share_{g}"] = rng.random(n)
+        hh[f"burden_{g}"] = rng.random(n) * 1e3
+    result = ScenarioResult(
+        categories=CATS, group_names=groups, relatives_total=np.zeros(3),
+        relatives_inflation=np.zeros(3), relatives_carbon=np.zeros(3),
+        relatives_tax=np.zeros(3), household=hh, tables={}, revenue=0.0, seed=0,
+        config_hash="",
+    )
+    frame_bytes = n * (len(hh) - 1) * 8
+    tracemalloc.start()
+    try:
+        emit_reports(result, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "households.csv").read_text().count("\n") == n + 1
+    assert peak < frame_bytes, f"peak {peak / frame_bytes:.2f}x the frame"
 
 
 def test_load_mrio_peak_memory_stays_near_the_matrix(tmp_path):
