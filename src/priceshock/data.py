@@ -520,92 +520,6 @@ def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
     return header, rows, lines
 
 
-@dataclass
-class LabelledTable:
-    """A CSV table whose first column holds labels and whose other columns
-    hold numbers, as ``read_labelled_table`` leaves it.
-
-    ``values`` has one row per non-blank file row and one column per header
-    column after the first; a cell that is not a finite number reads as nan
-    or inf there, and its row's value cells are kept as text in ``faulty``
-    (by row index) for ``check_cells`` to name.
-    """
-
-    path: Path
-    header: list[str]
-    labels: list[str]
-    values: np.ndarray
-    lines: list[int]
-    faulty: dict[int, list[str]]
-
-    def check_cells(self, columns: Sequence[int], names: Sequence[str]) -> None:
-        """Raise for the first cell that is not a finite number, row by row
-        and, within a row, in the order of ``columns`` (indices into the
-        columns of ``values``; ``names[j]`` names ``columns[j]``)."""
-        for i, cells in self.faulty.items():  # filled in row order
-            for col, name in zip(columns, names):
-                if not np.isfinite(_float_or_nan(cells[col])):
-                    raise _cell_error(self.path, self.lines[i], name, cells[col])
-
-
-def read_labelled_table(path) -> LabelledTable:
-    """Read a labelled numeric CSV table in one pass over its rows.
-
-    Each row's value cells become a float vector as the row is read, so
-    the table's text is never held at once. A file line opened with
-    ``newline=""`` ends at its one line break, so a line without a quote
-    is the record ``csv.reader`` would read: its cells split at commas.
-    File, header, ragged-row and duplicate-column faults raise as
-    ``read_table`` raises them; the caller checks the labels, then calls
-    ``check_cells``.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"file not found: {path}")
-    labels: list[str] = []
-    vectors: list[np.ndarray] = []
-    lines: list[int] = []
-    faulty: dict[int, list[str]] = {}
-    with open(path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise DataValidationError(f"{path}: row 1: {exc}") from None
-        width = len(header)
-        for lineno, line in enumerate(fh, start=2):
-            if '"' in line:  # csv.reader reads the record, and any lines a quoted cell spans
-                try:
-                    row = next(csv.reader(chain([line], fh)))
-                except csv.Error as exc:
-                    raise DataValidationError(f"{path}: row {lineno}: {exc}") from None
-            else:  # split as csv.reader splits a line without quotes, three times faster
-                row = line.rstrip("\r\n").split(",")
-                if row == [""]:
-                    continue
-            if len(row) != width:
-                raise DataValidationError(
-                    f"{path}: row {lineno} has {len(row)} cells, header has {width}"
-                )
-            cells = row[1:]
-            try:
-                v = np.array(cells, dtype=float)  # accepts what float() accepts
-            except ValueError:
-                v = np.fromiter(map(_float_or_nan, cells), dtype=float, count=width - 1)
-            if not np.isfinite(v).all():
-                faulty[len(vectors)] = cells
-            labels.append(row[0])
-            vectors.append(v)
-            lines.append(lineno)
-    if len(set(header)) != width:
-        dupes = sorted({c for c in header if header.count(c) > 1})
-        raise DataValidationError(f"{path}: duplicate columns {dupes}")
-    values = np.array(vectors).reshape(len(vectors), max(width - 1, 0))
-    return LabelledTable(path=path, header=header, labels=labels, values=values, lines=lines,
-                         faulty=faulty)
-
-
 def _float_or_nan(text: str) -> float:
     try:
         return float(text)
@@ -766,6 +680,91 @@ def _read_survey(path: Path, value_columns, checks, fast: bool):
     values[bad] = 0.0  # reported as a bad cell, not also as a bad value
     _raise_first_fault(path, rows, lines, header, checks(header, ids, values, bad))
     return header, ids, values
+
+
+def _plain_line(line: bytes, limit: int) -> bool:
+    """Whether ``line`` holds only ``_PLAIN_BYTES``, ends in ``\\n``,
+    ``\\r\\n`` or the end of the file, and has no field over ``limit``
+    (the line end counted in the last field, which errs towards the row
+    path)."""
+    cr = line.find(b"\r")
+    return not (line.translate(None, _PLAIN_BYTES)
+                or cr >= 0 and (cr != len(line) - 2 or not line.endswith(b"\n"))
+                or len(line) > limit and max(map(len, line.split(b","))) > limit)
+
+
+def _loadtxt_labelled(path) -> tuple[list[str], list[str], np.ndarray] | None:
+    """(header, labels, values) of a labelled table parsed by one
+    ``np.loadtxt``, or None for a file that ``read_table`` and ``float()``
+    might read otherwise.
+
+    ``values`` holds every column after the first. A file qualifies when
+    every line is plain (``_plain_line``, with the csv field limit); the
+    header names two or more columns, none twice; and at least one row
+    follows it, each holding a label, a comma and value cells that are not
+    blank, which ``loadtxt`` would skip. Such a line splits at its commas
+    under ``csv.reader``. ``loadtxt`` reads each value as ``float()`` reads
+    it, or raises, and raises for a row whose count of cells differs from
+    the first row's; the shape check catches a first row of the wrong width.
+    The lines go to ``loadtxt`` one at a time, so the file's text is never
+    held whole.
+    """
+    limit = csv.field_size_limit()
+    labels: list[str] = []
+
+    def value_lines(lines):
+        for line in lines:
+            cut = line.find(b",")
+            cells = line[cut + 1:]
+            if cut < 0 or not cells or cells.isspace() or not _plain_line(line, limit):
+                raise ValueError("a line loadtxt might read otherwise")
+            labels.append(line[:cut].decode("ascii"))
+            yield cells
+
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            if not _plain_line(first, limit):
+                return None
+            header = first.rstrip(b"\r\n").decode("ascii").split(",")
+            row = fh.readline()
+            if len(header) < 2 or len(set(header)) != len(header) or not row:
+                return None  # loadtxt warns on a file without rows
+            values = np.loadtxt(value_lines(chain([row], fh)), delimiter=",", comments=None,
+                                ndmin=2, encoding="ascii")
+    except (OSError, ValueError):  # such as a cell like 1_0, a ragged row or a line not plain
+        return None
+    if values.shape != (len(labels), len(header) - 1):
+        return None
+    return header, labels, values
+
+
+def read_labelled_table(path, value_columns) -> tuple[list[str], list[str], np.ndarray]:
+    """(header, labels, values) of a CSV table whose first column labels
+    its rows.
+
+    ``value_columns(header, labels)`` raises for a faulty header or label
+    set and returns the positions of the header columns that ``values``
+    holds, in that order, with one row per non-blank file row. A plain file
+    (``_loadtxt_labelled``) is parsed by one ``np.loadtxt``. Any other
+    file, and any file with a cell that is not a finite number, is read
+    again by ``read_table`` and ``_parse_block``, which name the first
+    fault: a file fault, then a label fault, then a cell fault row by row
+    in the order of ``value_columns``.
+    """
+    table = _loadtxt_labelled(path)
+    if table is not None:
+        header, labels, values = table
+        picked = np.asarray(value_columns(header, labels), dtype=int) - 1
+        if (picked >= 0).all():  # the first column holds labels, not values
+            if not np.array_equal(picked, np.arange(values.shape[1])):
+                values = values[:, picked]
+            if np.isfinite(values).all():
+                return header, labels, values
+    header, rows, lines = read_table(path)
+    labels = [row[0] for row in rows]
+    columns = list(value_columns(header, labels))
+    return header, labels, _parse_block(rows, columns, [header[j] for j in columns], path, lines)
 
 
 def _keyed_order(path, header: list[str], labels: Sequence[str], key_column: str,
@@ -1242,24 +1241,21 @@ def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRec
 def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDENTITY_RTOL) -> MrioTable:
     """Load the four MRIO files and verify the accounting identity."""
     z_path = Path(z_path)
-    table = read_labelled_table(z_path)
-    header = table.header
-    if len(header) < 2:
-        raise DataValidationError(f"{z_path}: flow matrix needs at least one sector column")
-    col_sectors = header[1:]
-    row_sectors = table.labels
-    if len(set(row_sectors)) != len(row_sectors):
-        raise DataValidationError(f"{z_path}: duplicate sector rows")
-    if set(col_sectors) != set(row_sectors) or len(col_sectors) != len(row_sectors):
-        raise DataValidationError(f"{z_path}: row and column sector labels differ")
-    sectors = tuple(row_sectors)
-    col_pos = {s: j for j, s in enumerate(col_sectors)}
-    columns = [col_pos[s] for s in sectors]  # Z's columns in row-label order
-    table.check_cells(columns, sectors)
-    Z = table.values
-    del table  # so that a reordered copy below replaces the block as read
-    if columns != list(range(len(columns))):
-        Z = Z[:, columns]
+
+    def sector_columns(header, labels):
+        if len(header) < 2:
+            raise DataValidationError(f"{z_path}: flow matrix needs at least one sector column")
+        if header[0] != "sector":
+            raise DataValidationError(f"{z_path}: first column must be 'sector', got {header[0]!r}")
+        if len(set(labels)) != len(labels):
+            raise DataValidationError(f"{z_path}: duplicate sector rows")
+        if set(header[1:]) != set(labels) or len(header) - 1 != len(labels):
+            raise DataValidationError(f"{z_path}: row and column sector labels differ")
+        col_pos = {s: j for j, s in enumerate(header[1:], start=1)}
+        return [col_pos[s] for s in labels]  # Z's columns in row-label order
+
+    _, labels, Z = read_labelled_table(z_path, sector_columns)
+    sectors = tuple(labels)
 
     def vector(path, value_col):
         header_v, rows_v, lines_v = read_table(path)
@@ -1293,14 +1289,18 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
 
 
 def load_bridge(path, categories: CategorySet) -> BridgingMatrix:
-    table = read_labelled_table(path)
-    products = tuple(table.header[1:])
-    if not products:
-        raise DataValidationError(f"{table.path}: bridging matrix needs product columns")
-    order = _keyed_order(table.path, table.header, table.labels, "category", categories.ids)
-    table.check_cells(range(len(products)), products)
-    return BridgingMatrix(categories=categories.ids, products=products,
-                          shares=table.values[order])
+    path = Path(path)
+
+    def product_columns(header, labels):
+        if len(header) < 2:
+            raise DataValidationError(f"{path}: bridging matrix needs product columns")
+        _keyed_order(path, header, labels, "category", categories.ids)
+        return range(1, len(header))
+
+    header, labels, shares = read_labelled_table(path, product_columns)
+    order = _keyed_order(path, header, labels, "category", categories.ids)
+    return BridgingMatrix(categories=categories.ids, products=tuple(header[1:]),
+                          shares=shares[order])
 
 
 def load_price_relatives(path, categories: CategorySet) -> np.ndarray:

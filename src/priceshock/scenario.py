@@ -26,7 +26,6 @@ from .data import (
     LoadReport,
     MrioTable,
     PriceScenario,
-    _parse_block,
     _write_rows,
     load_bridge,
     load_fuels,
@@ -34,7 +33,7 @@ from .data import (
     load_income_survey,
     load_mrio,
     load_price_relatives,
-    read_table,
+    read_labelled_table,
 )
 from .demand import (
     _value,
@@ -926,14 +925,17 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
 
 def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
     """Recompute every aggregate table from a stored per-household frame."""
-    header, rows, lines = read_table(households_csv)
     needed = {"weight", "size", "quintile", "x", "equivalised", "pi", "burden", "cv", "ye_net"}
-    missing = needed - set(header)
-    if missing:
-        raise DataValidationError(f"{households_csv}: missing columns {sorted(missing)}")
-    numeric = [j for j, c in enumerate(header) if c != "id"]
-    block = _parse_block(rows, numeric, [header[j] for j in numeric], households_csv, lines)
-    hh = {header[j]: block[:, i] for i, j in enumerate(numeric)}
+
+    def number_columns(header, ids):
+        missing = needed - set(header)
+        if missing:
+            raise DataValidationError(f"{households_csv}: missing columns {sorted(missing)}")
+        return [j for j, c in enumerate(header) if c != "id"]
+
+    header, ids, block = read_labelled_table(households_csv, number_columns)
+    del ids  # the tables need no ids
+    hh = dict(zip([c for c in header if c != "id"], block.T))
     group_names = tuple(
         c[len("share_"):] for c in header if c.startswith("share_")
     )

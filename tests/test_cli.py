@@ -1,14 +1,19 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import priceshock
 from priceshock.cli import main
@@ -383,3 +388,75 @@ class TestConfigIntegers:
         text = text.replace("elasticity.size_bands = 2,5", "elasticity.size_bands = 2, 5")
         cfg.write_text(text + "scenario.recycling_quantile = 5\n")
         assert run_cli("validate", "--config", cfg, "--quiet") == 0
+
+
+# cells a perturbed wide input may hold: numbers the loaders take or reject
+FUZZ_CELLS = ("", "abc", "nan", "inf", "-1", "1e400", "1e308", "0", "-0", "1e-320", " 5 ", "2_0",
+              '"7"', "\x1c1", "1e30", "0.5", "100", "zz")
+
+
+def perturb_lines(data, text):
+    """``text`` with 1-3 cell or line perturbations drawn from ``data``."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3), label="faults")):
+        if not lines:
+            break
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        kind = data.draw(st.sampled_from(["cell", "cell", "cell", "drop line", "repeat line",
+                                          "blank line", "spaces line", "drop cell", "add cell",
+                                          "swap lines", "quote cell"]), label="kind")
+        cells = lines[i].split(",")
+        j = data.draw(st.integers(0, len(cells) - 1), label="cell")
+        if kind == "cell":
+            cells[j] = data.draw(st.one_of(st.sampled_from(FUZZ_CELLS),
+                                           st.floats(-1e3, 1e3).map(repr)), label="text")
+        elif kind == "drop cell":
+            del cells[j]
+        elif kind == "add cell":
+            cells.insert(j, "1")
+        elif kind == "quote cell":
+            cells[j] = f'"{cells[j]}"'
+        if kind in ("cell", "drop cell", "add cell", "quote cell"):
+            lines[i] = ",".join(cells)
+        elif kind == "drop line":
+            del lines[i]
+        elif kind == "repeat line":
+            lines.insert(i, lines[i])
+        elif kind in ("blank line", "spaces line"):
+            lines.insert(i, "" if kind == "blank line" else "  ")
+        else:
+            k = data.draw(st.integers(0, len(lines) - 1), label="other line")
+            lines[i], lines[k] = lines[k], lines[i]
+    ending = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+    bom = "\ufeff" if data.draw(st.integers(0, 9), label="bom") == 0 else ""
+    return bom + ending.join(lines) + ending
+
+
+class TestWideInputs:
+    def test_flow_matrix_without_sector_column_is_data_error(self, bundle_dir, tmp_path, capsys):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        z = work / "mrio_z.csv"
+        z.write_text(z.read_text().replace("sector,", "foo,", 1))
+        capsys.readouterr()
+        assert run_cli("run", "--config", work / "config.txt", "--out", tmp_path / "r",
+                       "--quiet") == 1
+        assert "mrio_z.csv: first column must be 'sector', got 'foo'" in capsys.readouterr().err
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_perturbed_flow_matrix_and_bridge_end_in_a_message(self, bundle_dir,
+                                                                 tmp_path_factory, data):
+        work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+        shutil.copytree(bundle_dir, work / "b")
+        for name in data.draw(st.sampled_from([["mrio_z.csv"], ["bridge.csv"],
+                                               ["mrio_z.csv", "bridge.csv"]]), label="files"):
+            path = work / "b" / name
+            path.write_bytes(perturb_lines(data, path.read_text()).encode())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("run", "--config", work / "b" / "config.txt", "--out", work / "r",
+                           "--quiet")
+        assert code in (0, 1, 2)
+        if code:
+            assert re.match(r"(error|numerical failure): \S", err.getvalue()), err.getvalue()
+        assert "Traceback" not in err.getvalue()
