@@ -37,6 +37,7 @@ from .demand import (
     les_calibrate,
     les_calibrate_frisch,
     les_demand,
+    les_valuation,
     price_elasticities,
 )
 from .errors import (
@@ -88,6 +89,7 @@ from .metrics import (
     gini,
     household_inflation,
     progressivity_table,
+    stable_order,
     weighted_quantile_groups,
     welfare_decomposition,
     welfare_weights,

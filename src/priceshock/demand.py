@@ -18,7 +18,9 @@ normalised to 1, so base-period expenditure and quantity coincide.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ FRISCH_CAP = -1.3
 FRISCH_LEVEL = 9.2
 FRISCH_SLOPE = 0.973
 FRISCH_SHIFT = 7000.0
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,13 @@ def frisch_parameter(
     base = consumption_pc_month / exchange_rate + shift
     if base <= 0:
         raise DataValidationError("consumption level leaves a nonpositive log argument")
-    raw = -math.exp(level - slope * math.log(base))
-    return min(raw, cap)
+    exponent = level - slope * math.log(base)
+    if not exponent < LOG_FLOAT_MAX:
+        raise DataValidationError(
+            f"money-flexibility curve needs exp({exponent:.6g}), beyond the float range: "
+            f"check elasticity.frisch_level, elasticity.frisch_slope and elasticity.frisch_shift"
+        )
+    return min(-math.exp(exponent), cap)
 
 
 def frisch_parameter_lahiri(gdp_per_capita: float, *, intercept: float = 0.485829,
@@ -235,9 +243,9 @@ def _column(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[..., np.newaxis]
 
 
-def _supernumerary(prices: np.ndarray, total, params: LesParameters):
+def _supernumerary(total, committed):
     """Budget left after buying the committed bundle; it must be positive."""
-    supernumerary = total - params.committed_cost(prices)
+    supernumerary = total - committed
     short = np.asarray(supernumerary <= 0)
     if np.any(short):
         raise InfeasibleBudgetError(
@@ -246,11 +254,38 @@ def _supernumerary(prices: np.ndarray, total, params: LesParameters):
     return supernumerary
 
 
-def _log_price_index(prices: np.ndarray, params: LesParameters):
-    """ln of prod((p_i / phi_i) ** phi_i) over the goods with phi_i > 0."""
-    phi = params.phi
-    log_phi = np.log(phi, out=np.zeros_like(phi), where=phi > 0)
-    return (phi * (np.log(prices) - log_phi)).sum(axis=-1)
+def _log_phi(phi: np.ndarray) -> np.ndarray:
+    """ln phi_i, and 0 for the goods with phi_i = 0."""
+    return np.log(phi, out=np.zeros_like(phi), where=phi > 0)
+
+
+def _price_terms(prices: np.ndarray, params: LesParameters, log_phi=None):
+    """The committed cost and the log price index at one price vector.
+
+    The index is ln of prod((p_i / phi_i) ** phi_i) over the goods with
+    phi_i > 0. Every welfare measure below is built from these two terms.
+    """
+    if log_phi is None:
+        log_phi = _log_phi(params.phi)
+    log_index = (params.phi * (np.log(prices) - log_phi)).sum(axis=-1)
+    return params.committed_cost(prices), log_index
+
+
+def _utility(terms, total):
+    committed, log_index = terms
+    return _supernumerary(total, committed) * np.exp(-log_index)
+
+
+def _expenditure(terms, utility):
+    committed, log_index = terms
+    return committed + utility * np.exp(log_index)
+
+
+def _demand(prices: np.ndarray, committed, total, params: LesParameters) -> np.ndarray:
+    if np.any(prices <= 0):
+        raise DataValidationError("prices must be strictly positive")
+    spending = prices * params.gamma + params.phi * _column(_supernumerary(total, committed))
+    return spending / prices
 
 
 def les_demand(prices: np.ndarray, total, params: LesParameters) -> np.ndarray:
@@ -261,37 +296,66 @@ def les_demand(prices: np.ndarray, total, params: LesParameters) -> np.ndarray:
     zero in (prices, budget).
     """
     prices = np.asarray(prices, dtype=float)
-    if np.any(prices <= 0):
-        raise DataValidationError("prices must be strictly positive")
-    supernumerary = _supernumerary(prices, total, params)
-    spending = prices * params.gamma + params.phi * _column(supernumerary)
-    return spending / prices
+    return _demand(prices, params.committed_cost(prices), total, params)
 
 
 def indirect_utility(prices: np.ndarray, total, params: LesParameters):
     """Utility attained at (prices, budget); zero-share goods are excluded."""
-    supernumerary = _supernumerary(prices, total, params)
-    return _value(supernumerary * np.exp(-_log_price_index(prices, params)))
+    return _value(_utility(_price_terms(prices, params), total))
 
 
 def expenditure_needed(prices: np.ndarray, utility, params: LesParameters):
     """Minimum spending that reaches ``utility`` at the given prices."""
-    return _value(params.committed_cost(prices)
-                  + utility * np.exp(_log_price_index(prices, params)))
+    return _value(_expenditure(_price_terms(prices, params), utility))
 
 
 def compensating_variation(p0: np.ndarray, p1: np.ndarray, total,
                            params: LesParameters):
     """Money needed after the price change to restore pre-change utility."""
-    u0 = indirect_utility(p0, total, params)
-    return expenditure_needed(p1, u0, params) - total
+    u0 = _utility(_price_terms(p0, params), total)
+    return _value(_expenditure(_price_terms(p1, params), u0) - total)
 
 
 def equivalent_income(p_ref: np.ndarray, p: np.ndarray, total,
                       params: LesParameters):
     """Income at reference prices delivering the utility attained at (p, total)."""
-    u = indirect_utility(p, total, params)
-    return expenditure_needed(p_ref, u, params)
+    u = _utility(_price_terms(p, params), total)
+    return _value(_expenditure(_price_terms(p_ref, params), u))
+
+
+class LesValuation(NamedTuple):
+    """One price change valued for a block of households."""
+
+    cv: np.ndarray
+    ye: np.ndarray
+    ye_net: np.ndarray
+    footprint_after: np.ndarray | None
+
+
+def les_valuation(p0: np.ndarray, p1: np.ndarray, total, net, params: LesParameters,
+                  unit_emissions: np.ndarray | None = None) -> LesValuation:
+    """Compensating variation and equivalent incomes of a block from one
+    pass over its baskets.
+
+    The committed cost and log price index are taken once at p0 and once
+    at p1, and ln phi once. Each result equals the one-measure call bit
+    for bit: ``compensating_variation(p0, p1, total, params)``,
+    ``equivalent_income(p0, p1, total, params)`` and the same at ``net``,
+    and with ``unit_emissions`` the footprint
+    ``les_demand(p1, net, params) @ unit_emissions`` (else None). A budget
+    that does not cover its committed bundle raises as those calls do.
+    """
+    prices = np.asarray(p1, dtype=float)
+    log_phi = _log_phi(params.phi)
+    at_p0 = _price_terms(p0, params, log_phi)
+    at_p1 = _price_terms(prices, params, log_phi)
+    cv = _expenditure(at_p1, _utility(at_p0, total)) - total
+    ye = _expenditure(at_p0, _utility(at_p1, total))
+    ye_net = _expenditure(at_p0, _utility(at_p1, net))
+    footprint = None
+    if unit_emissions is not None:
+        footprint = _demand(prices, at_p1[0], net, params) @ unit_emissions
+    return LesValuation(cv=cv, ye=ye, ye_net=ye_net, footprint_after=footprint)
 
 
 def equivalent_variation(p0: np.ndarray, p1: np.ndarray, total: float,

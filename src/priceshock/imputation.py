@@ -26,6 +26,7 @@ from ._version import __version__
 from .data import (CategorySet, HouseholdRecord, HouseholdSurvey, IncomeRecord, IncomeSurvey,
                    as_survey)
 from .errors import ConvergenceError, DataValidationError, SeparationError
+from .metrics import stable_order
 from .randutil import keyed_normals
 
 GRADIENT_TOL = 1e-8
@@ -107,7 +108,7 @@ def wls_fit(design: np.ndarray, y: np.ndarray, weights: np.ndarray, names) -> Re
     """Weighted least squares with residual moments on the estimation sample.
 
     ``y`` is one outcome (n,) or several (n, m) on the same design: one
-    rank check and one lstsq serve every column.
+    lstsq serves every column and gives the rank check too.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -119,10 +120,12 @@ def wls_fit(design: np.ndarray, y: np.ndarray, weights: np.ndarray, names) -> Re
         raise DataValidationError("weights must be nonnegative and not all zero")
     sw = np.sqrt(weights)
     xw = design * sw[:, np.newaxis]
-    if np.linalg.matrix_rank(xw) < p:
+    # each row of y times its sw; lstsq's rank uses matrix_rank's cut,
+    # eps * max(n, p) * the largest singular value
+    beta, _, rank, _ = np.linalg.lstsq(xw, (y.T * sw).T, rcond=None)
+    if rank < p:
         _, flagged = _collinear_columns(xw, names)
         raise DataValidationError(f"design matrix is rank deficient; collinear columns: {flagged}")
-    beta, *_ = np.linalg.lstsq(xw, (y.T * sw).T, rcond=None)  # each row of y times its sw
     resid = y - design @ beta
     w_total = weights.sum()
     r_mean = weights @ resid / w_total
@@ -273,7 +276,7 @@ def impute_participation(probabilities: np.ndarray, weights: np.ndarray,
         raise DataValidationError(f"target share {target_share} outside [0, 1]")
     probabilities = np.asarray(probabilities, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    order = np.argsort(-probabilities, kind="stable")
+    order = stable_order(-probabilities)
     total = float(weights.sum())
     threshold = target_share * total
     eps = 1e-9 * max(total, 1.0)

@@ -4,7 +4,7 @@ Quantile groups, Gini and concentration indices on survey-weighted data,
 welfare weights and the distributional characteristic of goods,
 burden/progressivity decompositions, and Atkinson-based welfare
 aggregation. Ranks use the weighted mid-rank F = (cum_w - w/2) / W; ties
-keep their stable input order.
+keep their stable input order (``stable_order``).
 """
 
 from __future__ import annotations
@@ -59,6 +59,23 @@ def equivalise(expenditure, size, scale: str = "sqrt"):
     raise DataValidationError(f"unknown equivalence scale {scale!r}")
 
 
+def stable_order(values) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, from the faster default sort
+    when it can be.
+
+    Without ties the sorting permutation is unique, so the default (SIMD)
+    sort returns the stable order itself. When two neighbours in its order
+    are equal (+0.0 and -0.0 included), or more than one value is NaN, the
+    stable sort is run instead.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values)
+    ranked = values[order]
+    if np.any(ranked[1:] == ranked[:-1]) or (len(ranked) > 1 and np.isnan(ranked[-2])):
+        return np.argsort(values, kind="stable")
+    return order
+
+
 def weighted_quantile_groups(values, weights, k: int) -> np.ndarray:
     """Assign each record to one of k weighted quantile groups.
 
@@ -71,7 +88,7 @@ def weighted_quantile_groups(values, weights, k: int) -> np.ndarray:
         raise DataValidationError("need at least two quantile groups")
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    order = np.argsort(values, kind="stable")
+    order = stable_order(values)
     cum = np.cumsum(weights[order])
     total = cum[-1]
     if total <= 0:
@@ -114,7 +131,7 @@ def concentration(values, weights, rank_by):
     means = [float(np.dot(weights, y)) / total for y in columns]
     if 0 in means:
         raise DataValidationError("concentration undefined for a zero-mean variable")
-    order = np.argsort(np.asarray(rank_by, dtype=float), kind="stable")
+    order = stable_order(np.asarray(rank_by, dtype=float))
     w = weights[order]
     centred = _midranks(w) - 0.5
     indices = [2.0 * (float(np.dot(w, y[order] * centred)) / total) / mean
@@ -293,7 +310,13 @@ def atkinson(values, weights, epsilon: float) -> AtkinsonResult:
         ede = float(np.exp(np.dot(w, np.log(x)) / total))
     else:
         p = 1.0 - epsilon
-        ede = float((np.dot(w, x**p) / total) ** (1.0 / p))
+        with np.errstate(over="ignore", divide="ignore"):
+            ede = float((np.dot(w, x**p) / total) ** (1.0 / p))
+        if epsilon > 1 and not 0.0 < ede < np.inf:
+            # x**p left the float range at this aversion; the power mean is
+            # homogeneous of degree one, so take it relative to the least x
+            low = float(x[w > 0].min())
+            ede = low * float((np.dot(w, (x / low) ** p) / total) ** (1.0 / p))
     a = 1.0 - ede / mean
     return AtkinsonResult(index=a, mean=mean, yede=mean * (1.0 - a))
 

@@ -38,11 +38,9 @@ from .data import (
 from .demand import (
     _value,
     budget_elasticity,
-    compensating_variation,
-    equivalent_income,
     frisch_parameter,
     les_calibrate_frisch,
-    les_demand,
+    les_valuation,
     price_elasticities,
     LesParameters,
 )
@@ -71,6 +69,9 @@ RECYCLING_SCHEMES = ("none", "lump_sum_per_household", "per_capita", "targeted_b
 BUDGET_ELASTICITY_BOUNDS = (0.02, 4.0)
 OWN_PRICE_BOUNDS = (-4.0, -1e-3)
 MIN_GROUP_OBS = 10
+# Composed consumer price relatives above this (a million-fold rise) are
+# refused: prices, budgets and the price index all stay in float range.
+MAX_PRICE_RELATIVE = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,8 @@ def validate_config(cfg: RunConfig) -> None:
     for name, p in cfg.files.items():
         if not p.exists():
             raise DataValidationError(f"configured file files.{name} does not exist: {p}")
+        if not p.is_file():
+            raise DataValidationError(f"configured file files.{name} is not a file: {p}")
     if cfg.atkinson_epsilon < 0:
         raise DataValidationError("inequality aversion must be nonnegative")
     if cfg.groups < 2:
@@ -561,23 +564,34 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     carbon = None
     if cfg.carbon_tax > 0 and (mrio is None or bridge is None):
         raise DataValidationError("carbon tax scenarios need the inter-industry inputs")
-    if mrio is not None and bridge is not None:
-        # one inter-industry pass gives both the price relatives and the
-        # emission content of each category (used even without a tax)
-        carbon = carbon_tax_scenario(
-            cfg.carbon_tax, mrio, bridge,
-            pass_through=cfg.pass_through, border_adjustment=cfg.border_adjustment,
-            fuels=fuels, fuel_map=fuel_map_idx if fuels is not None else None,
-            n_categories=k,
+    # a tax far beyond the model's range overflows here: the check below
+    # names it before inf or nan prices reach the households
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mrio is not None and bridge is not None:
+            # one inter-industry pass gives both the price relatives and the
+            # emission content of each category (used even without a tax)
+            carbon = carbon_tax_scenario(
+                cfg.carbon_tax, mrio, bridge,
+                pass_through=cfg.pass_through, border_adjustment=cfg.border_adjustment,
+                fuels=fuels, fuel_map=fuel_map_idx if fuels is not None else None,
+                n_categories=k,
+            )
+            unit_emissions = carbon.unit_emissions
+            # producer-side component runs through the indirect-tax schedule;
+            # the combustion component is already a consumer-level change
+            taxed = consumer_price(carbon.indirect_relatives, vat=vat, advalorem=advalorem,
+                                   excise_per_unit=excise, base_price=base_prices)
+            rel_carbon = compose_relatives(taxed, carbon.direct_relatives)
+        rel_tax = np.zeros(k)  # reserved for schedule-change scenarios
+        rel_total = compose_relatives(rel_inflation, rel_carbon, rel_tax)
+    beyond = np.flatnonzero(~(rel_total <= MAX_PRICE_RELATIVE))
+    if len(beyond):
+        j = beyond[0]
+        raise DataValidationError(
+            f"the price relative of {categories.ids[j]} is {rel_total[j]:.6g}, beyond a "
+            f"{MAX_PRICE_RELATIVE:g}-fold price rise: check scenario.carbon_tax, "
+            f"the tax.* keys and files.prices"
         )
-        unit_emissions = carbon.unit_emissions
-        # producer-side component runs through the indirect-tax schedule;
-        # the combustion component is already a consumer-level change
-        taxed = consumer_price(carbon.indirect_relatives, vat=vat, advalorem=advalorem,
-                               excise_per_unit=excise, base_price=base_prices)
-        rel_carbon = compose_relatives(taxed, carbon.direct_relatives)
-    rel_tax = np.zeros(k)  # reserved for schedule-change scenarios
-    rel_total = compose_relatives(rel_inflation, rel_carbon, rel_tax)
     # the typed scenario record re-validates the composed prices
     scenario = PriceScenario(
         category_relatives=rel_total, carbon_tax=cfg.carbon_tax, vat=vat, advalorem=advalorem,
@@ -590,8 +604,9 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     shares = exp / totals[:, np.newaxis]
 
     eq = equivalise(totals, sizes, cfg.scale)
-    quintiles = weighted_quantile_groups(eq, weights, cfg.groups)
-    if not np.bincount(quintiles, minlength=cfg.groups).all():
+    # more groups than households leave one empty before any ranking
+    quintiles = weighted_quantile_groups(eq, weights, cfg.groups) if cfg.groups <= n else None
+    if quintiles is None or not np.bincount(quintiles, minlength=cfg.groups).all():
         raise DataValidationError(f"distribution.groups = {cfg.groups} leaves some groups "
                                   f"empty: the sample has only {n} households")
 
@@ -618,7 +633,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     infeasible = np.zeros(n, dtype=bool)
     n_cobb_douglas = 0
 
-    # one block of households per demand group, each valued with array calls
+    emissions = unit_emissions if np.any(unit_emissions > 0) else None
+    # one block of households per demand group, valued in one pass
     for gi, g in enumerate(groups):
         sel = assignment == gi
         exp_g, shares_g, totals_g = exp[sel], shares[sel], totals[sel]
@@ -630,15 +646,19 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         fit = les_calibrate_frisch(np.where(cobb_douglas, 1.0, g.budget), g.xi,
                                    shares_g, exp_g, totals_g)
         params = LesParameters(gamma=np.where(cobb_douglas, 0.0, fit.gamma), phi=fit.phi)
-        infeasible[sel] = params.committed_cost(p1) >= totals_g
-        if np.any(infeasible[sel]):
+        try:
+            value = les_valuation(p0, p1, totals_g, totals_g + transfers[sel], params, emissions)
+        except InfeasibleBudgetError:
+            # collect the households whose budget misses the committed
+            # bundle after the change, across all groups, for one message
+            short = params.committed_cost(p1) >= totals_g
+            if not np.any(short):
+                raise
+            infeasible[sel] = short
             continue
-        net_g = totals_g + transfers[sel]
-        cv[sel] = compensating_variation(p0, p1, totals_g, params)
-        ye[sel] = equivalent_income(p0, p1, totals_g, params)
-        ye_net[sel] = equivalent_income(p0, p1, net_g, params)
-        if np.any(unit_emissions > 0):
-            fp_after[sel] = les_demand(p1, net_g, params) @ unit_emissions
+        cv[sel], ye[sel], ye_net[sel] = value.cv, value.ye, value.ye_net
+        if emissions is not None:
+            fp_after[sel] = value.footprint_after
     if np.any(infeasible):
         first = ", ".join(map(repr, ids[np.flatnonzero(infeasible)[:5]].tolist()))
         raise InfeasibleBudgetError(f"{infeasible.sum()} of {n} households cannot afford their "

@@ -12,12 +12,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import priceshock
 from priceshock.cli import main
 from priceshock.data import CategorySet
+from priceshock.scenario import CONFIG_KEYS
 
 
 def run_cli(*argv):
@@ -130,6 +131,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert "distribution.groups" in err
         assert "240 households" in err
+
+    def test_directory_as_input_file_is_data_error(self, bundle_dir, tmp_path, capsys):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        cfg = work / "config.txt"
+        cfg.write_text(cfg.read_text().replace("files.prices = prices.csv", "files.prices = ."))
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet") == 1
+        assert "configured file files.prices is not a file" in capsys.readouterr().err
 
     def test_run_does_not_import_numpy_ma(self, bundle_dir, tmp_path):
         # numpy.ma costs milliseconds to import, and a run needs none of it
@@ -329,8 +338,8 @@ class TestImpute:
 
 
 class TestConfigNumbers:
-    """A number key that is not finite, or a period of no months, is named
-    at exit 1 before anything is written."""
+    """A number key that is not finite, out of range, or a period of no
+    months, is named at exit 1 before anything is written."""
 
     @pytest.mark.parametrize("line, key", [
         ("scenario.carbon_tax = nan", "scenario.carbon_tax"),
@@ -339,8 +348,17 @@ class TestConfigNumbers:
         ("tax.food.excise = inf", "tax.food.excise"),
         ("scenario.pass_through = 1e400", "scenario.pass_through"),
         ("elasticity.months_per_period = 0", "elasticity.months_per_period"),
+        ("distribution.groups = 1e19", "distribution.groups"),
+        ("distribution.groups = 1e308", "distribution.groups"),
+        ("elasticity.frisch_level = 800", "elasticity.frisch_level"),
+        ("elasticity.frisch_level = 1e308", "elasticity.frisch_level"),
+        ("elasticity.frisch_slope = -800", "elasticity.frisch_slope"),
+        ("scenario.carbon_tax = 1e308", "scenario.carbon_tax"),
     ], ids=["nan carbon tax", "nan inequality aversion", "nan vat", "infinite excise",
-            "overflowing pass-through", "zero months per period"])
+            "overflowing pass-through", "zero months per period", "groups beyond a C long",
+            "groups at the float limit", "money-flexibility level beyond exp",
+            "money-flexibility level at the float limit", "money-flexibility slope beyond exp",
+            "carbon tax beyond the price range"])
     def test_bad_number_exits_1_naming_the_key(self, bundle_dir, tmp_path, capsys, line, key):
         work = shutil.copytree(bundle_dir, tmp_path / "b")
         cfg = work / "config.txt"
@@ -388,6 +406,61 @@ class TestConfigIntegers:
         text = text.replace("elasticity.size_bands = 2,5", "elasticity.size_bands = 2, 5")
         cfg.write_text(text + "scenario.recycling_quantile = 5\n")
         assert run_cli("validate", "--config", cfg, "--quiet") == 0
+
+
+# keys a perturbed config may set: every number and text key the parser takes
+FUZZ_KEYS = (*CONFIG_KEYS, "tax.food.vat", "tax.food.advalorem", "tax.food.excise",
+             "tax.food.base_price", "fuel_map.motor_fuels", "files.prices")
+# values a perturbed key may take: huge, tiny, negative, not finite, not
+# integral, empty, and the words other keys take
+FUZZ_VALUES = ("", " ", "abc", "nan", "-nan", "inf", "-inf", "0", "-0", "1", "2", "-1", "0.5",
+               "2.5", "-2.5", "1e19", "-1e19", "1e308", "-1e308", "1e400", "1e-300", "5e-324",
+               "9" * 30, "800", "-800", "true", "no", "none", "per_capita", "sqrt", "probit",
+               "targeted_bottom_q", "2,5", "5,2", "1,2,3")
+
+
+def fuzz_values():
+    text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
+    return st.one_of(st.sampled_from(FUZZ_VALUES), st.floats().map(repr),
+                     st.integers(-10**25, 10**25).map(str), text)
+
+
+class TestConfigFuzz:
+    """Any value of any config key ends in exit 0, 1 or 2, with a message
+    on stderr for 1 and 2, and never in a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(taxed=st.booleans(),
+           edits=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), fuzz_values()),
+                          min_size=1, max_size=3, unique_by=lambda edit: edit[0]))
+    @example(taxed=False, edits=[("distribution.groups", "1e19")])
+    @example(taxed=False, edits=[("elasticity.frisch_level", "800")])
+    @example(taxed=False, edits=[("files.prices", "")])
+    @example(taxed=True, edits=[("scenario.carbon_tax", "1e308")])
+    @example(taxed=False, edits=[("distribution.atkinson_epsilon", "1e30")])
+    def test_perturbed_config_ends_in_a_message(self, bundle_dir, tmp_path_factory,
+                                                taxed, edits):
+        work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+        values = {}
+        for line in (bundle_dir / "config.txt").read_text().splitlines():
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if sep and not key.startswith("#"):
+                values[key] = str(bundle_dir / value) if key.startswith("files.") else value
+        if taxed:
+            values.update({"scenario.carbon_tax": "0.5", "scenario.recycling": "per_capita"})
+        values.update(edits)
+        config = work / "config.txt"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                code = run_cli("run", "--config", config, "--out", work / "r", "--quiet")
+        finally:
+            shutil.rmtree(work)
+        assert code in (0, 1, 2)
+        if code:
+            assert re.match(r"(error|numerical failure): \S", err.getvalue()), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 # cells a perturbed wide input may hold: numbers the loaders take or reject

@@ -1,5 +1,6 @@
 """Demand system: hand-derived calibration values, duality oracles, properties."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from priceshock.demand import (
     les_calibrate,
     les_calibrate_frisch,
     les_demand,
+    les_valuation,
     price_elasticities,
 )
 from priceshock.errors import DataValidationError, InfeasibleBudgetError
@@ -93,6 +95,18 @@ class TestFrischParameter:
             frisch_parameter(100.0, 0.0)
         with pytest.raises(DataValidationError):
             frisch_parameter(100.0, 1.0, shift=-200.0)
+
+    @pytest.mark.parametrize("curve", [{"level": 800.0}, {"level": 1e308},
+                                       {"slope": -1e19}, {"slope": 0.0, "shift": math.inf}])
+    def test_curve_beyond_the_float_range_names_its_keys(self, curve):
+        with pytest.raises(DataValidationError, match="elasticity.frisch_level, "
+                           "elasticity.frisch_slope and elasticity.frisch_shift"):
+            frisch_parameter(100.0, 1.0, **curve)
+
+    def test_curve_at_the_float_limit_still_prices(self):
+        # the largest exponent below ln(max float) is representable
+        assert frisch_parameter(0.0, 1.0, level=709.0, slope=0.0) == -math.exp(709.0)
+        assert frisch_parameter(0.0, 1.0, level=-800.0) == -1.3
 
     def test_lahiri_alternative(self):
         gdp = 30000.0
@@ -426,3 +440,58 @@ class TestBlocks:
                       compensating_variation(p0, p1, f.total, params),
                       equivalent_income(p0, p1, f.total, params)):
             assert type(value) is float
+
+
+@st.composite
+def valuation_groups(draw):
+    """Demand groups valued as a run values them: Cobb-Douglas rows where a
+    household buys no good with a positive budget elasticity, goods nobody
+    in a row buys, and price rises and transfers that may break a budget."""
+    k = draw(st.integers(2, 6))
+    p1 = 1.0 + draw(arrays(float, k, elements=st.sampled_from([0.0, 0.5, 30.0])
+                           | st.floats(0.0, 3.0)))
+    unit_emissions = draw(arrays(float, k, elements=st.floats(0.0, 2.0)))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 6))
+        budget = draw(arrays(float, k, elements=st.sampled_from([0.0]) | st.floats(0.2, 2.0)))
+        xi = draw(st.floats(-4.0, -1.01))
+        raw = draw(arrays(float, (n, k), elements=st.sampled_from([0.0]) | st.floats(0.0, 1.0)))
+        raw[np.arange(n), draw(arrays(int, n, elements=st.integers(0, k - 1)))] += 0.1
+        shares = raw / raw.sum(axis=1, keepdims=True)
+        totals = draw(arrays(float, n, elements=st.floats(10.0, 1e5)))
+        transfers = draw(arrays(float, n, elements=st.floats(-1.0, 1.0))) * totals
+        q = shares * totals[:, np.newaxis]
+        cobb_douglas = ~np.any((q > 0) & (budget > 0), axis=1)[:, np.newaxis]
+        fit = les_calibrate_frisch(np.where(cobb_douglas, 1.0, budget), xi, shares, q, totals)
+        params = LesParameters(gamma=np.where(cobb_douglas, 0.0, fit.gamma), phi=fit.phi)
+        if n == 1 and draw(st.booleans(), label="one household as 1-D arrays"):
+            params = LesParameters(gamma=params.gamma[0], phi=params.phi[0])
+            totals, transfers = float(totals[0]), float(transfers[0])
+        groups.append((params, totals, totals + transfers))
+    return p1, unit_emissions, groups
+
+
+class TestBlockValuation:
+    """One pass per block equals the one-measure calls bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=valuation_groups())
+    def test_equals_the_one_measure_calls(self, case):
+        p1, unit_emissions, groups = case
+        p0 = np.ones(len(p1))
+        for (params, totals, net), emissions in itertools.product(groups, (unit_emissions, None)):
+            try:
+                expected = (compensating_variation(p0, p1, totals, params),
+                            equivalent_income(p0, p1, totals, params),
+                            equivalent_income(p0, p1, net, params),
+                            None if emissions is None else les_demand(p1, net, params) @ emissions)
+            except InfeasibleBudgetError as exc:
+                with pytest.raises(InfeasibleBudgetError) as raised:
+                    les_valuation(p0, p1, totals, net, params, emissions)
+                assert str(raised.value) == str(exc)
+                continue
+            value = les_valuation(p0, p1, totals, net, params, emissions)
+            assert (value.footprint_after is None) == (emissions is None)
+            for got, want in zip(value, expected):
+                np.testing.assert_array_equal(got, want)

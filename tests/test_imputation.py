@@ -100,6 +100,15 @@ class TestWlsMatrixOutcome:
         with pytest.raises(DataValidationError, match="double_x"):
             wls_fit(design, np.column_stack([x, x ** 2]), np.ones(30), ["const", "x", "double_x"])
 
+    def test_full_rank_fit_runs_no_separate_rank_check(self, monkeypatch):
+        # lstsq's rank serves the check; matrix_rank only names collinear columns
+        def matrix_rank(*args, **kwargs):
+            raise AssertionError("wls_fit ran a second decomposition")
+        monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
+        x = np.linspace(1.0, 3.0, 40)
+        fit = wls_fit(np.column_stack([np.ones(40), x]), 2.0 * x, np.ones(40), ["const", "x"])
+        np.testing.assert_allclose(fit.coefficients, [0.0, 2.0], atol=1e-12)
+
     def test_one_outcome_is_bit_identical_to_the_pinned_fit(self):
         # pinned from the per-outcome implementation; imputation relies on it
         x = np.linspace(1.0, 3.0, 40)

@@ -16,6 +16,7 @@ from priceshock.metrics import (
     gini,
     household_inflation,
     progressivity_table,
+    stable_order,
     weighted_quantile_groups,
     welfare_decomposition,
     welfare_weights,
@@ -50,6 +51,45 @@ class TestEquivalise:
     def test_size_below_one_rejected(self):
         with pytest.raises(DataValidationError):
             equivalise(np.array([100.0]), np.array([0.5]), "sqrt")
+
+
+# values that tie with themselves or each other under the sort's comparison
+TIE_VALUES = (0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf, 5e-324)
+
+
+@st.composite
+def tied_arrays(draw):
+    """Up to 3,000 values drawn from a pool of a few, so most values tie."""
+    pool = draw(st.lists(st.sampled_from(TIE_VALUES) | st.floats(allow_nan=True),
+                         min_size=1, max_size=8))
+    n = draw(st.integers(1, 3000))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, len(pool), n)
+    return np.array(pool)[picks]
+
+
+class TestStableOrder:
+    """The SIMD sort's order where it is unique, the stable sort's otherwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=tied_arrays())
+    def test_equals_the_stable_sort_on_ties(self, values):
+        np.testing.assert_array_equal(stable_order(values), np.argsort(values, kind="stable"))
+
+    @pytest.mark.parametrize("values", [
+        [3.5],
+        [2.0] * 500,
+        [0.0, -0.0] * 300,
+        [-0.0, 1.0, 0.0, -1.0] * 100,
+        [np.nan, 1.0, np.nan] * 100,
+        list(np.random.default_rng(3).permutation(600) * 0.5),
+    ], ids=["one element", "all equal", "mixed signed zeros", "signed zeros among others",
+            "several nans", "no ties"])
+    def test_named_cases(self, values):
+        values = np.array(values)
+        np.testing.assert_array_equal(stable_order(values), np.argsort(values, kind="stable"))
+
+    def test_empty(self):
+        assert stable_order(np.array([])).tolist() == []
 
 
 class TestQuantileGroups:
@@ -317,6 +357,20 @@ class TestAtkinson:
     def test_nonpositive_rejected_at_high_aversion(self):
         with pytest.raises(DataValidationError):
             atkinson(np.array([0.0, 1.0]), np.ones(2), 2.0)
+
+    @pytest.mark.parametrize("eps", [150.0, 400.0, 1e4, 1e30])
+    def test_aversion_beyond_the_float_range_of_x_to_the_p(self, eps):
+        # x ** (1 - eps) under- or overflows; the equally-distributed value
+        # is the power mean, here from a log-sum-exp oracle
+        rng = np.random.default_rng(13)
+        v = np.concatenate([rng.lognormal(8.0, 0.7, 200), rng.lognormal(-8.0, 0.7, 200)])
+        w = rng.uniform(0.5, 2.0, 400)
+        p = 1.0 - eps
+        terms = p * np.log(v) + np.log(w)
+        top = terms.max()
+        log_mean = top + np.log(np.exp(terms - top).sum()) - np.log(w.sum())
+        res = atkinson(v, w, eps)
+        assert res.yede == pytest.approx(np.exp(log_mean / p), rel=1e-9)
 
 
 class TestWelfareDecomposition:
