@@ -654,7 +654,7 @@ def _loadtxt_survey(path: Path, value_columns) -> tuple[list[str], np.ndarray, n
     return header, ids, values
 
 
-def _read_survey(path: Path, value_columns, checks, fast: bool):
+def _read_survey(path: Path, value_columns, checks):
     """(header, ids, values) of a survey file without a fault.
 
     ``value_columns(header)`` names the columns of ``values``;
@@ -663,9 +663,9 @@ def _read_survey(path: Path, value_columns, checks, fast: bool):
     numbers (0 in ``values``). A file that ``_loadtxt_survey`` takes and
     that passes every check is returned as parsed. Any other file is read
     again by ``read_table`` and ``_parse_cells``, and its first fault is
-    raised. ``fast=False`` goes to the row path at once.
+    raised.
     """
-    table = _loadtxt_survey(path, value_columns) if fast else None
+    table = _loadtxt_survey(path, value_columns)
     if table is not None:
         header, ids, values = table
         faults = checks(header, ids, values, np.zeros(values.shape, dtype=bool))
@@ -824,10 +824,8 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     returned. A plain file is parsed by ``np.loadtxt``; any other file, and
     any file with a fault, is read again row by row, which names the fault.
     """
-    return _load_household_survey(Path(path), categories, fast=True)
+    path = Path(path)
 
-
-def _load_household_survey(path: Path, categories: CategorySet, fast: bool) -> HouseholdSurvey:
     def value_columns(header):
         exp_names, _, extra_cols = _household_columns(path, header, categories)
         return ["weight", "size", *exp_names, *extra_cols]
@@ -850,7 +848,7 @@ def _load_household_survey(path: Path, categories: CategorySet, fast: bool) -> H
             *((bad[:, 2 + k + j], col, None) for j, col in enumerate(extra_cols)),
         ]
 
-    header, ids, values = _read_survey(path, value_columns, checks, fast)
+    header, ids, values = _read_survey(path, value_columns, checks)
     exp_names, demo_cols, extra_cols = _household_columns(path, header, categories)
     k = len(exp_names)
     weight, size, exp, extra = values[:, 0], values[:, 1], values[:, 2:2 + k], values[:, 2 + k:]
@@ -890,10 +888,8 @@ def load_income_survey(path) -> IncomeSurvey:
     back as columns; ``records`` is a view built on request. Files are read
     as ``load_household_survey`` reads them.
     """
-    return _load_income_survey(Path(path), fast=True)
+    path = Path(path)
 
-
-def _load_income_survey(path: Path, fast: bool) -> IncomeSurvey:
     def checks(header, ids, values, bad):
         return [
             (_duplicates(ids), "id", "{path}: row {row}: duplicate id {hid!r}"),
@@ -902,7 +898,7 @@ def _load_income_survey(path: Path, fast: bool) -> IncomeSurvey:
             (values[:, 1] < 1, "size", "record {hid}: size {value} < 1"),
         ]
 
-    header, ids, values = _read_survey(path, lambda h: _income_columns(path, h), checks, fast)
+    header, ids, values = _read_survey(path, lambda h: _income_columns(path, h), checks)
     cols = _income_columns(path, header)
     ignored = [c for c in header if c.startswith(EXPENDITURE_PREFIX)]
     report = LoadReport(source=str(path), n_rows=len(ids))

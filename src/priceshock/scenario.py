@@ -25,7 +25,6 @@ from .data import (
     FuelTable,
     LoadReport,
     MrioTable,
-    PriceScenario,
     _write_rows,
     load_bridge,
     load_fuels,
@@ -133,128 +132,142 @@ def parse_config(path) -> RunConfig:
     return build_config(raw, path.parent)
 
 
-def _as_bool(value: str, key: str) -> bool:
+def _as_bool(value: str) -> bool:
     if value.lower() in ("true", "1", "yes"):
         return True
     if value.lower() in ("false", "0", "no"):
         return False
-    raise DataValidationError(f"config key {key!r}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _as_float(value: str, key: str) -> float:
+def _as_float(value: str) -> float:
     try:
         number = float(value)
     except ValueError:
-        raise DataValidationError(f"config key {key!r}: expected a number, got {value!r}") from None
+        raise ValueError(f"expected a number, got {value!r}") from None
     if not math.isfinite(number):
-        raise DataValidationError(f"config key {key!r}: expected a finite number, got {value!r}")
+        raise ValueError(f"expected a finite number, got {value!r}")
     return number
 
 
-def _as_int(value: str, key: str) -> int:
+def _as_int(value: str) -> int:
     """An integer written as one (``5``) or as an integral number (``5.0``, ``5e0``)."""
     try:
         return int(value)
     except ValueError:
-        number = _as_float(value, key)
+        number = _as_float(value)
     if not number.is_integer():
-        raise DataValidationError(f"config key {key!r}: expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {value!r}")
     return int(number)
 
 
-def _as_text(value: str, key: str) -> str:
-    return value
-
-
-def _as_size_bands(value: str, key: str) -> tuple[int, int]:
-    parts = [_as_int(p.strip(), key) for p in value.split(",")]
+def _as_size_bands(value: str) -> tuple[int, int]:
+    parts = [_as_int(p.strip()) for p in value.split(",")]
     if len(parts) != 2 or parts[0] >= parts[1]:
-        raise DataValidationError("elasticity.size_bands must be two increasing cuts")
+        raise ValueError(f"expected two increasing cuts, got {value!r}")
     return parts[0], parts[1]
 
 
-# config key -> (RunConfig field, parser of its text value)
+# range checks: (test of the parsed value, complaint formatted with its text)
+POSITIVE = (lambda v: v > 0, "must be positive, got {!r}")
+NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative, got {!r}")
+
+
+def _one_of(noun, *choices):
+    return lambda v: v in choices, f"unknown {noun} {{!r}}; expected one of {', '.join(choices)}"
+
+
+# config key -> (RunConfig field, parser of its text value, range check or
+# None); <category> stands for any id of CategorySet.default()
 CONFIG_KEYS = {
-    "scenario.carbon_tax": ("carbon_tax", _as_float),
-    "scenario.pass_through": ("pass_through", _as_float),
-    "scenario.border_adjustment": ("border_adjustment", _as_bool),
-    "scenario.recycling": ("recycling", _as_text),
-    "scenario.recycling_quantile": ("recycling_quantile", _as_int),
-    "scenario.impute": ("impute", _as_bool),
-    "elasticity.exchange_rate": ("exchange_rate", _as_float),
-    "elasticity.months_per_period": ("months_per_period", _as_float),
-    "elasticity.frisch_level": ("frisch_level", _as_float),
-    "elasticity.frisch_slope": ("frisch_slope", _as_float),
-    "elasticity.frisch_shift": ("frisch_shift", _as_float),
-    "elasticity.frisch_cap": ("frisch_cap", _as_float),
-    "elasticity.size_bands": ("size_bands", _as_size_bands),
-    "elasticity.engel_scale": ("engel_scale", _as_text),
-    "imputation.link": ("imputation_link", _as_text),
-    "distribution.atkinson_epsilon": ("atkinson_epsilon", _as_float),
-    "distribution.scale": ("scale", _as_text),
-    "distribution.groups": ("groups", _as_int),
-    "distribution.skip_empty_categories": ("skip_empty_categories", _as_bool),
-    "seed": ("seed", _as_int),
+    "scenario.carbon_tax": ("carbon_tax", _as_float, NONNEGATIVE),
+    "scenario.pass_through": ("pass_through", _as_float,
+                              (lambda v: 0 <= v <= 1, "must be in [0, 1], got {!r}")),
+    "scenario.border_adjustment": ("border_adjustment", _as_bool, None),
+    "scenario.recycling": ("recycling", str, _one_of("recycling scheme", *RECYCLING_SCHEMES)),
+    "scenario.recycling_quantile": ("recycling_quantile", _as_int,
+                                    (lambda v: v >= 1, "must be at least 1, got {!r}")),
+    "scenario.impute": ("impute", _as_bool, None),
+    "elasticity.exchange_rate": ("exchange_rate", _as_float, POSITIVE),
+    "elasticity.months_per_period": ("months_per_period", _as_float, POSITIVE),
+    "elasticity.frisch_level": ("frisch_level", _as_float, None),
+    "elasticity.frisch_slope": ("frisch_slope", _as_float, None),
+    "elasticity.frisch_shift": ("frisch_shift", _as_float, None),
+    "elasticity.frisch_cap": ("frisch_cap", _as_float,
+                              (lambda v: v < -1, "must be below -1, got {!r}")),
+    "elasticity.size_bands": ("size_bands", _as_size_bands, None),
+    "elasticity.engel_scale": ("engel_scale", str,
+                               _one_of("engel scale", "household_total", "per_capita_month")),
+    "imputation.link": ("imputation_link", str, _one_of("imputation link", "logit", "probit")),
+    "distribution.atkinson_epsilon": ("atkinson_epsilon", _as_float, NONNEGATIVE),
+    "distribution.scale": ("scale", str,
+                           _one_of("equivalence scale", "none", "per_capita", "sqrt")),
+    "distribution.groups": ("groups", _as_int, (lambda v: v >= 2, "must be at least 2, got {!r}")),
+    "distribution.skip_empty_categories": ("skip_empty_categories", _as_bool, None),
+    "seed": ("seed", _as_int, None),
+    "tax.<category>.vat": ("taxes", _as_float, NONNEGATIVE),
+    "tax.<category>.advalorem": ("taxes", _as_float, NONNEGATIVE),
+    "tax.<category>.excise": ("taxes", _as_float, NONNEGATIVE),
+    "tax.<category>.base_price": ("taxes", _as_float, POSITIVE),
+    "fuel_map.<category>": ("fuel_map", str, None),
 }
 
 
 def build_config(raw: dict[str, str], base_dir) -> RunConfig:
     base_dir = Path(base_dir)
     cfg = RunConfig(files={}, raw=dict(raw))
+    for key in ("files.households", "elasticity.exchange_rate"):  # required, no default
+        if key not in raw:
+            raise DataValidationError(f"config must name {key}")
     for key, value in raw.items():
         if key.startswith("files."):
             cfg.files[key[len("files."):]] = (base_dir / value).resolve()
-        elif key.startswith("fuel_map."):
-            cfg.fuel_map[key[len("fuel_map."):]] = value
-        elif key.startswith("tax."):
-            _, cat, field_name = key.split(".", 2)
-            if field_name not in ("vat", "advalorem", "excise", "base_price"):
-                raise DataValidationError(f"unknown tax field in config key {key!r}")
-            cfg.taxes.setdefault(cat, {})[field_name] = _as_float(value, key)
-        elif key in CONFIG_KEYS:
-            name, parse = CONFIG_KEYS[key]
-            setattr(cfg, name, parse(value, key))
-        else:
+            continue
+        table_key, category = key, None
+        section, _, rest = key.partition(".")
+        if section in ("tax", "fuel_map"):
+            category, dot, field_name = rest.partition(".")
+            table_key = f"{section}.<category>{dot}{field_name}"
+        if table_key not in CONFIG_KEYS:
             raise DataValidationError(f"unknown config key {key!r}")
+        name, parse, check = CONFIG_KEYS[table_key]
+        try:
+            if category is not None and category not in CategorySet.default().ids:
+                raise ValueError(f"unknown category {category!r}")
+            parsed = parse(value)
+            if check is not None and not check[0](parsed):
+                raise ValueError(check[1].format(value))
+        except ValueError as exc:
+            raise DataValidationError(f"config key {key!r}: {exc}") from None
+        if name == "taxes":
+            cfg.taxes.setdefault(category, {})[field_name] = parsed
+        elif name == "fuel_map":
+            cfg.fuel_map[category] = parsed
+        else:
+            setattr(cfg, name, parsed)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if "households" not in cfg.files:
-        raise DataValidationError("config must name files.households")
+    """The rules that span keys; each key's own range is checked as it is parsed."""
     for name, p in cfg.files.items():
-        if not p.exists():
-            raise DataValidationError(f"configured file files.{name} does not exist: {p}")
         if not p.is_file():
-            raise DataValidationError(f"configured file files.{name} is not a file: {p}")
-    if cfg.atkinson_epsilon < 0:
-        raise DataValidationError("inequality aversion must be nonnegative")
-    if cfg.groups < 2:
-        raise DataValidationError("distribution.groups must be at least 2")
-    if not 1 <= cfg.recycling_quantile <= cfg.groups:
+            fault = "is not a file" if p.exists() else "does not exist"
+            raise DataValidationError(f"configured file files.{name} {fault}: {p}")
+    if cfg.recycling_quantile > cfg.groups:
         raise DataValidationError(
             f"scenario.recycling_quantile must be between 1 and distribution.groups "
             f"({cfg.groups}), got {cfg.recycling_quantile}"
         )
-    if cfg.carbon_tax < 0:
-        raise DataValidationError("carbon tax must be nonnegative")
-    if cfg.recycling not in RECYCLING_SCHEMES:
-        raise DataValidationError(f"unknown recycling scheme {cfg.recycling!r}")
-    if cfg.engel_scale not in ("household_total", "per_capita_month"):
-        raise DataValidationError(f"unknown engel scale {cfg.engel_scale!r}")
-    if cfg.imputation_link not in ("logit", "probit"):
-        raise DataValidationError(f"unknown imputation link {cfg.imputation_link!r}")
-    if cfg.exchange_rate <= 0:
-        raise DataValidationError("elasticity.exchange_rate must be positive")
-    if cfg.months_per_period <= 0:
-        raise DataValidationError("elasticity.months_per_period must be positive")
-    if cfg.frisch_cap >= -1.0:
-        raise DataValidationError(f"elasticity.frisch_cap must be below -1, got {cfg.frisch_cap}")
     if cfg.carbon_tax > 0:
         for required in ("mrio_z", "mrio_d", "mrio_x", "mrio_f", "bridge"):
             if required not in cfg.files:
                 raise DataValidationError(f"carbon tax scenarios require files.{required}")
+    if cfg.fuel_map and "fuels" not in cfg.files:
+        raise DataValidationError(f"fuel_map.{next(iter(cfg.fuel_map))} needs files.fuels")
+    if cfg.impute and "income" not in cfg.files:
+        raise DataValidationError("scenario.impute requires files.income")
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +384,7 @@ def recycle_revenue(revenue: float, scheme: str, weights: np.ndarray,
         raise DataValidationError("revenue must be nonnegative")
     weights = np.asarray(weights, dtype=float)
     transfers = np.zeros(len(weights))
-    if revenue == 0:
-        return transfers
-    if scheme == "none":
+    if revenue == 0 or scheme == "none":
         return transfers
     if scheme == "lump_sum_per_household":
         transfers[:] = revenue / weights.sum()
@@ -510,18 +521,23 @@ class ScenarioResult:
     relatives_total: np.ndarray
     relatives_inflation: np.ndarray
     relatives_carbon: np.ndarray
-    relatives_tax: np.ndarray
     household: dict[str, np.ndarray]
     tables: dict[str, tuple[list[str], list[list]]]
     revenue: float
     seed: int
     config_hash: str
-    scenario: PriceScenario | None = None
     elasticities: list[list] = field(default_factory=list)
     diagnostics: dict[str, float] = field(default_factory=dict)
     load_report: LoadReport | None = None
     carbon: CarbonTaxResult | None = None
     imputation: ImputationReport | None = None
+
+
+def _emission_content_error(unit_emissions, categories) -> DataValidationError:
+    j = int(np.argmax(np.nan_to_num(np.abs(unit_emissions), nan=np.inf)))  # the largest
+    return DataValidationError(f"the emission content of {categories.ids[j]} is "
+                               f"{unit_emissions[j]:.6g}, beyond the float range of household "
+                               f"footprints: check files.mrio_f and files.fuels")
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioResult:
@@ -530,8 +546,6 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     survey = load_household_survey(cfg.files["households"], categories)
     frame, imputation = survey, None
     if cfg.impute:
-        if "income" not in cfg.files:
-            raise DataValidationError("scenario.impute requires files.income")
         income = load_income_survey(cfg.files["income"])
         imputed = impute_expenditure_patterns(
             survey, income, categories, seed=cfg.seed, link=cfg.imputation_link
@@ -562,10 +576,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     rel_carbon = np.zeros(k)
     unit_emissions = np.zeros(k)
     carbon = None
-    if cfg.carbon_tax > 0 and (mrio is None or bridge is None):
-        raise DataValidationError("carbon tax scenarios need the inter-industry inputs")
-    # a tax far beyond the model's range overflows here: the check below
-    # names it before inf or nan prices reach the households
+    # a tax or emission content far beyond the model's range overflows here:
+    # the checks below name it before inf or nan reach the households
     with np.errstate(over="ignore", invalid="ignore"):
         if mrio is not None and bridge is not None:
             # one inter-industry pass gives both the price relatives and the
@@ -573,8 +585,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             carbon = carbon_tax_scenario(
                 cfg.carbon_tax, mrio, bridge,
                 pass_through=cfg.pass_through, border_adjustment=cfg.border_adjustment,
-                fuels=fuels, fuel_map=fuel_map_idx if fuels is not None else None,
-                n_categories=k,
+                fuels=fuels, fuel_map=fuel_map_idx, n_categories=k,
             )
             unit_emissions = carbon.unit_emissions
             # producer-side component runs through the indirect-tax schedule;
@@ -582,8 +593,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             taxed = consumer_price(carbon.indirect_relatives, vat=vat, advalorem=advalorem,
                                    excise_per_unit=excise, base_price=base_prices)
             rel_carbon = compose_relatives(taxed, carbon.direct_relatives)
-        rel_tax = np.zeros(k)  # reserved for schedule-change scenarios
-        rel_total = compose_relatives(rel_inflation, rel_carbon, rel_tax)
+        rel_total = compose_relatives(rel_inflation, rel_carbon)
+        fp_before = exp @ unit_emissions
     beyond = np.flatnonzero(~(rel_total <= MAX_PRICE_RELATIVE))
     if len(beyond):
         j = beyond[0]
@@ -592,12 +603,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             f"{MAX_PRICE_RELATIVE:g}-fold price rise: check scenario.carbon_tax, "
             f"the tax.* keys and files.prices"
         )
-    # the typed scenario record re-validates the composed prices
-    scenario = PriceScenario(
-        category_relatives=rel_total, carbon_tax=cfg.carbon_tax, vat=vat, advalorem=advalorem,
-        excise_per_unit=excise, base_prices=base_prices, recycling=cfg.recycling,
-        border_adjustment=cfg.border_adjustment,
-    )
+    if not (np.isfinite(unit_emissions).all() and np.isfinite(fp_before).all()):
+        raise _emission_content_error(unit_emissions, categories)
 
     n = len(ids)
     totals = exp.sum(axis=1)
@@ -617,10 +624,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     carbon_burden_h = exp @ rel_carbon
     revenue = float(np.dot(weights, carbon_burden_h)) if cfg.carbon_tax > 0 else 0.0
     target_mask = quintiles < cfg.recycling_quantile
-    transfers = recycle_revenue(
-        revenue if cfg.recycling != "none" else 0.0,
-        cfg.recycling, weights, sizes=sizes, target_mask=target_mask,
-    )
+    transfers = recycle_revenue(revenue, cfg.recycling, weights, sizes=sizes,
+                                target_mask=target_mask)
 
     groups, group_labels, assignment, n_fallback = estimate_demand_groups(
         exp, totals, weights, sizes, quintiles, cfg
@@ -629,7 +634,6 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     p0 = np.ones(k)
     p1 = 1.0 + rel_total
     cv, ye, ye_net, fp_after = (np.zeros(n) for _ in range(4))
-    fp_before = exp @ unit_emissions
     infeasible = np.zeros(n, dtype=bool)
     n_cobb_douglas = 0
 
@@ -638,10 +642,10 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     for gi, g in enumerate(groups):
         sel = assignment == gi
         exp_g, shares_g, totals_g = exp[sel], shares[sel], totals[sel]
-        # households buying no good with a positive group budget elasticity
-        # have no marginal budget to calibrate: value them as Cobb-Douglas
-        # (phi = their own shares, gamma = 0)
-        cobb_douglas = ~np.any((exp_g > 0) & (g.budget > 0), axis=1)[:, np.newaxis]
+        # households with no bought good whose budget elasticity times share is
+        # positive (a subnormal share makes it 0) have no marginal budget to
+        # calibrate: value them as Cobb-Douglas (phi = own shares, gamma = 0)
+        cobb_douglas = ~np.any((exp_g > 0) & (g.budget * shares_g > 0), axis=1)[:, np.newaxis]
         n_cobb_douglas += int(cobb_douglas.sum())
         fit = les_calibrate_frisch(np.where(cobb_douglas, 1.0, g.budget), g.xi,
                                    shares_g, exp_g, totals_g)
@@ -664,6 +668,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         raise InfeasibleBudgetError(f"{infeasible.sum()} of {n} households cannot afford their "
                                     f"committed bundle after the price change (first: {first})")
 
+    if not np.isfinite(fp_after).all():
+        raise _emission_content_error(unit_emissions, categories)
     cv_net = cv - transfers
 
     group_names = tuple(DEFAULT_REPORT_GROUPS.keys())
@@ -716,13 +722,11 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         relatives_total=rel_total,
         relatives_inflation=rel_inflation,
         relatives_carbon=rel_carbon,
-        relatives_tax=rel_tax,
         household=household,
         tables=tables,
         revenue=revenue,
         seed=cfg.seed,
         config_hash=cfg.config_hash(),
-        scenario=scenario,
         elasticities=elasticity_rows,
         diagnostics={
             "cobb_douglas_fallbacks": n_cobb_douglas,
@@ -889,11 +893,10 @@ def write_tables(tables, outdir) -> dict[str, Path]:
 def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
     """Write the aggregate tables, the per-household frame and a run manifest."""
     outdir = Path(outdir)
-    relatives = (result.relatives_total, result.relatives_inflation, result.relatives_carbon,
-                 result.relatives_tax)
+    relatives = (result.relatives_total, result.relatives_inflation, result.relatives_carbon)
     paths = write_tables({
         **result.tables,
-        "consumer_prices": (["category", "relative", "inflation", "carbon", "tax"],
+        "consumer_prices": (["category", "relative", "inflation", "carbon"],
                             [[c, *(f"{r[j]:.12g}" for r in relatives)]
                              for j, c in enumerate(result.categories)]),
         "elasticities": (["group", "category", "share", "eta", "eta_own", "phi", "gamma", "xi"],

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -408,9 +409,81 @@ class TestConfigIntegers:
         assert run_cli("validate", "--config", cfg, "--quiet") == 0
 
 
-# keys a perturbed config may set: every number and text key the parser takes
+FLOW_FILES = ("files.mrio_z", "files.mrio_d", "files.mrio_x", "files.mrio_f", "files.bridge")
+
+
+def run_edited(bundle_dir, tmp_path, capsys, lines=(), drop=()):
+    """Run the demo with ``lines`` set and the keys in ``drop`` removed:
+    (exit code, stderr, the warnings raised)."""
+    work = shutil.copytree(bundle_dir, tmp_path / "b")
+    cfg = work / "config.txt"
+    keys = {line.partition("=")[0].strip() for line in lines} | set(drop)
+    kept = [line for line in cfg.read_text().splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    cfg.write_text("\n".join(kept + list(lines)) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet")
+    return code, capsys.readouterr().err, [str(w.message) for w in caught]
+
+
+class TestConfigKeys:
+    """Each key is checked where it is parsed: a misspelt category, a rate
+    out of range, a fuel map without its fuel table and a missing exchange
+    rate exit 1 naming the key, with no traceback and no warning."""
+
+    @pytest.mark.parametrize("lines, drop, message", [
+        (["tax.fod.vat = 0.5"], (), "config key 'tax.fod.vat': unknown category 'fod'"),
+        (["fuel_map.motr_fuels = petrol"], (),
+         "config key 'fuel_map.motr_fuels': unknown category 'motr_fuels'"),
+        (["tax.food.vat = -0.5"], (),
+         "config key 'tax.food.vat': must be nonnegative, got '-0.5'"),
+        (["tax.food.vat = -0.5"], FLOW_FILES,
+         "config key 'tax.food.vat': must be nonnegative, got '-0.5'"),
+        (["tax.food.base_price = 0"], (),
+         "config key 'tax.food.base_price': must be positive, got '0'"),
+        (["fuel_map.motor_fuels = petrol"],
+         ("files.fuels", "fuel_map.domestic_energy", "fuel_map.electricity"),
+         "fuel_map.motor_fuels needs files.fuels"),
+        ([], ("elasticity.exchange_rate",), "config must name elasticity.exchange_rate"),
+        (["scenario.pass_through = 1.5"], (),
+         "config key 'scenario.pass_through': must be in [0, 1], got '1.5'"),
+        (["distribution.scale = cube_root"], (),
+         "config key 'distribution.scale': unknown equivalence scale 'cube_root'; "
+         "expected one of none, per_capita, sqrt"),
+    ], ids=["misspelt tax category", "misspelt fuel-map category", "negative vat",
+            "negative vat without the flow matrix", "zero base price",
+            "fuel map without a fuel table", "no exchange rate", "pass-through above 1",
+            "unknown equivalence scale"])
+    def test_bad_key_exits_1_naming_it(self, bundle_dir, tmp_path, capsys, lines, drop, message):
+        code, err, caught = run_edited(bundle_dir, tmp_path, capsys, lines, drop)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert caught == []
+        assert not (tmp_path / "r").exists()
+
+    def test_emission_content_beyond_the_float_range_is_named(self, bundle_dir, tmp_path,
+                                                               capsys):
+        work = shutil.copytree(bundle_dir, tmp_path / "f")
+        flows = work / "mrio_f.csv"
+        flows.write_text(flows.read_text().replace("energy,10\n", "energy,1e308\n"))
+        code, err, caught = run_edited(bundle_dir, tmp_path, capsys,
+                                       [f"files.mrio_f = {flows}"])
+        assert code == 1
+        assert "the emission content of domestic_energy is" in err
+        assert "files.mrio_f and files.fuels" in err
+        assert "Traceback" not in err
+        assert caught == []
+        assert not (tmp_path / "r").exists()
+
+
+# keys a perturbed config may set or delete: every number and text key the
+# parser takes, keys with a misspelt category or field, and input files
 FUZZ_KEYS = (*CONFIG_KEYS, "tax.food.vat", "tax.food.advalorem", "tax.food.excise",
-             "tax.food.base_price", "fuel_map.motor_fuels", "files.prices")
+             "tax.food.base_price", "fuel_map.motor_fuels", "tax.fod.vat", "tax.Food.excise",
+             "tax..vat", "tax.food.vta", "tax.food", "fuel_map.motr_fuels", "fuel_map.",
+             "files.prices", "files.fuels", "files.bridge", "files.households")
 # values a perturbed key may take: huge, tiny, negative, not finite, not
 # integral, empty, and the words other keys take
 FUZZ_VALUES = ("", " ", "abc", "nan", "-nan", "inf", "-inf", "0", "-0", "1", "2", "-1", "0.5",
@@ -420,8 +493,9 @@ FUZZ_VALUES = ("", " ", "abc", "nan", "-nan", "inf", "-inf", "0", "-0", "1", "2"
 
 
 def fuzz_values():
+    """A value for a key, or None to delete the key."""
     text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
-    return st.one_of(st.sampled_from(FUZZ_VALUES), st.floats().map(repr),
+    return st.one_of(st.none(), st.sampled_from(FUZZ_VALUES), st.floats().map(repr),
                      st.integers(-10**25, 10**25).map(str), text)
 
 
@@ -438,6 +512,9 @@ class TestConfigFuzz:
     @example(taxed=False, edits=[("files.prices", "")])
     @example(taxed=True, edits=[("scenario.carbon_tax", "1e308")])
     @example(taxed=False, edits=[("distribution.atkinson_epsilon", "1e30")])
+    @example(taxed=False, edits=[("tax.fod.vat", "0.5")])
+    @example(taxed=True, edits=[("files.fuels", None)])
+    @example(taxed=False, edits=[("elasticity.exchange_rate", None)])
     def test_perturbed_config_ends_in_a_message(self, bundle_dir, tmp_path_factory,
                                                 taxed, edits):
         work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
@@ -450,7 +527,8 @@ class TestConfigFuzz:
             values.update({"scenario.carbon_tax": "0.5", "scenario.recycling": "per_capita"})
         values.update(edits)
         config = work / "config.txt"
-        config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()
+                                  if value is not None))
         err = io.StringIO()
         try:
             with contextlib.redirect_stderr(err):

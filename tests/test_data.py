@@ -614,8 +614,7 @@ class TestHouseholdWriter:
         result = ScenarioResult(
             categories=CATS, group_names=("food",), relatives_total=np.zeros(3),
             relatives_inflation=np.zeros(3), relatives_carbon=np.zeros(3),
-            relatives_tax=np.zeros(3), household=hh, tables={}, revenue=0.0, seed=0,
-            config_hash="",
+            household=hh, tables={}, revenue=0.0, seed=0, config_hash="",
         )
         out = new_dir()
         emit_reports(result, out)
@@ -1120,8 +1119,7 @@ def synthetic_result(n):
     return ScenarioResult(
         categories=CATS, group_names=groups, relatives_total=np.zeros(3),
         relatives_inflation=np.zeros(3), relatives_carbon=np.zeros(3),
-        relatives_tax=np.zeros(3), household=hh, tables={}, revenue=0.0, seed=0,
-        config_hash="",
+        household=hh, tables={}, revenue=0.0, seed=0, config_hash="",
     )
 
 

@@ -462,7 +462,7 @@ def valuation_groups(draw):
         totals = draw(arrays(float, n, elements=st.floats(10.0, 1e5)))
         transfers = draw(arrays(float, n, elements=st.floats(-1.0, 1.0))) * totals
         q = shares * totals[:, np.newaxis]
-        cobb_douglas = ~np.any((q > 0) & (budget > 0), axis=1)[:, np.newaxis]
+        cobb_douglas = ~np.any((q > 0) & (budget * shares > 0), axis=1)[:, np.newaxis]
         fit = les_calibrate_frisch(np.where(cobb_douglas, 1.0, budget), xi, shares, q, totals)
         params = LesParameters(gamma=np.where(cobb_douglas, 0.0, fit.gamma), phi=fit.phi)
         if n == 1 and draw(st.booleans(), label="one household as 1-D arrays"):

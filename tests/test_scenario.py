@@ -352,8 +352,6 @@ class TestRunScenario:
         collected = float(hh["weight"] @ hh["transfer"])
         assert abs(collected - res.revenue) <= 1e-9 * max(1.0, res.revenue)
         assert res.revenue > 0
-        assert res.scenario is not None
-        assert res.scenario.recycling == "per_capita"
 
     def test_targeted_recycling_reaches_bottom_quintile_only(self, bundle_dir, tmp_path):
         p = derived_config(
@@ -405,6 +403,30 @@ class TestRunScenario:
         # the per-household welfare bound
         assert np.all(res.household["cv"] <= res.household["burden"] + 1e-9)
         assert res.config_hash != run_result.config_hash
+
+    def test_household_whose_budgeted_share_underflows_is_cobb_douglas(self, bundle_dir,
+                                                                       tmp_path, run_result):
+        # a weightless household buying alcohol, which no weighted household
+        # buys (budget elasticity 0), and food at the smallest subnormal: its
+        # food share is 0, so no good has budget elasticity x share > 0
+        header, rows, _ = read_table(bundle_dir / "households.csv")
+        cells = dict.fromkeys(header, "0") | {"id": "hhcd", "size": "1", "exp_alcohol": "100",
+                                               "exp_food": "5e-324"}
+        households = tmp_path / "households.csv"
+        households.write_text("\n".join([",".join(header), *map(",".join, rows),
+                                         ",".join(cells[c] for c in header)]) + "\n")
+        p = derived_config(
+            bundle_dir, tmp_path, "cd.txt",
+            lambda t: t.replace(f"files.households = {bundle_dir / 'households.csv'}",
+                                f"files.households = {households}"),
+        )
+        res = run_scenario(parse_config(p))
+        hh = res.household
+        assert hh["id"][-1] == "hhcd"
+        alcohol = res.relatives_total[res.categories.index("alcohol")]
+        assert hh["cv"][-1] == pytest.approx(100.0 * alcohol, rel=1e-12)
+        assert res.diagnostics["cobb_douglas_fallbacks"] == (
+            run_result.diagnostics["cobb_douglas_fallbacks"] + 1)
 
 
 class TestEmitAndReload:

@@ -15,13 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import priceshock.data as data_module
-from priceshock.data import (
-    CategorySet,
-    _load_household_survey,
-    _load_income_survey,
-    load_household_survey,
-    load_income_survey,
-)
+from priceshock.data import CategorySet, load_household_survey, load_income_survey
 from priceshock.errors import DataValidationError
 
 CATS = CategorySet(("food", "fuel", "rest"))
@@ -147,6 +141,15 @@ def no_row_path():
                              side_effect=AssertionError("a plain file went to the row path"))
 
 
+def row_path(loader):
+    """``loader`` with the np.loadtxt parse declined, so that every file
+    takes the row path."""
+    def load(*args):
+        with mock.patch.object(data_module, "_loadtxt_survey", return_value=None):
+            return loader(*args)
+    return load
+
+
 @pytest.fixture(scope="module")
 def new_file(tmp_path_factory):
     """A path in a new directory on each call, one per Hypothesis example."""
@@ -157,8 +160,8 @@ def new_file(tmp_path_factory):
 
 LOADERS = {
     False: (lambda p: load_household_survey(p, CATS),
-            lambda p: _load_household_survey(p, CATS, False)),
-    True: (load_income_survey, lambda p: _load_income_survey(p, False)),
+            row_path(lambda p: load_household_survey(p, CATS))),
+    True: (load_income_survey, row_path(load_income_survey)),
 }
 
 
@@ -221,5 +224,5 @@ def test_fast_path_reads_the_benchmark_like_file_without_rows(tmp_path):
     path.write_text("\r\n".join(lines) + "\r\n")
     with no_row_path():
         fast = load_household_survey(path, CATS)
-    assert_same_frame(fast, _load_household_survey(path, CATS, False))
+    assert_same_frame(fast, row_path(load_household_survey)(path, CATS))
     assert fast.report.n_rows == n
