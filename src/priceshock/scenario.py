@@ -260,10 +260,11 @@ def validate_config(cfg: RunConfig) -> None:
             f"scenario.recycling_quantile must be between 1 and distribution.groups "
             f"({cfg.groups}), got {cfg.recycling_quantile}"
         )
-    if cfg.carbon_tax > 0:
-        for required in ("mrio_z", "mrio_d", "mrio_x", "mrio_f", "bridge"):
-            if required not in cfg.files:
-                raise DataValidationError(f"carbon tax scenarios require files.{required}")
+    flows = ("mrio_z", "mrio_d", "mrio_x", "mrio_f", "bridge")
+    missing = [name for name in flows if name not in cfg.files]
+    if missing and (len(missing) < len(flows) or cfg.carbon_tax > 0 or cfg.fuel_map):
+        raise DataValidationError(f"config must name files.{missing[0]}: files.mrio_* and "
+                                  f"files.bridge go together; a carbon tax or fuel map needs them")
     if cfg.fuel_map and "fuels" not in cfg.files:
         raise DataValidationError(f"fuel_map.{next(iter(cfg.fuel_map))} needs files.fuels")
     if cfg.impute and "income" not in cfg.files:
@@ -325,7 +326,6 @@ def carbon_tax_scenario(
     border_adjustment: bool = False,
     fuels: FuelTable | None = None,
     fuel_map: dict[int, str] | None = None,
-    n_categories: int | None = None,
 ) -> CarbonTaxResult:
     """Per-category consumer price relatives from a carbon tax.
 
@@ -340,7 +340,6 @@ def carbon_tax_scenario(
         raise DataValidationError("carbon tax rate must be nonnegative")
     if tuple(bridge.products) != tuple(mrio.sectors):
         raise DataValidationError("bridge products do not match the inter-industry sectors")
-    k = n_categories or bridge.shares.shape[0]
     intensity = sector_intensity(mrio)
     shock = rate * (intensity.total if border_adjustment else intensity.domestic)
     tech = technology_matrix(mrio)
@@ -354,7 +353,7 @@ def carbon_tax_scenario(
     producer = pass_through * solution[0]
     indirect = bridge_to_categories(bridge, producer)
     unit_emissions = bridge.shares @ solution[1]
-    direct = np.zeros(k)
+    direct = np.zeros(bridge.shares.shape[0])
     for cat_index, fuel in (fuel_map or {}).items():
         if fuels is None:
             raise DataValidationError("fuel map supplied without a fuel table")
@@ -426,85 +425,82 @@ class GroupDemand:
     own_price: np.ndarray
     mean_shares: np.ndarray
     xi: float
-    n_obs: int
     clamped: int
 
 
-def _engel_fit(exp: np.ndarray, totals: np.ndarray, weights: np.ndarray,
-               cfg: RunConfig, sizes: np.ndarray) -> GroupDemand:
+def _engel_fit(shares: np.ndarray, design: np.ndarray, ln_x: np.ndarray,
+               per_capita: np.ndarray, weights: np.ndarray, cfg: RunConfig) -> GroupDemand:
     """Per-category quadratic Engel curves -> budget and own-price elasticities.
 
-    One weighted least-squares solve fits the curves of every category
-    with a positive mean share.
+    One weighted least-squares solve on one cell's rows of the inputs that
+    ``estimate_demand_groups`` prepares fits every category bought there.
     """
-    k = exp.shape[1]
-    if cfg.engel_scale == "per_capita_month":
-        scale_total = totals / sizes / cfg.months_per_period
-    else:
-        scale_total = totals
-    ln_x = np.log(scale_total)
-    design = np.column_stack([np.ones(len(totals)), ln_x, ln_x**2])
-    names = ["const", "ln_x", "ln_x_sq"]
-    shares = exp / totals[:, np.newaxis]
     w_total = float(weights.sum())
     mean_shares = weights @ shares / w_total
     ln_c = float(np.dot(weights, ln_x)) / w_total
     bought = mean_shares > 0  # a category nobody buys gets budget elasticity 0
-    budget = np.zeros(k)
+    names = ["const", "ln_x", "ln_x_sq"]
+    budget = np.zeros(shares.shape[1])
     fit = wls_fit(design, shares[:, bought], weights, names)
     _, slope, curvature = fit.coefficients
     eta = budget_elasticity(mean_shares[bought], slope, curvature, ln_c)
     lo, hi = BUDGET_ELASTICITY_BOUNDS
     clamped = int(np.sum((eta < lo) | (eta > hi)))
     budget[bought] = np.clip(eta, lo, hi)
-    consumption_pc_month = float(np.dot(weights, totals / sizes)) / w_total / cfg.months_per_period
+    consumption_pc_month = float(np.dot(weights, per_capita)) / w_total / cfg.months_per_period
     xi = frisch_parameter(
         consumption_pc_month, cfg.exchange_rate,
         level=cfg.frisch_level, slope=cfg.frisch_slope,
         shift=cfg.frisch_shift, cap=cfg.frisch_cap,
     )
-    matrix = price_elasticities(budget, mean_shares, xi)
-    own = np.diag(matrix).copy()
+    own = np.diag(price_elasticities(budget, mean_shares, xi))
     lo, hi = OWN_PRICE_BOUNDS
     clamped += int(np.sum((own < lo) | (own > hi)))
     own = np.clip(own, lo, hi)
-    return GroupDemand(budget=budget, own_price=own, mean_shares=mean_shares,
-                       xi=xi, n_obs=len(totals), clamped=clamped)
+    return GroupDemand(budget=budget, own_price=own, mean_shares=mean_shares, xi=xi, clamped=clamped)
 
 
 def estimate_demand_groups(
-    exp: np.ndarray, totals: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
+    shares: np.ndarray, totals: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
     quintiles: np.ndarray, cfg: RunConfig,
 ) -> tuple[list[GroupDemand], list[str], np.ndarray, int]:
     """One demand-system parameterisation per quintile x size-band cell.
 
     Cells with too few households fall back to their quintile, then to the
-    whole sample, so estimation never fails on sparse cells.
+    whole sample, so estimation never fails on sparse cells. A fallback fit
+    is made only when a cell first uses it.
     """
+    per_capita = totals / sizes
+    if cfg.engel_scale == "per_capita_month":
+        ln_x = np.log(per_capita / cfg.months_per_period)
+    else:
+        ln_x = np.log(totals)
+    design = np.column_stack([np.ones(len(totals)), ln_x, ln_x**2])
+
+    def fit(rows) -> GroupDemand:
+        return _engel_fit(shares[rows], design[rows], ln_x[rows], per_capita[rows],
+                          weights[rows], cfg)
+
     lo, hi = cfg.size_bands
     band = np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
-    pooled = _engel_fit(exp, totals, weights, cfg, sizes)
     groups: list[GroupDemand] = []
     labels: list[str] = []
     assignment = np.zeros(len(totals), dtype=int)
     n_fallback = 0
-    quintile_fits: dict[int, GroupDemand] = {}
-    for q in sorted(set(quintiles.tolist())):
+    fallbacks: dict[int | None, GroupDemand] = {}  # by quintile, None for the whole sample
+    for q in np.flatnonzero(np.bincount(quintiles)).tolist():
         q_sel = quintiles == q
-        if int(q_sel.sum()) >= MIN_GROUP_OBS:
-            quintile_fits[q] = _engel_fit(exp[q_sel], totals[q_sel], weights[q_sel], cfg, sizes[q_sel])
-        for b in sorted(set(band[q_sel].tolist())):
+        source = q if int(q_sel.sum()) >= MIN_GROUP_OBS else None
+        for b in np.flatnonzero(np.bincount(band[q_sel])).tolist():
             sel = q_sel & (band == b)
             if int(sel.sum()) >= MIN_GROUP_OBS:
-                fit = _engel_fit(exp[sel], totals[sel], weights[sel], cfg, sizes[sel])
-            elif q in quintile_fits:
-                fit = quintile_fits[q]
-                n_fallback += 1
+                groups.append(fit(sel))
             else:
-                fit = pooled
+                if source not in fallbacks:
+                    fallbacks[source] = fit(q_sel if source is not None else slice(None))
+                groups.append(fallbacks[source])
                 n_fallback += 1
-            assignment[sel] = len(groups)
-            groups.append(fit)
+            assignment[sel] = len(groups) - 1
             labels.append(f"q{q + 1}_band{b + 1}")
     return groups, labels, assignment, n_fallback
 
@@ -554,13 +550,16 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     ids, weights, sizes, exp = frame.ids, frame.weight, frame.size, frame.expenditure
 
     mrio = bridge = fuels = None
-    if all(k in cfg.files for k in ("mrio_z", "mrio_d", "mrio_x", "mrio_f")):
+    if "bridge" in cfg.files:  # with the four mrio_* files: validate_config asks for all five
         mrio = load_mrio(cfg.files["mrio_z"], cfg.files["mrio_d"],
                          cfg.files["mrio_x"], cfg.files["mrio_f"])
-    if "bridge" in cfg.files:
         bridge = load_bridge(cfg.files["bridge"], categories)
     if "fuels" in cfg.files:
         fuels = load_fuels(cfg.files["fuels"])
+        for category, fuel in cfg.fuel_map.items():
+            if fuel not in fuels.fuels:
+                raise DataValidationError(f"config key 'fuel_map.{category}': unknown fuel "
+                                          f"{fuel!r}, not listed in files.fuels")
 
     k = len(categories)
     rel_inflation = np.zeros(k)
@@ -579,13 +578,13 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     # a tax or emission content far beyond the model's range overflows here:
     # the checks below name it before inf or nan reach the households
     with np.errstate(over="ignore", invalid="ignore"):
-        if mrio is not None and bridge is not None:
+        if mrio is not None:
             # one inter-industry pass gives both the price relatives and the
             # emission content of each category (used even without a tax)
             carbon = carbon_tax_scenario(
                 cfg.carbon_tax, mrio, bridge,
                 pass_through=cfg.pass_through, border_adjustment=cfg.border_adjustment,
-                fuels=fuels, fuel_map=fuel_map_idx, n_categories=k,
+                fuels=fuels, fuel_map=fuel_map_idx,
             )
             unit_emissions = carbon.unit_emissions
             # producer-side component runs through the indirect-tax schedule;
@@ -628,7 +627,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
                                 target_mask=target_mask)
 
     groups, group_labels, assignment, n_fallback = estimate_demand_groups(
-        exp, totals, weights, sizes, quintiles, cfg
+        shares, totals, weights, sizes, quintiles, cfg
     )
 
     p0 = np.ones(k)

@@ -430,8 +430,9 @@ def run_edited(bundle_dir, tmp_path, capsys, lines=(), drop=()):
 
 class TestConfigKeys:
     """Each key is checked where it is parsed: a misspelt category, a rate
-    out of range, a fuel map without its fuel table and a missing exchange
-    rate exit 1 naming the key, with no traceback and no warning."""
+    out of range, a fuel map without its fuel table, a partial set of
+    flow-matrix files, an unknown fuel and a missing exchange rate exit 1
+    naming the key, with no traceback and no warning."""
 
     @pytest.mark.parametrize("lines, drop, message", [
         (["tax.fod.vat = 0.5"], (), "config key 'tax.fod.vat': unknown category 'fod'"),
@@ -452,10 +453,23 @@ class TestConfigKeys:
         (["distribution.scale = cube_root"], (),
          "config key 'distribution.scale': unknown equivalence scale 'cube_root'; "
          "expected one of none, per_capita, sqrt"),
+        ([], ("files.bridge",),
+         "config must name files.bridge: files.mrio_* and files.bridge go together; "
+         "a carbon tax or fuel map needs them"),
+        ([], FLOW_FILES[:4],
+         "config must name files.mrio_z: files.mrio_* and files.bridge go together; "
+         "a carbon tax or fuel map needs them"),
+        ([], FLOW_FILES,
+         "config must name files.mrio_z: files.mrio_* and files.bridge go together; "
+         "a carbon tax or fuel map needs them"),
+        (["fuel_map.motor_fuels = petrl"], (),
+         "config key 'fuel_map.motor_fuels': unknown fuel 'petrl', not listed in files.fuels"),
     ], ids=["misspelt tax category", "misspelt fuel-map category", "negative vat",
             "negative vat without the flow matrix", "zero base price",
             "fuel map without a fuel table", "no exchange rate", "pass-through above 1",
-            "unknown equivalence scale"])
+            "unknown equivalence scale", "flow matrix without its bridge",
+            "bridge without its flow matrix", "fuel map without the flow matrix",
+            "unknown fuel"])
     def test_bad_key_exits_1_naming_it(self, bundle_dir, tmp_path, capsys, lines, drop, message):
         code, err, caught = run_edited(bundle_dir, tmp_path, capsys, lines, drop)
         assert code == 1

@@ -1,20 +1,26 @@
 """Price formation, revenue recycling, and end-to-end run invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from priceshock.data import BridgingMatrix, read_table
+from priceshock.data import BridgingMatrix, CategorySet, load_household_survey, read_table
 from priceshock.errors import DataValidationError
 from priceshock.fixtures import fuel_table, io2_table
+from priceshock.imputation import wls_fit
 from priceshock.scenario import (
+    MIN_GROUP_OBS,
+    _engel_fit,
     build_tables,
     carbon_tax_scenario,
     compose_relatives,
     consumer_price,
     emit_reports,
+    estimate_demand_groups,
     parse_config,
     rebuild_tables_from_csv,
     recycle_revenue,
@@ -513,11 +519,11 @@ class TestEngelFitOneSolvePerGroup:
         exp, w, sizes = survey.expenditure, survey.weight, survey.size
         totals = exp.sum(axis=1)
         for sel in (np.ones(len(totals), dtype=bool), sizes <= 2, sizes > 2):
-            got = _engel_fit(exp[sel], totals[sel], w[sel], cfg, sizes[sel])
-            # one wls_fit per bought category, as the elasticities were first computed
             ln_x = np.log(totals[sel])
             design = np.column_stack([np.ones(sel.sum()), ln_x, ln_x ** 2])
             shares = exp[sel] / totals[sel][:, np.newaxis]
+            got = _engel_fit(shares, design, ln_x, totals[sel] / sizes[sel], w[sel], cfg)
+            # one wls_fit per bought category, as the elasticities were first computed
             mean_shares = w[sel] @ shares / w[sel].sum()
             ln_c = float(np.dot(w[sel], ln_x)) / float(w[sel].sum())
             lo, hi = BUDGET_ELASTICITY_BOUNDS
@@ -532,3 +538,48 @@ class TestEngelFitOneSolvePerGroup:
             own = np.diag(price_elasticities(budget, mean_shares, got.xi))
             clamped += int(np.sum((own < OWN_PRICE_BOUNDS[0]) | (own > OWN_PRICE_BOUNDS[1])))
             assert got.clamped == clamped
+
+
+class TestFallbackFitsOnDemand:
+    """A quintile's fit and the whole sample's are made only when a sparse
+    cell falls back to them, and then once each."""
+
+    def test_demo_fits_each_cell_and_each_fallback_source_once(self, bundle_dir):
+        cfg = parse_config(bundle_dir / "config.txt")
+        with mock.patch("priceshock.scenario.wls_fit", wraps=wls_fit) as counted:
+            result = run_scenario(cfg)
+        # 14 cells: 11 fitted on their own rows, 3 falling back to 3 distinct fits
+        assert result.diagnostics["group_fallbacks"] == 3
+        assert counted.call_count == 14
+
+    def test_a_sparse_quintile_gets_the_whole_sample_fit(self, bundle_dir):
+        cfg = parse_config(bundle_dir / "config.txt")
+        survey = load_household_survey(bundle_dir / "households.csv", CategorySet.default())
+        w, sizes = survey.weight, survey.size
+        totals = survey.expenditure.sum(axis=1)
+        shares = survey.expenditure / totals[:, np.newaxis]
+        lo, hi = cfg.size_bands
+        band = np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
+        # q1 gets 6 households, too few for a fit of its own; q2 keeps 5 of
+        # its size-band-1 households, so that cell falls back to q2's fit
+        quintiles = np.r_[np.zeros(6, dtype=int), 1 + np.arange(len(totals) - 6) % 4]
+        quintiles[np.flatnonzero((quintiles == 1) & (band == 0))[5:]] = 2
+        with mock.patch("priceshock.scenario.wls_fit", wraps=wls_fit) as counted:
+            groups, labels, _, n_fallback = estimate_demand_groups(shares, totals, w, sizes,
+                                                                   quintiles, cfg)
+        cells = np.bincount(3 * quintiles + band)
+        assert n_fallback == int(np.sum((cells > 0) & (cells < MIN_GROUP_OBS))) == 3
+        assert counted.call_count == len({id(g) for g in groups}) == 13
+
+        def engel_fit(rows):
+            ln_x = np.log(totals[rows])
+            design = np.column_stack([np.ones(len(ln_x)), ln_x, ln_x ** 2])
+            return _engel_fit(shares[rows], design, ln_x, totals[rows] / sizes[rows], w[rows], cfg)
+
+        pooled, q2 = engel_fit(np.ones(len(totals), dtype=bool)), engel_fit(quintiles == 1)
+        by_label = dict(zip(labels, groups))
+        for label, want in (("q1_band2", pooled), ("q1_band3", pooled), ("q2_band1", q2)):
+            got = by_label[label]
+            for name in ("budget", "own_price", "mean_shares"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), label
+            assert (got.xi, got.clamped) == (want.xi, want.clamped)
