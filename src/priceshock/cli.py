@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from ._version import __version__
 from .data import CategorySet, load_household_survey, load_income_survey, write_household_survey
@@ -56,7 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True, help="output directory for tables and results")
 
-    p = sub.add_parser("report", help="re-emit aggregate tables from stored results")
+    p = sub.add_parser("report", help="re-emit aggregate tables from stored results",
+                       description="Re-emit the aggregate tables from a run's households.csv. Its "
+                       "values are rounded, so a table value on a 6-digit rounding tie can print "
+                       "one unit in its last digit apart from run's.")
     common(p)
     p.add_argument("--results", required=True, help="households.csv written by a previous run")
     p.add_argument("--out", required=True, help="output directory for the tables")
@@ -108,6 +112,7 @@ def _cmd_impute(args) -> int:
     result = impute_expenditure_patterns(
         source, income, categories, seed=cfg.seed, link=cfg.imputation_link
     )
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_household_survey(args.out, result.survey, categories,
                            extra_columns=result.provenance)
     _say(args, f"imputed {len(result.survey.ids)} households -> {args.out}")
@@ -155,6 +160,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (DataValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # such as an output path under a file
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -113,6 +113,9 @@ DEMOGRAPHIC_PREFIX = "demo_"
 
 BRIDGE_ROW_TOL = 1e-9
 MRIO_IDENTITY_RTOL = 1e-6
+# The largest weight, size or expenditure a household may carry: a product of
+# two such values, summed over any survey, stays inside the float range.
+SURVEY_VALUE_LIMIT = 1e100
 
 
 def format_value(v: float) -> str:
@@ -249,7 +252,8 @@ class MrioTable:
             i = int(np.argmin(self.output))
             raise DataValidationError(f"sector {self.sectors[i]!r}: output must be strictly positive")
         resid = self.output - (self.flows.sum(axis=1) + self.final_demand)
-        rel = np.abs(resid) / self.output
+        with np.errstate(over="ignore"):  # a subnormal output: inf, which fails below
+            rel = np.abs(resid) / self.output
         worst = int(np.argmax(rel))
         if rel[worst] > self.identity_rtol:
             raise DataValidationError(
@@ -505,6 +509,8 @@ def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
             raise DataValidationError(f"{path}: empty file") from None
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise DataValidationError(f"{path}: row {reader.line_num}: {exc}") from None
+    if not header:
+        raise DataValidationError(f"{path}: row 1 is blank, not a header")
     lines: Sequence[int] = range(2, len(rows) + 2)
     if not all(rows):
         lines = [lineno for lineno, row in zip(lines, rows) if row]
@@ -600,58 +606,90 @@ def _raise_first_fault(path, rows, lines, header: list[str], checks) -> None:
 # splits and parses under np.loadtxt as under csv.reader and float()
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
 
+# Bytes _loadtxt_table reads and checks at a time: enough that the cost per
+# block vanishes, few enough that a block's text stays small beside its values.
+CHUNK_BYTES = 1 << 17
 
-def _loadtxt_survey(path: Path, value_columns) -> tuple[list[str], np.ndarray, np.ndarray] | None:
-    """(header, ids, values) of a survey file parsed by ``np.loadtxt``, or
-    None for a file that ``read_table`` and ``float()`` might read otherwise.
 
-    ``value_columns(header)`` names the columns of ``values`` and raises for
-    a missing one, as the row path does. A file qualifies when it holds only
-    ``_PLAIN_BYTES``, with ``\\n`` or ``\\r\\n`` line ends; every line holds
-    the header's count of commas (so none is blank or ragged, which
-    ``loadtxt`` would skip or accept) and fits the csv field limit; the
-    header repeats no column; at least one row follows it; and every value
-    is finite. Such a file splits at its commas under ``csv.reader``, and
-    ``loadtxt`` reads each value as ``float()`` reads it. The ids are cut
-    from the bytes at the comma positions that the check finds.
+def _plain_lines(block: bytes, width: int, limit: int) -> list[str] | None:
+    """The lines of ``block`` as texts, or None unless it holds only
+    ``_PLAIN_BYTES``, each \\r starts a \\r\\n, no line (so no field) is
+    longer than ``limit``, and there are ``width`` - 1 commas per line."""
+    if block.translate(None, _PLAIN_BYTES) or (
+            b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
+        return None
+    lines = block.decode("ascii").splitlines()
+    commas = np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord(","))
+    if commas != len(lines) * (width - 1) or max(map(len, lines), default=0) > limit:
+        return None
+    return lines
+
+
+def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | None:
+    """(header, labels, values) of a CSV file parsed by one ``np.loadtxt``,
+    or None for a file that ``read_table`` and ``float()`` might read
+    otherwise.
+
+    ``columns(header)`` gives the label column's position and the positions
+    of the columns ``values`` holds, in order; a DataValidationError from it
+    gives None, so that the row path names the file's first fault. The rows
+    are read ``CHUNK_BYTES`` at a time, each block completed to the end of
+    the line it cuts, so the file's text is never held whole. A file
+    qualifies when the header line and every block are plain
+    (``_plain_lines``); the header names two or more columns, none twice; a
+    row follows it; and every value is finite. Such a line splits at its
+    commas under ``csv.reader``; ``loadtxt`` reads each value as ``float()``
+    does, or raises, and raises for a row short of a cell, as it reads the
+    last column unless the label is there, which such a row then lacks. With
+    the comma count, no row is long. A blank row, which ``loadtxt`` skips,
+    leaves fewer rows than labels.
     """
+    limit = csv.field_size_limit()
+    labels: list[str] = []
     try:
-        data = path.read_bytes()
-    except OSError:
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            width = first.count(b",") + 1
+            lines = _plain_lines(first, width, limit)
+            header = lines[0].split(",") if lines else []
+            if width < 2 or len(set(header)) != width:
+                return None
+            try:
+                at, usecols = columns(header)
+            except DataValidationError:
+                return None
+            wanted = len(usecols)
+            if at != width - 1 and width - 1 not in usecols:
+                usecols = [*usecols, width - 1]
+            # all of two or more columns after a first-column label: loadtxt reads each line's
+            # rest faster (with one, every rest might be blank, which it would warn of)
+            cut = width > 2 and at == 0 and list(usecols) == list(range(1, width))
+
+            def row_blocks():
+                while block := fh.read(CHUNK_BYTES):
+                    if not block.endswith(b"\n"):  # no line, and no \r\n pair, is split
+                        block += fh.readline()
+                    lines = _plain_lines(block, width, limit)
+                    if lines is None:
+                        raise ValueError("a block loadtxt might read otherwise")
+                    if cut:  # a line without a comma leaves zip one tuple, too few
+                        block_labels, lines = zip(*[line.split(",", 1) for line in lines])
+                    else:
+                        block_labels = [line.split(",", at + 1)[at] for line in lines]
+                    labels.extend(block_labels)
+                    yield lines
+
+            rows = chain.from_iterable(row_blocks())
+            row = next(rows, None)
+            if row is None:
+                return None  # loadtxt warns on a file without rows
+            values = np.loadtxt(chain([row], rows), delimiter=",", comments=None,
+                                usecols=None if cut else usecols, ndmin=2)[:, :wanted]
+    except (OSError, ValueError, IndexError):  # such as a cell like 1_0, or a short row
         return None
-    if not data or data.translate(None, _PLAIN_BYTES) or (
-            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+    if len(values) != len(labels) or not np.isfinite(values).all():
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))  # each line's end: its \n, or the end of the file
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, len(buf))
-    header = data[:ends[0]].decode("ascii").rstrip("\r").split(",")
-    width = len(header)
-    commas = np.flatnonzero(buf == ord(","))
-    if width < 2 or len(ends) < 2 or len(commas) != len(ends) * (width - 1):
-        return None
-    commas = commas.reshape(len(ends), width - 1)  # row i: line i's commas, if it has its share
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    if ((commas[:, 0] < starts).any() or (commas[:, -1] > ends).any()
-            or int((ends - starts).max()) > csv.field_size_limit()
-            or len(set(header)) != width):
-        return None
-    columns = value_columns(header)
-    at = header.index("id")
-    begin = starts if at == 0 else commas[:, at - 1] + 1
-    end = commas[:, at] if at < width - 1 else ends - (buf[ends - 1] == ord("\r"))
-    cells = zip(begin[1:].tolist(), end[1:].tolist())
-    ids = np.array([data[b:e].decode("ascii") for b, e in cells], dtype=str)
-    del buf, data, commas
-    try:
-        values = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                            usecols=[header.index(c) for c in columns], ndmin=2)
-    except ValueError:  # a cell float() may still read, such as 1_0
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return header, ids, values
+    return header, labels, values
 
 
 def _read_survey(path: Path, value_columns, checks):
@@ -660,83 +698,30 @@ def _read_survey(path: Path, value_columns, checks):
     ``value_columns(header)`` names the columns of ``values``;
     ``checks(header, ids, values, bad)`` lists a loader's row checks for
     ``_raise_first_fault``, ``bad`` marking the cells that are not finite
-    numbers (0 in ``values``). A file that ``_loadtxt_survey`` takes and
+    numbers (0 in ``values``). A file that ``_loadtxt_table`` takes and
     that passes every check is returned as parsed. Any other file is read
     again by ``read_table`` and ``_parse_cells``, and its first fault is
     raised.
     """
-    table = _loadtxt_survey(path, value_columns)
+    def columns(header):
+        names = value_columns(header)
+        return header.index("id"), [header.index(c) for c in names]
+
+    table = _loadtxt_table(path, columns)
     if table is not None:
         header, ids, values = table
+        ids = np.array(ids, dtype=str)
         faults = checks(header, ids, values, np.zeros(values.shape, dtype=bool))
         if not np.column_stack([mask for mask, _, _ in faults]).any():
-            return table
+            return header, ids, values
     header, rows, lines = read_table(path)
-    columns = value_columns(header)
-    at = header.index("id")
+    at, positions = columns(header)
     ids = np.array([row[at] for row in rows], dtype=str)
-    values = _parse_cells(rows, [header.index(c) for c in columns])
+    values = _parse_cells(rows, positions)
     bad = ~np.isfinite(values)
     values[bad] = 0.0  # reported as a bad cell, not also as a bad value
     _raise_first_fault(path, rows, lines, header, checks(header, ids, values, bad))
     return header, ids, values
-
-
-def _plain_line(line: bytes, limit: int) -> bool:
-    """Whether ``line`` holds only ``_PLAIN_BYTES``, ends in ``\\n``,
-    ``\\r\\n`` or the end of the file, and has no field over ``limit``
-    (the line end counted in the last field, which errs towards the row
-    path)."""
-    cr = line.find(b"\r")
-    return not (line.translate(None, _PLAIN_BYTES)
-                or cr >= 0 and (cr != len(line) - 2 or not line.endswith(b"\n"))
-                or len(line) > limit and max(map(len, line.split(b","))) > limit)
-
-
-def _loadtxt_labelled(path) -> tuple[list[str], list[str], np.ndarray] | None:
-    """(header, labels, values) of a labelled table parsed by one
-    ``np.loadtxt``, or None for a file that ``read_table`` and ``float()``
-    might read otherwise.
-
-    ``values`` holds every column after the first. A file qualifies when
-    every line is plain (``_plain_line``, with the csv field limit); the
-    header names two or more columns, none twice; and at least one row
-    follows it, each holding a label, a comma and value cells that are not
-    blank, which ``loadtxt`` would skip. Such a line splits at its commas
-    under ``csv.reader``. ``loadtxt`` reads each value as ``float()`` reads
-    it, or raises, and raises for a row whose count of cells differs from
-    the first row's; the shape check catches a first row of the wrong width.
-    The lines go to ``loadtxt`` one at a time, so the file's text is never
-    held whole.
-    """
-    limit = csv.field_size_limit()
-    labels: list[str] = []
-
-    def value_lines(lines):
-        for line in lines:
-            cut = line.find(b",")
-            cells = line[cut + 1:]
-            if cut < 0 or not cells or cells.isspace() or not _plain_line(line, limit):
-                raise ValueError("a line loadtxt might read otherwise")
-            labels.append(line[:cut].decode("ascii"))
-            yield cells
-
-    try:
-        with open(path, "rb") as fh:
-            first = fh.readline()
-            if not _plain_line(first, limit):
-                return None
-            header = first.rstrip(b"\r\n").decode("ascii").split(",")
-            row = fh.readline()
-            if len(header) < 2 or len(set(header)) != len(header) or not row:
-                return None  # loadtxt warns on a file without rows
-            values = np.loadtxt(value_lines(chain([row], fh)), delimiter=",", comments=None,
-                                ndmin=2, encoding="ascii")
-    except (OSError, ValueError):  # such as a cell like 1_0, a ragged row or a line not plain
-        return None
-    if values.shape != (len(labels), len(header) - 1):
-        return None
-    return header, labels, values
 
 
 def read_labelled_table(path, value_columns) -> tuple[list[str], list[str], np.ndarray]:
@@ -746,21 +731,20 @@ def read_labelled_table(path, value_columns) -> tuple[list[str], list[str], np.n
     ``value_columns(header, labels)`` raises for a faulty header or label
     set and returns the positions of the header columns that ``values``
     holds, in that order, with one row per non-blank file row. A plain file
-    (``_loadtxt_labelled``) is parsed by one ``np.loadtxt``. Any other
+    (``_loadtxt_table``) is parsed by one ``np.loadtxt``. Any other
     file, and any file with a cell that is not a finite number, is read
     again by ``read_table`` and ``_parse_block``, which name the first
     fault: a file fault, then a label fault, then a cell fault row by row
     in the order of ``value_columns``.
     """
-    table = _loadtxt_labelled(path)
+    table = _loadtxt_table(path, lambda header: (0, range(1, len(header))))
     if table is not None:
         header, labels, values = table
         picked = np.asarray(value_columns(header, labels), dtype=int) - 1
         if (picked >= 0).all():  # the first column holds labels, not values
             if not np.array_equal(picked, np.arange(values.shape[1])):
                 values = values[:, picked]
-            if np.isfinite(values).all():
-                return header, labels, values
+            return header, labels, values
     header, rows, lines = read_table(path)
     labels = [row[0] for row in rows]
     columns = list(value_columns(header, labels))
@@ -836,15 +820,20 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
         exp = values[:, 2:2 + k]
         bad[exp.sum(axis=1) <= 0, 2 + k:] = False  # a dropped row's demo_* and inc are not checked
         negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
+        large = values > SURVEY_VALUE_LIMIT
+        too_large = "{path}: row {row}, column {col!r}: value {value} exceeds %g" % SURVEY_VALUE_LIMIT
         return [
             (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {hid!r}"),
             (bad[:, 0], "weight", None),
             (bad[:, 1], "size", None),
             (values[:, 0] < 0, "weight",
              "{path}: row {row}, column 'weight': negative value {value}"),
+            (large[:, 0], "weight", too_large),
             (values[:, 1] < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
+            (large[:, 1], "size", too_large),
             *((mask, col, template) for j, col in enumerate(exp_names)
-              for mask, template in ((bad[:, 2 + j], None), (exp[:, j] < 0, negative))),
+              for mask, template in ((bad[:, 2 + j], None), (exp[:, j] < 0, negative),
+                                     (large[:, 2 + j], too_large))),
             *((bad[:, 2 + k + j], col, None) for j, col in enumerate(extra_cols)),
         ]
 
@@ -901,10 +890,9 @@ def load_income_survey(path) -> IncomeSurvey:
     header, ids, values = _read_survey(path, lambda h: _income_columns(path, h), checks)
     cols = _income_columns(path, header)
     ignored = [c for c in header if c.startswith(EXPENDITURE_PREFIX)]
-    report = LoadReport(source=str(path), n_rows=len(ids))
+    report = LoadReport(source=str(path), n_rows=len(ids), n_loaded=len(ids))
     if ignored:
         report.notes.append(f"ignored {len(ignored)} expenditure column(s) in the income dataset")
-    report.n_loaded = len(ids)
     if not len(ids):
         raise DataValidationError(f"{path}: no income rows")
     return IncomeSurvey(

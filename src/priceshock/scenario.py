@@ -43,7 +43,7 @@ from .demand import (
     price_elasticities,
     LesParameters,
 )
-from .errors import DataValidationError, InfeasibleBudgetError
+from .errors import DataValidationError, InfeasibleBudgetError, NumericalModelError
 from .imputation import ImputationReport, impute_expenditure_patterns, wls_fit
 from .inputoutput import (
     TechnologyMatrix,
@@ -614,7 +614,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     quintiles = weighted_quantile_groups(eq, weights, cfg.groups) if cfg.groups <= n else None
     if quintiles is None or not np.bincount(quintiles, minlength=cfg.groups).all():
         raise DataValidationError(f"distribution.groups = {cfg.groups} leaves some groups "
-                                  f"empty: the sample has only {n} households")
+                                  f"empty: the sample's {n} households and weights cannot fill them")
 
     pi_h = shares @ rel_total
     burden_h = pi_h * totals
@@ -828,6 +828,9 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     # t8/t9: Atkinson welfare before and after, on equivalised equivalent income
     ye_eq = equivalise(hh["ye_net"], hh["size"], cfg.scale)
     pre = atkinson(eq, w, cfg.atkinson_epsilon)
+    if pre.yede == 0:  # the index rounds to 1; t8 and t9 divide by 1 - index
+        raise NumericalModelError(f"distribution.atkinson_epsilon = {cfg.atkinson_epsilon:g}: "
+                                  "the Atkinson index of equivalised expenditure rounds to 1")
     post = atkinson(ye_eq, w, cfg.atkinson_epsilon)
     t8 = (
         ["state", "atkinson", "mean_ye", "yede"],

@@ -199,6 +199,25 @@ class TestFileRows:
         assert run_cli("validate", "--config", work / "config.txt") == 1
         assert f"households.csv: row 3, column 'weight': {problem}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column,text,code,problem", [
+        ("weight", "1e308", 1, "households.csv: row 2, column 'weight': value 1e+308 exceeds 1e+100"),
+        ("size", "1e308", 1, "households.csv: row 2, column 'size': value 1e+308 exceeds 1e+100"),
+        ("exp_food", "1e308", 1,
+         "households.csv: row 2, column 'exp_food': value 1e+308 exceeds 1e+100"),
+        ("weight", "1e99", 1, "distribution.groups = 5 leaves some groups empty: "
+                              "the sample's 240 households and weights cannot fill them"),
+        ("size", "1e40", 2, "distribution.atkinson_epsilon = 2: the Atkinson index of "
+                            "equivalised expenditure rounds to 1"),
+    ], ids=["weight 1e308", "size 1e308", "exp_food 1e308", "weight 1e99", "size 1e40"])
+    def test_extreme_household_values_end_in_a_message(self, bundle_dir, tmp_path, capsys,
+                                                        column, text, code, problem):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        replace_cell(work / "households.csv", 2, column, text)
+        capsys.readouterr()
+        assert run_cli("run", "--config", work / "config.txt", "--out", tmp_path / "r",
+                       "--quiet") == code
+        assert problem in capsys.readouterr().err
+
     def test_household_id_with_comma_round_trips_through_report(self, bundle_dir, tmp_path):
         work = shutil.copytree(bundle_dir, tmp_path / "b")
         hh = work / "households.csv"
@@ -336,6 +355,40 @@ class TestImpute:
     def test_impute_without_income_dataset(self, bundle_dir):
         assert run_cli("impute", "--config", bundle_dir / "config.txt",
                        "--out", "/tmp/never.csv") == 1
+
+
+class TestOutputPaths:
+    """An output path that cannot be made or written ends in exit 1 naming
+    it, not in a traceback."""
+
+    @pytest.fixture
+    def work(self, bundle_dir, tmp_path):
+        cfg = shutil.copytree(bundle_dir, tmp_path / "b") / "config.txt"
+        cfg.write_text(cfg.read_text() + "files.income = households.csv\n")
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        return tmp_path
+
+    @pytest.mark.parametrize("command,out,problem,named", [
+        ("impute", "adir", "Is a directory", "adir"),
+        ("impute", "afile/x.csv", "File exists", "afile"),
+        ("run", "afile", "File exists", "afile"),
+        ("fixtures", "afile", "File exists", "afile"),
+        ("run", "afile/sub", "Not a directory", "afile/sub"),
+    ], ids=["impute into a directory", "impute under a file", "run onto a file",
+            "fixtures onto a file", "run under a file"])
+    def test_unusable_output_path_exits_1_naming_it(self, work, capsys, command, out, problem,
+                                                    named):
+        config = [] if command == "fixtures" else ["--config", work / "b" / "config.txt"]
+        capsys.readouterr()
+        assert run_cli(command, *config, "--out", work / out) == 1
+        assert capsys.readouterr().err == f"error: {problem}: {work / named}\n"
+
+    def test_impute_creates_the_directory_of_its_output(self, work):
+        out = work / "new" / "deeper" / "imputed.csv"
+        assert run_cli("impute", "--config", work / "b" / "config.txt", "--out", out,
+                       "--quiet") == 0
+        assert out.read_text().startswith("id,")
 
 
 class TestConfigNumbers:
@@ -611,10 +664,13 @@ class TestWideInputs:
     @given(data=st.data())
     def test_perturbed_flow_matrix_and_bridge_end_in_a_message(self, bundle_dir,
                                                                  tmp_path_factory, data):
+        """Each input file of the demo run, and the two wide tables together."""
         work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
         shutil.copytree(bundle_dir, work / "b")
-        for name in data.draw(st.sampled_from([["mrio_z.csv"], ["bridge.csv"],
-                                               ["mrio_z.csv", "bridge.csv"]]), label="files"):
+        files = [["mrio_z.csv"], ["bridge.csv"], ["mrio_z.csv", "bridge.csv"],
+                 ["households.csv"], ["prices.csv"], ["fuels.csv"], ["mrio_d.csv"],
+                 ["mrio_x.csv"], ["mrio_f.csv"]]
+        for name in data.draw(st.sampled_from(files), label="files"):
             path = work / "b" / name
             path.write_bytes(perturb_lines(data, path.read_text()).encode())
         err = io.StringIO()
