@@ -116,6 +116,7 @@ MRIO_IDENTITY_RTOL = 1e-6
 # The largest weight, size or expenditure a household may carry: a product of
 # two such values, summed over any survey, stays inside the float range.
 SURVEY_VALUE_LIMIT = 1e100
+TOO_LARGE = "{path}: row {row}, column {col!r}: value {value} exceeds %g" % SURVEY_VALUE_LIMIT
 
 
 def format_value(v: float) -> str:
@@ -257,9 +258,10 @@ class MrioTable:
         worst = int(np.argmax(rel))
         if rel[worst] > self.identity_rtol:
             raise DataValidationError(
-                "accounting identity violated: sector "
-                f"{self.sectors[worst]!r} residual {resid[worst]:.6g} "
-                f"({rel[worst]:.3g} relative, tolerance {self.identity_rtol:g})"
+                f"accounting identity violated: files.mrio_x gives sector "
+                f"{self.sectors[worst]!r} output {self.output[worst]:.6g}, checked against the "
+                f"row sum of files.mrio_z plus files.mrio_d (residual {resid[worst]:.6g}, "
+                f"{rel[worst]:.3g} relative, tolerance {self.identity_rtol:g})"
             )
 
     @property
@@ -821,19 +823,18 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
         bad[exp.sum(axis=1) <= 0, 2 + k:] = False  # a dropped row's demo_* and inc are not checked
         negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
         large = values > SURVEY_VALUE_LIMIT
-        too_large = "{path}: row {row}, column {col!r}: value {value} exceeds %g" % SURVEY_VALUE_LIMIT
         return [
             (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {hid!r}"),
             (bad[:, 0], "weight", None),
             (bad[:, 1], "size", None),
             (values[:, 0] < 0, "weight",
              "{path}: row {row}, column 'weight': negative value {value}"),
-            (large[:, 0], "weight", too_large),
+            (large[:, 0], "weight", TOO_LARGE),
             (values[:, 1] < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
-            (large[:, 1], "size", too_large),
+            (large[:, 1], "size", TOO_LARGE),
             *((mask, col, template) for j, col in enumerate(exp_names)
               for mask, template in ((bad[:, 2 + j], None), (exp[:, j] < 0, negative),
-                                     (large[:, 2 + j], too_large))),
+                                     (large[:, 2 + j], TOO_LARGE))),
             *((bad[:, 2 + k + j], col, None) for j, col in enumerate(extra_cols)),
         ]
 
@@ -880,11 +881,14 @@ def load_income_survey(path) -> IncomeSurvey:
     path = Path(path)
 
     def checks(header, ids, values, bad):
+        cols = _income_columns(path, header)
+        large = np.abs(values) > SURVEY_VALUE_LIMIT  # sums over records stay finite
         return [
             (_duplicates(ids), "id", "{path}: row {row}: duplicate id {hid!r}"),
-            *((bad[:, j], col, None) for j, col in enumerate(_income_columns(path, header))),
+            *((bad[:, j], col, None) for j, col in enumerate(cols)),
             (values[:, 0] < 0, "weight", "record {hid}: negative weight {value}"),
             (values[:, 1] < 1, "size", "record {hid}: size {value} < 1"),
+            *((large[:, j], col, TOO_LARGE) for j, col in enumerate(cols)),
         ]
 
     header, ids, values = _read_survey(path, lambda h: _income_columns(path, h), checks)

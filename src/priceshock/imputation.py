@@ -9,10 +9,10 @@ curves with simulated disturbances, floored at zero and rescaled to sum
 to one.
 
 The module carries its own weighted least-squares and binary-response
-estimators. All disturbances are counter-based keyed draws (one hash per
-record id, then array mixing; see ``randutil.keyed_normals``), so results
-are reproducible and independent of processing order. The pipeline works
-on column frames (``HouseholdSurvey``, ``IncomeSurvey``) in and out.
+estimators. All disturbances are counter-based keyed draws (``randutil.id_keys``
+hashes each record id once per run, and each step takes the result as ``keys``),
+so results are reproducible and independent of processing order. The pipeline
+works on column frames (``HouseholdSurvey``, ``IncomeSurvey``) in and out.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .data import (CategorySet, HouseholdRecord, HouseholdSurvey, IncomeRecord, 
                    as_survey)
 from .errors import ConvergenceError, DataValidationError, SeparationError
 from .metrics import stable_order
-from .randutil import keyed_normals
+from .randutil import id_keys, keyed_normals
 
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITER = 200
@@ -84,7 +84,8 @@ class BinaryFit:
         cols = [list(names).index(n) for n in self.names]
         z = design[:, cols] @ self.coefficients
         if self.link == "logit":
-            return 1.0 / (1.0 + np.exp(-z))
+            with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
+                return 1.0 / (1.0 + np.exp(-z))
         return _norm_cdf(z)
 
 
@@ -257,12 +258,18 @@ def calibrate_income(values: np.ndarray, target_mean: float, target_sd: float) -
 
 
 def impute_total_expenditure(fit: RegressionFit, design: np.ndarray, names,
-                             record_ids, seed: int) -> np.ndarray:
+                             record_ids, seed: int, *, keys=None) -> np.ndarray:
     """Simulated total expenditure: exp(linear predictor + keyed disturbance)."""
     pred = fit.predict(np.asarray(design, dtype=float), names)
     sd = math.sqrt(max(fit.residual_var, 0.0))
-    z = keyed_normals(seed, "total_expenditure", record_ids, ["total"])[:, 0]
-    return np.exp(pred + (fit.residual_mean + sd * z))
+    z = keyed_normals(seed, "total_expenditure", record_ids, ["total"], keys=keys)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a value out of range is named below
+        total = np.exp(pred + (fit.residual_mean + sd * z))
+    if not np.all((total > 0) & (total < np.inf)):
+        i = int(np.argmin((total > 0) & (total < np.inf)))
+        raise DataValidationError(f"record {record_ids[i]!r}: imputed total expenditure "
+                                  f"{total[i]:g} is out of range: check its inc and demo_* cells")
+    return total
 
 
 def impute_participation(probabilities: np.ndarray, weights: np.ndarray,
@@ -295,6 +302,7 @@ def impute_budget_shares(
     record_ids,
     seed: int,
     categories: CategorySet,
+    *, keys=None,
 ) -> np.ndarray:
     """Conditional budget shares with keyed disturbances, floored and rescaled.
 
@@ -304,7 +312,7 @@ def impute_budget_shares(
     is rescaled to sum to exactly one.
     """
     design = np.asarray(design, dtype=float)
-    z = keyed_normals(seed, "share", record_ids, categories.ids)
+    z = keyed_normals(seed, "share", record_ids, categories.ids, keys=keys)
     raw = np.zeros(z.shape)
     for j, cat in enumerate(categories):
         fit = fits.get(cat)
@@ -411,6 +419,10 @@ def impute_expenditure_patterns(
         raise DataValidationError("source survey lacks disposable income; cannot impute")
     if income.income is None:
         raise DataValidationError("income dataset lacks disposable income")
+    if not np.all(income.income > 0):
+        i = int(np.argmin(income.income > 0))
+        raise DataValidationError(f"income record {str(income.ids[i])!r}: income "
+                                  f"{income.income[i]:g} is not positive (its log is taken)")
 
     target_income = income.income
     target_core = target_income[~chauvenet_outliers(target_income)]
@@ -439,7 +451,8 @@ def impute_expenditure_patterns(
     fit_total = wls_fit(design_total, ln_x, source_w, names_total)
     design_total_inc = np.column_stack([np.ones(n_inc), np.log(target_income), demo_inc])
     ids_inc = income.ids.tolist()
-    x_hat = impute_total_expenditure(fit_total, design_total_inc, names_total, ids_inc, seed)
+    keys = id_keys(ids_inc)  # both streams draw from one hash of each id
+    x_hat = impute_total_expenditure(fit_total, design_total_inc, names_total, ids_inc, seed, keys=keys)
 
     # Steps 2 and 3 share the quadratic-in-log-expenditure design.
     names_engel = ["const", "ln_x", "ln_x_sq"] + demo_names
@@ -479,7 +492,7 @@ def impute_expenditure_patterns(
         indicators[:, j] = impute_participation(probs, inc_w, share)
 
     shares = impute_budget_shares(
-        share_fits, design_engel_inc, names_engel, indicators, ids_inc, seed, categories
+        share_fits, design_engel_inc, names_engel, indicators, ids_inc, seed, categories, keys=keys
     )
     imputed = HouseholdSurvey(
         ids=income.ids, weight=inc_w, size=income.size, income=target_income,

@@ -8,11 +8,11 @@ own (version-dependent) method.
 
 Imputation draws with ``keyed_normals``: counter-based keyed draws in the
 manner of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3"
-(SC'11). Each record id and each label is hashed once, and every cell's
-uniforms come from mixing the two keys in numpy uint64 arithmetic, so a
-whole block is drawn in a few array operations. A PCG64 generator per key
-(``rng_for`` with ``normals``) now serves only the synthetic fixtures,
-whose pinned output depends on that stream.
+(SC'11). Each record id is hashed once per run (``id_keys``), each label
+once per stream, and every cell's uniforms come from mixing the two keys
+in numpy uint64 arithmetic, so a whole block is drawn in a few array
+operations. A PCG64 generator per key (``rng_for`` with ``normals``) now
+serves only the synthetic fixtures, whose pinned output depends on it.
 """
 
 from __future__ import annotations
@@ -57,8 +57,13 @@ def normals(rng: np.random.Generator, n: int, mean: float = 0.0, sd: float = 1.0
 
 def _hash64(keys) -> np.ndarray:
     """The first 8 bytes of each key's sha256, as a uint64 array."""
-    digests = b"".join(hashlib.sha256(k).digest()[:8] for k in keys)
+    digests = b"".join([hashlib.sha256(k).digest()[:8] for k in keys])
     return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+
+
+def id_keys(ids) -> np.ndarray:
+    """Each id's key for ``keyed_uniforms``: the sha256 of ``str(id)``, as uint64."""
+    return _hash64([str(i).encode() for i in ids])
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -68,28 +73,29 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def keyed_uniforms(seed: int, stream: str, ids, labels) -> tuple[np.ndarray, np.ndarray]:
+def keyed_uniforms(seed: int, stream: str, ids, labels, *, keys=None) -> tuple[np.ndarray, np.ndarray]:
     """Two (len(ids), len(labels)) blocks of uniforms on [0, 1).
 
     Cell (i, j) is keyed by the sha256 of ``ids[i]`` xor the sha256 of
     (``seed``, ``stream``, ``labels[j]``); its uniforms are the first two
     outputs of a SplitMix64 sequence started at that key, each taken as
     ``(x >> 11) * 2**-53``. A cell's draws depend on nothing but its key:
-    not on the other ids or labels, nor on their order.
+    not on the other ids or labels, nor on their order. ``keys``, when
+    given, is ``id_keys(ids)`` taken once for several streams.
     """
-    id_keys = _hash64(_key_text(i) for i in ids)
+    keys = id_keys(ids) if keys is None else keys
     label_keys = _hash64(_key_text(int(seed), stream, label) for label in labels)
-    state = id_keys[:, np.newaxis] ^ label_keys[np.newaxis, :]
+    state = keys[:, np.newaxis] ^ label_keys[np.newaxis, :]
     u1 = (_mix64(state + _GAMMA) >> np.uint64(11)) * _UNIT
     u2 = (_mix64(state + _GAMMA + _GAMMA) >> np.uint64(11)) * _UNIT
     return u1, u2
 
 
-def keyed_normals(seed: int, stream: str, ids, labels) -> np.ndarray:
+def keyed_normals(seed: int, stream: str, ids, labels, *, keys=None) -> np.ndarray:
     """A (len(ids), len(labels)) block of standard normals, one per cell.
 
     Box-Muller on the cell's two ``keyed_uniforms``; see there for how a
-    cell is keyed.
+    cell is keyed and for ``keys``.
     """
-    u1, u2 = keyed_uniforms(seed, stream, ids, labels)
+    u1, u2 = keyed_uniforms(seed, stream, ids, labels, keys=keys)
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(_TWO_PI * u2)

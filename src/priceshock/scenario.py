@@ -463,12 +463,13 @@ def _engel_fit(shares: np.ndarray, design: np.ndarray, ln_x: np.ndarray,
 def estimate_demand_groups(
     shares: np.ndarray, totals: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
     quintiles: np.ndarray, cfg: RunConfig,
-) -> tuple[list[GroupDemand], list[str], np.ndarray, int]:
+) -> tuple[list[GroupDemand], list[str], tuple[np.ndarray, np.ndarray], int]:
     """One demand-system parameterisation per quintile x size-band cell.
 
     Cells with too few households fall back to their quintile, then to the
     whole sample, so estimation never fails on sparse cells. A fallback fit
-    is made only when a cell first uses it.
+    is made only when a cell first uses it. Group g holds the households
+    ``order[bounds[g]:bounds[g + 1]]``, ``order`` being a stable sort.
     """
     per_capita = totals / sizes
     if cfg.engel_scale == "per_capita_month":
@@ -482,27 +483,66 @@ def estimate_demand_groups(
                           weights[rows], cfg)
 
     lo, hi = cfg.size_bands
-    band = np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
+    cells = 3 * quintiles + np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
+    order = np.argsort(cells, kind="stable")
+    counts = np.bincount(cells)
+    bounds = np.concatenate([[0], np.cumsum(counts[counts > 0])])
+    q_counts = np.bincount(quintiles)
     groups: list[GroupDemand] = []
     labels: list[str] = []
-    assignment = np.zeros(len(totals), dtype=int)
     n_fallback = 0
     fallbacks: dict[int | None, GroupDemand] = {}  # by quintile, None for the whole sample
-    for q in np.flatnonzero(np.bincount(quintiles)).tolist():
-        q_sel = quintiles == q
-        source = q if int(q_sel.sum()) >= MIN_GROUP_OBS else None
-        for b in np.flatnonzero(np.bincount(band[q_sel])).tolist():
-            sel = q_sel & (band == b)
-            if int(sel.sum()) >= MIN_GROUP_OBS:
-                groups.append(fit(sel))
-            else:
-                if source not in fallbacks:
-                    fallbacks[source] = fit(q_sel if source is not None else slice(None))
-                groups.append(fallbacks[source])
-                n_fallback += 1
-            assignment[sel] = len(groups) - 1
-            labels.append(f"q{q + 1}_band{b + 1}")
-    return groups, labels, assignment, n_fallback
+    for c, start, end in zip(np.flatnonzero(counts).tolist(), bounds[:-1], bounds[1:]):
+        q, b = divmod(c, 3)
+        if end - start >= MIN_GROUP_OBS:
+            groups.append(fit(order[start:end]))
+        else:
+            # a fallback fit takes its rows in survey order, as the pooled fit does
+            source = q if q_counts[q] >= MIN_GROUP_OBS else None
+            if source not in fallbacks:
+                fallbacks[source] = fit(quintiles == q if source is not None else slice(None))
+            groups.append(fallbacks[source])
+            n_fallback += 1
+        labels.append(f"q{q + 1}_band{b + 1}")
+    return groups, labels, (order, bounds), n_fallback
+
+
+def value_households(groups, order, bounds, exp, shares, totals, transfers, p1, emissions):
+    """(cv, ye, ye_net, footprint at ``p1``), the households that cannot afford
+    their committed bundle at ``p1`` (their group keeps zeros) and the count
+    valued as Cobb-Douglas. Each group of ``estimate_demand_groups`` is valued
+    as one slice of the households in group order, put back in survey order once.
+    """
+    n, p0 = len(totals), np.ones(len(p1))
+    values = np.zeros((4, n))  # cv, ye, ye_net, footprint
+    infeasible, n_cobb_douglas = np.zeros(n, dtype=bool), 0
+    exp, shares, totals, transfers = exp[order], shares[order], totals[order], transfers[order]
+    for g, lo, hi in zip(groups, bounds[:-1], bounds[1:]):
+        exp_g, shares_g, totals_g = exp[lo:hi], shares[lo:hi], totals[lo:hi]
+        # households with no bought good whose budget elasticity times share is
+        # positive (a subnormal share makes it 0) have no marginal budget to
+        # calibrate: value them as Cobb-Douglas (phi = own shares, gamma = 0)
+        cobb_douglas = ~np.any((exp_g > 0) & (g.budget * shares_g > 0), axis=1)[:, np.newaxis]
+        n_cobb_douglas += int(cobb_douglas.sum())
+        fit = les_calibrate_frisch(np.where(cobb_douglas, 1.0, g.budget), g.xi,
+                                   shares_g, exp_g, totals_g)
+        params = LesParameters(gamma=np.where(cobb_douglas, 0.0, fit.gamma), phi=fit.phi)
+        try:
+            value = les_valuation(p0, p1, totals_g, totals_g + transfers[lo:hi], params, emissions)
+        except InfeasibleBudgetError:
+            # collect the households whose budget misses the committed
+            # bundle after the change, across all groups, for one message
+            short = params.committed_cost(p1) >= totals_g
+            if not np.any(short):
+                raise
+            infeasible[lo:hi] = short
+            continue
+        values[:3, lo:hi] = value.cv, value.ye, value.ye_net
+        if emissions is not None:
+            values[3, lo:hi] = value.footprint_after
+    unsort = np.empty_like(order)
+    unsort[order] = np.arange(n)
+    return np.take(values, unsort, axis=1), infeasible[unsort], n_cobb_douglas
 
 
 # ---------------------------------------------------------------------------
@@ -626,42 +666,14 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     transfers = recycle_revenue(revenue, cfg.recycling, weights, sizes=sizes,
                                 target_mask=target_mask)
 
-    groups, group_labels, assignment, n_fallback = estimate_demand_groups(
+    groups, group_labels, (order, bounds), n_fallback = estimate_demand_groups(
         shares, totals, weights, sizes, quintiles, cfg
     )
 
-    p0 = np.ones(k)
-    p1 = 1.0 + rel_total
-    cv, ye, ye_net, fp_after = (np.zeros(n) for _ in range(4))
-    infeasible = np.zeros(n, dtype=bool)
-    n_cobb_douglas = 0
-
     emissions = unit_emissions if np.any(unit_emissions > 0) else None
-    # one block of households per demand group, valued in one pass
-    for gi, g in enumerate(groups):
-        sel = assignment == gi
-        exp_g, shares_g, totals_g = exp[sel], shares[sel], totals[sel]
-        # households with no bought good whose budget elasticity times share is
-        # positive (a subnormal share makes it 0) have no marginal budget to
-        # calibrate: value them as Cobb-Douglas (phi = own shares, gamma = 0)
-        cobb_douglas = ~np.any((exp_g > 0) & (g.budget * shares_g > 0), axis=1)[:, np.newaxis]
-        n_cobb_douglas += int(cobb_douglas.sum())
-        fit = les_calibrate_frisch(np.where(cobb_douglas, 1.0, g.budget), g.xi,
-                                   shares_g, exp_g, totals_g)
-        params = LesParameters(gamma=np.where(cobb_douglas, 0.0, fit.gamma), phi=fit.phi)
-        try:
-            value = les_valuation(p0, p1, totals_g, totals_g + transfers[sel], params, emissions)
-        except InfeasibleBudgetError:
-            # collect the households whose budget misses the committed
-            # bundle after the change, across all groups, for one message
-            short = params.committed_cost(p1) >= totals_g
-            if not np.any(short):
-                raise
-            infeasible[sel] = short
-            continue
-        cv[sel], ye[sel], ye_net[sel] = value.cv, value.ye, value.ye_net
-        if emissions is not None:
-            fp_after[sel] = value.footprint_after
+    (cv, ye, ye_net, fp_after), infeasible, n_cobb_douglas = value_households(
+        groups, order, bounds, exp, shares, totals, transfers, 1.0 + rel_total, emissions
+    )
     if np.any(infeasible):
         first = ", ".join(map(repr, ids[np.flatnonzero(infeasible)[:5]].tolist()))
         raise InfeasibleBudgetError(f"{infeasible.sum()} of {n} households cannot afford their "
@@ -755,6 +767,15 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
 
     share_g = np.column_stack([hh[f"share_{g}"] for g in group_names])
     burden_g = np.column_stack([hh[f"burden_{g}"] for g in group_names])
+    # *_q: in quintile order, a stable sort, so that each quintile's sums run over
+    # the same values in the same order; quintile q holds q_rows[q] of each
+    order = np.argsort(quintiles, kind="stable")
+    bounds = np.searchsorted(quintiles[order], np.arange(n_groups + 1))
+    q_rows = [slice(start, end) for start, end in zip(bounds[:-1], bounds[1:])]
+    w_q, x_q, eq_q, burden_q, cv_q = (v[order] for v in (w, x, eq, hh["burden"], hh["cv"]))
+    share_q = share_g[order]
+    rate_contrib = burden_g / x[:, np.newaxis]
+    rate_contrib_q = np.take(rate_contrib.T, order, axis=1)  # a contiguous row per group
 
     # t2: aggregate budget shares, group rates, contribution decomposition
     t2_rows = []
@@ -771,13 +792,12 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     # t3: budget shares by quintile plus relative expenditure
     mean_eq = float(np.dot(w, eq)) / float(w.sum())
     t3_rows = []
-    for q in range(n_groups):
-        sel = quintiles == q
-        wq = w[sel]
-        exp_q = float(np.dot(wq, x[sel]))
+    for q, sel in enumerate(q_rows):
+        wq, xq = w_q[sel], x_q[sel]
+        exp_q = float(np.dot(wq, xq))
         row = [f"q{q + 1}"]
-        row += [float(np.dot(wq, x[sel] * share_g[sel, j])) / exp_q for j in range(len(group_names))]
-        row.append((float(np.dot(wq, eq[sel])) / float(wq.sum())) / mean_eq)
+        row += [float(np.dot(wq, xq * share_q[sel, j])) / exp_q for j in range(len(group_names))]
+        row.append((float(np.dot(wq, eq_q[sel])) / float(wq.sum())) / mean_eq)
         t3_rows.append(row)
     avg_row = ["average"]
     avg_row += [float(np.dot(w, x * share_g[:, j])) / agg_x for j in range(len(group_names))]
@@ -786,12 +806,10 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     t3 = (["quintile", *group_names, "relative_expenditure"], t3_rows)
 
     # t5: household-weighted group contributions to inflation by quintile
-    rate_contrib = burden_g / x[:, np.newaxis]
     t5_rows = []
-    for q in range(n_groups):
-        sel = quintiles == q
-        wq_sum = float(w[sel].sum())
-        cells = [float(np.dot(w[sel], rate_contrib[sel, j])) / wq_sum for j in range(len(group_names))]
+    for q, sel in enumerate(q_rows):
+        wq_sum = float(w_q[sel].sum())
+        cells = [float(np.dot(w_q[sel], rc[sel])) / wq_sum for rc in rate_contrib_q]
         t5_rows.append([f"q{q + 1}", *cells, sum(cells)])
     cells = [float(np.dot(w, rate_contrib[:, j])) / float(w.sum()) for j in range(len(group_names))]
     t5_rows.append(["average", *cells, sum(cells)])
@@ -814,11 +832,10 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
 
     # t7: welfare loss decomposition into fixed-basket and behavioural parts
     t7_rows = []
-    for q in range(n_groups):
-        sel = quintiles == q
-        xq = float(np.dot(w[sel], x[sel]))
-        infl = float(np.dot(w[sel], hh["burden"][sel])) / xq
-        rel_cv = float(np.dot(w[sel], hh["cv"][sel])) / xq
+    for q, sel in enumerate(q_rows):
+        xq = float(np.dot(w_q[sel], x_q[sel]))
+        infl = float(np.dot(w_q[sel], burden_q[sel])) / xq
+        rel_cv = float(np.dot(w_q[sel], cv_q[sel])) / xq
         t7_rows.append([f"q{q + 1}", infl, rel_cv, rel_cv - infl])
     infl = float(np.dot(w, hh["burden"])) / agg_x
     rel_cv = float(np.dot(w, hh["cv"])) / agg_x

@@ -544,6 +544,19 @@ class TestConfigKeys:
         assert caught == []
         assert not (tmp_path / "r").exists()
 
+    def test_accounting_identity_names_the_output_file(self, bundle_dir, tmp_path, capsys):
+        work = shutil.copytree(bundle_dir, tmp_path / "x")
+        output = work / "mrio_x.csv"
+        output.write_text(output.read_text().replace("energy,100,", "energy,1e-320,"))
+        code, err, caught = run_edited(bundle_dir, tmp_path, capsys,
+                                       [f"files.mrio_x = {output}"])
+        assert code == 1
+        assert err.startswith("error: accounting identity violated: files.mrio_x gives "
+                              "sector 'energy' output 9.99989e-321, checked against the row "
+                              "sum of files.mrio_z plus files.mrio_d (residual -100, ")
+        assert caught == []
+        assert not (tmp_path / "r").exists()
+
 
 # keys a perturbed config may set or delete: every number and text key the
 # parser takes, keys with a misspelt category or field, and input files
@@ -584,7 +597,6 @@ class TestConfigFuzz:
     @example(taxed=False, edits=[("elasticity.exchange_rate", None)])
     def test_perturbed_config_ends_in_a_message(self, bundle_dir, tmp_path_factory,
                                                 taxed, edits):
-        work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
         values = {}
         for line in (bundle_dir / "config.txt").read_text().splitlines():
             key, sep, value = (part.strip() for part in line.partition("="))
@@ -593,19 +605,22 @@ class TestConfigFuzz:
         if taxed:
             values.update({"scenario.carbon_tax": "0.5", "scenario.recycling": "per_capita"})
         values.update(edits)
-        config = work / "config.txt"
-        config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()
-                                  if value is not None))
-        err = io.StringIO()
-        try:
-            with contextlib.redirect_stderr(err):
-                code = run_cli("run", "--config", config, "--out", work / "r", "--quiet")
-        finally:
-            shutil.rmtree(work)
-        assert code in (0, 1, 2)
-        if code:
-            assert re.match(r"(error|numerical failure): \S", err.getvalue()), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            config = Path(tmp) / "config.txt"
+            config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()
+                                      if value is not None))
+            assert_run_ends_in_a_message(config, Path(tmp) / "r")
+
+
+def assert_run_ends_in_a_message(config, out):
+    """``run`` exits 0, 1 or 2, with a message for 1 and 2 and no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli("run", "--config", config, "--out", out, "--quiet")
+    assert code in (0, 1, 2)
+    if code:
+        assert re.match(r"(error|numerical failure): \S", err.getvalue()), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 # cells a perturbed wide input may hold: numbers the loaders take or reject
@@ -665,19 +680,24 @@ class TestWideInputs:
     def test_perturbed_flow_matrix_and_bridge_end_in_a_message(self, bundle_dir,
                                                                  tmp_path_factory, data):
         """Each input file of the demo run, and the two wide tables together."""
-        work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
-        shutil.copytree(bundle_dir, work / "b")
         files = [["mrio_z.csv"], ["bridge.csv"], ["mrio_z.csv", "bridge.csv"],
                  ["households.csv"], ["prices.csv"], ["fuels.csv"], ["mrio_d.csv"],
                  ["mrio_x.csv"], ["mrio_f.csv"]]
-        for name in data.draw(st.sampled_from(files), label="files"):
-            path = work / "b" / name
-            path.write_bytes(perturb_lines(data, path.read_text()).encode())
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run_cli("run", "--config", work / "b" / "config.txt", "--out", work / "r",
-                           "--quiet")
-        assert code in (0, 1, 2)
-        if code:
-            assert re.match(r"(error|numerical failure): \S", err.getvalue()), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            work = shutil.copytree(bundle_dir, Path(tmp) / "b")
+            for name in data.draw(st.sampled_from(files), label="files"):
+                path = work / name
+                path.write_bytes(perturb_lines(data, path.read_text()).encode())
+            assert_run_ends_in_a_message(work / "config.txt", Path(tmp) / "r")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_perturbed_income_file_ends_in_a_message(self, bundle_dir, tmp_path_factory, data):
+        """An imputing run on a perturbed income file (the demo survey's own columns)."""
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            work = shutil.copytree(bundle_dir, Path(tmp) / "b")
+            text = (work / "households.csv").read_text()
+            (work / "income.csv").write_bytes(perturb_lines(data, text).encode())
+            with open(work / "config.txt", "a") as cfg:
+                cfg.write("files.income = income.csv\nscenario.impute = true\n")
+            assert_run_ends_in_a_message(work / "config.txt", Path(tmp) / "r")

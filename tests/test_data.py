@@ -308,6 +308,21 @@ class TestOtherLoaders:
         with pytest.raises(DataValidationError, match="inc"):
             load_income_survey(p)
 
+    @pytest.mark.parametrize("row, message", [
+        ("b,1e300,2,5,1", "row 3, column 'weight': value 1e+300 exceeds 1e+100"),
+        ("b,1,2,1e101,1", "row 3, column 'inc': value 1e+101 exceeds 1e+100"),
+        ("b,1,2,5,-1e200", "row 3, column 'demo_urban': value -1e+200 exceeds 1e+100"),
+    ])
+    def test_income_survey_names_a_value_beyond_the_survey_limit(self, tmp_path, row,
+                                                                     message):
+        from priceshock.data import load_income_survey
+
+        p = tmp_path / "income.csv"
+        p.write_text(f"id,weight,size,inc,demo_urban\na,1,2,45000,1\n{row}\n")
+        with pytest.raises(DataValidationError) as caught:
+            load_income_survey(p)
+        assert str(caught.value) == f"{p}: {message}"
+
 
 class TestTypeInvariants:
     def test_category_set_rejects_duplicates_and_empties(self):

@@ -8,6 +8,7 @@ import pytest
 from priceshock.data import CategorySet, load_household_survey, load_income_survey
 from priceshock.errors import DataValidationError, SeparationError
 from priceshock.imputation import (
+    BinaryFit,
     RegressionFit,
     binary_fit,
     calibrate_income,
@@ -196,6 +197,11 @@ class TestBinaryFit:
         with pytest.raises(DataValidationError):
             binary_fit(np.ones((10, 1)), np.arange(10) % 2, np.ones(10), ["c"], link="cauchit")
 
+    def test_logit_far_below_zero_predicts_zero_without_a_warning(self):
+        fit = BinaryFit(names=("x",), coefficients=np.array([1.0]), link="logit")
+        probs = fit.predict(np.array([[-1000.0], [0.0]]), ["x"])  # exp(1000) overflows
+        assert probs.tolist() == [0.0, 0.5]
+
 
 class TestChauvenet:
     def test_textbook_example(self):
@@ -259,6 +265,15 @@ class TestImputeTotal:
         assert a.tolist() == b.tolist()
         c = impute_total_expenditure(fit, design, ["const"], ids, 100)
         assert a.tolist() != c.tolist()
+
+    @pytest.mark.parametrize("level", [-800.0, 800.0])
+    def test_total_beyond_the_float_range_names_the_record(self, level):
+        fit = RegressionFit(names=("const",), coefficients=np.array([1.0]),
+                            residual_mean=0.0, residual_var=0.0, n_obs=10)
+        design = np.array([[1.0], [level], [1.0]])
+        with pytest.raises(DataValidationError, match=r"record 'b': imputed total expenditure "
+                                                      r"(0|inf) is out of range"):
+            impute_total_expenditure(fit, design, ["const"], ["a", "b", "c"], 7)
 
     def test_disturbance_moments_large_sample(self):
         fit = RegressionFit(names=("const",), coefficients=np.array([0.0]),
@@ -384,6 +399,17 @@ class TestPipeline:
                     for r in bundle.households[:30]]
         with pytest.raises(DataValidationError, match="income"):
             impute_expenditure_patterns(stripped, bundle.households[:30], categories, seed=1)
+
+    @pytest.mark.parametrize("income", [0.0, -5.0])
+    def test_income_record_without_a_positive_income_is_named(self, bundle, income):
+        import dataclasses
+
+        records = list(bundle.households[:30])
+        records[7] = dataclasses.replace(records[7], disposable_income=income)
+        with pytest.raises(DataValidationError) as caught:
+            impute_expenditure_patterns(bundle.households, records, bundle.categories, seed=1)
+        assert str(caught.value) == (f"income record {records[7].id!r}: income {income:g} "
+                                     f"is not positive (its log is taken)")
 
     def test_demographic_design_missing_covariate(self, bundle):
         import dataclasses

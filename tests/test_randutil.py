@@ -1,5 +1,7 @@
 """Counter-based keyed draws: pinned stream, order independence, moments."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 import priceshock.imputation
 import priceshock.randutil
-from priceshock.data import HouseholdRecord, IncomeRecord
-from priceshock.randutil import keyed_normals, keyed_uniforms
+from priceshock.data import CategorySet, HouseholdRecord, IncomeRecord, load_household_survey
+from priceshock.imputation import impute_expenditure_patterns
+from priceshock.randutil import id_keys, keyed_normals, keyed_uniforms
 from priceshock.scenario import parse_config, run_scenario
 
 IDS = ["hh0000", "hh0001", "r7"]
@@ -55,6 +58,62 @@ def test_permuting_ids_or_labels_permutes_the_block(ids, labels, seed, data):
     assert bits(permuted) == bits(block[np.ix_(rows, cols)])
     # a cell does not depend on which other ids are drawn with it
     assert bits(keyed_normals(seed, "s", ids[:1], labels)) == bits(block[:1])
+
+
+def reference_uniforms(seed, stream, ids, labels):
+    """keyed_uniforms as its docstring states it, one cell at a time in Python
+    integers: each id hashed again for every stream, as ``"\x1f".join`` of
+    its parts."""
+    mask = 2**64 - 1
+
+    def key(*parts):
+        digest = hashlib.sha256("\x1f".join(map(str, parts)).encode()).digest()
+        return int.from_bytes(digest[:8], "big")
+
+    def mix(x):
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    u = np.zeros((2, len(ids), len(labels)))
+    for i, record in enumerate(ids):
+        for j, label in enumerate(labels):
+            state = key(record) ^ key(int(seed), stream, label)
+            for step in (1, 2):
+                u[step - 1, i, j] = (mix((state + step * 0x9E3779B97F4A7C15) & mask) >> 11) * 2.0**-53
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.one_of(st.lists(st.text(max_size=6), min_size=1, max_size=12, unique=True),
+                     st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=12, unique=True)),
+       labels=st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True),
+       seed=st.integers(0, 2**31))
+def test_ids_hashed_once_draw_as_each_stream_hashing_them_again(ids, labels, seed):
+    """Keys taken once (``id_keys``, str or int ids, any Unicode) give every
+    stream the bits it gets when it hashes the ids itself."""
+    keys = id_keys(ids)
+    for stream in ("total_expenditure", "share"):
+        u1, u2 = keyed_uniforms(seed, stream, ids, labels, keys=keys)
+        want = reference_uniforms(seed, stream, ids, labels)
+        assert bits(u1) == bits(want[0]) and bits(u2) == bits(want[1])
+        assert bits(keyed_normals(seed, stream, ids, labels, keys=keys)) == bits(
+            keyed_normals(seed, stream, ids, labels))
+
+
+def test_imputation_hashes_each_record_id_once(bundle_dir, monkeypatch):
+    hashed = []
+    original = priceshock.randutil.id_keys
+
+    def counting(ids):
+        hashed.append(len(ids))
+        return original(ids)
+
+    monkeypatch.setattr(priceshock.randutil, "id_keys", counting)
+    monkeypatch.setattr(priceshock.imputation, "id_keys", counting)
+    survey = load_household_survey(bundle_dir / "households.csv", CategorySet.default())
+    impute_expenditure_patterns(survey, survey, CategorySet.default(), seed=3)
+    assert hashed == [240]
 
 
 def test_uniforms_lie_in_unit_interval():

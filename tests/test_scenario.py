@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from priceshock.data import BridgingMatrix, CategorySet, load_household_survey, read_table
+from priceshock.demand import (LesParameters, compensating_variation, equivalent_income,
+                               les_calibrate_frisch, les_demand)
 from priceshock.errors import DataValidationError
 from priceshock.fixtures import fuel_table, io2_table
 from priceshock.imputation import wls_fit
 from priceshock.scenario import (
     MIN_GROUP_OBS,
+    GroupDemand,
     _engel_fit,
     build_tables,
     carbon_tax_scenario,
@@ -25,6 +28,7 @@ from priceshock.scenario import (
     rebuild_tables_from_csv,
     recycle_revenue,
     run_scenario,
+    value_households,
 )
 
 
@@ -506,6 +510,25 @@ class TestBuildTablesDirect:
         _, rows7 = tables["t7_welfare"]
         assert all(abs(r[3] - (-0.01)) < 1e-12 for r in rows7)
 
+    def test_quintile_rows_equal_masked_sums_bit_for_bit(self, bundle_dir, run_result):
+        """t3, t5 and t7 take each quintile as a slice of one stable sort; every
+        cell equals the sum over a boolean mask of the frame in survey order."""
+        hh, names = run_result.household, run_result.group_names
+        tables = build_tables(hh, names, parse_config(bundle_dir / "config.txt"))
+        w, x = hh["weight"], hh["x"]
+        mean_eq = float(np.dot(w, hh["equivalised"])) / float(w.sum())
+        for q in range(5):
+            sel = hh["quintile"] == q
+            wq, xq = w[sel], float(np.dot(w[sel], x[sel]))
+            t3 = [float(np.dot(wq, x[sel] * hh[f"share_{g}"][sel])) / xq for g in names]
+            t3.append(float(np.dot(wq, hh["equivalised"][sel])) / float(wq.sum()) / mean_eq)
+            t5 = [float(np.dot(wq, hh[f"burden_{g}"][sel] / x[sel])) / float(wq.sum())
+                  for g in names]
+            t7 = [float(np.dot(wq, hh[c][sel])) / xq for c in ("burden", "cv")]
+            assert tables["t3_budget_shares"][1][q][1:] == t3
+            assert tables["t5_incidence"][1][q][1:-1] == t5
+            assert tables["t7_welfare"][1][q][1:3] == t7
+
 
 class TestEngelFitOneSolvePerGroup:
     def test_budget_elasticities_match_per_category_fits(self, bundle_dir):
@@ -583,3 +606,89 @@ class TestFallbackFitsOnDemand:
             for name in ("budget", "own_price", "mean_shares"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), label
             assert (got.xi, got.clamped) == (want.xi, want.clamped)
+
+    def test_each_cell_is_fitted_on_its_rows_in_survey_order(self, bundle_dir):
+        """A cell's fit takes its slice of the stable sort by cell: the rows of
+        a boolean mask, in the same order, so the same bits."""
+        cfg = parse_config(bundle_dir / "config.txt")
+        survey = load_household_survey(bundle_dir / "households.csv", CategorySet.default())
+        w, sizes = survey.weight, survey.size
+        totals = survey.expenditure.sum(axis=1)
+        shares = survey.expenditure / totals[:, np.newaxis]
+        lo, hi = cfg.size_bands
+        band = np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
+        quintiles = np.arange(len(totals)) % 5  # cells interleaved in survey order
+        groups, labels, (order, bounds), _ = estimate_demand_groups(shares, totals, w, sizes,
+                                                                    quintiles, cfg)
+        cells = 3 * quintiles + band
+        fitted = 0
+        for g, label, start, end in zip(groups, labels, bounds[:-1], bounds[1:]):
+            q, b = int(label[1]) - 1, int(label[-1]) - 1
+            rows = cells == 3 * q + b
+            assert order[start:end].tolist() == np.flatnonzero(rows).tolist()
+            if rows.sum() < MIN_GROUP_OBS:
+                continue
+            ln_x = np.log(totals[rows])
+            design = np.column_stack([np.ones(len(ln_x)), ln_x, ln_x ** 2])
+            want = _engel_fit(shares[rows], design, ln_x, totals[rows] / sizes[rows], w[rows], cfg)
+            for name in ("budget", "own_price", "mean_shares"):
+                assert getattr(g, name).tobytes() == getattr(want, name).tobytes(), label
+            fitted += 1
+        assert fitted >= 10
+
+
+class TestValueHouseholdsAgainstTheScalarFunctions:
+    """value_households values each demand group as one slice of the
+    households sorted by group; every household's values match the
+    one-household functions within 1e-12 relative."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(10, 300), n_groups=st.integers(1, 4), k=st.integers(2, 6),
+           seed=st.integers(0, 2**32 - 1), transfer=st.sampled_from([0.0, 0.2]),
+           with_emissions=st.booleans())
+    def test_block_values_match_a_per_household_loop(self, n, n_groups, k, seed, transfer,
+                                                     with_emissions):
+        rng = np.random.default_rng(seed)
+        exp = rng.lognormal(5.0, 1.0, (n, k)) * (rng.random((n, k)) < 0.7)
+        exp[exp.sum(axis=1) == 0, 0] = 1.0
+        totals = exp.sum(axis=1)
+        shares = exp / totals[:, np.newaxis]
+        transfers = transfer * rng.random(n) * totals
+        p0, p1 = np.ones(k), 1.0 + 0.3 * rng.random(k)
+        emissions = rng.random(k) if with_emissions else None
+        # zero budget elasticities leave some households Cobb-Douglas, and a
+        # large |xi| some short of their committed bundle
+        groups = [GroupDemand(budget=2.0 * rng.random(k) * (rng.random(k) < 0.8),
+                              own_price=np.zeros(k), mean_shares=np.zeros(k),
+                              xi=-1.2 - rng.exponential(2.0), clamped=0) for _ in range(n_groups)]
+        assignment = rng.integers(0, n_groups, n)
+        assignment[:n_groups] = np.arange(n_groups)  # no group is empty
+        order = np.argsort(assignment, kind="stable")
+        bounds = np.searchsorted(assignment[order], np.arange(n_groups + 1))
+
+        values, infeasible, n_cobb_douglas = value_households(
+            groups, order, bounds, exp, shares, totals, transfers, p1, emissions)
+
+        want = np.zeros((4, n))
+        short, cobb_douglas = np.zeros(n, dtype=bool), 0
+        for h in range(n):
+            g = groups[assignment[h]]
+            cd = not np.any((exp[h] > 0) & (g.budget * shares[h] > 0))
+            cobb_douglas += cd
+            fit = les_calibrate_frisch(1.0 if cd else g.budget, g.xi, shares[h], exp[h],
+                                       totals[h])
+            params = LesParameters(gamma=0.0 * fit.gamma if cd else fit.gamma, phi=fit.phi)
+            short[h] = params.committed_cost(p1) >= totals[h]
+            if short[h]:
+                continue
+            net = totals[h] + transfers[h]
+            want[:, h] = (compensating_variation(p0, p1, totals[h], params),
+                          equivalent_income(p0, p1, totals[h], params),
+                          equivalent_income(p0, p1, net, params),
+                          les_demand(p1, net, params) @ emissions if with_emissions else 0.0)
+        assert infeasible.tolist() == short.tolist()
+        assert n_cobb_douglas == cobb_douglas
+        # a group with a household short of its committed bundle keeps zeros
+        valued = ~np.isin(assignment, assignment[short])
+        np.testing.assert_allclose(values[:, valued], want[:, valued], rtol=1e-12, atol=0)
+        assert not values[:, ~valued].any()
