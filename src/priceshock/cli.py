@@ -15,13 +15,13 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .data import CategorySet, load_household_survey, load_income_survey, write_household_survey
+from .data import CategorySet, write_household_survey
 from .errors import DataValidationError, NumericalModelError
 from .fixtures import write_fixture_bundle
-from .imputation import impute_expenditure_patterns
 from .inputoutput import leontief_solve_residual
 from .scenario import (
     emit_reports,
+    load_survey,
     parse_config,
     rebuild_tables_from_csv,
     run_scenario,
@@ -106,14 +106,9 @@ def _cmd_impute(args) -> int:
     cfg = _load_config(args)
     if "income" not in cfg.files:
         raise DataValidationError("impute requires files.income in the configuration")
-    categories = CategorySet.default()
-    source = load_household_survey(cfg.files["households"], categories)
-    income = load_income_survey(cfg.files["income"])
-    result = impute_expenditure_patterns(
-        source, income, categories, seed=cfg.seed, link=cfg.imputation_link
-    )
+    _, result = load_survey(cfg, impute=True)  # with scenario.impute on or off
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_household_survey(args.out, result.survey, categories,
+    write_household_survey(args.out, result.survey, CategorySet.default(),
                            extra_columns=result.provenance)
     _say(args, f"imputed {len(result.survey.ids)} households -> {args.out}")
     for note in result.report.notes:
@@ -122,8 +117,7 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    result = run_scenario(cfg)
+    result = run_scenario(_load_config(args))
     paths = emit_reports(result, args.out)
     _say(args, f"scenario complete; revenue {result.revenue:.6f}; "
                f"{len(paths)} files in {args.out}")
@@ -131,8 +125,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg = _load_config(args)
-    tables, _ = rebuild_tables_from_csv(args.results, cfg)
+    tables, _ = rebuild_tables_from_csv(args.results, _load_config(args))
     write_tables(tables, args.out)
     _say(args, f"re-emitted {len(tables)} tables to {args.out}")
     return EXIT_OK

@@ -113,8 +113,8 @@ DEMOGRAPHIC_PREFIX = "demo_"
 
 BRIDGE_ROW_TOL = 1e-9
 MRIO_IDENTITY_RTOL = 1e-6
-# The largest weight, size or expenditure a household may carry: a product of
-# two such values, summed over any survey, stays inside the float range.
+# The largest magnitude of a survey value (weight, size, expenditure, income,
+# demo_*): a product of two such values, summed over any survey, stays in float range.
 SURVEY_VALUE_LIMIT = 1e100
 TOO_LARGE = "{path}: row {row}, column {col!r}: value {value} exceeds %g" % SURVEY_VALUE_LIMIT
 
@@ -224,19 +224,12 @@ class MrioTable:
 
     def __post_init__(self):
         n = len(self.sectors)
-        object.__setattr__(self, "flows", _freeze(self.flows))
-        object.__setattr__(self, "final_demand", _freeze(self.final_demand))
-        object.__setattr__(self, "output", _freeze(self.output))
-        object.__setattr__(self, "emissions", _freeze(self.emissions))
+        for name in ("flows", "final_demand", "output", "emissions"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.flows.shape != (n, n):
-            raise DataValidationError(
-                f"flow matrix is {self.flows.shape}, expected ({n}, {n})"
-            )
-        for name, vec in (
-            ("final demand", self.final_demand),
-            ("output", self.output),
-            ("emissions", self.emissions),
-        ):
+            raise DataValidationError(f"flow matrix is {self.flows.shape}, expected ({n}, {n})")
+        for name, vec in (("final demand", self.final_demand), ("output", self.output),
+                          ("emissions", self.emissions)):
             if vec.shape != (n,):
                 raise DataValidationError(f"{name} vector has length {vec.shape}, expected {n}")
         if len(self.origin) != n:
@@ -820,9 +813,10 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
         exp_names, _, extra_cols = _household_columns(path, header, categories)
         k = len(exp_names)
         exp = values[:, 2:2 + k]
-        bad[exp.sum(axis=1) <= 0, 2 + k:] = False  # a dropped row's demo_* and inc are not checked
+        large = np.abs(values) > SURVEY_VALUE_LIMIT
+        for mask in (bad, large):  # a dropped row's demo_* and inc are not checked
+            mask[exp.sum(axis=1) <= 0, 2 + k:] = False
         negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
-        large = values > SURVEY_VALUE_LIMIT
         return [
             (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {hid!r}"),
             (bad[:, 0], "weight", None),
@@ -835,7 +829,8 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
             *((mask, col, template) for j, col in enumerate(exp_names)
               for mask, template in ((bad[:, 2 + j], None), (exp[:, j] < 0, negative),
                                      (large[:, 2 + j], TOO_LARGE))),
-            *((bad[:, 2 + k + j], col, None) for j, col in enumerate(extra_cols)),
+            *((mask, col, template) for j, col in enumerate(extra_cols)
+              for mask, template in ((bad[:, 2 + k + j], None), (large[:, 2 + k + j], TOO_LARGE))),
         ]
 
     header, ids, values = _read_survey(path, value_columns, checks)
@@ -1257,23 +1252,14 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
     d = vector(d_path, "d")[0]
     x, x_header, x_rows, x_lines, x_order = vector(x_path, "x")
     f = vector(f_path, "f")[0]
-    origin = tuple("domestic" for _ in sectors)
-    if "origin" in x_header:
-        oi = x_header.index("origin")
-        flags = []
-        for i in x_order:
-            flag = x_rows[i][oi] or "domestic"
-            if flag not in ("domestic", "imported"):
-                raise DataValidationError(
-                    f"{x_path}: row {x_lines[i]}, column 'origin': expected domestic/imported, "
-                    f"got {flag!r}"
-                )
-            flags.append(flag)
-        origin = tuple(flags)
-    return MrioTable(
-        sectors=sectors, flows=Z, final_demand=d, output=x, emissions=f,
-        origin=origin, identity_rtol=identity_rtol,
-    )
+    oi = x_header.index("origin") if "origin" in x_header else None  # a blank flag: domestic
+    origin = tuple("domestic" if oi is None else x_rows[i][oi] or "domestic" for i in x_order)
+    for i, flag in zip(x_order, origin):
+        if flag not in ("domestic", "imported"):
+            raise DataValidationError(f"{x_path}: row {x_lines[i]}, column 'origin': expected "
+                                      f"domestic/imported, got {flag!r}")
+    return MrioTable(sectors=sectors, flows=Z, final_demand=d, output=x, emissions=f,
+                     origin=origin, identity_rtol=identity_rtol)
 
 
 def load_bridge(path, categories: CategorySet) -> BridgingMatrix:

@@ -23,6 +23,7 @@ from .data import (
     DEFAULT_REPORT_GROUPS,
     BridgingMatrix,
     FuelTable,
+    HouseholdSurvey,
     LoadReport,
     MrioTable,
     _write_rows,
@@ -44,7 +45,7 @@ from .demand import (
     LesParameters,
 )
 from .errors import DataValidationError, InfeasibleBudgetError, NumericalModelError
-from .imputation import ImputationReport, impute_expenditure_patterns, wls_fit
+from .imputation import ImputationReport, ImputationResult, impute_expenditure_patterns, wls_fit
 from .inputoutput import (
     TechnologyMatrix,
     bridge_to_categories,
@@ -546,7 +547,8 @@ def value_households(groups, order, bounds, exp, shares, totals, transfers, p1, 
 
 
 # ---------------------------------------------------------------------------
-# Scenario run
+# Scenario run: load_inputs -> form_prices -> rank_households ->
+# estimate_demand_groups -> value_households -> assemble -> build_tables
 # ---------------------------------------------------------------------------
 
 
@@ -569,26 +571,39 @@ class ScenarioResult:
     imputation: ImputationReport | None = None
 
 
-def _emission_content_error(unit_emissions, categories) -> DataValidationError:
-    j = int(np.argmax(np.nan_to_num(np.abs(unit_emissions), nan=np.inf)))  # the largest
-    return DataValidationError(f"the emission content of {categories.ids[j]} is "
-                               f"{unit_emissions[j]:.6g}, beyond the float range of household "
-                               f"footprints: check files.mrio_f and files.fuels")
+@dataclass
+class Inputs:
+    """Everything a run reads; ``frame`` is the survey it values."""
+
+    categories: CategorySet
+    survey: HouseholdSurvey
+    imputed: ImputationResult | None  # the survey imputed into files.income
+    mrio: MrioTable | None
+    bridge: BridgingMatrix | None
+    fuels: FuelTable | None
+    rel_inflation: np.ndarray
+
+    @property
+    def frame(self) -> HouseholdSurvey:
+        return self.survey if self.imputed is None else self.imputed.survey
 
 
-def run_scenario(cfg: RunConfig) -> ScenarioResult:
-    """Execute the full pipeline described in the module docstring."""
+def load_survey(cfg: RunConfig, impute: bool) -> tuple[HouseholdSurvey, ImputationResult | None]:
+    """files.households and, when ``impute``, its imputation into files.income."""
     categories = CategorySet.default()
     survey = load_household_survey(cfg.files["households"], categories)
-    frame, imputation = survey, None
-    if cfg.impute:
-        income = load_income_survey(cfg.files["income"])
-        imputed = impute_expenditure_patterns(
-            survey, income, categories, seed=cfg.seed, link=cfg.imputation_link
-        )
-        frame, imputation = imputed.survey, imputed.report
-    ids, weights, sizes, exp = frame.ids, frame.weight, frame.size, frame.expenditure
+    if not impute:
+        return survey, None
+    income = load_income_survey(cfg.files["income"])
+    return survey, impute_expenditure_patterns(survey, income, categories, seed=cfg.seed,
+                                               link=cfg.imputation_link)
 
+
+def load_inputs(cfg: RunConfig) -> Inputs:
+    """Load stage: the survey (imputed when scenario.impute is on), the flow
+    tables and bridge, the fuels and the inflation relatives."""
+    categories = CategorySet.default()
+    survey, imputed = load_survey(cfg, cfg.impute)
     mrio = bridge = fuels = None
     if "bridge" in cfg.files:  # with the four mrio_* files: validate_config asks for all five
         mrio = load_mrio(cfg.files["mrio_z"], cfg.files["mrio_d"],
@@ -600,31 +615,52 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             if fuel not in fuels.fuels:
                 raise DataValidationError(f"config key 'fuel_map.{category}': unknown fuel "
                                           f"{fuel!r}, not listed in files.fuels")
+    rel_inflation = (load_price_relatives(cfg.files["prices"], categories)
+                     if "prices" in cfg.files else np.zeros(len(categories)))
+    return Inputs(categories, survey, imputed, mrio, bridge, fuels, rel_inflation)
 
-    k = len(categories)
-    rel_inflation = np.zeros(k)
-    if "prices" in cfg.files:
-        rel_inflation = load_price_relatives(cfg.files["prices"], categories)
 
+@dataclass
+class Prices:
+    """Consumer price relatives by category (``total`` composes inflation
+    and ``carbon``), emissions per currency unit of each category, and each
+    household's footprint before the change."""
+
+    total: np.ndarray
+    carbon: np.ndarray
+    unit_emissions: np.ndarray
+    footprint: np.ndarray
+    carbon_result: CarbonTaxResult | None
+
+
+def _emission_content_error(unit_emissions, categories) -> DataValidationError:
+    j = int(np.argmax(np.nan_to_num(np.abs(unit_emissions), nan=np.inf)))  # the largest
+    return DataValidationError(f"the emission content of {categories.ids[j]} is "
+                               f"{unit_emissions[j]:.6g}, beyond the float range of household "
+                               f"footprints: check files.mrio_f and files.fuels")
+
+
+def form_prices(cfg: RunConfig, inputs: Inputs) -> Prices:
+    """Price-formation stage: inflation composed with the carbon tax passed
+    through the inter-industry table and the indirect-tax schedule."""
+    categories, k = inputs.categories, len(inputs.categories)
     fuel_map_idx = {categories.index(c): f for c, f in cfg.fuel_map.items()}
     vat, advalorem, excise, base_prices = (
         np.array([cfg.taxes.get(c, {}).get(name, default) for c in categories])
         for name, default in (("vat", 0.0), ("advalorem", 0.0), ("excise", 0.0),
                               ("base_price", 1.0))
     )
-    rel_carbon = np.zeros(k)
-    unit_emissions = np.zeros(k)
-    carbon = None
+    rel_carbon, unit_emissions, carbon = np.zeros(k), np.zeros(k), None
     # a tax or emission content far beyond the model's range overflows here:
     # the checks below name it before inf or nan reach the households
     with np.errstate(over="ignore", invalid="ignore"):
-        if mrio is not None:
+        if inputs.mrio is not None:
             # one inter-industry pass gives both the price relatives and the
             # emission content of each category (used even without a tax)
             carbon = carbon_tax_scenario(
-                cfg.carbon_tax, mrio, bridge,
+                cfg.carbon_tax, inputs.mrio, inputs.bridge,
                 pass_through=cfg.pass_through, border_adjustment=cfg.border_adjustment,
-                fuels=fuels, fuel_map=fuel_map_idx,
+                fuels=inputs.fuels, fuel_map=fuel_map_idx,
             )
             unit_emissions = carbon.unit_emissions
             # producer-side component runs through the indirect-tax schedule;
@@ -632,8 +668,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             taxed = consumer_price(carbon.indirect_relatives, vat=vat, advalorem=advalorem,
                                    excise_per_unit=excise, base_price=base_prices)
             rel_carbon = compose_relatives(taxed, carbon.direct_relatives)
-        rel_total = compose_relatives(rel_inflation, rel_carbon)
-        fp_before = exp @ unit_emissions
+        rel_total = compose_relatives(inputs.rel_inflation, rel_carbon)
+        fp_before = inputs.frame.expenditure @ unit_emissions
     beyond = np.flatnonzero(~(rel_total <= MAX_PRICE_RELATIVE))
     if len(beyond):
         j = beyond[0]
@@ -644,97 +680,102 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         )
     if not (np.isfinite(unit_emissions).all() and np.isfinite(fp_before).all()):
         raise _emission_content_error(unit_emissions, categories)
+    return Prices(rel_total, rel_carbon, unit_emissions, fp_before, carbon)
 
-    n = len(ids)
-    totals = exp.sum(axis=1)
-    shares = exp / totals[:, np.newaxis]
 
-    eq = equivalise(totals, sizes, cfg.scale)
+def rank_households(cfg: RunConfig, frame: HouseholdSurvey):
+    """Ranking stage: each household's total expenditure, budget shares,
+    equivalised total and quantile group (0 the poorest)."""
+    n = len(frame.ids)
+    totals = frame.expenditure.sum(axis=1)
+    shares = frame.expenditure / totals[:, np.newaxis]
+    eq = equivalise(totals, frame.size, cfg.scale)
     # more groups than households leave one empty before any ranking
-    quintiles = weighted_quantile_groups(eq, weights, cfg.groups) if cfg.groups <= n else None
+    quintiles = weighted_quantile_groups(eq, frame.weight, cfg.groups) if cfg.groups <= n else None
     if quintiles is None or not np.bincount(quintiles, minlength=cfg.groups).all():
         raise DataValidationError(f"distribution.groups = {cfg.groups} leaves some groups "
                                   f"empty: the sample's {n} households and weights cannot fill them")
+    return totals, shares, eq, quintiles
 
-    pi_h = shares @ rel_total
-    burden_h = pi_h * totals
 
-    # carbon revenue and recycling
-    carbon_burden_h = exp @ rel_carbon
-    revenue = float(np.dot(weights, carbon_burden_h)) if cfg.carbon_tax > 0 else 0.0
-    target_mask = quintiles < cfg.recycling_quantile
-    transfers = recycle_revenue(revenue, cfg.recycling, weights, sizes=sizes,
-                                target_mask=target_mask)
+def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, transfers,
+             groups: list[GroupDemand], labels: list[str]):
+    """Assembly stage: the per-household frame and the elasticity rows.
 
-    groups, group_labels, (order, bounds), n_fallback = estimate_demand_groups(
-        shares, totals, weights, sizes, quintiles, cfg
-    )
-
-    emissions = unit_emissions if np.any(unit_emissions > 0) else None
-    (cv, ye, ye_net, fp_after), infeasible, n_cobb_douglas = value_households(
-        groups, order, bounds, exp, shares, totals, transfers, 1.0 + rel_total, emissions
-    )
-    if np.any(infeasible):
-        first = ", ".join(map(repr, ids[np.flatnonzero(infeasible)[:5]].tolist()))
-        raise InfeasibleBudgetError(f"{infeasible.sum()} of {n} households cannot afford their "
-                                    f"committed bundle after the price change (first: {first})")
-
-    if not np.isfinite(fp_after).all():
-        raise _emission_content_error(unit_emissions, categories)
-    cv_net = cv - transfers
-
-    group_names = tuple(DEFAULT_REPORT_GROUPS.keys())
-    group_cols = [
-        [categories.index(c) for c in DEFAULT_REPORT_GROUPS[g]] for g in group_names
-    ]
-    share_g = np.column_stack([shares[:, cols].sum(axis=1) for cols in group_cols])
-    burden_g = np.column_stack(
-        [(exp[:, cols] * rel_total[cols]).sum(axis=1) for cols in group_cols]
-    )
-
+    ``ranked`` and ``values`` are what ``rank_households`` and
+    ``value_households`` return. A report group's share and burden sum its
+    categories' columns through one 0/1 category-to-group matrix.
+    """
+    frame, categories = inputs.frame, inputs.categories
+    totals, shares, eq, quintiles = ranked
+    cv, ye, ye_net, fp_after = values
+    pi_h = shares @ prices.total
     household = {
-        "id": ids,
-        "weight": weights,
-        "size": sizes,
-        "quintile": quintiles,
-        "x": totals,
-        "equivalised": eq,
-        "pi": pi_h,
-        "burden": burden_h,
-        "cv": cv,
-        "transfer": transfers,
-        "cv_net": cv_net,
-        "ye": ye,
-        "ye_net": ye_net,
-        "fp_before": fp_before,
-        "fp_after": fp_after,
+        "id": frame.ids, "weight": frame.weight, "size": frame.size, "quintile": quintiles,
+        "x": totals, "equivalised": eq, "pi": pi_h, "burden": pi_h * totals,
+        "cv": cv, "transfer": transfers, "cv_net": cv - transfers, "ye": ye, "ye_net": ye_net,
+        "fp_before": prices.footprint, "fp_after": fp_after,
     }
-    for j, g in enumerate(group_names):
+    M = np.array([[c in members for members in DEFAULT_REPORT_GROUPS.values()]
+                  for c in categories], dtype=float)
+    share_g = shares @ M
+    burden_g = (frame.expenditure * prices.total) @ M
+    for j, g in enumerate(DEFAULT_REPORT_GROUPS):
         household[f"share_{g}"] = share_g[:, j]
         household[f"burden_{g}"] = burden_g[:, j]
 
     # group-level demand parameters: calibrated at the group mean basket,
     # expressed per currency unit of total expenditure
     elasticity_rows: list[list] = []
-    for label, g in zip(group_labels, groups):
+    for label, g in zip(labels, groups):
         gp = les_calibrate_frisch(g.budget, g.xi, g.mean_shares, g.mean_shares, 1.0)
         for j, cat in enumerate(categories):
             if cfg.skip_empty_categories and g.mean_shares[j] <= 0:
                 continue
-            elasticity_rows.append([
-                label, cat, g.mean_shares[j], g.budget[j], g.own_price[j],
-                gp.phi[j], gp.gamma[j], g.xi,
-            ])
+            elasticity_rows.append([label, cat, g.mean_shares[j], g.budget[j], g.own_price[j],
+                                    gp.phi[j], gp.gamma[j], g.xi])
+    return household, elasticity_rows
 
-    tables = build_tables(household, group_names, cfg)
+
+def run_scenario(cfg: RunConfig) -> ScenarioResult:
+    """Execute the full pipeline described in the module docstring."""
+    inputs = load_inputs(cfg)
+    prices = form_prices(cfg, inputs)
+    frame = inputs.frame
+    weights, sizes, exp = frame.weight, frame.size, frame.expenditure
+    totals, shares, _, quintiles = ranked = rank_households(cfg, frame)
+
+    # carbon revenue and recycling
+    revenue = float(np.dot(weights, exp @ prices.carbon)) if cfg.carbon_tax > 0 else 0.0
+    transfers = recycle_revenue(revenue, cfg.recycling, weights, sizes=sizes,
+                                target_mask=quintiles < cfg.recycling_quantile)
+
+    groups, labels, (order, bounds), n_fallback = estimate_demand_groups(
+        shares, totals, weights, sizes, quintiles, cfg
+    )
+    emissions = prices.unit_emissions if np.any(prices.unit_emissions > 0) else None
+    values, infeasible, n_cobb_douglas = value_households(
+        groups, order, bounds, exp, shares, totals, transfers, 1.0 + prices.total, emissions
+    )
+    if np.any(infeasible):
+        first = ", ".join(map(repr, frame.ids[np.flatnonzero(infeasible)[:5]].tolist()))
+        raise InfeasibleBudgetError(f"{infeasible.sum()} of {len(totals)} households cannot "
+                                    f"afford their committed bundle after the price change "
+                                    f"(first: {first})")
+    if not np.isfinite(values[3]).all():  # the footprints after the change
+        raise _emission_content_error(prices.unit_emissions, inputs.categories)
+
+    household, elasticity_rows = assemble(cfg, inputs, prices, ranked, values, transfers,
+                                          groups, labels)
+    group_names = tuple(DEFAULT_REPORT_GROUPS)
     return ScenarioResult(
-        categories=categories,
+        categories=inputs.categories,
         group_names=group_names,
-        relatives_total=rel_total,
-        relatives_inflation=rel_inflation,
-        relatives_carbon=rel_carbon,
+        relatives_total=prices.total,
+        relatives_inflation=inputs.rel_inflation,
+        relatives_carbon=prices.carbon,
         household=household,
-        tables=tables,
+        tables=build_tables(household, group_names, cfg),
         revenue=revenue,
         seed=cfg.seed,
         config_hash=cfg.config_hash(),
@@ -743,11 +784,11 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
             "cobb_douglas_fallbacks": n_cobb_douglas,
             "group_fallbacks": n_fallback,
             "elasticity_clamps": sum(g.clamped for g in groups),
-            "dropped_zero_total": survey.report.n_dropped_zero_total,
+            "dropped_zero_total": inputs.survey.report.n_dropped_zero_total,
         },
-        load_report=survey.report,
-        carbon=carbon,
-        imputation=imputation,
+        load_report=inputs.survey.report,
+        carbon=prices.carbon_result,
+        imputation=None if inputs.imputed is None else inputs.imputed.report,
     )
 
 
@@ -782,9 +823,7 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     for j, g in enumerate(group_names):
         exp_g = float(np.dot(w, x * share_g[:, j]))
         b_g = float(np.dot(w, burden_g[:, j]))
-        share = exp_g / agg_x
-        rate = b_g / exp_g if exp_g > 0 else 0.0
-        t2_rows.append([g, share, rate, b_g / agg_x])
+        t2_rows.append([g, exp_g / agg_x, b_g / exp_g if exp_g > 0 else 0.0, b_g / agg_x])
     total_rate = float(np.dot(w, hh["burden"])) / agg_x
     t2_rows.append(["total", 1.0, total_rate, total_rate])
     t2 = (["group", "budget_share", "avg_rate", "contribution"], t2_rows)
@@ -795,14 +834,9 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     for q, sel in enumerate(q_rows):
         wq, xq = w_q[sel], x_q[sel]
         exp_q = float(np.dot(wq, xq))
-        row = [f"q{q + 1}"]
-        row += [float(np.dot(wq, xq * share_q[sel, j])) / exp_q for j in range(len(group_names))]
-        row.append((float(np.dot(wq, eq_q[sel])) / float(wq.sum())) / mean_eq)
-        t3_rows.append(row)
-    avg_row = ["average"]
-    avg_row += [float(np.dot(w, x * share_g[:, j])) / agg_x for j in range(len(group_names))]
-    avg_row.append(1.0)
-    t3_rows.append(avg_row)
+        t3_rows.append([f"q{q + 1}", *(float(np.dot(wq, xq * s[sel])) / exp_q for s in share_q.T),
+                        (float(np.dot(wq, eq_q[sel])) / float(wq.sum())) / mean_eq])
+    t3_rows.append(["average", *(row[1] for row in t2_rows[:-1]), 1.0])  # t2's budget shares
     t3 = (["quintile", *group_names, "relative_expenditure"], t3_rows)
 
     # t5: household-weighted group contributions to inflation by quintile
@@ -819,16 +853,9 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     # by the same equivalence factor as expenditure)
     scale_factor = eq / x
     rows = progressivity_table(eq, w, burden_g * scale_factor[:, np.newaxis], list(group_names))
-    t6_rows = [
-        [r.name, r.ci_pre, r.ci_burden, r.ci_adjusted, r.rs, r.kakwani,
-         r.avg_rate, r.reranking, r.contribution_to_k]
-        for r in rows
-    ]
-    t6 = (
-        ["group", "ci_pre", "ci_burden", "ci_adjusted", "rs", "kakwani",
-         "avg_rate", "reranking", "contribution_to_k"],
-        t6_rows,
-    )
+    t6_cols = ["ci_pre", "ci_burden", "ci_adjusted", "rs", "kakwani", "avg_rate", "reranking",
+               "contribution_to_k"]
+    t6 = (["group", *t6_cols], [[r.name, *(getattr(r, c) for c in t6_cols)] for r in rows])
 
     # t7: welfare loss decomposition into fixed-basket and behavioural parts
     t7_rows = []
@@ -837,9 +864,8 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
         infl = float(np.dot(w_q[sel], burden_q[sel])) / xq
         rel_cv = float(np.dot(w_q[sel], cv_q[sel])) / xq
         t7_rows.append([f"q{q + 1}", infl, rel_cv, rel_cv - infl])
-    infl = float(np.dot(w, hh["burden"])) / agg_x
     rel_cv = float(np.dot(w, hh["cv"])) / agg_x
-    t7_rows.append(["total", infl, rel_cv, rel_cv - infl])
+    t7_rows.append(["total", total_rate, rel_cv, rel_cv - total_rate])
     t7 = (["quintile", "inflation", "relative_cv", "behaviour"], t7_rows)
 
     # t8/t9: Atkinson welfare before and after, on equivalised equivalent income
@@ -849,25 +875,15 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
         raise NumericalModelError(f"distribution.atkinson_epsilon = {cfg.atkinson_epsilon:g}: "
                                   "the Atkinson index of equivalised expenditure rounds to 1")
     post = atkinson(ye_eq, w, cfg.atkinson_epsilon)
-    t8 = (
-        ["state", "atkinson", "mean_ye", "yede"],
-        [
-            ["pre", pre.index, pre.mean, pre.yede],
-            ["post", post.index, post.mean, post.yede],
-            ["relative_change", (post.index - pre.index) / pre.index if pre.index != 0 else 0.0,
-             post.mean / pre.mean - 1.0, post.yede / pre.yede - 1.0],
-        ],
-    )
+    t8 = (["state", "atkinson", "mean_ye", "yede"], [
+        ["pre", pre.index, pre.mean, pre.yede],
+        ["post", post.index, post.mean, post.yede],
+        ["relative_change", (post.index - pre.index) / pre.index if pre.index != 0 else 0.0,
+         post.mean / pre.mean - 1.0, post.yede / pre.yede - 1.0],
+    ])
     decomp = welfare_decomposition(pre, post)
-    t9 = (
-        ["component", "value"],
-        [
-            ["equity", decomp["equity"]],
-            ["efficiency", decomp["efficiency"]],
-            ["interaction", decomp["interaction"]],
-            ["total", decomp["total"]],
-        ],
-    )
+    t9 = (["component", "value"],
+          [[c, decomp[c]] for c in ("equity", "efficiency", "interaction", "total")])
     return {
         "t2_inflation_drivers": t2,
         "t3_budget_shares": t3,
@@ -966,19 +982,23 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
 
 
 def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
-    """Recompute every aggregate table from a stored per-household frame."""
-    needed = {"weight", "size", "quintile", "x", "equivalised", "pi", "burden", "cv", "ye_net"}
+    """Recompute every aggregate table from a stored per-household frame;
+    each report group needs its share_<group> and burden_<group> column."""
+    needed = ["burden", "cv", "equivalised", "pi", "quintile", "size", "weight", "x", "ye_net"]
+
+    def group_names(header):
+        return tuple(dict.fromkeys(c.partition("_")[2] for c in header
+                                   if c.startswith(("share_", "burden_"))))
 
     def number_columns(header, ids):
-        missing = needed - set(header)
+        pairs = [f"{p}_{g}" for g in group_names(header) or ["<group>"] for p in ("share", "burden")]
+        missing = [c for c in needed + pairs if c not in header]
         if missing:
-            raise DataValidationError(f"{households_csv}: missing columns {sorted(missing)}")
+            raise DataValidationError(f"{households_csv}: missing columns {missing}")
         return [j for j, c in enumerate(header) if c != "id"]
 
     header, ids, block = read_labelled_table(households_csv, number_columns)
     del ids  # the tables need no ids
     hh = dict(zip([c for c in header if c != "id"], block.T))
-    group_names = tuple(
-        c[len("share_"):] for c in header if c.startswith("share_")
-    )
-    return build_tables(hh, group_names, cfg), group_names
+    groups = group_names(header)
+    return build_tables(hh, groups, cfg), groups

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import priceshock
 from priceshock.cli import main
-from priceshock.data import CategorySet
+from priceshock.data import DEFAULT_REPORT_GROUPS, CategorySet
 from priceshock.scenario import CONFIG_KEYS
 
 
@@ -208,7 +208,11 @@ class TestFileRows:
                               "the sample's 240 households and weights cannot fill them"),
         ("size", "1e40", 2, "distribution.atkinson_epsilon = 2: the Atkinson index of "
                             "equivalised expenditure rounds to 1"),
-    ], ids=["weight 1e308", "size 1e308", "exp_food 1e308", "weight 1e99", "size 1e40"])
+        ("inc", "1e308", 1, "households.csv: row 2, column 'inc': value 1e+308 exceeds 1e+100"),
+        ("demo_head_age", "-1e308", 1,
+         "households.csv: row 2, column 'demo_head_age': value -1e+308 exceeds 1e+100"),
+    ], ids=["weight 1e308", "size 1e308", "exp_food 1e308", "weight 1e99", "size 1e40",
+            "inc 1e308", "demo_head_age -1e308"])
     def test_extreme_household_values_end_in_a_message(self, bundle_dir, tmp_path, capsys,
                                                         column, text, code, problem):
         work = shutil.copytree(bundle_dir, tmp_path / "b")
@@ -217,6 +221,18 @@ class TestFileRows:
         assert run_cli("run", "--config", work / "config.txt", "--out", tmp_path / "r",
                        "--quiet") == code
         assert problem in capsys.readouterr().err
+
+    def test_extreme_income_of_an_imputing_run_ends_in_a_message(self, bundle_dir, tmp_path,
+                                                                  capsys):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        shutil.copyfile(work / "households.csv", work / "income.csv")
+        cfg = work / "config.txt"
+        cfg.write_text(cfg.read_text() + "files.income = income.csv\nscenario.impute = true\n")
+        replace_cell(work / "households.csv", 2, "inc", "1e308")
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet") == 1
+        assert ("households.csv: row 2, column 'inc': value 1e+308 exceeds 1e+100"
+                in capsys.readouterr().err)
 
     def test_household_id_with_comma_round_trips_through_report(self, bundle_dir, tmp_path):
         work = shutil.copytree(bundle_dir, tmp_path / "b")
@@ -300,6 +316,26 @@ class TestReport:
                        "--results", out / "households.csv", "--out", tmp_path / "t") == 1
         err = capsys.readouterr().err
         assert "households.csv: row 4, column 'cv': non-numeric value 'abc'" in err
+
+    @pytest.mark.parametrize("dropped,missing", [
+        (["burden_food"], "['burden_food']"),
+        (["share_motor_fuels", "burden_other"], "['share_motor_fuels', 'burden_other']"),
+        ([c for g in DEFAULT_REPORT_GROUPS for c in (f"share_{g}", f"burden_{g}")],
+         "['share_<group>', 'burden_<group>']"),
+    ], ids=["no burden_food", "one column of two groups", "no group"])
+    def test_incomplete_group_columns_are_named(self, bundle_dir, tmp_path, capsys, dropped,
+                                                missing):
+        out = tmp_path / "results"
+        run_cli("run", "--config", bundle_dir / "config.txt", "--out", out, "--quiet")
+        lines = [line.split(",") for line in (out / "households.csv").read_text().splitlines()]
+        keep = [j for j, c in enumerate(lines[0]) if c not in dropped]
+        (out / "households.csv").write_text("".join(",".join(cells[j] for j in keep) + "\n"
+                                                    for cells in lines))
+        capsys.readouterr()
+        assert run_cli("report", "--config", bundle_dir / "config.txt",
+                       "--results", out / "households.csv", "--out", tmp_path / "t") == 1
+        err = capsys.readouterr().err
+        assert f"households.csv: missing columns {missing}" in err
 
 
 class TestImpute:

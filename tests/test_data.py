@@ -27,9 +27,11 @@ from priceshock.data import (
     _keyed_order,
     _parse_block,
     CSV_BLOCK_ROWS,
+    SURVEY_VALUE_LIMIT,
     _csv_column,
     _number_words,
     _write_rows,
+    as_survey,
     format_value,
     load_bridge,
     load_fuels,
@@ -73,6 +75,13 @@ class TestHouseholdLoader:
         assert survey.report.n_dropped_zero_total == 0
         assert survey.records[0].disposable_income == 100.0
         assert survey.records[2].expenditure.tolist() == [70.0, 0.0, 30.0]
+
+    def test_dropped_row_keeps_its_income_unchecked(self, tmp_path):
+        p = write_survey_csv(tmp_path / "hh.csv", ["a,1,2,100,50,10,40", "b,2,1,1e300,0,0,0"])
+        assert load_household_survey(p, CATS).report.n_dropped_zero_total == 1
+        p = write_survey_csv(tmp_path / "hh.csv", ["a,1,2,100,50,10,40", "b,2,1,1e300,1,0,0"])
+        with pytest.raises(DataValidationError, match=r"row 3, column 'inc': value 1e\+300 exceeds"):
+            load_household_survey(p, CATS)
 
     def test_zero_expenditure_row_dropped_and_counted(self, tmp_path):
         p = write_survey_csv(tmp_path / "hh.csv", [
@@ -407,6 +416,13 @@ def ref_cell(text, path, lineno, column):
 def ref_household_survey(path, categories):
     """The row-by-row household loader that the bulk loader replaced."""
     header, rows, lines = read_table(path)
+
+    def within_limit(v, lineno, column):
+        if abs(v) > SURVEY_VALUE_LIMIT:
+            raise DataValidationError(
+                f"{path}: row {lineno}, column {column!r}: value {v} exceeds 1e+100")
+        return v
+
     idx = {c: header.index(c) for c in header}
     demo_cols = [c for c in header if c.startswith("demo_")]
     out = {"ids": [], "weight": [], "size": [], "income": [], "demo": [], "exp": []}
@@ -420,8 +436,10 @@ def ref_household_survey(path, categories):
         size = ref_cell(row[idx["size"]], path, lineno, "size")
         if weight < 0:
             raise DataValidationError(f"{path}: row {lineno}, column 'weight': negative value {weight}")
+        within_limit(weight, lineno, "weight")
         if size < 1:
             raise DataValidationError(f"{path}: row {lineno}, column 'size': value {size} < 1")
+        within_limit(size, lineno, "size")
         exp = []
         for cat in categories:
             col = "exp_" + cat
@@ -429,12 +447,14 @@ def ref_household_survey(path, categories):
             if v < 0:
                 raise DataValidationError(
                     f"{path}: row {lineno}, column {col!r}: negative expenditure {v}")
-            exp.append(v)
+            exp.append(within_limit(v, lineno, col))
         if sum(exp) <= 0:
             continue
-        out["demo"].append([ref_cell(row[idx[c]], path, lineno, c) for c in demo_cols])
+        out["demo"].append([within_limit(ref_cell(row[idx[c]], path, lineno, c), lineno, c)
+                            for c in demo_cols])
         if "inc" in header:
-            out["income"].append(ref_cell(row[idx["inc"]], path, lineno, "inc"))
+            out["income"].append(within_limit(ref_cell(row[idx["inc"]], path, lineno, "inc"),
+                                              lineno, "inc"))
         for key, v in (("ids", hid), ("weight", weight), ("size", size), ("exp", exp)):
             out[key].append(v)
     if not out["ids"]:
@@ -525,6 +545,7 @@ class TestBulkLoaders:
             "size below 1": lambda c: "0.75",
             "negative expenditure": lambda c: "-3",
             "duplicate id": lambda c: rows[0][header.index("id")],
+            "beyond the limit": lambda c: data.draw(st.sampled_from(["1e101", "-2.5e300"])),
         }
         targets = {"negative weight": ["weight"], "size below 1": ["size"],
                    "duplicate id": ["id"],
@@ -757,7 +778,14 @@ class TestSurveyWriter:
         out = new_dir()
         ref_write_household_survey(out / "ref.csv", records, CATS, extras)
         write_household_survey(out / "records.csv", records, CATS, extras)
-        frame = load_household_survey(out / "ref.csv", CATS)
+        # an income or demo_* cell beyond the loader's limit, as written: the
+        # loader refuses the file, so the frame comes from the records
+        extreme = any(abs(float(format_value(v))) > SURVEY_VALUE_LIMIT for r in records
+                      for v in [*r.demographics.values(), r.disposable_income or 0.0])
+        if extreme:
+            with pytest.raises(DataValidationError, match=r"exceeds 1e\+100"):
+                load_household_survey(out / "ref.csv", CATS)
+        frame = as_survey(records) if extreme else load_household_survey(out / "ref.csv", CATS)
         write_household_survey(out / "frame.csv", frame, CATS, extras)
         expected = (out / "ref.csv").read_bytes()
         assert (out / "records.csv").read_bytes() == expected

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from priceshock.data import BridgingMatrix, CategorySet, load_household_survey, read_table
+from priceshock.data import (DEFAULT_REPORT_GROUPS, BridgingMatrix, CategorySet, HouseholdSurvey,
+                             LoadReport, load_household_survey, read_table)
 from priceshock.demand import (LesParameters, compensating_variation, equivalent_income,
                                les_calibrate_frisch, les_demand)
 from priceshock.errors import DataValidationError
@@ -17,7 +18,11 @@ from priceshock.imputation import wls_fit
 from priceshock.scenario import (
     MIN_GROUP_OBS,
     GroupDemand,
+    Inputs,
+    Prices,
+    RunConfig,
     _engel_fit,
+    assemble,
     build_tables,
     carbon_tax_scenario,
     compose_relatives,
@@ -692,3 +697,36 @@ class TestValueHouseholdsAgainstTheScalarFunctions:
         valued = ~np.isin(assignment, assignment[short])
         np.testing.assert_allclose(values[:, valued], want[:, valued], rtol=1e-12, atol=0)
         assert not values[:, ~valued].any()
+
+
+class TestReportGroupMatrix:
+    """assemble sums each report group's shares and burdens through one 0/1
+    category-to-group matrix; each cell equals the sum of the group's
+    category columns within 1e-15 of the sum of their magnitudes (relative,
+    for the shares and any nonnegative burden)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_group_columns_equal_masked_column_sums(self, data):
+        cats = CategorySet.default()
+        n, k = data.draw(st.integers(1, 12)), len(cats)
+        cell = st.one_of(st.just(0.0), st.floats(1e-6, 1e9))
+        exp = data.draw(arrays(float, (n, k), elements=cell))
+        exp[exp.sum(axis=1) == 0, 0] = 1.0  # the loader keeps positive totals only
+        rel = data.draw(arrays(float, k, elements=st.one_of(st.just(0.0), st.floats(-0.99, 1e6))))
+        frame = HouseholdSurvey(ids=np.array([f"h{i}" for i in range(n)]), weight=np.ones(n),
+                                size=np.ones(n), income=None, demographic_names=(),
+                                demographics=np.zeros((n, 0)), expenditure=exp,
+                                report=LoadReport(source="test"))
+        inputs = Inputs(cats, frame, None, None, None, None, np.zeros(k))
+        prices = Prices(rel, np.zeros(k), np.zeros(k), np.zeros(n), None)
+        totals = exp.sum(axis=1)
+        shares = exp / totals[:, np.newaxis]
+        ranked = (totals, shares, totals, np.zeros(n, dtype=int))
+        household, _ = assemble(RunConfig(files={}), inputs, prices, ranked, np.zeros((4, n)),
+                                np.zeros(n), [], [])
+        for g, members in DEFAULT_REPORT_GROUPS.items():
+            mask = np.isin(cats.ids, members)
+            for name, terms in (("share", shares[:, mask]), ("burden", exp[:, mask] * rel[mask])):
+                got, want = household[f"{name}_{g}"], terms.sum(axis=1)
+                assert (np.abs(got - want) <= 1e-15 * np.abs(terms).sum(axis=1)).all(), (name, g)
