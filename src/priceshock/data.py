@@ -17,10 +17,13 @@ bridge.csv       category, <product labels...>
 prices.csv       category, pi
 fuels.csv        fuel, price, kgco2_per_unit
 
-Rows of keyed files may appear in any order; the full label set must match
-the registry with no duplicates. Every numeric cell must be text that
-``float()`` reads as a finite number. Values are written back with at most
-12 significant digits, which round-trips bit-for-bit through the loaders.
+Every file is read by ``read_input``. Rows of keyed files may appear in
+any order; the full label set must match the registry with no duplicates.
+Every numeric cell must be text that ``float()`` reads as a finite number.
+A faulty file raises its first fault: of the file, then of its header, then
+of its label set, then of a row (named by file, row and column), rows in
+file order. Values are written back with at most 12 significant digits,
+which round-trips bit-for-bit through the loaders.
 """
 
 from __future__ import annotations
@@ -545,29 +548,6 @@ def _parse_cells(rows, positions) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def _cell_error(path, lineno: int, column: str, text: str) -> DataValidationError:
-    try:
-        float(text)
-        problem = "non-finite"
-    except ValueError:
-        problem = "non-numeric"
-    return DataValidationError(f"{path}: row {lineno}, column {column!r}: {problem} value {text!r}")
-
-
-def _parse_block(rows, positions, names, path, lines) -> np.ndarray:
-    """The chosen columns of ``read_table`` rows as an (n, m) float block.
-
-    Accepts exactly the cells ``float()`` reads as a finite number; the
-    first other cell, row by row, raises with its file row (``lines``) and
-    column (``names[j]`` names the column at ``positions[j]``).
-    """
-    block = _parse_cells(rows, positions)
-    if not np.isfinite(block).all():
-        i, j = np.argwhere(~np.isfinite(block))[0]
-        raise _cell_error(path, lines[i], names[j], rows[i][positions[j]])
-    return block
-
-
 def _duplicates(ids: np.ndarray) -> np.ndarray:
     """Mask of the ids that repeat an earlier one."""
     dup = np.ones(len(ids), dtype=bool)
@@ -575,13 +555,14 @@ def _duplicates(ids: np.ndarray) -> np.ndarray:
     return dup
 
 
-def _raise_first_fault(path, rows, lines, header: list[str], checks) -> None:
+def _raise_first_fault(path, rows, lines, header: list[str], labels: Sequence, checks) -> None:
     """Raise the fault a row-by-row loader would meet first.
 
     ``checks`` lists (row mask, column, message template) in the order the
     checks run on one row; a template of None marks a cell that is not a
     finite number. Templates may use {path}, {row} (the file row, from
-    ``lines``), {col}, {hid} (the row's id) and {value} (the cell as a float).
+    ``lines``), {col}, {label} (the row's label), {text} (the cell) and
+    {value} (the cell as a float).
     """
     faults = np.column_stack([mask for mask, _, _ in checks])
     faulty = faults.any(axis=1)
@@ -591,10 +572,14 @@ def _raise_first_fault(path, rows, lines, header: list[str], checks) -> None:
     _, col, template = checks[int(np.argmax(faults[i]))]
     text = rows[i][header.index(col)]
     if template is None:
-        raise _cell_error(path, lines[i], col, text)
-    raise DataValidationError(template.format(path=path, row=lines[i], col=col,
-                                              hid=rows[i][header.index("id")],
-                                              value=_float_or_nan(text)))
+        try:
+            float(text)
+            problem = "non-finite"
+        except ValueError:
+            problem = "non-numeric"
+        template = "{path}: row {row}, column {col!r}: " + problem + " value {text!r}"
+    raise DataValidationError(template.format(path=path, row=lines[i], col=col, label=labels[i],
+                                              text=text, value=_float_or_nan(text)))
 
 
 # printable ASCII but the quote, and line breaks: a file of these bytes alone
@@ -653,6 +638,8 @@ def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | N
                 at, usecols = columns(header)
             except DataValidationError:
                 return None
+            if not isinstance(at, int):  # a second text column: the row path
+                return None
             wanted = len(usecols)
             if at != width - 1 and width - 1 not in usecols:
                 usecols = [*usecols, width - 1]
@@ -687,86 +674,73 @@ def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | N
     return header, labels, values
 
 
-def _read_survey(path: Path, value_columns, checks):
-    """(header, ids, values) of a survey file without a fault.
+def read_input(path, columns, checks=None, order=None) -> tuple[list[str], list, np.ndarray]:
+    """(header, labels, values) of an input CSV file, ``values`` an (n, m) float block.
 
-    ``value_columns(header)`` names the columns of ``values``;
-    ``checks(header, ids, values, bad)`` lists a loader's row checks for
-    ``_raise_first_fault``, ``bad`` marking the cells that are not finite
-    numbers (0 in ``values``). A file that ``_loadtxt_table`` takes and
-    that passes every check is returned as parsed. Any other file is read
-    again by ``read_table`` and ``_parse_cells``, and its first fault is
-    raised.
+    ``columns(header)`` raises for a faulty header and gives the label
+    column's position (a tuple of them gives tuple labels) and the value
+    columns'. ``order(header, labels)`` (a tuple label gives its first cell)
+    raises for a faulty label set and gives the rows kept and the value
+    columns, in order, each None for the file's. ``checks(header, labels,
+    values, bad)`` lists row checks for ``_raise_first_fault``, ``bad``
+    marking the cells that are not finite numbers; by default one bad-cell
+    check per value column. A plain file (``_loadtxt_table``) that passes
+    them is parsed by one ``np.loadtxt``; any other is read again by
+    ``read_table``, which raises its first fault: of the file, then the
+    header, then the label set, then the first row in file order.
     """
-    def columns(header):
-        names = value_columns(header)
-        return header.index("id"), [header.index(c) for c in names]
-
     table = _loadtxt_table(path, columns)
     if table is not None:
-        header, ids, values = table
-        ids = np.array(ids, dtype=str)
-        faults = checks(header, ids, values, np.zeros(values.shape, dtype=bool))
-        if not np.column_stack([mask for mask, _, _ in faults]).any():
-            return header, ids, values
-    header, rows, lines = read_table(path)
-    at, positions = columns(header)
-    ids = np.array([row[at] for row in rows], dtype=str)
-    values = _parse_cells(rows, positions)
-    bad = ~np.isfinite(values)
-    values[bad] = 0.0  # reported as a bad cell, not also as a bad value
-    _raise_first_fault(path, rows, lines, header, checks(header, ids, values, bad))
-    return header, ids, values
-
-
-def read_labelled_table(path, value_columns) -> tuple[list[str], list[str], np.ndarray]:
-    """(header, labels, values) of a CSV table whose first column labels
-    its rows.
-
-    ``value_columns(header, labels)`` raises for a faulty header or label
-    set and returns the positions of the header columns that ``values``
-    holds, in that order, with one row per non-blank file row. A plain file
-    (``_loadtxt_table``) is parsed by one ``np.loadtxt``. Any other
-    file, and any file with a cell that is not a finite number, is read
-    again by ``read_table`` and ``_parse_block``, which name the first
-    fault: a file fault, then a label fault, then a cell fault row by row
-    in the order of ``value_columns``.
-    """
-    table = _loadtxt_table(path, lambda header: (0, range(1, len(header))))
-    if table is not None:
         header, labels, values = table
-        picked = np.asarray(value_columns(header, labels), dtype=int) - 1
-        if (picked >= 0).all():  # the first column holds labels, not values
-            if not np.array_equal(picked, np.arange(values.shape[1])):
-                values = values[:, picked]
-            return header, labels, values
-    header, rows, lines = read_table(path)
-    labels = [row[0] for row in rows]
-    columns = list(value_columns(header, labels))
-    return header, labels, _parse_block(rows, columns, [header[j] for j in columns], path, lines)
+        rows, cols = (None, None) if order is None else order(header, labels)
+        if cols is not None and list(cols) != list(range(len(cols))):
+            values = values[:, cols]
+        # loadtxt's values are all finite: only a loader's own checks can fail
+        if checks is not None and any(mask.any() for mask, _, _ in
+                                      checks(header, labels, values, np.zeros(values.shape, bool))):
+            table = None
+    if table is None:
+        header, file_rows, lines = read_table(path)
+        at, positions = columns(header)
+        labels = list(map(itemgetter(*at) if isinstance(at, tuple) else itemgetter(at), file_rows))
+        keys = labels if isinstance(at, int) else [label[0] for label in labels]
+        rows, cols = (None, None) if order is None else order(header, keys)
+        if cols is not None:
+            positions = [positions[j] for j in cols]
+        values = _parse_cells(file_rows, positions)
+        bad = ~np.isfinite(values)
+        values[bad] = 0.0  # reported as a bad cell, not also as a bad value
+        found = (checks(header, labels, values, bad) if checks is not None
+                 else [(bad[:, j], header[p], None) for j, p in enumerate(positions)])
+        _raise_first_fault(path, file_rows, lines, header, labels, found)
+    if rows is not None:
+        labels, values = [labels[i] for i in rows], values[rows]
+    return header, labels, values
 
 
-def _keyed_order(path, header: list[str], labels: Sequence[str], key_column: str,
-                 expected: Sequence[str]) -> list[int]:
-    """Index into ``labels`` (each row's first cell) of each expected label,
-    validated against the label set."""
-    if header[0] != key_column:
-        raise DataValidationError(f"{path}: first column must be {key_column!r}, got {header[0]!r}")
-    seen: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        if label in seen:
-            raise DataValidationError(f"{path}: duplicate {key_column} {label!r}")
-        seen[label] = i
-    missing = [k for k in expected if k not in seen]
-    known = set(expected)
-    extra = [k for k in seen if k not in known]
-    if missing or extra:
-        raise DataValidationError(
-            f"{path}: {key_column} labels do not match the registry"
-            + (f"; missing {missing}" if missing else "")
-            + (f"; unexpected {extra}" if extra else "")
-        )
-    return [seen[k] for k in expected]
+def _keyed_order(path, key_column: str, expected: Sequence[str]):
+    """``read_input``'s ``order`` for a file keyed by its first column, named
+    ``key_column``: the rows in the order of ``expected``, each labelled once."""
+    def order(header, labels):
+        if header[0] != key_column:
+            raise DataValidationError(f"{path}: first column must be {key_column!r}, "
+                                      f"got {header[0]!r}")
+        seen: dict[str, int] = {}
+        for i, label in enumerate(labels):
+            if label in seen:
+                raise DataValidationError(f"{path}: duplicate {key_column} {label!r}")
+            seen[label] = i
+        missing = [k for k in expected if k not in seen]
+        known = set(expected)
+        extra = [k for k in seen if k not in known]
+        if missing or extra:
+            raise DataValidationError(
+                f"{path}: {key_column} labels do not match the registry"
+                + (f"; missing {missing}" if missing else "")
+                + (f"; unexpected {extra}" if extra else "")
+            )
+        return [seen[k] for k in expected], None
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -774,13 +748,17 @@ def _keyed_order(path, header: list[str], labels: Sequence[str], key_column: str
 # ---------------------------------------------------------------------------
 
 
-def _household_columns(path, header: list[str], categories: CategorySet):
-    """(expenditure, demo_*, extra) columns of a households.csv header, in
-    load order; extra is the demo_* columns then ``inc`` when present."""
-    required = ["id", "weight", "size"]
+def _survey_columns(path, header: list[str], categories: CategorySet | None = None) -> list[str]:
+    """The value columns of a survey header, in load order: weight, size,
+    then for households.csv (``categories``) exp_<category>..., demo_*...
+    and inc when present, for the income survey inc and demo_*..."""
+    required = ["id", "weight", "size"] + (["inc"] if categories is None else [])
     missing = [c for c in required if c not in header]
     if missing:
         raise DataValidationError(f"{path}: missing required columns {missing}")
+    demo_cols = [c for c in header if c.startswith(DEMOGRAPHIC_PREFIX)]
+    if categories is None:
+        return ["weight", "size", "inc", *demo_cols]
     exp_cols = {c[len(EXPENDITURE_PREFIX):]: c for c in header if c.startswith(EXPENDITURE_PREFIX)}
     missing_cats = [c for c in categories if c not in exp_cols]
     if missing_cats:
@@ -788,9 +766,38 @@ def _household_columns(path, header: list[str], categories: CategorySet):
     unknown = [exp_cols[c] for c in exp_cols if c not in set(categories.ids)]
     if unknown:
         raise DataValidationError(f"{path}: unknown expenditure columns {sorted(unknown)}")
-    demo_cols = [c for c in header if c.startswith(DEMOGRAPHIC_PREFIX)]
-    extra_cols = demo_cols + (["inc"] if "inc" in header else [])
-    return [exp_cols[c] for c in categories], demo_cols, extra_cols
+    return ["weight", "size", *(exp_cols[c] for c in categories), *demo_cols,
+            *(["inc"] if "inc" in header else [])]
+
+
+def _survey_checks(ids, values, bad, names: list[str], spent: int = 0):
+    """The row checks of a survey file whose value columns ``names`` are
+    weight, size, ``spent`` expenditure columns and the rest, in the order
+    they run on a row: a repeated id; a bad weight or size cell; a negative
+    weight, a weight beyond ``SURVEY_VALUE_LIMIT``, a size below 1, a size
+    beyond it; then each further column's bad cell, negative value (for
+    expenditure) and value beyond the limit. A row whose expenditure sums to
+    0 or less is dropped at load, so the rest of its cells go unchecked."""
+    ids = np.array(ids, dtype=str)  # as the frame holds them: numpy drops trailing NULs
+    large = np.abs(values) > SURVEY_VALUE_LIMIT  # sums over a survey stay finite
+    if spent:
+        for mask in (bad, large):
+            mask[values[:, 2:2 + spent].sum(axis=1) <= 0, 2 + spent:] = False
+    negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
+    return [
+        (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {label!r}"),
+        (bad[:, 0], "weight", None),
+        (bad[:, 1], "size", None),
+        (values[:, 0] < 0, "weight", "{path}: row {row}, column 'weight': negative value {value}"),
+        (large[:, 0], "weight", TOO_LARGE),
+        (values[:, 1] < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
+        (large[:, 1], "size", TOO_LARGE),
+        *((mask, col, template) for j, col in enumerate(names[2:2 + spent], start=2)
+          for mask, template in ((bad[:, j], None), (values[:, j] < 0, negative),
+                                 (large[:, j], TOO_LARGE))),
+        *((mask, col, template) for j, col in enumerate(names[2 + spent:], start=2 + spent)
+          for mask, template in ((bad[:, j], None), (large[:, j], TOO_LARGE))),
+    ]
 
 
 def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
@@ -800,42 +807,20 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     fail loudly when it is absent rather than default it here. A dropped
     row's ``demo_*`` and ``inc`` cells are not checked. Ids are copied into
     an array: a kept cell would keep the memory of every row from being
-    returned. A plain file is parsed by ``np.loadtxt``; any other file, and
-    any file with a fault, is read again row by row, which names the fault.
+    returned. The file is read by ``read_input`` with ``_survey_checks``.
     """
     path = Path(path)
 
-    def value_columns(header):
-        exp_names, _, extra_cols = _household_columns(path, header, categories)
-        return ["weight", "size", *exp_names, *extra_cols]
+    def names(header):
+        return _survey_columns(path, header, categories)
 
-    def checks(header, ids, values, bad):
-        exp_names, _, extra_cols = _household_columns(path, header, categories)
-        k = len(exp_names)
-        exp = values[:, 2:2 + k]
-        large = np.abs(values) > SURVEY_VALUE_LIMIT
-        for mask in (bad, large):  # a dropped row's demo_* and inc are not checked
-            mask[exp.sum(axis=1) <= 0, 2 + k:] = False
-        negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
-        return [
-            (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {hid!r}"),
-            (bad[:, 0], "weight", None),
-            (bad[:, 1], "size", None),
-            (values[:, 0] < 0, "weight",
-             "{path}: row {row}, column 'weight': negative value {value}"),
-            (large[:, 0], "weight", TOO_LARGE),
-            (values[:, 1] < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
-            (large[:, 1], "size", TOO_LARGE),
-            *((mask, col, template) for j, col in enumerate(exp_names)
-              for mask, template in ((bad[:, 2 + j], None), (exp[:, j] < 0, negative),
-                                     (large[:, 2 + j], TOO_LARGE))),
-            *((mask, col, template) for j, col in enumerate(extra_cols)
-              for mask, template in ((bad[:, 2 + k + j], None), (large[:, 2 + k + j], TOO_LARGE))),
-        ]
-
-    header, ids, values = _read_survey(path, value_columns, checks)
-    exp_names, demo_cols, extra_cols = _household_columns(path, header, categories)
-    k = len(exp_names)
+    header, ids, values = read_input(
+        path, lambda header: (header.index("id"), [header.index(c) for c in names(header)]),
+        lambda header, ids, values, bad: _survey_checks(ids, values, bad, names(header),
+                                                        len(categories)))
+    ids = np.array(ids, dtype=str)
+    demo_cols = [c for c in names(header) if c.startswith(DEMOGRAPHIC_PREFIX)]
+    k = len(categories)
     weight, size, exp, extra = values[:, 0], values[:, 1], values[:, 2:2 + k], values[:, 2 + k:]
     keep = exp.sum(axis=1) > 0
 
@@ -856,38 +841,22 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     )
 
 
-def _income_columns(path, header: list[str]) -> list[str]:
-    """The value columns of an income-survey header: weight, size, inc, demo_*."""
-    required = ["id", "weight", "size", "inc"]
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise DataValidationError(f"{path}: missing required columns {missing}")
-    return ["weight", "size", "inc", *(c for c in header if c.startswith(DEMOGRAPHIC_PREFIX))]
-
-
 def load_income_survey(path) -> IncomeSurvey:
     """Load the imputation target: id, weight, size, inc, demo_* columns.
 
     Expenditure columns, if present, are ignored (and noted in the report);
     the dataset's own incomes define the calibration targets. The rows come
-    back as columns; ``records`` is a view built on request. Files are read
-    as ``load_household_survey`` reads them.
+    back as columns; ``records`` is a view built on request. The file is
+    read with the household loader's row checks (``_survey_checks``).
     """
     path = Path(path)
-
-    def checks(header, ids, values, bad):
-        cols = _income_columns(path, header)
-        large = np.abs(values) > SURVEY_VALUE_LIMIT  # sums over records stay finite
-        return [
-            (_duplicates(ids), "id", "{path}: row {row}: duplicate id {hid!r}"),
-            *((bad[:, j], col, None) for j, col in enumerate(cols)),
-            (values[:, 0] < 0, "weight", "record {hid}: negative weight {value}"),
-            (values[:, 1] < 1, "size", "record {hid}: size {value} < 1"),
-            *((large[:, j], col, TOO_LARGE) for j, col in enumerate(cols)),
-        ]
-
-    header, ids, values = _read_survey(path, lambda h: _income_columns(path, h), checks)
-    cols = _income_columns(path, header)
+    header, ids, values = read_input(
+        path, lambda header: (header.index("id"),
+                              [header.index(c) for c in _survey_columns(path, header)]),
+        lambda header, ids, values, bad: _survey_checks(ids, values, bad,
+                                                        _survey_columns(path, header)))
+    ids = np.array(ids, dtype=str)
+    cols = _survey_columns(path, header)
     ignored = [c for c in header if c.startswith(EXPENDITURE_PREFIX)]
     report = LoadReport(source=str(path), n_rows=len(ids), n_loaded=len(ids))
     if ignored:
@@ -1221,70 +1190,82 @@ def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRec
                     [frame.ids, *values.T, *extras.values()], "\r\n")
 
 
+def _value_columns(path, *names: str, label: str | None = None):
+    """``read_input``'s ``columns``: values from the columns ``names``, labels from
+    column ``label`` (by default the first); the first of them the header lacks raises."""
+    def columns(header):
+        for col in ((label,) if label else ()) + names:
+            if col not in header:
+                raise DataValidationError(f"{path}: missing column {col!r}")
+        return header.index(label) if label else 0, [header.index(c) for c in names]
+    return columns
+
+
 def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDENTITY_RTOL) -> MrioTable:
     """Load the four MRIO files and verify the accounting identity."""
     z_path = Path(z_path)
 
-    def sector_columns(header, labels):
+    def sector_columns(header):
         if len(header) < 2:
             raise DataValidationError(f"{z_path}: flow matrix needs at least one sector column")
         if header[0] != "sector":
             raise DataValidationError(f"{z_path}: first column must be 'sector', got {header[0]!r}")
+        return 0, range(1, len(header))
+
+    def flow_order(header, labels):
         if len(set(labels)) != len(labels):
             raise DataValidationError(f"{z_path}: duplicate sector rows")
         if set(header[1:]) != set(labels) or len(header) - 1 != len(labels):
             raise DataValidationError(f"{z_path}: row and column sector labels differ")
-        col_pos = {s: j for j, s in enumerate(header[1:], start=1)}
-        return [col_pos[s] for s in labels]  # Z's columns in row-label order
+        col_pos = {s: j for j, s in enumerate(header[1:])}
+        return None, [col_pos[s] for s in labels]  # Z's columns in row-label order
 
-    _, labels, Z = read_labelled_table(z_path, sector_columns)
+    _, labels, Z = read_input(z_path, sector_columns, order=flow_order)
     sectors = tuple(labels)
 
-    def vector(path, value_col):
-        header_v, rows_v, lines_v = read_table(path)
-        order = _keyed_order(path, header_v, [r[0] for r in rows_v], "sector", sectors)
-        if value_col not in header_v:
-            raise DataValidationError(f"{path}: missing column {value_col!r}")
-        values = _parse_block(rows_v, [header_v.index(value_col)], [value_col], path,
-                              lines_v)[order, 0]
-        return values, header_v, rows_v, lines_v, order
+    # mrio_x.csv's label is (sector, origin) when it flags origins; a blank flag: domestic
+    def x_columns(header):
+        at, positions = _value_columns(x_path, "x")(header)
+        return ((at, header.index("origin")) if "origin" in header else at), positions
 
-    d = vector(d_path, "d")[0]
-    x, x_header, x_rows, x_lines, x_order = vector(x_path, "x")
-    f = vector(f_path, "f")[0]
-    oi = x_header.index("origin") if "origin" in x_header else None  # a blank flag: domestic
-    origin = tuple("domestic" if oi is None else x_rows[i][oi] or "domestic" for i in x_order)
-    for i, flag in zip(x_order, origin):
-        if flag not in ("domestic", "imported"):
-            raise DataValidationError(f"{x_path}: row {x_lines[i]}, column 'origin': expected "
-                                      f"domestic/imported, got {flag!r}")
-    return MrioTable(sectors=sectors, flows=Z, final_demand=d, output=x, emissions=f,
-                     origin=origin, identity_rtol=identity_rtol)
+    def x_checks(header, labels, values, bad):
+        checks = [(bad[:, 0], "x", None)]
+        if "origin" in header:
+            flags = np.array([o not in ("", "domestic", "imported") for _, o in labels], dtype=bool)
+            checks.append((flags, "origin", "{path}: row {row}, column 'origin': expected "
+                                            "domestic/imported, got {text!r}"))
+        return checks
+
+    d = read_input(d_path, _value_columns(d_path, "d"), None,
+                   _keyed_order(d_path, "sector", sectors))[2]
+    x_header, x_labels, x = read_input(x_path, x_columns, x_checks,
+                                       _keyed_order(x_path, "sector", sectors))
+    f = read_input(f_path, _value_columns(f_path, "f"), None,
+                   _keyed_order(f_path, "sector", sectors))[2]
+    origin = (tuple(o or "domestic" for _, o in x_labels) if "origin" in x_header
+              else ("domestic",) * len(sectors))
+    return MrioTable(sectors=sectors, flows=Z, final_demand=d[:, 0], output=x[:, 0],
+                     emissions=f[:, 0], origin=origin, identity_rtol=identity_rtol)
 
 
 def load_bridge(path, categories: CategorySet) -> BridgingMatrix:
     path = Path(path)
 
-    def product_columns(header, labels):
+    def product_columns(header):
         if len(header) < 2:
             raise DataValidationError(f"{path}: bridging matrix needs product columns")
-        _keyed_order(path, header, labels, "category", categories.ids)
-        return range(1, len(header))
+        return 0, range(1, len(header))
 
-    header, labels, shares = read_labelled_table(path, product_columns)
-    order = _keyed_order(path, header, labels, "category", categories.ids)
-    return BridgingMatrix(categories=categories.ids, products=tuple(header[1:]),
-                          shares=shares[order])
+    header, _, shares = read_input(path, product_columns,
+                                   order=_keyed_order(path, "category", categories.ids))
+    return BridgingMatrix(categories=categories.ids, products=tuple(header[1:]), shares=shares)
 
 
 def load_price_relatives(path, categories: CategorySet) -> np.ndarray:
     """prices.csv -> per-category price relatives in registry order."""
     path = Path(path)
-    header, rows, lines = read_table(path)
-    if "pi" not in header:
-        raise DataValidationError(f"{path}: missing column 'pi'")
-    order = _keyed_order(path, header, [r[0] for r in rows], "category", categories.ids)
-    out = _parse_block(rows, [header.index("pi")], ["pi"], path, lines)[order, 0]
+    out = read_input(path, _value_columns(path, "pi"),
+                     order=_keyed_order(path, "category", categories.ids))[2][:, 0]
     if np.any(out <= -1.0):
         raise DataValidationError(f"{path}: price relatives must exceed -1")
     return out
@@ -1292,12 +1273,6 @@ def load_price_relatives(path, categories: CategorySet) -> np.ndarray:
 
 def load_fuels(path) -> FuelTable:
     path = Path(path)
-    header, rows, lines = read_table(path)
-    for col in ("fuel", "price", "kgco2_per_unit"):
-        if col not in header:
-            raise DataValidationError(f"{path}: missing column {col!r}")
-    values = _parse_block(rows, [header.index("price"), header.index("kgco2_per_unit")],
-                          ["price", "kgco2_per_unit"], path, lines)
-    fi = header.index("fuel")
-    return FuelTable(fuels=tuple(row[fi] for row in rows), price=values[:, 0],
-                     carbon_kg_per_unit=values[:, 1])
+    _, fuels, values = read_input(path, _value_columns(path, "price", "kgco2_per_unit",
+                                                       label="fuel"))
+    return FuelTable(fuels=tuple(fuels), price=values[:, 0], carbon_kg_per_unit=values[:, 1])

@@ -33,6 +33,7 @@ from .data import (
     FuelTable,
     HouseholdRecord,
     MrioTable,
+    format_value,
     write_household_survey,
 )
 from .randutil import normals, rng_for
@@ -241,6 +242,14 @@ def category_price_relatives(categories: CategorySet) -> np.ndarray:
     return out
 
 
+def _write_table(path: Path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` as CSV lines, each number as ``format_value`` writes it."""
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(c if isinstance(c, str) else format_value(c) for c in row) + "\n")
+    return path
+
+
 def write_fixture_bundle(outdir) -> dict[str, Path]:
     """Materialise the fixtures plus a ready-to-run configuration file."""
     outdir = Path(outdir)
@@ -253,46 +262,21 @@ def write_fixture_bundle(outdir) -> dict[str, Path]:
     write_household_survey(paths["households"], records, categories)
 
     table = io2_table()
-    paths["mrio_z"] = outdir / "mrio_z.csv"
-    with open(paths["mrio_z"], "w") as fh:
-        fh.write("sector," + ",".join(table.sectors) + "\n")
-        for i, s in enumerate(table.sectors):
-            fh.write(s + "," + ",".join(f"{v:.12g}" for v in table.flows[i]) + "\n")
-    for name, col, vec in (
-        ("mrio_d", "d", table.final_demand),
-        ("mrio_f", "f", table.emissions),
-    ):
-        paths[name] = outdir / f"{name}.csv"
-        with open(paths[name], "w") as fh:
-            fh.write(f"sector,{col}\n")
-            for s, v in zip(table.sectors, vec):
-                fh.write(f"{s},{v:.12g}\n")
-    paths["mrio_x"] = outdir / "mrio_x.csv"
-    with open(paths["mrio_x"], "w") as fh:
-        fh.write("sector,x,origin\n")
-        for s, v, o in zip(table.sectors, table.output, table.origin):
-            fh.write(f"{s},{v:.12g},{o}\n")
-
-    paths["bridge"] = outdir / "bridge.csv"
+    sectors = table.sectors
+    paths["mrio_z"] = _write_table(outdir / "mrio_z.csv", ["sector", *sectors],
+                                   [[s, *row] for s, row in zip(sectors, table.flows)])
+    for name, col, vec in (("mrio_d", "d", table.final_demand), ("mrio_f", "f", table.emissions)):
+        paths[name] = _write_table(outdir / f"{name}.csv", ["sector", col], zip(sectors, vec))
+    paths["mrio_x"] = _write_table(outdir / "mrio_x.csv", ["sector", "x", "origin"],
+                                   zip(sectors, table.output, table.origin))
     energy_rows = {"domestic_energy": 1.0, "electricity": 1.0, "motor_fuels": 0.9}
-    with open(paths["bridge"], "w") as fh:
-        fh.write("category," + ",".join(table.sectors) + "\n")
-        for c in categories:
-            e_share = energy_rows.get(c, 0.0)
-            fh.write(f"{c},{e_share:.12g},{1.0 - e_share:.12g}\n")
-
-    paths["prices"] = outdir / "prices.csv"
-    relatives = category_price_relatives(categories)
-    with open(paths["prices"], "w") as fh:
-        fh.write("category,pi\n")
-        for c, r in zip(categories, relatives):
-            fh.write(f"{c},{r:.12g}\n")
-
-    paths["fuels"] = outdir / "fuels.csv"
-    with open(paths["fuels"], "w") as fh:
-        fh.write("fuel,price,kgco2_per_unit\n")
-        for name, price, carbon in FUEL_ROWS:
-            fh.write(f"{name},{price:.12g},{carbon:.12g}\n")
+    paths["bridge"] = _write_table(outdir / "bridge.csv", ["category", *sectors],
+                                   [[c, energy_rows.get(c, 0.0), 1.0 - energy_rows.get(c, 0.0)]
+                                    for c in categories])
+    paths["prices"] = _write_table(outdir / "prices.csv", ["category", "pi"],
+                                   zip(categories, category_price_relatives(categories)))
+    paths["fuels"] = _write_table(outdir / "fuels.csv", ["fuel", "price", "kgco2_per_unit"],
+                                  FUEL_ROWS)
 
     paths["config"] = outdir / "config.txt"
     fuel_map_lines = "\n".join(

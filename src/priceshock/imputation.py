@@ -29,6 +29,7 @@ from .errors import ConvergenceError, DataValidationError, SeparationError
 from .metrics import stable_order
 from .randutil import id_keys, keyed_normals
 
+LINKS = ("logit", "probit")  # the link functions binary_fit knows
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITER = 200
 SEPARATION_PREDICTOR_BOUND = 30.0
@@ -144,7 +145,7 @@ def binary_fit(design: np.ndarray, outcome: np.ndarray, weights: np.ndarray, nam
     Raises SeparationError instead of silently diverging when the classes
     are perfectly separable.
     """
-    if link not in ("logit", "probit"):
+    if link not in LINKS:
         raise DataValidationError(f"unknown link {link!r}")
     design = np.asarray(design, dtype=float)
     outcome = np.asarray(outcome, dtype=float)

@@ -106,7 +106,7 @@ def leontief_inverse(
             L = np.linalg.solve(eye - A, eye)
         except np.linalg.LinAlgError:
             raise NumericalModelError("I - A is singular; input table is corrupt") from None
-        return _checked(L, "direct")
+        return LeontiefInverse(matrix=L, method="direct")
     if method == "neumann":
         L = eye.copy()
         term = eye.copy()
@@ -115,15 +115,11 @@ def leontief_inverse(
             L += term
             norm = float(np.max(np.abs(term)))
             if norm < tol:
-                return _checked(L, "neumann", terms=k, tol=tol)
+                return LeontiefInverse(matrix=L, method="neumann", terms=k, tol=tol)
         raise ConvergenceError(
             f"power series not converged after {max_terms} terms; last term max-norm {norm:.3g}"
         )
     raise DataValidationError(f"unknown Leontief method {method!r}")
-
-
-def _checked(L: np.ndarray, method: str, **tags) -> LeontiefInverse:
-    return LeontiefInverse(matrix=L, method=method, **tags)
 
 
 def leontief_residual(tech: TechnologyMatrix, inv: LeontiefInverse) -> float:

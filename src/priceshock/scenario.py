@@ -33,9 +33,13 @@ from .data import (
     load_income_survey,
     load_mrio,
     load_price_relatives,
-    read_labelled_table,
+    read_input,
 )
 from .demand import (
+    FRISCH_CAP,
+    FRISCH_LEVEL,
+    FRISCH_SHIFT,
+    FRISCH_SLOPE,
     _value,
     budget_elasticity,
     frisch_parameter,
@@ -45,7 +49,8 @@ from .demand import (
     LesParameters,
 )
 from .errors import DataValidationError, InfeasibleBudgetError, NumericalModelError
-from .imputation import ImputationReport, ImputationResult, impute_expenditure_patterns, wls_fit
+from .imputation import (LINKS, ImputationReport, ImputationResult, impute_expenditure_patterns,
+                         wls_fit)
 from .inputoutput import (
     TechnologyMatrix,
     bridge_to_categories,
@@ -55,6 +60,7 @@ from .inputoutput import (
     technology_matrix,
 )
 from .metrics import (
+    EQUIVALENCE_SCALES,
     atkinson,
     equivalise,
     progressivity_table,
@@ -94,10 +100,10 @@ class RunConfig:
     taxes: dict[str, dict[str, float]] = field(default_factory=dict)
     exchange_rate: float = 1.0
     months_per_period: float = 1.0
-    frisch_level: float = 9.2
-    frisch_slope: float = 0.973
-    frisch_shift: float = 7000.0
-    frisch_cap: float = -1.3
+    frisch_level: float = FRISCH_LEVEL
+    frisch_slope: float = FRISCH_SLOPE
+    frisch_shift: float = FRISCH_SHIFT
+    frisch_cap: float = FRISCH_CAP
     size_bands: tuple[int, int] = (2, 5)
     engel_scale: str = "household_total"
     imputation_link: str = "logit"
@@ -199,10 +205,9 @@ CONFIG_KEYS = {
     "elasticity.size_bands": ("size_bands", _as_size_bands, None),
     "elasticity.engel_scale": ("engel_scale", str,
                                _one_of("engel scale", "household_total", "per_capita_month")),
-    "imputation.link": ("imputation_link", str, _one_of("imputation link", "logit", "probit")),
+    "imputation.link": ("imputation_link", str, _one_of("imputation link", *LINKS)),
     "distribution.atkinson_epsilon": ("atkinson_epsilon", _as_float, NONNEGATIVE),
-    "distribution.scale": ("scale", str,
-                           _one_of("equivalence scale", "none", "per_capita", "sqrt")),
+    "distribution.scale": ("scale", str, _one_of("equivalence scale", *EQUIVALENCE_SCALES)),
     "distribution.groups": ("groups", _as_int, (lambda v: v >= 2, "must be at least 2, got {!r}")),
     "distribution.skip_empty_categories": ("skip_empty_categories", _as_bool, None),
     "seed": ("seed", _as_int, None),
@@ -693,8 +698,14 @@ def rank_households(cfg: RunConfig, frame: HouseholdSurvey):
     # more groups than households leave one empty before any ranking
     quintiles = weighted_quantile_groups(eq, frame.weight, cfg.groups) if cfg.groups <= n else None
     if quintiles is None or not np.bincount(quintiles, minlength=cfg.groups).all():
-        raise DataValidationError(f"distribution.groups = {cfg.groups} leaves some groups "
-                                  f"empty: the sample's {n} households and weights cannot fill them")
+        message = (f"distribution.groups = {cfg.groups} leaves some groups empty: the "
+                   f"sample's {n} households and weights cannot fill them")
+        heavy, total = int(np.argmax(frame.weight)), float(frame.weight.sum())
+        if frame.weight[heavy] > total / cfg.groups:
+            message += (f"; household {str(frame.ids[heavy])!r} of files."
+                        f"{'income' if cfg.impute else 'households'} holds weight "
+                        f"{frame.weight[heavy]:g} of {total:g}, more than 1/{cfg.groups}")
+        raise DataValidationError(message)
     return totals, shares, eq, quintiles
 
 
@@ -872,8 +883,11 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     ye_eq = equivalise(hh["ye_net"], hh["size"], cfg.scale)
     pre = atkinson(eq, w, cfg.atkinson_epsilon)
     if pre.yede == 0:  # the index rounds to 1; t8 and t9 divide by 1 - index
+        i = int(np.argmin(eq))  # report's frame has no ids: its households go by number
+        who = f"household {str(hh['id'][i])!r}" if "id" in hh else f"household number {i + 1}"
         raise NumericalModelError(f"distribution.atkinson_epsilon = {cfg.atkinson_epsilon:g}: "
-                                  "the Atkinson index of equivalised expenditure rounds to 1")
+                                  "the Atkinson index of equivalised expenditure rounds to 1; "
+                                  f"{who} has the smallest equivalised expenditure, {eq[i]:g}")
     post = atkinson(ye_eq, w, cfg.atkinson_epsilon)
     t8 = (["state", "atkinson", "mean_ye", "yede"], [
         ["pre", pre.index, pre.mean, pre.yede],
@@ -990,14 +1004,14 @@ def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
         return tuple(dict.fromkeys(c.partition("_")[2] for c in header
                                    if c.startswith(("share_", "burden_"))))
 
-    def number_columns(header, ids):
+    def number_columns(header):
         pairs = [f"{p}_{g}" for g in group_names(header) or ["<group>"] for p in ("share", "burden")]
         missing = [c for c in needed + pairs if c not in header]
         if missing:
             raise DataValidationError(f"{households_csv}: missing columns {missing}")
-        return [j for j, c in enumerate(header) if c != "id"]
+        return 0, [j for j, c in enumerate(header) if c != "id"]
 
-    header, ids, block = read_labelled_table(households_csv, number_columns)
+    header, ids, block = read_input(households_csv, number_columns)
     del ids  # the tables need no ids
     hh = dict(zip([c for c in header if c != "id"], block.T))
     groups = group_names(header)

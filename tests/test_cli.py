@@ -234,6 +234,36 @@ class TestFileRows:
         assert ("households.csv: row 2, column 'inc': value 1e+308 exceeds 1e+100"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("column,text,code,problem", [
+        ("weight", "-1", 1, "income.csv: row 2, column 'weight': negative value -1.0"),
+        ("size", "0.5", 1, "income.csv: row 2, column 'size': value 0.5 < 1"),
+        ("weight", "1e30", 1, "distribution.groups = 5 leaves some groups empty: the sample's "
+                              "240 households and weights cannot fill them; household 'hh0000' "
+                              "of files.income holds weight 1e+30 of 1e+30, more than 1/5"),
+        ("inc", "1e-30", 2, "distribution.atkinson_epsilon = 2: the Atkinson index of "
+                            "equivalised expenditure rounds to 1; household 'hh0000' has the "
+                            "smallest equivalised expenditure, 1.09366e-27"),
+    ], ids=["weight -1", "size 0.5", "weight 1e30", "inc 1e-30"])
+    def test_extreme_income_record_is_named(self, bundle_dir, tmp_path, capsys, column, text,
+                                            code, problem):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        shutil.copyfile(work / "households.csv", work / "income.csv")
+        cfg = work / "config.txt"
+        cfg.write_text(cfg.read_text() + "files.income = income.csv\nscenario.impute = true\n")
+        replace_cell(work / "income.csv", 2, column, text)
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "r", "--quiet") == code
+        assert problem in capsys.readouterr().err
+
+    def test_heavy_household_is_named_with_its_file(self, bundle_dir, tmp_path, capsys):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        replace_cell(work / "households.csv", 3, "weight", "1e99")
+        capsys.readouterr()
+        assert run_cli("run", "--config", work / "config.txt", "--out", tmp_path / "r",
+                       "--quiet") == 1
+        assert ("household 'hh0001' of files.households holds weight 1e+99 of 1e+99, more "
+                "than 1/5" in capsys.readouterr().err)
+
     def test_household_id_with_comma_round_trips_through_report(self, bundle_dir, tmp_path):
         work = shutil.copytree(bundle_dir, tmp_path / "b")
         hh = work / "households.csv"
@@ -316,6 +346,17 @@ class TestReport:
                        "--results", out / "households.csv", "--out", tmp_path / "t") == 1
         err = capsys.readouterr().err
         assert "households.csv: row 4, column 'cv': non-numeric value 'abc'" in err
+
+    def test_poorest_household_of_a_degenerate_atkinson_index_is_named_by_number(
+            self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "results"
+        run_cli("run", "--config", bundle_dir / "config.txt", "--out", out, "--quiet")
+        replace_cell(out / "households.csv", 4, "equivalised", "1e-300")
+        capsys.readouterr()
+        assert run_cli("report", "--config", bundle_dir / "config.txt",
+                       "--results", out / "households.csv", "--out", tmp_path / "t") == 2
+        assert ("the Atkinson index of equivalised expenditure rounds to 1; household number 3 "
+                "has the smallest equivalised expenditure, 1e-300" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("dropped,missing", [
         (["burden_food"], "['burden_food']"),

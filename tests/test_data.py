@@ -25,7 +25,6 @@ from priceshock.data import (
     HouseholdSurvey,
     LoadReport,
     _keyed_order,
-    _parse_block,
     CSV_BLOCK_ROWS,
     SURVEY_VALUE_LIMIT,
     _csv_column,
@@ -38,7 +37,7 @@ from priceshock.data import (
     load_household_survey,
     load_mrio,
     load_price_relatives,
-    read_labelled_table,
+    read_input,
     read_table,
     write_household_survey,
 )
@@ -333,6 +332,23 @@ class TestOtherLoaders:
         assert str(caught.value) == f"{p}: {message}"
 
 
+    @pytest.mark.parametrize("row, message", [
+        ("b,-1,2,5,1", "row 3, column 'weight': negative value -1.0"),
+        ("b,1,0.5,5,1", "row 3, column 'size': value 0.5 < 1"),
+        ("a,1,2,5,1", "row 3: duplicate household id 'a'"),
+        ("b,-1,0.5,nan,1", "row 3, column 'weight': negative value -1.0"),
+    ], ids=["negative weight", "size below 1", "duplicate id", "weight before size and inc"])
+    def test_income_survey_names_a_faulty_row_as_the_household_loader(self, tmp_path, row,
+                                                                        message):
+        from priceshock.data import load_income_survey
+
+        p = tmp_path / "income.csv"
+        p.write_text(f"id,weight,size,inc,demo_urban\na,1,2,45000,1\n{row}\n")
+        with pytest.raises(DataValidationError) as caught:
+            load_income_survey(p)
+        assert str(caught.value) == f"{p}: {message}"
+
+
 class TestTypeInvariants:
     def test_category_set_rejects_duplicates_and_empties(self):
         with pytest.raises(DataValidationError):
@@ -563,22 +579,24 @@ class TestBulkLoaders:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_parse_block_equals_per_cell_parse(self, data):
+    def test_value_cells_equal_per_cell_parse(self, new_dir, data):
         n, m = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 4))
         valid = st.builds(lambda f, v: f(v), st.sampled_from(NUMBER_TEXTS), st.floats(allow_nan=False,
                                                                                       allow_infinity=False))
         cells = st.one_of(valid, valid, st.sampled_from(["x", "", "nan", "-inf", "1e999", "1_0"]))
-        rows = [["key", *(data.draw(cells) for _ in range(m))] for _ in range(n)]
+        rows = [[f"k{i}", *(data.draw(cells) for _ in range(m))] for i in range(n)]
         names = [f"c{j}" for j in range(m)]
+        path = write_labelled(new_dir() / "t.csv", ["key", *names], rows)
         try:
-            expected = [[ref_cell(r[j + 1], "t.csv", i + 2, names[j]) for j in range(m)]
+            expected = [[ref_cell(r[j + 1], path, i + 2, names[j]) for j in range(m)]
                         for i, r in enumerate(rows)]
         except DataValidationError as exc:
             with pytest.raises(DataValidationError) as got:
-                _parse_block(rows, list(range(1, m + 1)), names, "t.csv", range(2, n + 2))
+                read_input(path, lambda header: (0, range(1, m + 1)))
             assert str(got.value) == str(exc)
         else:
-            block = _parse_block(rows, list(range(1, m + 1)), names, "t.csv", range(2, n + 2))
+            _, labels, block = read_input(path, lambda header: (0, range(1, m + 1)))
+            assert labels == [r[0] for r in rows]
             assert block.shape == (n, m)
             assert bits(block) == bits(np.reshape(expected, (n, m)))
 
@@ -819,7 +837,7 @@ def test_run_builds_no_household_record(bundle_dir, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Labelled tables: the loadtxt fast path against read_table + _parse_block
+# Labelled tables: the loadtxt fast path against read_table and float() per cell
 # ---------------------------------------------------------------------------
 
 
@@ -917,25 +935,40 @@ def message(fn, *args):
     return None
 
 
-def ref_labelled(path, value_columns):
-    """read_labelled_table as its row path reads the table."""
+def ref_values(path, header, rows, lines, positions, names=None):
+    """The cells at ``positions`` of each row as floats, parsed one cell at a
+    time in row order, then in the order of ``positions``; ``names[j]``
+    names the column at ``positions[j]`` (by default its header name)."""
+    names = [header[p] for p in positions] if names is None else names
+    values = [[ref_cell(row[p], path, lineno, name) for p, name in zip(positions, names)]
+              for lineno, row in zip(lines, rows)]
+    return np.array(values, dtype=float).reshape(len(rows), len(positions))
+
+
+def ref_labelled(path, columns, order):
+    """read_input as a per-cell loop reads a table: a file fault, then a
+    header fault, then a label-set fault, then a cell fault row by row."""
     header, rows, lines = read_table(path)
-    labels = [row[0] for row in rows]
-    columns = list(value_columns(header, labels))
-    return header, labels, _parse_block(rows, columns, [header[j] for j in columns], path, lines)
+    at, positions = columns(header)
+    labels = [row[at] for row in rows]
+    order(header, labels)
+    return header, labels, ref_values(path, header, rows, lines, positions)
 
 
-def labelled_outcome(reader, path, value_columns):
-    """(header, labels, shape, value bits) as ``reader`` reads ``path``, or its message."""
+def labelled_outcome(reader, path, callbacks):
+    """(header, labels, shape, value bits) as ``reader`` reads ``path`` with
+    the ``columns`` and ``order`` callbacks, or its message."""
+    columns, order = callbacks
     try:
-        header, labels, values = reader(path, value_columns)
+        header, labels, values = reader(path, columns, order=order)
     except DataValidationError as exc:
         return str(exc)
     return header, labels, values.shape, bits(values)
 
 
 def ref_flows(path):
-    """(sectors, Z) as load_mrio read them with read_table and _parse_block."""
+    """(sectors, Z) as load_mrio reads them: the cells of each row in
+    row-label column order."""
     header, rows, lines = read_table(path)
     if len(header) < 2:
         raise DataValidationError(f"{path}: flow matrix needs at least one sector column")
@@ -948,18 +981,70 @@ def ref_flows(path):
         raise DataValidationError(f"{path}: row and column sector labels differ")
     col_pos = {s: j + 1 for j, s in enumerate(col_sectors)}
     sectors = tuple(row_sectors)
-    return sectors, _parse_block(rows, [col_pos[s] for s in sectors], sectors, path, lines)
+    return sectors, ref_values(path, header, rows, lines, [col_pos[s] for s in sectors])
 
 
 def ref_bridge(path, categories):
-    """load_bridge as read_table and _parse_block read the matrix."""
+    """load_bridge as a per-cell loop reads the matrix."""
     header, rows, lines = read_table(path)
     products = tuple(header[1:])
     if not products:
         raise DataValidationError(f"{path}: bridging matrix needs product columns")
-    order = _keyed_order(path, header, [r[0] for r in rows], "category", categories.ids)
-    B = _parse_block(rows, range(1, len(header)), products, path, lines)[order]
+    order, _ = _keyed_order(path, "category", categories.ids)(header, [r[0] for r in rows])
+    B = ref_values(path, header, rows, lines, range(1, len(header)))[order]
     return BridgingMatrix(categories=categories.ids, products=products, shares=B)
+
+
+def ref_keyed_column(path, key_column, expected, name, origin=False):
+    """``name``'s column of a file keyed by ``key_column``, in the order of
+    ``expected``, as a per-cell loop reads it; with ``origin``, also the
+    origin flags of mrio_x.csv (blank: domestic), checked after each x."""
+    header, rows, lines = read_table(path)
+    if name not in header:
+        raise DataValidationError(f"{path}: missing column {name!r}")
+    order, _ = _keyed_order(path, key_column, expected)(header, [r[0] for r in rows])
+    j = header.index(name)
+    values, flags = [], []
+    for lineno, row in zip(lines, rows):
+        values.append(ref_cell(row[j], path, lineno, name))
+        if origin and "origin" in header:
+            flag = row[header.index("origin")]
+            if flag not in ("", "domestic", "imported"):
+                raise DataValidationError(f"{path}: row {lineno}, column 'origin': expected "
+                                          f"domestic/imported, got {flag!r}")
+            flags.append(flag or "domestic")
+    flags = [flags[i] for i in order] if flags else ["domestic"] * len(order)
+    return np.array(values, dtype=float)[order], tuple(flags)
+
+
+def ref_mrio(z_path, d_path, x_path, f_path):
+    """load_mrio as per-cell loops read the four files, in that order."""
+    sectors, Z = ref_flows(z_path)
+    d, _ = ref_keyed_column(d_path, "sector", sectors, "d")
+    x, origin = ref_keyed_column(x_path, "sector", sectors, "x", origin=True)
+    f, _ = ref_keyed_column(f_path, "sector", sectors, "f")
+    return MrioTable(sectors=sectors, flows=Z, final_demand=d, output=x, emissions=f,
+                     origin=origin)
+
+
+def ref_prices(path, categories):
+    """load_price_relatives as a per-cell loop reads prices.csv."""
+    out, _ = ref_keyed_column(path, "category", categories.ids, "pi")
+    if np.any(out <= -1.0):
+        raise DataValidationError(f"{path}: price relatives must exceed -1")
+    return out
+
+
+def ref_fuels(path):
+    """load_fuels as a per-cell loop reads fuels.csv."""
+    header, rows, lines = read_table(path)
+    for col in ("fuel", "price", "kgco2_per_unit"):
+        if col not in header:
+            raise DataValidationError(f"{path}: missing column {col!r}")
+    values = ref_values(path, header, rows, lines,
+                        [header.index("price"), header.index("kgco2_per_unit")])
+    return FuelTable(fuels=tuple(row[header.index("fuel")] for row in rows), price=values[:, 0],
+                     carbon_kg_per_unit=values[:, 1])
 
 
 # the reader's own block size, and one that puts block edges inside lines
@@ -979,15 +1064,19 @@ def no_row_path():
 class TestLabelledReader:
     @staticmethod
     def value_columns(width, order):
-        """A value_columns callback: ``order`` for a header of ``width``
-        columns and unique labels, and a message otherwise."""
-        def columns(header, labels):
+        """read_input's ``columns`` and ``order`` callbacks: the value
+        columns ``order`` for a header of ``width`` columns and unique
+        labels, and a message otherwise."""
+        def columns(header):
             if len(header) != width or width < 2:
                 raise DataValidationError(f"header {header!r}")
+            return 0, order
+
+        def unique(header, labels):
             if len(set(labels)) != len(labels):
                 raise DataValidationError("duplicate labels")
-            return order
-        return columns
+            return None, None
+        return columns, unique
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -1004,12 +1093,12 @@ class TestLabelledReader:
         columns = self.value_columns(m + 1, data.draw(st.permutations(range(1, m + 1))))
         expected = labelled_outcome(ref_labelled, path, columns)
         with no_row_path(), blocks_of(data.draw(st.sampled_from(BLOCK_SIZES))):
-            assert labelled_outcome(read_labelled_table, path, columns) == expected
+            assert labelled_outcome(read_input, path, columns) == expected
         assert not isinstance(expected, str)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_reader_equals_read_table_and_parse_block(self, new_dir, data):
+    def test_reader_equals_read_table_and_per_cell_parse(self, new_dir, data):
         n, m = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
         header = ["key", *(f"c{j}" for j in range(m))]
         labels = data.draw(st.lists(data.draw(st.sampled_from([PLAIN_LABEL, ODD_LABEL])),
@@ -1023,7 +1112,7 @@ class TestLabelledReader:
         # any column order, as load_mrio reads Z in row-label order
         columns = self.value_columns(m + 1, data.draw(st.permutations(range(1, m + 1))))
         with blocks_of(data.draw(st.sampled_from(BLOCK_SIZES))):
-            got = labelled_outcome(read_labelled_table, path, columns)
+            got = labelled_outcome(read_input, path, columns)
         assert got == labelled_outcome(ref_labelled, path, columns)
 
     @pytest.mark.parametrize("text", [
@@ -1036,7 +1125,7 @@ class TestLabelledReader:
         columns = self.value_columns(2, [1])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = labelled_outcome(read_labelled_table, path, columns)
+            got = labelled_outcome(read_input, path, columns)
         assert [str(w.message) for w in caught] == []
         assert got == labelled_outcome(ref_labelled, path, columns)
 
@@ -1055,7 +1144,7 @@ class TestLabelledReader:
         expected = labelled_outcome(ref_labelled, path, columns)
         for size in BLOCK_SIZES:
             with blocks_of(size):
-                assert labelled_outcome(read_labelled_table, path, columns) == expected, size
+                assert labelled_outcome(read_input, path, columns) == expected, size
 
     @pytest.mark.parametrize("text", [
         "key,c0\nabcdefghi,1\n", "key,c0\na,123456789\n", "key,abcdefghi\na,1\n",
@@ -1069,7 +1158,7 @@ class TestLabelledReader:
         columns = self.value_columns(width, range(1, width))
         limit = csv.field_size_limit(8)
         try:
-            got = labelled_outcome(read_labelled_table, path, columns)
+            got = labelled_outcome(read_input, path, columns)
             expected = labelled_outcome(ref_labelled, path, columns)
         finally:
             csv.field_size_limit(limit)
@@ -1077,7 +1166,7 @@ class TestLabelledReader:
 
     def test_first_column_is_labels_not_values(self, tmp_path):
         path = write_rows(tmp_path / "t.csv", ["c0", "id", "c1"], [["1", "a", "2"], ["3", "b", "4"]])
-        got = read_labelled_table(path, lambda header, labels: [0, 2])
+        got = read_input(path, lambda header: (0, [0, 2]))
         assert got[1] == ["1", "3"]
         assert got[2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
@@ -1141,25 +1230,97 @@ class TestLabelledReader:
             shares = load_bridge(path, CATS).shares
         assert bits(shares) == bits(ref_bridge(path, CATS).shares)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_keyed_and_fuel_files_equal_per_cell_parse(self, new_dir, data):
+        """mrio_d/x/f.csv (x with an origin column or without), prices.csv
+        and fuels.csv, one of them with faults and odd lines, load as
+        their per-cell references load them, at each block size."""
+        scratch = new_dir()
+        n = data.draw(st.integers(1, 4))
+        sectors = [f"s{i}" for i in range(n)]
+        z = np.array([[data.draw(st.floats(0.0, 1e4)) for _ in sectors] for _ in sectors])
+        write_rows(scratch / "z.csv", ["sector", *sectors],
+                   [[s, *map(repr, row)] for s, row in zip(sectors, z.tolist())])
+        d = [data.draw(FINITE_TEXT) for _ in sectors]
+        x = (z.sum(axis=1) + [float(v) for v in d]).tolist()
+        flags = [data.draw(st.sampled_from(["domestic", "imported", ""])) for _ in sectors]
+        x_header = ["sector", "x", "origin"] if data.draw(st.booleans()) else ["sector", "x"]
+        order = data.draw(st.permutations(range(n)))  # keyed rows in any order
+        categories = data.draw(st.permutations(CATS.ids))
+        fuel_header = data.draw(st.permutations(["fuel", "price", "kgco2_per_unit"]))
+        fuel_rows = [[f"fuel{i}" if c == "fuel" else repr(data.draw(st.floats(0.1, 1e3)))
+                      for c in fuel_header] for i in range(data.draw(st.integers(1, 3)))]
+        tables = {
+            "d": (["sector", "d"], [[sectors[i], d[i]] for i in order]),
+            "x": (x_header, [[sectors[i], repr(x[i]), flags[i]][:len(x_header)] for i in order]),
+            "f": (["sector", "f"], [[s, data.draw(FINITE_TEXT)] for s in sectors]),
+            "prices": (["category", "pi"], [[c, data.draw(FINITE_TEXT)] for c in categories]),
+            "fuels": (fuel_header, fuel_rows),
+        }
+        faulted = data.draw(st.sampled_from([None, *tables]))
+        layout = {}
+        if faulted is not None:
+            header, rows = tables[faulted]
+            inject_faults(data, header, rows)
+            layout = data.draw(line_layouts(len(rows), first=0))
+        for name, (header, rows) in tables.items():
+            write_labelled(scratch / f"{name}.csv", header, rows,
+                           **(layout if name == faulted else {}))
+        mrio_paths = [scratch / f"{name}.csv" for name in "zdxf"]
+        loads = ((load_mrio, ref_mrio, mrio_paths),
+                 (load_price_relatives, ref_prices, [scratch / "prices.csv", CATS]),
+                 (load_fuels, ref_fuels, [scratch / "fuels.csv"]))
+        for loader, reference, args in loads:
+            expected = message(reference, *args)
+            want = reference(*args) if expected is None else None
+            for size in BLOCK_SIZES:
+                with blocks_of(size):
+                    if expected is not None:
+                        assert message(loader, *args) == expected, size
+                        continue
+                    got = loader(*args)
+                if isinstance(got, np.ndarray):
+                    assert bits(got) == bits(want), size
+                    continue
+                assert vars(got).keys() == vars(want).keys()
+                for key, value in vars(want).items():
+                    if isinstance(value, np.ndarray):
+                        assert bits(getattr(got, key)) == bits(value), (key, size)
+                    else:
+                        assert getattr(got, key) == value, (key, size)
+
 
 def test_plain_wide_tables_and_results_skip_the_row_path(bundle_dir, tmp_path, monkeypatch):
-    """The demo's flow matrix and bridge, and the households.csv a run
-    writes, load through loadtxt alone, to the row path's values."""
+    """The demo's input files but mrio_x.csv, whose text origin column takes
+    the row path, and the households.csv a run writes, load through loadtxt
+    alone, to the per-cell references' values."""
     cfg = parse_config(bundle_dir / "config.txt")
     emit_reports(run_scenario(cfg), tmp_path / "run")
     categories = CategorySet.default()
-    sectors, flows = ref_flows(bundle_dir / "mrio_z.csv")
+    mrio_paths = [bundle_dir / f"mrio_{name}.csv" for name in "zdxf"]
+    ref = ref_mrio(*mrio_paths)
     shares = ref_bridge(bundle_dir / "bridge.csv", categories).shares
+    prices = ref_prices(bundle_dir / "prices.csv", categories)
+    fuels = ref_fuels(bundle_dir / "fuels.csv")
     real = data_module.read_table
 
-    def read_table_but_labelled(path):
-        assert Path(path).name not in ("mrio_z.csv", "bridge.csv", "households.csv"), path
+    def read_table_but_plain(path):
+        assert Path(path).name not in ("mrio_z.csv", "mrio_d.csv", "mrio_f.csv", "bridge.csv",
+                                       "prices.csv", "fuels.csv", "households.csv"), path
         return real(path)
 
-    monkeypatch.setattr(data_module, "read_table", read_table_but_labelled)
-    mrio = load_mrio(*(bundle_dir / f"mrio_{name}.csv" for name in "zdxf"))
-    assert mrio.sectors == sectors and bits(mrio.flows) == bits(flows)
+    monkeypatch.setattr(data_module, "read_table", read_table_but_plain)
+    mrio = load_mrio(*mrio_paths)
+    assert mrio.sectors == ref.sectors and mrio.origin == ref.origin
+    for name in ("flows", "final_demand", "output", "emissions"):
+        assert bits(getattr(mrio, name)) == bits(getattr(ref, name)), name
     assert bits(load_bridge(bundle_dir / "bridge.csv", categories).shares) == bits(shares)
+    assert bits(load_price_relatives(bundle_dir / "prices.csv", categories)) == bits(prices)
+    got = load_fuels(bundle_dir / "fuels.csv")
+    assert got.fuels == fuels.fuels
+    assert bits(got.price) == bits(fuels.price)
+    assert bits(got.carbon_kg_per_unit) == bits(fuels.carbon_kg_per_unit)
     tables, _ = rebuild_tables_from_csv(tmp_path / "run" / "households.csv", cfg)
     for name, path in write_tables(tables, tmp_path / "report").items():
         assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes(), name
@@ -1202,8 +1363,8 @@ def test_emit_reports_peak_memory_stays_under_the_frame(tmp_path):
 
 def test_report_reads_households_csv_near_the_frame(tmp_path, bundle_dir, monkeypatch):
     """rebuild_tables_from_csv reads a 100k-row households.csv with a traced
-    peak under 2x the frame's number columns, ids included; read_table and
-    _parse_block took about 11x. The peak is taken when the tables start."""
+    peak under 2x the frame's number columns, ids included; holding every
+    row as text first took about 11x. The peak is taken when the tables start."""
     n = 100_000
     result = synthetic_result(n)
     emit_reports(result, tmp_path / "out")
