@@ -582,25 +582,31 @@ def _raise_first_fault(path, rows, lines, header: list[str], labels: Sequence, c
                                               text=text, value=_float_or_nan(text)))
 
 
-# printable ASCII but the quote, and line breaks: a file of these bytes alone
-# splits and parses under np.loadtxt as under csv.reader and float()
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
-
 # Bytes _loadtxt_table reads and checks at a time: enough that the cost per
 # block vanishes, few enough that a block's text stays small beside its values.
 CHUNK_BYTES = 1 << 17
 
 
-def _plain_lines(block: bytes, width: int, limit: int) -> list[str] | None:
-    """The lines of ``block`` as texts, or None unless it holds only
-    ``_PLAIN_BYTES``, each \\r starts a \\r\\n, no line (so no field) is
-    longer than ``limit``, and there are ``width`` - 1 commas per line."""
-    if block.translate(None, _PLAIN_BYTES) or (
-            b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
+def _plain_lines(block: bytes, limit: int, width: int | None = None) -> list[str] | None:
+    """The lines of ``block`` as texts, or None unless it is plain: printable
+    ASCII but the quote, and \\n or \\r\\n line breaks, so that it splits and
+    parses under ``np.loadtxt`` as under ``csv.reader`` and ``float()``; no
+    line (so no field) is longer than ``limit``; and, given ``width``, the
+    block holds ``width`` - 1 commas per line."""
+    if not block.isascii() or b'"' in block or b"\x7f" in block:
         return None
-    lines = block.decode("ascii").splitlines()
-    commas = np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord(","))
-    if commas != len(lines) * (width - 1) or max(map(len, lines), default=0) > limit:
+    text = block.decode("ascii")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    codes = np.frombuffer(block, dtype=np.uint8)
+    # every control byte is a line break: a \n, or the \r of a \r\n that the replace took
+    if np.count_nonzero(codes < 0x20) != len(lines) - 1 + len(block) - len(text):
+        return None
+    if not lines[-1]:
+        lines.pop()  # the empty text after the last break
+    if max(map(len, lines), default=0) > limit or width is not None and (
+            np.count_nonzero(codes == ord(",")) != len(lines) * (width - 1)):
         return None
     return lines
 
@@ -617,12 +623,20 @@ def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | N
     the line it cuts, so the file's text is never held whole. A file
     qualifies when the header line and every block are plain
     (``_plain_lines``); the header names two or more columns, none twice; a
-    row follows it; and every value is finite. Such a line splits at its
-    commas under ``csv.reader``; ``loadtxt`` reads each value as ``float()``
-    does, or raises, and raises for a row short of a cell, as it reads the
-    last column unless the label is there, which such a row then lacks. With
-    the comma count, no row is long. A blank row, which ``loadtxt`` skips,
-    leaves fewer rows than labels.
+    row follows it; every line has as many commas as the header; and every
+    value is finite. Such a line splits at its commas under ``csv.reader``,
+    and ``loadtxt`` reads each value as ``float()`` does, or raises.
+
+    Two steps prove the comma rule. When the label comes first and every
+    other column is read in header order (``cut``), each line's rest after
+    its first comma goes to ``loadtxt`` whole, and ``loadtxt``, reading
+    every column, raises for a rest whose field count differs from the first
+    row's; the first row is checked to hold ``width`` - 1 fields. A line
+    without a comma fails the split into label and rest. Otherwise each
+    block's comma count is checked, and ``loadtxt`` reads the last column
+    (unless the label is there, which such a row then lacks), so it raises
+    for a row short of a cell and, with the count, no row is long. A blank
+    row, which ``loadtxt`` skips, leaves fewer rows than labels.
     """
     limit = csv.field_size_limit()
     labels: list[str] = []
@@ -630,7 +644,7 @@ def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | N
         with open(path, "rb") as fh:
             first = fh.readline()
             width = first.count(b",") + 1
-            lines = _plain_lines(first, width, limit)
+            lines = _plain_lines(first, limit)
             header = lines[0].split(",") if lines else []
             if width < 2 or len(set(header)) != width:
                 return None
@@ -651,11 +665,13 @@ def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | N
                 while block := fh.read(CHUNK_BYTES):
                     if not block.endswith(b"\n"):  # no line, and no \r\n pair, is split
                         block += fh.readline()
-                    lines = _plain_lines(block, width, limit)
+                    lines = _plain_lines(block, limit, None if cut else width)
                     if lines is None:
                         raise ValueError("a block loadtxt might read otherwise")
                     if cut:  # a line without a comma leaves zip one tuple, too few
                         block_labels, lines = zip(*[line.split(",", 1) for line in lines])
+                    elif at == 0:
+                        block_labels = [line[:line.find(",")] for line in lines]
                     else:
                         block_labels = [line.split(",", at + 1)[at] for line in lines]
                     labels.extend(block_labels)
@@ -663,8 +679,9 @@ def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | N
 
             rows = chain.from_iterable(row_blocks())
             row = next(rows, None)
-            if row is None:
-                return None  # loadtxt warns on a file without rows
+            # loadtxt warns on a file without rows; it holds every cut row to the first's fields
+            if row is None or cut and row.count(",") != width - 2:
+                return None
             values = np.loadtxt(chain([row], rows), delimiter=",", comments=None,
                                 usecols=None if cut else usecols, ndmin=2)[:, :wanted]
     except (OSError, ValueError, IndexError):  # such as a cell like 1_0, or a short row
@@ -770,21 +787,27 @@ def _survey_columns(path, header: list[str], categories: CategorySet | None = No
             *(["inc"] if "inc" in header else [])]
 
 
-def _survey_checks(ids, values, bad, names: list[str], spent: int = 0):
-    """The row checks of a survey file whose value columns ``names`` are
-    weight, size, ``spent`` expenditure columns and the rest, in the order
-    they run on a row: a repeated id; a bad weight or size cell; a negative
-    weight, a weight beyond ``SURVEY_VALUE_LIMIT``, a size below 1, a size
-    beyond it; then each further column's bad cell, negative value (for
-    expenditure) and value beyond the limit. A row whose expenditure sums to
-    0 or less is dropped at load, so the rest of its cells go unchecked."""
-    ids = np.array(ids, dtype=str)  # as the frame holds them: numpy drops trailing NULs
+def _survey_checks(labels: list[str], ids: np.ndarray, values, bad, names: list[str],
+                   spent: int = 0):
+    """The row checks of a survey file whose ids are ``labels``, held by the
+    frame as ``ids``, and whose value columns ``names`` are weight, size,
+    ``spent`` expenditure columns and the rest, in the order they run on a
+    row: an id ending in a NUL, which ``ids`` drops; a repeated id; a bad
+    weight or size cell; a negative weight, a weight beyond
+    ``SURVEY_VALUE_LIMIT``, a size below 1, a size beyond it; then each
+    further column's bad cell, negative value (for expenditure) and value
+    beyond the limit. A row whose expenditure sums to 0 or less is dropped
+    at load, so the rest of its cells go unchecked."""
+    nul = np.zeros(len(ids), dtype=bool)
+    if "\x00" in "".join(labels):  # one C-speed scan: only the row path gives a NUL
+        nul = np.array([label.endswith("\x00") for label in labels], dtype=bool)
     large = np.abs(values) > SURVEY_VALUE_LIMIT  # sums over a survey stay finite
     if spent:
         for mask in (bad, large):
             mask[values[:, 2:2 + spent].sum(axis=1) <= 0, 2 + spent:] = False
     negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
     return [
+        (nul, "id", "{path}: row {row}, column 'id': id {label!r} ends in a NUL character"),
         (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {label!r}"),
         (bad[:, 0], "weight", None),
         (bad[:, 1], "size", None),
@@ -798,6 +821,23 @@ def _survey_checks(ids, values, bad, names: list[str], spent: int = 0):
         *((mask, col, template) for j, col in enumerate(names[2 + spent:], start=2 + spent)
           for mask, template in ((bad[:, j], None), (large[:, j], TOO_LARGE))),
     ]
+
+
+def _read_survey(path, names, spent: int = 0) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(header, ids, values) of a survey file as ``read_input`` reads it with
+    ``_survey_checks``, ``names(header)`` giving the value columns; the ids
+    come as the array the checks made of them, once per read."""
+    ids = None
+
+    def checks(header, labels, values, bad):
+        nonlocal ids
+        ids = np.array(labels, dtype=str)
+        return _survey_checks(labels, ids, values, bad, names(header), spent)
+
+    header, _, values = read_input(
+        path, lambda header: (header.index("id"), [header.index(c) for c in names(header)]),
+        checks)
+    return header, ids, values
 
 
 def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
@@ -814,11 +854,7 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     def names(header):
         return _survey_columns(path, header, categories)
 
-    header, ids, values = read_input(
-        path, lambda header: (header.index("id"), [header.index(c) for c in names(header)]),
-        lambda header, ids, values, bad: _survey_checks(ids, values, bad, names(header),
-                                                        len(categories)))
-    ids = np.array(ids, dtype=str)
+    header, ids, values = _read_survey(path, names, len(categories))
     demo_cols = [c for c in names(header) if c.startswith(DEMOGRAPHIC_PREFIX)]
     k = len(categories)
     weight, size, exp, extra = values[:, 0], values[:, 1], values[:, 2:2 + k], values[:, 2 + k:]
@@ -850,12 +886,7 @@ def load_income_survey(path) -> IncomeSurvey:
     read with the household loader's row checks (``_survey_checks``).
     """
     path = Path(path)
-    header, ids, values = read_input(
-        path, lambda header: (header.index("id"),
-                              [header.index(c) for c in _survey_columns(path, header)]),
-        lambda header, ids, values, bad: _survey_checks(ids, values, bad,
-                                                        _survey_columns(path, header)))
-    ids = np.array(ids, dtype=str)
+    header, ids, values = _read_survey(path, lambda header: _survey_columns(path, header))
     cols = _survey_columns(path, header)
     ignored = [c for c in header if c.startswith(EXPENDITURE_PREFIX)]
     report = LoadReport(source=str(path), n_rows=len(ids), n_loaded=len(ids))

@@ -264,6 +264,16 @@ class TestFileRows:
         assert ("household 'hh0001' of files.households holds weight 1e+99 of 1e+99, more "
                 "than 1/5" in capsys.readouterr().err)
 
+    def test_id_ending_in_a_nul_next_to_the_id_without_it_is_named(self, bundle_dir, tmp_path,
+                                                                     capsys):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        replace_cell(work / "households.csv", 3, "id", '"hh0000\x00"')
+        capsys.readouterr()
+        assert run_cli("run", "--config", work / "config.txt", "--out", tmp_path / "r",
+                       "--quiet") == 1
+        assert ("households.csv: row 3, column 'id': id 'hh0000\\x00' ends in a NUL character"
+                in capsys.readouterr().err)
+
     def test_household_id_with_comma_round_trips_through_report(self, bundle_dir, tmp_path):
         work = shutil.copytree(bundle_dir, tmp_path / "b")
         hh = work / "households.csv"

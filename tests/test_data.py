@@ -132,6 +132,17 @@ class TestHouseholdLoader:
         with pytest.raises(DataValidationError, match="duplicate household id"):
             load_household_survey(p, CATS)
 
+    @pytest.mark.parametrize("first, second, row", [('"a\x00"', "a", 2), ("a", '"a\x00"', 3)])
+    def test_id_ending_in_a_nul_is_named_next_to_the_id_without_it(self, tmp_path, first,
+                                                                     second, row):
+        """The frame's id array would drop the NUL, and the two ids would
+        read as one id twice or load as two rows with one id."""
+        p = write_survey_csv(tmp_path / "hh.csv", [f"{first},1,2,100,50,10,40",
+                                                   f"{second},1,2,100,50,10,40"])
+        expected = f"{p}: row {row}, column 'id': id 'a\\x00' ends in a NUL character"
+        assert message(load_household_survey, p, CATS) == expected
+        assert message(ref_household_survey, p, CATS) == expected
+
     def test_missing_income_column_is_legal(self, tmp_path):
         p = write_survey_csv(tmp_path / "hh.csv", ["a,1,2,50,10,40"],
                              header="id,weight,size,exp_food,exp_fuel,exp_rest")
@@ -337,7 +348,9 @@ class TestOtherLoaders:
         ("b,1,0.5,5,1", "row 3, column 'size': value 0.5 < 1"),
         ("a,1,2,5,1", "row 3: duplicate household id 'a'"),
         ("b,-1,0.5,nan,1", "row 3, column 'weight': negative value -1.0"),
-    ], ids=["negative weight", "size below 1", "duplicate id", "weight before size and inc"])
+        ('"a\x00",1,2,5,1', "row 3, column 'id': id 'a\\x00' ends in a NUL character"),
+    ], ids=["negative weight", "size below 1", "duplicate id", "weight before size and inc",
+            "id ending in a NUL"])
     def test_income_survey_names_a_faulty_row_as_the_household_loader(self, tmp_path, row,
                                                                         message):
         from priceshock.data import load_income_survey
@@ -445,6 +458,9 @@ def ref_household_survey(path, categories):
     seen = set()
     for lineno, row in zip(lines, rows):
         hid = row[idx["id"]]
+        if hid.endswith("\x00"):
+            raise DataValidationError(
+                f"{path}: row {lineno}, column 'id': id {hid!r} ends in a NUL character")
         if hid in seen:
             raise DataValidationError(f"{path}: row {lineno}: duplicate household id {hid!r}")
         seen.add(hid)
@@ -1061,6 +1077,20 @@ def no_row_path():
                              side_effect=AssertionError("a plain file went to the row path"))
 
 
+def test_loadtxt_checks_the_field_count_only_when_reading_every_column():
+    """The reader's proof of the comma rule rests on this: reading every
+    column, loadtxt raises for a row whose field count differs from the
+    first row's; with usecols it reads the row, so the comma scan stays."""
+    with pytest.raises(ValueError):
+        np.loadtxt(["1,2", "3,4,5"], delimiter=",", comments=None)
+    values = np.loadtxt(["1,2", "3,4,5"], delimiter=",", comments=None, usecols=[0, 1])
+    assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+CUT_FAULTS = ("extra comma", "missing comma", "trailing comma", "short first row",
+              "blank line", "whitespace line")
+
+
 class TestLabelledReader:
     @staticmethod
     def value_columns(width, order):
@@ -1135,6 +1165,8 @@ class TestLabelledReader:
         "key,c0\na,1\r", "key,c0\r\na,1\r\r\n", "key,c0\na,1\n\rb,2\n", "key,c0\na,\x1c1\n",
         "key,c0\na,1\x1f\n", "key,c0\na\x00,1\n", "key,c0\na,1\x00\n", "key,c0\n\xe9,1\n",
         "key,c0\na,\uff11\n", "key,c0\na,\xa01\n", "key,c0\na,1\t\n", "key,c0\na,1\n\nb,1,2\n",
+        "key,c0\na,1\x7f\n", 'key,c0\n"a",1\n', "key,c\x1f0\na,1\n", "key,c0\r\na,\x0c1\r\n",
+        "key,c0\r\na\r,1\r\n", "key,c0\r\na,1\r\n\rb,2\r\n",
     ])
     def test_odd_lines_read_as_on_the_row_path(self, tmp_path, text):
         """Ragged rows, stray carriage returns, control and non-ASCII bytes."""
@@ -1163,6 +1195,62 @@ class TestLabelledReader:
         finally:
             csv.field_size_limit(limit)
         assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cut_files_read_as_on_the_row_path(self, new_dir, data):
+        """A file whose label comes first and whose other columns are all
+        read, in header order, goes to loadtxt as each line's rest, with no
+        comma scan: a row with an extra, a missing or a trailing comma, a
+        short first row, a blank or whitespace-only line, mixed \\n and
+        \\r\\n line ends and a line at or one over the csv field limit
+        each give the row path's message or bits, at each block size."""
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 4))
+        labels = data.draw(st.lists(PLAIN_LABEL, min_size=n, max_size=n, unique=True))
+        cell = st.builds(lambda f, v: f(v), st.sampled_from(NUMBER_TEXTS[:4]),
+                         st.floats(0.0, 1e6))
+        lines = [",".join(["key", *(f"c{j}" for j in range(m))])]
+        lines += [",".join([label, *(data.draw(cell) for _ in range(m))]) for label in labels]
+        faults = data.draw(st.lists(st.sampled_from(CUT_FAULTS), max_size=2))
+        for kind in faults:
+            i = data.draw(st.integers(1, len(lines) - 1))
+            if kind in ("blank line", "whitespace line"):  # the last line included
+                blank = "" if kind == "blank line" else data.draw(st.sampled_from([" ", "  "]))
+                lines.insert(data.draw(st.integers(1, len(lines))), blank)
+            elif kind == "trailing comma":
+                lines[i] += ","
+            elif "," not in lines[i]:
+                continue  # an inserted line: nothing to move
+            elif kind == "extra comma":
+                at = data.draw(st.integers(lines[i].index(",") + 1, len(lines[i])))
+                lines[i] = lines[i][:at] + "," + lines[i][at:]
+            elif kind == "missing comma":
+                at = data.draw(st.sampled_from([j for j, c in enumerate(lines[i]) if c == ","]))
+                lines[i] = lines[i][:at] + lines[i][at + 1:]
+            elif "," in lines[1]:  # a short first row
+                lines[1] = lines[1][:lines[1].rindex(",")]
+        ends = [data.draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if not data.draw(st.booleans()):
+            text = text[:-len(ends[-1])]
+        path = new_dir() / "t.csv"
+        path.write_bytes(text.encode())
+        longest = max(map(len, lines))
+        over = data.draw(st.booleans())  # the longest line at the field limit, or one over
+        columns = self.value_columns(m + 1, range(1, m + 1))
+        limit = csv.field_size_limit(longest - over)
+        try:
+            expected = labelled_outcome(ref_labelled, path, columns)
+            for size in BLOCK_SIZES:
+                with blocks_of(size):
+                    if faults or over:
+                        assert labelled_outcome(read_input, path, columns) == expected, size
+                        continue
+                    with no_row_path():
+                        assert labelled_outcome(read_input, path, columns) == expected, size
+        finally:
+            csv.field_size_limit(limit)
+        assert faults or over or not isinstance(expected, str)
 
     def test_first_column_is_labels_not_values(self, tmp_path):
         path = write_rows(tmp_path / "t.csv", ["c0", "id", "c1"], [["1", "a", "2"], ["3", "b", "4"]])
