@@ -489,8 +489,22 @@ def as_survey(data) -> HouseholdSurvey | IncomeSurvey:
 # ---------------------------------------------------------------------------
 
 
+def not_utf8(path, noun: str = "row") -> DataValidationError:
+    """The error for a file that is not UTF-8 text, naming the file and the
+    row (``noun``) of its first byte that does not decode."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start) + 1
+        return DataValidationError(f"{path}: {noun} {row}: byte 0x{raw[exc.start]:02x} is not "
+                                   f"UTF-8 text ({exc.reason})")
+    return DataValidationError(f"{path}: not UTF-8 text")
+
+
 def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
-    """Read a CSV file into (header, rows, lines), rejecting ragged or headerless files.
+    """Read a UTF-8 CSV file into (header, rows, lines), rejecting ragged or
+    headerless files and text that does not decode (``not_utf8``).
 
     Blank rows are skipped; ``lines[i]`` is the row number in the file of
     ``rows[i]`` (the header is row 1), which every message about a row names.
@@ -498,7 +512,7 @@ def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -507,6 +521,8 @@ def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
             raise DataValidationError(f"{path}: empty file") from None
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise DataValidationError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     if not header:
         raise DataValidationError(f"{path}: row 1 is blank, not a header")
     lines: Sequence[int] = range(2, len(rows) + 2)
@@ -549,7 +565,20 @@ def _parse_cells(rows, positions) -> np.ndarray:
 
 
 def _duplicates(ids: np.ndarray) -> np.ndarray:
-    """Mask of the ids that repeat an earlier one."""
+    """Mask of the ids that repeat an earlier one.
+
+    A 64-bit hash of each id (its code points, each times its own odd
+    constant) is sorted first: distinct hashes prove distinct ids, and only
+    a repeated hash pays for the sort of the ids themselves."""
+    if len(ids) > 1:
+        codes = ids.view(np.uint32).reshape(len(ids), -1)
+        hashes = np.zeros(len(ids), np.uint64)
+        for j in range(codes.shape[1]):
+            hashes ^= codes[:, j] * np.uint64(0x9E3779B97F4A7C15 ^ (j << 1))
+            hashes *= np.uint64(0xBF58476D1CE4E5B9)
+        hashes.sort()
+        if not (hashes[1:] == hashes[:-1]).any():
+            return np.zeros(len(ids), dtype=bool)
     dup = np.ones(len(ids), dtype=bool)
     dup[np.unique(ids, return_index=True)[1]] = False
     return dup
@@ -559,16 +588,16 @@ def _raise_first_fault(path, rows, lines, header: list[str], labels: Sequence, c
     """Raise the fault a row-by-row loader would meet first.
 
     ``checks`` lists (row mask, column, message template) in the order the
-    checks run on one row; a template of None marks a cell that is not a
-    finite number. Templates may use {path}, {row} (the file row, from
+    checks run on one row, a mask of False for a check no row fails; a
+    template of None marks a cell that is not a finite number. Templates may use {path}, {row} (the file row, from
     ``lines``), {col}, {label} (the row's label), {text} (the cell) and
     {value} (the cell as a float).
     """
-    faults = np.column_stack([mask for mask, _, _ in checks])
-    faulty = faults.any(axis=1)
-    if not faulty.any():
+    checks = [check for check in checks if check[0].any()]
+    if not checks:
         return
-    i = int(np.argmax(faulty))
+    faults = np.column_stack([mask for mask, _, _ in checks])
+    i = int(np.argmax(faults.any(axis=1)))
     _, col, template = checks[int(np.argmax(faults[i]))]
     text = rows[i][header.index(col)]
     if template is None:
@@ -587,12 +616,11 @@ def _raise_first_fault(path, rows, lines, header: list[str], labels: Sequence, c
 CHUNK_BYTES = 1 << 17
 
 
-def _plain_lines(block: bytes, limit: int, width: int | None = None) -> list[str] | None:
+def _plain_lines(block: bytes, limit: int) -> list[str] | None:
     """The lines of ``block`` as texts, or None unless it is plain: printable
     ASCII but the quote, and \\n or \\r\\n line breaks, so that it splits and
-    parses under ``np.loadtxt`` as under ``csv.reader`` and ``float()``; no
-    line (so no field) is longer than ``limit``; and, given ``width``, the
-    block holds ``width`` - 1 commas per line."""
+    parses under ``np.loadtxt`` as under ``csv.reader`` and ``float()``; and
+    no line (so no field) is longer than ``limit``."""
     if not block.isascii() or b'"' in block or b"\x7f" in block:
         return None
     text = block.decode("ascii")
@@ -605,16 +633,46 @@ def _plain_lines(block: bytes, limit: int, width: int | None = None) -> list[str
         return None
     if not lines[-1]:
         lines.pop()  # the empty text after the last break
-    if max(map(len, lines), default=0) > limit or width is not None and (
-            np.count_nonzero(codes == ord(",")) != len(lines) * (width - 1)):
+    if max(map(len, lines), default=0) > limit:
         return None
     return lines
 
 
-def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | None:
+def _record_dtype(width: int, at: int, usecols: list[int], label_bytes: int) -> np.dtype:
+    """The record ``np.loadtxt`` reads each row of a ``width``-column file
+    into: the columns ``usecols`` as float64, in that order, from the
+    record's start (a run of them in header order as one subarray, which
+    loadtxt reads as fast as a plain float row); column ``at`` as
+    ``label_bytes`` bytes after them; each other column as one byte, which
+    takes any text."""
+    slot = {c: k for k, c in enumerate(usecols)}
+    names, formats, offsets = [], [], []
+    spare = 8 * len(usecols) + label_bytes
+    j = 0
+    while j < width:
+        run = 1
+        if j in slot:
+            while j + run < width and slot.get(j + run) == slot[j] + run:
+                run += 1
+            formats.append(("f8", (run,)) if run > 1 else "f8")
+            offsets.append(8 * slot[j])
+        elif j == at:
+            formats.append(f"S{label_bytes}")
+            offsets.append(8 * len(usecols))
+        else:
+            formats.append("S1")
+            offsets.append(spare)
+            spare += 1
+        names.append(f"c{j}")
+        j += run
+    return np.dtype({"names": names, "formats": formats, "offsets": offsets,
+                     "itemsize": -(-spare // 8) * 8})
+
+
+def _loadtxt_table(path, columns) -> tuple[list[str], np.ndarray, np.ndarray] | None:
     """(header, labels, values) of a CSV file parsed by one ``np.loadtxt``,
-    or None for a file that ``read_table`` and ``float()`` might read
-    otherwise.
+    the labels a str array, or None for a file that ``read_table`` and
+    ``float()`` might read otherwise.
 
     ``columns(header)`` gives the label column's position and the positions
     of the columns ``values`` holds, in order; a DataValidationError from it
@@ -627,19 +685,15 @@ def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | N
     value is finite. Such a line splits at its commas under ``csv.reader``,
     and ``loadtxt`` reads each value as ``float()`` does, or raises.
 
-    Two steps prove the comma rule. When the label comes first and every
-    other column is read in header order (``cut``), each line's rest after
-    its first comma goes to ``loadtxt`` whole, and ``loadtxt``, reading
-    every column, raises for a rest whose field count differs from the first
-    row's; the first row is checked to hold ``width`` - 1 fields. A line
-    without a comma fails the split into label and rest. Otherwise each
-    block's comma count is checked, and ``loadtxt`` reads the last column
-    (unless the label is there, which such a row then lacks), so it raises
-    for a row short of a cell and, with the count, no row is long. A blank
-    row, which ``loadtxt`` skips, leaves fewer rows than labels.
+    ``loadtxt`` reads every column of a row into one record
+    (``_record_dtype``), so it raises for a row whose field count differs
+    from the header's: that proves the comma rule. The label comes from the
+    record's bytes field, as wide as twice the longest label of the first
+    block; if a label fills the field, the file is read again with a field
+    as wide as its longest line. A blank row, which ``loadtxt`` skips, is
+    left to the row path.
     """
     limit = csv.field_size_limit()
-    labels: list[str] = []
     try:
         with open(path, "rb") as fh:
             first = fh.readline()
@@ -652,46 +706,57 @@ def _loadtxt_table(path, columns) -> tuple[list[str], list[str], np.ndarray] | N
                 at, usecols = columns(header)
             except DataValidationError:
                 return None
-            if not isinstance(at, int):  # a second text column: the row path
+            usecols = list(usecols)
+            # a second text column, or a column read twice: the row path
+            if not isinstance(at, int) or len({at, *usecols}) != len(usecols) + 1:
                 return None
-            wanted = len(usecols)
-            if at != width - 1 and width - 1 not in usecols:
-                usecols = [*usecols, width - 1]
-            # all of two or more columns after a first-column label: loadtxt reads each line's
-            # rest faster (with one, every rest might be blank, which it would warn of)
-            cut = width > 2 and at == 0 and list(usecols) == list(range(1, width))
-
             def row_blocks():
                 while block := fh.read(CHUNK_BYTES):
                     if not block.endswith(b"\n"):  # no line, and no \r\n pair, is split
                         block += fh.readline()
-                    lines = _plain_lines(block, limit, None if cut else width)
-                    if lines is None:
+                    lines = _plain_lines(block, limit)
+                    # loadtxt skips a blank line, which csv.reader gives as a row
+                    if lines is None or "" in lines:
                         raise ValueError("a block loadtxt might read otherwise")
-                    if cut:  # a line without a comma leaves zip one tuple, too few
-                        block_labels, lines = zip(*[line.split(",", 1) for line in lines])
-                    elif at == 0:
-                        block_labels = [line[:line.find(",")] for line in lines]
-                    else:
-                        block_labels = [line.split(",", at + 1)[at] for line in lines]
-                    labels.extend(block_labels)
                     yield lines
 
-            rows = chain.from_iterable(row_blocks())
-            row = next(rows, None)
-            # loadtxt warns on a file without rows; it holds every cut row to the first's fields
-            if row is None or cut and row.count(",") != width - 2:
+            def records(label_bytes):
+                blocks = row_blocks()
+                rows = next(blocks, None)
+                if rows is None:  # loadtxt warns on a file without rows
+                    return None
+                if label_bytes is None:
+                    fields = (line.split(",", at + 1) for line in rows)
+                    label_bytes = 2 * max(len(f[at]) if len(f) > at else 0 for f in fields)
+                dtype = _record_dtype(width, at, usecols, -(-(label_bytes + 1) // 8) * 8)
+                return np.loadtxt(chain(rows, chain.from_iterable(blocks)), dtype=dtype,
+                                  delimiter=",", comments=None, ndmin=1)
+
+            data_start = fh.tell()
+            table = records(None)
+            if table is None:
                 return None
-            values = np.loadtxt(chain([row], rows), delimiter=",", comments=None,
-                                usecols=None if cut else usecols, ndmin=2)[:, :wanted]
+            label_len = int(np.char.str_len(table[f"c{at}"]).max())
+            if label_len == table.dtype[f"c{at}"].itemsize:  # a label may be cut
+                fh.seek(data_start)
+                longest = max(max(map(len, lines)) for lines in row_blocks())
+                fh.seek(data_start)
+                table = records(longest)
+                label_len = int(np.char.str_len(table[f"c{at}"]).max())
     except (OSError, ValueError, IndexError):  # such as a cell like 1_0, or a short row
         return None
-    if len(values) != len(labels) or not np.isfinite(values).all():
+    row_bytes = table.view(np.uint8).reshape(len(table), -1)
+    values = row_bytes[:, :8 * len(usecols)].view(np.float64)
+    if not np.isfinite(values).all():
         return None
-    return header, labels, values
+    # the labels' ASCII bytes widened to code points are their str array
+    label_len = max(label_len, 1)
+    codes = row_bytes[:, 8 * len(usecols):8 * len(usecols) + label_len].astype(np.uint32)
+    return header, codes.view(f"U{label_len}").ravel(), values
 
 
-def read_input(path, columns, checks=None, order=None) -> tuple[list[str], list, np.ndarray]:
+def read_input(path, columns, checks=None, order=None, *,
+               label_array=False) -> tuple[list[str], list | np.ndarray, np.ndarray]:
     """(header, labels, values) of an input CSV file, ``values`` an (n, m) float block.
 
     ``columns(header)`` raises for a faulty header and gives the label
@@ -705,10 +770,17 @@ def read_input(path, columns, checks=None, order=None) -> tuple[list[str], list,
     them is parsed by one ``np.loadtxt``; any other is read again by
     ``read_table``, which raises its first fault: of the file, then the
     header, then the label set, then the first row in file order.
+
+    The labels come as a list, or with ``label_array`` as a str array: on
+    the fast path the one ``_loadtxt_table`` gives, which the checks get too
+    (its labels are printable ASCII); on the row path one made after the
+    checks, which get the list.
     """
     table = _loadtxt_table(path, columns)
     if table is not None:
         header, labels, values = table
+        if not label_array:
+            labels = labels.tolist()
         rows, cols = (None, None) if order is None else order(header, labels)
         if cols is not None and list(cols) != list(range(len(cols))):
             values = values[:, cols]
@@ -730,8 +802,11 @@ def read_input(path, columns, checks=None, order=None) -> tuple[list[str], list,
         found = (checks(header, labels, values, bad) if checks is not None
                  else [(bad[:, j], header[p], None) for j, p in enumerate(positions)])
         _raise_first_fault(path, file_rows, lines, header, labels, found)
+        if label_array:
+            labels = np.array(labels, dtype=str)
     if rows is not None:
-        labels, values = [labels[i] for i in rows], values[rows]
+        labels = [labels[i] for i in rows] if isinstance(labels, list) else labels[rows]
+        values = values[rows]
     return header, labels, values
 
 
@@ -787,57 +862,76 @@ def _survey_columns(path, header: list[str], categories: CategorySet | None = No
             *(["inc"] if "inc" in header else [])]
 
 
-def _survey_checks(labels: list[str], ids: np.ndarray, values, bad, names: list[str],
-                   spent: int = 0):
-    """The row checks of a survey file whose ids are ``labels``, held by the
-    frame as ``ids``, and whose value columns ``names`` are weight, size,
-    ``spent`` expenditure columns and the rest, in the order they run on a
-    row: an id ending in a NUL, which ``ids`` drops; a repeated id; a bad
-    weight or size cell; a negative weight, a weight beyond
-    ``SURVEY_VALUE_LIMIT``, a size below 1, a size beyond it; then each
-    further column's bad cell, negative value (for expenditure) and value
-    beyond the limit. A row whose expenditure sums to 0 or less is dropped
-    at load, so the rest of its cells go unchecked."""
-    nul = np.zeros(len(ids), dtype=bool)
-    if "\x00" in "".join(labels):  # one C-speed scan: only the row path gives a NUL
+def _survey_checks(labels, values, bad, names: list[str], spent: int = 0):
+    """The row checks of a survey file whose ids are ``labels`` and whose
+    value columns ``names`` are weight, size, ``spent`` expenditure columns
+    and the rest, in the order they run on a row: an id ending in a NUL,
+    which a str array drops; a repeated id; a bad weight or size cell; a
+    negative weight, a weight beyond ``SURVEY_VALUE_LIMIT``, a size below
+    1, a size beyond it; then each further column's bad cell, negative
+    value (for expenditure) and value beyond the limit. A row whose
+    expenditure sums to 0 or less is dropped at load, so the rest of its
+    cells go unchecked. A check that a column's least and greatest values
+    show no row can fail is False, not a row mask."""
+    nul = np.False_
+    # a list comes from the row path; an array from loadtxt's, which reads printable ASCII
+    if isinstance(labels, list) and "\x00" in "".join(labels):  # one C-speed scan
         nul = np.array([label.endswith("\x00") for label in labels], dtype=bool)
-    large = np.abs(values) > SURVEY_VALUE_LIMIT  # sums over a survey stay finite
-    if spent:
-        for mask in (bad, large):
-            mask[values[:, 2:2 + spent].sum(axis=1) <= 0, 2 + spent:] = False
+    low, high = values.min(axis=0, initial=np.inf), values.max(axis=0, initial=-np.inf)
+    bad_cells = bad.any(axis=0)
+    far = np.maximum(-low, high) > SURVEY_VALUE_LIMIT  # sums over a survey stay finite
+    kept = True
+    if spent and (bad_cells[2 + spent:].any() or far[2 + spent:].any()):
+        kept = values[:, 2:2 + spent].sum(axis=1) > 0
+
+    def rows(j, flagged, failing):
+        if not flagged:
+            return np.False_
+        return failing(j) & kept if j >= 2 + spent else failing(j)
+
+    def bad_cell(j):
+        return bad[:, j]
+
+    def below(limit):
+        return lambda j: values[:, j] < limit
+
+    def too_large(j):
+        return np.abs(values[:, j]) > SURVEY_VALUE_LIMIT
+
     negative = "{path}: row {row}, column {col!r}: negative expenditure {value}"
     return [
         (nul, "id", "{path}: row {row}, column 'id': id {label!r} ends in a NUL character"),
-        (_duplicates(ids), "id", "{path}: row {row}: duplicate household id {label!r}"),
-        (bad[:, 0], "weight", None),
-        (bad[:, 1], "size", None),
-        (values[:, 0] < 0, "weight", "{path}: row {row}, column 'weight': negative value {value}"),
-        (large[:, 0], "weight", TOO_LARGE),
-        (values[:, 1] < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
-        (large[:, 1], "size", TOO_LARGE),
-        *((mask, col, template) for j, col in enumerate(names[2:2 + spent], start=2)
-          for mask, template in ((bad[:, j], None), (values[:, j] < 0, negative),
-                                 (large[:, j], TOO_LARGE))),
-        *((mask, col, template) for j, col in enumerate(names[2 + spent:], start=2 + spent)
-          for mask, template in ((bad[:, j], None), (large[:, j], TOO_LARGE))),
+        (_duplicates(np.asarray(labels, dtype=str)), "id",
+         "{path}: row {row}: duplicate household id {label!r}"),
+        (rows(0, bad_cells[0], bad_cell), "weight", None),
+        (rows(1, bad_cells[1], bad_cell), "size", None),
+        (rows(0, low[0] < 0, below(0)), "weight",
+         "{path}: row {row}, column 'weight': negative value {value}"),
+        (rows(0, far[0], too_large), "weight", TOO_LARGE),
+        (rows(1, low[1] < 1, below(1)), "size", "{path}: row {row}, column 'size': value {value} < 1"),
+        (rows(1, far[1], too_large), "size", TOO_LARGE),
+        *((rows(j, flagged, failing), col, template)
+          for j, col in enumerate(names[2:2 + spent], start=2)
+          for flagged, failing, template in ((bad_cells[j], bad_cell, None),
+                                             (low[j] < 0, below(0), negative),
+                                             (far[j], too_large, TOO_LARGE))),
+        *((rows(j, flagged, failing), col, template)
+          for j, col in enumerate(names[2 + spent:], start=2 + spent)
+          for flagged, failing, template in ((bad_cells[j], bad_cell, None),
+                                             (far[j], too_large, TOO_LARGE))),
     ]
 
 
 def _read_survey(path, names, spent: int = 0) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(header, ids, values) of a survey file as ``read_input`` reads it with
-    ``_survey_checks``, ``names(header)`` giving the value columns; the ids
-    come as the array the checks made of them, once per read."""
-    ids = None
-
+    ``_survey_checks``, ``names(header)`` giving the value columns, the ids
+    a str array."""
     def checks(header, labels, values, bad):
-        nonlocal ids
-        ids = np.array(labels, dtype=str)
-        return _survey_checks(labels, ids, values, bad, names(header), spent)
+        return _survey_checks(labels, values, bad, names(header), spent)
 
-    header, _, values = read_input(
+    return read_input(
         path, lambda header: (header.index("id"), [header.index(c) for c in names(header)]),
-        checks)
-    return header, ids, values
+        checks, label_array=True)
 
 
 def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
@@ -845,9 +939,10 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
 
     A missing ``inc`` column is legal; operations that require income must
     fail loudly when it is absent rather than default it here. A dropped
-    row's ``demo_*`` and ``inc`` cells are not checked. Ids are copied into
-    an array: a kept cell would keep the memory of every row from being
-    returned. The file is read by ``read_input`` with ``_survey_checks``.
+    row's ``demo_*`` and ``inc`` cells are not checked. The file is read by
+    ``read_input`` with ``_survey_checks``. The frame's expenditure and
+    demographics are views of the block read, its other columns copies; the
+    rows are copied only when some are dropped.
     """
     path = Path(path)
 
@@ -857,23 +952,23 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     header, ids, values = _read_survey(path, names, len(categories))
     demo_cols = [c for c in names(header) if c.startswith(DEMOGRAPHIC_PREFIX)]
     k = len(categories)
-    weight, size, exp, extra = values[:, 0], values[:, 1], values[:, 2:2 + k], values[:, 2 + k:]
-    keep = exp.sum(axis=1) > 0
-
-    kept = np.flatnonzero(keep)
-    report = LoadReport(source=str(path), n_rows=len(ids), n_loaded=len(kept),
-                        n_dropped_zero_total=len(ids) - len(kept))
+    keep = values[:, 2:2 + k].sum(axis=1) > 0
+    n_kept = int(np.count_nonzero(keep))
+    report = LoadReport(source=str(path), n_rows=len(ids), n_loaded=n_kept,
+                        n_dropped_zero_total=len(ids) - n_kept)
     if report.n_dropped_zero_total:
         report.notes.append(
             f"dropped {report.n_dropped_zero_total} household(s) with zero total expenditure"
         )
-    if not len(kept):
+        ids, values = ids[keep], values[keep]
+    if not n_kept:
         raise DataValidationError(f"{path}: no usable household rows")
     return HouseholdSurvey(
-        ids=ids[kept], weight=weight[kept], size=size[kept],
-        income=extra[kept, -1] if "inc" in header else None,
+        ids=ids, weight=values[:, 0].copy(), size=values[:, 1].copy(),
+        income=values[:, -1].copy() if "inc" in header else None,
         demographic_names=tuple(c[len(DEMOGRAPHIC_PREFIX):] for c in demo_cols),
-        demographics=extra[kept, :len(demo_cols)], expenditure=exp[kept], report=report,
+        demographics=values[:, 2 + k:2 + k + len(demo_cols)], expenditure=values[:, 2:2 + k],
+        report=report,
     )
 
 
@@ -916,21 +1011,23 @@ def _csv_column(texts: list[str]) -> list[str]:
     return texts
 
 
-# Rows that _write_rows formats per numpy pass: enough that the cost per
-# numpy call vanishes, few enough that a block's temporaries (about 3 kB a
-# households.csv row) stay near the few MB that %-formatting a small frame
-# takes.
-CSV_BLOCK_ROWS = 1024
+# Rows that _write_rows formats per numpy pass: enough that the fixed cost
+# of a block's numpy calls (some 300) stays small beside its rows, few
+# enough that a block's temporaries (about 2 kB a households.csv row) stay
+# within a few MB.
+CSV_BLOCK_ROWS = 2048
 
 # the number specs _write_rows places itself: kind and precision
 _NUMBER_SPECS = {"%.6f": ("f", 6), "%.6g": ("g", 6), "%.12g": ("g", 12), "%d": ("d", 0)}
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**22 < 2**53
-_POW10_INT = 10 ** np.arange(17, dtype=np.int64)
 _EXACT = 2.0**52  # below it every half-integer is a double
 # Text is assembled in little-endian 8-byte words, so that a word's first
 # byte in memory is its lowest: viewed as bytes, words read left to right.
+# A NUL byte in a word is no text: the writer drops every one.
 _WORD = np.dtype("<u8")
 _ZEROS = 0x3030303030303030  # eight ASCII '0'
+_HIGH_BITS = 0x8080808080808080
+_LOW_BITS = 0x0101010101010101
 
 
 def _product_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -947,48 +1044,47 @@ def _product_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     return ((ah * bh - s) + ah * bl + al * bh) + al * bl
 
 
-def _round_scaled(a: np.ndarray, decimals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, r): s = fl(a·10**decimals) and r = round-half-even of the exact
-    product, for a ≥ 0; r is exact wherever s < 2**52.
+def _round_scaled(a: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """(s, r): s = fl(a·p) and r = round-half-even of the exact product,
+    for a ≥ 0 and p a power of ten (an array, or one for all); r is exact
+    wherever s < 2**52.
 
     Rounding s itself gives r unless s sits on a half-integer: every
     half-integer below 2**52 is a double, so the exact product cannot lie
     across one from s. On a tie, the sign of the product's rounding error
     says which way the exact product breaks it."""
-    p = _POW10[decimals]
     s = a * p
     r = np.rint(s)
     tie = np.flatnonzero(np.abs(s - r) == 0.5)
     if tie.size:
         st = s.flat[tie]
-        err = _product_error(a.flat[tie], p.flat[tie], st)
+        err = _product_error(a.flat[tie], p if np.ndim(p) == 0 else p.flat[tie], st)
         r.flat[tie] = np.where(err > 0, st + 0.5, np.where(err < 0, st - 0.5, r.flat[tie]))
     return s, r
 
 
 def _scaled_integers(x: np.ndarray, kind: str, precision: int):
     """(r, decimals, bad) for magnitudes ``x`` under one number spec:
-    ``spec % v`` writes r with ``decimals`` digits after a point (%g then
-    strips the fraction's trailing zeros). ``bad`` marks the cells this
-    cannot prove: non-finite, r at or over 2**52, or a %g value that ``%``
-    writes in exponent form."""
+    ``spec % v`` writes r with ``decimals`` digits after a point (one count
+    for all cells but under %g; %g then strips the fraction's trailing
+    zeros). ``bad`` marks the cells this cannot prove: non-finite, r at or
+    over 2**52, or a %g value that ``%`` writes in exponent form."""
     if kind == "d":  # %d truncates
         r = np.trunc(x)
-        return r, np.zeros(x.shape, np.int64), ~(r < _EXACT)
+        return r, 0, ~(r < _EXACT)
     if kind == "f":
-        decimals = np.full(x.shape, precision)
-        s, r = _round_scaled(x, decimals)
-        return r, decimals, ~(s < _EXACT)
+        s, r = _round_scaled(x, _POW10[precision])
+        return r, precision, ~(s < _EXACT)
     # %g: precision significant digits, the decimal exponent estimated by
     # log10 and moved one decade where the rounded digits say it was off
     exponent = np.floor(np.log10(np.where(np.isfinite(x) & (x > 0), x, 1.0)))
     decimals = np.clip(precision - 1 - exponent, 0, 22).astype(np.int64)
-    _, r = _round_scaled(x, decimals)
+    _, r = _round_scaled(x, _POW10[decimals])
     low, high = _POW10[precision - 1], _POW10[precision]
     move = np.flatnonzero(((r < low) & (x > 0)) | (r >= high))
     if move.size:
         moved = decimals.flat[move] + np.where(r.flat[move] < low, 1, -1)
-        r.flat[move] = _round_scaled(x.flat[move], np.clip(moved, 0, 22))[1]
+        r.flat[move] = _round_scaled(x.flat[move], _POW10[np.clip(moved, 0, 22)])[1]
         decimals.flat[move] = moved
     # fixed notation: the exponent, precision - 1 - decimals, is in [-4, precision)
     bad = ((r < low) & (x > 0)) | ~(r < high) | (decimals < 0) | (decimals > precision + 3)
@@ -1006,8 +1102,10 @@ def _digit_words(x: np.ndarray, words: int) -> np.ndarray:
     x = x.astype(np.uint64)
     out = np.empty(x.shape + (words,), _WORD)
     for k in range(words - 1, -1, -1):
-        chunk = x % 10**8 if k else x
-        x = x // 10**8
+        chunk = x
+        if k:
+            x = x // 10**8
+            chunk = chunk - x * 10**8
         high = chunk // 10**4
         v = high | ((chunk - high * 10**4) << 32)
         q = ((v * 10486) >> 20) & 0x0000007F0000007F
@@ -1017,54 +1115,61 @@ def _digit_words(x: np.ndarray, words: int) -> np.ndarray:
     return out
 
 
-def _last_nonzero_byte(digits: np.ndarray) -> np.ndarray:
-    """The position of the last nonzero byte in each row of digit words
-    (bytes 0-9), or 0 where all are zero."""
-    last = np.zeros(digits.shape[:-1], np.int64)
-    for k in range(digits.shape[-1]):
-        # bit 7 of each byte set where the digit is nonzero; the highest
-        # such bit, by log2 (exact: the bits are 8 apart), is the last
-        flags = ((digits[..., k] + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080).astype(float)
-        top = np.log2(np.maximum(flags, 1.0)).astype(np.int64)
-        last = np.where(flags > 0, 8 * k + top // 8, last)
-    return last
-
-
-def _integer_fields(words: int) -> tuple[np.ndarray, np.ndarray]:
-    """(delta, keep) for integer fields of ``words`` words, row
-    4·length + 2·comma + negative: what to take from the bytes of a
+def _integer_fields(words: int) -> np.ndarray:
+    """Row 4·length + 2·comma + negative: what to take from the words of a
     zero-padded ASCII integer of ``length`` digits to turn the zeros before
-    it into its sign and, before that, a comma; and which bytes the cell
-    keeps."""
+    it into its sign and, before that, a comma, and the others into NUL."""
     size = 8 * words
     length, comma, negative = (
         grid.reshape(-1, 1)
         for grid in np.meshgrid(np.arange(size + 1), [0, 1], [0, 1], indexing="ij"))
     position = np.arange(size)
     sign = size - length - 1
-    delta = (np.where((negative == 1) & (position == sign), 0x30 - ord("-"), 0)
-             + np.where((comma == 1) & (position == sign - negative), 0x30 - ord(","), 0))
-    keep = position > sign - negative - comma
-    return delta.astype(np.uint8).view(_WORD), keep.astype(np.uint8).view(_WORD)
+    delta = np.where(position >= size - length, 0,
+                     np.where((negative == 1) & (position == sign), 0x30 - ord("-"),
+                              np.where((comma == 1) & (position == sign - negative),
+                                       0x30 - ord(","), 0x30)))
+    return delta.astype(np.uint8).view(_WORD)
 
 
-def _leading_bytes(words: int) -> np.ndarray:
-    """Row c: words whose first c bytes are 1 and the others 0."""
-    return (np.arange(8 * words) < np.arange(8 * words + 1)[:, np.newaxis]).astype(
-        np.uint8).view(_WORD)
-
-
-# an integer part is at most 16 digits, a fraction 15: three and two words
+# an integer part is at most 16 digits: three words with its sign and comma
 _INTEGER_FIELDS = {words: _integer_fields(words) for words in (1, 2, 3)}
-_LEADING_BYTES = {words: _leading_bytes(words) for words in (1, 2)}
+
+
+def _fixed_fraction(digits: np.ndarray, places: int) -> None:
+    """The fraction words ``digits`` (the digits from position 1) as ASCII
+    text of ``places`` digits after a point, in place."""
+    position = np.arange(8 * digits.shape[-1])
+    fill = np.where(position == 0, ord("."), np.where(position <= places, 0x30, 0))
+    digits |= fill.astype(np.uint8).view(_WORD)
+
+
+def _trimmed_fraction(digits: np.ndarray) -> None:
+    """The fraction words ``digits`` (the digits from position 1) as %g
+    writes them, in place: ASCII up to the last nonzero digit, after a
+    point, and nothing (all NUL) when every digit is zero.
+
+    Bit 7 of each nonzero digit byte is set and copied to every byte
+    before it, the bytes of later words included where any of them is
+    nonzero; a byte so marked becomes ASCII."""
+    later = 0
+    for k in range(digits.shape[-1] - 1, -1, -1):
+        x = digits[..., k]
+        marked = ((x + 0x7F7F7F7F7F7F7F7F) & _HIGH_BITS) | later
+        marked |= marked >> 8
+        marked |= marked >> 16
+        marked |= marked >> 32
+        later = (marked & 0x80) * _LOW_BITS  # every byte, where any is marked
+        x |= (marked >> 7) * 0x30
+    first = digits[..., 0]
+    first -= (first & 0x10) >> 3  # an ASCII '0' in the first place becomes the point
 
 
 def _number_words(values: np.ndarray, spec: str, comma: np.ndarray):
-    """(words, keep, bad): ``spec % v`` for a (rows × columns) block of
-    numbers, each cell preceded by a comma where ``comma`` (one flag per
-    column). A cell is the bytes of ``words[i, j]`` whose ``keep[i, j]``
-    byte is 1; ``bad`` marks the cells whose text is not proven (see
-    ``_scaled_integers``).
+    """(words, bad): ``spec % v`` for a (rows × columns) block of numbers,
+    each cell preceded by a comma where ``comma`` (one flag per column). A
+    cell is the bytes of ``words[i, j]`` other than NUL; ``bad`` marks the
+    cells whose text is not proven (see ``_scaled_integers``).
 
     A cell's words hold a right-aligned integer part, with its sign and
     comma before it, then, if any cell has a fraction, the point and a
@@ -1076,99 +1181,118 @@ def _number_words(values: np.ndarray, spec: str, comma: np.ndarray):
     if kind == "d":  # the sign of the truncated integer: '%d' % -0.5 is '0'
         negative &= r > 0
     r[bad] = 0.0
-    r = r.astype(np.int64)
-    decimals[bad] = 0
-    scale = _POW10_INT[precision] if kind == "f" else _POW10_INT[decimals]
-    whole = r // scale
-    length = np.searchsorted(_POW10_INT[1:], whole, side="right") + 1
+    if kind == "g":
+        decimals[bad] = 0
+    scale = _POW10[decimals]
+    whole = np.floor(r / scale)  # exact: r < 2**52 is an integer, scale a power of ten
+    # digits in the integer part: log10's count, put right where it is off
+    # by one (at 10**k - 1, or where log10 is not exact)
+    least = np.maximum(whole, 1.0)  # 0 has one digit, as 1 has
+    length = np.log10(least).astype(np.int64)
+    length += least >= _POW10[length + 1]
+    length -= least < _POW10[length]
+    length += 1
     # bytes of the integer part with the sign and comma before it
     int_words = -(-int((length + negative + comma).max(initial=1)) // 8)
-    places = int(decimals.max(initial=0))
-    frac_words = -(-(places + 1) // 8) if places else 0
-    words = np.empty(r.shape + (int_words + frac_words,), _WORD)
-    keep = np.empty(words.shape, _WORD)
-    delta, int_keep = _INTEGER_FIELDS[int_words]
-    field = 4 * length + 2 * comma + negative
-    words[..., :int_words] = _digit_words(whole, int_words)
-    words[..., :int_words] |= _ZEROS
-    words[..., :int_words] -= delta[field]
-    keep[..., :int_words] = int_keep[field]
-    if frac_words:
-        # the fraction left-aligned after the point, which takes the place
-        # of a leading zero
-        fraction = (r - whole * scale) * _POW10_INT[8 * frac_words - 1 - decimals]
-        words[..., int_words:] = _digit_words(fraction, frac_words)
-        kept = decimals if kind == "f" else _last_nonzero_byte(words[..., int_words:])
-        words[..., int_words:] |= _ZEROS
-        words[..., int_words] -= 0x30 - ord(".")
-        keep[..., int_words:] = _LEADING_BYTES[frac_words][np.where(kept > 0, kept + 1, 0)]
-    return words, keep, bad
+    words = _digit_words(whole, int_words)
+    words |= _ZEROS
+    words -= _INTEGER_FIELDS[int_words][4 * length + 2 * comma + negative]
+    places = int(np.max(decimals, initial=0))
+    if not places:
+        return words, bad
+    # the fraction left-aligned after the point, which takes the place of a
+    # leading zero
+    frac_words = -(-(places + 1) // 8)
+    fraction = _digit_words((r - whole * scale) * _POW10[8 * frac_words - 1 - decimals],
+                            frac_words)
+    if kind == "f":
+        _fixed_fraction(fraction, places)
+    else:
+        _trimmed_fraction(fraction)
+    return np.concatenate([words, fraction], axis=-1), bad
 
 
-def _text_words(texts: list[str], comma: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(words, keep) for a column of texts as ``_number_words`` gives them:
+def _text_words(texts: list[str], comma: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(words, nul) for a column of texts as ``_number_words`` gives them:
     the UTF-8 bytes of each text, after a comma if ``comma``, left-aligned.
     ``surrogatepass`` lets every str through, and decoding the bytes the
-    same way gives back the very texts."""
+    same way gives back the very texts. ``nul`` marks the texts holding a
+    NUL byte, which the words cannot show (None when there is none)."""
     joined = "".join(texts)
     if joined.isascii():
         lengths = np.fromiter(map(len, texts), np.int64, len(texts))
     else:
         lengths = np.array([len(t.encode("utf-8", "surrogatepass")) for t in texts])
-    lengths += comma
-    keep = np.arange(-(-int(lengths.max(initial=0)) // 8) * 8) < lengths[:, np.newaxis]
-    text = keep.copy()
-    text[:, :comma] = False
-    cells = np.zeros(keep.shape, np.uint8)
+    encoded = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
+    longest = int(lengths.max(initial=0))
+    cells = np.zeros((len(texts), -(-(longest + comma) // 8) * 8), np.uint8)
     cells[:, :comma] = ord(",")
-    cells[text] = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
-    return cells.view(_WORD), keep.view(np.uint8).view(_WORD)
+    cells[:, comma:][np.arange(cells.shape[1] - comma) < lengths[:, np.newaxis]] = encoded
+    nul = None
+    if "\x00" in joined:
+        nul = np.array(["\x00" in t for t in texts], dtype=bool)
+    return cells.view(_WORD), nul
 
 
 def _block_text(specs: Sequence[str], columns: Sequence, start: int, stop: int,
                 texts: dict[int, list[str]], line_end: str):
     """(data, ends, fallback) for rows ``start:stop`` as ``_write_rows``
     writes them: the UTF-8 bytes of the rows, where row i ends at
-    ``ends[i]`` bytes, with the rows listed in ``fallback`` left out."""
+    ``ends[i]`` bytes, with the rows listed in ``fallback`` left out.
+
+    Each spec's cells come as one (rows × words) array; one ``take`` puts
+    the words of every cell in column order, and the NUL bytes between the
+    cells' texts are dropped from the block's bytes in one pass."""
     n = stop - start
-    cells = {j: _text_words(column, j > 0) for j, column in texts.items()}
-    bad = np.zeros(n, bool)
+    parts, slots, bad = [], {}, np.zeros(n, bool)
+    width = 0
+
+    def place(words, cols):
+        nonlocal width
+        size = words.shape[-1]
+        parts.append(words.reshape(n, -1))
+        slots.update((j, range(width + k * size, width + (k + 1) * size))
+                     for k, j in enumerate(cols))
+        width += len(cols) * size
+
+    for j, column in texts.items():
+        words, nul = _text_words(column, j > 0)
+        place(words, [j])
+        if nul is not None:
+            bad |= nul
     for spec in dict.fromkeys(specs):
         if spec != "%s":
             cols = [j for j, s in enumerate(specs) if s == spec]
             values = np.empty((n, len(cols)))
             for k, j in enumerate(cols):
                 values[:, k] = columns[j][start:stop]
-            words, keep, spec_bad = _number_words(values, spec, np.array(cols) > 0)
+            words, spec_bad = _number_words(values, spec, np.array(cols) > 0)
             bad |= spec_bad.any(axis=1)
-            cells.update((j, (words[:, k], keep[:, k])) for k, j in enumerate(cols))
-    widths = [cells[j][0].shape[1] for j in range(len(specs))]
-    block = np.empty((n, sum(widths) + 1), _WORD)
-    keep = np.empty(block.shape, _WORD)
-    offset = 0
-    for j, width in enumerate(widths):
-        block[:, offset:offset + width], keep[:, offset:offset + width] = cells.pop(j)
-        offset += width
-    block[:, -1] = np.frombuffer(line_end.encode().ljust(8, b"\0"), _WORD)
-    keep[:, -1] = _LEADING_BYTES[1][len(line_end)]
+            place(words, cols)
+    place(np.full((n, 1), int.from_bytes(line_end.encode().ljust(8, b"\0"), "little"), _WORD),
+          [len(specs)])
+    order = np.fromiter(chain.from_iterable(slots[j] for j in range(len(specs) + 1)), np.intp)
+    block = np.take(np.concatenate(parts, axis=1), order, axis=1)
     fallback = np.flatnonzero(bad)
-    keep[fallback] = 0
-    keep = keep.view(np.uint8).view(bool)
-    ends = np.cumsum(keep.sum(axis=1)) if fallback.size else None
-    return np.compress(keep.ravel(), block.view(np.uint8).ravel()), ends, fallback.tolist()
+    ends = None
+    if fallback.size:
+        block[fallback] = 0
+        ends = np.cumsum(np.count_nonzero(block.view(np.uint8), axis=1))
+    return block.tobytes().translate(None, b"\0"), ends, fallback.tolist()
 
 
 def _write_rows(fh, specs: Sequence[str], columns: Sequence, line_end: str) -> None:
-    """Write ``row_format % row`` for each row of ``columns`` to the text
-    file ``fh``, where ``row_format`` is ``specs`` joined by commas, then
-    ``line_end``.
+    """Write ``row_format % row`` for each row of ``columns`` to the binary
+    file ``fh`` as UTF-8 (``surrogatepass``), where ``row_format`` is
+    ``specs`` joined by commas, then ``line_end``.
 
     A ``%s`` column's values are written as ``str()`` of each, CSV-quoted
     (``_csv_column``); every other column is a numeric array under one of
     ``_NUMBER_SPECS``. Blocks of ``CSV_BLOCK_ROWS`` rows are formatted in
     numpy, rounded exactly as ``%`` rounds (``_number_words``), and each
-    block is written as one text. A row holding a cell that path cannot
-    prove is written by ``row_format % row`` in its place.
+    block's bytes are written at once. A row holding a cell that path
+    cannot prove, or a text holding a NUL, is written by ``row_format %
+    row`` in its place.
     """
     row_format = ",".join(specs) + line_end
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
@@ -1181,14 +1305,14 @@ def _write_rows(fh, specs: Sequence[str], columns: Sequence, line_end: str) -> N
                     column = column.tolist()
                 texts[j] = _csv_column(list(map(str, column)))
         data, ends, fallback = _block_text(specs, columns, start, stop, texts, line_end)
-        done = 0
+        data, done = memoryview(data), 0
         for i in fallback:
             row = tuple(texts[j][i] if j in texts else columns[j][start + i].item()
                         for j in range(len(specs)))
-            fh.write(str(data[done:ends[i]], "utf-8", "surrogatepass"))
-            fh.write(row_format % row)
+            fh.write(data[done:ends[i]])
+            fh.write((row_format % row).encode("utf-8", "surrogatepass"))
             done = ends[i]
-        fh.write(str(data[done:], "utf-8", "surrogatepass"))
+        fh.write(data[done:])
 
 
 def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRecord],
@@ -1198,8 +1322,9 @@ def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRec
 
     A list of records is converted once with ``as_survey``. Demographic
     columns come in name order, extra columns as ``str()`` of each value;
-    rows end in CRLF, as the csv module ends them. Rows are written by
-    ``_write_rows``, as one %-format over the frame's columns writes them.
+    rows end in CRLF, as the csv module ends them. The file is UTF-8 (ids
+    and extras ``surrogatepass``); rows are written by ``_write_rows``, as
+    one %-format over the frame's columns writes them.
     """
     frame = as_survey(survey)
     names = sorted(frame.demographic_names)
@@ -1215,8 +1340,8 @@ def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRec
     extras = dict(extra_columns or {})
     header += list(extras)
     values = np.hstack(blocks)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_csv_field, header)) + "\r\n").encode("utf-8", "surrogatepass"))
         _write_rows(fh, ["%s"] + ["%.12g"] * values.shape[1] + ["%s"] * len(extras),
                     [frame.ids, *values.T, *extras.values()], "\r\n")
 

@@ -206,7 +206,7 @@ def les_calibrate(
 
 def les_calibrate_frisch(
     budget: np.ndarray,
-    xi: float,
+    xi: float | np.ndarray,
     shares: np.ndarray,
     quantities: np.ndarray,
     total,
@@ -220,9 +220,18 @@ def les_calibrate_frisch(
     (group-level) share vector. When the shares coincide this is
     algebraically identical to the own-price-elasticity calibration.
     ``shares`` and ``quantities`` may be (n, k) blocks with one ``total``
-    per row; ``budget`` broadcasts against them and ``xi`` applies to all.
+    per row; ``budget`` broadcasts against them and ``xi`` applies to all,
+    or gives one value per row.
     """
-    if xi >= -1.0:
+    gamma, phi = _frisch_terms(budget, xi, shares, quantities, total)
+    return LesParameters(gamma=gamma, phi=phi)
+
+
+def _frisch_terms(budget, xi, shares, quantities, total) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma, phi) as ``les_calibrate_frisch`` calibrates them, before
+    they are checked as ``LesParameters``."""
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi >= -1.0):
         raise DataValidationError("money flexibility must be below -1 for a feasible budget")
     budget = np.asarray(budget, dtype=float)
     shares = np.asarray(shares, dtype=float)
@@ -232,10 +241,10 @@ def les_calibrate_frisch(
     total_phi = phi.sum(axis=-1, keepdims=True)
     if np.any(total_phi <= 0):
         raise DataValidationError("no good has a positive marginal budget share")
-    phi = phi / total_phi
-    supernumerary = -_column(total) / xi
+    phi /= total_phi
+    supernumerary = -_column(total) / (xi if xi.ndim == 0 else _column(xi))
     gamma = np.where(active, quantities - phi * supernumerary, 0.0)
-    return LesParameters(gamma=gamma, phi=phi)
+    return gamma, phi
 
 
 def _column(v) -> np.ndarray:

@@ -244,7 +244,7 @@ def category_price_relatives(categories: CategorySet) -> np.ndarray:
 
 def _write_table(path: Path, header, rows) -> Path:
     """Write ``header`` and ``rows`` as CSV lines, each number as ``format_value`` writes it."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for row in [header, *rows]:
             fh.write(",".join(c if isinstance(c, str) else format_value(c) for c in row) + "\n")
     return path
@@ -304,5 +304,5 @@ distribution.groups = 5
 seed = 42
 {fuel_map_lines}
 """
-    paths["config"].write_text(config_text)
+    paths["config"].write_text(config_text, encoding="utf-8")
     return paths

@@ -33,6 +33,7 @@ from .data import (
     load_income_survey,
     load_mrio,
     load_price_relatives,
+    not_utf8,
     read_input,
 )
 from .demand import (
@@ -40,6 +41,7 @@ from .demand import (
     FRISCH_LEVEL,
     FRISCH_SHIFT,
     FRISCH_SLOPE,
+    _frisch_terms,
     _value,
     budget_elasticity,
     frisch_parameter,
@@ -124,8 +126,12 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path, "line") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -469,13 +475,14 @@ def _engel_fit(shares: np.ndarray, design: np.ndarray, ln_x: np.ndarray,
 def estimate_demand_groups(
     shares: np.ndarray, totals: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
     quintiles: np.ndarray, cfg: RunConfig,
-) -> tuple[list[GroupDemand], list[str], tuple[np.ndarray, np.ndarray], int]:
-    """One demand-system parameterisation per quintile x size-band cell.
+) -> tuple[list[GroupDemand], list[str], np.ndarray, int]:
+    """One demand-system parameterisation per quintile x size-band cell, the
+    group of each household and the count of cells that fell back.
 
     Cells with too few households fall back to their quintile, then to the
     whole sample, so estimation never fails on sparse cells. A fallback fit
-    is made only when a cell first uses it. Group g holds the households
-    ``order[bounds[g]:bounds[g + 1]]``, ``order`` being a stable sort.
+    is made only when a cell first uses it. A cell's own fit takes its
+    households in survey order, as a slice of a stable sort by cell.
     """
     per_capita = totals / sizes
     if cfg.engel_scale == "per_capita_month":
@@ -510,45 +517,58 @@ def estimate_demand_groups(
             groups.append(fallbacks[source])
             n_fallback += 1
         labels.append(f"q{q + 1}_band{b + 1}")
-    return groups, labels, (order, bounds), n_fallback
+    return groups, labels, (np.cumsum(counts > 0) - 1)[cells], n_fallback
 
 
-def value_households(groups, order, bounds, exp, shares, totals, transfers, p1, emissions):
+# Households that value_households values per numpy pass: a block's
+# (households × categories) temporaries stay in a core's cache. At 24,000
+# households one pass over all of them took half again as long.
+VALUE_BLOCK_ROWS = 2048
+
+
+def value_households(groups, group_of, exp, shares, totals, transfers, p1, emissions):
     """(cv, ye, ye_net, footprint at ``p1``), the households that cannot afford
-    their committed bundle at ``p1`` (their group keeps zeros) and the count
-    valued as Cobb-Douglas. Each group of ``estimate_demand_groups`` is valued
-    as one slice of the households in group order, put back in survey order once.
+    their committed bundle at ``p1`` (they keep zeros) and the count valued as
+    Cobb-Douglas.
+
+    The households are valued in survey order, ``VALUE_BLOCK_ROWS`` at a
+    time: each one's group budget elasticities and xi come from a
+    (groups, k) table indexed by ``group_of``. The calibration and the
+    closed forms (Creedy 1998) are row-wise, so each household gets the
+    values its group alone would give.
     """
-    n, p0 = len(totals), np.ones(len(p1))
-    values = np.zeros((4, n))  # cv, ye, ye_net, footprint
-    infeasible, n_cobb_douglas = np.zeros(n, dtype=bool), 0
-    exp, shares, totals, transfers = exp[order], shares[order], totals[order], transfers[order]
-    for g, lo, hi in zip(groups, bounds[:-1], bounds[1:]):
-        exp_g, shares_g, totals_g = exp[lo:hi], shares[lo:hi], totals[lo:hi]
+    budgets, xis = np.array([g.budget for g in groups]), np.array([g.xi for g in groups])
+    p0 = np.ones(len(p1))
+    values = np.zeros((4, len(totals)))  # cv, ye, ye_net, footprint
+    infeasible = np.zeros(len(totals), dtype=bool)
+    n_cobb_douglas = 0
+    for start in range(0, len(totals), VALUE_BLOCK_ROWS):
+        block = slice(start, start + VALUE_BLOCK_ROWS)
+        exp_b, shares_b, totals_b = exp[block], shares[block], totals[block]
+        group_b = group_of[block]
+        budget = budgets[group_b]
         # households with no bought good whose budget elasticity times share is
         # positive (a subnormal share makes it 0) have no marginal budget to
         # calibrate: value them as Cobb-Douglas (phi = own shares, gamma = 0)
-        cobb_douglas = ~np.any((exp_g > 0) & (g.budget * shares_g > 0), axis=1)[:, np.newaxis]
+        cobb_douglas = ~np.any((exp_b > 0) & (budget * shares_b > 0), axis=1)
         n_cobb_douglas += int(cobb_douglas.sum())
-        fit = les_calibrate_frisch(np.where(cobb_douglas, 1.0, g.budget), g.xi,
-                                   shares_g, exp_g, totals_g)
-        params = LesParameters(gamma=np.where(cobb_douglas, 0.0, fit.gamma), phi=fit.phi)
-        try:
-            value = les_valuation(p0, p1, totals_g, totals_g + transfers[lo:hi], params, emissions)
-        except InfeasibleBudgetError:
-            # collect the households whose budget misses the committed
-            # bundle after the change, across all groups, for one message
-            short = params.committed_cost(p1) >= totals_g
-            if not np.any(short):
-                raise
-            infeasible[lo:hi] = short
-            continue
-        values[:3, lo:hi] = value.cv, value.ye, value.ye_net
+        budget[cobb_douglas] = 1.0
+        gamma, phi = _frisch_terms(budget, xis[group_b], shares_b, exp_b, totals_b)
+        gamma[cobb_douglas] = 0.0
+        # the households whose budget misses the committed bundle after the
+        # change: each is named in one message, none is valued
+        short = (p1 * gamma).sum(axis=-1) >= totals_b
+        rows = slice(None)
+        if short.any():
+            infeasible[block] = short
+            rows = ~short
+        net_b = totals_b[rows] + transfers[block][rows]
+        value = les_valuation(p0, p1, totals_b[rows], net_b,
+                              LesParameters(gamma=gamma[rows], phi=phi[rows]), emissions)
+        values[:3, block][:, rows] = value.cv, value.ye, value.ye_net
         if emissions is not None:
-            values[3, lo:hi] = value.footprint_after
-    unsort = np.empty_like(order)
-    unsort[order] = np.arange(n)
-    return np.take(values, unsort, axis=1), infeasible[unsort], n_cobb_douglas
+            values[3, block][rows] = value.footprint_after
+    return values, infeasible, n_cobb_douglas
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +731,13 @@ def rank_households(cfg: RunConfig, frame: HouseholdSurvey):
 
 def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, transfers,
              groups: list[GroupDemand], labels: list[str]):
-    """Assembly stage: the per-household frame and the elasticity rows.
+    """Assembly stage: the per-household frame, its (households × report
+    groups) share and burden matrices, and the elasticity rows.
 
     ``ranked`` and ``values`` are what ``rank_households`` and
     ``value_households`` return. A report group's share and burden sum its
-    categories' columns through one 0/1 category-to-group matrix.
+    categories' columns through one 0/1 category-to-group matrix; the
+    frame's share_<group> and burden_<group> columns are the matrices' columns.
     """
     frame, categories = inputs.frame, inputs.categories
     totals, shares, eq, quintiles = ranked
@@ -745,7 +767,7 @@ def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, tra
                 continue
             elasticity_rows.append([label, cat, g.mean_shares[j], g.budget[j], g.own_price[j],
                                     gp.phi[j], gp.gamma[j], g.xi])
-    return household, elasticity_rows
+    return household, (share_g, burden_g), elasticity_rows
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioResult:
@@ -761,12 +783,12 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     transfers = recycle_revenue(revenue, cfg.recycling, weights, sizes=sizes,
                                 target_mask=quintiles < cfg.recycling_quantile)
 
-    groups, labels, (order, bounds), n_fallback = estimate_demand_groups(
+    groups, labels, group_of, n_fallback = estimate_demand_groups(
         shares, totals, weights, sizes, quintiles, cfg
     )
     emissions = prices.unit_emissions if np.any(prices.unit_emissions > 0) else None
     values, infeasible, n_cobb_douglas = value_households(
-        groups, order, bounds, exp, shares, totals, transfers, 1.0 + prices.total, emissions
+        groups, group_of, exp, shares, totals, transfers, 1.0 + prices.total, emissions
     )
     if np.any(infeasible):
         first = ", ".join(map(repr, frame.ids[np.flatnonzero(infeasible)[:5]].tolist()))
@@ -776,8 +798,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     if not np.isfinite(values[3]).all():  # the footprints after the change
         raise _emission_content_error(prices.unit_emissions, inputs.categories)
 
-    household, elasticity_rows = assemble(cfg, inputs, prices, ranked, values, transfers,
-                                          groups, labels)
+    household, group_columns, elasticity_rows = assemble(cfg, inputs, prices, ranked, values,
+                                                         transfers, groups, labels)
     group_names = tuple(DEFAULT_REPORT_GROUPS)
     return ScenarioResult(
         categories=inputs.categories,
@@ -786,7 +808,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         relatives_inflation=inputs.rel_inflation,
         relatives_carbon=prices.carbon,
         household=household,
-        tables=build_tables(household, group_names, cfg),
+        tables=build_tables(household, group_names, cfg, *group_columns),
         revenue=revenue,
         seed=cfg.seed,
         config_hash=cfg.config_hash(),
@@ -808,8 +830,12 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
-    """Aggregate tables from the per-household frame (also used by `report`)."""
+def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig,
+                 share_g: np.ndarray, burden_g: np.ndarray):
+    """Aggregate tables from the per-household frame (also used by `report`);
+    ``share_g`` and ``burden_g`` hold its share_<group> and burden_<group>
+    columns for ``group_names``, one column each, as (households × groups)
+    matrices."""
     w = hh["weight"]
     x = hh["x"]
     eq = hh["equivalised"]
@@ -817,8 +843,6 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     n_groups = int(quintiles.max()) + 1
     agg_x = float(np.dot(w, x))
 
-    share_g = np.column_stack([hh[f"share_{g}"] for g in group_names])
-    burden_g = np.column_stack([hh[f"burden_{g}"] for g in group_names])
     # *_q: in quintile order, a stable sort, so that each quintile's sums run over
     # the same values in the same order; quintile q holds q_rows[q] of each
     order = np.argsort(quintiles, kind="stable")
@@ -931,7 +955,7 @@ def write_tables(tables, outdir) -> dict[str, Path]:
     paths: dict[str, Path] = {}
     for name, (header, rows) in tables.items():
         p = outdir / f"{name}.csv"
-        with open(p, "w") as fh:
+        with open(p, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_format_cell(c) for c in row) + "\n")
@@ -966,8 +990,8 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
         else "%.6g"
         for c in columns
     ]
-    with open(p, "w") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(p, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
         _write_rows(fh, specs, [hh[c] for c in columns], "\n")
     paths["households"] = p
 
@@ -990,7 +1014,7 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
             "calibration_outliers": imp.calibration_outliers,
             "notes": list(imp.notes),
         }
-    p.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    p.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     paths["manifest"] = p
     return paths
 
@@ -1013,6 +1037,15 @@ def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
 
     header, ids, block = read_input(households_csv, number_columns)
     del ids  # the tables need no ids
-    hh = dict(zip([c for c in header if c != "id"], block.T))
+    columns = [c for c in header if c != "id"]
+    hh = dict(zip(columns, block.T))
     groups = group_names(header)
-    return build_tables(hh, groups, cfg), groups
+
+    def group_matrix(prefix):  # a view of the block where the columns are evenly spaced
+        at = [columns.index(f"{prefix}_{g}") for g in groups]
+        step = at[1] - at[0] if len(at) > 1 else 1
+        if step > 0 and at == list(range(at[0], at[-1] + 1, step)):
+            return block[:, at[0]:at[-1] + 1:step]
+        return block[:, at]
+
+    return build_tables(hh, groups, cfg, group_matrix("share"), group_matrix("burden")), groups

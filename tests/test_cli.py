@@ -331,6 +331,65 @@ class TestNonFiniteCells:
         assert f"{name}: row {row}, column {column!r}: non-finite value {text!r}" in err
 
 
+# the ASCII C locale, with Python's UTF-8 mode and locale coercion off
+C_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_cli_process(*argv, env=None):
+    """``priceshock`` in a new interpreter under ``env`` (added to this one's)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(priceshock.__file__).parents[1]), **(env or {})}
+    return subprocess.run([sys.executable, "-m", "priceshock.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, encoding="utf-8",
+                          errors="backslashreplace")
+
+
+class TestTextEncoding:
+    """Every text file is read and written as UTF-8, whatever the locale;
+    a file that is not UTF-8 exits 1 naming the file and the row."""
+
+    @staticmethod
+    def replace_bytes(path, old: bytes, new: bytes):
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+
+    def test_non_ascii_ids_run_alike_under_the_c_locale(self, bundle_dir, tmp_path):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        self.replace_bytes(work / "households.csv", b"\nhh0000,", "\nh\u00e90000,".encode())
+        cfg = work / "config.txt"
+        c_run = run_cli_process("run", "--config", cfg, "--out", tmp_path / "c", "--quiet",
+                                env=C_LOCALE)
+        assert (c_run.returncode, c_run.stderr) == (0, "")
+        utf8_run = run_cli_process("run", "--config", cfg, "--out", tmp_path / "u", "--quiet",
+                                   env={"PYTHONUTF8": "1"})
+        assert utf8_run.returncode == 0
+        for path in sorted((tmp_path / "u").iterdir()):
+            assert (tmp_path / "c" / path.name).read_bytes() == path.read_bytes(), path.name
+        assert "\nh\u00e90000,".encode() in (tmp_path / "c" / "households.csv").read_bytes()
+        report = run_cli_process("report", "--config", cfg, "--results",
+                                 tmp_path / "c" / "households.csv", "--out", tmp_path / "t",
+                                 "--quiet", env=C_LOCALE)
+        assert (report.returncode, report.stderr) == (0, "")
+
+    @pytest.mark.parametrize("env", [C_LOCALE, {"PYTHONUTF8": "1"}], ids=["C", "UTF-8"])
+    def test_a_latin1_byte_names_the_file_and_row(self, bundle_dir, tmp_path, env):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        self.replace_bytes(work / "households.csv", b"\nhh0004,", b"\nhh\xe9004,")
+        proc = run_cli_process("run", "--config", work / "config.txt", "--out", tmp_path / "r",
+                               "--quiet", env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {work / 'households.csv'}: row 6: byte 0xe9 is not "
+                               f"UTF-8 text (invalid continuation byte)\n")
+
+    def test_a_latin1_byte_in_the_config_names_its_line(self, bundle_dir, tmp_path):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        cfg = work / "config.txt"
+        cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")
+        lines = cfg.read_bytes().count(b"\n")
+        proc = run_cli_process("validate", "--config", cfg, env=C_LOCALE)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {cfg}: line {lines}: byte 0xe9 is not UTF-8 text "
+                               f"(invalid continuation byte)\n")
+
+
 class TestReport:
     def test_report_reproduces_run_tables(self, bundle_dir, tmp_path):
         # households.csv keeps the budget shares at 12 digits, so t3 too is

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -566,6 +566,32 @@ class TestBulkLoaders:
         assert survey.report.n_dropped_zero_total == len(table[1]) - len(ref["ids"])
         assert [r.id for r in survey.records] == ref["ids"]
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ids_of_any_length_read_as_on_the_row_path(self, new_dir, data):
+        """The fast path's ids come from a bytes field sized by the first
+        block's ids; an id that fills the field has the file read again.
+        Plain files with ids of any printable length, spaces kept, at both
+        block sizes: the loader never takes the row path and gives the
+        ids, columns and report of ``ref_household_survey``."""
+        n = data.draw(st.integers(1, 30))
+        lengths = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            lengths.sort()  # the longest ids last, beyond twice the first block's
+        ids = [data.draw(st.from_regex(rf"[ !#-+\--~]{{{k}}}", fullmatch=True)) for k in lengths]
+        assume(len(set(ids)) == n)
+        rows = [[hid, "1.5", "2", repr(float(i % 3)), "0", "4.25"] for i, hid in enumerate(ids)]
+        path = write_rows(new_dir() / "hh.csv",
+                          ["id", "weight", "size", "exp_food", "exp_fuel", "exp_rest"], rows)
+        ref = ref_household_survey(path, CATS)
+        with no_row_path(), blocks_of(data.draw(st.sampled_from(BLOCK_SIZES))):
+            survey = load_household_survey(path, CATS)
+        assert survey.ids.tolist() == ref["ids"]
+        assert survey.ids.dtype == np.array(ref["ids"], dtype=str).dtype
+        assert bits(survey.expenditure) == bits(ref["exp"])
+        assert bits(survey.weight) == bits(ref["weight"])
+        assert survey.report.n_loaded == len(ref["ids"])
+
     @settings(max_examples=250, deadline=None)
     @given(table=survey_tables(), data=st.data())
     def test_first_fault_message_equals_row_loop(self, new_dir, table, data):
@@ -729,9 +755,9 @@ class TestRowWriter:
         values = self.VALUES[kind]
         if spec == "%d":  # '%d' % nan raises, as the writer does (below)
             values = values[np.isfinite(values)]
-        out = io.StringIO()
+        out = io.BytesIO()
         _write_rows(out, [spec], [values], "\n")
-        got = out.getvalue().split("\n")[:-1]
+        got = out.getvalue().decode().split("\n")[:-1]
         assert len(got) == len(values)
         wrong = [(v, text) for v, text in zip(values.tolist(), got) if spec % v != text]
         assert not wrong, wrong[:5]
@@ -741,11 +767,11 @@ class TestRowWriter:
         with pytest.raises(error):
             "%d" % value
         with pytest.raises(error):
-            _write_rows(io.StringIO(), ["%d"], [np.array([1.0, value])], "\n")
+            _write_rows(io.BytesIO(), ["%d"], [np.array([1.0, value])], "\n")
 
     def test_a_value_rounding_up_a_decade_is_placed_without_falling_back(self):
         values = np.array([[9.9999996, 0.00999999999, 99999.96]])
-        _, _, bad = _number_words(values, "%.6g", np.array([False, True, True]))
+        _, bad = _number_words(values, "%.6g", np.array([False, True, True]))
         assert not bad.any()
 
     def test_rows_at_block_edges_fall_back_in_place(self):
@@ -760,12 +786,45 @@ class TestRowWriter:
                                 (CSV_BLOCK_ROWS, 4, 2.0**60), (2 * CSV_BLOCK_ROWS - 1, 3, 1e-7),
                                 (2 * CSV_BLOCK_ROWS, 1, -np.inf)):
             columns[col][row] = value
-        out = io.StringIO()
+        out = io.BytesIO()
         _write_rows(out, specs, columns, "\r\n")
         row_format = ",".join(specs) + "\r\n"
         texts = [_csv_column(list(map(str, columns[0]))), *(c.tolist() for c in columns[1:-1]),
                  _csv_column(columns[-1])]
-        assert out.getvalue() == "".join(row_format % row for row in zip(*texts))
+        assert out.getvalue().decode("utf-8", "surrogatepass") == "".join(
+            row_format % row for row in zip(*texts))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal_percent_format_of_each_row(self, data):
+        """The UTF-8 bytes written, against ``row_format % row`` encoded
+        with ``surrogatepass``: rows falling back to ``%`` at and next to
+        the block edges, ids with non-ASCII text, lone surrogates, NULs and
+        characters the CSV field quotes."""
+        n = data.draw(st.sampled_from([CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1,
+                                       2 * CSV_BLOCK_ROWS + 1]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ids = [f"h{i}" for i in range(n)]
+        texts = st.text(st.characters(codec="utf-8") | st.sampled_from('\ud800\udfff\x00,"\r\n'),
+                        max_size=6)
+        edges = sorted({0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, n - 1} & set(range(n)))
+        for i in data.draw(st.lists(st.sampled_from(edges), max_size=3)):
+            ids[i] = data.draw(texts)
+        specs = ["%s", *data.draw(st.permutations(self.SPECS))]
+        columns = [np.array(ids, dtype=object)]
+        columns += [rng.random(n) * 10.0 ** rng.integers(-3, 9, n) - 5e3 for _ in specs[1:]]
+        for i in data.draw(st.lists(st.sampled_from(edges), max_size=3)):
+            j = data.draw(st.integers(1, len(specs) - 1))
+            edge = [1e300, 2.0**60, 1e-7, -0.0, 0.5]
+            if specs[j] != "%d":  # '%d' % nan raises
+                edge += [np.nan, -np.inf]
+            columns[j][i] = data.draw(st.sampled_from(edge))
+        out = io.BytesIO()
+        _write_rows(out, specs, columns, "\r\n")
+        row_format = ",".join(specs) + "\r\n"
+        cells = [_csv_column(ids), *(c.tolist() for c in columns[1:])]
+        want = "".join(row_format % row for row in zip(*cells))
+        assert out.getvalue() == want.encode("utf-8", "surrogatepass")
 
 
 def ref_write_household_survey(path, records, categories, extra_columns=None):
@@ -1460,7 +1519,7 @@ def test_report_reads_households_csv_near_the_frame(tmp_path, bundle_dir, monkey
     del result
     peaks = []
 
-    def build_tables(hh, group_names, cfg):
+    def build_tables(hh, group_names, cfg, share_g, burden_g):
         peaks.append(tracemalloc.get_traced_memory()[1])
         assert len(hh["weight"]) == n
         return {}

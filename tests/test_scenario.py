@@ -509,7 +509,9 @@ class TestBuildTablesDirect:
             "share_g2": np.full(n, 0.4),
             "burden_g2": 0.04 * x,
         }
-        tables = build_tables(hh, ("g1", "g2"), cfg)
+        tables = build_tables(hh, ("g1", "g2"), cfg,
+                              np.column_stack([hh["share_g1"], hh["share_g2"]]),
+                              np.column_stack([hh["burden_g1"], hh["burden_g2"]]))
         _, rows = tables["t2_inflation_drivers"]
         assert abs(rows[-1][2] - 0.1) < 1e-12
         _, rows7 = tables["t7_welfare"]
@@ -519,7 +521,9 @@ class TestBuildTablesDirect:
         """t3, t5 and t7 take each quintile as a slice of one stable sort; every
         cell equals the sum over a boolean mask of the frame in survey order."""
         hh, names = run_result.household, run_result.group_names
-        tables = build_tables(hh, names, parse_config(bundle_dir / "config.txt"))
+        tables = build_tables(hh, names, parse_config(bundle_dir / "config.txt"),
+                              *(np.column_stack([hh[f"{p}_{g}"] for g in names])
+                                for p in ("share", "burden")))
         w, x = hh["weight"], hh["x"]
         mean_eq = float(np.dot(w, hh["equivalised"])) / float(w.sum())
         for q in range(5):
@@ -623,14 +627,14 @@ class TestFallbackFitsOnDemand:
         lo, hi = cfg.size_bands
         band = np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
         quintiles = np.arange(len(totals)) % 5  # cells interleaved in survey order
-        groups, labels, (order, bounds), _ = estimate_demand_groups(shares, totals, w, sizes,
-                                                                    quintiles, cfg)
+        groups, labels, group_of, _ = estimate_demand_groups(shares, totals, w, sizes,
+                                                             quintiles, cfg)
         cells = 3 * quintiles + band
         fitted = 0
-        for g, label, start, end in zip(groups, labels, bounds[:-1], bounds[1:]):
+        for index, (g, label) in enumerate(zip(groups, labels)):
             q, b = int(label[1]) - 1, int(label[-1]) - 1
             rows = cells == 3 * q + b
-            assert order[start:end].tolist() == np.flatnonzero(rows).tolist()
+            assert (group_of == index).tolist() == rows.tolist()
             if rows.sum() < MIN_GROUP_OBS:
                 continue
             ln_x = np.log(totals[rows])
@@ -643,9 +647,9 @@ class TestFallbackFitsOnDemand:
 
 
 class TestValueHouseholdsAgainstTheScalarFunctions:
-    """value_households values each demand group as one slice of the
-    households sorted by group; every household's values match the
-    one-household functions within 1e-12 relative."""
+    """value_households values every household in one pass, its group's
+    elasticities taken from a table by group id; every household's values
+    match the one-household functions within 1e-12 relative."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(10, 300), n_groups=st.integers(1, 4), k=st.integers(2, 6),
@@ -668,11 +672,9 @@ class TestValueHouseholdsAgainstTheScalarFunctions:
                               xi=-1.2 - rng.exponential(2.0), clamped=0) for _ in range(n_groups)]
         assignment = rng.integers(0, n_groups, n)
         assignment[:n_groups] = np.arange(n_groups)  # no group is empty
-        order = np.argsort(assignment, kind="stable")
-        bounds = np.searchsorted(assignment[order], np.arange(n_groups + 1))
 
         values, infeasible, n_cobb_douglas = value_households(
-            groups, order, bounds, exp, shares, totals, transfers, p1, emissions)
+            groups, assignment, exp, shares, totals, transfers, p1, emissions)
 
         want = np.zeros((4, n))
         short, cobb_douglas = np.zeros(n, dtype=bool), 0
@@ -693,10 +695,39 @@ class TestValueHouseholdsAgainstTheScalarFunctions:
                           les_demand(p1, net, params) @ emissions if with_emissions else 0.0)
         assert infeasible.tolist() == short.tolist()
         assert n_cobb_douglas == cobb_douglas
-        # a group with a household short of its committed bundle keeps zeros
-        valued = ~np.isin(assignment, assignment[short])
-        np.testing.assert_allclose(values[:, valued], want[:, valued], rtol=1e-12, atol=0)
-        assert not values[:, ~valued].any()
+        # a household short of its committed bundle keeps zeros; the others are valued
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
+        assert not values[:, short].any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(10, 200), n_groups=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_each_household_gets_the_bits_its_group_alone_gives(self, n, n_groups, seed):
+        """The closed forms are row-wise: valuing all households at once
+        gives each the cv and equivalent incomes of a call on its group's
+        households alone."""
+        rng = np.random.default_rng(seed)
+        k = 5
+        exp = rng.lognormal(5.0, 1.0, (n, k)) * (rng.random((n, k)) < 0.7)
+        exp[exp.sum(axis=1) == 0, 0] = 1.0
+        totals = exp.sum(axis=1)
+        shares = exp / totals[:, np.newaxis]
+        transfers = 0.2 * rng.random(n) * totals
+        p1 = 1.0 + 0.1 * rng.random(k)
+        groups = [GroupDemand(budget=0.5 + rng.random(k), own_price=np.zeros(k),
+                              mean_shares=np.zeros(k), xi=-2.0 - rng.random(), clamped=0)
+                  for _ in range(n_groups)]
+        assignment = rng.integers(0, n_groups, n)
+        values, infeasible, _ = value_households(groups, assignment, exp, shares, totals,
+                                                 transfers, p1, None)
+        assert not infeasible.any()
+        for g in range(n_groups):
+            rows = assignment == g
+            if not rows.any():
+                continue
+            alone, _, _ = value_households(groups[g:g + 1], np.zeros(rows.sum(), dtype=int),
+                                           exp[rows], shares[rows], totals[rows],
+                                           transfers[rows], p1, None)
+            assert values[:3, rows].tobytes() == alone[:3].tobytes()
 
 
 class TestReportGroupMatrix:
@@ -723,8 +754,8 @@ class TestReportGroupMatrix:
         totals = exp.sum(axis=1)
         shares = exp / totals[:, np.newaxis]
         ranked = (totals, shares, totals, np.zeros(n, dtype=int))
-        household, _ = assemble(RunConfig(files={}), inputs, prices, ranked, np.zeros((4, n)),
-                                np.zeros(n), [], [])
+        household, _, _ = assemble(RunConfig(files={}), inputs, prices, ranked,
+                                   np.zeros((4, n)), np.zeros(n), [], [])
         for g, members in DEFAULT_REPORT_GROUPS.items():
             mask = np.isin(cats.ids, members)
             for name, terms in (("share", shares[:, mask]), ("burden", exp[:, mask] * rel[mask])):
