@@ -60,7 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-emit aggregate tables from stored results",
                        description="Re-emit the aggregate tables from a run's households.csv. Its "
                        "values are rounded, so a table value on a 6-digit rounding tie can print "
-                       "one unit in its last digit apart from run's.")
+                       "one unit in its last digit apart from run's. A row whose quintile is not a "
+                       "whole number from 0 to distribution.groups - 1, whose weight is negative, "
+                       "whose size is below 1, whose x or equivalised is not positive, or (when "
+                       "distribution.atkinson_epsilon is 1 or more) whose ye_net is not positive "
+                       "exits 1 naming the file, row and column. A file in which a quintile "
+                       "holds no household of positive weight exits 1 naming the file and "
+                       "distribution.groups.")
     common(p)
     p.add_argument("--results", required=True, help="households.csv written by a previous run")
     p.add_argument("--out", required=True, help="output directory for the tables")

@@ -112,6 +112,26 @@ def _nonnegative(values: np.ndarray) -> None:
         raise DataValidationError("Gini requires nonnegative values")
 
 
+def _concentration_by(rank_by, weights):
+    """``concentration(y, weights, rank_by)`` as a function of one column
+    ``y`` at a time, every column ranked by one sort of ``rank_by``."""
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum()
+    if total <= 0:
+        raise DataValidationError("total weight must be positive")
+    order = stable_order(np.asarray(rank_by, dtype=float))
+    w = weights[order]
+    centred = _midranks(w) - 0.5
+
+    def index(y):
+        mean = float(np.dot(weights, y)) / total
+        if mean == 0:
+            raise DataValidationError("concentration undefined for a zero-mean variable")
+        return 2.0 * (float(np.dot(w, y[order] * centred)) / total) / mean
+
+    return index
+
+
 def concentration(values, weights, rank_by):
     """Concentration index of ``values`` when ranked by ``rank_by``.
 
@@ -121,22 +141,10 @@ def concentration(values, weights, rank_by):
     one per column, from one sort; each equals the call on that column.
     """
     values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= 0:
-        raise DataValidationError("total weight must be positive")
-    columns = values.T if values.ndim == 2 else [values]
-    # one dot per column, not a matrix product: each mean keeps the bits of
-    # the call on that column alone
-    means = [float(np.dot(weights, y)) / total for y in columns]
-    if 0 in means:
-        raise DataValidationError("concentration undefined for a zero-mean variable")
-    order = stable_order(np.asarray(rank_by, dtype=float))
-    w = weights[order]
-    centred = _midranks(w) - 0.5
-    indices = [2.0 * (float(np.dot(w, y[order] * centred)) / total) / mean
-               for y, mean in zip(columns, means)]
-    return np.array(indices) if values.ndim == 2 else indices[0]
+    index = _concentration_by(rank_by, weights)
+    if values.ndim == 2:
+        return np.array([index(y) for y in values.T])
+    return index(values)
 
 
 def gini(values, weights) -> float:
@@ -242,18 +250,16 @@ def progressivity_table(
 
     # every index ranked by pre-change expenditure comes from one sort: x
     # itself (the pre-change Gini), x after each group's price change alone,
-    # real expenditure, and each burden that is not zero
-    by_x = iter(concentration(
-        np.array([x, *(x + b for b in group_b), *real, real_total,
-                  *(b for b, nonzero in zip([*group_b, total_burden_h], burdened) if nonzero)]).T,
-        w, x,
-    ).tolist())
-    g_pre = next(by_x)
-    ci_adjusted = [next(by_x) for _ in group_b]
-    ci_real = [next(by_x) for _ in group_b]
-    ci_real_total = next(by_x)
+    # real expenditure, and each burden that is not zero; each column is
+    # contiguous, as the bits of its dot products depend on it
+    by_x = _concentration_by(x, w)
+    g_pre = by_x(np.ascontiguousarray(x))
+    ci_adjusted = [by_x(x + b) for b in group_b]
+    ci_real = [by_x(r) for r in real]
+    ci_real_total = by_x(real_total)
     # no burden from a group: its progressivity is undefined, report 0
-    ci_burden = [next(by_x) if nonzero else 0.0 for nonzero in burdened]
+    ci_burden = [by_x(np.ascontiguousarray(b)) if nonzero else 0.0
+                 for b, nonzero in zip([*group_b, total_burden_h], burdened)]
     kakwani = [c - g_pre if nonzero else 0.0 for c, nonzero in zip(ci_burden, burdened)]
     total_x = float(np.dot(w, x))
     overall_rate = float(np.dot(w, total_burden_h)) / total_x

@@ -731,13 +731,12 @@ def rank_households(cfg: RunConfig, frame: HouseholdSurvey):
 
 def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, transfers,
              groups: list[GroupDemand], labels: list[str]):
-    """Assembly stage: the per-household frame, its (households × report
-    groups) share and burden matrices, and the elasticity rows.
+    """Assembly stage: the per-household frame and the elasticity rows.
 
     ``ranked`` and ``values`` are what ``rank_households`` and
     ``value_households`` return. A report group's share and burden sum its
     categories' columns through one 0/1 category-to-group matrix; the
-    frame's share_<group> and burden_<group> columns are the matrices' columns.
+    frame's share_<group> and burden_<group> columns are the products' columns.
     """
     frame, categories = inputs.frame, inputs.categories
     totals, shares, eq, quintiles = ranked
@@ -767,7 +766,7 @@ def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, tra
                 continue
             elasticity_rows.append([label, cat, g.mean_shares[j], g.budget[j], g.own_price[j],
                                     gp.phi[j], gp.gamma[j], g.xi])
-    return household, (share_g, burden_g), elasticity_rows
+    return household, elasticity_rows
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioResult:
@@ -798,8 +797,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     if not np.isfinite(values[3]).all():  # the footprints after the change
         raise _emission_content_error(prices.unit_emissions, inputs.categories)
 
-    household, group_columns, elasticity_rows = assemble(cfg, inputs, prices, ranked, values,
-                                                         transfers, groups, labels)
+    household, elasticity_rows = assemble(cfg, inputs, prices, ranked, values, transfers,
+                                          groups, labels)
     group_names = tuple(DEFAULT_REPORT_GROUPS)
     return ScenarioResult(
         categories=inputs.categories,
@@ -808,7 +807,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         relatives_inflation=inputs.rel_inflation,
         relatives_carbon=prices.carbon,
         household=household,
-        tables=build_tables(household, group_names, cfg, *group_columns),
+        tables=build_tables(household, group_names, cfg),
         revenue=revenue,
         seed=cfg.seed,
         config_hash=cfg.config_hash(),
@@ -830,77 +829,74 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig,
-                 share_g: np.ndarray, burden_g: np.ndarray):
-    """Aggregate tables from the per-household frame (also used by `report`);
-    ``share_g`` and ``burden_g`` hold its share_<group> and burden_<group>
-    columns for ``group_names``, one column each, as (households × groups)
-    matrices."""
+def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
+    """Aggregate tables from the per-household frame (also used by `report`).
+
+    The frame holds a share_<group> and a burden_<group> column for each of
+    ``group_names``. Each household's quintile is a whole number from 0 to
+    ``cfg.groups`` - 1, and each quintile holds weight.
+    """
     w = hh["weight"]
     x = hh["x"]
     eq = hh["equivalised"]
-    quintiles = hh["quintile"].astype(int)
-    n_groups = int(quintiles.max()) + 1
-    agg_x = float(np.dot(w, x))
 
-    # *_q: in quintile order, a stable sort, so that each quintile's sums run over
-    # the same values in the same order; quintile q holds q_rows[q] of each
+    # each quintile is a slice of one stable sort, its households in survey
+    # order, so that its sums run over the same values in the same order
+    quintiles = hh["quintile"].astype(int, copy=False)
     order = np.argsort(quintiles, kind="stable")
-    bounds = np.searchsorted(quintiles[order], np.arange(n_groups + 1))
+    bounds = np.searchsorted(quintiles[order], np.arange(cfg.groups + 1))
     q_rows = [slice(start, end) for start, end in zip(bounds[:-1], bounds[1:])]
-    w_q, x_q, eq_q, burden_q, cv_q = (v[order] for v in (w, x, eq, hh["burden"], hh["cv"]))
-    share_q = share_g[order]
-    rate_contrib = burden_g / x[:, np.newaxis]
-    rate_contrib_q = np.take(rate_contrib.T, order, axis=1)  # a contiguous row per group
+    w_q = w[order]
+
+    def weighted_sums(v):
+        """The weighted sum of ``v`` over each quintile, then over all households."""
+        v_q = v[order]
+        return [*(float(np.dot(w_q[sel], v_q[sel])) for sel in q_rows), float(np.dot(w, v))]
+
+    w_sums = [*(float(w_q[sel].sum()) for sel in q_rows), float(w.sum())]
+    x_sums, eq_sums, burden_sums, cv_sums = map(weighted_sums, (x, eq, hh["burden"], hh["cv"]))
+    spent = [weighted_sums(x * hh[f"share_{g}"]) for g in group_names]
+    labels = [f"q{q + 1}" for q in range(cfg.groups)]
+    agg_x = x_sums[-1]
 
     # t2: aggregate budget shares, group rates, contribution decomposition
     t2_rows = []
-    for j, g in enumerate(group_names):
-        exp_g = float(np.dot(w, x * share_g[:, j]))
-        b_g = float(np.dot(w, burden_g[:, j]))
+    for g, exp_g in zip(group_names, (s[-1] for s in spent)):
+        b_g = float(np.dot(w, hh[f"burden_{g}"]))
         t2_rows.append([g, exp_g / agg_x, b_g / exp_g if exp_g > 0 else 0.0, b_g / agg_x])
-    total_rate = float(np.dot(w, hh["burden"])) / agg_x
+    total_rate = burden_sums[-1] / agg_x
     t2_rows.append(["total", 1.0, total_rate, total_rate])
     t2 = (["group", "budget_share", "avg_rate", "contribution"], t2_rows)
 
     # t3: budget shares by quintile plus relative expenditure
-    mean_eq = float(np.dot(w, eq)) / float(w.sum())
-    t3_rows = []
-    for q, sel in enumerate(q_rows):
-        wq, xq = w_q[sel], x_q[sel]
-        exp_q = float(np.dot(wq, xq))
-        t3_rows.append([f"q{q + 1}", *(float(np.dot(wq, xq * s[sel])) / exp_q for s in share_q.T),
-                        (float(np.dot(wq, eq_q[sel])) / float(wq.sum())) / mean_eq])
+    mean_eq = eq_sums[-1] / w_sums[-1]
+    t3_rows = [[label, *(s[q] / x_sums[q] for s in spent), (eq_sums[q] / w_sums[q]) / mean_eq]
+               for q, label in enumerate(labels)]
     t3_rows.append(["average", *(row[1] for row in t2_rows[:-1]), 1.0])  # t2's budget shares
     t3 = (["quintile", *group_names, "relative_expenditure"], t3_rows)
 
     # t5: household-weighted group contributions to inflation by quintile
+    rates = [weighted_sums(hh[f"burden_{g}"] / x) for g in group_names]
     t5_rows = []
-    for q, sel in enumerate(q_rows):
-        wq_sum = float(w_q[sel].sum())
-        cells = [float(np.dot(w_q[sel], rc[sel])) / wq_sum for rc in rate_contrib_q]
-        t5_rows.append([f"q{q + 1}", *cells, sum(cells)])
-    cells = [float(np.dot(w, rate_contrib[:, j])) / float(w.sum()) for j in range(len(group_names))]
-    t5_rows.append(["average", *cells, sum(cells)])
+    for q, label in enumerate([*labels, "average"]):
+        cells = [r[q] / w_sums[q] for r in rates]
+        t5_rows.append([label, *cells, sum(cells)])
     t5 = (["quintile", *group_names, "average"], t5_rows)
 
     # t6: progressivity decomposition on equivalised values (burdens scaled
     # by the same equivalence factor as expenditure)
     scale_factor = eq / x
-    rows = progressivity_table(eq, w, burden_g * scale_factor[:, np.newaxis], list(group_names))
+    burdens = np.column_stack([hh[f"burden_{g}"] * scale_factor for g in group_names])
+    rows = progressivity_table(eq, w, burdens, list(group_names))
     t6_cols = ["ci_pre", "ci_burden", "ci_adjusted", "rs", "kakwani", "avg_rate", "reranking",
                "contribution_to_k"]
     t6 = (["group", *t6_cols], [[r.name, *(getattr(r, c) for c in t6_cols)] for r in rows])
 
     # t7: welfare loss decomposition into fixed-basket and behavioural parts
     t7_rows = []
-    for q, sel in enumerate(q_rows):
-        xq = float(np.dot(w_q[sel], x_q[sel]))
-        infl = float(np.dot(w_q[sel], burden_q[sel])) / xq
-        rel_cv = float(np.dot(w_q[sel], cv_q[sel])) / xq
-        t7_rows.append([f"q{q + 1}", infl, rel_cv, rel_cv - infl])
-    rel_cv = float(np.dot(w, hh["cv"])) / agg_x
-    t7_rows.append(["total", total_rate, rel_cv, rel_cv - total_rate])
+    for q, label in enumerate([*labels, "total"]):
+        infl, rel_cv = burden_sums[q] / x_sums[q], cv_sums[q] / x_sums[q]
+        t7_rows.append([label, infl, rel_cv, rel_cv - infl])
     t7 = (["quintile", "inflation", "relative_cv", "behaviour"], t7_rows)
 
     # t8/t9: Atkinson welfare before and after, on equivalised equivalent income
@@ -1021,7 +1017,14 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
 
 def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
     """Recompute every aggregate table from a stored per-household frame;
-    each report group needs its share_<group> and burden_<group> column."""
+    each report group needs its share_<group> and burden_<group> column.
+
+    Each row must hold a quintile of ``cfg.groups`` (a whole number from 0),
+    a weight of 0 or more, a size of 1 or more, a positive ``x`` and
+    ``equivalised``, and where the Atkinson aversion is 1 or more a positive
+    ``ye_net``; the first row that does not is named. Each quintile must
+    hold a household of positive weight.
+    """
     needed = ["burden", "cv", "equivalised", "pi", "quintile", "size", "weight", "x", "ye_net"]
 
     def group_names(header):
@@ -1035,17 +1038,38 @@ def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
             raise DataValidationError(f"{households_csv}: missing columns {missing}")
         return 0, [j for j, c in enumerate(header) if c != "id"]
 
-    header, ids, block = read_input(households_csv, number_columns)
-    del ids  # the tables need no ids
-    columns = [c for c in header if c != "id"]
-    hh = dict(zip(columns, block.T))
+    def checks(header, labels, values, bad):
+        columns = [c for c in header if c != "id"]
+        row = dict(zip(columns, values.T))
+        q = row["quintile"]
+        positive = "{path}: row {row}, column {col!r}: value {value} is not positive"
+        found = [
+            *((bad[:, j], c, None) for j, c in enumerate(columns)),
+            (~((q >= 0) & (q < cfg.groups) & (q == np.floor(q))), "quintile",
+             f"{{path}}: row {{row}}, column 'quintile': {{text}} is not a quintile of "
+             f"distribution.groups = {cfg.groups}, a whole number from 0 to {cfg.groups - 1}"),
+            (row["weight"] < 0, "weight",
+             "{path}: row {row}, column 'weight': negative value {value}"),
+            (row["size"] < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
+            (row["x"] <= 0, "x", positive),
+            (row["equivalised"] <= 0, "equivalised", positive),
+        ]
+        if cfg.atkinson_epsilon >= 1:
+            found.append((row["ye_net"] <= 0, "ye_net",
+                          f"{positive}, as distribution.atkinson_epsilon = "
+                          f"{cfg.atkinson_epsilon:g} asks"))
+        return found
+
+    header, _, block = read_input(households_csv, number_columns, checks)
+    hh = dict(zip([c for c in header if c != "id"], block.T))
+    # the quintiles that hold weight, whole numbers in [0, groups) by the checks
+    held = np.unique(hh["quintile"][hh["weight"] > 0]).astype(int).tolist()
+    if len(held) < cfg.groups:
+        q = next(q for q, have in enumerate([*held, None]) if q != have)
+        fault = (f"quintile {q} holds no household of positive weight" if held
+                 else "every household has weight 0")
+        raise DataValidationError(f"{households_csv}: {fault}; distribution.groups = "
+                                  f"{cfg.groups} needs each quintile from 0 to {cfg.groups - 1} "
+                                  f"to hold one")
     groups = group_names(header)
-
-    def group_matrix(prefix):  # a view of the block where the columns are evenly spaced
-        at = [columns.index(f"{prefix}_{g}") for g in groups]
-        step = at[1] - at[0] if len(at) > 1 else 1
-        if step > 0 and at == list(range(at[0], at[-1] + 1, step)):
-            return block[:, at[0]:at[-1] + 1:step]
-        return block[:, at]
-
-    return build_tables(hh, groups, cfg, group_matrix("share"), group_matrix("burden")), groups
+    return build_tables(hh, groups, cfg), groups

@@ -4,7 +4,9 @@ import contextlib
 import csv
 import io
 import os
+import random
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -446,6 +448,94 @@ class TestReport:
                        "--results", out / "households.csv", "--out", tmp_path / "t") == 1
         err = capsys.readouterr().err
         assert f"households.csv: missing columns {missing}" in err
+
+
+class TestReportRows:
+    """``report`` checks each row of households.csv, and that every quintile
+    holds weight, before it builds a table."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, bundle_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("report_rows")
+        assert run_cli("run", "--config", bundle_dir / "config.txt", "--out", out, "--quiet") == 0
+        return out
+
+    @pytest.fixture
+    def results(self, run_dir, tmp_path):
+        return Path(shutil.copyfile(run_dir / "households.csv", tmp_path / "households.csv"))
+
+    def report(self, bundle_dir, results, capsys):
+        capsys.readouterr()
+        code = run_cli("report", "--config", bundle_dir / "config.txt", "--results", results,
+                       "--out", results.parent / "t", "--quiet")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("row,column,text,problem", [
+        (5, "quintile", "-1", "-1 is not a quintile of distribution.groups = 5, a whole number "
+                              "from 0 to 4"),
+        (5, "quintile", "2.5", "2.5 is not a quintile of distribution.groups = 5"),
+        (6, "x", "0", "value 0.0 is not positive"),
+        (6, "equivalised", "-3", "value -3.0 is not positive"),
+        (7, "weight", "-5", "negative value -5.0"),
+        (8, "size", "0.5", "value 0.5 < 1"),
+        (9, "ye_net", "0", "value 0.0 is not positive, as distribution.atkinson_epsilon = 2 asks"),
+    ], ids=["quintile -1", "quintile 2.5", "x 0", "equivalised -3", "weight -5", "size 0.5",
+            "ye_net 0"])
+    def test_a_faulty_row_is_named(self, bundle_dir, results, capsys, row, column, text, problem):
+        replace_cell(results, row, column, text)
+        code, err = self.report(bundle_dir, results, capsys)
+        assert code == 1
+        assert f"households.csv: row {row}, column {column!r}: {problem}" in err
+
+    @pytest.mark.parametrize("fault", ["a quintile with no household", "every weight 0"])
+    def test_an_unfilled_quintile_names_distribution_groups(self, bundle_dir, results, capsys,
+                                                            fault):
+        rows = list(csv.DictReader(results.read_text().splitlines()))
+        for row, cells in enumerate(rows, start=2):
+            if fault == "every weight 0":
+                replace_cell(results, row, "weight", "0")
+            elif cells["quintile"] == "4":
+                replace_cell(results, row, "quintile", "3")
+        code, err = self.report(bundle_dir, results, capsys)
+        assert code == 1
+        problem = ("quintile 4 holds no household of positive weight"
+                   if fault == "a quintile with no household" else "every household has weight 0")
+        assert (f"households.csv: {problem}; distribution.groups = 5 needs each quintile from "
+                f"0 to 4 to hold one") in err
+
+    def test_a_quintile_far_out_of_range_allocates_nothing_by_it(self, bundle_dir, results):
+        """A quintile of 1e9 once sized an array by it (about 8 GB); the
+        report runs here under a 1 GiB address-space cap."""
+        replace_cell(results, 5, "quintile", "1e9")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(priceshock.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "priceshock.cli", "report", "--config",
+             str(bundle_dir / "config.txt"), "--results", str(results), "--out",
+             str(results.parent / "t"), "--quiet"],
+            env=env, capture_output=True, text=True, preexec_fn=cap)
+        assert proc.returncode == 1, proc.stderr
+        assert "households.csv: row 5, column 'quintile': 1e9 is not a quintile" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_shuffled_columns_give_the_same_tables(self, bundle_dir, run_dir, results, capsys):
+        lines = [line.split(",") for line in results.read_text().splitlines()]
+        order = random.Random(11).sample(range(len(lines[0])), len(lines[0]))
+        # the share_* and burden_* columns, unevenly spaced, keep their order,
+        # which orders the tables' groups
+        grouped = [j for j in order if lines[0][j].startswith(("share_", "burden_"))]
+        slots = iter(sorted(grouped))
+        order = [next(slots) if j in grouped else j for j in order]
+        results.write_text("".join(",".join(cells[j] for j in order) + "\n" for cells in lines))
+        assert self.report(bundle_dir, results, capsys)[0] == 0
+        for path in sorted((results.parent / "t").iterdir()):
+            assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
 
 
 class TestImpute:

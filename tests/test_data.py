@@ -44,8 +44,10 @@ from priceshock.data import (
 from priceshock.errors import DataValidationError
 from priceshock.scenario import (
     MONEY_COLUMNS,
+    RunConfig,
     ScenarioResult,
     _format_cell,
+    build_tables,
     emit_reports,
     parse_config,
     rebuild_tables_from_csv,
@@ -1508,6 +1510,26 @@ def test_emit_reports_peak_memory_stays_under_the_frame(tmp_path):
     assert peak < frame_bytes, f"peak {peak / frame_bytes:.2f}x the frame"
 
 
+def test_build_tables_peak_memory_stays_near_the_frame():
+    """build_tables adds a traced peak under 1.25x the frame's number
+    columns; copying its columns into quintile order and stacking them for
+    the progressivity table took about 2.3x."""
+    n = 100_000
+    result = synthetic_result(n)
+    hh = result.household
+    for c in ("x", "equivalised", "ye_net"):  # kept positive, as report asks
+        hh[c] += 1.0
+    frame_bytes = n * (len(hh) - 1) * 8
+    tracemalloc.start()
+    try:
+        tables = build_tables(hh, result.group_names, RunConfig(files={}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables["t3_budget_shares"][1]) == 6
+    assert peak < 1.25 * frame_bytes, f"peak {peak / frame_bytes:.2f}x the frame"
+
+
 def test_report_reads_households_csv_near_the_frame(tmp_path, bundle_dir, monkeypatch):
     """rebuild_tables_from_csv reads a 100k-row households.csv with a traced
     peak under 2x the frame's number columns, ids included; holding every
@@ -1519,7 +1541,7 @@ def test_report_reads_households_csv_near_the_frame(tmp_path, bundle_dir, monkey
     del result
     peaks = []
 
-    def build_tables(hh, group_names, cfg, share_g, burden_g):
+    def build_tables(hh, group_names, cfg):
         peaks.append(tracemalloc.get_traced_memory()[1])
         assert len(hh["weight"]) == n
         return {}

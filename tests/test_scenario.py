@@ -1,5 +1,6 @@
 """Price formation, revenue recycling, and end-to-end run invariants."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -509,9 +510,7 @@ class TestBuildTablesDirect:
             "share_g2": np.full(n, 0.4),
             "burden_g2": 0.04 * x,
         }
-        tables = build_tables(hh, ("g1", "g2"), cfg,
-                              np.column_stack([hh["share_g1"], hh["share_g2"]]),
-                              np.column_stack([hh["burden_g1"], hh["burden_g2"]]))
+        tables = build_tables(hh, ("g1", "g2"), cfg)
         _, rows = tables["t2_inflation_drivers"]
         assert abs(rows[-1][2] - 0.1) < 1e-12
         _, rows7 = tables["t7_welfare"]
@@ -521,22 +520,74 @@ class TestBuildTablesDirect:
         """t3, t5 and t7 take each quintile as a slice of one stable sort; every
         cell equals the sum over a boolean mask of the frame in survey order."""
         hh, names = run_result.household, run_result.group_names
-        tables = build_tables(hh, names, parse_config(bundle_dir / "config.txt"),
-                              *(np.column_stack([hh[f"{p}_{g}"] for g in names])
-                                for p in ("share", "burden")))
+        tables = build_tables(hh, names, parse_config(bundle_dir / "config.txt"))
+        assert_quintile_rows_are_masked_sums(tables, hh, names, 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_tables_equal_the_sums_of_a_loop_over_households(self, data):
+        """On drawn frames, some weights 0 and each quintile holding weight:
+        the quintile rows bit for bit as masked sums, and t2, t5's average
+        row and t7's total row within 1e-12 of sums taken household by
+        household."""
+        n, n_groups = data.draw(st.integers(10, 300)), data.draw(st.integers(2, 6))
+        names = tuple(f"g{j}" for j in range(data.draw(st.integers(1, 4))))
+
+        def column(low, high, zero=False):
+            values = st.floats(low, high)
+            return data.draw(arrays(float, n, elements=st.just(0.0) | values if zero else values))
+
+        hh = {"weight": column(0.01, 1e3, zero=True),
+              "size": data.draw(arrays(float, n, elements=st.integers(1, 8).map(float))),
+              "quintile": data.draw(arrays(np.int64, n, elements=st.integers(0, n_groups - 1))),
+              "x": column(1.0, 1e6), "equivalised": column(1.0, 1e6), "burden": column(0.0, 1e4),
+              "cv": column(0.0, 1e4), "ye_net": column(1.0, 1e6)}
+        for g in names:
+            hh[f"share_{g}"], hh[f"burden_{g}"] = column(0.0, 1.0), column(0.0, 1e4, zero=True)
+        held = data.draw(st.permutations(range(n)))[:n_groups]
+        hh["quintile"][held] = np.arange(n_groups)
+        hh["weight"][held] = np.maximum(hh["weight"][held], 1.0)
+        tables = build_tables(hh, names, RunConfig(files={}, groups=n_groups))
+        assert_quintile_rows_are_masked_sums(tables, hh, names, n_groups)
+
+        def loop_sum(*columns):  # sum over households of the product of their cells
+            return math.fsum(math.prod(c[i] for c in columns) for i in range(n))
+
         w, x = hh["weight"], hh["x"]
-        mean_eq = float(np.dot(w, hh["equivalised"])) / float(w.sum())
-        for q in range(5):
-            sel = hh["quintile"] == q
-            wq, xq = w[sel], float(np.dot(w[sel], x[sel]))
-            t3 = [float(np.dot(wq, x[sel] * hh[f"share_{g}"][sel])) / xq for g in names]
-            t3.append(float(np.dot(wq, hh["equivalised"][sel])) / float(wq.sum()) / mean_eq)
-            t5 = [float(np.dot(wq, hh[f"burden_{g}"][sel] / x[sel])) / float(wq.sum())
-                  for g in names]
-            t7 = [float(np.dot(wq, hh[c][sel])) / xq for c in ("burden", "cv")]
-            assert tables["t3_budget_shares"][1][q][1:] == t3
-            assert tables["t5_incidence"][1][q][1:-1] == t5
-            assert tables["t7_welfare"][1][q][1:3] == t7
+        agg_x = loop_sum(w, x)
+        total_rate = loop_sum(w, hh["burden"]) / agg_x
+        t2 = []
+        for g in names:
+            exp_g, b_g = loop_sum(w, x, hh[f"share_{g}"]), loop_sum(w, hh[f"burden_{g}"])
+            t2.append([exp_g / agg_x, b_g / exp_g if exp_g > 0 else 0.0, b_g / agg_x])
+        t2.append([1.0, total_rate, total_rate])
+        t5 = [loop_sum(w, hh[f"burden_{g}"] / x) / math.fsum(w) for g in names]
+        t7 = [total_rate, loop_sum(w, hh["cv"]) / agg_x]
+        close = {"rel": 1e-12, "abs": 0.0}
+        assert [row[1:] for row in tables["t2_inflation_drivers"][1]] == [
+            pytest.approx(row, **close) for row in t2]
+        average, total = tables["t5_incidence"][1][-1], tables["t7_welfare"][1][-1]
+        assert average[0] == "average" and average[1:-1] == pytest.approx(t5, **close)
+        assert total[0] == "total" and total[1:3] == pytest.approx(t7, **close)
+        assert total[3] == total[2] - total[1]
+
+
+def assert_quintile_rows_are_masked_sums(tables, hh, names, n_groups):
+    """Each quintile row of t3, t5 and t7 is, bit for bit, sums over a boolean
+    mask of the frame, its households in survey order."""
+    w, x = hh["weight"], hh["x"]
+    mean_eq = float(np.dot(w, hh["equivalised"])) / float(w.sum())
+    for q in range(n_groups):
+        sel = hh["quintile"] == q
+        wq, xq = w[sel], float(np.dot(w[sel], x[sel]))
+        t3 = [float(np.dot(wq, x[sel] * hh[f"share_{g}"][sel])) / xq for g in names]
+        t3.append(float(np.dot(wq, hh["equivalised"][sel])) / float(wq.sum()) / mean_eq)
+        t5 = [float(np.dot(wq, hh[f"burden_{g}"][sel] / x[sel])) / float(wq.sum())
+              for g in names]
+        t7 = [float(np.dot(wq, hh[c][sel])) / xq for c in ("burden", "cv")]
+        assert tables["t3_budget_shares"][1][q][1:] == t3
+        assert tables["t5_incidence"][1][q][1:-1] == t5
+        assert tables["t7_welfare"][1][q][1:3] == t7
 
 
 class TestEngelFitOneSolvePerGroup:
@@ -754,8 +805,8 @@ class TestReportGroupMatrix:
         totals = exp.sum(axis=1)
         shares = exp / totals[:, np.newaxis]
         ranked = (totals, shares, totals, np.zeros(n, dtype=int))
-        household, _, _ = assemble(RunConfig(files={}), inputs, prices, ranked,
-                                   np.zeros((4, n)), np.zeros(n), [], [])
+        household, _ = assemble(RunConfig(files={}), inputs, prices, ranked,
+                                np.zeros((4, n)), np.zeros(n), [], [])
         for g, members in DEFAULT_REPORT_GROUPS.items():
             mask = np.isin(cats.ids, members)
             for name, terms in (("share", shares[:, mask]), ("burden", exp[:, mask] * rel[mask])):
