@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -64,28 +63,6 @@ DEFAULT_CATEGORY_IDS = (
     "motor_fuels",
     "durables",
 )
-
-CATEGORY_LABELS = {
-    "food": "Food and non-alcoholic beverages",
-    "alcohol": "Alcoholic beverages",
-    "tobacco": "Tobacco",
-    "clothing": "Clothing and footwear",
-    "domestic_energy": "Domestic energy",
-    "electricity": "Electricity",
-    "rents": "Rents",
-    "household_services": "Household services",
-    "health": "Health",
-    "private_transport": "Private transport",
-    "public_transport": "Public transport",
-    "communication": "Communication",
-    "recreation": "Recreation and culture",
-    "education": "Education",
-    "restaurants": "Restaurants and hotels",
-    "other": "Other goods and services",
-    "childcare": "Childcare costs",
-    "motor_fuels": "Motor fuels",
-    "durables": "Durables",
-}
 
 # Default four-way reporting aggregation used by the incidence tables.
 DEFAULT_REPORT_GROUPS: dict[str, tuple[str, ...]] = {
@@ -392,9 +369,10 @@ class LoadReport:
 
 @dataclass
 class HouseholdSurvey:
-    """The kept households as columns: ``expenditure`` in CategorySet order,
-    ``demographics`` one column per ``demographic_names`` entry (``demo_``
-    prefix removed), ``income`` None when the file has no ``inc`` column."""
+    """A survey's kept rows as columns: ``expenditure`` in CategorySet
+    order, None for an income survey; ``demographics`` one column per
+    ``demographic_names`` entry (``demo_`` prefix removed); ``income`` None
+    when the file has no ``inc`` column."""
 
     ids: np.ndarray
     weight: np.ndarray
@@ -402,56 +380,20 @@ class HouseholdSurvey:
     income: np.ndarray | None
     demographic_names: tuple[str, ...]
     demographics: np.ndarray
-    expenditure: np.ndarray
+    expenditure: np.ndarray | None
     report: LoadReport
 
-    @cached_property
-    def records(self) -> list[HouseholdRecord]:
-        """The same households as one HouseholdRecord each."""
-        income = [None] * len(self.ids) if self.income is None else self.income.tolist()
-        return [
-            HouseholdRecord(id=hid, weight=w, size=s, expenditure=e, disposable_income=inc,
-                            demographics=dict(zip(self.demographic_names, demo)))
-            for hid, w, s, e, demo, inc in zip(self.ids.tolist(), self.weight.tolist(),
-                                               self.size.tolist(), self.expenditure,
-                                               self.demographics.tolist(), income)
-        ]
 
-
-@dataclass
-class IncomeSurvey:
-    """The imputation target as columns: a HouseholdSurvey without
-    expenditure, whose ``income`` is always present."""
-
-    ids: np.ndarray
-    weight: np.ndarray
-    size: np.ndarray
-    income: np.ndarray
-    demographic_names: tuple[str, ...]
-    demographics: np.ndarray
-    report: LoadReport
-
-    @cached_property
-    def records(self) -> list[IncomeRecord]:
-        """The same rows as one IncomeRecord each."""
-        return [
-            IncomeRecord(id=rid, weight=w, size=s, disposable_income=inc,
-                         demographics=dict(zip(self.demographic_names, demo)))
-            for rid, w, s, inc, demo in zip(self.ids.tolist(), self.weight.tolist(),
-                                            self.size.tolist(), self.income.tolist(),
-                                            self.demographics.tolist())
-        ]
-
-
-def as_survey(data) -> HouseholdSurvey | IncomeSurvey:
-    """A survey frame as it is; a list of records as the matching frame.
+def as_survey(data) -> HouseholdSurvey:
+    """A survey frame as it is; a list of records as a frame, whose
+    ``expenditure`` is None for IncomeRecords.
 
     The frame's demographic names are the first record's keys, sorted; a
     record missing one of them, or holding another, is rejected. Its
     ``income`` is None when no record has one; a record without income
     among records with one is rejected.
     """
-    if isinstance(data, (HouseholdSurvey, IncomeSurvey)):
+    if isinstance(data, HouseholdSurvey):
         return data
     records = list(data)
     if not records:
@@ -469,7 +411,7 @@ def as_survey(data) -> HouseholdSurvey | IncomeSurvey:
     if None in income and any(v is not None for v in income):
         hid = records[income.index(None)].id
         raise DataValidationError(f"record {hid!r}: no disposable income, unlike other records")
-    columns = dict(
+    return HouseholdSurvey(
         ids=np.array([r.id for r in records], dtype=str),
         weight=np.array([r.weight for r in records], dtype=float),
         size=np.array([r.size for r in records], dtype=float),
@@ -477,11 +419,10 @@ def as_survey(data) -> HouseholdSurvey | IncomeSurvey:
         demographic_names=names,
         demographics=np.array([[r.demographics[k] for k in names] for r in records],
                               dtype=float).reshape(n, len(names)),
+        expenditure=(None if isinstance(records[0], IncomeRecord)
+                     else np.vstack([r.expenditure for r in records])),
         report=LoadReport(source="records", n_rows=n, n_loaded=n),
     )
-    if isinstance(records[0], IncomeRecord):
-        return IncomeSurvey(**columns)
-    return HouseholdSurvey(**columns, expenditure=np.vstack([r.expenditure for r in records]))
 
 
 # ---------------------------------------------------------------------------
@@ -972,13 +913,13 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     )
 
 
-def load_income_survey(path) -> IncomeSurvey:
+def load_income_survey(path) -> HouseholdSurvey:
     """Load the imputation target: id, weight, size, inc, demo_* columns.
 
     Expenditure columns, if present, are ignored (and noted in the report);
     the dataset's own incomes define the calibration targets. The rows come
-    back as columns; ``records`` is a view built on request. The file is
-    read with the household loader's row checks (``_survey_checks``).
+    back as a frame whose ``expenditure`` is None. The file is read with the
+    household loader's row checks (``_survey_checks``).
     """
     path = Path(path)
     header, ids, values = _read_survey(path, lambda header: _survey_columns(path, header))
@@ -989,10 +930,10 @@ def load_income_survey(path) -> IncomeSurvey:
         report.notes.append(f"ignored {len(ignored)} expenditure column(s) in the income dataset")
     if not len(ids):
         raise DataValidationError(f"{path}: no income rows")
-    return IncomeSurvey(
+    return HouseholdSurvey(
         ids=ids, weight=values[:, 0], size=values[:, 1], income=values[:, 2],
         demographic_names=tuple(c[len(DEMOGRAPHIC_PREFIX):] for c in cols[3:]),
-        demographics=values[:, 3:], report=report,
+        demographics=values[:, 3:], expenditure=None, report=report,
     )
 
 

@@ -12,7 +12,7 @@ The module carries its own weighted least-squares and binary-response
 estimators. All disturbances are counter-based keyed draws (``randutil.id_keys``
 hashes each record id once per run, and each step takes the result as ``keys``),
 so results are reproducible and independent of processing order. The pipeline
-works on column frames (``HouseholdSurvey``, ``IncomeSurvey``) in and out.
+works on column frames (``HouseholdSurvey``) in and out.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .data import (CategorySet, HouseholdRecord, HouseholdSurvey, IncomeRecord, IncomeSurvey,
-                   as_survey)
+from .data import CategorySet, HouseholdRecord, HouseholdSurvey, IncomeRecord, as_survey
 from .errors import ConvergenceError, DataValidationError, SeparationError
 from .metrics import stable_order
 from .randutil import id_keys, keyed_normals
@@ -33,6 +32,11 @@ LINKS = ("logit", "probit")  # the link functions binary_fit knows
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITER = 200
 SEPARATION_PREDICTOR_BOUND = 30.0
+# demographic_design's cut points: household size bands (2, 5] and above 5,
+# head-age bands [35, 55) and 55 or more, the age read from AGE_KEY
+SIZE_BANDS = (2, 5)
+AGE_BANDS = (35, 55)
+AGE_KEY = "head_age"
 
 _erf = np.vectorize(math.erf)
 
@@ -336,29 +340,26 @@ def impute_budget_shares(
 # ---------------------------------------------------------------------------
 
 
-def demographic_design(survey, *, size_bands=(2, 5), age_bands=(35, 55),
-                       age_key: str = "head_age") -> tuple[np.ndarray, list[str]]:
-    """Covariate columns: household-size bands, flags, head-age bands.
+def demographic_design(survey: HouseholdSurvey) -> tuple[np.ndarray, list[str]]:
+    """Covariate columns of a survey frame: household-size bands, flags,
+    head-age bands.
 
-    ``survey`` is a column frame or a list of records (converted once by
-    ``as_survey``, which rejects a record missing a covariate). Size bands
-    split at the configured cut points; every demographic column becomes a
-    numeric regressor, in name order, with the age key expanded into band
-    dummies.
+    Size bands split at ``SIZE_BANDS``; every demographic column becomes a
+    numeric regressor, in name order, with ``AGE_KEY`` expanded into
+    ``AGE_BANDS`` dummies.
     """
-    survey = as_survey(survey)
     cols: list[np.ndarray] = []
     names: list[str] = []
     sizes = survey.size
-    lo, hi = size_bands
+    lo, hi = SIZE_BANDS
     cols.append(((sizes > lo) & (sizes <= hi)).astype(float))
     names.append(f"size_{lo + 1}_{hi}")
     cols.append((sizes > hi).astype(float))
     names.append(f"size_gt{hi}")
     for key in sorted(survey.demographic_names):
         v = survey.demographics[:, survey.demographic_names.index(key)]
-        if key == age_key:
-            a, b = age_bands
+        if key == AGE_KEY:
+            a, b = AGE_BANDS
             cols.append(((v >= a) & (v < b)).astype(float))
             names.append(f"{key}_{a}_{b}")
             cols.append((v >= b).astype(float))
@@ -388,15 +389,10 @@ class ImputationResult:
     report: ImputationReport
     provenance: dict[str, list]
 
-    @property
-    def records(self) -> list[HouseholdRecord]:
-        """The imputed households as one HouseholdRecord each (a view of ``survey``)."""
-        return self.survey.records
-
 
 def impute_expenditure_patterns(
     source: HouseholdSurvey | list[HouseholdRecord],
-    income: HouseholdSurvey | IncomeSurvey | list[HouseholdRecord] | list[IncomeRecord],
+    income: HouseholdSurvey | list[HouseholdRecord] | list[IncomeRecord],
     categories: CategorySet,
     *,
     seed: int,

@@ -22,8 +22,6 @@ from .errors import (
     NumericalModelError,
 )
 
-LEONTIEF_RESIDUAL_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class TechnologyMatrix:

@@ -242,7 +242,9 @@ def progressivity_table(
     _nonnegative(x)
     total_burden_h = burdens.sum(axis=1)
     group_b = list(burdens.T)
-    burdened = [np.dot(w, b) != 0 for b in group_b] + [np.dot(w, total_burden_h) != 0]
+    # a burden whose weighted mean is 0, or underflows to 0, has no concentration index
+    total_w = float(w.sum())
+    burdened = [float(np.dot(w, b)) / total_w != 0 for b in [*group_b, total_burden_h]]
     # real expenditure after each group's price change alone, and after all
     real = [x / (1.0 + np.divide(b, x, out=np.zeros_like(b), where=x > 0)) for b in group_b]
     pi_h = np.divide(total_burden_h, x, out=np.zeros_like(total_burden_h), where=x > 0)
@@ -318,11 +320,11 @@ def atkinson(values, weights, epsilon: float) -> AtkinsonResult:
         p = 1.0 - epsilon
         with np.errstate(over="ignore", divide="ignore"):
             ede = float((np.dot(w, x**p) / total) ** (1.0 / p))
-        if epsilon > 1 and not 0.0 < ede < np.inf:
-            # x**p left the float range at this aversion; the power mean is
-            # homogeneous of degree one, so take it relative to the least x
-            low = float(x[w > 0].min())
-            ede = low * float((np.dot(w, (x / low) ** p) / total) ** (1.0 / p))
+            if epsilon > 1 and not 0.0 < ede < np.inf:
+                # x**p left the float range at this aversion; the power mean is
+                # homogeneous of degree one, so take it relative to the least x
+                low = float(x[w > 0].min())
+                ede = low * float((np.dot(w, (x / low) ** p) / total) ** (1.0 / p))
     a = 1.0 - ede / mean
     return AtkinsonResult(index=a, mean=mean, yede=mean * (1.0 - a))
 

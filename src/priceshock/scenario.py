@@ -26,6 +26,7 @@ from .data import (
     HouseholdSurvey,
     LoadReport,
     MrioTable,
+    _csv_field,
     _write_rows,
     load_bridge,
     load_fuels,
@@ -626,7 +627,8 @@ def load_survey(cfg: RunConfig, impute: bool) -> tuple[HouseholdSurvey, Imputati
 
 def load_inputs(cfg: RunConfig) -> Inputs:
     """Load stage: the survey (imputed when scenario.impute is on), the flow
-    tables and bridge, the fuels and the inflation relatives."""
+    tables and bridge, the fuels and the inflation relatives. The bridge's
+    product columns are matched to the flow table's sectors by label."""
     categories = CategorySet.default()
     survey, imputed = load_survey(cfg, cfg.impute)
     mrio = bridge = fuels = None
@@ -634,6 +636,18 @@ def load_inputs(cfg: RunConfig) -> Inputs:
         mrio = load_mrio(cfg.files["mrio_z"], cfg.files["mrio_d"],
                          cfg.files["mrio_x"], cfg.files["mrio_f"])
         bridge = load_bridge(cfg.files["bridge"], categories)
+        if bridge.products != mrio.sectors:
+            column = {p: j for j, p in enumerate(bridge.products)}
+            sectors = set(mrio.sectors)
+            extra = [p for p in bridge.products if p not in sectors]
+            missing = [s for s in mrio.sectors if s not in column]
+            if extra or missing:
+                fault = (f"{extra[0]!r} is not a sector of files.mrio_z" if extra
+                         else f"sector {missing[0]!r} is not a column of files.bridge")
+                raise DataValidationError("the product columns of files.bridge do not match "
+                                          f"the sectors of files.mrio_z: {fault}")
+            bridge = BridgingMatrix(bridge.categories, mrio.sectors,
+                                    bridge.shares[:, [column[s] for s in mrio.sectors]])
     if "fuels" in cfg.files:
         fuels = load_fuels(cfg.files["fuels"])
         for category, fuel in cfg.fuel_map.items():
@@ -938,21 +952,22 @@ MONEY_COLUMNS = {"x", "equivalised", "burden", "cv", "transfer", "cv_net", "ye",
 
 def _format_cell(value) -> str:
     if isinstance(value, str):
-        return value
+        return _csv_field(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.6g}"
 
 
 def write_tables(tables, outdir) -> dict[str, Path]:
-    """Write each aggregate table to ``<name>.csv`` in ``outdir``."""
+    """Write each aggregate table to ``<name>.csv`` in ``outdir``, its
+    header names and text cells CSV-quoted where they need it."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
     for name, (header, rows) in tables.items():
         p = outdir / f"{name}.csv"
         with open(p, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
+            fh.write(",".join(map(_csv_field, header)) + "\n")
             for row in rows:
                 fh.write(",".join(_format_cell(c) for c in row) + "\n")
         paths[name] = p
@@ -1021,9 +1036,10 @@ def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
 
     Each row must hold a quintile of ``cfg.groups`` (a whole number from 0),
     a weight of 0 or more, a size of 1 or more, a positive ``x`` and
-    ``equivalised``, and where the Atkinson aversion is 1 or more a positive
-    ``ye_net``; the first row that does not is named. Each quintile must
-    hold a household of positive weight.
+    ``equivalised``, an ``x`` by which each burden_<group> and
+    ``equivalised`` divide to a finite ratio, and where the Atkinson
+    aversion is 1 or more a positive ``ye_net``; the first row that does
+    not is named. Each quintile must hold a household of positive weight.
     """
     needed = ["burden", "cv", "equivalised", "pi", "quintile", "size", "weight", "x", "ye_net"]
 
@@ -1043,6 +1059,10 @@ def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
         row = dict(zip(columns, values.T))
         q = row["quintile"]
         positive = "{path}: row {row}, column {col!r}: value {value} is not positive"
+        finite = np.ones(len(values), dtype=bool)  # the ratios to x that t5 and t6 take
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for c in ["equivalised", *(f"burden_{g}" for g in group_names(header))]:
+                finite &= np.isfinite(row[c] / row["x"])
         found = [
             *((bad[:, j], c, None) for j, c in enumerate(columns)),
             (~((q >= 0) & (q < cfg.groups) & (q == np.floor(q))), "quintile",
@@ -1053,6 +1073,9 @@ def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
             (row["size"] < 1, "size", "{path}: row {row}, column 'size': value {value} < 1"),
             (row["x"] <= 0, "x", positive),
             (row["equivalised"] <= 0, "equivalised", positive),
+            (~finite, "x",
+             "{path}: row {row}, column 'x': value {value} is too small: a burden_<group> or "
+             "equivalised divided by it leaves the float range"),
         ]
         if cfg.atkinson_epsilon >= 1:
             found.append((row["ye_net"] <= 0, "ye_net",

@@ -124,6 +124,28 @@ class TestRun:
         assert "8 of 240 households" in err
         assert "(first: 'hh0008'," in err
 
+    def test_degenerate_atkinson_index_prints_no_warning(self, bundle_dir, tmp_path):
+        """A household of equivalised expenditure near 1e-322 puts the
+        others' ratios to it beyond the float range in the Atkinson power mean."""
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        hh = work / "households.csv"
+        lines = hh.read_text().splitlines()
+        header = lines[0].split(",")
+        row = next(i for i, line in enumerate(lines) if line.startswith("hh0005,"))
+        cells = lines[row].split(",")
+        for j, column in enumerate(header):
+            if column.startswith("exp_"):
+                cells[j] = "1e-322" if column == "exp_food" else "0"
+        lines[row] = ",".join(cells)
+        hh.write_text("\n".join(lines) + "\n")
+        proc = run_cli_process("run", "--config", work / "config.txt", "--out", tmp_path / "r",
+                               "--quiet", env={"OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2
+        assert ("numerical failure: distribution.atkinson_epsilon = 2: the Atkinson index of "
+                "equivalised expenditure rounds to 1; household 'hh0005' has the smallest "
+                "equivalised expenditure") in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_more_groups_than_households_is_data_error(self, tmp_path, capsys):
         run_cli("fixtures", "--out", tmp_path / "b")
         cfg = tmp_path / "b" / "config.txt"
@@ -408,6 +430,26 @@ class TestReport:
         for name in rebuilt:
             assert (rep / name).read_bytes() == (out / name).read_bytes(), name
 
+    def test_labels_with_a_comma_are_quoted_in_the_tables(self, bundle_dir, tmp_path):
+        out = tmp_path / "results"
+        assert run_cli("run", "--config", bundle_dir / "config.txt", "--out", out, "--quiet") == 0
+        head, rest = (out / "households.csv").read_text().split("\n", 1)
+        head = head.replace("share_other", '"share_o,ther"').replace("burden_other",
+                                                                     '"burden_o,ther"')
+        (out / "households.csv").write_text(head + "\n" + rest)
+        rep = tmp_path / "rebuilt"
+        assert run_cli("report", "--config", bundle_dir / "config.txt",
+                       "--results", out / "households.csv", "--out", rep, "--quiet") == 0
+        for path in sorted(rep.iterdir()):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len({len(row) for row in rows}) == 1, path.name
+        with open(rep / "t2_inflation_drivers.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == [*list(DEFAULT_REPORT_GROUPS)[:-1],
+                                                               "o,ther", "total"]
+        with open(rep / "t3_budget_shares.csv", newline="") as fh:
+            assert next(csv.reader(fh))[-2] == "o,ther"
+
     def test_bad_cell_in_results_is_named(self, bundle_dir, tmp_path, capsys):
         out = tmp_path / "results"
         run_cli("run", "--config", bundle_dir / "config.txt", "--out", out, "--quiet")
@@ -470,6 +512,7 @@ class TestReportRows:
                        "--out", results.parent / "t", "--quiet")
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert "Warning" not in err
         return code, err
 
     @pytest.mark.parametrize("row,column,text,problem", [
@@ -477,12 +520,14 @@ class TestReportRows:
                               "from 0 to 4"),
         (5, "quintile", "2.5", "2.5 is not a quintile of distribution.groups = 5"),
         (6, "x", "0", "value 0.0 is not positive"),
+        (6, "x", "1e-320", "value 1e-320 is too small: a burden_<group> or equivalised divided "
+                           "by it leaves the float range"),
         (6, "equivalised", "-3", "value -3.0 is not positive"),
         (7, "weight", "-5", "negative value -5.0"),
         (8, "size", "0.5", "value 0.5 < 1"),
         (9, "ye_net", "0", "value 0.0 is not positive, as distribution.atkinson_epsilon = 2 asks"),
-    ], ids=["quintile -1", "quintile 2.5", "x 0", "equivalised -3", "weight -5", "size 0.5",
-            "ye_net 0"])
+    ], ids=["quintile -1", "quintile 2.5", "x 0", "x 1e-320", "equivalised -3", "weight -5",
+            "size 0.5", "ye_net 0"])
     def test_a_faulty_row_is_named(self, bundle_dir, results, capsys, row, column, text, problem):
         replace_cell(results, row, column, text)
         code, err = self.report(bundle_dir, results, capsys)
@@ -910,6 +955,28 @@ class TestWideInputs:
         assert run_cli("run", "--config", work / "config.txt", "--out", tmp_path / "r",
                        "--quiet") == 1
         assert "mrio_z.csv: first column must be 'sector', got 'foo'" in capsys.readouterr().err
+
+    def test_bridge_columns_are_matched_by_label(self, bundle_dir, tmp_path):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        bridge = work / "bridge.csv"
+        rows = [line.split(",") for line in bridge.read_text().splitlines()]
+        assert rows[0][1:] == ["energy", "industry"]
+        bridge.write_text("".join(f"{row[0]},{row[2]},{row[1]}\n" for row in rows))
+        for config, out in ((bundle_dir / "config.txt", "demo"), (work / "config.txt", "swapped")):
+            assert run_cli("run", "--config", config, "--out", tmp_path / out, "--quiet") == 0
+        for path in sorted((tmp_path / "demo").iterdir()):
+            assert (tmp_path / "swapped" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_bridge_column_that_is_no_sector_is_named(self, bundle_dir, tmp_path, capsys):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        bridge = work / "bridge.csv"
+        bridge.write_text(bridge.read_text().replace("category,energy,", "category,energyx,", 1))
+        capsys.readouterr()
+        assert run_cli("run", "--config", work / "config.txt", "--out", tmp_path / "r",
+                       "--quiet") == 1
+        assert capsys.readouterr().err == (
+            "error: the product columns of files.bridge do not match the sectors of "
+            "files.mrio_z: 'energyx' is not a sector of files.mrio_z\n")
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())

@@ -72,10 +72,10 @@ class TestHouseholdLoader:
             "c,1,3,150,70,0,30",
         ])
         survey = load_household_survey(p, CATS)
-        assert len(survey.records) == 3
+        assert len(survey.ids) == 3
         assert survey.report.n_dropped_zero_total == 0
-        assert survey.records[0].disposable_income == 100.0
-        assert survey.records[2].expenditure.tolist() == [70.0, 0.0, 30.0]
+        assert survey.income[0] == 100.0
+        assert survey.expenditure[2].tolist() == [70.0, 0.0, 30.0]
 
     def test_dropped_row_keeps_its_income_unchecked(self, tmp_path):
         p = write_survey_csv(tmp_path / "hh.csv", ["a,1,2,100,50,10,40", "b,2,1,1e300,0,0,0"])
@@ -90,7 +90,7 @@ class TestHouseholdLoader:
             "b,2,1,200,0,0,0",
         ])
         survey = load_household_survey(p, CATS)
-        assert len(survey.records) == 1
+        assert len(survey.ids) == 1
         assert survey.report.n_dropped_zero_total == 1
         # the mutation must be visible in the report, never silent
         assert any("zero total expenditure" in n for n in survey.report.notes)
@@ -149,12 +149,12 @@ class TestHouseholdLoader:
         p = write_survey_csv(tmp_path / "hh.csv", ["a,1,2,50,10,40"],
                              header="id,weight,size,exp_food,exp_fuel,exp_rest")
         survey = load_household_survey(p, CATS)
-        assert survey.records[0].disposable_income is None
+        assert survey.income is None
 
     def test_budget_shares_sum_to_one(self, tmp_path):
         p = write_survey_csv(tmp_path / "hh.csv", ["a,1,2,100,50.5,10.25,39.25"])
-        r = load_household_survey(p, CATS).records[0]
-        assert abs(r.budget_shares().sum() - 1.0) < 1e-9
+        exp = load_household_survey(p, CATS).expenditure[0]
+        assert abs((exp / exp.sum()).sum() - 1.0) < 1e-9
 
 
 class TestRoundTrip:
@@ -172,15 +172,16 @@ class TestRoundTrip:
         ]
         p = tmp_path / "hh.csv"
         write_household_survey(p, records, CATS)
-        loaded = load_household_survey(p, CATS).records
-        assert len(loaded) == len(records)
-        for a, b in zip(records, loaded):
-            assert a.id == b.id
-            assert a.weight == b.weight
-            assert a.size == b.size
-            assert a.disposable_income == b.disposable_income
-            assert a.expenditure.tolist() == b.expenditure.tolist()
-            assert a.demographics == b.demographics
+        loaded = load_household_survey(p, CATS)
+        assert len(loaded.ids) == len(records)
+        for i, a in enumerate(records):
+            assert a.id == loaded.ids[i]
+            assert a.weight == loaded.weight[i]
+            assert a.size == loaded.size[i]
+            assert a.disposable_income == loaded.income[i]
+            assert a.expenditure.tolist() == loaded.expenditure[i].tolist()
+            assert a.demographics == dict(zip(loaded.demographic_names,
+                                              loaded.demographics[i].tolist()))
 
     def test_written_file_is_idempotent(self, tmp_path):
         records = [
@@ -189,7 +190,7 @@ class TestRoundTrip:
         ]
         p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
         write_household_survey(p1, records, CATS)
-        write_household_survey(p2, load_household_survey(p1, CATS).records, CATS)
+        write_household_survey(p2, load_household_survey(p1, CATS), CATS)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -308,9 +309,10 @@ class TestOtherLoaders:
             "b,2.0,4,30000,0\n"
         )
         survey = load_income_survey(p)
-        assert len(survey.records) == 2
-        assert survey.records[0].disposable_income == 45000.0
-        assert survey.records[1].demographics == {"urban": 0.0}
+        assert isinstance(survey, HouseholdSurvey) and survey.expenditure is None
+        assert len(survey.ids) == 2
+        assert survey.income[0] == 45000.0
+        assert dict(zip(survey.demographic_names, survey.demographics[1].tolist())) == {"urban": 0.0}
 
     def test_income_survey_ignores_expenditure_columns_with_note(self, tmp_path):
         from priceshock.data import load_income_survey
@@ -318,7 +320,7 @@ class TestOtherLoaders:
         p = tmp_path / "income.csv"
         p.write_text("id,weight,size,inc,exp_food\na,1,1,100,0\n")
         survey = load_income_survey(p)
-        assert len(survey.records) == 1  # zero expenditure must not drop income rows
+        assert len(survey.ids) == 1  # zero expenditure must not drop income rows
         assert any("expenditure column" in n for n in survey.report.notes)
 
     def test_income_survey_requires_income(self, tmp_path):
@@ -566,7 +568,10 @@ class TestBulkLoaders:
         else:
             assert survey.income is None
         assert survey.report.n_dropped_zero_total == len(table[1]) - len(ref["ids"])
-        assert [r.id for r in survey.records] == ref["ids"]
+        # one valid household per kept id, as a HouseholdRecord would check it
+        assert all(len(column) == len(ref["ids"]) for column in
+                   (survey.weight, survey.size, survey.demographics, survey.expenditure))
+        assert (survey.expenditure.sum(axis=1) > 0).all()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -909,8 +914,6 @@ def test_run_builds_no_household_record(bundle_dir, monkeypatch):
     result = run_scenario(parse_config(bundle_dir / "config.txt"))
     assert len(result.household["id"]) == 240
     assert built == []
-    load_household_survey(bundle_dir / "households.csv", CategorySet.default()).records
-    assert len(built) == 240  # the records view still builds them on request
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from priceshock.data import CategorySet, load_household_survey, load_income_survey
+from priceshock.data import (CategorySet, IncomeRecord, as_survey, load_household_survey,
+                             load_income_survey)
 from priceshock.errors import DataValidationError, SeparationError
 from priceshock.imputation import (
     BinaryFit,
@@ -13,13 +14,16 @@ from priceshock.imputation import (
     binary_fit,
     calibrate_income,
     chauvenet_outliers,
-    demographic_design,
     impute_budget_shares,
     impute_expenditure_patterns,
     impute_participation,
     impute_total_expenditure,
     wls_fit,
 )
+
+
+def budget_shares(frame):
+    return frame.expenditure / frame.expenditure.sum(axis=1)[:, np.newaxis]
 
 
 class TestWls:
@@ -371,7 +375,7 @@ class TestPipeline:
             )
         w = np.array([r.weight for r in bundle.households])
         src = np.vstack([r.budget_shares() for r in bundle.households])
-        imp = np.vstack([r.budget_shares() for r in result.records])
+        imp = budget_shares(result.survey)
         mean_src = w @ src / w.sum()
         mean_imp = w @ imp / w.sum()
         assert np.max(np.abs(mean_src - mean_imp)) < 0.02
@@ -380,7 +384,7 @@ class TestPipeline:
         result = impute_expenditure_patterns(
             bundle.households, bundle.households, bundle.categories, seed=11
         )
-        shares = np.vstack([r.budget_shares() for r in result.records])
+        shares = budget_shares(result.survey)
         assert np.max(np.abs(shares.sum(axis=1) - 1.0)) < 1e-9
         assert np.all(shares >= 0)
 
@@ -389,8 +393,7 @@ class TestPipeline:
                                         bundle.categories, seed=21)
         b = impute_expenditure_patterns(bundle.households, bundle.households,
                                         bundle.categories, seed=21)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.expenditure.tolist() == rb.expenditure.tolist()
+        assert a.survey.expenditure.tolist() == b.survey.expenditure.tolist()
 
     def test_missing_income_fails_loudly(self, bundle, categories):
         import dataclasses
@@ -416,7 +419,7 @@ class TestPipeline:
 
         broken = [dataclasses.replace(bundle.households[0], demographics={"urban": 1.0})]
         with pytest.raises(DataValidationError, match="head_age"):
-            demographic_design(bundle.households[:5] + broken)
+            as_survey(bundle.households[:5] + broken)
 
 
 class TestColumnFrames:
@@ -433,15 +436,21 @@ class TestColumnFrames:
         np.testing.assert_allclose(moved.survey.expenditure, expected, rtol=1e-12, atol=0)
         assert moved.report == base.report
 
-    def test_frames_and_record_lists_give_the_same_result(self, bundle_dir, categories):
+    def test_frames_and_record_lists_give_the_same_result(self, bundle, bundle_dir, categories):
+        """The bundle's households.csv holds ``bundle.households`` to the bit."""
         survey = load_household_survey(bundle_dir / "households.csv", categories)
         income = load_income_survey(bundle_dir / "households.csv")
         frames = impute_expenditure_patterns(survey, income, categories, seed=5)
-        lists = impute_expenditure_patterns(survey.records, income.records, categories, seed=5)
+        income_records = [IncomeRecord(id=r.id, weight=r.weight, size=r.size,
+                                       disposable_income=r.disposable_income,
+                                       demographics=r.demographics) for r in bundle.households]
+        lists = impute_expenditure_patterns(bundle.households, income_records, categories, seed=5)
         for a, b in ((frames.survey, lists.survey), (frames.survey, income)):
             assert a.ids.tolist() == b.ids.tolist()
             for name in ("weight", "size", "income"):
                 assert getattr(a, name).tolist() == getattr(b, name).tolist()
         assert frames.survey.expenditure.tolist() == lists.survey.expenditure.tolist()
         assert frames.report == lists.report
-        assert [r.id for r in frames.records] == income.ids.tolist()
+        # one valid household per income row, as a HouseholdRecord would check it
+        assert frames.survey.expenditure.shape == (len(income.ids), len(categories))
+        assert (frames.survey.expenditure.sum(axis=1) > 0).all()

@@ -322,6 +322,14 @@ class TestProgressivityTable:
         assert rows[0].kakwani < 0
         assert rows[0].rs < 0  # nominal spending on it is equalising-ranked below the Gini
 
+    def test_burden_whose_mean_underflows_counts_as_none(self):
+        """Weighted burdens summing to 5e-324 over a total weight of 4 have a
+        mean of 0: the group gets no concentration index, as a zero burden."""
+        x = np.array([100.0, 200.0, 400.0, 800.0])
+        burdens = np.column_stack([0.1 * x, [0.0, 5e-324, 0.0, 0.0]])
+        rows = progressivity_table(x, np.ones(4), burdens, ["a", "tiny"])
+        assert rows[1].ci_burden == 0.0 and rows[1].kakwani == 0.0
+
     def test_reranking_nonnegative(self):
         rng = np.random.default_rng(10)
         x, w, burdens = toy_population(rng)
