@@ -945,13 +945,6 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_column(texts: list[str]) -> list[str]:
-    """``_csv_field`` of each text, with one scan when none needs quoting."""
-    if any(c in "".join(texts) for c in ',"\r\n'):
-        return list(map(_csv_field, texts))
-    return texts
-
-
 # Rows that _write_rows formats per numpy pass: enough that the fixed cost
 # of a block's numpy calls (some 300) stays small beside its rows, few
 # enough that a block's temporaries (about 2 kB a households.csv row) stay
@@ -1153,30 +1146,42 @@ def _number_words(values: np.ndarray, spec: str, comma: np.ndarray):
     return np.concatenate([words, fraction], axis=-1), bad
 
 
-def _text_words(texts: list[str], comma: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """(words, nul) for a column of texts as ``_number_words`` gives them:
-    the UTF-8 bytes of each text, after a comma if ``comma``, left-aligned.
-    ``surrogatepass`` lets every str through, and decoding the bytes the
-    same way gives back the very texts. ``nul`` marks the texts holding a
-    NUL byte, which the words cannot show (None when there is none)."""
-    joined = "".join(texts)
-    if joined.isascii():
-        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    else:
-        lengths = np.array([len(t.encode("utf-8", "surrogatepass")) for t in texts])
-    encoded = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
-    longest = int(lengths.max(initial=0))
-    cells = np.zeros((len(texts), -(-(longest + comma) // 8) * 8), np.uint8)
-    cells[:, :comma] = ord(",")
-    cells[:, comma:][np.arange(cells.shape[1] - comma) < lengths[:, np.newaxis]] = encoded
+# the characters that _csv_field quotes a text for, by code point (any
+# code beyond ASCII looks up 127, which is not one)
+_QUOTED = np.zeros(128, bool)
+_QUOTED[[*map(ord, ',"\r\n')]] = True
+
+
+def _text_words(texts, comma: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(words, bad) for a column of texts as ``_number_words`` gives cells:
+    the UTF-8 bytes of each (``surrogatepass``), after a comma if
+    ``comma``, left-aligned. ``bad`` marks the texts that the words cannot
+    show as ``_csv_field`` writes them: one that it quotes, and one holding
+    a NUL, which the writer drops. A numpy str array is cast to bytes in
+    numpy while it is ASCII; any other column is taken as ``str()`` of each
+    value."""
     nul = None
-    if "\x00" in joined:
-        nul = np.array(["\x00" in t for t in texts], dtype=bool)
-    return cells.view(_WORD), nul
+    if not (isinstance(texts, np.ndarray) and texts.dtype.kind == "U"):
+        texts = list(map(str, texts))
+        if "\x00" in "".join(texts):  # a str array drops a trailing NUL
+            nul = np.array(["\x00" in t for t in texts])
+        texts = np.array(texts, dtype=str)
+    codes = np.ascontiguousarray(texts).view(np.uint32).reshape(len(texts), -1)
+    bad = _QUOTED[np.minimum(codes, 127)].any(axis=1)
+    bad |= ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any(axis=1)  # a NUL before a character
+    if nul is not None:
+        bad |= nul
+    if codes.max(initial=0) > 127:  # beyond ASCII: each text's UTF-8 bytes
+        codes = np.array([t.encode("utf-8", "surrogatepass") for t in texts.tolist()])
+        codes = codes.view(np.uint8).reshape(len(texts), -1)
+    cells = np.zeros((len(texts), -(-(codes.shape[1] + comma) // 8) * 8), np.uint8)
+    cells[:, :comma] = ord(",")
+    cells[:, comma:comma + codes.shape[1]] = codes  # an ASCII code point is its byte
+    return cells.view(_WORD), bad
 
 
 def _block_text(specs: Sequence[str], columns: Sequence, start: int, stop: int,
-                texts: dict[int, list[str]], line_end: str):
+                line_end: str):
     """(data, ends, fallback) for rows ``start:stop`` as ``_write_rows``
     writes them: the UTF-8 bytes of the rows, where row i ends at
     ``ends[i]`` bytes, with the rows listed in ``fallback`` left out.
@@ -1196,20 +1201,20 @@ def _block_text(specs: Sequence[str], columns: Sequence, start: int, stop: int,
                      for k, j in enumerate(cols))
         width += len(cols) * size
 
-    for j, column in texts.items():
-        words, nul = _text_words(column, j > 0)
-        place(words, [j])
-        if nul is not None:
-            bad |= nul
     for spec in dict.fromkeys(specs):
-        if spec != "%s":
-            cols = [j for j, s in enumerate(specs) if s == spec]
-            values = np.empty((n, len(cols)))
-            for k, j in enumerate(cols):
-                values[:, k] = columns[j][start:stop]
-            words, spec_bad = _number_words(values, spec, np.array(cols) > 0)
-            bad |= spec_bad.any(axis=1)
-            place(words, cols)
+        cols = [j for j, s in enumerate(specs) if s == spec]
+        if spec == "%s":
+            for j in cols:
+                words, text_bad = _text_words(columns[j][start:stop], j > 0)
+                bad |= text_bad
+                place(words, [j])
+            continue
+        values = np.empty((n, len(cols)))
+        for k, j in enumerate(cols):
+            values[:, k] = columns[j][start:stop]
+        words, spec_bad = _number_words(values, spec, np.array(cols) > 0)
+        bad |= spec_bad.any(axis=1)
+        place(words, cols)
     place(np.full((n, 1), int.from_bytes(line_end.encode().ljust(8, b"\0"), "little"), _WORD),
           [len(specs)])
     order = np.fromiter(chain.from_iterable(slots[j] for j in range(len(specs) + 1)), np.intp)
@@ -1228,28 +1233,21 @@ def _write_rows(fh, specs: Sequence[str], columns: Sequence, line_end: str) -> N
     ``specs`` joined by commas, then ``line_end``.
 
     A ``%s`` column's values are written as ``str()`` of each, CSV-quoted
-    (``_csv_column``); every other column is a numeric array under one of
+    (``_csv_field``); every other column is a numeric array under one of
     ``_NUMBER_SPECS``. Blocks of ``CSV_BLOCK_ROWS`` rows are formatted in
-    numpy, rounded exactly as ``%`` rounds (``_number_words``), and each
-    block's bytes are written at once. A row holding a cell that path
-    cannot prove, or a text holding a NUL, is written by ``row_format %
-    row`` in its place.
+    numpy, numbers rounded exactly as ``%`` rounds (``_number_words``), and
+    each block's bytes are written at once. A row holding a cell that path
+    cannot prove, or a text that needs quoting or holds a NUL
+    (``_text_words``), is written by ``row_format % row`` in its place.
     """
     row_format = ",".join(specs) + line_end
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, len(columns[0]))
-        texts = {}
-        for j, spec in enumerate(specs):
-            if spec == "%s":
-                column = columns[j][start:stop]
-                if isinstance(column, np.ndarray):
-                    column = column.tolist()
-                texts[j] = _csv_column(list(map(str, column)))
-        data, ends, fallback = _block_text(specs, columns, start, stop, texts, line_end)
+        data, ends, fallback = _block_text(specs, columns, start, stop, line_end)
         data, done = memoryview(data), 0
         for i in fallback:
-            row = tuple(texts[j][i] if j in texts else columns[j][start + i].item()
-                        for j in range(len(specs)))
+            row = tuple(_csv_field(str(column[start + i])) if spec == "%s"
+                        else column[start + i].item() for spec, column in zip(specs, columns))
             fh.write(data[done:ends[i]])
             fh.write((row_format % row).encode("utf-8", "surrogatepass"))
             done = ends[i]

@@ -219,32 +219,31 @@ def les_calibrate_frisch(
     exactly even when the elasticities were estimated on a different
     (group-level) share vector. When the shares coincide this is
     algebraically identical to the own-price-elasticity calibration.
+    Goods with no base quantity get phi = gamma = 0.
     ``shares`` and ``quantities`` may be (n, k) blocks with one ``total``
     per row; ``budget`` broadcasts against them and ``xi`` applies to all,
     or gives one value per row.
     """
-    gamma, phi = _frisch_terms(budget, xi, shares, quantities, total)
-    return LesParameters(gamma=gamma, phi=phi)
+    quantities = np.asarray(quantities, dtype=float)
+    active = quantities > 0
+    phi = np.where(active, np.multiply(budget, shares, dtype=float), 0.0)
+    gamma, phi = _frisch_terms(phi, xi, quantities, total)
+    return LesParameters(gamma=np.where(active, gamma, 0.0), phi=phi)
 
 
-def _frisch_terms(budget, xi, shares, quantities, total) -> tuple[np.ndarray, np.ndarray]:
-    """(gamma, phi) as ``les_calibrate_frisch`` calibrates them, before
-    they are checked as ``LesParameters``."""
+def _frisch_terms(phi: np.ndarray, xi, quantities: np.ndarray, total):
+    """(gamma, phi) of the money-flexibility calibration from the products
+    budget elasticity × budget share, which ``phi`` holds and which are
+    normalised in place to sum to one per row; unchecked as ``LesParameters``."""
     xi = np.asarray(xi, dtype=float)
     if np.any(xi >= -1.0):
         raise DataValidationError("money flexibility must be below -1 for a feasible budget")
-    budget = np.asarray(budget, dtype=float)
-    shares = np.asarray(shares, dtype=float)
-    quantities = np.asarray(quantities, dtype=float)
-    active = quantities > 0
-    phi = np.where(active, budget * shares, 0.0)
     total_phi = phi.sum(axis=-1, keepdims=True)
     if np.any(total_phi <= 0):
         raise DataValidationError("no good has a positive marginal budget share")
     phi /= total_phi
     supernumerary = -_column(total) / (xi if xi.ndim == 0 else _column(xi))
-    gamma = np.where(active, quantities - phi * supernumerary, 0.0)
-    return gamma, phi
+    return quantities - phi * supernumerary, phi
 
 
 def _column(v) -> np.ndarray:
@@ -263,38 +262,21 @@ def _supernumerary(total, committed):
     return supernumerary
 
 
-def _log_phi(phi: np.ndarray) -> np.ndarray:
-    """ln phi_i, and 0 for the goods with phi_i = 0."""
-    return np.log(phi, out=np.zeros_like(phi), where=phi > 0)
+def _index_change(p0: np.ndarray, p1: np.ndarray, params: LesParameters):
+    """The change from p0 to p1 of the log price index ln prod((p_i /
+    phi_i) ** phi_i): sum_i phi_i (ln p1_i - ln p0_i), in which ln phi_i
+    cancels. Utility at (p, x) is (x - committed cost at p) / the index, so
+    the closed forms below need only this change and the committed costs."""
+    return (params.phi * (np.log(p1) - np.log(p0))).sum(axis=-1)
 
 
-def _price_terms(prices: np.ndarray, params: LesParameters, log_phi=None):
-    """The committed cost and the log price index at one price vector.
-
-    The index is ln of prod((p_i / phi_i) ** phi_i) over the goods with
-    phi_i > 0. Every welfare measure below is built from these two terms.
-    """
-    if log_phi is None:
-        log_phi = _log_phi(params.phi)
-    log_index = (params.phi * (np.log(prices) - log_phi)).sum(axis=-1)
-    return params.committed_cost(prices), log_index
-
-
-def _utility(terms, total):
-    committed, log_index = terms
-    return _supernumerary(total, committed) * np.exp(-log_index)
-
-
-def _expenditure(terms, utility):
-    committed, log_index = terms
-    return committed + utility * np.exp(log_index)
-
-
-def _demand(prices: np.ndarray, committed, total, params: LesParameters) -> np.ndarray:
+def _demand(prices: np.ndarray, committed: np.ndarray, supernumerary,
+            params: LesParameters) -> np.ndarray:
+    """Quantities from the spending on the committed bundle (prices * gamma)
+    and the supernumerary budget."""
     if np.any(prices <= 0):
         raise DataValidationError("prices must be strictly positive")
-    spending = prices * params.gamma + params.phi * _column(_supernumerary(total, committed))
-    return spending / prices
+    return (committed + params.phi * _column(supernumerary)) / prices
 
 
 def les_demand(prices: np.ndarray, total, params: LesParameters) -> np.ndarray:
@@ -305,31 +287,26 @@ def les_demand(prices: np.ndarray, total, params: LesParameters) -> np.ndarray:
     zero in (prices, budget).
     """
     prices = np.asarray(prices, dtype=float)
-    return _demand(prices, params.committed_cost(prices), total, params)
-
-
-def indirect_utility(prices: np.ndarray, total, params: LesParameters):
-    """Utility attained at (prices, budget); zero-share goods are excluded."""
-    return _value(_utility(_price_terms(prices, params), total))
-
-
-def expenditure_needed(prices: np.ndarray, utility, params: LesParameters):
-    """Minimum spending that reaches ``utility`` at the given prices."""
-    return _value(_expenditure(_price_terms(prices, params), utility))
+    committed = prices * params.gamma
+    return _demand(prices, committed, _supernumerary(total, committed.sum(axis=-1)), params)
 
 
 def compensating_variation(p0: np.ndarray, p1: np.ndarray, total,
                            params: LesParameters):
-    """Money needed after the price change to restore pre-change utility."""
-    u0 = _utility(_price_terms(p0, params), total)
-    return _value(_expenditure(_price_terms(p1, params), u0) - total)
+    """Money needed after the price change to restore pre-change utility:
+    c1 + (x - c0) exp(dL) - x, with c the committed costs and dL the index
+    change from p0 to p1."""
+    c0, c1 = params.committed_cost(p0), params.committed_cost(p1)
+    return _value(c1 + _supernumerary(total, c0) * np.exp(_index_change(p0, p1, params))
+                  - total)
 
 
 def equivalent_income(p_ref: np.ndarray, p: np.ndarray, total,
                       params: LesParameters):
-    """Income at reference prices delivering the utility attained at (p, total)."""
-    u = _utility(_price_terms(p, params), total)
-    return _value(_expenditure(_price_terms(p_ref, params), u))
+    """Income at reference prices delivering the utility attained at (p, total):
+    c_ref + (x - c) exp(-dL), with dL the index change from p_ref to p."""
+    c_ref, c = params.committed_cost(p_ref), params.committed_cost(p)
+    return _value(c_ref + _supernumerary(total, c) * np.exp(-_index_change(p_ref, p, params)))
 
 
 class LesValuation(NamedTuple):
@@ -346,25 +323,29 @@ def les_valuation(p0: np.ndarray, p1: np.ndarray, total, net, params: LesParamet
     """Compensating variation and equivalent incomes of a block from one
     pass over its baskets.
 
-    The committed cost and log price index are taken once at p0 and once
-    at p1, and ln phi once. Each result equals the one-measure call bit
-    for bit: ``compensating_variation(p0, p1, total, params)``,
+    The committed costs at p0 and p1 and the index change between them
+    are taken once. Each result equals the one-measure call bit for bit:
+    ``compensating_variation(p0, p1, total, params)``,
     ``equivalent_income(p0, p1, total, params)`` and the same at ``net``,
     and with ``unit_emissions`` the footprint
-    ``les_demand(p1, net, params) @ unit_emissions`` (else None). A budget
-    that does not cover its committed bundle raises as those calls do.
+    ``(les_demand(p1, net, params) * unit_emissions).sum(axis=-1)``, a
+    row-wise sum whose bits do not depend on the block (else None). A
+    budget that does not cover its committed bundle raises as those calls
+    do.
     """
     prices = np.asarray(p1, dtype=float)
-    log_phi = _log_phi(params.phi)
-    at_p0 = _price_terms(p0, params, log_phi)
-    at_p1 = _price_terms(prices, params, log_phi)
-    cv = _expenditure(at_p1, _utility(at_p0, total)) - total
-    ye = _expenditure(at_p0, _utility(at_p1, total))
-    ye_net = _expenditure(at_p0, _utility(at_p1, net))
+    committed = prices * params.gamma
+    c0, c1 = params.committed_cost(p0), committed.sum(axis=-1)
+    d_index = _index_change(p0, prices, params)
+    left = _supernumerary(total, c0)
+    left_after, left_net = _supernumerary(total, c1), _supernumerary(net, c1)
+    cv = c1 + left * np.exp(d_index) - total
+    shrink = np.exp(-d_index)
     footprint = None
     if unit_emissions is not None:
-        footprint = _demand(prices, at_p1[0], net, params) @ unit_emissions
-    return LesValuation(cv=cv, ye=ye, ye_net=ye_net, footprint_after=footprint)
+        footprint = (_demand(prices, committed, left_net, params) * unit_emissions).sum(axis=-1)
+    return LesValuation(cv=cv, ye=c0 + left_after * shrink, ye_net=c0 + left_net * shrink,
+                        footprint_after=footprint)
 
 
 def equivalent_variation(p0: np.ndarray, p1: np.ndarray, total: float,

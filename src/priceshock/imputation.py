@@ -110,14 +110,12 @@ def _collinear_columns(design: np.ndarray, names) -> tuple[list[int], list[str]]
     return kept, flagged
 
 
-def wls_fit(design: np.ndarray, y: np.ndarray, weights: np.ndarray, names) -> RegressionFit:
-    """Weighted least squares with residual moments on the estimation sample.
-
-    ``y`` is one outcome (n,) or several (n, m) on the same design: one
-    lstsq serves every column and gives the rank check too.
-    """
+def wls_coefficients(design: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                     names) -> np.ndarray:
+    """The coefficients of ``wls_fit``, with its checks and rank test but
+    without the residual moments: one lstsq on the rows of ``design`` and
+    ``y`` times the square root of their weight."""
     design = np.asarray(design, dtype=float)
-    y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)
     n, p = design.shape
     if n <= p:
@@ -128,17 +126,28 @@ def wls_fit(design: np.ndarray, y: np.ndarray, weights: np.ndarray, names) -> Re
     xw = design * sw[:, np.newaxis]
     # each row of y times its sw; lstsq's rank uses matrix_rank's cut,
     # eps * max(n, p) * the largest singular value
-    beta, _, rank, _ = np.linalg.lstsq(xw, (y.T * sw).T, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(xw, (np.asarray(y, dtype=float).T * sw).T, rcond=None)
     if rank < p:
         _, flagged = _collinear_columns(xw, names)
         raise DataValidationError(f"design matrix is rank deficient; collinear columns: {flagged}")
-    resid = y - design @ beta
+    return beta
+
+
+def wls_fit(design: np.ndarray, y: np.ndarray, weights: np.ndarray, names) -> RegressionFit:
+    """Weighted least squares with residual moments on the estimation sample.
+
+    ``y`` is one outcome (n,) or several (n, m) on the same design: one
+    lstsq serves every column and gives the rank check too.
+    """
+    beta = wls_coefficients(design, y, weights, names)
+    weights = np.asarray(weights, dtype=float)
+    resid = np.asarray(y, dtype=float) - np.asarray(design, dtype=float) @ beta
     w_total = weights.sum()
     r_mean = weights @ resid / w_total
     r_var = weights @ (resid - r_mean) ** 2 / w_total
     return RegressionFit(
         names=tuple(names), coefficients=beta, residual_mean=r_mean,
-        residual_var=r_var, n_obs=n,
+        residual_var=r_var, n_obs=len(weights),
     )
 
 

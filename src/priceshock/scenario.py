@@ -53,7 +53,7 @@ from .demand import (
 )
 from .errors import DataValidationError, InfeasibleBudgetError, NumericalModelError
 from .imputation import (LINKS, ImputationReport, ImputationResult, impute_expenditure_patterns,
-                         wls_fit)
+                         wls_coefficients)
 from .inputoutput import (
     TechnologyMatrix,
     bridge_to_categories,
@@ -452,10 +452,9 @@ def _engel_fit(shares: np.ndarray, design: np.ndarray, ln_x: np.ndarray,
     mean_shares = weights @ shares / w_total
     ln_c = float(np.dot(weights, ln_x)) / w_total
     bought = mean_shares > 0  # a category nobody buys gets budget elasticity 0
-    names = ["const", "ln_x", "ln_x_sq"]
     budget = np.zeros(shares.shape[1])
-    fit = wls_fit(design, shares[:, bought], weights, names)
-    _, slope, curvature = fit.coefficients
+    _, slope, curvature = wls_coefficients(design, shares[:, bought], weights,
+                                           ["const", "ln_x", "ln_x_sq"])
     eta = budget_elasticity(mean_shares[bought], slope, curvature, ln_c)
     lo, hi = BUDGET_ELASTICITY_BOUNDS
     clamped = int(np.sum((eta < lo) | (eta > hi)))
@@ -490,15 +489,12 @@ def estimate_demand_groups(
         ln_x = np.log(per_capita / cfg.months_per_period)
     else:
         ln_x = np.log(totals)
-    design = np.column_stack([np.ones(len(totals)), ln_x, ln_x**2])
-
-    def fit(rows) -> GroupDemand:
-        return _engel_fit(shares[rows], design[rows], ln_x[rows], per_capita[rows],
-                          weights[rows], cfg)
-
+    inputs = (shares, np.column_stack([np.ones(len(totals)), ln_x, ln_x**2]), ln_x, per_capita,
+              weights)
     lo, hi = cfg.size_bands
     cells = 3 * quintiles + np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
     order = np.argsort(cells, kind="stable")
+    by_cell = [np.take(a, order, axis=0) for a in inputs]  # a cell's rows: a slice, in survey order
     counts = np.bincount(cells)
     bounds = np.concatenate([[0], np.cumsum(counts[counts > 0])])
     q_counts = np.bincount(quintiles)
@@ -509,12 +505,13 @@ def estimate_demand_groups(
     for c, start, end in zip(np.flatnonzero(counts).tolist(), bounds[:-1], bounds[1:]):
         q, b = divmod(c, 3)
         if end - start >= MIN_GROUP_OBS:
-            groups.append(fit(order[start:end]))
+            groups.append(_engel_fit(*(a[start:end] for a in by_cell), cfg))
         else:
             # a fallback fit takes its rows in survey order, as the pooled fit does
             source = q if q_counts[q] >= MIN_GROUP_OBS else None
             if source not in fallbacks:
-                fallbacks[source] = fit(quintiles == q if source is not None else slice(None))
+                rows = quintiles == q if source is not None else slice(None)
+                fallbacks[source] = _engel_fit(*(a[rows] for a in inputs), cfg)
             groups.append(fallbacks[source])
             n_fallback += 1
         labels.append(f"q{q + 1}_band{b + 1}")
@@ -536,7 +533,7 @@ def value_households(groups, group_of, exp, shares, totals, transfers, p1, emiss
     time: each one's group budget elasticities and xi come from a
     (groups, k) table indexed by ``group_of``. The calibration and the
     closed forms (Creedy 1998) are row-wise, so each household gets the
-    values its group alone would give.
+    values its group alone would give, whatever the block size.
     """
     budgets, xis = np.array([g.budget for g in groups]), np.array([g.xi for g in groups])
     p0 = np.ones(len(p1))
@@ -547,25 +544,29 @@ def value_households(groups, group_of, exp, shares, totals, transfers, p1, emiss
         block = slice(start, start + VALUE_BLOCK_ROWS)
         exp_b, shares_b, totals_b = exp[block], shares[block], totals[block]
         group_b = group_of[block]
-        budget = budgets[group_b]
+        # a share is 0 wherever nothing is spent, so phi is too
+        phi = np.take(budgets, group_b, axis=0)
+        phi *= shares_b
         # households with no bought good whose budget elasticity times share is
         # positive (a subnormal share makes it 0) have no marginal budget to
         # calibrate: value them as Cobb-Douglas (phi = own shares, gamma = 0)
-        cobb_douglas = ~np.any((exp_b > 0) & (budget * shares_b > 0), axis=1)
+        cobb_douglas = ~phi.any(axis=1)
         n_cobb_douglas += int(cobb_douglas.sum())
-        budget[cobb_douglas] = 1.0
-        gamma, phi = _frisch_terms(budget, xis[group_b], shares_b, exp_b, totals_b)
+        phi[cobb_douglas] = shares_b[cobb_douglas]
+        gamma, phi = _frisch_terms(phi, xis[group_b], exp_b, totals_b)
         gamma[cobb_douglas] = 0.0
-        # the households whose budget misses the committed bundle after the
-        # change: each is named in one message, none is valued
-        short = (p1 * gamma).sum(axis=-1) >= totals_b
+        params = LesParameters(gamma=gamma, phi=phi)
+        net_b = totals_b + transfers[block]
         rows = slice(None)
-        if short.any():
-            infeasible[block] = short
-            rows = ~short
-        net_b = totals_b[rows] + transfers[block][rows]
-        value = les_valuation(p0, p1, totals_b[rows], net_b,
-                              LesParameters(gamma=gamma[rows], phi=phi[rows]), emissions)
+        try:
+            value = les_valuation(p0, p1, totals_b, net_b, params, emissions)
+        except InfeasibleBudgetError:
+            # the households whose budget misses the committed bundle after
+            # the change: each is named in one message, none is valued
+            short = params.committed_cost(p1) >= totals_b
+            infeasible[block], rows = short, ~short
+            value = les_valuation(p0, p1, totals_b[rows], net_b[rows],
+                                  LesParameters(gamma=gamma[rows], phi=phi[rows]), emissions)
         values[:3, block][:, rows] = value.cv, value.ye, value.ye_net
         if emissions is not None:
             values[3, block][rows] = value.footprint_after
@@ -576,6 +577,10 @@ def value_households(groups, group_of, exp, shares, totals, transfers, p1, emiss
 # Scenario run: load_inputs -> form_prices -> rank_households ->
 # estimate_demand_groups -> value_households -> assemble -> build_tables
 # ---------------------------------------------------------------------------
+
+
+# elasticities.csv: one row per demand group and category
+ELASTICITY_COLUMNS = ("group", "category", "share", "eta", "eta_own", "phi", "gamma", "xi")
 
 
 @dataclass
@@ -590,7 +595,8 @@ class ScenarioResult:
     revenue: float
     seed: int
     config_hash: str
-    elasticities: list[list] = field(default_factory=list)
+    elasticities: dict[str, np.ndarray] = field(
+        default_factory=lambda: dict.fromkeys(ELASTICITY_COLUMNS, ()))
     diagnostics: dict[str, float] = field(default_factory=dict)
     load_report: LoadReport | None = None
     carbon: CarbonTaxResult | None = None
@@ -745,7 +751,7 @@ def rank_households(cfg: RunConfig, frame: HouseholdSurvey):
 
 def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, transfers,
              groups: list[GroupDemand], labels: list[str]):
-    """Assembly stage: the per-household frame and the elasticity rows.
+    """Assembly stage: the per-household frame and the elasticity table's columns.
 
     ``ranked`` and ``values`` are what ``rank_households`` and
     ``value_households`` return. A report group's share and burden sum its
@@ -771,16 +777,19 @@ def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, tra
         household[f"burden_{g}"] = burden_g[:, j]
 
     # group-level demand parameters: calibrated at the group mean basket,
-    # expressed per currency unit of total expenditure
-    elasticity_rows: list[list] = []
-    for label, g in zip(labels, groups):
-        gp = les_calibrate_frisch(g.budget, g.xi, g.mean_shares, g.mean_shares, 1.0)
-        for j, cat in enumerate(categories):
-            if cfg.skip_empty_categories and g.mean_shares[j] <= 0:
-                continue
-            elasticity_rows.append([label, cat, g.mean_shares[j], g.budget[j], g.own_price[j],
-                                    gp.phi[j], gp.gamma[j], g.xi])
-    return household, elasticity_rows
+    # expressed per currency unit of total expenditure; one row per group
+    # and category, in that order
+    shares_g, budget_g, own_g = np.reshape(
+        [[g.mean_shares, g.budget, g.own_price] for g in groups],
+        (len(groups), 3, len(categories))).transpose(1, 0, 2)
+    xi_g = np.array([g.xi for g in groups])
+    gp = les_calibrate_frisch(budget_g, xi_g, shares_g, shares_g, np.ones(len(groups)))
+    kept = (shares_g > 0) | (not cfg.skip_empty_categories)
+    cells = (np.array(labels)[:, np.newaxis], np.array(categories.ids), shares_g, budget_g,
+             own_g, gp.phi, gp.gamma, xi_g[:, np.newaxis])
+    elasticities = {name: np.broadcast_to(v, kept.shape)[kept]
+                    for name, v in zip(ELASTICITY_COLUMNS, cells)}
+    return household, elasticities
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioResult:
@@ -811,7 +820,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     if not np.isfinite(values[3]).all():  # the footprints after the change
         raise _emission_content_error(prices.unit_emissions, inputs.categories)
 
-    household, elasticity_rows = assemble(cfg, inputs, prices, ranked, values, transfers,
+    household, elasticities = assemble(cfg, inputs, prices, ranked, values, transfers,
                                           groups, labels)
     group_names = tuple(DEFAULT_REPORT_GROUPS)
     return ScenarioResult(
@@ -825,7 +834,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         revenue=revenue,
         seed=cfg.seed,
         config_hash=cfg.config_hash(),
-        elasticities=elasticity_rows,
+        elasticities=elasticities,
         diagnostics={
             "cobb_douglas_fallbacks": n_cobb_douglas,
             "group_fallbacks": n_fallback,
@@ -983,28 +992,27 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
         "consumer_prices": (["category", "relative", "inflation", "carbon"],
                             [[c, *(f"{r[j]:.12g}" for r in relatives)]
                              for j, c in enumerate(result.categories)]),
-        "elasticities": (["group", "category", "share", "eta", "eta_own", "phi", "gamma", "xi"],
-                         result.elasticities),
     }, outdir)
 
     # each spec gives the text that _format_cell (or {:.6f} for money
     # columns) gives the column's cells; budget shares keep format_value's
     # 12 digits, so that ``report`` rebuilds t3 as ``run`` wrote it
     hh = result.household
-    p = outdir / "households.csv"
-    columns = list(hh.keys())
     specs = [
         "%s" if c == "id"
         else "%.6f" if c in MONEY_COLUMNS or c.startswith("burden_")
         else "%d" if c == "quintile"
         else "%.12g" if c.startswith("share_")
         else "%.6g"
-        for c in columns
+        for c in hh
     ]
-    with open(p, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
-        _write_rows(fh, specs, [hh[c] for c in columns], "\n")
-    paths["households"] = p
+    for name, frame, frame_specs in (
+            ("elasticities", result.elasticities, ["%s", "%s"] + ["%.6g"] * 6),
+            ("households", hh, specs)):
+        paths[name] = p = outdir / f"{name}.csv"
+        with open(p, "wb") as fh:
+            fh.write((",".join(frame) + "\n").encode())
+            _write_rows(fh, frame_specs, list(frame.values()), "\n")
 
     p = outdir / "run_manifest.json"
     manifest = {

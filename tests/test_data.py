@@ -24,10 +24,10 @@ from priceshock.data import (
     FuelTable,
     HouseholdSurvey,
     LoadReport,
+    _csv_field,
     _keyed_order,
     CSV_BLOCK_ROWS,
     SURVEY_VALUE_LIMIT,
-    _csv_column,
     _number_words,
     _write_rows,
     as_survey,
@@ -796,8 +796,8 @@ class TestRowWriter:
         out = io.BytesIO()
         _write_rows(out, specs, columns, "\r\n")
         row_format = ",".join(specs) + "\r\n"
-        texts = [_csv_column(list(map(str, columns[0]))), *(c.tolist() for c in columns[1:-1]),
-                 _csv_column(columns[-1])]
+        texts = [[_csv_field(str(t)) for t in columns[0]], *(c.tolist() for c in columns[1:-1]),
+                 list(map(_csv_field, columns[-1]))]
         assert out.getvalue().decode("utf-8", "surrogatepass") == "".join(
             row_format % row for row in zip(*texts))
 
@@ -829,7 +829,45 @@ class TestRowWriter:
         out = io.BytesIO()
         _write_rows(out, specs, columns, "\r\n")
         row_format = ",".join(specs) + "\r\n"
-        cells = [_csv_column(ids), *(c.tolist() for c in columns[1:])]
+        cells = [list(map(_csv_field, ids)), *(c.tolist() for c in columns[1:])]
+        want = "".join(row_format % row for row in zip(*cells))
+        assert out.getvalue() == want.encode("utf-8", "surrogatepass")
+
+
+class TestTextColumns:
+    """A numpy str column becomes words in numpy, as UTF-8 where a text is
+    not ASCII; a text that needs quoting or holds a NUL sends its row to
+    ``%``."""
+
+    SPECIAL = st.text(st.characters(codec="utf-8") | st.sampled_from('\ud800\udfff\x00,"\r\n'),
+                      max_size=6)
+    TEXTS = (st.just("") | st.from_regex(r"[A-Za-z0-9_. -]{1,12}", fullmatch=True) | SPECIAL
+             | st.text(st.sampled_from("ab\x00"), max_size=8)
+             | st.text(st.sampled_from("ab"), min_size=40, max_size=300)
+             | st.text(st.sampled_from('ab,"\x00\u00e9'), min_size=40, max_size=300))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 9), n=st.integers(1, 40))
+    def test_bytes_equal_the_percent_path_of_each_row(self, data, block, n):
+        """ids and labels as str arrays, most of them plain and some drawn
+        with commas, quotes, CR, LF, NUL, non-ASCII characters, lone
+        surrogates, empty or long, in blocks that mix plain rows with rows
+        written by ``%``."""
+        columns = []
+        for prefix in ("h", "g"):
+            texts = [f"{prefix}{i}" for i in range(n)]
+            for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+                texts[i] = data.draw(self.TEXTS)
+            columns.append(np.array(texts, dtype=str))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        specs = ["%s", "%.6f", "%s", "%.6g"]
+        columns = [columns[0], rng.random(n) * 1e4, columns[1], rng.random(n) - 0.5]
+        out = io.BytesIO()
+        with mock.patch.object(data_module, "CSV_BLOCK_ROWS", block):
+            _write_rows(out, specs, columns, "\n")
+        row_format = ",".join(specs) + "\n"
+        cells = [[_csv_field(str(t)) if s == "%s" else t for t in c.tolist()]
+                 for s, c in zip(specs, columns)]
         want = "".join(row_format % row for row in zip(*cells))
         assert out.getvalue() == want.encode("utf-8", "surrogatepass")
 

@@ -15,7 +15,7 @@ from priceshock.demand import (LesParameters, compensating_variation, equivalent
                                les_calibrate_frisch, les_demand)
 from priceshock.errors import DataValidationError
 from priceshock.fixtures import fuel_table, io2_table
-from priceshock.imputation import wls_fit
+from priceshock.imputation import wls_coefficients
 from priceshock.scenario import (
     MIN_GROUP_OBS,
     GroupDemand,
@@ -392,12 +392,11 @@ class TestRunScenario:
         assert np.all(hh["fp_after"] > 0)
 
     def test_elasticity_export_rows(self, run_result):
-        rows = run_result.elasticities
-        assert rows, "elasticity table must not be empty"
-        cats = {r[1] for r in rows}
+        table = run_result.elasticities
+        assert len(table["group"]), "elasticity table must not be empty"
+        cats = set(table["category"].tolist())
         assert "food" in cats and "alcohol" in cats
-        for row in rows:
-            assert row[7] <= -1.3  # money flexibility at or below the cap
+        assert np.all(table["xi"] <= -1.3)  # money flexibility at or below the cap
 
     def test_skip_empty_categories_flag(self, bundle_dir, tmp_path):
         p = derived_config(
@@ -405,7 +404,7 @@ class TestRunScenario:
             lambda t: t + "\ndistribution.skip_empty_categories = true",
         )
         res = run_scenario(parse_config(p))
-        cats = {r[1] for r in res.elasticities}
+        cats = set(res.elasticities["category"].tolist())
         assert "alcohol" not in cats and "childcare" not in cats
         assert "food" in cats
 
@@ -629,7 +628,7 @@ class TestFallbackFitsOnDemand:
 
     def test_demo_fits_each_cell_and_each_fallback_source_once(self, bundle_dir):
         cfg = parse_config(bundle_dir / "config.txt")
-        with mock.patch("priceshock.scenario.wls_fit", wraps=wls_fit) as counted:
+        with mock.patch("priceshock.scenario.wls_coefficients", wraps=wls_coefficients) as counted:
             result = run_scenario(cfg)
         # 14 cells: 11 fitted on their own rows, 3 falling back to 3 distinct fits
         assert result.diagnostics["group_fallbacks"] == 3
@@ -647,7 +646,7 @@ class TestFallbackFitsOnDemand:
         # its size-band-1 households, so that cell falls back to q2's fit
         quintiles = np.r_[np.zeros(6, dtype=int), 1 + np.arange(len(totals) - 6) % 4]
         quintiles[np.flatnonzero((quintiles == 1) & (band == 0))[5:]] = 2
-        with mock.patch("priceshock.scenario.wls_fit", wraps=wls_fit) as counted:
+        with mock.patch("priceshock.scenario.wls_coefficients", wraps=wls_coefficients) as counted:
             groups, labels, _, n_fallback = estimate_demand_groups(shares, totals, w, sizes,
                                                                    quintiles, cfg)
         cells = np.bincount(3 * quintiles + band)
