@@ -15,14 +15,18 @@ this process after one untimed warm-up. Each stage is timed where the run
 calls it: ``load_inputs``, ``form_prices``, ``rank_households``,
 ``estimate_demand_groups``, ``value_households``, ``build_tables`` and
 ``emit_reports``; ``run`` is the whole of both calls. The JSON gives the
-best and the median of each, in seconds, and ``vmhwm_mb``, the process's
-peak resident memory (VmHWM in /proc/self/status) after its last call.
-BLAS and OpenMP are pinned to one thread unless the environment sets them.
+best and the median of each, in seconds; ``first_s``, its time in the
+warm-up run, which pays the first-use costs (lazy imports, caches) that a
+fresh ``priceshock run`` pays too; and ``vmhwm_mb``, the process's peak
+resident memory (VmHWM in /proc/self/status) after its last call. BLAS and
+OpenMP are pinned to one thread unless the environment sets them.
 
-``--label NAME`` times the workload at each of ``SIZES`` (240, 24,000 and
-240,000 households), each in a fresh interpreter that reads inputs written
-beforehand, so that its memory peak is the run's own, and writes the
-reports to ``BENCH_<NAME>.json`` in the current directory.
+``--label NAME`` times the workload in a fresh interpreter that reads
+inputs written beforehand, so that its memory peak is the run's own, and
+writes the reports to ``BENCH_<NAME>.json`` in the current directory. A
+workload in ``TILED`` is timed at each of ``SIZES`` (240, 24,000 and
+240,000 households); the others, whose inputs do not depend on the tiles,
+once.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from priceshock import scenario  # noqa: E402
 STAGES = ("load_inputs", "form_prices", "rank_households", "estimate_demand_groups",
           "value_households", "build_tables", "emit_reports")
 SIZES = (1, 100, 1000)  # --label: SURVEY_TILES, the copies of the 240-household survey
+TILED = ("survey_carbon",)  # the workloads whose survey gen.SURVEY_TILES sets
 
 
 def vmhwm_mb() -> float | None:
@@ -78,16 +83,19 @@ def _timed(fn, name: str, samples: dict[str, list[float]], peaks: dict[str, floa
 
 
 def time_stages(config, outdir, repeat: int) -> dict:
-    """{stage: {calls, best_s, median_s, vmhwm_mb}} for ``repeat`` runs of ``config``."""
+    """{stage: {calls, best_s, median_s, first_s, vmhwm_mb}} for ``repeat``
+    runs of ``config`` after the warm-up run that ``first_s`` times."""
     samples: dict[str, list[float]] = {name: [] for name in (*STAGES, "run")}
     peaks: dict[str, float | None] = dict.fromkeys(samples)
+    first: dict[str, float | None] = {}
     with ExitStack() as stack:
         for name in STAGES:
             stack.enter_context(mock.patch.object(
                 scenario, name, _timed(getattr(scenario, name), name, samples, peaks)))
         for rep in range(repeat + 1):  # the first run warms up and is not kept
             if rep == 1:
-                for seconds in samples.values():
+                for name, seconds in samples.items():
+                    first[name] = sum(seconds) if seconds else None
                     seconds.clear()
             start = time.perf_counter()
             result = scenario.run_scenario(scenario.parse_config(config))
@@ -97,7 +105,7 @@ def time_stages(config, outdir, repeat: int) -> dict:
     return {
         name: {"calls": len(seconds), "best_s": min(seconds, default=None),
                "median_s": statistics.median(seconds) if seconds else None,
-               "vmhwm_mb": peaks[name]}
+               "first_s": first[name], "vmhwm_mb": peaks[name]}
         for name, seconds in samples.items()
     }
 
@@ -115,11 +123,11 @@ def generate(workload: str, seed: int, tiles: int | None, out: Path) -> tuple[Pa
 
 
 def write_label(args, work: Path) -> dict:
-    """Time the workload at each of ``SIZES`` in a fresh interpreter and
-    write ``BENCH_<label>.json``."""
+    """Time the workload in a fresh interpreter, at each of ``SIZES`` if it
+    is in ``TILED``, and write ``BENCH_<label>.json``."""
     report = {"label": args.label, "workload": args.workload, "seed": args.seed,
               "repeat": args.repeat, "sizes": []}
-    for tiles in SIZES:
+    for tiles in SIZES if args.workload in TILED else (None,):
         config, facts = generate(args.workload, args.seed, tiles, work / f"inputs-{tiles}")
         child = subprocess.run(
             [sys.executable, __file__, "--config", str(config), "--repeat", str(args.repeat)],
@@ -138,8 +146,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tiles", type=int, default=None,
                         help="copies of the base survey (gen.SURVEY_TILES, default its own)")
     parser.add_argument("--repeat", type=int, default=15, help="timed runs (default 15)")
-    parser.add_argument("--label", help="time the workload at each of SIZES and write "
-                                        "BENCH_<LABEL>.json")
+    parser.add_argument("--label", help="time the workload (at each of SIZES if it is in "
+                                        "TILED) and write BENCH_<LABEL>.json")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")

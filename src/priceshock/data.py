@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -666,7 +666,10 @@ def _loadtxt_table(path, columns) -> tuple[list[str], np.ndarray, np.ndarray] | 
                 rows = next(blocks, None)
                 if rows is None:  # loadtxt warns on a file without rows
                     return None
-                if label_bytes is None:
+                if label_bytes is None and at == 0:
+                    # a line without a comma gives -1; loadtxt raises for it
+                    label_bytes = 2 * max(map(str.find, rows, repeat(",")))
+                elif label_bytes is None:
                     fields = (line.split(",", at + 1) for line in rows)
                     label_bytes = 2 * max(len(f[at]) if len(f) > at else 0 for f in fields)
                 dtype = _record_dtype(width, at, usecols, -(-(label_bytes + 1) // 8) * 8)
@@ -677,23 +680,38 @@ def _loadtxt_table(path, columns) -> tuple[list[str], np.ndarray, np.ndarray] | 
             table = records(None)
             if table is None:
                 return None
-            label_len = int(np.char.str_len(table[f"c{at}"]).max())
-            if label_len == table.dtype[f"c{at}"].itemsize:  # a label may be cut
+            label_block = _label_bytes(table, at, len(usecols))
+            if label_block.shape[1] == table.dtype[f"c{at}"].itemsize:  # a label may be cut
                 fh.seek(data_start)
                 longest = max(max(map(len, lines)) for lines in row_blocks())
                 fh.seek(data_start)
                 table = records(longest)
-                label_len = int(np.char.str_len(table[f"c{at}"]).max())
+                label_block = _label_bytes(table, at, len(usecols))
     except (OSError, ValueError, IndexError):  # such as a cell like 1_0, or a short row
         return None
-    row_bytes = table.view(np.uint8).reshape(len(table), -1)
-    values = row_bytes[:, :8 * len(usecols)].view(np.float64)
+    values = table.view(np.uint8).reshape(len(table), -1)[:, :8 * len(usecols)].view(np.float64)
     if not np.isfinite(values).all():
         return None
     # the labels' ASCII bytes widened to code points are their str array
-    label_len = max(label_len, 1)
-    codes = row_bytes[:, 8 * len(usecols):8 * len(usecols) + label_len].astype(np.uint32)
-    return header, codes.view(f"U{label_len}").ravel(), values
+    codes = label_block.astype(np.uint32)
+    return header, codes.view(f"U{codes.shape[1]}").ravel(), values
+
+
+def _label_bytes(table: np.ndarray, at: int, n_values: int) -> np.ndarray:
+    """The (rows, width) uint8 block of ``_loadtxt_table``'s label field
+    ``c{at}``, cut to the longest label (at least one byte). The labels are
+    printable ASCII, NUL-padded to the field's width, so the longest ends
+    at the last byte position that is not NUL in some row: the field's
+    8-byte words (``_record_dtype`` aligns it) are OR-ed over the rows, one
+    strided pass per word."""
+    words = table.view(np.uint64).reshape(len(table), -1)[
+        :, n_values:n_values + table.dtype[f"c{at}"].itemsize // 8]
+    seen = np.array([np.bitwise_or.reduce(words[:, j]) for j in range(words.shape[1])],
+                    dtype=np.uint64)
+    used = np.flatnonzero(seen.view(np.uint8))
+    start = 8 * n_values
+    return table.view(np.uint8).reshape(len(table), -1)[
+        :, start:start + (used[-1] + 1 if len(used) else 1)]
 
 
 def read_input(path, columns, checks=None, order=None, *,
@@ -788,7 +806,9 @@ def _survey_columns(path, header: list[str], categories: CategorySet | None = No
     required = ["id", "weight", "size"] + (["inc"] if categories is None else [])
     missing = [c for c in required if c not in header]
     if missing:
-        raise DataValidationError(f"{path}: missing required columns {missing}")
+        bom = ("; the header starts with a UTF-8 byte-order mark (U+FEFF): save the file "
+               "without it" if header and header[0].startswith("\ufeff") else "")
+        raise DataValidationError(f"{path}: missing required columns {missing}{bom}")
     demo_cols = [c for c in header if c.startswith(DEMOGRAPHIC_PREFIX)]
     if categories is None:
         return ["weight", "size", "inc", *demo_cols]
@@ -867,12 +887,14 @@ def _read_survey(path, names, spent: int = 0) -> tuple[list[str], np.ndarray, np
     """(header, ids, values) of a survey file as ``read_input`` reads it with
     ``_survey_checks``, ``names(header)`` giving the value columns, the ids
     a str array."""
+    def columns(header):
+        value_columns = names(header)  # raises for a missing column, id included
+        return header.index("id"), [header.index(c) for c in value_columns]
+
     def checks(header, labels, values, bad):
         return _survey_checks(labels, values, bad, names(header), spent)
 
-    return read_input(
-        path, lambda header: (header.index("id"), [header.index(c) for c in names(header)]),
-        checks, label_array=True)
+    return read_input(path, columns, checks, label_array=True)
 
 
 def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:

@@ -354,11 +354,6 @@ def equivalent_variation(p0: np.ndarray, p1: np.ndarray, total: float,
     return total - equivalent_income(p0, p1, total, params)
 
 
-def laspeyres_cost(p0: np.ndarray, p1: np.ndarray, quantities: np.ndarray) -> float:
-    """Fixed-basket cost increase of moving from p0 to p1."""
-    return float(np.dot(np.asarray(p1) - np.asarray(p0), quantities))
-
-
 def behavioural_emissions(
     p0: np.ndarray,
     p1: np.ndarray,

@@ -30,7 +30,6 @@ import numpy as np
 from .data import (
     CategorySet,
     DEFAULT_REPORT_GROUPS,
-    FuelTable,
     HouseholdRecord,
     MrioTable,
     format_value,
@@ -125,11 +124,6 @@ class LesFixture:
 
 def les_fixture() -> LesFixture:
     return LesFixture()
-
-
-def fuel_table() -> FuelTable:
-    names, prices, carbon = zip(*FUEL_ROWS)
-    return FuelTable(fuels=names, price=np.array(prices), carbon_kg_per_unit=np.array(carbon))
 
 
 def _logistic(z: float) -> float:

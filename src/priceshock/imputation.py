@@ -50,6 +50,22 @@ def _norm_pdf(z):
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
+def _linear_predictor(design: np.ndarray, names, fit_names, coefficients) -> np.ndarray:
+    """The columns ``fit_names`` of ``design`` (whose columns are ``names``)
+    times ``coefficients``.
+
+    The columns are taken as a copy, which numpy lays out in Fortran order,
+    so the product runs the same BLAS kernel whatever the caller's layout. A
+    Fortran-ordered design whose columns are exactly ``fit_names`` is used
+    as it is: its product has the copy's bits without the copy.
+    """
+    names = list(names)
+    cols = [names.index(n) for n in fit_names]
+    if not (design.flags.f_contiguous and cols == list(range(design.shape[1]))):
+        design = design[:, cols]
+    return design @ coefficients
+
+
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
@@ -70,8 +86,7 @@ class RegressionFit:
     n_obs: int
 
     def predict(self, design: np.ndarray, names) -> np.ndarray:
-        cols = [list(names).index(n) for n in self.names]
-        return design[:, cols] @ self.coefficients
+        return _linear_predictor(design, names, self.names, self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -86,8 +101,7 @@ class BinaryFit:
     log_likelihood: float = float("nan")
 
     def predict(self, design: np.ndarray, names) -> np.ndarray:
-        cols = [list(names).index(n) for n in self.names]
-        z = design[:, cols] @ self.coefficients
+        z = _linear_predictor(design, names, self.names, self.coefficients)
         if self.link == "logit":
             with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
                 return 1.0 / (1.0 + np.exp(-z))
@@ -95,7 +109,18 @@ class BinaryFit:
 
 
 def _collinear_columns(design: np.ndarray, names) -> tuple[list[int], list[str]]:
-    """Greedy independent-column selection; returns kept indices and flagged names."""
+    """Greedy independent-column selection; returns kept indices and flagged names.
+
+    A design of full column rank keeps every column: by singular-value
+    interlacing (Golub and Van Loan, *Matrix Computations*, 4th ed.) a
+    column prefix's smallest singular value is at least the design's and
+    its largest at most the design's, so the prefix clears ``matrix_rank``'s
+    cut (eps × max(rows, columns) × the largest singular value), which is
+    no higher than the design's. Only a deficient design is walked one
+    column prefix at a time.
+    """
+    if np.linalg.matrix_rank(design) == design.shape[1]:
+        return list(range(design.shape[1])), []
     kept: list[int] = []
     flagged: list[str] = []
     rank = 0
@@ -286,26 +311,40 @@ def impute_total_expenditure(fit: RegressionFit, design: np.ndarray, names,
     return total
 
 
+def participation_flags(probabilities: np.ndarray, weights: np.ndarray,
+                        target_shares) -> np.ndarray:
+    """``impute_participation`` for every column of the (records × categories)
+    ``probabilities`` at once, each column with its own target share.
+
+    One stable sort ranks every category's records, and one cumulative sum
+    along the ranks gives the weight mass before each record.
+    """
+    target_shares = np.asarray(target_shares, dtype=float)
+    outside = ~((target_shares >= 0.0) & (target_shares <= 1.0))
+    if outside.any():
+        raise DataValidationError(f"target share {target_shares[outside][0]} outside [0, 1]")
+    weights = np.asarray(weights, dtype=float)
+    # one row per category, its records contiguous for the sort and the sum
+    order = stable_order(np.ascontiguousarray(-np.asarray(probabilities, dtype=float).T))
+    total = float(weights.sum())
+    eps = 1e-9 * max(total, 1.0)
+    before = np.zeros(order.shape)
+    np.cumsum(weights[order[:, :-1]], axis=1, out=before[:, 1:])
+    flags = np.zeros(order.shape, dtype=int)
+    np.put_along_axis(flags, order, before < (target_shares * total - eps)[:, np.newaxis], axis=1)
+    return flags.T
+
+
 def impute_participation(probabilities: np.ndarray, weights: np.ndarray,
                          target_share: float) -> np.ndarray:
     """Assign positive-expenditure flags to the highest-probability records.
 
     Records are taken in descending predicted probability (stable for
-    ties) until their weight mass replicates the target share.
+    ties) until their weight mass replicates the target share; the
+    one-column case of ``participation_flags``.
     """
-    if not 0.0 <= target_share <= 1.0:
-        raise DataValidationError(f"target share {target_share} outside [0, 1]")
-    probabilities = np.asarray(probabilities, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    order = stable_order(-probabilities)
-    total = float(weights.sum())
-    threshold = target_share * total
-    eps = 1e-9 * max(total, 1.0)
-    cum_before = np.concatenate([[0.0], np.cumsum(weights[order])[:-1]])
-    chosen = order[cum_before < threshold - eps]
-    out = np.zeros(len(probabilities), dtype=int)
-    out[chosen] = 1
-    return out
+    column = np.asarray(probabilities, dtype=float)[:, np.newaxis]
+    return participation_flags(column, weights, [target_share])[:, 0]
 
 
 def impute_budget_shares(
@@ -464,7 +503,9 @@ def impute_expenditure_patterns(
     names_engel = ["const", "ln_x", "ln_x_sq"] + demo_names
     design_engel_source = np.column_stack([np.ones(n_src), ln_x, ln_x**2, demo_source])
     ln_x_hat = np.log(x_hat)
-    design_engel_inc = np.column_stack([np.ones(n_inc), ln_x_hat, ln_x_hat**2, demo_inc])
+    # Fortran-ordered, so that each of the fits' predictions reads it without a copy
+    design_engel_inc = np.asfortranarray(
+        np.column_stack([np.ones(n_inc), ln_x_hat, ln_x_hat**2, demo_inc]))
 
     w_total = float(source_w.sum())
     targets: dict[str, float] = {}
@@ -487,15 +528,13 @@ def impute_expenditure_patterns(
 
     inc_w = income.weight
     indicators = np.zeros((n_inc, len(categories)), dtype=int)
-    for j, cat in enumerate(categories):
-        share = targets[cat]
-        if share == 0.0:
-            continue
-        if share == 1.0:
-            indicators[:, j] = 1
-            continue
-        probs = participation_fits[cat].predict(design_engel_inc, names_engel)
-        indicators[:, j] = impute_participation(probs, inc_w, share)
+    indicators[:, [j for j, cat in enumerate(categories) if targets[cat] == 1.0]] = 1
+    fitted = [j for j, cat in enumerate(categories) if cat in participation_fits]
+    if fitted:  # the categories that some but not all source households buy
+        probs = np.array([participation_fits[categories.ids[j]].predict(
+            design_engel_inc, names_engel) for j in fitted]).T
+        indicators[:, fitted] = participation_flags(
+            probs, inc_w, [targets[categories.ids[j]] for j in fitted])
 
     shares = impute_budget_shares(
         share_fits, design_engel_inc, names_engel, indicators, ids_inc, seed, categories, keys=keys

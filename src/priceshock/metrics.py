@@ -60,19 +60,22 @@ def equivalise(expenditure, size, scale: str = "sqrt"):
 
 
 def stable_order(values) -> np.ndarray:
-    """``np.argsort(values, kind="stable")``, from the faster default sort
-    when it can be.
+    """``np.argsort(values, kind="stable")`` along the last axis, from the
+    faster default sort when it can be.
 
     Without ties the sorting permutation is unique, so the default (SIMD)
-    sort returns the stable order itself. When two neighbours in its order
-    are equal (+0.0 and -0.0 included), or more than one value is NaN, the
-    stable sort is run instead.
+    sort returns the stable order itself. A row in whose order two
+    neighbours are equal (+0.0 and -0.0 included), or that holds more than
+    one NaN, is sorted again with the stable sort.
     """
     values = np.asarray(values)
     order = np.argsort(values)
-    ranked = values[order]
-    if np.any(ranked[1:] == ranked[:-1]) or (len(ranked) > 1 and np.isnan(ranked[-2])):
-        return np.argsort(values, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=-1)
+    redo = (ranked[..., 1:] == ranked[..., :-1]).any(axis=-1)
+    if values.shape[-1] > 1:
+        redo |= np.isnan(ranked[..., -2])
+    if redo.any():
+        order[redo] = np.argsort(values[redo], kind="stable")
     return order
 
 

@@ -63,14 +63,18 @@ def _hash64(keys) -> np.ndarray:
 
 def id_keys(ids) -> np.ndarray:
     """Each id's key for ``keyed_uniforms``: the sha256 of ``str(id)``, as uint64."""
-    return _hash64([str(i).encode() for i in ids])
+    return _hash64(str(i).encode() for i in ids)  # one pass: no list of encoded ids
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """The SplitMix64 output finaliser; uint64 arrays wrap without warning."""
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+    """The SplitMix64 output finaliser, applied to ``x`` in place and
+    returned; uint64 arrays wrap without warning."""
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def keyed_uniforms(seed: int, stream: str, ids, labels, *, keys=None) -> tuple[np.ndarray, np.ndarray]:
@@ -85,10 +89,16 @@ def keyed_uniforms(seed: int, stream: str, ids, labels, *, keys=None) -> tuple[n
     """
     keys = id_keys(ids) if keys is None else keys
     label_keys = _hash64(_key_text(int(seed), stream, label) for label in labels)
+    # the state steps and mixes in place: a fresh process pays a page fault
+    # for each page that a new (ids, labels) temporary touches
     state = keys[:, np.newaxis] ^ label_keys[np.newaxis, :]
-    u1 = (_mix64(state + _GAMMA) >> np.uint64(11)) * _UNIT
-    u2 = (_mix64(state + _GAMMA + _GAMMA) >> np.uint64(11)) * _UNIT
-    return u1, u2
+    state += _GAMMA
+    first = _mix64(state.copy())
+    state += _GAMMA
+    second = _mix64(state)
+    first >>= np.uint64(11)
+    second >>= np.uint64(11)
+    return first * _UNIT, second * _UNIT
 
 
 def keyed_normals(seed: int, stream: str, ids, labels, *, keys=None) -> np.ndarray:
@@ -98,4 +108,12 @@ def keyed_normals(seed: int, stream: str, ids, labels, *, keys=None) -> np.ndarr
     cell is keyed and for ``keys``.
     """
     u1, u2 = keyed_uniforms(seed, stream, ids, labels, keys=keys)
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(_TWO_PI * u2)
+    # sqrt(-2 log1p(-u1)) * cos(2 pi u2), each step in place in its operand
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= _TWO_PI
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1

@@ -24,7 +24,6 @@ from priceshock.demand import (
     equivalent_income,
     equivalent_variation,
     frisch_parameter,
-    laspeyres_cost,
     les_calibrate,
     les_demand,
     price_elasticities,
@@ -46,6 +45,8 @@ from priceshock.metrics import (
     household_inflation,
 )
 from priceshock.scenario import recycle_revenue
+
+from oracles import laspeyres_cost
 
 DURATIONS: dict[str, float] = {}
 

@@ -403,6 +403,26 @@ class TestTextEncoding:
         assert proc.stderr == (f"error: {work / 'households.csv'}: row 6: byte 0xe9 is not "
                                f"UTF-8 text (invalid continuation byte)\n")
 
+    @pytest.mark.parametrize("name", ["households.csv", "income.csv"])
+    @pytest.mark.parametrize("bom", [False, True], ids=["id renamed", "byte-order mark"])
+    def test_a_header_without_id_names_the_file(self, bundle_dir, tmp_path, name, bom):
+        """A header whose first cell reads hid, or \ufeffid in a file saved
+        with a UTF-8 byte-order mark, exits 1 naming the file and the column."""
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        cfg = work / "config.txt"
+        if name == "income.csv":
+            shutil.copyfile(work / "households.csv", work / name)
+            cfg.write_text(cfg.read_text() + "files.income = income.csv\nscenario.impute = true\n")
+        path = work / name
+        text = path.read_bytes()
+        assert text.startswith(b"id,")
+        path.write_bytes(b"\xef\xbb\xbf" + text if bom else b"h" + text)
+        proc = run_cli_process("run", "--config", cfg, "--out", tmp_path / "r", "--quiet")
+        note = ("; the header starts with a UTF-8 byte-order mark (U+FEFF): save the file "
+                "without it" if bom else "")
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: {path}: missing required columns ['id']{note}\n")
+
     def test_a_latin1_byte_in_the_config_names_its_line(self, bundle_dir, tmp_path):
         work = shutil.copytree(bundle_dir, tmp_path / "b")
         cfg = work / "config.txt"

@@ -19,7 +19,6 @@ from priceshock.demand import (
     equivalent_variation,
     frisch_parameter,
     frisch_parameter_lahiri,
-    laspeyres_cost,
     les_calibrate,
     les_calibrate_frisch,
     les_demand,
@@ -30,6 +29,7 @@ from priceshock.errors import DataValidationError, InfeasibleBudgetError
 from priceshock.fixtures import les_fixture
 
 from les_reference import expenditure_needed, indirect_utility
+from oracles import laspeyres_cost
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priceshock.data import (CategorySet, IncomeRecord, as_survey, load_household_survey,
                              load_income_survey)
@@ -11,6 +13,7 @@ from priceshock.errors import DataValidationError, SeparationError
 from priceshock.imputation import (
     BinaryFit,
     RegressionFit,
+    _collinear_columns,
     binary_fit,
     calibrate_income,
     chauvenet_outliers,
@@ -18,6 +21,7 @@ from priceshock.imputation import (
     impute_expenditure_patterns,
     impute_participation,
     impute_total_expenditure,
+    participation_flags,
     wls_fit,
 )
 
@@ -114,6 +118,23 @@ class TestWlsMatrixOutcome:
         fit = wls_fit(np.column_stack([np.ones(40), x]), 2.0 * x, np.ones(40), ["const", "x"])
         np.testing.assert_allclose(fit.coefficients, [0.0, 2.0], atol=1e-12)
 
+    def test_predictions_have_the_same_bits_in_either_layout(self):
+        """A Fortran-ordered design is read without a copy; its products
+        equal those of the column copy a C-ordered design is read through."""
+        rng = np.random.default_rng(5)
+        design = np.column_stack([np.ones(500), rng.normal(5.0, 1.0, (500, 4))])
+        names = ["const", "a", "b", "c", "d"]
+        y = design @ rng.normal(size=5) + rng.normal(size=500)
+        fits = [wls_fit(design, y, np.ones(500), names),
+                binary_fit(design, (y > np.median(y)).astype(float), np.ones(500), names),
+                RegressionFit(names=("c", "const"), coefficients=np.array([0.5, -2.0]),
+                              residual_mean=0.0, residual_var=1.0, n_obs=500)]
+        for fit in fits:
+            want = fit.predict(design, names)
+            assert np.array_equal(fit.predict(np.asfortranarray(design), names), want)
+        cols = [names.index(n) for n in fits[0].names]
+        assert np.array_equal(fits[0].predict(design, names), design[:, cols] @ fits[0].coefficients)
+
     def test_one_outcome_is_bit_identical_to_the_pinned_fit(self):
         # pinned from the per-outcome implementation; imputation relies on it
         x = np.linspace(1.0, 3.0, 40)
@@ -125,6 +146,57 @@ class TestWlsMatrixOutcome:
             "0x1.2e0b33864a038p+0", "-0x1.23e78ba07d073p+0", "0x1.3a2b15e9f7ccdp-2"]
         assert float(fit.residual_mean).hex() == "-0x1.2cccccccccccdp-52"
         assert float(fit.residual_var).hex() == "0x1.39dae061dc563p-5"
+
+
+def greedy_collinear_columns(design, names):
+    """Each column prefix's rank in turn: a column is kept when it raises
+    the rank of the kept columns, flagged otherwise."""
+    kept, flagged, rank = [], [], 0
+    for j in range(design.shape[1]):
+        r = np.linalg.matrix_rank(design[:, kept + [j]])
+        if r > rank:
+            kept.append(j)
+            rank = r
+        else:
+            flagged.append(names[j])
+    return kept, flagged
+
+
+@st.composite
+def designs(draw):
+    """An (n, p) design whose later columns may repeat, scale, combine or
+    nearly combine earlier ones (noise from 1e-3 down to 1e-15 of their
+    size), or be zero; n may be below p."""
+    n, p = draw(st.integers(1, 25)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e4])), (n, p))
+    for j in range(1, p):
+        kind = draw(st.sampled_from(["free", "combination", "near", "zero"]))
+        if kind == "zero":
+            design[:, j] = 0.0
+        elif kind != "free":
+            design[:, j] = design[:, :j] @ rng.normal(0.0, 1.0, j)
+            if kind == "near":
+                noise = draw(st.sampled_from([1e-3, 1e-8, 1e-12, 1e-15]))
+                design[:, j] += noise * np.abs(design[:, j]).max() * rng.normal(0.0, 1.0, n)
+    return design
+
+
+class TestCollinearColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(design=designs())
+    def test_equals_the_greedy_walk(self, design):
+        names = [f"c{j}" for j in range(design.shape[1])]
+        assert _collinear_columns(design, names) == greedy_collinear_columns(design, names)
+
+    def test_a_full_rank_design_takes_one_rank_test(self, monkeypatch):
+        calls = []
+        rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda a: calls.append(a.shape) or rank(a))
+        x = np.linspace(1.0, 3.0, 40)
+        design = np.column_stack([np.ones(40), x, x ** 2, np.sin(x)])
+        assert _collinear_columns(design, ["a", "b", "c", "d"]) == ([0, 1, 2, 3], [])
+        assert calls == [(40, 4)]
 
 
 def golden_section_loglik(x, y, w, lo=-10.0, hi=10.0, iters=200):
@@ -290,6 +362,17 @@ class TestImputeTotal:
         assert abs(draws.std() - 0.3) < 0.3 * 0.02
 
 
+def participation_by_column(probabilities, weights, share):
+    """One category's flags: the records in stably sorted descending
+    probability whose weight mass before them is below the target mass."""
+    order = np.argsort(-probabilities, kind="stable")
+    total = float(weights.sum())
+    before = np.concatenate([[0.0], np.cumsum(weights[order])[:-1]])
+    out = np.zeros(len(probabilities), dtype=int)
+    out[order[before < share * total - 1e-9 * max(total, 1.0)]] = 1
+    return out
+
+
 class TestImputeParticipation:
     def test_target_one_selects_everyone(self):
         out = impute_participation(np.linspace(0, 1, 10), np.ones(10), 1.0)
@@ -319,6 +402,29 @@ class TestImputeParticipation:
     def test_bad_share(self):
         with pytest.raises(DataValidationError):
             impute_participation(np.ones(3), np.ones(3), 1.5)
+        with pytest.raises(DataValidationError, match="target share nan"):
+            participation_flags(np.ones((3, 2)), np.ones(3), [0.5, np.nan])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_the_column_loop_bit_for_bit(self, data):
+        """Probabilities from a pool of a few values (signed zeros and nan
+        among them), so most columns hold ties."""
+        n, m = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 6))
+        pool = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan])
+                                  | st.floats(0.0, 1.0), min_size=1, max_size=6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        probs = np.array(pool)[rng.integers(0, len(pool), (n, m))]
+        weights = rng.choice([0.0, 1.0, 2.5, 12.5], n) if data.draw(st.booleans()) \
+            else rng.uniform(0.0, 30.0, n)
+        shares = [data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+                  for _ in range(m)]
+        flags = participation_flags(probs, weights, shares)
+        for j in range(m):
+            want = participation_by_column(probs[:, j], weights, shares[j])
+            np.testing.assert_array_equal(flags[:, j], want)
+            np.testing.assert_array_equal(impute_participation(probs[:, j], weights, shares[j]),
+                                          want)
 
 
 class TestImputeShares:

@@ -15,7 +15,7 @@ from priceshock.errors import (
     DataValidationError,
     NonProductiveEconomyError,
 )
-from priceshock.fixtures import fuel_table, io2_table
+from priceshock.fixtures import io2_table
 from priceshock.inputoutput import (
     TechnologyMatrix,
     bridge_to_categories,
@@ -33,6 +33,8 @@ from priceshock.inputoutput import (
     technology_matrix,
 )
 from priceshock.scenario import carbon_tax_scenario
+
+from oracles import fuel_table
 
 # hand derivation on the two-sector table: det(I - A) = 0.8*0.9 - 0.12 = 0.6
 L_HAND = np.array([[0.9, 0.3], [0.4, 0.8]]) / 0.6

@@ -91,6 +91,16 @@ class TestStableOrder:
     def test_empty(self):
         assert stable_order(np.array([])).tolist() == []
 
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(tied_arrays(), min_size=1, max_size=5), width=st.integers(0, 400))
+    def test_each_row_of_a_block_is_ordered_on_its_own(self, rows, width):
+        """Rows with ties and rows without, side by side: a row that needs
+        the stable sort gets it, and the others keep the SIMD sort's order."""
+        rng = np.random.default_rng(width)
+        block = np.array([np.resize(row, width) if i % 2 else rng.permutation(width) * 0.5
+                          for i, row in enumerate(rows)])
+        np.testing.assert_array_equal(stable_order(block), np.argsort(block, kind="stable"))
+
 
 class TestQuantileGroups:
     def test_ten_equal_weights_pair_up(self):

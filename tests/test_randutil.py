@@ -22,6 +22,13 @@ def bits(a) -> list[int]:
     return np.asarray(a, dtype=float).view(np.uint64).ravel().tolist()
 
 
+def test_normals_are_box_muller_of_the_uniforms_bit_for_bit():
+    ids, labels = [f"r{i}" for i in range(500)], [f"c{j}" for j in range(7)]
+    u1, u2 = keyed_uniforms(3, "share", ids, labels)
+    want = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    assert bits(keyed_normals(3, "share", ids, labels)) == bits(want)
+
+
 def test_golden_cells():
     """A change to the keying, the mixer or the transform changes these."""
     u1, u2 = keyed_uniforms(42, "share", IDS, LABELS)

@@ -14,7 +14,7 @@ from priceshock.data import (DEFAULT_REPORT_GROUPS, BridgingMatrix, CategorySet,
 from priceshock.demand import (LesParameters, compensating_variation, equivalent_income,
                                les_calibrate_frisch, les_demand)
 from priceshock.errors import DataValidationError
-from priceshock.fixtures import fuel_table, io2_table
+from priceshock.fixtures import io2_table
 from priceshock.imputation import wls_coefficients
 from priceshock.scenario import (
     MIN_GROUP_OBS,
@@ -36,6 +36,8 @@ from priceshock.scenario import (
     run_scenario,
     value_households,
 )
+
+from oracles import fuel_table
 
 
 class TestConsumerPrice:

@@ -37,6 +37,15 @@ def test_demo_times_every_stage_once_per_run(bundle_dir):
     assert sum(report["stages"][name]["best_s"] for name in stages) <= 2 * run_s
 
 
+def test_first_s_times_each_stage_in_the_warm_up_run(bundle_dir):
+    report = run("--config", bundle_dir / "config.txt", "--repeat", 1)
+    stages = report["stages"]
+    for name, times in stages.items():
+        assert times["first_s"] > 0, name
+    # the warm-up run holds its stages, as each timed run does
+    assert sum(stages[name]["first_s"] for name in load_script().STAGES) <= stages["run"]["first_s"]
+
+
 def test_a_workload_is_written_by_the_benchmark_generator():
     report = run("--workload", "impute_income", "--seed", 3, "--repeat", 1)
     assert (report["workload"], report["seed"], report["output_rows"]) == ("impute_income", 3, 4800)
@@ -66,6 +75,18 @@ def test_label_writes_one_report_per_size(tmp_path, monkeypatch):
             assert stage["calls"] == 1, name
             assert 0 < stage["best_s"] == stage["median_s"], name
             assert stage["vmhwm_mb"] > 0, name
+
+
+def test_label_times_an_untiled_workload_once(tmp_path, monkeypatch):
+    stage_times = load_script()
+    monkeypatch.setattr(stage_times, "SIZES", (1, 2))
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert stage_times.main(["--workload", "impute_income", "--seed", "2", "--repeat", "1",
+                                 "--label", "imp"]) == 0
+    report = json.loads((tmp_path / "BENCH_imp.json").read_text())
+    assert [(size["households"], size["output_rows"]) for size in report["sizes"]] == [(240, 4800)]
+    assert report["sizes"][0]["stages"]["run"]["first_s"] > 0
 
 
 def test_label_needs_a_workload(bundle_dir, capsys):

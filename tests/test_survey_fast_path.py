@@ -6,7 +6,11 @@ the ``read_table`` row path. Whatever the file, the two must agree: the
 same columns bit for bit, or the same message.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -248,3 +252,63 @@ def test_fast_path_reads_the_benchmark_like_file_without_rows(tmp_path):
         fast = load_household_survey(path, CATS)
     assert_same_frame(fast, row_path(load_household_survey)(path, CATS))
     assert fast.report.n_rows == n
+
+
+def table_by_rows(path, at, usecols):
+    """(header, labels, values) of ``path`` through ``read_table`` and ``float()``."""
+    header, rows, _ = data_module.read_table(path)
+    return header, [row[at] for row in rows], np.array([[float(row[c]) for c in usecols]
+                                                        for row in rows])
+
+
+class TestLoadtxtTable:
+    """``_loadtxt_table`` returns the row path's header, labels and values."""
+
+    @pytest.mark.parametrize("terminator", TERMINATORS, ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("at,usecols", [(0, [1, 2, 3]), (2, [0, 3, 1])],
+                             ids=["label first", "label third"])
+    def test_a_longer_label_in_a_later_block_is_read_again(self, tmp_path, terminator, at,
+                                                           usecols):
+        """The first block's labels are 2 bytes long, so the label field is
+        8 bytes wide; a later label fills it, and the file is read again."""
+        labels = ["h1", "h2", "h3", "h4", "a-much-longer-label-0005", "h6"]
+        rows = [["x", "y", "z"]] + [[f"{i}.5", f"{-i}", f"{i}e3"] for i in range(len(labels))]
+        lines = [",".join([*row[:at], label, *row[at:]]) for row, label in zip(rows, ["id", *labels])]
+        path = tmp_path / "t.csv"
+        path.write_bytes(terminator.join(lines).encode() + terminator.encode())
+        loadtxt = mock.Mock(wraps=np.loadtxt)
+        with mock.patch.object(data_module.np, "loadtxt", loadtxt), \
+                mock.patch.object(data_module, "CHUNK_BYTES", 20):
+            got = data_module._loadtxt_table(path, lambda header: (at, usecols))
+        assert loadtxt.call_count == 2
+        want = table_by_rows(path, at, usecols)
+        assert got[0] == want[0]
+        assert got[1].tolist() == want[1] == labels
+        assert got[1].dtype == np.dtype("U24")
+        np.testing.assert_array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("terminator", TERMINATORS, ids=["LF", "CRLF"])
+    def test_labels_that_fit_the_first_field_are_read_once(self, tmp_path, terminator):
+        path = tmp_path / "t.csv"
+        path.write_bytes(terminator.join(["w,id,v", "1,a,2", "3,bcd,4", "5,,6"]).encode()
+                         + terminator.encode())
+        loadtxt = mock.Mock(wraps=np.loadtxt)
+        with mock.patch.object(data_module.np, "loadtxt", loadtxt):
+            got = data_module._loadtxt_table(path, lambda header: (1, [2, 0]))
+        assert loadtxt.call_count == 1
+        want = table_by_rows(path, 1, [2, 0])
+        assert (got[0], got[1].tolist()) == (want[0], want[1])
+        assert got[1].dtype == np.dtype("U3")
+        np.testing.assert_array_equal(got[2], want[2])
+
+
+def test_a_run_imports_no_numpy_string_module(bundle_dir, tmp_path):
+    """``numpy.char`` and ``numpy.strings`` cost a fresh process about 1.5 ms
+    on first use; the demo run needs neither."""
+    code = ("import sys; from priceshock.cli import main; "
+            "assert main(['run', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']) == 0; "
+            "print(sorted(m for m in ('numpy.char', 'numpy.strings') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, str(bundle_dir / "config.txt"),
+                           str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(data_module.__file__).parents[1])})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
