@@ -99,15 +99,6 @@ SURVEY_VALUE_LIMIT = 1e100
 TOO_LARGE = "{path}: row {row}, column {col!r}: value {value} exceeds %g" % SURVEY_VALUE_LIMIT
 
 
-def format_value(v: float) -> str:
-    """Canonical decimal text: up to 12 significant digits.
-
-    Distinct 12-digit decimals map to distinct doubles, so text written
-    here reloads to the exact same float.
-    """
-    return f"{float(v):.12g}"
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -926,6 +917,10 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
         ids, values = ids[keep], values[keep]
     if not n_kept:
         raise DataValidationError(f"{path}: no usable household rows")
+    if not (values[:, 0] > 0).any():
+        dropped = report.n_dropped_zero_total
+        raise DataValidationError(f"{path}: every household has weight 0" + (
+            f", once the {dropped} of zero total expenditure are dropped" if dropped else ""))
     return HouseholdSurvey(
         ids=ids, weight=values[:, 0].copy(), size=values[:, 1].copy(),
         income=values[:, -1].copy() if "inc" in header else None,
@@ -952,6 +947,8 @@ def load_income_survey(path) -> HouseholdSurvey:
         report.notes.append(f"ignored {len(ignored)} expenditure column(s) in the income dataset")
     if not len(ids):
         raise DataValidationError(f"{path}: no income rows")
+    if not (values[:, 0] > 0).any():
+        raise DataValidationError(f"{path}: every household has weight 0")
     return HouseholdSurvey(
         ids=ids, weight=values[:, 0], size=values[:, 1], income=values[:, 2],
         demographic_names=tuple(c[len(DEMOGRAPHIC_PREFIX):] for c in cols[3:]),
@@ -972,6 +969,11 @@ def _csv_field(text: str) -> str:
 # enough that a block's temporaries (about 2 kB a households.csv row) stay
 # within a few MB.
 CSV_BLOCK_ROWS = 2048
+# Below this many rows _write_rows writes each row by ``%``: a numpy pass
+# costs 0.15-0.5 ms however few its rows, and ``%`` is faster up to about
+# 64 rows of households.csv's 27 columns (about 100 of a 4- to 9-column
+# table).
+FEW_ROWS = 64
 
 # the number specs _write_rows places itself: kind and precision
 _NUMBER_SPECS = {"%.6f": ("f", 6), "%.6g": ("g", 6), "%.12g": ("g", 12), "%d": ("d", 0)}
@@ -1255,25 +1257,44 @@ def _write_rows(fh, specs: Sequence[str], columns: Sequence, line_end: str) -> N
     ``specs`` joined by commas, then ``line_end``.
 
     A ``%s`` column's values are written as ``str()`` of each, CSV-quoted
-    (``_csv_field``); every other column is a numeric array under one of
-    ``_NUMBER_SPECS``. Blocks of ``CSV_BLOCK_ROWS`` rows are formatted in
+    (``_csv_field``); every other column holds numbers under one of
+    ``_NUMBER_SPECS``. Fewer than ``FEW_ROWS`` rows are written by ``%``
+    alone. Otherwise blocks of ``CSV_BLOCK_ROWS`` rows are formatted in
     numpy, numbers rounded exactly as ``%`` rounds (``_number_words``), and
     each block's bytes are written at once. A row holding a cell that path
     cannot prove, or a text that needs quoting or holds a NUL
     (``_text_words``), is written by ``row_format % row`` in its place.
     """
     row_format = ",".join(specs) + line_end
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, len(columns[0]))
+
+    def percent(i):
+        row = tuple(_csv_field(str(column[i])) if spec == "%s" else column[i]
+                    for spec, column in zip(specs, columns))
+        return (row_format % row).encode("utf-8", "surrogatepass")
+
+    n = len(columns[0])
+    if n < FEW_ROWS:
+        fh.write(b"".join(map(percent, range(n))))
+        return
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, n)
         data, ends, fallback = _block_text(specs, columns, start, stop, line_end)
         data, done = memoryview(data), 0
         for i in fallback:
-            row = tuple(_csv_field(str(column[start + i])) if spec == "%s"
-                        else column[start + i].item() for spec, column in zip(specs, columns))
             fh.write(data[done:ends[i]])
-            fh.write((row_format % row).encode("utf-8", "surrogatepass"))
+            fh.write(percent(start + i))
             done = ends[i]
         fh.write(data[done:])
+
+
+def write_csv(path, header: Sequence[str], specs: Sequence[str], columns: Sequence,
+              line_end: str = "\n") -> None:
+    """Write a CSV file: ``header``, each name CSV-quoted where it needs it
+    (``_csv_field``), then the rows of ``columns`` as ``_write_rows``
+    writes them, every line ending in ``line_end``."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_csv_field, header)) + line_end).encode("utf-8", "surrogatepass"))
+        _write_rows(fh, specs, columns, line_end)
 
 
 def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRecord],
@@ -1284,27 +1305,24 @@ def write_household_survey(path, survey: HouseholdSurvey | Sequence[HouseholdRec
     A list of records is converted once with ``as_survey``. Demographic
     columns come in name order, extra columns as ``str()`` of each value;
     rows end in CRLF, as the csv module ends them. The file is UTF-8 (ids
-    and extras ``surrogatepass``); rows are written by ``_write_rows``, as
-    one %-format over the frame's columns writes them.
+    and extras ``surrogatepass``), written by ``write_csv`` from the
+    frame's columns.
     """
     frame = as_survey(survey)
     names = sorted(frame.demographic_names)
-    blocks = [frame.weight[:, np.newaxis], frame.size[:, np.newaxis]]
+    columns = [frame.ids, frame.weight, frame.size]
     header = ["id", "weight", "size"]
     if frame.income is not None:
-        blocks.append(frame.income[:, np.newaxis])
+        columns.append(frame.income)
         header.append("inc")
-    blocks.append(frame.demographics[:, [frame.demographic_names.index(k) for k in names]])
+    columns += [frame.demographics[:, frame.demographic_names.index(k)] for k in names]
     header += [DEMOGRAPHIC_PREFIX + k for k in names]
-    blocks.append(frame.expenditure)
+    columns += list(frame.expenditure.T)
     header += [EXPENDITURE_PREFIX + c for c in categories]
     extras = dict(extra_columns or {})
-    header += list(extras)
-    values = np.hstack(blocks)
-    with open(path, "wb") as fh:
-        fh.write((",".join(map(_csv_field, header)) + "\r\n").encode("utf-8", "surrogatepass"))
-        _write_rows(fh, ["%s"] + ["%.12g"] * values.shape[1] + ["%s"] * len(extras),
-                    [frame.ids, *values.T, *extras.values()], "\r\n")
+    write_csv(path, header + list(extras),
+              ["%s"] + ["%.12g"] * (len(columns) - 1) + ["%s"] * len(extras),
+              columns + list(extras.values()), "\r\n")
 
 
 def _value_columns(path, *names: str, label: str | None = None):
@@ -1318,9 +1336,31 @@ def _value_columns(path, *names: str, label: str | None = None):
     return columns
 
 
+def _nonnegative_checks(negative_value: str, names):
+    """``read_input``'s ``checks`` for the value columns that
+    ``names(header, labels)`` names: each one's bad cell, then its negative
+    value (the template ``negative_value``); a column with neither is left
+    out, so that a wide file pays for no per-column check."""
+    def checks(header, labels, values, bad):
+        negative = values < 0
+        columns = names(header, labels)
+        return [(mask[:, j], columns[j], template)
+                for j in np.flatnonzero(bad.any(axis=0) | negative.any(axis=0)).tolist()
+                for mask, template in ((bad, None), (negative, negative_value))]
+    return checks
+
+
 def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDENTITY_RTOL) -> MrioTable:
-    """Load the four MRIO files and verify the accounting identity."""
+    """Load the four MRIO files and verify the accounting identity.
+
+    A negative flow, final demand or emission, and an output that is not
+    positive, are named by file, row, column and sector."""
     z_path = Path(z_path)
+
+    def nonnegative(noun, names):
+        return _nonnegative_checks(
+            "{path}: row {row}, column {col!r}: sector {label!r} has negative " + noun
+            + " {value}; flows, final demand and emissions must be nonnegative", names)
 
     def sector_columns(header):
         if len(header) < 2:
@@ -1337,7 +1377,9 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
         col_pos = {s: j for j, s in enumerate(header[1:])}
         return None, [col_pos[s] for s in labels]  # Z's columns in row-label order
 
-    _, labels, Z = read_input(z_path, sector_columns, order=flow_order)
+    _, labels, Z = read_input(z_path, sector_columns,
+                              nonnegative("flow", lambda header, labels: labels),
+                              flow_order)
     sectors = tuple(labels)
 
     # mrio_x.csv's label is (sector, origin) when it flags origins; a blank flag: domestic
@@ -1346,18 +1388,23 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
         return ((at, header.index("origin")) if "origin" in header else at), positions
 
     def x_checks(header, labels, values, bad):
-        checks = [(bad[:, 0], "x", None)]
+        sector = "{label[0]!r}" if "origin" in header else "{label!r}"
+        checks = [(bad[:, 0], "x", None),
+                  (values[:, 0] <= 0, "x", "{path}: row {row}, column 'x': sector " + sector
+                   + ": output must be strictly positive, got {value}")]
         if "origin" in header:
             flags = np.array([o not in ("", "domestic", "imported") for _, o in labels], dtype=bool)
             checks.append((flags, "origin", "{path}: row {row}, column 'origin': expected "
                                             "domestic/imported, got {text!r}"))
         return checks
 
-    d = read_input(d_path, _value_columns(d_path, "d"), None,
+    d = read_input(d_path, _value_columns(d_path, "d"),
+                   nonnegative("final demand", lambda header, labels: ["d"]),
                    _keyed_order(d_path, "sector", sectors))[2]
     x_header, x_labels, x = read_input(x_path, x_columns, x_checks,
                                        _keyed_order(x_path, "sector", sectors))
-    f = read_input(f_path, _value_columns(f_path, "f"), None,
+    f = read_input(f_path, _value_columns(f_path, "f"),
+                   nonnegative("emissions", lambda header, labels: ["f"]),
                    _keyed_order(f_path, "sector", sectors))[2]
     origin = (tuple(o or "domestic" for _, o in x_labels) if "origin" in x_header
               else ("domestic",) * len(sectors))
@@ -1366,6 +1413,9 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
 
 
 def load_bridge(path, categories: CategorySet) -> BridgingMatrix:
+    """bridge.csv -> the bridging matrix, its rows in registry order. A
+    negative share, and a row that does not sum to 1, are named by file,
+    row, column and category."""
     path = Path(path)
 
     def product_columns(header):
@@ -1373,8 +1423,21 @@ def load_bridge(path, categories: CategorySet) -> BridgingMatrix:
             raise DataValidationError(f"{path}: bridging matrix needs product columns")
         return 0, range(1, len(header))
 
-    header, _, shares = read_input(path, product_columns,
-                                   order=_keyed_order(path, "category", categories.ids))
+    nonnegative = _nonnegative_checks(
+        "{path}: row {row}, column {col!r}: category {label!r} has negative share {value}; "
+        "bridging shares must be nonnegative", lambda header, labels: header[1:])
+
+    def checks(header, labels, values, bad):
+        sums = values.sum(axis=1)
+        off = np.abs(sums - 1.0) > BRIDGE_ROW_TOL
+        # the sum of the first row off: when this check is the file's first
+        # fault, that row is the one named
+        return [*nonnegative(header, labels, values, bad),
+                (off, header[0], "{path}: row {row}: bridging row {label!r} sums to %.12g, "
+                                 "expected 1" % sums[np.argmax(off)])]
+
+    header, _, shares = read_input(path, product_columns, checks,
+                                   _keyed_order(path, "category", categories.ids))
     return BridgingMatrix(categories=categories.ids, products=tuple(header[1:]), shares=shares)
 
 
@@ -1389,7 +1452,24 @@ def load_price_relatives(path, categories: CategorySet) -> np.ndarray:
 
 
 def load_fuels(path) -> FuelTable:
+    """fuels.csv -> the fuel table. A repeated fuel, and a price or carbon
+    content that is not positive, are named by file, row, column and fuel."""
     path = Path(path)
+
+    def checks(header, labels, values, bad):
+        first = {label: i for i, label in reversed(list(enumerate(labels)))}
+        positive = ("{path}: row {row}, column {col!r}: fuel {label!r} has %s {value}; fuel %s "
+                    "must be strictly positive")
+        return [
+            (np.array([first[label] != i for i, label in enumerate(labels)], dtype=bool), "fuel",
+             "{path}: row {row}: duplicate fuel {label!r}"),
+            (bad[:, 0], "price", None),
+            (bad[:, 1], "kgco2_per_unit", None),
+            (values[:, 0] <= 0, "price", positive % ("price", "prices")),
+            (values[:, 1] <= 0, "kgco2_per_unit",
+             positive % ("carbon content", "carbon contents")),
+        ]
+
     _, fuels, values = read_input(path, _value_columns(path, "price", "kgco2_per_unit",
-                                                       label="fuel"))
+                                                       label="fuel"), checks)
     return FuelTable(fuels=tuple(fuels), price=values[:, 0], carbon_kg_per_unit=values[:, 1])

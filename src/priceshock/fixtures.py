@@ -32,7 +32,7 @@ from .data import (
     DEFAULT_REPORT_GROUPS,
     HouseholdRecord,
     MrioTable,
-    format_value,
+    write_csv,
     write_household_survey,
 )
 from .randutil import normals, rng_for
@@ -236,14 +236,6 @@ def category_price_relatives(categories: CategorySet) -> np.ndarray:
     return out
 
 
-def _write_table(path: Path, header, rows) -> Path:
-    """Write ``header`` and ``rows`` as CSV lines, each number as ``format_value`` writes it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(c if isinstance(c, str) else format_value(c) for c in row) + "\n")
-    return path
-
-
 def write_fixture_bundle(outdir) -> dict[str, Path]:
     """Materialise the fixtures plus a ready-to-run configuration file."""
     outdir = Path(outdir)
@@ -255,22 +247,22 @@ def write_fixture_bundle(outdir) -> dict[str, Path]:
     paths["households"] = outdir / "households.csv"
     write_household_survey(paths["households"], records, categories)
 
+    # each number at 12 significant digits, which reloads to the same float
     table = io2_table()
     sectors = table.sectors
-    paths["mrio_z"] = _write_table(outdir / "mrio_z.csv", ["sector", *sectors],
-                                   [[s, *row] for s, row in zip(sectors, table.flows)])
-    for name, col, vec in (("mrio_d", "d", table.final_demand), ("mrio_f", "f", table.emissions)):
-        paths[name] = _write_table(outdir / f"{name}.csv", ["sector", col], zip(sectors, vec))
-    paths["mrio_x"] = _write_table(outdir / "mrio_x.csv", ["sector", "x", "origin"],
-                                   zip(sectors, table.output, table.origin))
     energy_rows = {"domestic_energy": 1.0, "electricity": 1.0, "motor_fuels": 0.9}
-    paths["bridge"] = _write_table(outdir / "bridge.csv", ["category", *sectors],
-                                   [[c, energy_rows.get(c, 0.0), 1.0 - energy_rows.get(c, 0.0)]
-                                    for c in categories])
-    paths["prices"] = _write_table(outdir / "prices.csv", ["category", "pi"],
-                                   zip(categories, category_price_relatives(categories)))
-    paths["fuels"] = _write_table(outdir / "fuels.csv", ["fuel", "price", "kgco2_per_unit"],
-                                  FUEL_ROWS)
+    energy = np.array([energy_rows.get(c, 0.0) for c in categories])
+    for name, header, columns in (
+            ("mrio_z", ["sector", *sectors], [sectors, *table.flows.T]),
+            ("mrio_d", ["sector", "d"], [sectors, table.final_demand]),
+            ("mrio_f", ["sector", "f"], [sectors, table.emissions]),
+            ("mrio_x", ["sector", "x", "origin"], [sectors, table.output, table.origin]),
+            ("bridge", ["category", *sectors], [categories.ids, energy, 1.0 - energy]),
+            ("prices", ["category", "pi"], [categories.ids, category_price_relatives(categories)]),
+            ("fuels", ["fuel", "price", "kgco2_per_unit"], list(zip(*FUEL_ROWS)))):
+        paths[name] = outdir / f"{name}.csv"
+        write_csv(paths[name], header,
+                  ["%s" if isinstance(column[0], str) else "%.12g" for column in columns], columns)
 
     paths["config"] = outdir / "config.txt"
     fuel_map_lines = "\n".join(

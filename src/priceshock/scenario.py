@@ -26,8 +26,6 @@ from .data import (
     HouseholdSurvey,
     LoadReport,
     MrioTable,
-    _csv_field,
-    _write_rows,
     load_bridge,
     load_fuels,
     load_household_survey,
@@ -36,6 +34,7 @@ from .data import (
     load_price_relatives,
     not_utf8,
     read_input,
+    write_csv,
 )
 from .demand import (
     FRISCH_CAP,
@@ -432,18 +431,29 @@ def recycle_revenue(revenue: float, scheme: str, weights: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GroupDemand:
+@dataclass(frozen=True)
+class DemandGroups:
+    """The demand parameters of each quintile x size-band cell, one row per
+    cell that holds a household: its ``labels`` entry, (cells, k)
+    ``budget`` and ``own_price`` elasticities and ``mean_shares``, its Frisch
+    ``xi`` and the count of its elasticities ``clamped``. ``of`` gives each
+    household's row; ``n_fallback`` counts the cells fitted on a coarser
+    sample."""
+
+    labels: np.ndarray
     budget: np.ndarray
     own_price: np.ndarray
     mean_shares: np.ndarray
-    xi: float
-    clamped: int
+    xi: np.ndarray
+    clamped: np.ndarray
+    of: np.ndarray
+    n_fallback: int
 
 
 def _engel_fit(shares: np.ndarray, design: np.ndarray, ln_x: np.ndarray,
-               per_capita: np.ndarray, weights: np.ndarray, cfg: RunConfig) -> GroupDemand:
-    """Per-category quadratic Engel curves -> budget and own-price elasticities.
+               per_capita: np.ndarray, weights: np.ndarray, cfg: RunConfig):
+    """Per-category quadratic Engel curves -> one ``DemandGroups`` row:
+    (budget, own_price, mean_shares, xi, clamped).
 
     One weighted least-squares solve on one cell's rows of the inputs that
     ``estimate_demand_groups`` prepares fits every category bought there.
@@ -468,16 +478,14 @@ def _engel_fit(shares: np.ndarray, design: np.ndarray, ln_x: np.ndarray,
     own = np.diag(price_elasticities(budget, mean_shares, xi))
     lo, hi = OWN_PRICE_BOUNDS
     clamped += int(np.sum((own < lo) | (own > hi)))
-    own = np.clip(own, lo, hi)
-    return GroupDemand(budget=budget, own_price=own, mean_shares=mean_shares, xi=xi, clamped=clamped)
+    return budget, np.clip(own, lo, hi), mean_shares, xi, clamped
 
 
 def estimate_demand_groups(
     shares: np.ndarray, totals: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
     quintiles: np.ndarray, cfg: RunConfig,
-) -> tuple[list[GroupDemand], list[str], np.ndarray, int]:
-    """One demand-system parameterisation per quintile x size-band cell, the
-    group of each household and the count of cells that fell back.
+) -> DemandGroups:
+    """One demand-system parameterisation per quintile x size-band cell.
 
     Cells with too few households fall back to their quintile, then to the
     whole sample, so estimation never fails on sparse cells. A fallback fit
@@ -498,24 +506,26 @@ def estimate_demand_groups(
     counts = np.bincount(cells)
     bounds = np.concatenate([[0], np.cumsum(counts[counts > 0])])
     q_counts = np.bincount(quintiles)
-    groups: list[GroupDemand] = []
+    rows: list[tuple] = []
     labels: list[str] = []
     n_fallback = 0
-    fallbacks: dict[int | None, GroupDemand] = {}  # by quintile, None for the whole sample
+    fallbacks: dict[int | None, tuple] = {}  # by quintile, None for the whole sample
     for c, start, end in zip(np.flatnonzero(counts).tolist(), bounds[:-1], bounds[1:]):
         q, b = divmod(c, 3)
         if end - start >= MIN_GROUP_OBS:
-            groups.append(_engel_fit(*(a[start:end] for a in by_cell), cfg))
+            rows.append(_engel_fit(*(a[start:end] for a in by_cell), cfg))
         else:
             # a fallback fit takes its rows in survey order, as the pooled fit does
             source = q if q_counts[q] >= MIN_GROUP_OBS else None
             if source not in fallbacks:
-                rows = quintiles == q if source is not None else slice(None)
-                fallbacks[source] = _engel_fit(*(a[rows] for a in inputs), cfg)
-            groups.append(fallbacks[source])
+                sample = quintiles == q if source is not None else slice(None)
+                fallbacks[source] = _engel_fit(*(a[sample] for a in inputs), cfg)
+            rows.append(fallbacks[source])
             n_fallback += 1
         labels.append(f"q{q + 1}_band{b + 1}")
-    return groups, labels, (np.cumsum(counts > 0) - 1)[cells], n_fallback
+    budget, own_price, mean_shares, xi, clamped = map(np.array, zip(*rows))
+    return DemandGroups(np.array(labels), budget, own_price, mean_shares, xi, clamped,
+                        (np.cumsum(counts > 0) - 1)[cells], n_fallback)
 
 
 # Households that value_households values per numpy pass: a block's
@@ -524,18 +534,17 @@ def estimate_demand_groups(
 VALUE_BLOCK_ROWS = 2048
 
 
-def value_households(groups, group_of, exp, shares, totals, transfers, p1, emissions):
+def value_households(groups: DemandGroups, exp, shares, totals, transfers, p1, emissions):
     """(cv, ye, ye_net, footprint at ``p1``), the households that cannot afford
     their committed bundle at ``p1`` (they keep zeros) and the count valued as
     Cobb-Douglas.
 
     The households are valued in survey order, ``VALUE_BLOCK_ROWS`` at a
-    time: each one's group budget elasticities and xi come from a
-    (groups, k) table indexed by ``group_of``. The calibration and the
+    time: each one's group budget elasticities and xi are its row
+    (``groups.of``) of the groups' columns. The calibration and the
     closed forms (Creedy 1998) are row-wise, so each household gets the
     values its group alone would give, whatever the block size.
     """
-    budgets, xis = np.array([g.budget for g in groups]), np.array([g.xi for g in groups])
     p0 = np.ones(len(p1))
     values = np.zeros((4, len(totals)))  # cv, ye, ye_net, footprint
     infeasible = np.zeros(len(totals), dtype=bool)
@@ -543,9 +552,9 @@ def value_households(groups, group_of, exp, shares, totals, transfers, p1, emiss
     for start in range(0, len(totals), VALUE_BLOCK_ROWS):
         block = slice(start, start + VALUE_BLOCK_ROWS)
         exp_b, shares_b, totals_b = exp[block], shares[block], totals[block]
-        group_b = group_of[block]
+        group_b = groups.of[block]
         # a share is 0 wherever nothing is spent, so phi is too
-        phi = np.take(budgets, group_b, axis=0)
+        phi = np.take(groups.budget, group_b, axis=0)
         phi *= shares_b
         # households with no bought good whose budget elasticity times share is
         # positive (a subnormal share makes it 0) have no marginal budget to
@@ -553,7 +562,7 @@ def value_households(groups, group_of, exp, shares, totals, transfers, p1, emiss
         cobb_douglas = ~phi.any(axis=1)
         n_cobb_douglas += int(cobb_douglas.sum())
         phi[cobb_douglas] = shares_b[cobb_douglas]
-        gamma, phi = _frisch_terms(phi, xis[group_b], exp_b, totals_b)
+        gamma, phi = _frisch_terms(phi, groups.xi[group_b], exp_b, totals_b)
         gamma[cobb_douglas] = 0.0
         params = LesParameters(gamma=gamma, phi=phi)
         net_b = totals_b + transfers[block]
@@ -750,7 +759,7 @@ def rank_households(cfg: RunConfig, frame: HouseholdSurvey):
 
 
 def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, transfers,
-             groups: list[GroupDemand], labels: list[str]):
+             groups: DemandGroups):
     """Assembly stage: the per-household frame and the elasticity table's columns.
 
     ``ranked`` and ``values`` are what ``rank_households`` and
@@ -779,14 +788,12 @@ def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, tra
     # group-level demand parameters: calibrated at the group mean basket,
     # expressed per currency unit of total expenditure; one row per group
     # and category, in that order
-    shares_g, budget_g, own_g = np.reshape(
-        [[g.mean_shares, g.budget, g.own_price] for g in groups],
-        (len(groups), 3, len(categories))).transpose(1, 0, 2)
-    xi_g = np.array([g.xi for g in groups])
-    gp = les_calibrate_frisch(budget_g, xi_g, shares_g, shares_g, np.ones(len(groups)))
+    shares_g = groups.mean_shares
+    gp = les_calibrate_frisch(groups.budget, groups.xi, shares_g, shares_g,
+                              np.ones(len(groups.xi)))
     kept = (shares_g > 0) | (not cfg.skip_empty_categories)
-    cells = (np.array(labels)[:, np.newaxis], np.array(categories.ids), shares_g, budget_g,
-             own_g, gp.phi, gp.gamma, xi_g[:, np.newaxis])
+    cells = (groups.labels[:, np.newaxis], np.array(categories.ids), shares_g, groups.budget,
+             groups.own_price, gp.phi, gp.gamma, groups.xi[:, np.newaxis])
     elasticities = {name: np.broadcast_to(v, kept.shape)[kept]
                     for name, v in zip(ELASTICITY_COLUMNS, cells)}
     return household, elasticities
@@ -805,12 +812,10 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     transfers = recycle_revenue(revenue, cfg.recycling, weights, sizes=sizes,
                                 target_mask=quintiles < cfg.recycling_quantile)
 
-    groups, labels, group_of, n_fallback = estimate_demand_groups(
-        shares, totals, weights, sizes, quintiles, cfg
-    )
+    groups = estimate_demand_groups(shares, totals, weights, sizes, quintiles, cfg)
     emissions = prices.unit_emissions if np.any(prices.unit_emissions > 0) else None
     values, infeasible, n_cobb_douglas = value_households(
-        groups, group_of, exp, shares, totals, transfers, 1.0 + prices.total, emissions
+        groups, exp, shares, totals, transfers, 1.0 + prices.total, emissions
     )
     if np.any(infeasible):
         first = ", ".join(map(repr, frame.ids[np.flatnonzero(infeasible)[:5]].tolist()))
@@ -820,8 +825,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     if not np.isfinite(values[3]).all():  # the footprints after the change
         raise _emission_content_error(prices.unit_emissions, inputs.categories)
 
-    household, elasticities = assemble(cfg, inputs, prices, ranked, values, transfers,
-                                          groups, labels)
+    household, elasticities = assemble(cfg, inputs, prices, ranked, values, transfers, groups)
     group_names = tuple(DEFAULT_REPORT_GROUPS)
     return ScenarioResult(
         categories=inputs.categories,
@@ -837,8 +841,8 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
         elasticities=elasticities,
         diagnostics={
             "cobb_douglas_fallbacks": n_cobb_douglas,
-            "group_fallbacks": n_fallback,
-            "elasticity_clamps": sum(g.clamped for g in groups),
+            "group_fallbacks": groups.n_fallback,
+            "elasticity_clamps": int(groups.clamped.sum()),
             "dropped_zero_total": inputs.survey.report.n_dropped_zero_total,
         },
         load_report=inputs.survey.report,
@@ -959,44 +963,27 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
 MONEY_COLUMNS = {"x", "equivalised", "burden", "cv", "transfer", "cv_net", "ye", "ye_net"}
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return _csv_field(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.6g}"
-
-
 def write_tables(tables, outdir) -> dict[str, Path]:
-    """Write each aggregate table to ``<name>.csv`` in ``outdir``, its
-    header names and text cells CSV-quoted where they need it."""
+    """Write each aggregate table to ``<name>.csv`` in ``outdir`` by
+    ``write_csv``: a column of texts as ``%s``, of numbers as ``%.6g``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
     for name, (header, rows) in tables.items():
-        p = outdir / f"{name}.csv"
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write(",".join(map(_csv_field, header)) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(c) for c in row) + "\n")
-        paths[name] = p
+        paths[name] = outdir / f"{name}.csv"
+        columns = list(zip(*rows))
+        write_csv(paths[name], header,
+                  ["%s" if isinstance(column[0], str) else "%.6g" for column in columns], columns)
     return paths
 
 
 def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
     """Write the aggregate tables, the per-household frame and a run manifest."""
     outdir = Path(outdir)
-    relatives = (result.relatives_total, result.relatives_inflation, result.relatives_carbon)
-    paths = write_tables({
-        **result.tables,
-        "consumer_prices": (["category", "relative", "inflation", "carbon"],
-                            [[c, *(f"{r[j]:.12g}" for r in relatives)]
-                             for j, c in enumerate(result.categories)]),
-    }, outdir)
-
-    # each spec gives the text that _format_cell (or {:.6f} for money
-    # columns) gives the column's cells; budget shares keep format_value's
-    # 12 digits, so that ``report`` rebuilds t3 as ``run`` wrote it
+    paths = write_tables(result.tables, outdir)
+    # money columns at 6 decimals; budget shares at the 12 digits that the
+    # loaders read back exactly, so that ``report`` rebuilds t3 as ``run``
+    # wrote it
     hh = result.household
     specs = [
         "%s" if c == "id"
@@ -1006,13 +993,15 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
         else "%.6g"
         for c in hh
     ]
-    for name, frame, frame_specs in (
-            ("elasticities", result.elasticities, ["%s", "%s"] + ["%.6g"] * 6),
-            ("households", hh, specs)):
-        paths[name] = p = outdir / f"{name}.csv"
-        with open(p, "wb") as fh:
-            fh.write((",".join(frame) + "\n").encode())
-            _write_rows(fh, frame_specs, list(frame.values()), "\n")
+    for name, header, frame_specs, columns in (
+            ("consumer_prices", ["category", "relative", "inflation", "carbon"],
+             ["%s"] + ["%.12g"] * 3, [result.categories.ids, result.relatives_total,
+                                      result.relatives_inflation, result.relatives_carbon]),
+            ("elasticities", list(result.elasticities), ["%s", "%s"] + ["%.6g"] * 6,
+             list(result.elasticities.values())),
+            ("households", list(hh), specs, list(hh.values()))):
+        paths[name] = outdir / f"{name}.csv"
+        write_csv(paths[name], header, frame_specs, columns)
 
     p = outdir / "run_manifest.json"
     manifest = {

@@ -1,5 +1,6 @@
 """Reference computations that only the tests use.
 
+``format_value`` is the per-cell text that the CSV writers reproduce.
 ``laspeyres_cost`` and ``fuel_table`` are one-measure helpers of the
 acceptance and unit tests. ``engel_groups_by_loop`` is the Engel-fit oracle:
 it rebuilds ``scenario.estimate_demand_groups`` one quintile × size-band
@@ -15,6 +16,15 @@ from priceshock.demand import frisch_parameter
 from priceshock.fixtures import FUEL_ROWS
 from priceshock.imputation import wls_fit
 from priceshock.scenario import BUDGET_ELASTICITY_BOUNDS, MIN_GROUP_OBS, OWN_PRICE_BOUNDS
+
+
+def format_value(v: float) -> str:
+    """Canonical decimal text: up to 12 significant digits.
+
+    Distinct 12-digit decimals map to distinct doubles, so text written
+    here reloads to the exact same float.
+    """
+    return f"{float(v):.12g}"
 
 
 def laspeyres_cost(p0, p1, quantities) -> float:

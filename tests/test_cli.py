@@ -1024,3 +1024,69 @@ class TestWideInputs:
             with open(work / "config.txt", "a") as cfg:
                 cfg.write("files.income = income.csv\nscenario.impute = true\n")
             assert_run_ends_in_a_message(work / "config.txt", Path(tmp) / "r")
+
+
+class TestInputFaultsNameTheirFile:
+    """A fault that the domain types would refuse without naming a file is
+    refused by its loader, which names the file and row."""
+
+    @pytest.mark.parametrize("name, old, new, row, problem", [
+        ("fuels.csv", "diesel,73.4,2.68", "diesel,0,2.68", 2,
+         "column 'price': fuel 'diesel' has price 0.0; fuel prices must be strictly positive"),
+        ("fuels.csv", "diesel,73.4,2.68", "diesel,73.4,0", 2,
+         "column 'kgco2_per_unit': fuel 'diesel' has carbon content 0.0; fuel carbon contents "
+         "must be strictly positive"),
+        ("fuels.csv", "diesel,73.4,2.68\n", "diesel,73.4,2.68\ndiesel,73.4,2.68\n", 3,
+         "duplicate fuel 'diesel'"),
+        ("bridge.csv", "food,0,1", "food,-0.5,1.5", 2,
+         "column 'energy': category 'food' has negative share -0.5; bridging shares must be "
+         "nonnegative"),
+        ("bridge.csv", "food,0,1", "food,0.5,0.6", 2, "bridging row 'food' sums to 1.1, expected 1"),
+        ("mrio_z.csv", "energy,20,30", "energy,20,-30", 2,
+         "column 'industry': sector 'energy' has negative flow -30.0; flows, final demand and "
+         "emissions must be nonnegative"),
+        ("mrio_d.csv", "industry,50", "industry,-50", 3,
+         "column 'd': sector 'industry' has negative final demand -50.0"),
+        ("mrio_f.csv", "energy,10", "energy,-10", 2,
+         "column 'f': sector 'energy' has negative emissions -10.0"),
+        ("mrio_x.csv", "energy,100,", "energy,0,", 2,
+         "column 'x': sector 'energy': output must be strictly positive, got 0.0"),
+    ], ids=["fuel price 0", "fuel carbon 0", "duplicate fuel", "negative share", "row sum 1.1",
+            "negative flow", "negative final demand", "negative emissions", "output 0"])
+    def test_fault_names_the_file_and_row(self, bundle_dir, tmp_path, capsys, name, old, new,
+                                          row, problem):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        path = work / name
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new, 1))
+        capsys.readouterr()
+        assert run_cli("run", "--config", work / "config.txt", "--out", tmp_path / "r",
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        separator = ", " if problem.startswith("column") else ": "
+        assert err.startswith(f"error: {path}: row {row}{separator}{problem}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("zeroed, imputing, command", [
+        ("households.csv", False, "run"),
+        ("income.csv", True, "run"),
+        ("income.csv", True, "impute"),
+        ("households.csv", True, "impute"),
+    ])
+    def test_a_survey_without_weight_names_its_file(self, bundle_dir, tmp_path, capsys, zeroed,
+                                                    imputing, command):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        shutil.copyfile(work / "households.csv", work / "income.csv")
+        cfg = work / "config.txt"
+        if imputing:
+            cfg.write_text(cfg.read_text() + "files.income = income.csv\nscenario.impute = true\n")
+        rows = list(csv.reader((work / zeroed).read_text().splitlines()))
+        for cells in rows[1:]:
+            cells[rows[0].index("weight")] = "0"
+        (work / zeroed).write_text("".join(",".join(cells) + "\n" for cells in rows))
+        out = tmp_path / ("r" if command == "run" else "r/imputed.csv")
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg, "--out", out, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {work / zeroed}: every household has weight 0\n"
+        assert "Traceback" not in err

@@ -27,11 +27,11 @@ from priceshock.data import (
     _csv_field,
     _keyed_order,
     CSV_BLOCK_ROWS,
+    FEW_ROWS,
     SURVEY_VALUE_LIMIT,
     _number_words,
     _write_rows,
     as_survey,
-    format_value,
     load_bridge,
     load_fuels,
     load_household_survey,
@@ -46,7 +46,6 @@ from priceshock.scenario import (
     MONEY_COLUMNS,
     RunConfig,
     ScenarioResult,
-    _format_cell,
     build_tables,
     emit_reports,
     parse_config,
@@ -54,6 +53,8 @@ from priceshock.scenario import (
     run_scenario,
     write_tables,
 )
+
+from oracles import format_value
 
 CATS = CategorySet(("food", "fuel", "rest"))
 
@@ -495,6 +496,10 @@ def ref_household_survey(path, categories):
             out[key].append(v)
     if not out["ids"]:
         raise DataValidationError(f"{path}: no usable household rows")
+    if not any(w > 0 for w in out["weight"]):
+        dropped = len(rows) - len(out["ids"])
+        raise DataValidationError(f"{path}: every household has weight 0" + (
+            f", once the {dropped} of zero total expenditure are dropped" if dropped else ""))
     return out
 
 
@@ -692,7 +697,7 @@ def ref_households_csv(hh):
         else (lambda v: str(int(v))) if c == "quintile"
         else (lambda v: f"{float(v):.6f}") if c in MONEY_COLUMNS or c.startswith("burden_")
         else format_value if c.startswith("share_")
-        else _format_cell
+        else (lambda v: f"{float(v):.6g}")
         for c in columns
     ]
     lines = [",".join(columns)]
@@ -701,6 +706,8 @@ def ref_households_csv(hh):
 
 
 class TestHouseholdWriter:
+    """The block path (``FEW_ROWS`` patched to 0) against the per-cell text."""
+
     EDGES = (0.0, -0.0, 1e16, -3.5e17, 1e300, 5e-324, -2.2250738585072014e-308, 0.5, 999999.5)
 
     @settings(max_examples=100, deadline=None)
@@ -722,7 +729,8 @@ class TestHouseholdWriter:
             household=hh, tables={}, revenue=0.0, seed=0, config_hash="",
         )
         out = new_dir()
-        emit_reports(result, out)
+        with mock.patch.object(data_module, "FEW_ROWS", 0):
+            emit_reports(result, out)
         text = (out / "households.csv").read_bytes().decode()
         assert text == ref_households_csv(hh)
         _, rows, _ = read_table(out / "households.csv")
@@ -801,6 +809,24 @@ class TestRowWriter:
         assert out.getvalue().decode("utf-8", "surrogatepass") == "".join(
             row_format % row for row in zip(*texts))
 
+    @pytest.mark.parametrize("n", [FEW_ROWS - 1, FEW_ROWS])
+    def test_either_side_of_few_rows_equals_percent_format(self, n):
+        """Fewer than ``FEW_ROWS`` rows go to ``%`` whole, ``FEW_ROWS`` to
+        the block path: both write the same bytes, texts that need quoting
+        and every number spec included."""
+        rng = np.random.default_rng(n)
+        quoted = ["a,b", 'say "x"', "c\r\nd", "\u00e9,"]
+        ids = np.array([quoted[i % 4] if i % 7 == 1 else f"h{i}" for i in range(n)])
+        specs = ["%s", *self.SPECS, "%s"]
+        columns = [ids, *(rng.random(n) * 10.0 ** rng.integers(-3, 9, n) - 5e3 for _ in self.SPECS),
+                   np.resize(np.array(["plain", "x,y"]), n)]
+        out = io.BytesIO()
+        _write_rows(out, specs, columns, "\r\n")
+        row_format = ",".join(specs) + "\r\n"
+        cells = [[_csv_field(t) if s == "%s" else t for t in c.tolist()]
+                 for s, c in zip(specs, columns)]
+        assert out.getvalue() == "".join(row_format % row for row in zip(*cells)).encode()
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_bytes_equal_percent_format_of_each_row(self, data):
@@ -863,7 +889,8 @@ class TestTextColumns:
         specs = ["%s", "%.6f", "%s", "%.6g"]
         columns = [columns[0], rng.random(n) * 1e4, columns[1], rng.random(n) - 0.5]
         out = io.BytesIO()
-        with mock.patch.object(data_module, "CSV_BLOCK_ROWS", block):
+        with mock.patch.object(data_module, "CSV_BLOCK_ROWS", block), \
+                mock.patch.object(data_module, "FEW_ROWS", 0):
             _write_rows(out, specs, columns, "\n")
         row_format = ",".join(specs) + "\n"
         cells = [[_csv_field(str(t)) if s == "%s" else t for t in c.tolist()]
@@ -892,6 +919,8 @@ def ref_write_household_survey(path, records, categories, extra_columns=None):
 
 
 class TestSurveyWriter:
+    """The block path (``FEW_ROWS`` patched to 0) against ``csv.writer``."""
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_frame_writer_equals_per_cell_writer(self, new_dir, data):
@@ -915,16 +944,24 @@ class TestSurveyWriter:
         extras = data.draw(st.sampled_from([None, {"imputed": [1] * n, "model_version": ["0.1,x"] * n}]))
         out = new_dir()
         ref_write_household_survey(out / "ref.csv", records, CATS, extras)
-        write_household_survey(out / "records.csv", records, CATS, extras)
-        # an income or demo_* cell beyond the loader's limit, as written: the
-        # loader refuses the file, so the frame comes from the records
+        with mock.patch.object(data_module, "FEW_ROWS", 0):
+            write_household_survey(out / "records.csv", records, CATS, extras)
+        # an income or demo_* cell beyond the loader's limit, as written, or
+        # no household of positive weight: the loader refuses the file, so
+        # the frame comes from the records
         extreme = any(abs(float(format_value(v))) > SURVEY_VALUE_LIMIT for r in records
                       for v in [*r.demographics.values(), r.disposable_income or 0.0])
+        weightless = all(r.weight == 0 for r in records)
         if extreme:
             with pytest.raises(DataValidationError, match=r"exceeds 1e\+100"):
                 load_household_survey(out / "ref.csv", CATS)
-        frame = as_survey(records) if extreme else load_household_survey(out / "ref.csv", CATS)
-        write_household_survey(out / "frame.csv", frame, CATS, extras)
+        elif weightless:
+            with pytest.raises(DataValidationError, match="every household has weight 0"):
+                load_household_survey(out / "ref.csv", CATS)
+        frame = (as_survey(records) if extreme or weightless
+                 else load_household_survey(out / "ref.csv", CATS))
+        with mock.patch.object(data_module, "FEW_ROWS", 0):
+            write_household_survey(out / "frame.csv", frame, CATS, extras)
         expected = (out / "ref.csv").read_bytes()
         assert (out / "records.csv").read_bytes() == expected
         assert (out / "frame.csv").read_bytes() == expected
@@ -1099,7 +1136,20 @@ def ref_flows(path):
         raise DataValidationError(f"{path}: row and column sector labels differ")
     col_pos = {s: j + 1 for j, s in enumerate(col_sectors)}
     sectors = tuple(row_sectors)
-    return sectors, ref_values(path, header, rows, lines, [col_pos[s] for s in sectors])
+    flows = [[ref_nonnegative(row[col_pos[s]], path, lineno, s, row[0], "flow") for s in sectors]
+             for lineno, row in zip(lines, rows)]
+    return sectors, np.array(flows, dtype=float).reshape(len(rows), len(sectors))
+
+
+def ref_nonnegative(text, path, lineno, column, sector, noun):
+    """Per-cell reference of an inter-industry value: ``ref_cell``, then the
+    nonnegativity rule, naming the row's sector."""
+    v = ref_cell(text, path, lineno, column)
+    if v < 0:
+        raise DataValidationError(
+            f"{path}: row {lineno}, column {column!r}: sector {sector!r} has negative {noun} {v}; "
+            "flows, final demand and emissions must be nonnegative")
+    return v
 
 
 def ref_bridge(path, categories):
@@ -1109,14 +1159,24 @@ def ref_bridge(path, categories):
     if not products:
         raise DataValidationError(f"{path}: bridging matrix needs product columns")
     order, _ = _keyed_order(path, "category", categories.ids)(header, [r[0] for r in rows])
-    B = ref_values(path, header, rows, lines, range(1, len(header)))[order]
-    return BridgingMatrix(categories=categories.ids, products=products, shares=B)
+    B = ref_values(path, header, rows, lines, range(1, len(header)))
+    for lineno, row, shares in zip(lines, rows, B):
+        for product, v in zip(products, shares):
+            if v < 0:
+                raise DataValidationError(
+                    f"{path}: row {lineno}, column {product!r}: category {row[0]!r} has negative "
+                    f"share {v}; bridging shares must be nonnegative")
+        if abs(shares.sum() - 1.0) > 1e-9:
+            raise DataValidationError(f"{path}: row {lineno}: bridging row {row[0]!r} sums to "
+                                      f"{shares.sum():.12g}, expected 1")
+    return BridgingMatrix(categories=categories.ids, products=products, shares=B[order])
 
 
-def ref_keyed_column(path, key_column, expected, name, origin=False):
+def ref_keyed_column(path, key_column, expected, name, origin=False, noun=None):
     """``name``'s column of a file keyed by ``key_column``, in the order of
-    ``expected``, as a per-cell loop reads it; with ``origin``, also the
-    origin flags of mrio_x.csv (blank: domestic), checked after each x."""
+    ``expected``, as a per-cell loop reads it; with ``noun``, each value
+    nonnegative (``ref_nonnegative``); with ``origin``, each output positive
+    and then the origin flags of mrio_x.csv (blank: domestic)."""
     header, rows, lines = read_table(path)
     if name not in header:
         raise DataValidationError(f"{path}: missing column {name!r}")
@@ -1124,7 +1184,13 @@ def ref_keyed_column(path, key_column, expected, name, origin=False):
     j = header.index(name)
     values, flags = [], []
     for lineno, row in zip(lines, rows):
-        values.append(ref_cell(row[j], path, lineno, name))
+        if noun is not None:
+            values.append(ref_nonnegative(row[j], path, lineno, name, row[0], noun))
+        else:
+            values.append(ref_cell(row[j], path, lineno, name))
+        if origin and values[-1] <= 0:
+            raise DataValidationError(f"{path}: row {lineno}, column {name!r}: sector {row[0]!r}: "
+                                      f"output must be strictly positive, got {values[-1]}")
         if origin and "origin" in header:
             flag = row[header.index("origin")]
             if flag not in ("", "domestic", "imported"):
@@ -1138,9 +1204,9 @@ def ref_keyed_column(path, key_column, expected, name, origin=False):
 def ref_mrio(z_path, d_path, x_path, f_path):
     """load_mrio as per-cell loops read the four files, in that order."""
     sectors, Z = ref_flows(z_path)
-    d, _ = ref_keyed_column(d_path, "sector", sectors, "d")
+    d, _ = ref_keyed_column(d_path, "sector", sectors, "d", noun="final demand")
     x, origin = ref_keyed_column(x_path, "sector", sectors, "x", origin=True)
-    f, _ = ref_keyed_column(f_path, "sector", sectors, "f")
+    f, _ = ref_keyed_column(f_path, "sector", sectors, "f", noun="emissions")
     return MrioTable(sectors=sectors, flows=Z, final_demand=d, output=x, emissions=f,
                      origin=origin)
 
@@ -1159,8 +1225,20 @@ def ref_fuels(path):
     for col in ("fuel", "price", "kgco2_per_unit"):
         if col not in header:
             raise DataValidationError(f"{path}: missing column {col!r}")
-    values = ref_values(path, header, rows, lines,
-                        [header.index("price"), header.index("kgco2_per_unit")])
+    names = ("price", "kgco2_per_unit")
+    seen = set()
+    for lineno, row in zip(lines, rows):
+        fuel = row[header.index("fuel")]
+        if fuel in seen:
+            raise DataValidationError(f"{path}: row {lineno}: duplicate fuel {fuel!r}")
+        seen.add(fuel)
+        cells = [ref_cell(row[header.index(c)], path, lineno, c) for c in names]
+        for c, v, noun in zip(names, cells, (("price", "prices"),
+                                             ("carbon content", "carbon contents"))):
+            if v <= 0:
+                raise DataValidationError(f"{path}: row {lineno}, column {c!r}: fuel {fuel!r} has "
+                                          f"{noun[0]} {v}; fuel {noun[1]} must be strictly positive")
+    values = ref_values(path, header, rows, lines, [header.index(c) for c in names])
     return FuelTable(fuels=tuple(row[header.index("fuel")] for row in rows), price=values[:, 0],
                      carbon_kg_per_unit=values[:, 1])
 

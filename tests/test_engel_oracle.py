@@ -31,22 +31,22 @@ def demo_cfg(bundle_dir):
 
 
 def assert_groups_match_the_oracle(shares, totals, weights, sizes, quintiles, cfg):
-    groups, labels, group_of, n_fallback = estimate_demand_groups(
-        shares, totals, weights, sizes, quintiles, cfg)
+    groups = estimate_demand_groups(shares, totals, weights, sizes, quintiles, cfg)
     cells = engel_groups_by_loop(shares, totals, weights, sizes, quintiles, cfg)
-    assert labels == [cell["label"] for cell in cells]
-    assert n_fallback == sum(len(cell["rows"]) < MIN_GROUP_OBS for cell in cells)
-    for g, (group, cell) in enumerate(zip(groups, cells)):
-        assert np.flatnonzero(group_of == g).tolist() == cell["rows"].tolist(), cell["label"]
+    assert groups.labels.tolist() == [cell["label"] for cell in cells]
+    assert groups.n_fallback == sum(len(cell["rows"]) < MIN_GROUP_OBS for cell in cells)
+    assert len(groups.xi) == len(cells)
+    for g, cell in enumerate(cells):
+        assert np.flatnonzero(groups.of == g).tolist() == cell["rows"].tolist(), cell["label"]
+        budget = groups.budget[g]
         # an elasticity near 1 is a small sum of large terms: its error is
         # bounded by theirs
-        assert np.all(np.abs(group.budget - cell["budget"]) <= RTOL * cell["eta_scale"]), \
-            cell["label"]
-        assert group.xi == pytest.approx(cell["xi"], rel=RTOL, abs=0), cell["label"]
-        np.testing.assert_allclose(group.own_price,
-                                   own_price(group.budget, cell["mean_shares"], cell["xi"])[0],
+        assert np.all(np.abs(budget - cell["budget"]) <= RTOL * cell["eta_scale"]), cell["label"]
+        assert groups.xi[g] == pytest.approx(cell["xi"], rel=RTOL, abs=0), cell["label"]
+        np.testing.assert_allclose(groups.own_price[g],
+                                   own_price(budget, cell["mean_shares"], cell["xi"])[0],
                                    rtol=RTOL, atol=0, err_msg=cell["label"])
-        assert group.clamped == cell["clamped"], cell["label"]
+        assert groups.clamped[g] == cell["clamped"], cell["label"]
     return cells
 
 

@@ -13,6 +13,17 @@ from priceshock.fixtures import (
 )
 
 HOUSEHOLDS_SHA256 = "652774768c00e34b69693e1aa4f4d9bb1c35431f3b550c15bbb3bb33b5c92238"
+# every other file ``priceshock fixtures`` writes
+BUNDLE_SHA256 = {
+    "mrio_z.csv": "1f44ac7b8515add0d9aff61e77053c051eb5d17bf7c76d85a4143fea40211fdf",
+    "mrio_d.csv": "75cd58d7084a1e74bff9b6a0716cbb1a0177bb2f920dd6f48f154372d903e790",
+    "mrio_x.csv": "f7fecc7facb14f585570aba3d321241f0c30977e9baa352d20e412e5b08e606a",
+    "mrio_f.csv": "94ad5a813990fba5b64f31764fa750a5d450a6319fbf828b7bb629db8717479c",
+    "bridge.csv": "aff2885d384df21acb1a115d8b39e2a114e0da860d3cf690685c57cb326bc80d",
+    "prices.csv": "9f719e0ed6a96e4a69d656ed5152721a770a73466fae536eedcfaf4b34f99415",
+    "fuels.csv": "c654b5c4ffd9fcc160a806670ceedb914e8b0872127ef260fb3c6ccf792221d4",
+    "config.txt": "1259587bf1d7bccd9fe66e294fca832d72bb39a9287e8413c092efac8b0fadae",
+}
 
 
 def test_io2_accounting_identity_by_hand(bundle):
@@ -60,6 +71,13 @@ def test_household_fixture_frozen_values(bundle):
 def test_household_fixture_file_hash_frozen(bundle_dir):
     digest = hashlib.sha256((bundle_dir / "households.csv").read_bytes()).hexdigest()
     assert digest == HOUSEHOLDS_SHA256
+
+
+def test_bundle_file_hashes_frozen(tmp_path):
+    paths = write_fixture_bundle(tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for name, p in paths.items() if name != "households"}
+    assert digests == BUNDLE_SHA256
 
 
 def test_aggregate_group_shares_hit_targets(bundle):

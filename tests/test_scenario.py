@@ -18,7 +18,7 @@ from priceshock.fixtures import io2_table
 from priceshock.imputation import wls_coefficients
 from priceshock.scenario import (
     MIN_GROUP_OBS,
-    GroupDemand,
+    DemandGroups,
     Inputs,
     Prices,
     RunConfig,
@@ -606,7 +606,8 @@ class TestEngelFitOneSolvePerGroup:
             ln_x = np.log(totals[sel])
             design = np.column_stack([np.ones(sel.sum()), ln_x, ln_x ** 2])
             shares = exp[sel] / totals[sel][:, np.newaxis]
-            got = _engel_fit(shares, design, ln_x, totals[sel] / sizes[sel], w[sel], cfg)
+            got_budget, _, _, got_xi, got_clamped = _engel_fit(shares, design, ln_x,
+                                                               totals[sel] / sizes[sel], w[sel], cfg)
             # one wls_fit per bought category, as the elasticities were first computed
             mean_shares = w[sel] @ shares / w[sel].sum()
             ln_c = float(np.dot(w[sel], ln_x)) / float(w[sel].sum())
@@ -617,11 +618,20 @@ class TestEngelFitOneSolvePerGroup:
                 eta = float(budget_elasticity(mean_shares[j], beta[1], beta[2], ln_c))
                 clamped += not lo <= eta <= hi
                 budget[j] = min(max(eta, lo), hi)
-            assert np.allclose(got.budget, budget, rtol=1e-10, atol=0.0)
-            assert (got.budget == 0).tolist() == (mean_shares <= 0).tolist()
-            own = np.diag(price_elasticities(budget, mean_shares, got.xi))
+            assert np.allclose(got_budget, budget, rtol=1e-10, atol=0.0)
+            assert (got_budget == 0).tolist() == (mean_shares <= 0).tolist()
+            own = np.diag(price_elasticities(budget, mean_shares, got_xi))
             clamped += int(np.sum((own < OWN_PRICE_BOUNDS[0]) | (own > OWN_PRICE_BOUNDS[1])))
-            assert got.clamped == clamped
+            assert got_clamped == clamped
+
+
+def assert_row_is_the_fit(groups, g, fit, label):
+    """Row ``g`` of ``groups`` holds the bits of one ``_engel_fit`` row."""
+    budget, own_price, mean_shares, xi, clamped = fit
+    for got, want in ((groups.budget[g], budget), (groups.own_price[g], own_price),
+                      (groups.mean_shares[g], mean_shares)):
+        assert got.tobytes() == want.tobytes(), label
+    assert (groups.xi[g], groups.clamped[g]) == (xi, clamped), label
 
 
 class TestFallbackFitsOnDemand:
@@ -649,11 +659,10 @@ class TestFallbackFitsOnDemand:
         quintiles = np.r_[np.zeros(6, dtype=int), 1 + np.arange(len(totals) - 6) % 4]
         quintiles[np.flatnonzero((quintiles == 1) & (band == 0))[5:]] = 2
         with mock.patch("priceshock.scenario.wls_coefficients", wraps=wls_coefficients) as counted:
-            groups, labels, _, n_fallback = estimate_demand_groups(shares, totals, w, sizes,
-                                                                   quintiles, cfg)
+            groups = estimate_demand_groups(shares, totals, w, sizes, quintiles, cfg)
         cells = np.bincount(3 * quintiles + band)
-        assert n_fallback == int(np.sum((cells > 0) & (cells < MIN_GROUP_OBS))) == 3
-        assert counted.call_count == len({id(g) for g in groups}) == 13
+        assert groups.n_fallback == int(np.sum((cells > 0) & (cells < MIN_GROUP_OBS))) == 3
+        assert counted.call_count == 13
 
         def engel_fit(rows):
             ln_x = np.log(totals[rows])
@@ -661,12 +670,9 @@ class TestFallbackFitsOnDemand:
             return _engel_fit(shares[rows], design, ln_x, totals[rows] / sizes[rows], w[rows], cfg)
 
         pooled, q2 = engel_fit(np.ones(len(totals), dtype=bool)), engel_fit(quintiles == 1)
-        by_label = dict(zip(labels, groups))
+        row_of = {label: g for g, label in enumerate(groups.labels.tolist())}
         for label, want in (("q1_band2", pooled), ("q1_band3", pooled), ("q2_band1", q2)):
-            got = by_label[label]
-            for name in ("budget", "own_price", "mean_shares"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), label
-            assert (got.xi, got.clamped) == (want.xi, want.clamped)
+            assert_row_is_the_fit(groups, row_of[label], want, label)
 
     def test_each_cell_is_fitted_on_its_rows_in_survey_order(self, bundle_dir):
         """A cell's fit takes its slice of the stable sort by cell: the rows of
@@ -679,23 +685,31 @@ class TestFallbackFitsOnDemand:
         lo, hi = cfg.size_bands
         band = np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
         quintiles = np.arange(len(totals)) % 5  # cells interleaved in survey order
-        groups, labels, group_of, _ = estimate_demand_groups(shares, totals, w, sizes,
-                                                             quintiles, cfg)
+        groups = estimate_demand_groups(shares, totals, w, sizes, quintiles, cfg)
         cells = 3 * quintiles + band
         fitted = 0
-        for index, (g, label) in enumerate(zip(groups, labels)):
+        for index, label in enumerate(groups.labels.tolist()):
             q, b = int(label[1]) - 1, int(label[-1]) - 1
             rows = cells == 3 * q + b
-            assert (group_of == index).tolist() == rows.tolist()
+            assert (groups.of == index).tolist() == rows.tolist()
             if rows.sum() < MIN_GROUP_OBS:
                 continue
             ln_x = np.log(totals[rows])
             design = np.column_stack([np.ones(len(ln_x)), ln_x, ln_x ** 2])
             want = _engel_fit(shares[rows], design, ln_x, totals[rows] / sizes[rows], w[rows], cfg)
-            for name in ("budget", "own_price", "mean_shares"):
-                assert getattr(g, name).tobytes() == getattr(want, name).tobytes(), label
+            assert_row_is_the_fit(groups, index, want, label)
             fitted += 1
         assert fitted >= 10
+
+
+def demand_groups(budget, xi, of) -> DemandGroups:
+    """A table of the given budget elasticities and xi, one row per group,
+    and each household's row ``of``; its other columns are zeros."""
+    budget, xi = np.asarray(budget, dtype=float), np.asarray(xi, dtype=float)
+    zeros = np.zeros_like(budget)
+    return DemandGroups(labels=np.array([f"g{g}" for g in range(len(xi))]), budget=budget,
+                        own_price=zeros, mean_shares=zeros, xi=xi,
+                        clamped=np.zeros(len(xi), dtype=int), of=np.asarray(of), n_fallback=0)
 
 
 class TestValueHouseholdsAgainstTheScalarFunctions:
@@ -719,23 +733,22 @@ class TestValueHouseholdsAgainstTheScalarFunctions:
         emissions = rng.random(k) if with_emissions else None
         # zero budget elasticities leave some households Cobb-Douglas, and a
         # large |xi| some short of their committed bundle
-        groups = [GroupDemand(budget=2.0 * rng.random(k) * (rng.random(k) < 0.8),
-                              own_price=np.zeros(k), mean_shares=np.zeros(k),
-                              xi=-1.2 - rng.exponential(2.0), clamped=0) for _ in range(n_groups)]
+        drawn = [(2.0 * rng.random(k) * (rng.random(k) < 0.8), -1.2 - rng.exponential(2.0))
+                 for _ in range(n_groups)]
         assignment = rng.integers(0, n_groups, n)
         assignment[:n_groups] = np.arange(n_groups)  # no group is empty
+        groups = demand_groups(*zip(*drawn), assignment)
 
         values, infeasible, n_cobb_douglas = value_households(
-            groups, assignment, exp, shares, totals, transfers, p1, emissions)
+            groups, exp, shares, totals, transfers, p1, emissions)
 
         want = np.zeros((4, n))
         short, cobb_douglas = np.zeros(n, dtype=bool), 0
         for h in range(n):
-            g = groups[assignment[h]]
-            cd = not np.any((exp[h] > 0) & (g.budget * shares[h] > 0))
+            budget, xi = drawn[assignment[h]]
+            cd = not np.any((exp[h] > 0) & (budget * shares[h] > 0))
             cobb_douglas += cd
-            fit = les_calibrate_frisch(1.0 if cd else g.budget, g.xi, shares[h], exp[h],
-                                       totals[h])
+            fit = les_calibrate_frisch(1.0 if cd else budget, xi, shares[h], exp[h], totals[h])
             params = LesParameters(gamma=0.0 * fit.gamma if cd else fit.gamma, phi=fit.phi)
             short[h] = params.committed_cost(p1) >= totals[h]
             if short[h]:
@@ -765,20 +778,19 @@ class TestValueHouseholdsAgainstTheScalarFunctions:
         shares = exp / totals[:, np.newaxis]
         transfers = 0.2 * rng.random(n) * totals
         p1 = 1.0 + 0.1 * rng.random(k)
-        groups = [GroupDemand(budget=0.5 + rng.random(k), own_price=np.zeros(k),
-                              mean_shares=np.zeros(k), xi=-2.0 - rng.random(), clamped=0)
-                  for _ in range(n_groups)]
+        budget = 0.5 + rng.random((n_groups, k))
+        xi = -2.0 - rng.random(n_groups)
         assignment = rng.integers(0, n_groups, n)
-        values, infeasible, _ = value_households(groups, assignment, exp, shares, totals,
-                                                 transfers, p1, None)
+        values, infeasible, _ = value_households(demand_groups(budget, xi, assignment), exp,
+                                                 shares, totals, transfers, p1, None)
         assert not infeasible.any()
         for g in range(n_groups):
             rows = assignment == g
             if not rows.any():
                 continue
-            alone, _, _ = value_households(groups[g:g + 1], np.zeros(rows.sum(), dtype=int),
-                                           exp[rows], shares[rows], totals[rows],
-                                           transfers[rows], p1, None)
+            alone, _, _ = value_households(
+                demand_groups(budget[g:g + 1], xi[g:g + 1], np.zeros(rows.sum(), dtype=int)),
+                exp[rows], shares[rows], totals[rows], transfers[rows], p1, None)
             assert values[:3, rows].tobytes() == alone[:3].tobytes()
 
 
@@ -806,8 +818,8 @@ class TestReportGroupMatrix:
         totals = exp.sum(axis=1)
         shares = exp / totals[:, np.newaxis]
         ranked = (totals, shares, totals, np.zeros(n, dtype=int))
-        household, _ = assemble(RunConfig(files={}), inputs, prices, ranked,
-                                np.zeros((4, n)), np.zeros(n), [], [])
+        household, _ = assemble(RunConfig(files={}), inputs, prices, ranked, np.zeros((4, n)),
+                                np.zeros(n), demand_groups(np.zeros((0, k)), [], []))
         for g, members in DEFAULT_REPORT_GROUPS.items():
             mask = np.isin(cats.ids, members)
             for name, terms in (("share", shares[:, mask]), ("burden", exp[:, mask] * rel[mask])):

@@ -37,13 +37,12 @@ def frame_by_loop(cfg, household):
     prices = form_prices(cfg, inputs)
     frame = inputs.frame
     totals, shares, _, quintiles = rank_households(cfg, frame)
-    groups, _, group_of, _ = estimate_demand_groups(shares, totals, frame.weight, frame.size,
-                                                   quintiles, cfg)
+    groups = estimate_demand_groups(shares, totals, frame.weight, frame.size, quintiles, cfg)
     p0, p1 = np.ones(len(prices.total)), 1.0 + prices.total
     want = {name: np.zeros(len(totals)) for name in ("cv", "ye", "ye_net", "fp_after")}
     for h, basket in enumerate(frame.expenditure):
-        group = groups[group_of[h]]
-        params = household_parameters(group.budget, group.xi, basket)
+        g = groups.of[h]
+        params = household_parameters(groups.budget[g], groups.xi[g], basket)
         x, net = basket.sum(), basket.sum() + household["transfer"][h]
         want["cv"][h] = compensating_variation(p0, p1, x, params)
         want["ye"][h] = equivalent_income(p0, p1, x, params)
