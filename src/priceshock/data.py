@@ -29,11 +29,12 @@ which round-trips bit-for-bit through the loaders.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,12 +209,15 @@ class MrioTable:
         bad = set(self.origin) - {"domestic", "imported"}
         if bad:
             raise DataValidationError(f"unknown origin flags {sorted(bad)}")
-        if not all(np.isfinite(v).all() for v in (self.flows, self.final_demand, self.output,
-                                                   self.emissions)):
+        # each array's least and greatest value: a nan in it makes both nan,
+        # an inf makes one infinite, and a negative shows in the least
+        arrays = (self.flows, self.final_demand, self.output, self.emissions)
+        low = [v.min(initial=np.inf) for v in arrays]
+        if not np.isfinite([*low, *(v.max(initial=-np.inf) for v in arrays)]).all():
             raise DataValidationError("flows, final demand, output and emissions must be finite")
-        if np.any(self.flows < 0) or np.any(self.final_demand < 0) or np.any(self.emissions < 0):
+        if min(low[0], low[1], low[3]) < 0:
             raise DataValidationError("flows, final demand and emissions must be nonnegative")
-        if np.any(self.output <= 0):
+        if low[2] <= 0:
             i = int(np.argmin(self.output))
             raise DataValidationError(f"sector {self.sectors[i]!r}: output must be strictly positive")
         resid = self.output - (self.flows.sum(axis=1) + self.final_demand)
@@ -570,16 +574,20 @@ def _plain_lines(block: bytes, limit: int) -> list[str] | None:
     return lines
 
 
-def _record_dtype(width: int, at: int, usecols: list[int], label_bytes: int) -> np.dtype:
+def _record_dtype(width: int, usecols: list[int], labels: Mapping[int, int]) -> np.dtype:
     """The record ``np.loadtxt`` reads each row of a ``width``-column file
     into: the columns ``usecols`` as float64, in that order, from the
     record's start (a run of them in header order as one subarray, which
-    loadtxt reads as fast as a plain float row); column ``at`` as
-    ``label_bytes`` bytes after them; each other column as one byte, which
-    takes any text."""
+    loadtxt reads as fast as a plain float row); each column of ``labels``
+    as that many bytes after them, in that order; each other column as one
+    byte, which takes any text."""
     slot = {c: k for k, c in enumerate(usecols)}
+    start = {}
+    spare = 8 * len(usecols)
+    for c, size in labels.items():
+        start[c] = spare
+        spare += size
     names, formats, offsets = [], [], []
-    spare = 8 * len(usecols) + label_bytes
     j = 0
     while j < width:
         run = 1
@@ -588,9 +596,9 @@ def _record_dtype(width: int, at: int, usecols: list[int], label_bytes: int) -> 
                 run += 1
             formats.append(("f8", (run,)) if run > 1 else "f8")
             offsets.append(8 * slot[j])
-        elif j == at:
-            formats.append(f"S{label_bytes}")
-            offsets.append(8 * len(usecols))
+        elif j in start:
+            formats.append(f"S{labels[j]}")
+            offsets.append(start[j])
         else:
             formats.append("S1")
             offsets.append(spare)
@@ -601,29 +609,65 @@ def _record_dtype(width: int, at: int, usecols: list[int], label_bytes: int) -> 
                      "itemsize": -(-spare // 8) * 8})
 
 
-def _loadtxt_table(path, columns) -> tuple[list[str], np.ndarray, np.ndarray] | None:
-    """(header, labels, values) of a CSV file parsed by one ``np.loadtxt``,
-    the labels a str array, or None for a file that ``read_table`` and
-    ``float()`` might read otherwise.
+def _label_widths(lines: list[str], at: tuple[int, ...]) -> list[int]:
+    """The longest text of each column ``at`` among ``lines``."""
+    if at == (0,):  # a line without a comma gives -1; loadtxt raises for it
+        return [max(map(str.find, lines, repeat(",")))]
+    fields = [line.split(",", max(at) + 1) for line in lines]
+    return [max(len(f[c]) if len(f) > c else 0 for f in fields) for c in at]
 
-    ``columns(header)`` gives the label column's position and the positions
-    of the columns ``values`` holds, in order; a DataValidationError from it
-    gives None, so that the row path names the file's first fault. The rows
-    are read ``CHUNK_BYTES`` at a time, each block completed to the end of
-    the line it cuts, so the file's text is never held whole. A file
-    qualifies when the header line and every block are plain
-    (``_plain_lines``); the header names two or more columns, none twice; a
-    row follows it; every line has as many commas as the header; and every
-    value is finite. Such a line splits at its commas under ``csv.reader``,
-    and ``loadtxt`` reads each value as ``float()`` does, or raises.
+
+class ValueColumns(NamedTuple):
+    """What ``read_input`` tells a loader's ``checks`` of each value column:
+    its least and greatest value and whether it holds a bad cell, one that
+    is not a finite number (read as 0); and the (n, m) mask of those cells,
+    None when there are none. A check that a column's bounds show no row
+    can fail builds no row mask."""
+
+    low: np.ndarray
+    high: np.ndarray
+    has_bad: np.ndarray
+    bad: np.ndarray | None
+
+    @classmethod
+    def of(cls, values: np.ndarray, bad: np.ndarray | None = None) -> ValueColumns:
+        return cls(values.min(axis=0, initial=np.inf), values.max(axis=0, initial=-np.inf),
+                   np.zeros(values.shape[1], bool) if bad is None else bad.any(axis=0), bad)
+
+    def bad_rows(self, j: int):
+        """The mask of column ``j``'s bad cells; False for a column without one."""
+        return self.bad[:, j] if self.has_bad[j] else np.False_
+
+
+def _loadtxt_table(path, columns, row_count=None):
+    """(header, labels, values, ``ValueColumns``) of a CSV file parsed by
+    one ``np.loadtxt``, or None for a file that ``read_table`` and
+    ``float()`` might read otherwise. The labels are a str array, or for a
+    label of several columns a tuple of str arrays, one per column.
+
+    ``columns(header)`` gives the label column's position (a tuple of them
+    for a label of several columns) and the positions of the columns
+    ``values`` holds, in order; a DataValidationError from it gives None,
+    so that the row path names the file's first fault. ``row_count(header)``,
+    when given, is the number of rows the file should hold: loadtxt reads
+    into one record array of that size instead of growing one, and a file
+    with more rows gives None. The rows are read ``CHUNK_BYTES`` at a time,
+    each block completed to the end of the line it cuts, so the file's text
+    is never held whole. A file qualifies when the header line and every
+    block are plain (``_plain_lines``); the header names two or more
+    columns, none twice; a row follows it; every line has as many commas as
+    the header; and every value is finite. Such a line splits at its commas
+    under ``csv.reader``, and ``loadtxt`` reads each value as ``float()``
+    does, or raises.
 
     ``loadtxt`` reads every column of a row into one record
     (``_record_dtype``), so it raises for a row whose field count differs
-    from the header's: that proves the comma rule. The label comes from the
-    record's bytes field, as wide as twice the longest label of the first
-    block; if a label fills the field, the file is read again with a field
-    as wide as its longest line. A blank row, which ``loadtxt`` skips, is
-    left to the row path.
+    from the header's: that proves the comma rule. Each label column comes
+    from a bytes field of the record, as wide as twice its longest text in
+    the first block; if a label fills its field, the file is read again
+    with every label field as wide as its longest line. A blank row, which
+    ``loadtxt`` skips, is left to the row path. Each value column's least
+    and greatest value prove it finite (a nan makes both nan).
     """
     limit = csv.field_size_limit()
     try:
@@ -638,10 +682,19 @@ def _loadtxt_table(path, columns) -> tuple[list[str], np.ndarray, np.ndarray] | 
                 at, usecols = columns(header)
             except DataValidationError:
                 return None
+            label_at = (at,) if isinstance(at, int) else tuple(at)
             usecols = list(usecols)
-            # a second text column, or a column read twice: the row path
-            if not isinstance(at, int) or len({at, *usecols}) != len(usecols) + 1:
-                return None
+            if len({*label_at, *usecols}) != len(label_at) + len(usecols):
+                return None  # a column read twice: the row path
+            data_start = fh.tell()
+            max_rows = None
+            if row_count is not None:
+                expected = row_count(header)
+                # a line holds at least ``width`` bytes: a short file under a
+                # header of many columns reserves no more rows than it can hold
+                room = (os.fstat(fh.fileno()).st_size - data_start) // width
+                max_rows = min(expected, room) + 1
+
             def row_blocks():
                 while block := fh.read(CHUNK_BYTES):
                     if not block.endswith(b"\n"):  # no line, and no \r\n pair, is split
@@ -654,89 +707,93 @@ def _loadtxt_table(path, columns) -> tuple[list[str], np.ndarray, np.ndarray] | 
 
             def records(label_bytes):
                 blocks = row_blocks()
-                rows = next(blocks, None)
-                if rows is None:  # loadtxt warns on a file without rows
+                lines = next(blocks, None)
+                if lines is None:  # loadtxt warns on a file without rows
                     return None
-                if label_bytes is None and at == 0:
-                    # a line without a comma gives -1; loadtxt raises for it
-                    label_bytes = 2 * max(map(str.find, rows, repeat(",")))
-                elif label_bytes is None:
-                    fields = (line.split(",", at + 1) for line in rows)
-                    label_bytes = 2 * max(len(f[at]) if len(f) > at else 0 for f in fields)
-                dtype = _record_dtype(width, at, usecols, -(-(label_bytes + 1) // 8) * 8)
-                return np.loadtxt(chain(rows, chain.from_iterable(blocks)), dtype=dtype,
-                                  delimiter=",", comments=None, ndmin=1)
+                if label_bytes is None:
+                    label_bytes = [2 * size for size in _label_widths(lines, label_at)]
+                dtype = _record_dtype(width, usecols, {c: -(-(size + 1) // 8) * 8
+                                                       for c, size in zip(label_at, label_bytes)})
+                return np.loadtxt(chain(lines, chain.from_iterable(blocks)), dtype=dtype,
+                                  delimiter=",", comments=None, ndmin=1, max_rows=max_rows)
 
-            data_start = fh.tell()
             table = records(None)
-            if table is None:
+            if table is None or (max_rows is not None and len(table) > expected):
                 return None
-            label_block = _label_bytes(table, at, len(usecols))
-            if label_block.shape[1] == table.dtype[f"c{at}"].itemsize:  # a label may be cut
+            labels = [_label_bytes(table, f"c{c}") for c in label_at]
+            if any(block.shape[1] == table.dtype[f"c{c}"].itemsize  # a label may be cut
+                   for c, block in zip(label_at, labels)):
                 fh.seek(data_start)
                 longest = max(max(map(len, lines)) for lines in row_blocks())
                 fh.seek(data_start)
-                table = records(longest)
-                label_block = _label_bytes(table, at, len(usecols))
+                table = records([longest] * len(label_at))
+                labels = [_label_bytes(table, f"c{c}") for c in label_at]
     except (OSError, ValueError, IndexError):  # such as a cell like 1_0, or a short row
         return None
     values = table.view(np.uint8).reshape(len(table), -1)[:, :8 * len(usecols)].view(np.float64)
-    if not np.isfinite(values).all():
+    bounds = ValueColumns.of(values)
+    if not (np.isfinite(bounds.low).all() and np.isfinite(bounds.high).all()):
         return None
     # the labels' ASCII bytes widened to code points are their str array
-    codes = label_block.astype(np.uint32)
-    return header, codes.view(f"U{codes.shape[1]}").ravel(), values
+    texts = tuple(codes.view(f"U{codes.shape[1]}").ravel()
+                  for codes in (block.astype(np.uint32) for block in labels))
+    return header, texts[0] if isinstance(at, int) else texts, values, bounds
 
 
-def _label_bytes(table: np.ndarray, at: int, n_values: int) -> np.ndarray:
+def _label_bytes(table: np.ndarray, name: str) -> np.ndarray:
     """The (rows, width) uint8 block of ``_loadtxt_table``'s label field
-    ``c{at}``, cut to the longest label (at least one byte). The labels are
+    ``name``, cut to the longest label (at least one byte). The labels are
     printable ASCII, NUL-padded to the field's width, so the longest ends
     at the last byte position that is not NUL in some row: the field's
     8-byte words (``_record_dtype`` aligns it) are OR-ed over the rows, one
     strided pass per word."""
-    words = table.view(np.uint64).reshape(len(table), -1)[
-        :, n_values:n_values + table.dtype[f"c{at}"].itemsize // 8]
+    start, size = table.dtype.fields[name][1], table.dtype[name].itemsize
+    words = table.view(np.uint64).reshape(len(table), -1)[:, start // 8:(start + size) // 8]
     seen = np.array([np.bitwise_or.reduce(words[:, j]) for j in range(words.shape[1])],
                     dtype=np.uint64)
     used = np.flatnonzero(seen.view(np.uint8))
-    start = 8 * n_values
     return table.view(np.uint8).reshape(len(table), -1)[
         :, start:start + (used[-1] + 1 if len(used) else 1)]
 
 
-def read_input(path, columns, checks=None, order=None, *,
+def read_input(path, columns, checks=None, order=None, *, row_count=None,
                label_array=False) -> tuple[list[str], list | np.ndarray, np.ndarray]:
     """(header, labels, values) of an input CSV file, ``values`` an (n, m) float block.
 
     ``columns(header)`` raises for a faulty header and gives the label
     column's position (a tuple of them gives tuple labels) and the value
-    columns'. ``order(header, labels)`` (a tuple label gives its first cell)
-    raises for a faulty label set and gives the rows kept and the value
-    columns, in order, each None for the file's. ``checks(header, labels,
-    values, bad)`` lists row checks for ``_raise_first_fault``, ``bad``
-    marking the cells that are not finite numbers; by default one bad-cell
-    check per value column. A plain file (``_loadtxt_table``) that passes
-    them is parsed by one ``np.loadtxt``; any other is read again by
-    ``read_table``, which raises its first fault: of the file, then the
-    header, then the label set, then the first row in file order.
+    columns'. ``row_count(header)``, when given, is the number of rows the
+    file should hold, which the fast path reads into one allocation.
+    ``order(header, labels)`` (a tuple label gives its first cell) raises
+    for a faulty label set and gives the rows kept and the value columns,
+    in order, each None for the file's. ``checks(header, labels, values,
+    bounds)`` lists row checks for ``_raise_first_fault``, ``bounds`` the
+    ``ValueColumns`` of ``values``; by default one bad-cell check per value
+    column. A plain file (``_loadtxt_table``) that passes them is parsed by
+    one ``np.loadtxt``; any other is read again by ``read_table``, which
+    raises its first fault: of the file, then the header, then the label
+    set, then the first row in file order.
 
     The labels come as a list, or with ``label_array`` as a str array: on
     the fast path the one ``_loadtxt_table`` gives, which the checks get too
     (its labels are printable ASCII); on the row path one made after the
     checks, which get the list.
     """
-    table = _loadtxt_table(path, columns)
+    table = _loadtxt_table(path, columns, row_count)
     if table is not None:
-        header, labels, values = table
-        if not label_array:
-            labels = labels.tolist()
-        rows, cols = (None, None) if order is None else order(header, labels)
+        header, labels, values, bounds = table
+        if isinstance(labels, tuple):  # a label of several columns
+            keys = labels[0].tolist()
+            labels = list(zip(*(texts.tolist() for texts in labels)))
+        else:
+            keys = labels = labels if label_array else labels.tolist()
+        rows, cols = (None, None) if order is None else order(header, keys)
         if cols is not None and list(cols) != list(range(len(cols))):
             values = values[:, cols]
+            bounds = ValueColumns(bounds.low[cols], bounds.high[cols], bounds.has_bad[cols], None)
         # loadtxt's values are all finite: only a loader's own checks can fail
         if checks is not None and any(mask.any() for mask, _, _ in
-                                      checks(header, labels, values, np.zeros(values.shape, bool))):
+                                      checks(header, labels, values, bounds)):
             table = None
     if table is None:
         header, file_rows, lines = read_table(path)
@@ -749,7 +806,7 @@ def read_input(path, columns, checks=None, order=None, *,
         values = _parse_cells(file_rows, positions)
         bad = ~np.isfinite(values)
         values[bad] = 0.0  # reported as a bad cell, not also as a bad value
-        found = (checks(header, labels, values, bad) if checks is not None
+        found = (checks(header, labels, values, ValueColumns.of(values, bad)) if checks is not None
                  else [(bad[:, j], header[p], None) for j, p in enumerate(positions)])
         _raise_first_fault(path, file_rows, lines, header, labels, found)
         if label_array:
@@ -814,7 +871,7 @@ def _survey_columns(path, header: list[str], categories: CategorySet | None = No
             *(["inc"] if "inc" in header else [])]
 
 
-def _survey_checks(labels, values, bad, names: list[str], spent: int = 0):
+def _survey_checks(labels, values, bounds: ValueColumns, names: list[str], spent: int = 0):
     """The row checks of a survey file whose ids are ``labels`` and whose
     value columns ``names`` are weight, size, ``spent`` expenditure columns
     and the rest, in the order they run on a row: an id ending in a NUL,
@@ -829,8 +886,7 @@ def _survey_checks(labels, values, bad, names: list[str], spent: int = 0):
     # a list comes from the row path; an array from loadtxt's, which reads printable ASCII
     if isinstance(labels, list) and "\x00" in "".join(labels):  # one C-speed scan
         nul = np.array([label.endswith("\x00") for label in labels], dtype=bool)
-    low, high = values.min(axis=0, initial=np.inf), values.max(axis=0, initial=-np.inf)
-    bad_cells = bad.any(axis=0)
+    low, high, bad_cells = bounds.low, bounds.high, bounds.has_bad
     far = np.maximum(-low, high) > SURVEY_VALUE_LIMIT  # sums over a survey stay finite
     kept = True
     if spent and (bad_cells[2 + spent:].any() or far[2 + spent:].any()):
@@ -841,8 +897,7 @@ def _survey_checks(labels, values, bad, names: list[str], spent: int = 0):
             return np.False_
         return failing(j) & kept if j >= 2 + spent else failing(j)
 
-    def bad_cell(j):
-        return bad[:, j]
+    bad_cell = bounds.bad_rows
 
     def below(limit):
         return lambda j: values[:, j] < limit
@@ -882,8 +937,8 @@ def _read_survey(path, names, spent: int = 0) -> tuple[list[str], np.ndarray, np
         value_columns = names(header)  # raises for a missing column, id included
         return header.index("id"), [header.index(c) for c in value_columns]
 
-    def checks(header, labels, values, bad):
-        return _survey_checks(labels, values, bad, names(header), spent)
+    def checks(header, labels, values, bounds):
+        return _survey_checks(labels, values, bounds, names(header), spent)
 
     return read_input(path, columns, checks, label_array=True)
 
@@ -1339,14 +1394,14 @@ def _value_columns(path, *names: str, label: str | None = None):
 def _nonnegative_checks(negative_value: str, names):
     """``read_input``'s ``checks`` for the value columns that
     ``names(header, labels)`` names: each one's bad cell, then its negative
-    value (the template ``negative_value``); a column with neither is left
-    out, so that a wide file pays for no per-column check."""
-    def checks(header, labels, values, bad):
-        negative = values < 0
+    value (the template ``negative_value``); a column whose bounds show
+    neither is left out, so that a wide file builds no per-column mask."""
+    def checks(header, labels, values, bounds):
         columns = names(header, labels)
-        return [(mask[:, j], columns[j], template)
-                for j in np.flatnonzero(bad.any(axis=0) | negative.any(axis=0)).tolist()
-                for mask, template in ((bad, None), (negative, negative_value))]
+        return [(mask, columns[j], template)
+                for j in np.flatnonzero(bounds.has_bad | (bounds.low < 0)).tolist()
+                for mask, template in ((bounds.bad_rows(j), None),
+                                       (values[:, j] < 0, negative_value))]
     return checks
 
 
@@ -1379,17 +1434,20 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
 
     _, labels, Z = read_input(z_path, sector_columns,
                               nonnegative("flow", lambda header, labels: labels),
-                              flow_order)
+                              flow_order, row_count=lambda header: len(header) - 1)
     sectors = tuple(labels)
+
+    def sector_rows(header):
+        return len(sectors)
 
     # mrio_x.csv's label is (sector, origin) when it flags origins; a blank flag: domestic
     def x_columns(header):
         at, positions = _value_columns(x_path, "x")(header)
         return ((at, header.index("origin")) if "origin" in header else at), positions
 
-    def x_checks(header, labels, values, bad):
+    def x_checks(header, labels, values, bounds):
         sector = "{label[0]!r}" if "origin" in header else "{label!r}"
-        checks = [(bad[:, 0], "x", None),
+        checks = [(bounds.bad_rows(0), "x", None),
                   (values[:, 0] <= 0, "x", "{path}: row {row}, column 'x': sector " + sector
                    + ": output must be strictly positive, got {value}")]
         if "origin" in header:
@@ -1400,12 +1458,13 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
 
     d = read_input(d_path, _value_columns(d_path, "d"),
                    nonnegative("final demand", lambda header, labels: ["d"]),
-                   _keyed_order(d_path, "sector", sectors))[2]
+                   _keyed_order(d_path, "sector", sectors), row_count=sector_rows)[2]
     x_header, x_labels, x = read_input(x_path, x_columns, x_checks,
-                                       _keyed_order(x_path, "sector", sectors))
+                                       _keyed_order(x_path, "sector", sectors),
+                                       row_count=sector_rows)
     f = read_input(f_path, _value_columns(f_path, "f"),
                    nonnegative("emissions", lambda header, labels: ["f"]),
-                   _keyed_order(f_path, "sector", sectors))[2]
+                   _keyed_order(f_path, "sector", sectors), row_count=sector_rows)[2]
     origin = (tuple(o or "domestic" for _, o in x_labels) if "origin" in x_header
               else ("domestic",) * len(sectors))
     return MrioTable(sectors=sectors, flows=Z, final_demand=d[:, 0], output=x[:, 0],
@@ -1427,17 +1486,18 @@ def load_bridge(path, categories: CategorySet) -> BridgingMatrix:
         "{path}: row {row}, column {col!r}: category {label!r} has negative share {value}; "
         "bridging shares must be nonnegative", lambda header, labels: header[1:])
 
-    def checks(header, labels, values, bad):
+    def checks(header, labels, values, bounds):
         sums = values.sum(axis=1)
         off = np.abs(sums - 1.0) > BRIDGE_ROW_TOL
         # the sum of the first row off: when this check is the file's first
         # fault, that row is the one named
-        return [*nonnegative(header, labels, values, bad),
+        return [*nonnegative(header, labels, values, bounds),
                 (off, header[0], "{path}: row {row}: bridging row {label!r} sums to %.12g, "
                                  "expected 1" % sums[np.argmax(off)])]
 
     header, _, shares = read_input(path, product_columns, checks,
-                                   _keyed_order(path, "category", categories.ids))
+                                   _keyed_order(path, "category", categories.ids),
+                                   row_count=lambda header: len(categories))
     return BridgingMatrix(categories=categories.ids, products=tuple(header[1:]), shares=shares)
 
 
@@ -1456,15 +1516,15 @@ def load_fuels(path) -> FuelTable:
     content that is not positive, are named by file, row, column and fuel."""
     path = Path(path)
 
-    def checks(header, labels, values, bad):
+    def checks(header, labels, values, bounds):
         first = {label: i for i, label in reversed(list(enumerate(labels)))}
         positive = ("{path}: row {row}, column {col!r}: fuel {label!r} has %s {value}; fuel %s "
                     "must be strictly positive")
         return [
             (np.array([first[label] != i for i, label in enumerate(labels)], dtype=bool), "fuel",
              "{path}: row {row}: duplicate fuel {label!r}"),
-            (bad[:, 0], "price", None),
-            (bad[:, 1], "kgco2_per_unit", None),
+            (bounds.bad_rows(0), "price", None),
+            (bounds.bad_rows(1), "kgco2_per_unit", None),
             (values[:, 0] <= 0, "price", positive % ("price", "prices")),
             (values[:, 1] <= 0, "kgco2_per_unit",
              positive % ("carbon content", "carbon contents")),

@@ -464,6 +464,9 @@ def impute_expenditure_patterns(
         raise DataValidationError("source survey lacks disposable income; cannot impute")
     if income.income is None:
         raise DataValidationError("income dataset lacks disposable income")
+    if not income.weight.sum() > 0:  # the achieved participation shares divide by it
+        raise DataValidationError(f"income dataset {income.report.source!r}: every record has "
+                                  f"weight 0, so no participation share can be weighed")
     if not np.all(income.income > 0):
         i = int(np.argmin(income.income > 0))
         raise DataValidationError(f"income record {str(income.ids[i])!r}: income "

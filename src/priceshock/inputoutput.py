@@ -34,7 +34,7 @@ class TechnologyMatrix:
         a = np.asarray(self.coefficients, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "coefficients", a)
-        if np.any(a < 0):
+        if np.fmin.reduce(a, axis=None, initial=np.inf) < 0:  # fmin passes over a nan
             raise DataValidationError("technology coefficients must be nonnegative")
         colsums = a.sum(axis=0)
         if np.any(colsums >= 1.0):

@@ -1051,7 +1051,7 @@ def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
             raise DataValidationError(f"{households_csv}: missing columns {missing}")
         return 0, [j for j, c in enumerate(header) if c != "id"]
 
-    def checks(header, labels, values, bad):
+    def checks(header, labels, values, bounds):
         columns = [c for c in header if c != "id"]
         row = dict(zip(columns, values.T))
         q = row["quintile"]
@@ -1061,7 +1061,7 @@ def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
             for c in ["equivalised", *(f"burden_{g}" for g in group_names(header))]:
                 finite &= np.isfinite(row[c] / row["x"])
         found = [
-            *((bad[:, j], c, None) for j, c in enumerate(columns)),
+            *((bounds.bad_rows(j), c, None) for j, c in enumerate(columns)),
             (~((q >= 0) & (q < cfg.groups) & (q == np.floor(q))), "quintile",
              f"{{path}}: row {{row}}, column 'quintile': {{text}} is not a quintile of "
              f"distribution.groups = {cfg.groups}, a whole number from 0 to {cfg.groups - 1}"),

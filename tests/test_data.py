@@ -1,7 +1,13 @@
 """Loader validation, load reports, and CSV round-trips."""
 
 import csv
+import importlib.util
 import io
+import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -16,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 import priceshock.data as data_module
 import priceshock.scenario as scenario_module
+from priceshock.cli import main
 from priceshock.data import (
     CategorySet,
     HouseholdRecord,
@@ -367,6 +374,81 @@ class TestOtherLoaders:
         assert str(caught.value) == f"{p}: {message}"
 
 
+class TestFlowTableRead:
+    """load_mrio and load_bridge give np.loadtxt the row count they know, so
+    that it reads each file into one record array, and check its values by
+    their least and greatest value; faults read as they did."""
+
+    def test_each_file_is_read_once_with_its_row_count(self, tmp_path):
+        paths = write_mrio_files(tmp_path, [[20, 30], [40, 10]], [50, 50], [100, 100], [10, 30],
+                                 origin=("domestic", "imported"))
+        bridge = tmp_path / "bridge.csv"
+        bridge.write_text("category,s1,s2\nrest,0.5,0.5\nfood,0.6,0.4\nfuel,1,0\n")
+        loadtxt = mock.Mock(wraps=np.loadtxt)
+        with mock.patch.object(data_module.np, "loadtxt", loadtxt), no_row_path():
+            table = load_mrio(*paths)
+            load_bridge(bridge, CATS)
+        assert [c.kwargs["max_rows"] for c in loadtxt.call_args_list] == [3, 3, 3, 3, 4]
+        assert table.origin == ("domestic", "imported")
+
+    def test_a_short_file_reserves_no_more_rows_than_it_holds(self, tmp_path):
+        """A header of many columns over a short file asks for no row
+        count beyond the bytes that follow the header."""
+        path = tmp_path / "t.csv"
+        path.write_text("key," + ",".join(f"c{j}" for j in range(999)) + "\na" + ",1" * 999 + "\n")
+        loadtxt = mock.Mock(wraps=np.loadtxt)
+        with mock.patch.object(data_module.np, "loadtxt", loadtxt):
+            _, labels, values = read_input(path, lambda header: (0, range(1, len(header))),
+                                           row_count=lambda header: len(header) - 1)
+        assert loadtxt.call_args.kwargs["max_rows"] == 3
+        assert labels == ["a"] and values.tolist() == [[1.0] * 999]
+
+    @pytest.mark.parametrize("label, fault", [("industry", "duplicate sector rows"),
+                                              ("services", "row and column sector labels differ")],
+                             ids=["repeated label", "new label"])
+    def test_a_flow_table_with_a_row_more_than_its_columns(self, tmp_path, bundle_dir, capsys,
+                                                           label, fault):
+        """The demo's 2-sector mrio_z.csv with a third row exits 1 naming it."""
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        z = work / "mrio_z.csv"
+        assert z.read_text().split("\n")[0] == "sector,energy,industry"
+        with open(z, "a") as fh:
+            fh.write(f"{label},1,1\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(work / "config.txt"), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 1
+        assert f"{z}: {fault}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("name", ["z", "d", "f"])
+    def test_a_faulty_flow_file_cell_is_named(self, tmp_path, name, text):
+        paths = write_mrio_files(tmp_path, [[20, 30], [40, 10]], [50, 50], [100, 100], [10, 30])
+        path = dict(zip("zdxf", paths))[name]
+        lines = path.read_text().split("\n")
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + text  # the last cell of sector s2
+        path.write_text("\n".join(lines))
+        column = {"z": "s2", "d": "d", "f": "f"}[name]
+        if text == "-1":
+            noun = {"z": "flow", "d": "final demand", "f": "emissions"}[name]
+            fault = (f"sector 's2' has negative {noun} -1.0; flows, final demand and emissions "
+                     f"must be nonnegative")
+        else:
+            fault = f"non-finite value {text!r}"
+        with pytest.raises(DataValidationError) as caught:
+            load_mrio(*paths)
+        assert str(caught.value) == f"{path}: row 3, column {column!r}: {fault}"
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-1"])
+    def test_a_faulty_bridge_cell_is_named(self, tmp_path, text):
+        path = tmp_path / "bridge.csv"
+        path.write_text(f"category,p1,p2\nfood,0.6,0.4\nfuel,1,{text}\nrest,0.5,0.5\n")
+        fault = (f"category 'fuel' has negative share -1.0; bridging shares must be nonnegative"
+                 if text == "-1" else f"non-finite value {text!r}")
+        with pytest.raises(DataValidationError) as caught:
+            load_bridge(path, CATS)
+        assert str(caught.value) == f"{path}: row 3, column 'p2': {fault}"
+
+
 class TestTypeInvariants:
     def test_category_set_rejects_duplicates_and_empties(self):
         with pytest.raises(DataValidationError):
@@ -408,6 +490,29 @@ class TestTypeInvariants:
             BridgingMatrix(categories=("a",), products=("p",), shares=np.array([[np.inf]]))
         with pytest.raises(DataValidationError, match="must be finite"):
             FuelTable(fuels=("a",), price=np.array([np.nan]), carbon_kg_per_unit=np.array([1.0]))
+
+    FINITE = "flows, final demand, output and emissions must be finite"
+    SIGNED = "flows, final demand and emissions must be nonnegative"
+
+    @pytest.mark.parametrize("cells, fault", [
+        ({"flows": np.nan}, FINITE), ({"final_demand": np.inf}, FINITE),
+        ({"output": -np.inf}, FINITE), ({"emissions": np.nan}, FINITE),
+        ({"flows": -1.0}, SIGNED), ({"final_demand": -1.0}, SIGNED), ({"emissions": -1.0}, SIGNED),
+        ({"output": -1.0}, "sector 'b': output must be strictly positive"),
+        ({"flows": -1.0, "emissions": np.nan}, FINITE),
+        ({"emissions": -1.0, "output": np.inf}, FINITE),
+    ])
+    def test_mrio_table_names_a_nan_an_inf_or_a_sign(self, cells, fault):
+        """The last cell of each array named is set; any non-finite cell is
+        named before any sign."""
+        arrays = {"flows": np.array([[1.0, 2.0], [3.0, 4.0]]),
+                  "final_demand": np.array([7.0, 3.0]), "output": np.array([10.0, 10.0]),
+                  "emissions": np.array([1.0, 2.0])}
+        for name, value in cells.items():
+            arrays[name].flat[-1] = value
+        with pytest.raises(DataValidationError) as caught:
+            MrioTable(sectors=("a", "b"), origin=("domestic", "domestic"), **arrays)
+        assert str(caught.value) == fault
 
     def test_price_scenario_invariants(self):
         from priceshock.data import PriceScenario
@@ -1560,9 +1665,9 @@ class TestLabelledReader:
 
 
 def test_plain_wide_tables_and_results_skip_the_row_path(bundle_dir, tmp_path, monkeypatch):
-    """The demo's input files but mrio_x.csv, whose text origin column takes
-    the row path, and the households.csv a run writes, load through loadtxt
-    alone, to the per-cell references' values."""
+    """The demo's input files, mrio_x.csv with its text origin column too,
+    and the households.csv a run writes, load through loadtxt alone, to the
+    per-cell references' values."""
     cfg = parse_config(bundle_dir / "config.txt")
     emit_reports(run_scenario(cfg), tmp_path / "run")
     categories = CategorySet.default()
@@ -1574,8 +1679,9 @@ def test_plain_wide_tables_and_results_skip_the_row_path(bundle_dir, tmp_path, m
     real = data_module.read_table
 
     def read_table_but_plain(path):
-        assert Path(path).name not in ("mrio_z.csv", "mrio_d.csv", "mrio_f.csv", "bridge.csv",
-                                       "prices.csv", "fuels.csv", "households.csv"), path
+        assert Path(path).name not in ("mrio_z.csv", "mrio_d.csv", "mrio_x.csv", "mrio_f.csv",
+                                       "bridge.csv", "prices.csv", "fuels.csv",
+                                       "households.csv"), path
         return real(path)
 
     monkeypatch.setattr(data_module, "read_table", read_table_but_plain)
@@ -1592,6 +1698,49 @@ def test_plain_wide_tables_and_results_skip_the_row_path(bundle_dir, tmp_path, m
     tables, _ = rebuild_tables_from_csv(tmp_path / "run" / "households.csv", cfg)
     for name, path in write_tables(tables, tmp_path / "report").items():
         assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes(), name
+
+
+OPEN_COUNTER = """
+import collections, json, os, sys
+from pathlib import Path
+
+inputs = Path(sys.argv[1]).resolve().parent
+opens = collections.Counter()
+
+
+def hook(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)):
+        path = Path(args[0]).resolve()
+        if path.parent == inputs:
+            opens[path.name] += 1
+
+
+sys.addaudithook(hook)
+from priceshock.cli import main
+
+assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"]) == 0
+print(json.dumps(opens))
+"""
+
+
+def test_a_run_opens_each_input_file_once(tmp_path):
+    """On the sectors_wide benchmark inputs (60 sectors), whose mrio_x.csv
+    labels its rows with a sector and an origin flag, a run opens every
+    input file once: no reader declines a file after opening it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.WIDE_SECTORS = 60
+    gen.generate("sectors_wide", 1, tmp_path / "in")
+    assert (tmp_path / "in" / "mrio_x.csv").read_text().startswith("sector,x,origin\n")
+    src = str(Path(data_module.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", OPEN_COUNTER, str(tmp_path / "in" / "config.txt"),
+                           str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    inputs = sorted(path.name for path in (tmp_path / "in").iterdir())
+    assert json.loads(proc.stdout) == dict.fromkeys(inputs, 1)
 
 
 def synthetic_result(n):

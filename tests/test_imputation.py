@@ -520,6 +520,21 @@ class TestPipeline:
         assert str(caught.value) == (f"income record {records[7].id!r}: income {income:g} "
                                      f"is not positive (its log is taken)")
 
+    def test_an_income_frame_of_zero_weight_is_named(self, bundle, bundle_dir, categories):
+        """The achieved participation shares divide by the income side's
+        weight, which a library caller may pass as all 0."""
+        import dataclasses
+
+        survey = load_household_survey(bundle_dir / "households.csv", categories)
+        income = dataclasses.replace(survey, expenditure=None, weight=np.zeros(len(survey.ids)))
+        with pytest.raises(DataValidationError) as caught:
+            impute_expenditure_patterns(survey, income, categories, seed=1)
+        assert str(caught.value) == (f"income dataset {survey.report.source!r}: every record has "
+                                     f"weight 0, so no participation share can be weighed")
+        records = [dataclasses.replace(r, weight=0.0) for r in bundle.households[:30]]
+        with pytest.raises(DataValidationError, match="income dataset 'records': every record"):
+            impute_expenditure_patterns(bundle.households, records, categories, seed=1)
+
     def test_demographic_design_missing_covariate(self, bundle):
         import dataclasses
 

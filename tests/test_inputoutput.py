@@ -64,6 +64,14 @@ class TestTechnologyMatrix:
         with pytest.raises(NonProductiveEconomyError, match="heavy"):
             technology_matrix(t)
 
+    @pytest.mark.parametrize("cells", [[-1e-300], [np.nan, -0.5], [-0.5, np.nan], [-np.inf]])
+    def test_a_negative_coefficient_is_refused_whatever_else(self, cells):
+        """A negative coefficient is refused even beside a nan."""
+        a = np.full((2, 2), 0.1)
+        a.flat[:len(cells)] = cells
+        with pytest.raises(DataValidationError, match="coefficients must be nonnegative"):
+            TechnologyMatrix(sectors=("a", "b"), coefficients=a)
+
     def test_reproduces_output_from_demand(self):
         t = io2_table()
         tech = technology_matrix(t)
