@@ -18,7 +18,8 @@ prices.csv       category, pi
 fuels.csv        fuel, price, kgco2_per_unit
 
 Every file is read by ``read_input``. Rows of keyed files may appear in
-any order; the full label set must match the registry with no duplicates.
+any order; every label set is matched by one rule (``match_labels``), and
+a file that starts with a byte-order mark is refused (``BYTE_ORDER_MARK``).
 Every numeric cell must be text that ``float()`` reads as a finite number.
 A faulty file raises its first fault: of the file, then of its header, then
 of its label set, then of a row (named by file, row and column), rows in
@@ -395,12 +396,8 @@ def as_survey(data) -> HouseholdSurvey:
         raise DataValidationError("no records")
     names = tuple(sorted(records[0].demographics))
     for r in records:
-        missing = [k for k in names if k not in r.demographics]
-        if missing:
-            raise DataValidationError(f"record {r.id!r}: missing covariate(s) {missing}")
-        if len(r.demographics) > len(names):
-            extra = sorted(set(r.demographics) - set(names))
-            raise DataValidationError(f"record {r.id!r}: covariate(s) {extra} not in the first record")
+        match_labels(list(r.demographics), names, f"record {r.id!r}", "covariate",
+                     "the first record's")
     n = len(records)
     income = [r.disposable_income for r in records]
     if None in income and any(v is not None for v in income):
@@ -438,9 +435,15 @@ def not_utf8(path, noun: str = "row") -> DataValidationError:
     return DataValidationError(f"{path}: not UTF-8 text")
 
 
+# the message for a file whose first row (or line: ``noun``) starts with a byte-order mark
+BYTE_ORDER_MARK = ("{path}: {noun} 1 starts with a UTF-8 byte-order mark (U+FEFF): "
+                   "save the file without it")
+
+
 def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
     """Read a UTF-8 CSV file into (header, rows, lines), rejecting ragged or
-    headerless files and text that does not decode (``not_utf8``).
+    headerless files, a byte-order mark (``BYTE_ORDER_MARK``) and text that
+    does not decode (``not_utf8``).
 
     Blank rows are skipped; ``lines[i]`` is the row number in the file of
     ``rows[i]`` (the header is row 1), which every message about a row names.
@@ -459,6 +462,8 @@ def read_table(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
             raise DataValidationError(f"{path}: row {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise not_utf8(path) from None
+    if header and header[0].startswith("\ufeff"):
+        raise DataValidationError(BYTE_ORDER_MARK.format(path=path, noun="row"))
     if not header:
         raise DataValidationError(f"{path}: row 1 is blank, not a header")
     lines: Sequence[int] = range(2, len(rows) + 2)
@@ -817,28 +822,36 @@ def read_input(path, columns, checks=None, order=None, *, row_count=None,
     return header, labels, values
 
 
-def _keyed_order(path, key_column: str, expected: Sequence[str]):
+def match_labels(found: Sequence, expected: Sequence, where, noun: str, against: str) -> list[int]:
+    """The position in ``found`` of each label of ``expected`` (which holds
+    each label once). Unless ``found`` is a permutation of ``expected``,
+    raise, naming ``where`` (a file or config key) and the first label that
+    ``found`` repeats, or else how many labels it misses and how many it
+    holds beyond ``expected``, and the first five of each."""
+    at = {label: i for i, label in enumerate(found)}
+    if len(at) < len(found):
+        first = {label: i for i, label in reversed(list(enumerate(found)))}
+        repeated = next(label for i, label in enumerate(found) if first[label] != i)
+        raise DataValidationError(f"{where}: duplicate {noun} {repeated!r}")
+    known = set(expected)
+    if at.keys() == known:
+        return [at[label] for label in expected]
+    faults = (("missing", [label for label in expected if label not in at]),
+              ("unexpected", [label for label in found if label not in known]))
+    raise DataValidationError(f"{where}: {noun} labels do not match {against}" + "".join(
+        f"; {kind} {len(labels)}: " + ", ".join(map(repr, labels[:5]))
+        + (", ..." if len(labels) > 5 else "") for kind, labels in faults if labels))
+
+
+def _keyed_order(path, key_column: str, expected: Sequence[str],
+                 against: str = "the category registry"):
     """``read_input``'s ``order`` for a file keyed by its first column, named
-    ``key_column``: the rows in the order of ``expected``, each labelled once."""
+    ``key_column``: the rows in the order of ``expected`` (``match_labels``)."""
     def order(header, labels):
         if header[0] != key_column:
             raise DataValidationError(f"{path}: first column must be {key_column!r}, "
                                       f"got {header[0]!r}")
-        seen: dict[str, int] = {}
-        for i, label in enumerate(labels):
-            if label in seen:
-                raise DataValidationError(f"{path}: duplicate {key_column} {label!r}")
-            seen[label] = i
-        missing = [k for k in expected if k not in seen]
-        known = set(expected)
-        extra = [k for k in seen if k not in known]
-        if missing or extra:
-            raise DataValidationError(
-                f"{path}: {key_column} labels do not match the registry"
-                + (f"; missing {missing}" if missing else "")
-                + (f"; unexpected {extra}" if extra else "")
-            )
-        return [seen[k] for k in expected], None
+        return match_labels(labels, expected, path, key_column, against), None
     return order
 
 
@@ -854,21 +867,14 @@ def _survey_columns(path, header: list[str], categories: CategorySet | None = No
     required = ["id", "weight", "size"] + (["inc"] if categories is None else [])
     missing = [c for c in required if c not in header]
     if missing:
-        bom = ("; the header starts with a UTF-8 byte-order mark (U+FEFF): save the file "
-               "without it" if header and header[0].startswith("\ufeff") else "")
-        raise DataValidationError(f"{path}: missing required columns {missing}{bom}")
+        raise DataValidationError(f"{path}: missing required columns {missing}")
     demo_cols = [c for c in header if c.startswith(DEMOGRAPHIC_PREFIX)]
     if categories is None:
         return ["weight", "size", "inc", *demo_cols]
-    exp_cols = {c[len(EXPENDITURE_PREFIX):]: c for c in header if c.startswith(EXPENDITURE_PREFIX)}
-    missing_cats = [c for c in categories if c not in exp_cols]
-    if missing_cats:
-        raise DataValidationError(f"{path}: missing expenditure columns for {missing_cats}")
-    unknown = [exp_cols[c] for c in exp_cols if c not in set(categories.ids)]
-    if unknown:
-        raise DataValidationError(f"{path}: unknown expenditure columns {sorted(unknown)}")
-    return ["weight", "size", *(exp_cols[c] for c in categories), *demo_cols,
-            *(["inc"] if "inc" in header else [])]
+    exp_cols = [EXPENDITURE_PREFIX + c for c in categories]
+    match_labels([c for c in header if c.startswith(EXPENDITURE_PREFIX)], exp_cols, path,
+                 "expenditure column", "the category registry")
+    return ["weight", "size", *exp_cols, *demo_cols, *(["inc"] if "inc" in header else [])]
 
 
 def _survey_checks(labels, values, bounds: ValueColumns, names: list[str], spent: int = 0):
@@ -1425,20 +1431,18 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
         return 0, range(1, len(header))
 
     def flow_order(header, labels):
-        if len(set(labels)) != len(labels):
-            raise DataValidationError(f"{z_path}: duplicate sector rows")
-        if set(header[1:]) != set(labels) or len(header) - 1 != len(labels):
-            raise DataValidationError(f"{z_path}: row and column sector labels differ")
-        col_pos = {s: j for j, s in enumerate(header[1:])}
-        return None, [col_pos[s] for s in labels]  # Z's columns in row-label order
+        row = match_labels(labels, header[1:], z_path, "sector row", "the sector columns")
+        return None, np.argsort(row).tolist()  # Z's columns in row-label order
 
     _, labels, Z = read_input(z_path, sector_columns,
                               nonnegative("flow", lambda header, labels: labels),
                               flow_order, row_count=lambda header: len(header) - 1)
     sectors = tuple(labels)
 
-    def sector_rows(header):
-        return len(sectors)
+    def keyed(path, columns, checks):  # a file keyed by sector, in mrio_z.csv's row order
+        return read_input(path, columns, checks,
+                          _keyed_order(path, "sector", sectors, f"the rows of {z_path}"),
+                          row_count=lambda header: len(sectors))
 
     # mrio_x.csv's label is (sector, origin) when it flags origins; a blank flag: domestic
     def x_columns(header):
@@ -1456,15 +1460,11 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
                                             "domestic/imported, got {text!r}"))
         return checks
 
-    d = read_input(d_path, _value_columns(d_path, "d"),
-                   nonnegative("final demand", lambda header, labels: ["d"]),
-                   _keyed_order(d_path, "sector", sectors), row_count=sector_rows)[2]
-    x_header, x_labels, x = read_input(x_path, x_columns, x_checks,
-                                       _keyed_order(x_path, "sector", sectors),
-                                       row_count=sector_rows)
-    f = read_input(f_path, _value_columns(f_path, "f"),
-                   nonnegative("emissions", lambda header, labels: ["f"]),
-                   _keyed_order(f_path, "sector", sectors), row_count=sector_rows)[2]
+    d = keyed(d_path, _value_columns(d_path, "d"),
+              nonnegative("final demand", lambda header, labels: ["d"]))[2]
+    x_header, x_labels, x = keyed(x_path, x_columns, x_checks)
+    f = keyed(f_path, _value_columns(f_path, "f"),
+              nonnegative("emissions", lambda header, labels: ["f"]))[2]
     origin = (tuple(o or "domestic" for _, o in x_labels) if "origin" in x_header
               else ("domestic",) * len(sectors))
     return MrioTable(sectors=sectors, flows=Z, final_demand=d[:, 0], output=x[:, 0],
@@ -1502,13 +1502,17 @@ def load_bridge(path, categories: CategorySet) -> BridgingMatrix:
 
 
 def load_price_relatives(path, categories: CategorySet) -> np.ndarray:
-    """prices.csv -> per-category price relatives in registry order."""
+    """prices.csv -> per-category price relatives in registry order. A
+    relative of -1 or less is named by file, row, column and category."""
     path = Path(path)
-    out = read_input(path, _value_columns(path, "pi"),
-                     order=_keyed_order(path, "category", categories.ids))[2][:, 0]
-    if np.any(out <= -1.0):
-        raise DataValidationError(f"{path}: price relatives must exceed -1")
-    return out
+
+    def checks(header, labels, values, bounds):
+        return [(bounds.bad_rows(0), "pi", None),
+                (values[:, 0] <= -1.0, "pi", "{path}: row {row}, column 'pi': category {label!r} "
+                 "has price relative {value}; price relatives must exceed -1")]
+
+    return read_input(path, _value_columns(path, "pi"), checks,
+                      _keyed_order(path, "category", categories.ids))[2][:, 0]
 
 
 def load_fuels(path) -> FuelTable:

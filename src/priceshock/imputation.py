@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .data import CategorySet, HouseholdRecord, HouseholdSurvey, IncomeRecord, as_survey
+from .data import (CategorySet, HouseholdRecord, HouseholdSurvey, IncomeRecord, as_survey,
+                   match_labels)
 from .errors import ConvergenceError, DataValidationError, SeparationError
 from .metrics import stable_order
 from .randutil import id_keys, keyed_normals
@@ -486,12 +487,10 @@ def impute_expenditure_patterns(
     ln_x = np.log(source_x)
     n_src, n_inc = len(source_w), len(income.weight)
 
+    match_labels(income.demographic_names, source.demographic_names, income.report.source,
+                 "covariate", f"those of {source.report.source}")
     demo_source, demo_names = demographic_design(source)
-    demo_inc, demo_names_inc = demographic_design(income)
-    if demo_names_inc != demo_names:
-        raise DataValidationError(
-            f"income dataset covariates {demo_names_inc} differ from survey covariates {demo_names}"
-        )
+    demo_inc, _ = demographic_design(income)
 
     # Step 1: total expenditure from income and demographics.
     names_total = ["const", "ln_income"] + demo_names

@@ -20,6 +20,7 @@ import numpy as np
 from ._version import __version__
 from .data import (
     CategorySet,
+    BYTE_ORDER_MARK,
     DEFAULT_REPORT_GROUPS,
     BridgingMatrix,
     FuelTable,
@@ -32,6 +33,7 @@ from .data import (
     load_income_survey,
     load_mrio,
     load_price_relatives,
+    match_labels,
     not_utf8,
     read_input,
     write_csv,
@@ -130,6 +132,8 @@ def parse_config(path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise not_utf8(path, "line") from None
+    if text.startswith("\ufeff"):
+        raise DataValidationError(BYTE_ORDER_MARK.format(path=path, noun="line"))
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -652,17 +656,9 @@ def load_inputs(cfg: RunConfig) -> Inputs:
                          cfg.files["mrio_x"], cfg.files["mrio_f"])
         bridge = load_bridge(cfg.files["bridge"], categories)
         if bridge.products != mrio.sectors:
-            column = {p: j for j, p in enumerate(bridge.products)}
-            sectors = set(mrio.sectors)
-            extra = [p for p in bridge.products if p not in sectors]
-            missing = [s for s in mrio.sectors if s not in column]
-            if extra or missing:
-                fault = (f"{extra[0]!r} is not a sector of files.mrio_z" if extra
-                         else f"sector {missing[0]!r} is not a column of files.bridge")
-                raise DataValidationError("the product columns of files.bridge do not match "
-                                          f"the sectors of files.mrio_z: {fault}")
-            bridge = BridgingMatrix(bridge.categories, mrio.sectors,
-                                    bridge.shares[:, [column[s] for s in mrio.sectors]])
+            column = match_labels(bridge.products, mrio.sectors, "files.bridge",
+                                  "product column", "the sectors of files.mrio_z")
+            bridge = BridgingMatrix(bridge.categories, mrio.sectors, bridge.shares[:, column])
     if "fuels" in cfg.files:
         fuels = load_fuels(cfg.files["fuels"])
         for category, fuel in cfg.fuel_map.items():
@@ -1038,7 +1034,7 @@ def rebuild_tables_from_csv(households_csv, cfg: RunConfig):
     aversion is 1 or more a positive ``ye_net``; the first row that does
     not is named. Each quintile must hold a household of positive weight.
     """
-    needed = ["burden", "cv", "equivalised", "pi", "quintile", "size", "weight", "x", "ye_net"]
+    needed = ["burden", "cv", "equivalised", "quintile", "size", "weight", "x", "ye_net"]
 
     def group_names(header):
         return tuple(dict.fromkeys(c.partition("_")[2] for c in header

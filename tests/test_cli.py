@@ -418,10 +418,9 @@ class TestTextEncoding:
         assert text.startswith(b"id,")
         path.write_bytes(b"\xef\xbb\xbf" + text if bom else b"h" + text)
         proc = run_cli_process("run", "--config", cfg, "--out", tmp_path / "r", "--quiet")
-        note = ("; the header starts with a UTF-8 byte-order mark (U+FEFF): save the file "
-                "without it" if bom else "")
-        assert (proc.returncode, proc.stderr) == (
-            1, f"error: {path}: missing required columns ['id']{note}\n")
+        fault = ("row 1 starts with a UTF-8 byte-order mark (U+FEFF): save the file without it"
+                 if bom else "missing required columns ['id']")
+        assert (proc.returncode, proc.stderr) == (1, f"error: {path}: {fault}\n")
 
     def test_a_latin1_byte_in_the_config_names_its_line(self, bundle_dir, tmp_path):
         work = shutil.copytree(bundle_dir, tmp_path / "b")
@@ -447,6 +446,23 @@ class TestReport:
         assert rebuilt == ["t2_inflation_drivers.csv", "t3_budget_shares.csv", "t5_incidence.csv",
                            "t6_progressivity.csv", "t7_welfare.csv", "t8_atkinson.csv",
                            "t9_decomposition.csv"]
+        for name in rebuilt:
+            assert (rep / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_report_needs_no_pi_column(self, bundle_dir, tmp_path):
+        """households.csv's pi column is written by run but read by no table."""
+        out = tmp_path / "results"
+        assert run_cli("run", "--config", bundle_dir / "config.txt", "--out", out, "--quiet") == 0
+        with open(out / "households.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        j = rows[0].index("pi")
+        with open(tmp_path / "households.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:j] + row[j + 1:] for row in rows)
+        rep = tmp_path / "rebuilt"
+        assert run_cli("report", "--config", bundle_dir / "config.txt",
+                       "--results", tmp_path / "households.csv", "--out", rep, "--quiet") == 0
+        rebuilt = sorted(p.name for p in rep.iterdir())
+        assert len(rebuilt) == 7
         for name in rebuilt:
             assert (rep / name).read_bytes() == (out / name).read_bytes(), name
 
@@ -995,8 +1011,8 @@ class TestWideInputs:
         assert run_cli("run", "--config", work / "config.txt", "--out", tmp_path / "r",
                        "--quiet") == 1
         assert capsys.readouterr().err == (
-            "error: the product columns of files.bridge do not match the sectors of "
-            "files.mrio_z: 'energyx' is not a sector of files.mrio_z\n")
+            "error: files.bridge: product column labels do not match the sectors of "
+            "files.mrio_z; missing 1: 'energy'; unexpected 1: 'energyx'\n")
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -1051,8 +1067,11 @@ class TestInputFaultsNameTheirFile:
          "column 'f': sector 'energy' has negative emissions -10.0"),
         ("mrio_x.csv", "energy,100,", "energy,0,", 2,
          "column 'x': sector 'energy': output must be strictly positive, got 0.0"),
+        ("prices.csv", "food,0.4289", "food,-1.5", 2,
+         "column 'pi': category 'food' has price relative -1.5; price relatives must exceed -1"),
     ], ids=["fuel price 0", "fuel carbon 0", "duplicate fuel", "negative share", "row sum 1.1",
-            "negative flow", "negative final demand", "negative emissions", "output 0"])
+            "negative flow", "negative final demand", "negative emissions", "output 0",
+            "price relative -1.5"])
     def test_fault_names_the_file_and_row(self, bundle_dir, tmp_path, capsys, name, old, new,
                                           row, problem):
         work = shutil.copytree(bundle_dir, tmp_path / "b")
@@ -1090,3 +1109,79 @@ class TestInputFaultsNameTheirFile:
         err = capsys.readouterr().err
         assert err == f"error: {work / zeroed}: every household has weight 0\n"
         assert "Traceback" not in err
+
+
+BOM = "row 1 starts with a UTF-8 byte-order mark (U+FEFF): save the file without it"
+
+
+class TestLabelSetsAndByteOrderMarks:
+    """A label set that is not the one expected exits 1 naming the file (or
+    config key) and each offending label; so does a file saved with a
+    UTF-8 byte-order mark, naming the mark. In ``fault``, {z} and {hh}
+    stand for mrio_z.csv and households.csv."""
+
+    @pytest.mark.parametrize("name, old, new, fault", [
+        pytest.param("mrio_z.csv", "industry,40", "energy,40", "duplicate sector row 'energy'",
+                     id="mrio_z duplicate"),
+        pytest.param("mrio_z.csv", "industry,40", "services,40", "sector row labels do not match "
+                     "the sector columns; missing 1: 'industry'; unexpected 1: 'services'",
+                     id="mrio_z renamed"),
+        *(pytest.param(name, old, new, fault, id=f"{name[:-4]} {kind}")
+          for name, row in (("mrio_d.csv", ",50"), ("mrio_x.csv", ",100"), ("mrio_f.csv", ",30"))
+          for kind, old, new, fault in (
+              ("duplicate", "industry" + row, "energy" + row, "duplicate sector 'energy'"),
+              ("renamed", "industry" + row, "services" + row, "sector labels do not match the "
+               "rows of {z}; missing 1: 'industry'; unexpected 1: 'services'"))),
+        *(pytest.param(name, old, new, fault, id=f"{name[:-4]} {kind}")
+          for name, row in (("bridge.csv", ",0,1"), ("prices.csv", ",0.3661"))
+          for kind, old, new, fault in (
+              ("duplicate", "alcohol" + row, "food" + row, "duplicate category 'food'"),
+              ("renamed", "alcohol" + row, "alcohl" + row, "category labels do not match the "
+               "category registry; missing 1: 'alcohol'; unexpected 1: 'alcohl'"))),
+        pytest.param("bridge.csv", "category,energy,industry", "category,energy,energy",
+                     "duplicate columns ['energy']", id="bridge duplicate product"),
+        pytest.param("bridge.csv", "category,energy,industry", "category,energy,services",
+                     "files.bridge: product column labels do not match the sectors of "
+                     "files.mrio_z; missing 1: 'industry'; unexpected 1: 'services'",
+                     id="bridge renamed product"),
+        pytest.param("households.csv", ",exp_alcohol,", ",demo_alcohol,", "expenditure column "
+                     "labels do not match the category registry; missing 1: 'exp_alcohol'",
+                     id="missing exp_ column"),
+        pytest.param("households.csv", ",demo_urban,", ",exp_urban,", "expenditure column "
+                     "labels do not match the category registry; unexpected 1: 'exp_urban'",
+                     id="unknown exp_ column"),
+        pytest.param("income.csv", ",demo_urban,", ",demo_rural,", "covariate labels do not "
+                     "match those of {hh}; missing 1: 'urban'; unexpected 1: 'rural'",
+                     id="income covariate renamed"),
+        *(pytest.param(name, None, None, BOM, id=f"{name} byte-order mark") for name in (
+            "households.csv", "income.csv", "mrio_z.csv", "mrio_d.csv", "mrio_x.csv",
+            "mrio_f.csv", "bridge.csv", "prices.csv", "fuels.csv", "results")),
+        pytest.param("config.txt", None, None, BOM.replace("row", "line"),
+                     id="config.txt byte-order mark"),
+    ])
+    def test_fault_names_the_file_and_its_labels(self, bundle_dir, tmp_path, capsys, name, old,
+                                                 new, fault):
+        work = shutil.copytree(bundle_dir, tmp_path / "b")
+        cfg = work / "config.txt"
+        if name == "income.csv":
+            shutil.copyfile(work / "households.csv", work / name)
+            cfg.write_text(cfg.read_text() + "files.income = income.csv\nscenario.impute = true\n")
+        argv = ["run", "--config", cfg, "--out", tmp_path / "r", "--quiet"]
+        path = work / name
+        if name == "results":  # the households.csv that report reads back
+            assert run_cli(*argv) == 0
+            path = tmp_path / "r" / "households.csv"
+            argv = ["report", "--config", cfg, "--results", path, "--out", tmp_path / "t",
+                    "--quiet"]
+        text = path.read_bytes()
+        if old is None:
+            path.write_bytes(b"\xef\xbb\xbf" + text)
+        else:
+            assert old.encode() in text
+            path.write_bytes(text.replace(old.encode(), new.encode(), 1))
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        fault = fault.format(z=work / "mrio_z.csv", hh=work / "households.csv")
+        where = "" if fault.startswith("files.") else f"{path}: "
+        assert capsys.readouterr().err == f"error: {where}{fault}\n"
+

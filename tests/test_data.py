@@ -33,6 +33,7 @@ from priceshock.data import (
     LoadReport,
     _csv_field,
     _keyed_order,
+    match_labels,
     CSV_BLOCK_ROWS,
     FEW_ROWS,
     SURVEY_VALUE_LIMIT,
@@ -403,9 +404,10 @@ class TestFlowTableRead:
         assert loadtxt.call_args.kwargs["max_rows"] == 3
         assert labels == ["a"] and values.tolist() == [[1.0] * 999]
 
-    @pytest.mark.parametrize("label, fault", [("industry", "duplicate sector rows"),
-                                              ("services", "row and column sector labels differ")],
-                             ids=["repeated label", "new label"])
+    @pytest.mark.parametrize("label, fault", [
+        ("industry", "duplicate sector row 'industry'"),
+        ("services", "sector row labels do not match the sector columns; unexpected 1: 'services'"),
+    ], ids=["repeated label", "new label"])
     def test_a_flow_table_with_a_row_more_than_its_columns(self, tmp_path, bundle_dir, capsys,
                                                            label, fault):
         """The demo's 2-sector mrio_z.csv with a third row exits 1 naming it."""
@@ -417,7 +419,7 @@ class TestFlowTableRead:
         capsys.readouterr()
         assert main(["run", "--config", str(work / "config.txt"), "--out", str(tmp_path / "out"),
                      "--quiet"]) == 1
-        assert f"{z}: {fault}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {z}: {fault}\n"
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-1"])
     @pytest.mark.parametrize("name", ["z", "d", "f"])
@@ -1073,8 +1075,10 @@ class TestSurveyWriter:
 
 
     @pytest.mark.parametrize("second,match", [
-        ({"demographics": {"urban": 1.0, "age": 3.0}}, r"'b': covariate\(s\) \['age'\] not in"),
-        ({"demographics": {}}, r"'b': missing covariate\(s\) \['urban'\]"),
+        ({"demographics": {"urban": 1.0, "age": 3.0}},
+         r"^record 'b': covariate labels do not match the first record's; unexpected 1: 'age'$"),
+        ({"demographics": {}},
+         r"^record 'b': covariate labels do not match the first record's; missing 1: 'urban'$"),
         ({"disposable_income": None}, r"'b': no disposable income"),
     ])
     def test_records_that_do_not_form_one_frame_are_rejected(self, tmp_path, second, match):
@@ -1235,10 +1239,7 @@ def ref_flows(path):
     if header[0] != "sector":
         raise DataValidationError(f"{path}: first column must be 'sector', got {header[0]!r}")
     col_sectors, row_sectors = header[1:], [r[0] for r in rows]
-    if len(set(row_sectors)) != len(row_sectors):
-        raise DataValidationError(f"{path}: duplicate sector rows")
-    if set(col_sectors) != set(row_sectors) or len(col_sectors) != len(row_sectors):
-        raise DataValidationError(f"{path}: row and column sector labels differ")
+    match_labels(row_sectors, col_sectors, path, "sector row", "the sector columns")
     col_pos = {s: j + 1 for j, s in enumerate(col_sectors)}
     sectors = tuple(row_sectors)
     flows = [[ref_nonnegative(row[col_pos[s]], path, lineno, s, row[0], "flow") for s in sectors]
@@ -1277,15 +1278,17 @@ def ref_bridge(path, categories):
     return BridgingMatrix(categories=categories.ids, products=products, shares=B[order])
 
 
-def ref_keyed_column(path, key_column, expected, name, origin=False, noun=None):
+def ref_keyed_column(path, key_column, expected, name, origin=False, noun=None,
+                     relative=False, against="the category registry"):
     """``name``'s column of a file keyed by ``key_column``, in the order of
     ``expected``, as a per-cell loop reads it; with ``noun``, each value
     nonnegative (``ref_nonnegative``); with ``origin``, each output positive
-    and then the origin flags of mrio_x.csv (blank: domestic)."""
+    and then the origin flags of mrio_x.csv (blank: domestic); with
+    ``relative``, each price relative above -1."""
     header, rows, lines = read_table(path)
     if name not in header:
         raise DataValidationError(f"{path}: missing column {name!r}")
-    order, _ = _keyed_order(path, key_column, expected)(header, [r[0] for r in rows])
+    order, _ = _keyed_order(path, key_column, expected, against)(header, [r[0] for r in rows])
     j = header.index(name)
     values, flags = [], []
     for lineno, row in zip(lines, rows):
@@ -1293,6 +1296,10 @@ def ref_keyed_column(path, key_column, expected, name, origin=False, noun=None):
             values.append(ref_nonnegative(row[j], path, lineno, name, row[0], noun))
         else:
             values.append(ref_cell(row[j], path, lineno, name))
+        if relative and values[-1] <= -1:
+            raise DataValidationError(f"{path}: row {lineno}, column {name!r}: category "
+                                      f"{row[0]!r} has price relative {values[-1]}; price "
+                                      f"relatives must exceed -1")
         if origin and values[-1] <= 0:
             raise DataValidationError(f"{path}: row {lineno}, column {name!r}: sector {row[0]!r}: "
                                       f"output must be strictly positive, got {values[-1]}")
@@ -1309,19 +1316,17 @@ def ref_keyed_column(path, key_column, expected, name, origin=False, noun=None):
 def ref_mrio(z_path, d_path, x_path, f_path):
     """load_mrio as per-cell loops read the four files, in that order."""
     sectors, Z = ref_flows(z_path)
-    d, _ = ref_keyed_column(d_path, "sector", sectors, "d", noun="final demand")
-    x, origin = ref_keyed_column(x_path, "sector", sectors, "x", origin=True)
-    f, _ = ref_keyed_column(f_path, "sector", sectors, "f", noun="emissions")
+    rows_of_z = f"the rows of {z_path}"
+    d, _ = ref_keyed_column(d_path, "sector", sectors, "d", noun="final demand", against=rows_of_z)
+    x, origin = ref_keyed_column(x_path, "sector", sectors, "x", origin=True, against=rows_of_z)
+    f, _ = ref_keyed_column(f_path, "sector", sectors, "f", noun="emissions", against=rows_of_z)
     return MrioTable(sectors=sectors, flows=Z, final_demand=d, output=x, emissions=f,
                      origin=origin)
 
 
 def ref_prices(path, categories):
     """load_price_relatives as a per-cell loop reads prices.csv."""
-    out, _ = ref_keyed_column(path, "category", categories.ids, "pi")
-    if np.any(out <= -1.0):
-        raise DataValidationError(f"{path}: price relatives must exceed -1")
-    return out
+    return ref_keyed_column(path, "category", categories.ids, "pi", relative=True)[0]
 
 
 def ref_fuels(path):
@@ -1370,6 +1375,44 @@ def test_loadtxt_checks_the_field_count_only_when_reading_every_column():
         np.loadtxt(["1,2", "3,4,5"], delimiter=",", comments=None)
     values = np.loadtxt(["1,2", "3,4,5"], delimiter=",", comments=None, usecols=[0, 1])
     assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+MATCH_LABEL = st.text(alphabet="abcd", max_size=2)
+
+
+def listed(kind, labels):
+    """A label list as match_labels words it: its count and first five."""
+    if not labels:
+        return ""
+    return (f"; {kind} {len(labels)}: " + ", ".join(repr(label) for label in labels[:5])
+            + (", ..." if len(labels) > 5 else ""))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_match_labels_gives_positions_exactly_for_a_permutation(data):
+    """For any ``found`` and any ``expected`` without repeats, match_labels
+    gives each expected label's position in ``found`` when ``found`` is a
+    permutation of ``expected``; otherwise it raises, naming the first
+    label ``found`` repeats, or else the missing and unexpected labels."""
+    expected = data.draw(st.lists(MATCH_LABEL, max_size=12, unique=True), label="expected")
+    pool = st.sampled_from(expected) | MATCH_LABEL if expected else MATCH_LABEL
+    found = data.draw(st.permutations(expected) | st.lists(pool, max_size=12), label="found")
+    if sorted(found) == sorted(expected):
+        positions = match_labels(found, expected, "t.csv", "sector", "the registry")
+        assert [found[i] for i in positions] == expected
+        return
+    with pytest.raises(DataValidationError) as caught:
+        match_labels(found, expected, "t.csv", "sector", "the registry")
+    repeated = [label for i, label in enumerate(found) if label in found[:i]]
+    if repeated:
+        assert str(caught.value) == f"t.csv: duplicate sector {repeated[0]!r}"
+        return
+    missing = [label for label in expected if label not in found]
+    unexpected = [label for label in found if label not in expected]
+    assert missing or unexpected
+    assert str(caught.value) == ("t.csv: sector labels do not match the registry"
+                                 + listed("missing", missing) + listed("unexpected", unexpected))
 
 
 CUT_FAULTS = ("extra comma", "missing comma", "trailing comma", "short first row",
