@@ -18,37 +18,47 @@ calls it: ``load_inputs``, ``form_prices``, ``rank_households``,
 best and the median of each, in seconds; ``first_s``, its time in the
 warm-up run, which pays the first-use costs (lazy imports, caches) that a
 fresh ``priceshock run`` pays too; and ``vmhwm_mb``, the process's peak
-resident memory (VmHWM in /proc/self/status) after its last call. BLAS and
-OpenMP are pinned to one thread unless the environment sets them.
+resident memory (VmHWM in /proc/self/status) after its last call. Its
+``import_s`` is the time of ``import priceshock.cli``, which the script
+makes before it imports anything else, or null where the process had
+imported it already. BLAS and OpenMP are pinned to one thread unless the
+environment sets them.
 
 ``--label NAME`` times the workload in a fresh interpreter that reads
-inputs written beforehand, so that its memory peak is the run's own, and
-writes the reports to ``BENCH_<NAME>.json`` in the current directory. A
-workload in ``TILED`` is timed at each of ``SIZES`` (240, 24,000 and
-240,000 households); the others, whose inputs do not depend on the tiles,
-once.
+inputs written beforehand, so that its memory peak and ``import_s`` are the
+run's own, and writes the reports to ``BENCH_<NAME>.json`` in the current
+directory. A workload in ``TILED`` is timed at each of ``SIZES`` (240,
+24,000 and 240,000 households); the others, whose inputs do not depend on
+the tiles, once.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+# timed before this script imports anything else, as a fresh ``priceshock``
+# process pays it; None where the command line was already imported
+_loaded, _start = "priceshock.cli" in sys.modules, time.perf_counter()
+import priceshock.cli  # noqa: E402,F401
+
+IMPORT_S = None if _loaded else time.perf_counter() - _start
 
 import argparse  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
-import time  # noqa: E402
 from contextlib import ExitStack  # noqa: E402
 from pathlib import Path  # noqa: E402
 from unittest import mock  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from priceshock import scenario  # noqa: E402
 
@@ -132,7 +142,8 @@ def write_label(args, work: Path) -> dict:
         child = subprocess.run(
             [sys.executable, __file__, "--config", str(config), "--repeat", str(args.repeat)],
             check=True, capture_output=True, text=True)
-        report["sizes"].append({**facts, "stages": json.loads(child.stdout)["stages"]})
+        timed = json.loads(child.stdout)
+        report["sizes"].append({**facts, "import_s": timed["import_s"], "stages": timed["stages"]})
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -159,7 +170,7 @@ def main(argv=None) -> int:
         if args.label is not None:
             report = write_label(args, work)
         else:
-            report = {"repeat": args.repeat}
+            report = {"repeat": args.repeat, "import_s": IMPORT_S}
             if args.workload:
                 config, facts = generate(args.workload, args.seed, args.tiles, work / "inputs")
                 report.update(facts)

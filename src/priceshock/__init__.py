@@ -49,7 +49,6 @@ from .errors import (
     PriceShockError,
     SeparationError,
 )
-from .fixtures import canonical_fixtures, write_fixture_bundle
 from .imputation import (
     BinaryFit,
     RegressionFit,
@@ -106,4 +105,18 @@ from .scenario import (
     run_scenario,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_FIXTURES = ("canonical_fixtures", "write_fixture_bundle")
+
+
+def __getattr__(name: str):
+    """Import ``fixtures`` when it or one of its two functions is first
+    read (PEP 562): no command but ``priceshock fixtures`` calls them."""
+    if name == "fixtures" or name in _FIXTURES:
+        from importlib import import_module
+
+        fixtures = import_module(f"{__name__}.fixtures")
+        return fixtures if name == "fixtures" else getattr(fixtures, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | {"fixtures", *_FIXTURES})

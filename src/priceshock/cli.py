@@ -17,7 +17,6 @@ from pathlib import Path
 from ._version import __version__
 from .data import CategorySet, write_household_survey
 from .errors import DataValidationError, NumericalModelError
-from .fixtures import write_fixture_bundle
 from .inputoutput import leontief_solve_residual
 from .scenario import (
     emit_reports,
@@ -33,46 +32,54 @@ EXIT_DATA = 1
 EXIT_NUMERIC = 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its help line, its own help's description (None: none),
+# whether it takes --config, --seed and --quiet, and its further required
+# options with their help.
+_SUBCOMMANDS = {
+    "validate": ("check the configuration and data, and price the scenario", None, True, ()),
+    "impute": ("impute expenditure patterns into the income dataset", None, True,
+               (("--out", "output CSV for the imputed dataset"),)),
+    "run": ("run the configured scenario end to end", None, True,
+            (("--out", "output directory for tables and results"),)),
+    "report": ("re-emit aggregate tables from stored results",
+               "Re-emit the aggregate tables from a run's households.csv. Its "
+               "values are rounded, so a table value on a 6-digit rounding tie can print "
+               "one unit in its last digit apart from run's. A row whose quintile is not a "
+               "whole number from 0 to distribution.groups - 1, whose weight is negative, "
+               "whose size is below 1, whose x or equivalised is not positive, or (when "
+               "distribution.atkinson_epsilon is 1 or more) whose ye_net is not positive "
+               "exits 1 naming the file, row and column. A file in which a quintile "
+               "holds no household of positive weight exits 1 naming the file and "
+               "distribution.groups.", True,
+               (("--results", "households.csv written by a previous run"),
+                ("--out", "output directory for the tables"))),
+    "fixtures": ("write the bundled demonstration inputs", None, False,
+                 (("--out", "target directory"),)),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with ``command``'s subparser only, or with every
+    subcommand's when ``command`` is None. Its usage line lists all five
+    commands either way."""
     parser = argparse.ArgumentParser(
         prog="priceshock",
         description="Price-shock microsimulation: incidence, demand response, welfare.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="path to the run configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
-
-    p = sub.add_parser("validate", help="check the configuration and data, and price the scenario")
-    common(p)
-
-    p = sub.add_parser("impute", help="impute expenditure patterns into the income dataset")
-    common(p)
-    p.add_argument("--out", required=True, help="output CSV for the imputed dataset")
-
-    p = sub.add_parser("run", help="run the configured scenario end to end")
-    common(p)
-    p.add_argument("--out", required=True, help="output directory for tables and results")
-
-    p = sub.add_parser("report", help="re-emit aggregate tables from stored results",
-                       description="Re-emit the aggregate tables from a run's households.csv. Its "
-                       "values are rounded, so a table value on a 6-digit rounding tie can print "
-                       "one unit in its last digit apart from run's. A row whose quintile is not a "
-                       "whole number from 0 to distribution.groups - 1, whose weight is negative, "
-                       "whose size is below 1, whose x or equivalised is not positive, or (when "
-                       "distribution.atkinson_epsilon is 1 or more) whose ye_net is not positive "
-                       "exits 1 naming the file, row and column. A file in which a quintile "
-                       "holds no household of positive weight exits 1 naming the file and "
-                       "distribution.groups.")
-    common(p)
-    p.add_argument("--results", required=True, help="households.csv written by a previous run")
-    p.add_argument("--out", required=True, help="output directory for the tables")
-
-    p = sub.add_parser("fixtures", help="write the bundled demonstration inputs")
-    p.add_argument("--out", required=True, help="target directory")
+    # with one subparser built, the metavar spells the choice list all five would
+    choices = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name, (summary, description, configured, options) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary, description=description)
+        if configured:
+            p.add_argument("--config", required=True, help="path to the run configuration file")
+            p.add_argument("--seed", type=int, default=None, help="override the configured seed")
+            p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        for flag, text in options:
+            p.add_argument(flag, required=True, help=text)
     return parser
 
 
@@ -138,13 +145,17 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from .fixtures import write_fixture_bundle  # only this command needs it
+
     paths = write_fixture_bundle(args.out)
     print(f"wrote {len(paths)} fixture files to {args.out}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first argument that names a command is always that command
+    args = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     handlers = {
         "validate": _cmd_validate,
         "impute": _cmd_impute,

@@ -142,7 +142,10 @@ class CategorySet:
             raise DataValidationError(f"unknown category {category!r}") from None
 
 
-@dataclass(frozen=True)
+# A record that holds an array compares and hashes by identity (eq=False):
+# a generated __eq__ would raise on two distinct records, and a frozen
+# record's generated __hash__ would raise TypeError.
+@dataclass(frozen=True, eq=False)
 class HouseholdRecord:
     """One survey household.
 
@@ -178,7 +181,7 @@ class HouseholdRecord:
         return self.expenditure / self.total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MrioTable:
     """Inter-industry accounts: flows Z, final demand d, output x, emissions f.
 
@@ -241,7 +244,7 @@ class MrioTable:
         return np.array([o == "domestic" for o in self.origin])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BridgingMatrix:
     """Row-stochastic map from consumption categories to industry products."""
 
@@ -266,7 +269,7 @@ class BridgingMatrix:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuelTable:
     """Prices per physical unit and carbon content (kg CO2 per unit) by fuel."""
 
@@ -295,7 +298,7 @@ class FuelTable:
             raise DataValidationError(f"unknown fuel {fuel!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceScenario:
     """A priced shock: category price relatives plus policy instruments.
 
@@ -363,7 +366,7 @@ class LoadReport:
     notes: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)
 class HouseholdSurvey:
     """A survey's kept rows as columns: ``expenditure`` in CategorySet
     order, None for an income survey; ``demographics`` one column per

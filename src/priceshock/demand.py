@@ -36,7 +36,7 @@ FRISCH_SHIFT = 7000.0
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElasticitySet:
     """Budget and price elasticities for one household group."""
 
@@ -63,7 +63,7 @@ class ElasticitySet:
         return np.diag(self.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LesParameters:
     """Committed quantities and marginal budget shares: (k,) or (n, k) arrays."""
 

@@ -211,6 +211,8 @@ def _scale_to_group_targets(expenditure: np.ndarray, weights: np.ndarray,
 
 @dataclass(frozen=True)
 class FixtureBundle:
+    """The three canonical fixtures and the category registry they use."""
+
     io2: MrioTable
     les: LesFixture
     households: list[HouseholdRecord]

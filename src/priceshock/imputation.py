@@ -72,7 +72,7 @@ def _linear_predictor(design: np.ndarray, names, fit_names, coefficients) -> np.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionFit:
     """Weighted least-squares fit with the residual moments of its sample.
 
@@ -90,7 +90,7 @@ class RegressionFit:
         return _linear_predictor(design, names, self.names, self.coefficients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryFit:
     """Maximum-likelihood binary-response fit (logit or probit link)."""
 
@@ -260,8 +260,11 @@ def chauvenet_outliers(values: np.ndarray) -> np.ndarray:
     return expected < 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationResult:
+    """Calibrated incomes, the Chauvenet outliers left out of the moments,
+    and the affine map (``values = offset + scale * raw``)."""
+
     values: np.ndarray
     outlier_mask: np.ndarray
     scale: float
@@ -426,14 +429,20 @@ def demographic_design(survey: HouseholdSurvey) -> tuple[np.ndarray, list[str]]:
 
 @dataclass
 class ImputationReport:
+    """Target and achieved participation by category, the calibration
+    outliers counted, and notes on what the imputation did."""
+
     target_participation: dict[str, float]
     achieved_participation: dict[str, float]
     calibration_outliers: int
     notes: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)
 class ImputationResult:
+    """The imputed survey, its report, and the provenance columns that
+    ``priceshock impute`` writes beside it."""
+
     survey: HouseholdSurvey
     report: ImputationReport
     provenance: dict[str, list]

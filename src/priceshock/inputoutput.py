@@ -23,7 +23,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TechnologyMatrix:
     """Input coefficients a_ij = Z_ij / x_j; column sums must stay below 1."""
 
@@ -45,7 +45,7 @@ class TechnologyMatrix:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeontiefInverse:
     """Total requirements matrix L = (I - A)^-1 with its construction tag."""
 
@@ -60,7 +60,7 @@ class LeontiefInverse:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CarbonIntensity:
     """Tonnes CO2 per currency unit of gross output, split by sector origin."""
 
@@ -235,6 +235,8 @@ def bridge_to_categories(bridge: BridgingMatrix, product_vector: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class Footprint:
+    """One household's CO2, tonnes: fuel combustion and embodied emissions."""
+
     direct: float
     indirect: float
 

@@ -18,7 +18,7 @@ from .errors import DataValidationError
 EQUIVALENCE_SCALES = ("none", "per_capita", "sqrt")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedSample:
     """Values with survey weights and an optional ranking key."""
 
@@ -295,6 +295,8 @@ def progressivity_table(
 
 @dataclass(frozen=True)
 class AtkinsonResult:
+    """Atkinson index, weighted mean and equally-distributed-equivalent value."""
+
     index: float
     mean: float
     yede: float

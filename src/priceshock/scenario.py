@@ -320,8 +320,13 @@ def compose_relatives(*relatives: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CarbonTaxResult:
+    """A carbon tax priced through the economy: each category's price
+    relative in all, through the supply chain and from the fuels it burns,
+    each sector's, each category's emissions per currency unit, and the
+    solve that gave them."""
+
     category_relatives: np.ndarray
     indirect_relatives: np.ndarray
     direct_relatives: np.ndarray
@@ -435,7 +440,7 @@ def recycle_revenue(revenue: float, scheme: str, weights: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemandGroups:
     """The demand parameters of each quintile x size-band cell, one row per
     cell that holds a household: its ``labels`` entry, (cells, k)
@@ -596,8 +601,11 @@ def value_households(groups: DemandGroups, exp, shares, totals, transfers, p1, e
 ELASTICITY_COLUMNS = ("group", "category", "share", "eta", "eta_own", "phi", "gamma", "xi")
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioResult:
+    """What a run found: price relatives, the per-household columns, the
+    tables, revenue, the demand groups' elasticities and the diagnostics."""
+
     categories: CategorySet
     group_names: tuple[str, ...]
     relatives_total: np.ndarray
@@ -616,7 +624,7 @@ class ScenarioResult:
     imputation: ImputationReport | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Inputs:
     """Everything a run reads; ``frame`` is the survey it values."""
 
@@ -670,7 +678,7 @@ def load_inputs(cfg: RunConfig) -> Inputs:
     return Inputs(categories, survey, imputed, mrio, bridge, fuels, rel_inflation)
 
 
-@dataclass
+@dataclass(eq=False)
 class Prices:
     """Consumer price relatives by category (``total`` composes inflation
     and ``carbon``), emissions per currency unit of each category, and each

@@ -1185,3 +1185,79 @@ class TestLabelSetsAndByteOrderMarks:
         where = "" if fault.startswith("files.") else f"{path}: "
         assert capsys.readouterr().err == f"error: {where}{fault}\n"
 
+
+
+class TestStartup:
+    """A command builds only its own parser, with the text the five-command
+    parser gives, and ``import priceshock.cli`` leaves ``fixtures`` unloaded."""
+
+    TOP_USAGE = "usage: priceshock [-h] [--version] {validate,impute,run,report,fixtures} ...\n"
+    HELP = TOP_USAGE + """
+Price-shock microsimulation: incidence, demand response, welfare.
+
+positional arguments:
+  {validate,impute,run,report,fixtures}
+    validate            check the configuration and data, and price the
+                        scenario
+    impute              impute expenditure patterns into the income dataset
+    run                 run the configured scenario end to end
+    report              re-emit aggregate tables from stored results
+    fixtures            write the bundled demonstration inputs
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+    RUN_USAGE = "usage: priceshock run [-h] --config CONFIG [--seed SEED] [--quiet] --out OUT\n"
+
+    @pytest.mark.parametrize("argv, out, err", [
+        (["--help"], HELP, ""),
+        (["run"], "", RUN_USAGE + "priceshock run: error: the following arguments are "
+                                  "required: --config, --out\n"),
+        (["run", "--config", "c", "--out", "o", "extra"], "",
+         TOP_USAGE + "priceshock: error: unrecognized arguments: extra\n"),
+    ], ids=["help", "run without options", "run with an extra argument"])
+    def test_help_and_errors_read_as_before(self, monkeypatch, capsys, argv, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == (0 if argv == ["--help"] else 2)
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("command", ["validate", "impute", "run", "report", "fixtures"])
+    def test_one_command_parser_reads_as_the_full_one(self, monkeypatch, capsys, command):
+        from priceshock.cli import _build_parser
+
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for parser in (_build_parser(command), _build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            texts.append((parser.format_usage(), capsys.readouterr().out))
+        assert texts[0] == texts[1]
+
+    @staticmethod
+    def fresh_python(code: str) -> list[str]:
+        env = {**os.environ, "PYTHONPATH": str(Path(priceshock.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.split()
+
+    def test_fixtures_is_loaded_on_first_use(self):
+        code = ("import sys, priceshock.cli; import priceshock; "
+                "print('priceshock.fixtures' in sys.modules); priceshock.canonical_fixtures; "
+                "print('priceshock.fixtures' in sys.modules)")
+        assert self.fresh_python(code) == ["False", "True"]
+
+    def test_every_exported_name_resolves(self):
+        code = ("import priceshock; names = priceshock.__all__; "
+                "[getattr(priceshock, name) for name in names]; "
+                "print({'fixtures', 'canonical_fixtures', 'write_fixture_bundle'} <= set(names), "
+                "hasattr(priceshock, 'no_such_name'))")
+        assert self.fresh_python(code) == ["True", "False"]
+
+    def test_a_star_import_binds_every_exported_name(self):
+        code = ("import priceshock; namespace = {}; exec('from priceshock import *', namespace); "
+                "print(len(priceshock.__all__), sorted(set(priceshock.__all__) - set(namespace)), "
+                "namespace['write_fixture_bundle'].__module__)")
+        count, missing, module = self.fresh_python(code)
+        assert int(count) > 90 and missing == "[]" and module == "priceshock.fixtures"

@@ -1,7 +1,10 @@
 """Loader validation, load reports, and CSV round-trips."""
 
 import csv
+import dataclasses
+import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -530,6 +533,68 @@ class TestTypeInvariants:
             PriceScenario(category_relatives=np.array([0.1]), vat=np.array([-0.1]))
         with pytest.raises(DataValidationError, match="one entry per category"):
             PriceScenario(category_relatives=np.array([0.1, 0.2]), vat=np.array([0.1]))
+
+
+def package_dataclasses():
+    """Every dataclass that a module of the package defines."""
+    for name in ("data", "demand", "fixtures", "imputation", "inputoutput", "metrics",
+                 "scenario"):
+        module = importlib.import_module(f"priceshock.{name}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                yield cls
+
+
+class TestRecordEquality:
+    """A record that holds an array is equal only to itself and hashes by
+    identity; a record without one compares by value."""
+
+    def test_a_record_with_an_array_field_compares_by_identity(self):
+        from priceshock.imputation import ImputationResult
+
+        holding = [cls for cls in package_dataclasses()
+                   if any("np.ndarray" in str(f.type) for f in dataclasses.fields(cls))]
+        assert len(holding) == 20
+        for cls in (*holding, ImputationResult):  # an ImputationResult holds a frame
+            assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+
+    def test_a_flow_table_is_hashable_and_equal_only_to_itself(self, bundle):
+        table = bundle.io2
+        twin = dataclasses.replace(table)
+        assert table == table and table != twin  # the parent's __eq__ raised on distinct tables
+        assert len({table, twin, table}) == 2  # the parent's frozen __hash__ raised TypeError
+        assert {table: 1}[table] == 1
+
+    def test_a_survey_frame_is_hashable_and_equal_only_to_itself(self, bundle_dir, categories):
+        survey = data_module.load_household_survey(bundle_dir / "households.csv", categories)
+        twin = dataclasses.replace(survey)
+        assert survey == survey and survey != twin
+        assert hash(survey) != hash(twin) and len({survey, twin}) == 2
+
+    def test_replace_builds_a_run_config_a_record_and_a_frame(self, bundle, bundle_dir,
+                                                              categories):
+        cfg = scenario_module.parse_config(bundle_dir / "config.txt")
+        changed = dataclasses.replace(cfg, groups=3)
+        assert (changed.groups, changed.seed, changed.files) == (3, cfg.seed, cfg.files)
+        record = bundle.households[0]
+        heavier = dataclasses.replace(record, weight=record.weight + 1.0)
+        assert heavier.weight == record.weight + 1.0
+        assert heavier.expenditure is record.expenditure and heavier.id == record.id
+        survey = data_module.load_household_survey(bundle_dir / "households.csv", categories)
+        income = dataclasses.replace(survey, expenditure=None)
+        assert income.expenditure is None and income.ids is survey.ids
+
+    def test_records_without_arrays_keep_value_equality(self, bundle_dir):
+        from priceshock.metrics import AtkinsonResult
+
+        assert CategorySet.default() == CategorySet.default()
+        assert hash(CategorySet.default()) == hash(CategorySet.default())
+        assert AtkinsonResult(0.1, 2.0, 1.8) == AtkinsonResult(0.1, 2.0, 1.8)
+        assert LoadReport("a", 2, 1, 1, ["n"]) == LoadReport("a", 2, 1, 1, ["n"])
+        cfg = scenario_module.parse_config(bundle_dir / "config.txt")
+        assert cfg == scenario_module.parse_config(bundle_dir / "config.txt")
+        assert cfg != dataclasses.replace(cfg, groups=3)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_first_s_times_each_stage_in_the_warm_up_run(bundle_dir):
     assert sum(stages[name]["first_s"] for name in load_script().STAGES) <= stages["run"]["first_s"]
 
 
+def test_import_s_is_null_where_the_package_was_already_imported(bundle_dir):
+    import priceshock.cli  # noqa: F401
+
+    report = run("--config", bundle_dir / "config.txt", "--repeat", 1)
+    assert report["import_s"] is None
+
+
 def test_a_workload_is_written_by_the_benchmark_generator():
     report = run("--workload", "impute_income", "--seed", 3, "--repeat", 1)
     assert (report["workload"], report["seed"], report["output_rows"]) == ("impute_income", 3, 4800)
@@ -70,6 +77,7 @@ def test_label_writes_one_report_per_size(tmp_path, monkeypatch):
     assert (report["label"], report["workload"], report["seed"]) == ("small", "survey_carbon", 2)
     assert [size["households"] for size in report["sizes"]] == [240, 480]
     for size in report["sizes"]:
+        assert size["import_s"] > 0  # each size's fresh interpreter times its import
         assert list(size["stages"]) == [*stage_times.STAGES, "run"]
         for name, stage in size["stages"].items():
             assert stage["calls"] == 1, name
