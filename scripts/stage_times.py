@@ -25,11 +25,11 @@ imported it already. BLAS and OpenMP are pinned to one thread unless the
 environment sets them.
 
 ``--label NAME`` times the workload in a fresh interpreter that reads
-inputs written beforehand, so that its memory peak and ``import_s`` are the
-run's own, and writes the reports to ``BENCH_<NAME>.json`` in the current
-directory. A workload in ``TILED`` is timed at each of ``SIZES`` (240,
-24,000 and 240,000 households); the others, whose inputs do not depend on
-the tiles, once.
+inputs written beforehand (every size's, before the first is timed), so
+that its memory peak and ``import_s`` are the run's own, and writes the
+reports to ``BENCH_<NAME>.json`` in the current directory. A workload in
+``TILED`` is timed at each of ``SIZES`` (240, 24,000 and 240,000
+households); the others, whose inputs do not depend on the tiles, once.
 """
 
 from __future__ import annotations
@@ -137,8 +137,11 @@ def write_label(args, work: Path) -> dict:
     is in ``TILED``, and write ``BENCH_<label>.json``."""
     report = {"label": args.label, "workload": args.workload, "seed": args.seed,
               "repeat": args.repeat, "sizes": []}
-    for tiles in SIZES if args.workload in TILED else (None,):
-        config, facts = generate(args.workload, args.seed, tiles, work / f"inputs-{tiles}")
+    # every size's inputs are written before the first child starts, so that
+    # no child is timed while the files of the next size are being written
+    inputs = [generate(args.workload, args.seed, tiles, work / f"inputs-{tiles}")
+              for tiles in (SIZES if args.workload in TILED else (None,))]
+    for config, facts in inputs:
         child = subprocess.run(
             [sys.executable, __file__, "--config", str(config), "--repeat", str(args.repeat)],
             check=True, capture_output=True, text=True)

@@ -7,6 +7,8 @@ and quantifies the distributional and welfare impact across the
 expenditure distribution.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .data import (
     BridgingMatrix,
@@ -119,4 +121,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = sorted({name for name in dir() if not name.startswith("_")} | {"fixtures", *_FIXTURES})
+# the API's classes, functions and constants, not the submodules that
+# importing them binds here
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)]
+                 + list(_FIXTURES))

@@ -19,6 +19,7 @@ from .data import CategorySet, write_household_survey
 from .errors import DataValidationError, NumericalModelError
 from .inputoutput import leontief_solve_residual
 from .scenario import (
+    build_config,
     emit_reports,
     load_survey,
     parse_config,
@@ -30,32 +31,6 @@ from .scenario import (
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_NUMERIC = 2
-
-
-# Each subcommand: its help line, its own help's description (None: none),
-# whether it takes --config, --seed and --quiet, and its further required
-# options with their help.
-_SUBCOMMANDS = {
-    "validate": ("check the configuration and data, and price the scenario", None, True, ()),
-    "impute": ("impute expenditure patterns into the income dataset", None, True,
-               (("--out", "output CSV for the imputed dataset"),)),
-    "run": ("run the configured scenario end to end", None, True,
-            (("--out", "output directory for tables and results"),)),
-    "report": ("re-emit aggregate tables from stored results",
-               "Re-emit the aggregate tables from a run's households.csv. Its "
-               "values are rounded, so a table value on a 6-digit rounding tie can print "
-               "one unit in its last digit apart from run's. A row whose quintile is not a "
-               "whole number from 0 to distribution.groups - 1, whose weight is negative, "
-               "whose size is below 1, whose x or equivalised is not positive, or (when "
-               "distribution.atkinson_epsilon is 1 or more) whose ye_net is not positive "
-               "exits 1 naming the file, row and column. A file in which a quintile "
-               "holds no household of positive weight exits 1 naming the file and "
-               "distribution.groups.", True,
-               (("--results", "households.csv written by a previous run"),
-                ("--out", "output directory for the tables"))),
-    "fixtures": ("write the bundled demonstration inputs", None, False,
-                 (("--out", "target directory"),)),
-}
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -70,7 +45,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # with one subparser built, the metavar spells the choice list all five would
     choices = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
-    for name, (summary, description, configured, options) in _SUBCOMMANDS.items():
+    for name, (_, summary, description, configured, options) in _SUBCOMMANDS.items():
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=summary, description=description)
@@ -84,11 +59,11 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _load_config(args):
+    """The configuration, with ``--seed`` read as a ``seed`` line of its file."""
     cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.raw["seed"] = str(args.seed)
-    return cfg
+    if args.seed is None:
+        return cfg
+    return build_config({**cfg.raw, "seed": str(args.seed)}, Path(args.config).parent)
 
 
 def _say(args, message: str) -> None:
@@ -152,19 +127,39 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+# Each subcommand: its handler, its help line, its own help's description
+# (None: none), whether it takes --config, --seed and --quiet, and its
+# further required options with their help.
+_SUBCOMMANDS = {
+    "validate": (_cmd_validate, "check the configuration and data, and price the scenario",
+                 None, True, ()),
+    "impute": (_cmd_impute, "impute expenditure patterns into the income dataset", None, True,
+               (("--out", "output CSV for the imputed dataset"),)),
+    "run": (_cmd_run, "run the configured scenario end to end", None, True,
+            (("--out", "output directory for tables and results"),)),
+    "report": (_cmd_report, "re-emit aggregate tables from stored results",
+               "Re-emit the aggregate tables from a run's households.csv. Its "
+               "values are rounded, so a table value on a 6-digit rounding tie can print "
+               "one unit in its last digit apart from run's. A row whose quintile is not a "
+               "whole number from 0 to distribution.groups - 1, whose weight is negative, "
+               "whose size is below 1, whose x or equivalised is not positive, or (when "
+               "distribution.atkinson_epsilon is 1 or more) whose ye_net is not positive "
+               "exits 1 naming the file, row and column. A file in which a quintile "
+               "holds no household of positive weight exits 1 naming the file and "
+               "distribution.groups.", True,
+               (("--results", "households.csv written by a previous run"),
+                ("--out", "output directory for the tables"))),
+    "fixtures": (_cmd_fixtures, "write the bundled demonstration inputs", None, False,
+                 (("--out", "target directory"),)),
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a first argument that names a command is always that command
     args = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
-    handlers = {
-        "validate": _cmd_validate,
-        "impute": _cmd_impute,
-        "run": _cmd_run,
-        "report": _cmd_report,
-        "fixtures": _cmd_fixtures,
-    }
     try:
-        return handlers[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except NumericalModelError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -102,6 +102,8 @@ TOO_LARGE = "{path}: row {row}, column {col!r}: value {value} exceeds %g" % SURV
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float array, for a record to hold: a float64
+    array is not copied but made read-only itself."""
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -185,8 +187,8 @@ class HouseholdRecord:
 class MrioTable:
     """Inter-industry accounts: flows Z, final demand d, output x, emissions f.
 
-    Row identity: x_i = sum_j Z_ij + d_i within ``identity_rtol`` relative
-    to x_i. ``origin`` flags each sector domestic or imported, which
+    Row identity: x_i = sum_j Z_ij + d_i within ``MRIO_IDENTITY_RTOL``
+    relative to x_i. ``origin`` flags each sector domestic or imported, which
     controls whether it is exposed to domestic carbon pricing.
     """
 
@@ -196,7 +198,6 @@ class MrioTable:
     output: np.ndarray
     emissions: np.ndarray
     origin: tuple[str, ...]
-    identity_rtol: float = MRIO_IDENTITY_RTOL
 
     def __post_init__(self):
         n = len(self.sectors)
@@ -228,12 +229,12 @@ class MrioTable:
         with np.errstate(over="ignore"):  # a subnormal output: inf, which fails below
             rel = np.abs(resid) / self.output
         worst = int(np.argmax(rel))
-        if rel[worst] > self.identity_rtol:
+        if rel[worst] > MRIO_IDENTITY_RTOL:
             raise DataValidationError(
                 f"accounting identity violated: files.mrio_x gives sector "
                 f"{self.sectors[worst]!r} output {self.output[worst]:.6g}, checked against the "
                 f"row sum of files.mrio_z plus files.mrio_d (residual {resid[worst]:.6g}, "
-                f"{rel[worst]:.3g} relative, tolerance {self.identity_rtol:g})"
+                f"{rel[worst]:.3g} relative, tolerance {MRIO_IDENTITY_RTOL:g})"
             )
 
     @property
@@ -972,17 +973,15 @@ def load_household_survey(path, categories: CategorySet) -> HouseholdSurvey:
     k = len(categories)
     keep = values[:, 2:2 + k].sum(axis=1) > 0
     n_kept = int(np.count_nonzero(keep))
+    dropped = len(ids) - n_kept
+    notes = [f"dropped {dropped} household(s) with zero total expenditure"] if dropped else []
     report = LoadReport(source=str(path), n_rows=len(ids), n_loaded=n_kept,
-                        n_dropped_zero_total=len(ids) - n_kept)
-    if report.n_dropped_zero_total:
-        report.notes.append(
-            f"dropped {report.n_dropped_zero_total} household(s) with zero total expenditure"
-        )
+                        n_dropped_zero_total=dropped, notes=notes)
+    if dropped:
         ids, values = ids[keep], values[keep]
     if not n_kept:
         raise DataValidationError(f"{path}: no usable household rows")
     if not (values[:, 0] > 0).any():
-        dropped = report.n_dropped_zero_total
         raise DataValidationError(f"{path}: every household has weight 0" + (
             f", once the {dropped} of zero total expenditure are dropped" if dropped else ""))
     return HouseholdSurvey(
@@ -1006,9 +1005,8 @@ def load_income_survey(path) -> HouseholdSurvey:
     header, ids, values = _read_survey(path, lambda header: _survey_columns(path, header))
     cols = _survey_columns(path, header)
     ignored = [c for c in header if c.startswith(EXPENDITURE_PREFIX)]
-    report = LoadReport(source=str(path), n_rows=len(ids), n_loaded=len(ids))
-    if ignored:
-        report.notes.append(f"ignored {len(ignored)} expenditure column(s) in the income dataset")
+    report = LoadReport(source=str(path), n_rows=len(ids), n_loaded=len(ids), notes=[
+        f"ignored {len(ignored)} expenditure column(s) in the income dataset"] if ignored else [])
     if not len(ids):
         raise DataValidationError(f"{path}: no income rows")
     if not (values[:, 0] > 0).any():
@@ -1040,7 +1038,7 @@ CSV_BLOCK_ROWS = 2048
 FEW_ROWS = 64
 
 # the number specs _write_rows places itself: kind and precision
-_NUMBER_SPECS = {"%.6f": ("f", 6), "%.6g": ("g", 6), "%.12g": ("g", 12), "%d": ("d", 0)}
+_NUMBER_SPECS = {"%.6f": ("f", 6), "%.6g": ("g", 6), "%.12g": ("g", 12)}
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**22 < 2**53
 _EXACT = 2.0**52  # below it every half-integer is a double
 # Text is assembled in little-endian 8-byte words, so that a word's first
@@ -1091,9 +1089,6 @@ def _scaled_integers(x: np.ndarray, kind: str, precision: int):
     for all cells but under %g; %g then strips the fraction's trailing
     zeros). ``bad`` marks the cells this cannot prove: non-finite, r at or
     over 2**52, or a %g value that ``%`` writes in exponent form."""
-    if kind == "d":  # %d truncates
-        r = np.trunc(x)
-        return r, 0, ~(r < _EXACT)
     if kind == "f":
         s, r = _round_scaled(x, _POW10[precision])
         return r, precision, ~(s < _EXACT)
@@ -1200,8 +1195,6 @@ def _number_words(values: np.ndarray, spec: str, comma: np.ndarray):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         r, decimals, bad = _scaled_integers(np.abs(values), kind, precision)
     negative = np.signbit(values) & ~bad
-    if kind == "d":  # the sign of the truncated integer: '%d' % -0.5 is '0'
-        negative &= r > 0
     r[bad] = 0.0
     if kind == "g":
         decimals[bad] = 0
@@ -1414,7 +1407,7 @@ def _nonnegative_checks(negative_value: str, names):
     return checks
 
 
-def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDENTITY_RTOL) -> MrioTable:
+def load_mrio(z_path, d_path, x_path, f_path) -> MrioTable:
     """Load the four MRIO files and verify the accounting identity.
 
     A negative flow, final demand or emission, and an output that is not
@@ -1471,7 +1464,7 @@ def load_mrio(z_path, d_path, x_path, f_path, *, identity_rtol: float = MRIO_IDE
     origin = (tuple(o or "domestic" for _, o in x_labels) if "origin" in x_header
               else ("domestic",) * len(sectors))
     return MrioTable(sectors=sectors, flows=Z, final_demand=d[:, 0], output=x[:, 0],
-                     emissions=f[:, 0], origin=origin, identity_rtol=identity_rtol)
+                     emissions=f[:, 0], origin=origin)
 
 
 def load_bridge(path, categories: CategorySet) -> BridgingMatrix:

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import _freeze
 from .errors import DataValidationError, InfeasibleBudgetError
 
 ENGEL_AGGREGATION_TOL = 1e-6
@@ -47,9 +48,7 @@ class ElasticitySet:
 
     def __post_init__(self):
         for name in ("budget", "matrix", "shares"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.xi > FRISCH_CAP + 1e-12:
             raise DataValidationError(f"Frisch parameter {self.xi} above the {FRISCH_CAP} cap")
         engel = float(np.dot(self.shares, self.budget))
@@ -72,9 +71,7 @@ class LesParameters:
 
     def __post_init__(self):
         for name in ("gamma", "phi"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if np.any(self.phi < 0) or np.any(self.phi > 1):
             raise DataValidationError("marginal budget shares must lie in [0, 1]")
         sums = np.ravel(self.phi.sum(axis=-1))

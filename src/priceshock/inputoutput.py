@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BridgingMatrix, FuelTable, HouseholdRecord, MrioTable
+from .data import BridgingMatrix, FuelTable, HouseholdRecord, MrioTable, _freeze
 from .errors import (
     ConvergenceError,
     DataValidationError,
@@ -31,8 +31,7 @@ class TechnologyMatrix:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.coefficients, dtype=float)
-        a.setflags(write=False)
+        a = _freeze(self.coefficients)
         object.__setattr__(self, "coefficients", a)
         if np.fmin.reduce(a, axis=None, initial=np.inf) < 0:  # fmin passes over a nan
             raise DataValidationError("technology coefficients must be nonnegative")
@@ -55,9 +54,7 @@ class LeontiefInverse:
     tol: float | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +68,7 @@ class CarbonIntensity:
 
     def __post_init__(self):
         for name in ("total", "domestic", "imported"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            v.setflags(write=False)
+            v = _freeze(getattr(self, name))
             object.__setattr__(self, name, v)
             if np.any(v < 0):
                 raise DataValidationError("carbon intensities must be nonnegative")

@@ -987,13 +987,12 @@ def emit_reports(result: ScenarioResult, outdir) -> dict[str, Path]:
     paths = write_tables(result.tables, outdir)
     # money columns at 6 decimals; budget shares at the 12 digits that the
     # loaders read back exactly, so that ``report`` rebuilds t3 as ``run``
-    # wrote it
+    # wrote it; the quintile, a whole number, at 12 digits too
     hh = result.household
     specs = [
         "%s" if c == "id"
         else "%.6f" if c in MONEY_COLUMNS or c.startswith("burden_")
-        else "%d" if c == "quintile"
-        else "%.12g" if c.startswith("share_")
+        else "%.12g" if c.startswith("share_") or c == "quintile"
         else "%.6g"
         for c in hh
     ]

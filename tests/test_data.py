@@ -34,6 +34,7 @@ from priceshock.data import (
     FuelTable,
     HouseholdSurvey,
     LoadReport,
+    PriceScenario,
     _csv_field,
     _keyed_order,
     match_labels,
@@ -934,27 +935,18 @@ class TestRowWriter:
     """The block writer against per-cell ``spec % v``."""
 
     VALUES = edge_values(100_002)
-    SPECS = ("%.6f", "%.6g", "%.12g", "%d")
+    SPECS = ("%.6f", "%.6g", "%.12g")
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("kind", list(VALUES))
     def test_cells_equal_percent_format(self, spec, kind):
         values = self.VALUES[kind]
-        if spec == "%d":  # '%d' % nan raises, as the writer does (below)
-            values = values[np.isfinite(values)]
         out = io.BytesIO()
         _write_rows(out, [spec], [values], "\n")
         got = out.getvalue().decode().split("\n")[:-1]
         assert len(got) == len(values)
         wrong = [(v, text) for v, text in zip(values.tolist(), got) if spec % v != text]
         assert not wrong, wrong[:5]
-
-    @pytest.mark.parametrize("value, error", [(np.nan, ValueError), (np.inf, OverflowError)])
-    def test_percent_d_of_a_non_finite_value_raises_as_percent_does(self, value, error):
-        with pytest.raises(error):
-            "%d" % value
-        with pytest.raises(error):
-            _write_rows(io.BytesIO(), ["%d"], [np.array([1.0, value])], "\n")
 
     def test_a_value_rounding_up_a_decade_is_placed_without_falling_back(self):
         values = np.array([[9.9999996, 0.00999999999, 99999.96]])
@@ -970,7 +962,7 @@ class TestRowWriter:
         specs = ["%s", *self.SPECS, "%s"]
         # exponent form, non-finite, at or over 2**52: one per edge row
         for row, col, value in ((0, 2, 1e300), (CSV_BLOCK_ROWS - 1, 1, np.nan),
-                                (CSV_BLOCK_ROWS, 4, 2.0**60), (2 * CSV_BLOCK_ROWS - 1, 3, 1e-7),
+                                (CSV_BLOCK_ROWS, 1, 2.0**60), (2 * CSV_BLOCK_ROWS - 1, 3, 1e-7),
                                 (2 * CSV_BLOCK_ROWS, 1, -np.inf)):
             columns[col][row] = value
         out = io.BytesIO()
@@ -1020,9 +1012,7 @@ class TestRowWriter:
         columns += [rng.random(n) * 10.0 ** rng.integers(-3, 9, n) - 5e3 for _ in specs[1:]]
         for i in data.draw(st.lists(st.sampled_from(edges), max_size=3)):
             j = data.draw(st.integers(1, len(specs) - 1))
-            edge = [1e300, 2.0**60, 1e-7, -0.0, 0.5]
-            if specs[j] != "%d":  # '%d' % nan raises
-                edge += [np.nan, -np.inf]
+            edge = [1e300, 2.0**60, 1e-7, -0.0, 0.5, np.nan, -np.inf]
             columns[j][i] = data.draw(st.sampled_from(edge))
         out = io.BytesIO()
         _write_rows(out, specs, columns, "\r\n")
@@ -1030,6 +1020,64 @@ class TestRowWriter:
         cells = [list(map(_csv_field, ids)), *(c.tolist() for c in columns[1:])]
         want = "".join(row_format % row for row in zip(*cells))
         assert out.getvalue() == want.encode("utf-8", "surrogatepass")
+
+
+class TestIntegerColumns:
+    """A column of whole numbers under ``%.12g`` (households.csv's
+    ``quintile``) reads as ``str(int(v))``, as ``%d`` wrote it."""
+
+    EDGES = [0, 1, 4, 9, 10, 999_999, 10**6 - 1, 10**6, 10**6 + 1, 10**11, 10**12 - 1]
+
+    @pytest.mark.parametrize("n", [FEW_ROWS - 1, CSV_BLOCK_ROWS + 5])
+    def test_cells_equal_str_of_the_integer_on_either_path(self, n):
+        values = np.resize(np.array(self.EDGES), n)
+        values[len(self.EDGES):] = np.arange(n - len(self.EDGES)) % 5
+        for column in (values, values.astype(float)):
+            out = io.BytesIO()
+            _write_rows(out, ["%.12g"], [column], "\n")
+            assert out.getvalue().decode().split("\n")[:-1] == [str(v) for v in values.tolist()]
+
+
+def frozen_records():
+    """(record class, its constructor's arguments): each array argument a
+    float64 array, the others what the record accepts."""
+    from priceshock.demand import ElasticitySet, LesParameters
+    from priceshock.inputoutput import CarbonIntensity, LeontiefInverse, TechnologyMatrix
+
+    two = ("a", "b")
+
+    def v(*xs):
+        return np.array(xs, dtype=float)
+
+    return [
+        (MrioTable, dict(sectors=two, flows=v([1, 2], [3, 4]), final_demand=v(7, 3),
+                         output=v(10, 10), emissions=v(1, 2), origin=("domestic", "imported"))),
+        (BridgingMatrix, dict(categories=("food",), products=two, shares=v([0.5, 0.5]))),
+        (FuelTable, dict(fuels=("gas",), price=v(1), carbon_kg_per_unit=v(2))),
+        (HouseholdRecord, dict(id="h", weight=1.0, size=1.0, expenditure=v(1, 2))),
+        (PriceScenario, dict(category_relatives=v(0.1, 0.2), vat=v(0.2, 0.2), advalorem=v(0, 0),
+                             excise_per_unit=v(1, 0), base_prices=v(1, 2))),
+        (ElasticitySet, dict(budget=v(1, 1), matrix=v([-1, 0], [0, -1]), shares=v(0.5, 0.5),
+                             xi=-2.0)),
+        (LesParameters, dict(gamma=v(1, 1), phi=v(0.5, 0.5))),
+        (TechnologyMatrix, dict(sectors=two, coefficients=v([0.1, 0.2], [0.3, 0.1]))),
+        (LeontiefInverse, dict(matrix=v([1.2, 0.3], [0.4, 1.1]), method="direct")),
+        (CarbonIntensity, dict(sectors=two, total=v(1, 2), domestic=v(1, 1), imported=v(0, 1))),
+    ]
+
+
+@pytest.mark.parametrize("cls, kwargs", frozen_records(),
+                         ids=[cls.__name__ for cls, _ in frozen_records()])
+def test_a_record_keeps_its_float_arrays_uncopied_and_read_only(cls, kwargs):
+    record = cls(**kwargs)
+    arrays = {name: a for name, a in kwargs.items() if isinstance(a, np.ndarray)}
+    for name, a in arrays.items():
+        assert getattr(record, name) is a, name
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, next(iter(arrays)), None)
 
 
 class TestTextColumns:

@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,27 @@ def test_label_needs_a_workload(bundle_dir, capsys):
     with pytest.raises(SystemExit):
         stage_times.main(["--config", str(bundle_dir / "config.txt"), "--label", "x"])
     assert "--label needs --workload" in capsys.readouterr().err
+
+
+def test_label_writes_every_size_before_the_first_child(tmp_path, monkeypatch):
+    stage_times = load_script()
+    events = []
+
+    def generate(workload, seed, tiles, out):
+        events.append(("generate", tiles))
+        return out / "config.txt", {"households": 240 * tiles}
+
+    def child(argv, **kwargs):
+        events.append(("child", argv[argv.index("--config") + 1]))
+        return subprocess.CompletedProcess(argv, 0, json.dumps({"import_s": 0.1, "stages": {}}))
+
+    monkeypatch.setattr(stage_times, "generate", generate)
+    monkeypatch.setattr(stage_times.subprocess, "run", child)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert stage_times.main(["--workload", "survey_carbon", "--repeat", "1",
+                                 "--label", "order"]) == 0
+    kinds = [kind for kind, _ in events]
+    assert kinds == ["generate"] * len(stage_times.SIZES) + ["child"] * len(stage_times.SIZES)
+    assert [Path(config).parent.name for _, config in events[len(stage_times.SIZES):]] == [
+        f"inputs-{tiles}" for tiles in stage_times.SIZES]
