@@ -26,8 +26,11 @@ environment sets them.
 
 ``--label NAME`` times the workload in a fresh interpreter that reads
 inputs written beforehand (every size's, before the first is timed), so
-that its memory peak and ``import_s`` are the run's own, and writes the
-reports to ``BENCH_<NAME>.json`` in the current directory. A workload in
+that its memory peak is the run's own, and writes the reports to
+``BENCH_<NAME>.json`` in the current directory. There a size's
+``import_s`` is the median of ``IMPORT_SAMPLES`` further fresh
+interpreters, in the same environment, that each time only ``import
+priceshock.cli``; ``import_samples_s`` lists them. A workload in
 ``TILED`` is timed at each of ``SIZES`` (240, 24,000 and 240,000
 households); the others, whose inputs do not depend on the tiles, once.
 """
@@ -42,7 +45,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+IMPORT_PATH = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = IMPORT_PATH
 
 # timed before this script imports anything else, as a fresh ``priceshock``
 # process pays it; None where the command line was already imported
@@ -66,6 +70,10 @@ STAGES = ("load_inputs", "form_prices", "rank_households", "estimate_demand_grou
           "value_households", "build_tables", "emit_reports")
 SIZES = (1, 100, 1000)  # --label: SURVEY_TILES, the copies of the 240-household survey
 TILED = ("survey_carbon",)  # the workloads whose survey gen.SURVEY_TILES sets
+IMPORT_SAMPLES = 5  # --label: fresh interpreters that time the import, per size
+# such an interpreter: this script's import path, then the timed import alone
+IMPORT_CHILD = (f"import sys, time; sys.path[:0] = {IMPORT_PATH!r}; start = time.perf_counter(); "
+                "import priceshock.cli; print(time.perf_counter() - start)")
 
 
 def vmhwm_mb() -> float | None:
@@ -142,11 +150,15 @@ def write_label(args, work: Path) -> dict:
     inputs = [generate(args.workload, args.seed, tiles, work / f"inputs-{tiles}")
               for tiles in (SIZES if args.workload in TILED else (None,))]
     for config, facts in inputs:
+        imports = [float(subprocess.run([sys.executable, "-c", IMPORT_CHILD], check=True,
+                                        capture_output=True, text=True).stdout)
+                   for _ in range(IMPORT_SAMPLES)]
         child = subprocess.run(
             [sys.executable, __file__, "--config", str(config), "--repeat", str(args.repeat)],
             check=True, capture_output=True, text=True)
-        timed = json.loads(child.stdout)
-        report["sizes"].append({**facts, "import_s": timed["import_s"], "stages": timed["stages"]})
+        report["sizes"].append({**facts, "import_s": statistics.median(imports),
+                                "import_samples_s": imports,
+                                "stages": json.loads(child.stdout)["stages"]})
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from ._version import __version__
 from .data import CategorySet, write_household_survey
 from .errors import DataValidationError, NumericalModelError
-from .inputoutput import leontief_solve_residual
+from .inputoutput import leontief_solve_residual, technology_matrix
 from .scenario import (
     build_config,
     emit_reports,
@@ -79,9 +79,9 @@ def _cmd_validate(args) -> int:
                f"{report.n_dropped_zero_total} dropped (zero expenditure)")
     if result.carbon is not None:
         carbon = result.carbon
-        residual = leontief_solve_residual(carbon.technology, carbon.leontief_rows,
+        residual = leontief_solve_residual(technology_matrix(carbon.mrio), carbon.leontief_rows,
                                            carbon.leontief_solution)
-        _say(args, f"inter-industry table: {len(carbon.technology.sectors)} sectors, "
+        _say(args, f"inter-industry table: {len(carbon.mrio.sectors)} sectors, "
                    f"Leontief solve residual {residual:.3g}")
     for name in ("bridge", "prices", "fuels", "income"):
         if name in cfg.files:

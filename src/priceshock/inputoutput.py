@@ -35,13 +35,17 @@ class TechnologyMatrix:
         object.__setattr__(self, "coefficients", a)
         if np.fmin.reduce(a, axis=None, initial=np.inf) < 0:  # fmin passes over a nan
             raise DataValidationError("technology coefficients must be nonnegative")
-        colsums = a.sum(axis=0)
-        if np.any(colsums >= 1.0):
-            j = int(np.argmax(colsums))
-            raise NonProductiveEconomyError(
-                f"sector {self.sectors[j]!r}: input-coefficient column sum "
-                f"{colsums[j]:.6g} >= 1, economy cannot produce"
-            )
+        _check_productive(self.sectors, a.sum(axis=0))
+
+
+def _check_productive(sectors, colsums: np.ndarray) -> None:
+    """Refuse a column sum of A at or above 1, naming its sector."""
+    if np.any(colsums >= 1.0):
+        j = int(np.argmax(colsums))
+        raise NonProductiveEconomyError(
+            f"sector {sectors[j]!r}: input-coefficient column sum "
+            f"{colsums[j]:.6g} >= 1, economy cannot produce"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,14 +134,17 @@ def leontief_solve(tech: TechnologyMatrix, rows: np.ndarray) -> np.ndarray:
     n x n inverse, which takes four times the arithmetic, is never formed.
     ``leontief_inverse`` followed by a product is its reference.
     """
-    A = tech.coefficients
+    return _solve_from_minus_a(-tech.coefficients, rows)
+
+
+def _solve_from_minus_a(minus_a: np.ndarray, rows) -> np.ndarray:
+    """``leontief_solve`` from a writable -A, which becomes I - A."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != A.shape[0]:
+    if rows.ndim != 2 or rows.shape[1] != minus_a.shape[0]:
         raise DataValidationError("row vectors do not match the sector count")
-    M = -A.T
-    M[np.diag_indices_from(M)] += 1.0
+    minus_a[np.diag_indices_from(minus_a)] += 1.0
     try:
-        return np.linalg.solve(M, rows.T).T
+        return np.linalg.solve(minus_a.T, rows.T).T
     except np.linalg.LinAlgError:
         raise NumericalModelError("I - A is singular; input table is corrupt") from None
 

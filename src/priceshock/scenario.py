@@ -55,14 +55,8 @@ from .demand import (
 from .errors import DataValidationError, InfeasibleBudgetError, NumericalModelError
 from .imputation import (LINKS, ImputationReport, ImputationResult, impute_expenditure_patterns,
                          wls_coefficients)
-from .inputoutput import (
-    TechnologyMatrix,
-    bridge_to_categories,
-    direct_fuel_intensity,
-    leontief_solve,
-    sector_intensity,
-    technology_matrix,
-)
+from .inputoutput import (_check_productive, _solve_from_minus_a, bridge_to_categories,
+                          direct_fuel_intensity, sector_intensity)
 from .metrics import (
     EQUIVALENCE_SCALES,
     atkinson,
@@ -325,14 +319,14 @@ class CarbonTaxResult:
     """A carbon tax priced through the economy: each category's price
     relative in all, through the supply chain and from the fuels it burns,
     each sector's, each category's emissions per currency unit, and the
-    solve that gave them."""
+    table and solve that gave them."""
 
     category_relatives: np.ndarray
     indirect_relatives: np.ndarray
     direct_relatives: np.ndarray
     producer_relatives: np.ndarray
     unit_emissions: np.ndarray
-    technology: TechnologyMatrix
+    mrio: MrioTable
     # [cost shock; sector intensity] and their products with (I - A)^-1
     leontief_rows: np.ndarray
     leontief_solution: np.ndarray
@@ -363,14 +357,15 @@ def carbon_tax_scenario(
         raise DataValidationError("bridge products do not match the inter-industry sectors")
     intensity = sector_intensity(mrio)
     shock = rate * (intensity.total if border_adjustment else intensity.domestic)
-    tech = technology_matrix(mrio)
+    minus_a = mrio.flows / -mrio.output  # -A bit for bit: IEEE division is sign-symmetric
+    _check_productive(mrio.sectors, -minus_a.sum(axis=0))  # A's rule and message
     if not 0.0 <= pass_through <= 1.0:
         raise DataValidationError(f"pass-through rate {pass_through} outside [0, 1]")
-    # the two rows of the total-requirements inverse a run needs, in one solve:
-    # cost pass-through (as cost_passthrough) and embodied emissions (as
-    # embodied_intensity)
+    # the two rows of the total-requirements inverse a run needs, in one solve
+    # (the library's own, with I - A formed in place of -A): cost pass-through
+    # (as cost_passthrough) and embodied emissions (as embodied_intensity)
     rows = np.vstack([shock, intensity.total])
-    solution = leontief_solve(tech, rows)
+    solution = _solve_from_minus_a(minus_a, rows)
     producer = pass_through * solution[0]
     indirect = bridge_to_categories(bridge, producer)
     unit_emissions = bridge.shares @ solution[1]
@@ -386,7 +381,7 @@ def carbon_tax_scenario(
         direct_relatives=direct,
         producer_relatives=producer,
         unit_emissions=unit_emissions,
-        technology=tech,
+        mrio=mrio,
         leontief_rows=rows,
         leontief_solution=solution,
     )
@@ -496,10 +491,11 @@ def estimate_demand_groups(
 ) -> DemandGroups:
     """One demand-system parameterisation per quintile x size-band cell.
 
-    Cells with too few households fall back to their quintile, then to the
-    whole sample, so estimation never fails on sparse cells. A fallback fit
-    is made only when a cell first uses it. A cell's own fit takes its
-    households in survey order, as a slice of a stable sort by cell.
+    Cells with too few households of positive weight (one of weight 0 is
+    not counted) fall back to their quintile, then to the whole sample, so
+    estimation never fails on sparse cells. A fallback fit is made only
+    when a cell first uses it. A cell's own fit takes its households in
+    survey order, as a slice of a stable sort by cell.
     """
     per_capita = totals / sizes
     if cfg.engel_scale == "per_capita_month":
@@ -512,20 +508,20 @@ def estimate_demand_groups(
     cells = 3 * quintiles + np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
     order = np.argsort(cells, kind="stable")
     by_cell = [np.take(a, order, axis=0) for a in inputs]  # a cell's rows: a slice, in survey order
-    counts = np.bincount(cells)
+    counts, held = np.bincount(cells), np.bincount(cells, weights=weights > 0)
     bounds = np.concatenate([[0], np.cumsum(counts[counts > 0])])
-    q_counts = np.bincount(quintiles)
+    q_held = np.bincount(quintiles, weights=weights > 0)
     rows: list[tuple] = []
     labels: list[str] = []
     n_fallback = 0
     fallbacks: dict[int | None, tuple] = {}  # by quintile, None for the whole sample
     for c, start, end in zip(np.flatnonzero(counts).tolist(), bounds[:-1], bounds[1:]):
         q, b = divmod(c, 3)
-        if end - start >= MIN_GROUP_OBS:
+        if held[c] >= MIN_GROUP_OBS:
             rows.append(_engel_fit(*(a[start:end] for a in by_cell), cfg))
         else:
             # a fallback fit takes its rows in survey order, as the pooled fit does
-            source = q if q_counts[q] >= MIN_GROUP_OBS else None
+            source = q if q_held[q] >= MIN_GROUP_OBS else None
             if source not in fallbacks:
                 sample = quintiles == q if source is not None else slice(None)
                 fallbacks[source] = _engel_fit(*(a[sample] for a in inputs), cfg)
@@ -545,7 +541,8 @@ VALUE_BLOCK_ROWS = 2048
 
 def value_households(groups: DemandGroups, exp, shares, totals, transfers, p1, emissions):
     """(cv, ye, ye_net, footprint at ``p1``), the households that cannot afford
-    their committed bundle at ``p1`` (they keep zeros) and the count valued as
+    their committed bundle at ``p1`` (their block is not valued and keeps
+    zeros: a run that has one reads no value) and the count valued as
     Cobb-Douglas.
 
     The households are valued in survey order, ``VALUE_BLOCK_ROWS`` at a
@@ -574,20 +571,18 @@ def value_households(groups: DemandGroups, exp, shares, totals, transfers, p1, e
         gamma, phi = _frisch_terms(phi, groups.xi[group_b], exp_b, totals_b)
         gamma[cobb_douglas] = 0.0
         params = LesParameters(gamma=gamma, phi=phi)
-        net_b = totals_b + transfers[block]
-        rows = slice(None)
         try:
-            value = les_valuation(p0, p1, totals_b, net_b, params, emissions)
+            value = les_valuation(p0, p1, totals_b, totals_b + transfers[block], params, emissions)
         except InfeasibleBudgetError:
             # the households whose budget misses the committed bundle after
-            # the change: each is named in one message, none is valued
-            short = params.committed_cost(p1) >= totals_b
-            infeasible[block], rows = short, ~short
-            value = les_valuation(p0, p1, totals_b[rows], net_b[rows],
-                                  LesParameters(gamma=gamma[rows], phi=phi[rows]), emissions)
-        values[:3, block][:, rows] = value.cv, value.ye, value.ye_net
+            # the change: run_scenario names them in one message
+            infeasible[block] = short = params.committed_cost(p1) >= totals_b
+            if not short.any():  # short at the old prices only: nobody to name
+                raise
+            continue
+        values[:3, block] = value.cv, value.ye, value.ye_net
         if emissions is not None:
-            values[3, block][rows] = value.footprint_after
+            values[3, block] = value.footprint_after
     return values, infeasible, n_cobb_douglas
 
 

@@ -85,8 +85,9 @@ def engel_groups_by_loop(shares, totals, weights, sizes, quintiles, cfg) -> list
     (its households) and the ``budget``, ``eta_scale``, ``mean_shares``,
     ``own_price``, ``xi`` and ``clamped`` of its fit (``_cell_fit``).
 
-    A cell with fewer than ``MIN_GROUP_OBS`` households is fitted on its
-    quintile's rows, or on every row when the quintile too is that small.
+    A cell with fewer than ``MIN_GROUP_OBS`` households of positive weight
+    is fitted on its quintile's rows, or on every row when the quintile too
+    holds that few.
     """
     per_capita = totals / sizes
     if cfg.engel_scale == "per_capita_month":
@@ -103,8 +104,9 @@ def engel_groups_by_loop(shares, totals, weights, sizes, quintiles, cfg) -> list
             if not len(rows):
                 continue
             fit_rows = rows
-            if len(rows) < MIN_GROUP_OBS:
-                fit_rows = in_quintile if len(in_quintile) >= MIN_GROUP_OBS else np.arange(len(totals))
+            if np.count_nonzero(weights[rows] > 0) < MIN_GROUP_OBS:
+                enough = np.count_nonzero(weights[in_quintile] > 0) >= MIN_GROUP_OBS
+                fit_rows = in_quintile if enough else np.arange(len(totals))
             fit = _cell_fit(fit_rows, shares, ln_x, per_capita, weights, cfg)
             cells.append({"label": f"q{q + 1}_band{b + 1}", "rows": rows,
                           **dict(zip(("budget", "eta_scale", "mean_shares", "own_price", "xi",

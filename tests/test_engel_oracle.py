@@ -34,7 +34,8 @@ def assert_groups_match_the_oracle(shares, totals, weights, sizes, quintiles, cf
     groups = estimate_demand_groups(shares, totals, weights, sizes, quintiles, cfg)
     cells = engel_groups_by_loop(shares, totals, weights, sizes, quintiles, cfg)
     assert groups.labels.tolist() == [cell["label"] for cell in cells]
-    assert groups.n_fallback == sum(len(cell["rows"]) < MIN_GROUP_OBS for cell in cells)
+    held = [np.count_nonzero(weights[cell["rows"]] > 0) for cell in cells]
+    assert groups.n_fallback == sum(count < MIN_GROUP_OBS for count in held)
     assert len(groups.xi) == len(cells)
     for g, cell in enumerate(cells):
         assert np.flatnonzero(groups.of == g).tolist() == cell["rows"].tolist(), cell["label"]
@@ -55,7 +56,7 @@ def samples(draw):
     """A survey of 30 to 150 households over 2 to 6 categories: lognormal
     spending with about a third of the cells zero, sizes 1 to 8 and quintile
     probabilities drawn too, so that cells (and sometimes whole quintiles)
-    fall short of ``MIN_GROUP_OBS``."""
+    fall short of ``MIN_GROUP_OBS``; in some, a fifth of the weights are 0."""
     n = draw(st.integers(30, 150))
     k = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -71,6 +72,7 @@ def samples(draw):
     rng.shuffle(quintiles)
     sizes = rng.integers(1, 9, n).astype(float)
     weights = rng.uniform(0.5, 20.0, n)
+    weights[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.0  # counted by neither
     scale = draw(st.sampled_from(["total", "per_capita_month"]))
     return exp / totals[:, np.newaxis], totals, weights, sizes, quintiles, scale
 

@@ -1,10 +1,13 @@
 """Inter-industry algebra against hand-derived and exact-rational oracles."""
 
+import dataclasses
 import shutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priceshock import inputoutput, scenario
 from priceshock.cli import main
@@ -389,8 +392,40 @@ class TestLeontiefSolve:
                 assert not res.producer_relatives.any()
             embodied = bridge.shares @ embodied_intensity(inv, intensity)["total"]
             assert rel_err(res.unit_emissions, embodied) < 1e-12
-            assert leontief_solve_residual(res.technology, res.leontief_rows,
+            assert leontief_solve_residual(technology_matrix(res.mrio), res.leontief_rows,
                                            res.leontief_solution) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), border=st.booleans())
+    def test_the_runs_solve_is_leontief_solve_bit_for_bit(self, n, seed, border):
+        """carbon_tax_scenario forms I - A once from the flow table; its solve
+        equals leontief_solve on technology_matrix's A, bit for bit."""
+        table, bridge = random_economy(np.random.default_rng(seed), n)
+        table = dataclasses.replace(table, origin=("imported", *table.origin[1:]))
+        res = carbon_tax_scenario(2.0, table, bridge, border_adjustment=border)
+        want = leontief_solve(technology_matrix(table), res.leontief_rows)
+        assert res.leontief_solution.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    def test_a_column_sum_of_one_or_more_is_refused_in_the_same_words(self, n, seed):
+        """A sector that buys more inputs than it sells: carbon_tax_scenario
+        refuses the table with technology_matrix's message."""
+        rng = np.random.default_rng(seed)
+        _, bridge = random_economy(rng, n)
+        j = int(rng.integers(n))
+        flows, final_demand = rng.random((n, n)), rng.random(n)
+        flows[:, j] *= 50.0
+        flows[j] *= 0.01
+        final_demand[j] *= 0.01
+        table = MrioTable(sectors=bridge.products, flows=flows, final_demand=final_demand,
+                          output=flows.sum(axis=1) + final_demand, emissions=rng.random(n),
+                          origin=("imported",) + ("domestic",) * (n - 1))
+        with pytest.raises(NonProductiveEconomyError) as ref:
+            technology_matrix(table)
+        with pytest.raises(NonProductiveEconomyError) as run:
+            carbon_tax_scenario(1.0, table, bridge)
+        assert str(run.value) == str(ref.value)
 
     def test_pass_through_outside_unit_interval_rejected(self):
         table, bridge = random_economy(np.random.default_rng(3), 4)

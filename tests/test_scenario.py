@@ -18,6 +18,7 @@ from priceshock.fixtures import io2_table
 from priceshock.imputation import wls_coefficients
 from priceshock.scenario import (
     MIN_GROUP_OBS,
+    VALUE_BLOCK_ROWS,
     DemandGroups,
     Inputs,
     Prices,
@@ -674,6 +675,33 @@ class TestFallbackFitsOnDemand:
         for label, want in (("q1_band2", pooled), ("q1_band3", pooled), ("q2_band1", q2)):
             assert_row_is_the_fit(groups, row_of[label], want, label)
 
+    def test_households_of_weight_0_change_no_fit(self, bundle_dir, tmp_path):
+        """Six weight-0 copies of hh0027 lift its cell q2_band1 from 4 rows to
+        MIN_GROUP_OBS, but not its households of positive weight: it still
+        falls back to q2's fit, and the tables, the elasticities and the
+        prices stay byte for byte those of the run without the copies."""
+        survey = (bundle_dir / "households.csv").read_text()
+        row = next(line for line in survey.splitlines() if line.startswith("hh0027,"))
+        _, weight, rest = row.split(",", 2)
+        padded = tmp_path / "households.csv"
+        padded.write_text(survey + "".join(f"hh0027_{i},0,{rest}\n" for i in range(6)))
+        cfg_path = derived_config(bundle_dir, tmp_path, "padded.txt", lambda t: t.replace(
+            f"files.households = {bundle_dir / 'households.csv'}", f"files.households = {padded}"))
+        results = {}
+        for name, cfg in (("plain", parse_config(bundle_dir / "config.txt")),
+                          ("padded", parse_config(cfg_path))):
+            result = run_scenario(cfg)
+            emit_reports(result, tmp_path / name)
+            results[name] = result
+        padded_hh = results["padded"].household
+        assert float(weight) > 0 and len(padded_hh["id"]) == 246
+        assert {f"hh0027_{i}" for i in range(6)} <= set(padded_hh["id"][padded_hh["quintile"] == 1])
+        for key in ("group_fallbacks", "elasticity_clamps"):
+            assert results["padded"].diagnostics[key] == results["plain"].diagnostics[key], key
+        for name in (*results["plain"].tables, "elasticities", "consumer_prices"):
+            assert ((tmp_path / "padded" / f"{name}.csv").read_bytes()
+                    == (tmp_path / "plain" / f"{name}.csv").read_bytes()), name
+
     def test_each_cell_is_fitted_on_its_rows_in_survey_order(self, bundle_dir):
         """A cell's fit takes its slice of the stable sort by cell: the rows of
         a boolean mask, in the same order, so the same bits."""
@@ -714,8 +742,9 @@ def demand_groups(budget, xi, of) -> DemandGroups:
 
 class TestValueHouseholdsAgainstTheScalarFunctions:
     """value_households values every household in one pass, its group's
-    elasticities taken from a table by group id; every household's values
-    match the one-household functions within 1e-12 relative."""
+    elasticities taken from a table by group id; where every household
+    affords its committed bundle, each one's values match the one-household
+    functions within 1e-12 relative."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(10, 300), n_groups=st.integers(1, 4), k=st.integers(2, 6),
@@ -760,9 +789,12 @@ class TestValueHouseholdsAgainstTheScalarFunctions:
                           les_demand(p1, net, params) @ emissions if with_emissions else 0.0)
         assert infeasible.tolist() == short.tolist()
         assert n_cobb_douglas == cobb_douglas
-        # a household short of its committed bundle keeps zeros; the others are valued
-        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
-        assert not values[:, short].any()
+        if short.any():
+            # the run reads no value once a household is short of its committed
+            # bundle: its block (here every household) is not valued
+            assert n <= VALUE_BLOCK_ROWS and not values.any()
+        else:
+            np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(10, 200), n_groups=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))

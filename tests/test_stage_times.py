@@ -114,6 +114,8 @@ def test_label_writes_every_size_before_the_first_child(tmp_path, monkeypatch):
         return out / "config.txt", {"households": 240 * tiles}
 
     def child(argv, **kwargs):
+        if "--config" not in argv:  # an interpreter that times the import alone
+            return subprocess.CompletedProcess(argv, 0, "0.1\n")
         events.append(("child", argv[argv.index("--config") + 1]))
         return subprocess.CompletedProcess(argv, 0, json.dumps({"import_s": 0.1, "stages": {}}))
 
@@ -127,3 +129,33 @@ def test_label_writes_every_size_before_the_first_child(tmp_path, monkeypatch):
     assert kinds == ["generate"] * len(stage_times.SIZES) + ["child"] * len(stage_times.SIZES)
     assert [Path(config).parent.name for _, config in events[len(stage_times.SIZES):]] == [
         f"inputs-{tiles}" for tiles in stage_times.SIZES]
+
+
+def test_label_import_s_is_the_median_of_five_fresh_imports(tmp_path, monkeypatch):
+    stage_times = load_script()
+    samples = iter([0.5, 0.1, 0.3, 0.2, 0.4, 0.9, 0.6, 0.8, 0.7, 0.6])
+    children = []
+
+    def child(argv, **kwargs):
+        children.append(argv)
+        if "--config" in argv:
+            return subprocess.CompletedProcess(argv, 0, json.dumps({"import_s": 9.9, "stages": {}}))
+        return subprocess.CompletedProcess(argv, 0, f"{next(samples)}\n")
+
+    monkeypatch.setattr(stage_times, "SIZES", (1, 2))
+    monkeypatch.setattr(stage_times, "generate",
+                        lambda workload, seed, tiles, out: (out / "config.txt", {"tiles": tiles}))
+    monkeypatch.setattr(stage_times.subprocess, "run", child)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert stage_times.main(["--workload", "survey_carbon", "--repeat", "1",
+                                 "--label", "imports"]) == 0
+    sizes = json.loads((tmp_path / "BENCH_imports.json").read_text())["sizes"]
+    assert [(size["import_s"], size["import_samples_s"]) for size in sizes] == [
+        (0.3, [0.5, 0.1, 0.3, 0.2, 0.4]), (0.7, [0.9, 0.6, 0.8, 0.7, 0.6])]
+    # each size: five interpreters that run only the timed import, then its run
+    imports = [argv for argv in children if "--config" not in argv]
+    assert len(imports) == 2 * stage_times.IMPORT_SAMPLES == 10
+    assert all(argv[1:] == ["-c", stage_times.IMPORT_CHILD] for argv in imports)
+    assert ["--config" in argv for argv in children] == ([False] * 5 + [True]) * 2
+
