@@ -13,16 +13,20 @@ With ``--workload`` the inputs are the ones ``perfbench/gen.py`` writes for
 run (``run_scenario`` then ``emit_reports``) is made ``--repeat`` times in
 this process after one untimed warm-up. Each stage is timed where the run
 calls it: ``load_inputs``, ``form_prices``, ``rank_households``,
-``estimate_demand_groups``, ``value_households``, ``build_tables`` and
-``emit_reports``; ``run`` is the whole of both calls. The JSON gives the
-best and the median of each, in seconds; ``first_s``, its time in the
-warm-up run, which pays the first-use costs (lazy imports, caches) that a
-fresh ``priceshock run`` pays too; and ``vmhwm_mb``, the process's peak
-resident memory (VmHWM in /proc/self/status) after its last call. Its
-``import_s`` is the time of ``import priceshock.cli``, which the script
-makes before it imports anything else, or null where the process had
-imported it already. BLAS and OpenMP are pinned to one thread unless the
-environment sets them.
+``estimate_demand_groups``, ``value_households``, ``assemble``,
+``build_tables`` and ``emit_reports``; ``run`` is the whole of both calls.
+Each run starts once the previous one's result is released. The JSON
+gives the best and the median of each, in seconds; ``first_s``, its time
+in the warm-up run, which pays the first-use costs (lazy imports, caches)
+that a fresh ``priceshock run`` pays too; and ``vmhwm_mb``, the process's
+peak resident memory (VmHWM in /proc/self/status) after its call in the
+warm-up run, the only run whose peak no earlier run raised (with
+``--workload`` alone the inputs are written in this process first, and
+their writer's peak counts too; ``--config`` and ``--label`` give the
+run's own). Its ``import_s`` is the time of ``import priceshock.cli``,
+which the script makes before it imports anything else, or null where
+the process had imported it already. BLAS and OpenMP are pinned to one
+thread unless the environment sets them.
 
 ``--label NAME`` times the workload in a fresh interpreter that reads
 inputs written beforehand (every size's, before the first is timed), so
@@ -67,7 +71,7 @@ from unittest import mock  # noqa: E402
 from priceshock import scenario  # noqa: E402
 
 STAGES = ("load_inputs", "form_prices", "rank_households", "estimate_demand_groups",
-          "value_households", "build_tables", "emit_reports")
+          "value_households", "assemble", "build_tables", "emit_reports")
 SIZES = (1, 100, 1000)  # --label: SURVEY_TILES, the copies of the 240-household survey
 TILED = ("survey_carbon",)  # the workloads whose survey gen.SURVEY_TILES sets
 IMPORT_SAMPLES = 5  # --label: fresh interpreters that time the import, per size
@@ -96,7 +100,7 @@ def _timed(fn, name: str, samples: dict[str, list[float]], peaks: dict[str, floa
             return fn(*args, **kwargs)
         finally:
             samples[name].append(time.perf_counter() - start)
-            peaks[name] = vmhwm_mb()
+            peaks.setdefault(name, vmhwm_mb())  # the warm-up run's
     return wrapper
 
 
@@ -104,7 +108,7 @@ def time_stages(config, outdir, repeat: int) -> dict:
     """{stage: {calls, best_s, median_s, first_s, vmhwm_mb}} for ``repeat``
     runs of ``config`` after the warm-up run that ``first_s`` times."""
     samples: dict[str, list[float]] = {name: [] for name in (*STAGES, "run")}
-    peaks: dict[str, float | None] = dict.fromkeys(samples)
+    peaks: dict[str, float | None] = {}
     first: dict[str, float | None] = {}
     with ExitStack() as stack:
         for name in STAGES:
@@ -119,11 +123,12 @@ def time_stages(config, outdir, repeat: int) -> dict:
             result = scenario.run_scenario(scenario.parse_config(config))
             scenario.emit_reports(result, outdir)
             samples["run"].append(time.perf_counter() - start)
-            peaks["run"] = vmhwm_mb()
+            peaks.setdefault("run", vmhwm_mb())
+            result = None  # the next run starts without this one's frame
     return {
         name: {"calls": len(seconds), "best_s": min(seconds, default=None),
                "median_s": statistics.median(seconds) if seconds else None,
-               "first_s": first[name], "vmhwm_mb": peaks[name]}
+               "first_s": first[name], "vmhwm_mb": peaks.get(name)}
         for name, seconds in samples.items()
     }
 

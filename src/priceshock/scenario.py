@@ -454,14 +454,16 @@ class DemandGroups:
     n_fallback: int
 
 
-def _engel_fit(shares: np.ndarray, design: np.ndarray, ln_x: np.ndarray,
+def _engel_fit(exp: np.ndarray, totals: np.ndarray, ln_x: np.ndarray,
                per_capita: np.ndarray, weights: np.ndarray, cfg: RunConfig):
     """Per-category quadratic Engel curves -> one ``DemandGroups`` row:
     (budget, own_price, mean_shares, xi, clamped).
 
     One weighted least-squares solve on one cell's rows of the inputs that
-    ``estimate_demand_groups`` prepares fits every category bought there.
+    ``estimate_demand_groups`` gathers fits every category bought there.
     """
+    shares = exp / totals[:, np.newaxis]
+    design = np.column_stack([np.ones(len(ln_x)), ln_x, ln_x**2])
     w_total = float(weights.sum())
     mean_shares = weights @ shares / w_total
     ln_c = float(np.dot(weights, ln_x)) / w_total
@@ -486,7 +488,7 @@ def _engel_fit(shares: np.ndarray, design: np.ndarray, ln_x: np.ndarray,
 
 
 def estimate_demand_groups(
-    shares: np.ndarray, totals: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
+    exp: np.ndarray, totals: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
     quintiles: np.ndarray, cfg: RunConfig,
 ) -> DemandGroups:
     """One demand-system parameterisation per quintile x size-band cell.
@@ -502,12 +504,10 @@ def estimate_demand_groups(
         ln_x = np.log(per_capita / cfg.months_per_period)
     else:
         ln_x = np.log(totals)
-    inputs = (shares, np.column_stack([np.ones(len(totals)), ln_x, ln_x**2]), ln_x, per_capita,
-              weights)
+    inputs = (exp, totals, ln_x, per_capita, weights)
     lo, hi = cfg.size_bands
     cells = 3 * quintiles + np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
-    order = np.argsort(cells, kind="stable")
-    by_cell = [np.take(a, order, axis=0) for a in inputs]  # a cell's rows: a slice, in survey order
+    order = np.argsort(cells, kind="stable")  # a cell's rows: a slice, in survey order
     counts, held = np.bincount(cells), np.bincount(cells, weights=weights > 0)
     bounds = np.concatenate([[0], np.cumsum(counts[counts > 0])])
     q_held = np.bincount(quintiles, weights=weights > 0)
@@ -518,7 +518,7 @@ def estimate_demand_groups(
     for c, start, end in zip(np.flatnonzero(counts).tolist(), bounds[:-1], bounds[1:]):
         q, b = divmod(c, 3)
         if held[c] >= MIN_GROUP_OBS:
-            rows.append(_engel_fit(*(a[start:end] for a in by_cell), cfg))
+            rows.append(_engel_fit(*(a[order[start:end]] for a in inputs), cfg))
         else:
             # a fallback fit takes its rows in survey order, as the pooled fit does
             source = q if q_held[q] >= MIN_GROUP_OBS else None
@@ -539,7 +539,7 @@ def estimate_demand_groups(
 VALUE_BLOCK_ROWS = 2048
 
 
-def value_households(groups: DemandGroups, exp, shares, totals, transfers, p1, emissions):
+def value_households(groups: DemandGroups, exp, totals, transfers, p1, emissions):
     """(cv, ye, ye_net, footprint at ``p1``), the households that cannot afford
     their committed bundle at ``p1`` (their block is not valued and keeps
     zeros: a run that has one reads no value) and the count valued as
@@ -557,7 +557,8 @@ def value_households(groups: DemandGroups, exp, shares, totals, transfers, p1, e
     n_cobb_douglas = 0
     for start in range(0, len(totals), VALUE_BLOCK_ROWS):
         block = slice(start, start + VALUE_BLOCK_ROWS)
-        exp_b, shares_b, totals_b = exp[block], shares[block], totals[block]
+        exp_b, totals_b = exp[block], totals[block]
+        shares_b = exp_b / totals_b[:, np.newaxis]
         group_b = groups.of[block]
         # a share is 0 wherever nothing is spent, so phi is too
         phi = np.take(groups.budget, group_b, axis=0)
@@ -737,11 +738,10 @@ def form_prices(cfg: RunConfig, inputs: Inputs) -> Prices:
 
 
 def rank_households(cfg: RunConfig, frame: HouseholdSurvey):
-    """Ranking stage: each household's total expenditure, budget shares,
-    equivalised total and quantile group (0 the poorest)."""
+    """Ranking stage: each household's total expenditure, equivalised total
+    and quantile group (0 the poorest)."""
     n = len(frame.ids)
     totals = frame.expenditure.sum(axis=1)
-    shares = frame.expenditure / totals[:, np.newaxis]
     eq = equivalise(totals, frame.size, cfg.scale)
     # more groups than households leave one empty before any ranking
     quintiles = weighted_quantile_groups(eq, frame.weight, cfg.groups) if cfg.groups <= n else None
@@ -754,7 +754,7 @@ def rank_households(cfg: RunConfig, frame: HouseholdSurvey):
                         f"{'income' if cfg.impute else 'households'} holds weight "
                         f"{frame.weight[heavy]:g} of {total:g}, more than 1/{cfg.groups}")
         raise DataValidationError(message)
-    return totals, shares, eq, quintiles
+    return totals, eq, quintiles
 
 
 def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, transfers,
@@ -765,10 +765,12 @@ def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, tra
     ``value_households`` return. A report group's share and burden sum its
     categories' columns through one 0/1 category-to-group matrix; the
     frame's share_<group> and burden_<group> columns are the products' columns.
+    One (households x categories) buffer holds the shares, then the burdens.
     """
     frame, categories = inputs.frame, inputs.categories
-    totals, shares, eq, quintiles = ranked
+    totals, eq, quintiles = ranked
     cv, ye, ye_net, fp_after = values
+    shares = frame.expenditure / totals[:, np.newaxis]
     pi_h = shares @ prices.total
     household = {
         "id": frame.ids, "weight": frame.weight, "size": frame.size, "quintile": quintiles,
@@ -779,7 +781,7 @@ def assemble(cfg: RunConfig, inputs: Inputs, prices: Prices, ranked, values, tra
     M = np.array([[c in members for members in DEFAULT_REPORT_GROUPS.values()]
                   for c in categories], dtype=float)
     share_g = shares @ M
-    burden_g = (frame.expenditure * prices.total) @ M
+    burden_g = np.multiply(frame.expenditure, prices.total, out=shares) @ M
     for j, g in enumerate(DEFAULT_REPORT_GROUPS):
         household[f"share_{g}"] = share_g[:, j]
         household[f"burden_{g}"] = burden_g[:, j]
@@ -804,17 +806,17 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     prices = form_prices(cfg, inputs)
     frame = inputs.frame
     weights, sizes, exp = frame.weight, frame.size, frame.expenditure
-    totals, shares, _, quintiles = ranked = rank_households(cfg, frame)
+    totals, _, quintiles = ranked = rank_households(cfg, frame)
 
     # carbon revenue and recycling
     revenue = float(np.dot(weights, exp @ prices.carbon)) if cfg.carbon_tax > 0 else 0.0
     transfers = recycle_revenue(revenue, cfg.recycling, weights, sizes=sizes,
                                 target_mask=quintiles < cfg.recycling_quantile)
 
-    groups = estimate_demand_groups(shares, totals, weights, sizes, quintiles, cfg)
+    groups = estimate_demand_groups(exp, totals, weights, sizes, quintiles, cfg)
     emissions = prices.unit_emissions if np.any(prices.unit_emissions > 0) else None
     values, infeasible, n_cobb_douglas = value_households(
-        groups, exp, shares, totals, transfers, 1.0 + prices.total, emissions
+        groups, exp, totals, transfers, 1.0 + prices.total, emissions
     )
     if np.any(infeasible):
         first = ", ".join(map(repr, frame.ids[np.flatnonzero(infeasible)[:5]].tolist()))

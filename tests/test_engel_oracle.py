@@ -30,9 +30,10 @@ def demo_cfg(bundle_dir):
     return parse_config(bundle_dir / "config.txt")
 
 
-def assert_groups_match_the_oracle(shares, totals, weights, sizes, quintiles, cfg):
-    groups = estimate_demand_groups(shares, totals, weights, sizes, quintiles, cfg)
-    cells = engel_groups_by_loop(shares, totals, weights, sizes, quintiles, cfg)
+def assert_groups_match_the_oracle(exp, totals, weights, sizes, quintiles, cfg):
+    groups = estimate_demand_groups(exp, totals, weights, sizes, quintiles, cfg)
+    cells = engel_groups_by_loop(exp / totals[:, np.newaxis], totals, weights, sizes, quintiles,
+                                 cfg)
     assert groups.labels.tolist() == [cell["label"] for cell in cells]
     held = [np.count_nonzero(weights[cell["rows"]] > 0) for cell in cells]
     assert groups.n_fallback == sum(count < MIN_GROUP_OBS for count in held)
@@ -74,15 +75,15 @@ def samples(draw):
     weights = rng.uniform(0.5, 20.0, n)
     weights[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.0  # counted by neither
     scale = draw(st.sampled_from(["total", "per_capita_month"]))
-    return exp / totals[:, np.newaxis], totals, weights, sizes, quintiles, scale
+    return exp, totals, weights, sizes, quintiles, scale
 
 
 @settings(max_examples=150, deadline=None)
 @given(sample=samples())
 def test_drawn_surveys_match_the_engel_oracle(demo_cfg, sample):
-    shares, totals, weights, sizes, quintiles, scale = sample
+    exp, totals, weights, sizes, quintiles, scale = sample
     cfg = dataclasses.replace(demo_cfg, engel_scale=scale)
-    assert_groups_match_the_oracle(shares, totals, weights, sizes, quintiles, cfg)
+    assert_groups_match_the_oracle(exp, totals, weights, sizes, quintiles, cfg)
 
 
 def test_fallbacks_to_the_quintile_and_to_the_whole_sample(demo_cfg):
@@ -95,15 +96,15 @@ def test_fallbacks_to_the_quintile_and_to_the_whole_sample(demo_cfg):
     totals = exp.sum(axis=1)
     sizes = np.array([1.0] * 11 + [8.0] + [1.0, 1.0, 4.0, 4.0, 4.0])
     quintiles = np.array([0] * 12 + [1] * 5)
-    cells = assert_groups_match_the_oracle(exp / totals[:, np.newaxis], totals,
-                                           rng.uniform(1.0, 2.0, n), sizes, quintiles, demo_cfg)
+    cells = assert_groups_match_the_oracle(exp, totals, rng.uniform(1.0, 2.0, n), sizes,
+                                           quintiles, demo_cfg)
     assert [(cell["label"], len(cell["rows"])) for cell in cells] == [
         ("q1_band1", 11), ("q1_band3", 1), ("q2_band1", 2), ("q2_band2", 3)]
 
 
 def test_demo_groups_match_the_engel_oracle(demo_cfg):
     frame = load_inputs(demo_cfg).frame
-    totals, shares, _, quintiles = rank_households(demo_cfg, frame)
-    cells = assert_groups_match_the_oracle(shares, totals, frame.weight, frame.size, quintiles,
-                                           demo_cfg)
+    totals, _, quintiles = rank_households(demo_cfg, frame)
+    cells = assert_groups_match_the_oracle(frame.expenditure, totals, frame.weight, frame.size,
+                                           quintiles, demo_cfg)
     assert sum(cell["clamped"] for cell in cells) == 59  # the demo's clamp count

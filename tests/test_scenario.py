@@ -1,6 +1,7 @@
 """Price formation, revenue recycling, and end-to-end run invariants."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -607,7 +608,7 @@ class TestEngelFitOneSolvePerGroup:
             ln_x = np.log(totals[sel])
             design = np.column_stack([np.ones(sel.sum()), ln_x, ln_x ** 2])
             shares = exp[sel] / totals[sel][:, np.newaxis]
-            got_budget, _, _, got_xi, got_clamped = _engel_fit(shares, design, ln_x,
+            got_budget, _, _, got_xi, got_clamped = _engel_fit(exp[sel], totals[sel], ln_x,
                                                                totals[sel] / sizes[sel], w[sel], cfg)
             # one wls_fit per bought category, as the elasticities were first computed
             mean_shares = w[sel] @ shares / w[sel].sum()
@@ -650,9 +651,8 @@ class TestFallbackFitsOnDemand:
     def test_a_sparse_quintile_gets_the_whole_sample_fit(self, bundle_dir):
         cfg = parse_config(bundle_dir / "config.txt")
         survey = load_household_survey(bundle_dir / "households.csv", CategorySet.default())
-        w, sizes = survey.weight, survey.size
-        totals = survey.expenditure.sum(axis=1)
-        shares = survey.expenditure / totals[:, np.newaxis]
+        exp, w, sizes = survey.expenditure, survey.weight, survey.size
+        totals = exp.sum(axis=1)
         lo, hi = cfg.size_bands
         band = np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
         # q1 gets 6 households, too few for a fit of its own; q2 keeps 5 of
@@ -660,15 +660,15 @@ class TestFallbackFitsOnDemand:
         quintiles = np.r_[np.zeros(6, dtype=int), 1 + np.arange(len(totals) - 6) % 4]
         quintiles[np.flatnonzero((quintiles == 1) & (band == 0))[5:]] = 2
         with mock.patch("priceshock.scenario.wls_coefficients", wraps=wls_coefficients) as counted:
-            groups = estimate_demand_groups(shares, totals, w, sizes, quintiles, cfg)
+            groups = estimate_demand_groups(exp, totals, w, sizes, quintiles, cfg)
         cells = np.bincount(3 * quintiles + band)
         assert groups.n_fallback == int(np.sum((cells > 0) & (cells < MIN_GROUP_OBS))) == 3
         assert counted.call_count == 13
 
         def engel_fit(rows):
             ln_x = np.log(totals[rows])
-            design = np.column_stack([np.ones(len(ln_x)), ln_x, ln_x ** 2])
-            return _engel_fit(shares[rows], design, ln_x, totals[rows] / sizes[rows], w[rows], cfg)
+            return _engel_fit(exp[rows], totals[rows], ln_x, totals[rows] / sizes[rows], w[rows],
+                              cfg)
 
         pooled, q2 = engel_fit(np.ones(len(totals), dtype=bool)), engel_fit(quintiles == 1)
         row_of = {label: g for g, label in enumerate(groups.labels.tolist())}
@@ -707,13 +707,12 @@ class TestFallbackFitsOnDemand:
         a boolean mask, in the same order, so the same bits."""
         cfg = parse_config(bundle_dir / "config.txt")
         survey = load_household_survey(bundle_dir / "households.csv", CategorySet.default())
-        w, sizes = survey.weight, survey.size
-        totals = survey.expenditure.sum(axis=1)
-        shares = survey.expenditure / totals[:, np.newaxis]
+        exp, w, sizes = survey.expenditure, survey.weight, survey.size
+        totals = exp.sum(axis=1)
         lo, hi = cfg.size_bands
         band = np.where(sizes <= lo, 0, np.where(sizes <= hi, 1, 2))
         quintiles = np.arange(len(totals)) % 5  # cells interleaved in survey order
-        groups = estimate_demand_groups(shares, totals, w, sizes, quintiles, cfg)
+        groups = estimate_demand_groups(exp, totals, w, sizes, quintiles, cfg)
         cells = 3 * quintiles + band
         fitted = 0
         for index, label in enumerate(groups.labels.tolist()):
@@ -723,11 +722,35 @@ class TestFallbackFitsOnDemand:
             if rows.sum() < MIN_GROUP_OBS:
                 continue
             ln_x = np.log(totals[rows])
-            design = np.column_stack([np.ones(len(ln_x)), ln_x, ln_x ** 2])
-            want = _engel_fit(shares[rows], design, ln_x, totals[rows] / sizes[rows], w[rows], cfg)
+            want = _engel_fit(exp[rows], totals[rows], ln_x, totals[rows] / sizes[rows], w[rows],
+                              cfg)
             assert_row_is_the_fit(groups, index, want, label)
             fitted += 1
         assert fitted >= 10
+
+
+def test_estimate_demand_groups_peak_memory_stays_under_the_expenditure():
+    """estimate_demand_groups adds a traced peak under the bytes of the
+    (households x categories) expenditure it reads: it gathers one cell's
+    rows at a time. Copying the budget shares, the design and the vectors
+    into cell order first took about 1.85x."""
+    n, k = 100_000, len(CategorySet.default())
+    rng = np.random.default_rng(5)
+    exp = rng.lognormal(5.0, 1.0, (n, k)) * (rng.random((n, k)) < 0.8)
+    exp[:, 0] += 1.0
+    totals = exp.sum(axis=1)
+    sizes = rng.integers(1, 9, n).astype(float)
+    weights = rng.uniform(0.5, 20.0, n)
+    quintiles = rng.integers(0, 5, n)
+    tracemalloc.start()
+    try:
+        groups = estimate_demand_groups(exp, totals, weights, sizes, quintiles,
+                                        RunConfig(files={}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(groups.labels), groups.n_fallback) == (15, 0)  # every cell fits its own rows
+    assert peak < exp.nbytes, f"peak {peak / exp.nbytes:.2f}x the expenditure"
 
 
 def demand_groups(budget, xi, of) -> DemandGroups:
@@ -769,7 +792,7 @@ class TestValueHouseholdsAgainstTheScalarFunctions:
         groups = demand_groups(*zip(*drawn), assignment)
 
         values, infeasible, n_cobb_douglas = value_households(
-            groups, exp, shares, totals, transfers, p1, emissions)
+            groups, exp, totals, transfers, p1, emissions)
 
         want = np.zeros((4, n))
         short, cobb_douglas = np.zeros(n, dtype=bool), 0
@@ -807,14 +830,13 @@ class TestValueHouseholdsAgainstTheScalarFunctions:
         exp = rng.lognormal(5.0, 1.0, (n, k)) * (rng.random((n, k)) < 0.7)
         exp[exp.sum(axis=1) == 0, 0] = 1.0
         totals = exp.sum(axis=1)
-        shares = exp / totals[:, np.newaxis]
         transfers = 0.2 * rng.random(n) * totals
         p1 = 1.0 + 0.1 * rng.random(k)
         budget = 0.5 + rng.random((n_groups, k))
         xi = -2.0 - rng.random(n_groups)
         assignment = rng.integers(0, n_groups, n)
         values, infeasible, _ = value_households(demand_groups(budget, xi, assignment), exp,
-                                                 shares, totals, transfers, p1, None)
+                                                 totals, transfers, p1, None)
         assert not infeasible.any()
         for g in range(n_groups):
             rows = assignment == g
@@ -822,7 +844,7 @@ class TestValueHouseholdsAgainstTheScalarFunctions:
                 continue
             alone, _, _ = value_households(
                 demand_groups(budget[g:g + 1], xi[g:g + 1], np.zeros(rows.sum(), dtype=int)),
-                exp[rows], shares[rows], totals[rows], transfers[rows], p1, None)
+                exp[rows], totals[rows], transfers[rows], p1, None)
             assert values[:3, rows].tobytes() == alone[:3].tobytes()
 
 
@@ -849,7 +871,7 @@ class TestReportGroupMatrix:
         prices = Prices(rel, np.zeros(k), np.zeros(k), np.zeros(n), None)
         totals = exp.sum(axis=1)
         shares = exp / totals[:, np.newaxis]
-        ranked = (totals, shares, totals, np.zeros(n, dtype=int))
+        ranked = (totals, totals, np.zeros(n, dtype=int))
         household, _ = assemble(RunConfig(files={}), inputs, prices, ranked, np.zeros((4, n)),
                                 np.zeros(n), demand_groups(np.zeros((0, k)), [], []))
         for g, members in DEFAULT_REPORT_GROUPS.items():

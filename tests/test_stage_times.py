@@ -3,8 +3,10 @@
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import subprocess
+import weakref
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,32 @@ def test_each_stage_reports_the_memory_peak_after_it(bundle_dir):
     peaks = [report["stages"][name]["vmhwm_mb"] for name in (*load_script().STAGES, "run")]
     assert all(peak > 0 for peak in peaks)
     assert peaks[-1] == max(peaks)  # the process's peak never falls
+
+
+def test_vmhwm_mb_is_each_stages_read_in_the_warm_up_run(bundle_dir, tmp_path, monkeypatch):
+    """Every later run's peak includes the warm-up's: only the warm-up's
+    reads, one after each stage in run order, are reported."""
+    stage_times = load_script()
+    reads = itertools.count(1)
+    monkeypatch.setattr(stage_times, "vmhwm_mb", lambda: float(next(reads)))
+    stages = stage_times.time_stages(bundle_dir / "config.txt", tmp_path / "out", 2)
+    names = [*stage_times.STAGES, "run"]
+    assert [stages[name]["vmhwm_mb"] for name in names] == list(range(1, len(names) + 1))
+
+
+def test_each_run_starts_after_the_last_result_is_released(bundle_dir, tmp_path, monkeypatch):
+    stage_times = load_script()
+    run_scenario, results, alive = stage_times.scenario.run_scenario, [], []
+
+    def tracked(cfg):
+        alive.append(sum(ref() is not None for ref in results))
+        result = run_scenario(cfg)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(stage_times.scenario, "run_scenario", tracked)
+    stage_times.time_stages(bundle_dir / "config.txt", tmp_path / "out", 2)
+    assert alive == [0, 0, 0]
 
 
 def test_label_writes_one_report_per_size(tmp_path, monkeypatch):

@@ -36,8 +36,9 @@ def frame_by_loop(cfg, household):
     inputs = load_inputs(cfg)
     prices = form_prices(cfg, inputs)
     frame = inputs.frame
-    totals, shares, _, quintiles = rank_households(cfg, frame)
-    groups = estimate_demand_groups(shares, totals, frame.weight, frame.size, quintiles, cfg)
+    totals, _, quintiles = rank_households(cfg, frame)
+    groups = estimate_demand_groups(frame.expenditure, totals, frame.weight, frame.size,
+                                    quintiles, cfg)
     p0, p1 = np.ones(len(prices.total)), 1.0 + prices.total
     want = {name: np.zeros(len(totals)) for name in ("cv", "ye", "ye_net", "fp_after")}
     for h, basket in enumerate(frame.expenditure):
