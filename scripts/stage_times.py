@@ -9,28 +9,27 @@ Usage (from the repository root):
 
 With ``--workload`` the inputs are the ones ``perfbench/gen.py`` writes for
 ``--seed`` (``--tiles`` sets its ``SURVEY_TILES``, the copies of the
-240-household base survey); with ``--config`` they are that config's. The
-run (``run_scenario`` then ``emit_reports``) is made ``--repeat`` times in
-this process after one untimed warm-up. Each stage is timed where the run
-calls it: ``load_inputs``, ``form_prices``, ``rank_households``,
-``estimate_demand_groups``, ``value_households``, ``assemble``,
-``build_tables`` and ``emit_reports``; ``run`` is the whole of both calls.
+240-household base survey), and they are timed, once written, in a fresh
+interpreter that this script starts with ``--config``; with ``--config``
+they are that config's. The run (``run_scenario`` then ``emit_reports``)
+is made ``--repeat`` times in the timing process after one untimed
+warm-up. Each stage is timed where the run calls it: ``load_inputs``,
+``form_prices``, ``rank_households``, ``estimate_demand_groups``,
+``value_households``, ``assemble``, ``build_tables`` and
+``emit_reports``; ``run`` is the whole of both calls.
 Each run starts once the previous one's result is released. The JSON
 gives the best and the median of each, in seconds; ``first_s``, its time
 in the warm-up run, which pays the first-use costs (lazy imports, caches)
 that a fresh ``priceshock run`` pays too; and ``vmhwm_mb``, the process's
 peak resident memory (VmHWM in /proc/self/status) after its call in the
-warm-up run, the only run whose peak no earlier run raised (with
-``--workload`` alone the inputs are written in this process first, and
-their writer's peak counts too; ``--config`` and ``--label`` give the
-run's own). Its ``import_s`` is the time of ``import priceshock.cli``,
-which the script makes before it imports anything else, or null where
+warm-up run, the only run whose peak no earlier run raised. Its
+``import_s`` is the time of ``import priceshock.cli`` in the timing
+process, which makes it before it imports anything else, or null where
 the process had imported it already. BLAS and OpenMP are pinned to one
 thread unless the environment sets them.
 
-``--label NAME`` times the workload in a fresh interpreter that reads
-inputs written beforehand (every size's, before the first is timed), so
-that its memory peak is the run's own, and writes the reports to
+``--label NAME`` times the workload the same way, every size's inputs
+written before the first is timed, and writes the reports to
 ``BENCH_<NAME>.json`` in the current directory. There a size's
 ``import_s`` is the median of ``IMPORT_SAMPLES`` further fresh
 interpreters, in the same environment, that each time only ``import
@@ -145,6 +144,15 @@ def generate(workload: str, seed: int, tiles: int | None, out: Path) -> tuple[Pa
                                 "output_rows": info["output_rows"]}
 
 
+def time_in_child(config: Path, repeat: int) -> dict:
+    """The report of this script run on ``config`` in a fresh interpreter,
+    whose memory peaks are then the run's own, not the input writer's."""
+    child = subprocess.run([sys.executable, __file__, "--config", str(config),
+                            "--repeat", str(repeat)],
+                           check=True, capture_output=True, text=True)
+    return json.loads(child.stdout)
+
+
 def write_label(args, work: Path) -> dict:
     """Time the workload in a fresh interpreter, at each of ``SIZES`` if it
     is in ``TILED``, and write ``BENCH_<label>.json``."""
@@ -158,12 +166,9 @@ def write_label(args, work: Path) -> dict:
         imports = [float(subprocess.run([sys.executable, "-c", IMPORT_CHILD], check=True,
                                         capture_output=True, text=True).stdout)
                    for _ in range(IMPORT_SAMPLES)]
-        child = subprocess.run(
-            [sys.executable, __file__, "--config", str(config), "--repeat", str(args.repeat)],
-            check=True, capture_output=True, text=True)
         report["sizes"].append({**facts, "import_s": statistics.median(imports),
                                 "import_samples_s": imports,
-                                "stages": json.loads(child.stdout)["stages"]})
+                                "stages": time_in_child(config, args.repeat)["stages"]})
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -189,15 +194,14 @@ def main(argv=None) -> int:
         work = Path(work)
         if args.label is not None:
             report = write_label(args, work)
+        elif args.workload:
+            config, facts = generate(args.workload, args.seed, args.tiles, work / "inputs")
+            child = time_in_child(config, args.repeat)
+            report = {"repeat": args.repeat, "import_s": child["import_s"], **facts,
+                      "stages": child["stages"]}
         else:
-            report = {"repeat": args.repeat, "import_s": IMPORT_S}
-            if args.workload:
-                config, facts = generate(args.workload, args.seed, args.tiles, work / "inputs")
-                report.update(facts)
-            else:
-                config = Path(args.config)
-                report["config"] = str(config)
-            report["stages"] = time_stages(config, work / "out", args.repeat)
+            report = {"repeat": args.repeat, "import_s": IMPORT_S, "config": args.config,
+                      "stages": time_stages(Path(args.config), work / "out", args.repeat)}
     print(json.dumps(report, indent=2))
     return 0
 

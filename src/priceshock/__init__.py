@@ -51,18 +51,6 @@ from .errors import (
     PriceShockError,
     SeparationError,
 )
-from .imputation import (
-    BinaryFit,
-    RegressionFit,
-    binary_fit,
-    calibrate_income,
-    chauvenet_outliers,
-    impute_budget_shares,
-    impute_expenditure_patterns,
-    impute_participation,
-    impute_total_expenditure,
-    wls_fit,
-)
 from .inputoutput import (
     CarbonIntensity,
     LeontiefInverse,
@@ -107,17 +95,27 @@ from .scenario import (
     run_scenario,
 )
 
-_FIXTURES = ("canonical_fixtures", "write_fixture_bundle")
+# the submodule of each name imported on first read: no command but
+# ``priceshock fixtures`` calls the fixtures, and only a run that imputes
+# (or ``priceshock impute``) the imputation
+_LAZY = {
+    **dict.fromkeys(("canonical_fixtures", "write_fixture_bundle"), "fixtures"),
+    **dict.fromkeys(("BinaryFit", "RegressionFit", "binary_fit", "calibrate_income",
+                     "chauvenet_outliers", "impute_budget_shares", "impute_expenditure_patterns",
+                     "impute_participation", "impute_total_expenditure", "wls_fit"),
+                    "imputation"),
+}
 
 
 def __getattr__(name: str):
-    """Import ``fixtures`` when it or one of its two functions is first
-    read (PEP 562): no command but ``priceshock fixtures`` calls them."""
-    if name == "fixtures" or name in _FIXTURES:
+    """Import ``fixtures`` or ``imputation`` when it or one of its names in
+    ``_LAZY`` is first read (PEP 562)."""
+    if name in _LAZY or name in _LAZY.values():
         from importlib import import_module
 
-        fixtures = import_module(f"{__name__}.fixtures")
-        return fixtures if name == "fixtures" else getattr(fixtures, name)
+        module = _LAZY.get(name, name)
+        loaded = import_module(f"{__name__}.{module}")
+        return loaded if name == module else getattr(loaded, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -125,4 +123,4 @@ def __getattr__(name: str):
 # importing them binds here
 __all__ = sorted([name for name, value in globals().items()
                   if not name.startswith("_") and not isinstance(value, _ModuleType)]
-                 + list(_FIXTURES))
+                 + list(_LAZY))

@@ -339,6 +339,9 @@ class PriceScenario:
                 raise DataValidationError(f"{name} rates must be nonnegative")
 
 
+LINKS = ("logit", "probit")  # the imputation's binary-response links (imputation.link)
+
+
 @dataclass(frozen=True)
 class IncomeRecord:
     """One row of the imputation target: income and covariates, no basket."""

@@ -1,10 +1,10 @@
 """Demand responses and welfare measurement.
 
-Budget and price elasticities are derived from fitted Engel-curve slopes
-and a money-flexibility parameter, a linear expenditure system is
-calibrated to reproduce each household's observed basket, and the
-calibrated system prices out compensating variation and equivalent
-income in closed form.
+Budget and price elasticities are derived from Engel-curve slopes, fitted
+by weighted least squares (``wls_coefficients``), and a money-flexibility
+parameter; a linear expenditure system is calibrated to reproduce each
+household's observed basket, and the calibrated system prices out
+compensating variation and equivalent income in closed form.
 
 The linear expenditure system functions take one household or a block:
 baskets, shares and parameters are arrays whose last axis is the
@@ -86,6 +86,57 @@ class LesParameters:
 def _value(v):
     """A 0-d result as a float; one value per row of a block otherwise."""
     return float(v) if np.ndim(v) == 0 else v
+
+
+def _collinear_columns(design: np.ndarray, names) -> tuple[list[int], list[str]]:
+    """Greedy independent-column selection; returns kept indices and flagged names.
+
+    A design of full column rank keeps every column: by singular-value
+    interlacing (Golub and Van Loan, *Matrix Computations*, 4th ed.) a
+    column prefix's smallest singular value is at least the design's and
+    its largest at most the design's, so the prefix clears ``matrix_rank``'s
+    cut (eps × max(rows, columns) × the largest singular value), which is
+    no higher than the design's. Only a deficient design is walked one
+    column prefix at a time.
+    """
+    if np.linalg.matrix_rank(design) == design.shape[1]:
+        return list(range(design.shape[1])), []
+    kept: list[int] = []
+    flagged: list[str] = []
+    rank = 0
+    for j in range(design.shape[1]):
+        trial = design[:, kept + [j]]
+        r = np.linalg.matrix_rank(trial)
+        if r > rank:
+            kept.append(j)
+            rank = r
+        else:
+            flagged.append(list(names)[j])
+    return kept, flagged
+
+
+def wls_coefficients(design: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                     names) -> np.ndarray:
+    """Weighted least-squares coefficients, of the Engel fits and of
+    ``imputation.wls_fit`` (which adds the residual moments): one lstsq on
+    the rows of ``design`` and ``y`` times the square root of their weight,
+    after checks of the sample and weights and before a rank test."""
+    design = np.asarray(design, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n, p = design.shape
+    if n <= p:
+        raise DataValidationError(f"{n} observations cannot identify {p} coefficients")
+    if np.any(weights < 0) or weights.sum() <= 0:
+        raise DataValidationError("weights must be nonnegative and not all zero")
+    sw = np.sqrt(weights)
+    xw = design * sw[:, np.newaxis]
+    # each row of y times its sw; lstsq's rank uses matrix_rank's cut,
+    # eps * max(n, p) * the largest singular value
+    beta, _, rank, _ = np.linalg.lstsq(xw, (np.asarray(y, dtype=float).T * sw).T, rcond=None)
+    if rank < p:
+        _, flagged = _collinear_columns(xw, names)
+        raise DataValidationError(f"design matrix is rank deficient; collinear columns: {flagged}")
+    return beta
 
 
 def budget_elasticity(share, slope, curvature, ln_total):

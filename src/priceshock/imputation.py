@@ -8,9 +8,10 @@ is replicated, and conditional budget shares follow quadratic Engel
 curves with simulated disturbances, floored at zero and rescaled to sum
 to one.
 
-The module carries its own weighted least-squares and binary-response
-estimators. All disturbances are counter-based keyed draws (``randutil.id_keys``
-hashes each record id once per run, and each step takes the result as ``keys``),
+The module carries its own binary-response estimator; its weighted least
+squares adds residual moments to the Engel fits' ``demand.wls_coefficients``.
+All disturbances are counter-based keyed draws (``randutil.id_keys`` hashes
+each record id once per run, and each step takes the result as ``keys``),
 so results are reproducible and independent of processing order. The pipeline
 works on column frames (``HouseholdSurvey``) in and out.
 """
@@ -23,13 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .data import (CategorySet, HouseholdRecord, HouseholdSurvey, IncomeRecord, as_survey,
-                   match_labels)
+from .data import (LINKS, CategorySet, HouseholdRecord, HouseholdSurvey, IncomeRecord,
+                   as_survey, match_labels)
+from .demand import _collinear_columns, wls_coefficients
 from .errors import ConvergenceError, DataValidationError, SeparationError
 from .metrics import stable_order
 from .randutil import id_keys, keyed_normals
 
-LINKS = ("logit", "probit")  # the link functions binary_fit knows
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITER = 200
 SEPARATION_PREDICTOR_BOUND = 30.0
@@ -107,56 +108,6 @@ class BinaryFit:
             with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
                 return 1.0 / (1.0 + np.exp(-z))
         return _norm_cdf(z)
-
-
-def _collinear_columns(design: np.ndarray, names) -> tuple[list[int], list[str]]:
-    """Greedy independent-column selection; returns kept indices and flagged names.
-
-    A design of full column rank keeps every column: by singular-value
-    interlacing (Golub and Van Loan, *Matrix Computations*, 4th ed.) a
-    column prefix's smallest singular value is at least the design's and
-    its largest at most the design's, so the prefix clears ``matrix_rank``'s
-    cut (eps × max(rows, columns) × the largest singular value), which is
-    no higher than the design's. Only a deficient design is walked one
-    column prefix at a time.
-    """
-    if np.linalg.matrix_rank(design) == design.shape[1]:
-        return list(range(design.shape[1])), []
-    kept: list[int] = []
-    flagged: list[str] = []
-    rank = 0
-    for j in range(design.shape[1]):
-        trial = design[:, kept + [j]]
-        r = np.linalg.matrix_rank(trial)
-        if r > rank:
-            kept.append(j)
-            rank = r
-        else:
-            flagged.append(list(names)[j])
-    return kept, flagged
-
-
-def wls_coefficients(design: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                     names) -> np.ndarray:
-    """The coefficients of ``wls_fit``, with its checks and rank test but
-    without the residual moments: one lstsq on the rows of ``design`` and
-    ``y`` times the square root of their weight."""
-    design = np.asarray(design, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n, p = design.shape
-    if n <= p:
-        raise DataValidationError(f"{n} observations cannot identify {p} coefficients")
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise DataValidationError("weights must be nonnegative and not all zero")
-    sw = np.sqrt(weights)
-    xw = design * sw[:, np.newaxis]
-    # each row of y times its sw; lstsq's rank uses matrix_rank's cut,
-    # eps * max(n, p) * the largest singular value
-    beta, _, rank, _ = np.linalg.lstsq(xw, (np.asarray(y, dtype=float).T * sw).T, rcond=None)
-    if rank < p:
-        _, flagged = _collinear_columns(xw, names)
-        raise DataValidationError(f"design matrix is rank deficient; collinear columns: {flagged}")
-    return beta
 
 
 def wls_fit(design: np.ndarray, y: np.ndarray, weights: np.ndarray, names) -> RegressionFit:

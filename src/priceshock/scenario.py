@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from ._version import __version__
 from .data import (
     CategorySet,
     BYTE_ORDER_MARK,
+    LINKS,
     DEFAULT_REPORT_GROUPS,
     BridgingMatrix,
     FuelTable,
@@ -50,11 +53,10 @@ from .demand import (
     les_calibrate_frisch,
     les_valuation,
     price_elasticities,
+    wls_coefficients,
     LesParameters,
 )
 from .errors import DataValidationError, InfeasibleBudgetError, NumericalModelError
-from .imputation import (LINKS, ImputationReport, ImputationResult, impute_expenditure_patterns,
-                         wls_coefficients)
 from .inputoutput import (_check_productive, _solve_from_minus_a, bridge_to_categories,
                           direct_fuel_intensity, sector_intensity)
 from .metrics import (
@@ -65,6 +67,9 @@ from .metrics import (
     weighted_quantile_groups,
     welfare_decomposition,
 )
+
+if TYPE_CHECKING:  # imputation is imported by the first run that imputes
+    from .imputation import ImputationReport, ImputationResult
 
 RECYCLING_SCHEMES = ("none", "lump_sum_per_household", "per_capita", "targeted_bottom_q")
 
@@ -644,8 +649,22 @@ def load_survey(cfg: RunConfig, impute: bool) -> tuple[HouseholdSurvey, Imputati
     if not impute:
         return survey, None
     income = load_income_survey(cfg.files["income"])
-    return survey, impute_expenditure_patterns(survey, income, categories, seed=cfg.seed,
-                                               link=cfg.imputation_link)
+    # read as this module's attribute, which __getattr__ binds on first use
+    impute = sys.modules[__name__].impute_expenditure_patterns
+    return survey, impute(survey, income, categories, seed=cfg.seed, link=cfg.imputation_link)
+
+
+def __getattr__(name: str):
+    """Import ``imputation`` when ``impute_expenditure_patterns`` is first
+    read (PEP 562): a run that does not impute never loads it. The function
+    is then bound here, where a later read, or a wrapper set in its place,
+    is found."""
+    if name == "impute_expenditure_patterns":
+        from .imputation import impute_expenditure_patterns
+
+        globals()[name] = impute_expenditure_patterns
+        return impute_expenditure_patterns
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def load_inputs(cfg: RunConfig) -> Inputs:

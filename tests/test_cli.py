@@ -1269,6 +1269,19 @@ options:
                 "print('priceshock.fixtures' in sys.modules)")
         assert self.fresh_python(code) == ["False", "True"]
 
+    @pytest.mark.parametrize("first_use", [
+        "priceshock.wls_fit",
+        "exec('from priceshock import *', {})",
+        "priceshock.scenario.impute_expenditure_patterns",
+    ])
+    def test_a_run_without_imputation_never_loads_it(self, bundle_dir, tmp_path, first_use):
+        loaded = "print([m in sys.modules for m in ('priceshock.imputation', 'priceshock.randutil')])"
+        code = ("import sys, priceshock.cli; import priceshock; "
+                f"code = priceshock.cli.main(['run', '--config', {str(bundle_dir / 'config.txt')!r}, "
+                f"'--out', {str(tmp_path / 'r')!r}, '--quiet']); print(code); {loaded}; "
+                f"{first_use}; {loaded}; print(len(priceshock.__all__))")
+        assert self.fresh_python(code) == ["0", "[False,", "False]", "[True,", "True]", "84"]
+
     def test_every_exported_name_resolves(self):
         code = ("import types, priceshock; names = priceshock.__all__; "
                 "values = [getattr(priceshock, name) for name in names]; "

@@ -18,6 +18,11 @@ reads back as exactly the scaled double.
   2^k within 1e-9 relative. Log expenditure moves by k ln 2, which is not
   exact: the Engel fits, and with them the budget elasticities, round
   differently, so the elasticity table is left out.
+- No price change: every ``pi`` of ``prices.csv`` and the carbon tax set
+  to 0 raise no revenue and no transfer, so ``cv_net`` is ``cv``; every
+  ``|cv|`` is at most 1e-9 of the household's spending, the footprint
+  after the (absent) demand response is the one before, and t8's post
+  row is its pre row, each within 1e-9 relative.
 """
 
 import csv
@@ -138,3 +143,19 @@ def test_redenominating_every_money_input_scales_only_the_money(base, k):
             assert close(got.household[name], column, factor), name
     assert got.diagnostics == want.diagnostics
     assert close(got.revenue, want.revenue, 2.0**k)
+
+
+def test_no_price_change_leaves_every_household_as_it_was(base):
+    root, _ = base
+    with tempfile.TemporaryDirectory() as work:
+        got = scaled_run(root, Path(work), 0.0, {"prices.csv": lambda c: c == "pi"},
+                         ("scenario.carbon_tax",))
+    hh = got.household
+    assert got.revenue == 0
+    assert not hh["transfer"].any()
+    np.testing.assert_array_equal(hh["cv_net"], hh["cv"])
+    assert np.all(np.abs(hh["cv"]) <= RTOL * hh["x"])
+    assert close(hh["fp_after"], hh["fp_before"], 1.0)
+    header, rows = got.tables["t8_atkinson"]
+    pre, post = (next(row for row in rows if row[0] == state) for state in ("pre", "post"))
+    assert close(post[1:], pre[1:], 1.0), header

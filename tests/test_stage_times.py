@@ -9,6 +9,7 @@ import subprocess
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "stage_times.py"
@@ -60,6 +61,26 @@ def test_a_workload_is_written_by_the_benchmark_generator():
     report = run("--workload", "impute_income", "--seed", 3, "--repeat", 1)
     assert (report["workload"], report["seed"], report["output_rows"]) == ("impute_income", 3, 4800)
     assert report["stages"]["emit_reports"]["calls"] == 1
+
+
+def test_a_workloads_peaks_leave_out_its_input_writer(monkeypatch):
+    """The inputs are written here and timed in a fresh interpreter: a
+    writer that peaks at 128 MB leaves every reported peak below that."""
+    stage_times = load_script()
+    generate = stage_times.generate
+
+    def heavy(*args):
+        np.ones(128 * 2**17).sum()  # 128 MB, every page touched
+        return generate(*args)
+
+    monkeypatch.setattr(stage_times, "generate", heavy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert stage_times.main(["--workload", "survey_carbon", "--tiles", "1",
+                                 "--repeat", "1"]) == 0
+    peaks = [stage["vmhwm_mb"] for stage in json.loads(out.getvalue())["stages"].values()]
+    assert stage_times.vmhwm_mb() >= 128  # the writer's peak, in this process
+    assert all(0 < peak < 128 for peak in peaks)
 
 
 def test_each_stage_reports_the_memory_peak_after_it(bundle_dir):
