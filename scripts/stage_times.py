@@ -17,23 +17,29 @@ warm-up. Each stage is timed where the run calls it: ``load_inputs``,
 ``form_prices``, ``rank_households``, ``estimate_demand_groups``,
 ``value_households``, ``assemble``, ``build_tables`` and
 ``emit_reports``; ``run`` is the whole of both calls.
-Each run starts once the previous one's result is released. The JSON
-gives the best and the median of each, in seconds; ``first_s``, its time
-in the warm-up run, which pays the first-use costs (lazy imports, caches)
-that a fresh ``priceshock run`` pays too; and ``vmhwm_mb``, the process's
-peak resident memory (VmHWM in /proc/self/status) after its call in the
-warm-up run, the only run whose peak no earlier run raised. Its
-``import_s`` is the time of ``import priceshock.cli`` in the timing
-process, which makes it before it imports anything else, or null where
-the process had imported it already. BLAS and OpenMP are pinned to one
-thread unless the environment sets them.
+Each run starts once the previous one's result is released, and the
+timing process first sets the allocator policy that ``priceshock``'s
+``main`` sets (``priceshock.cli.keep_heap``), so the stages run as they
+do in ``priceshock run``. The JSON gives the best and the median of
+each, in seconds; ``first_s``, its time in the warm-up run, which pays
+the first-use costs (lazy imports, caches, first page faults) that a
+fresh ``priceshock run`` pays too; ``minor_faults``, the minor page
+faults (``ru_minflt``) of its calls in the warm-up run, a count that
+repeats to within a few percent whatever the host's speed; and
+``vmhwm_mb``, the process's peak resident memory (VmHWM in
+/proc/self/status) after its call in the warm-up run, the only run whose
+peak no earlier run raised. Its ``import_s`` is the time of ``import
+priceshock.cli`` in the timing process, which makes it before it imports
+anything else, or null where the process had imported it already. BLAS
+and OpenMP are pinned to one thread unless the environment sets them.
 
 ``--label NAME`` times the workload the same way, every size's inputs
 written before the first is timed, and writes the reports to
 ``BENCH_<NAME>.json`` in the current directory. There a size's
 ``import_s`` is the median of ``IMPORT_SAMPLES`` further fresh
-interpreters, in the same environment, that each time only ``import
-priceshock.cli``; ``import_samples_s`` lists them. A workload in
+interpreters, in the same environment, that each import numpy and then
+time only ``import priceshock.cli``, so that the figure is the package's
+own import, not numpy's; ``import_samples_s`` lists them. A workload in
 ``TILED`` is timed at each of ``SIZES`` (240, 24,000 and 240,000
 households); the others, whose inputs do not depend on the tiles, once.
 """
@@ -41,6 +47,7 @@ households); the others, whose inputs do not depend on the tiles, once.
 from __future__ import annotations
 
 import os
+import resource
 import sys
 import time
 
@@ -74,9 +81,10 @@ STAGES = ("load_inputs", "form_prices", "rank_households", "estimate_demand_grou
 SIZES = (1, 100, 1000)  # --label: SURVEY_TILES, the copies of the 240-household survey
 TILED = ("survey_carbon",)  # the workloads whose survey gen.SURVEY_TILES sets
 IMPORT_SAMPLES = 5  # --label: fresh interpreters that time the import, per size
-# such an interpreter: this script's import path, then the timed import alone
-IMPORT_CHILD = (f"import sys, time; sys.path[:0] = {IMPORT_PATH!r}; start = time.perf_counter(); "
-                "import priceshock.cli; print(time.perf_counter() - start)")
+# such an interpreter: this script's import path and numpy, then the timed import alone
+IMPORT_CHILD = (f"import sys, time; sys.path[:0] = {IMPORT_PATH!r}; import numpy; "
+                "start = time.perf_counter(); import priceshock.cli; "
+                "print(time.perf_counter() - start)")
 
 
 def vmhwm_mb() -> float | None:
@@ -92,42 +100,58 @@ def vmhwm_mb() -> float | None:
     return None
 
 
-def _timed(fn, name: str, samples: dict[str, list[float]], peaks: dict[str, float | None]):
+def minor_faults() -> int:
+    """This process's minor page faults so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _timed(fn, name: str, samples: dict[str, list[float]], faults: dict[str, list[int]],
+           peaks: dict[str, float | None]):
     def wrapper(*args, **kwargs):
-        start = time.perf_counter()
+        start, faulted = time.perf_counter(), minor_faults()
         try:
             return fn(*args, **kwargs)
         finally:
             samples[name].append(time.perf_counter() - start)
+            faults[name].append(minor_faults() - faulted)
             peaks.setdefault(name, vmhwm_mb())  # the warm-up run's
     return wrapper
 
 
 def time_stages(config, outdir, repeat: int) -> dict:
-    """{stage: {calls, best_s, median_s, first_s, vmhwm_mb}} for ``repeat``
-    runs of ``config`` after the warm-up run that ``first_s`` times."""
+    """{stage: {calls, best_s, median_s, first_s, minor_faults, vmhwm_mb}}
+    for ``repeat`` runs of ``config`` after the warm-up run that ``first_s``
+    times and ``minor_faults`` counts, under ``priceshock run``'s allocator
+    policy."""
     samples: dict[str, list[float]] = {name: [] for name in (*STAGES, "run")}
+    faults: dict[str, list[int]] = {name: [] for name in samples}
     peaks: dict[str, float | None] = {}
     first: dict[str, float | None] = {}
+    first_faults: dict[str, int] = {}
+    priceshock.cli.keep_heap()
     with ExitStack() as stack:
         for name in STAGES:
             stack.enter_context(mock.patch.object(
-                scenario, name, _timed(getattr(scenario, name), name, samples, peaks)))
+                scenario, name, _timed(getattr(scenario, name), name, samples, faults, peaks)))
         for rep in range(repeat + 1):  # the first run warms up and is not kept
             if rep == 1:
                 for name, seconds in samples.items():
                     first[name] = sum(seconds) if seconds else None
+                    first_faults[name] = sum(faults[name])
                     seconds.clear()
-            start = time.perf_counter()
+                    faults[name].clear()
+            start, faulted = time.perf_counter(), minor_faults()
             result = scenario.run_scenario(scenario.parse_config(config))
             scenario.emit_reports(result, outdir)
             samples["run"].append(time.perf_counter() - start)
+            faults["run"].append(minor_faults() - faulted)
             peaks.setdefault("run", vmhwm_mb())
             result = None  # the next run starts without this one's frame
     return {
         name: {"calls": len(seconds), "best_s": min(seconds, default=None),
                "median_s": statistics.median(seconds) if seconds else None,
-               "first_s": first[name], "vmhwm_mb": peaks.get(name)}
+               "first_s": first[name], "minor_faults": first_faults[name],
+               "vmhwm_mb": peaks.get(name)}
         for name, seconds in samples.items()
     }
 

@@ -11,6 +11,7 @@ demonstration inputs). Exit codes: 0 success, 1 data or validation error,
 from __future__ import annotations
 
 import argparse
+import ctypes  # numpy has imported it already
 import sys
 from pathlib import Path
 
@@ -31,6 +32,29 @@ from .scenario import (
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_NUMERIC = 2
+
+# mallopt(3) parameters of glibc's malloc.h, and the values the command sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 * 2**20  # the largest glibc accepts on 64-bit
+TRIM_THRESHOLD = 256 * 2**20
+
+
+def keep_heap(libc=None) -> bool:
+    """Have glibc's malloc serve every block under 32 MiB from its heap and
+    keep up to 256 MiB of freed heap, so that a stage's temporaries reuse
+    the pages an earlier stage freed instead of faulting in new zeroed
+    ones. Both thresholds or neither: setting either one turns off glibc's
+    dynamic mmap threshold. True where both were set; where ``libc`` (the
+    process's own C library by default) has no ``mallopt`` or refuses the
+    mmap threshold, nothing is set and the result is False."""
+    try:
+        mallopt = (ctypes.CDLL(None) if libc is None else libc).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to load
+        return False
+    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) != 1:
+        return False
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    return True
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -155,6 +179,7 @@ _SUBCOMMANDS = {
 
 
 def main(argv=None) -> int:
+    keep_heap()  # a process that exits after one command loses nothing by it
     argv = sys.argv[1:] if argv is None else list(argv)
     # a first argument that names a command is always that command
     args = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import os
+import platform
 import random
 import re
 import resource
@@ -1296,3 +1297,85 @@ options:
                 "namespace['write_fixture_bundle'].__module__)")
         count, missing, module = self.fresh_python(code)
         assert int(count) > 80 and missing == "[]" and module == "priceshock.fixtures"
+
+
+class TestHeapPolicy:
+    """``main`` sets glibc's malloc thresholds once, before it parses its
+    arguments: both of them, or neither."""
+
+    class FakeLibc:
+        def __init__(self, answer):
+            self.answer, self.calls = answer, []
+
+        def mallopt(self, param, value):
+            self.calls.append((param, value))
+            return self.answer
+
+    def test_both_thresholds_are_set_where_mallopt_takes_the_first(self):
+        from priceshock import cli
+
+        libc = self.FakeLibc(1)
+        assert cli.keep_heap(libc) is True
+        assert libc.calls == [(cli.M_MMAP_THRESHOLD, 32 * 2**20),
+                              (cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD)]
+        assert cli.TRIM_THRESHOLD >= 256 * 2**20
+
+    def test_a_refused_mmap_threshold_sets_no_trim_threshold(self):
+        from priceshock import cli
+
+        libc = self.FakeLibc(0)
+        assert cli.keep_heap(libc) is False
+        assert libc.calls == [(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD)]
+
+    def test_a_library_without_mallopt_sets_nothing(self):
+        from priceshock import cli
+
+        assert cli.keep_heap(object()) is False
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+    def test_glibc_takes_both_thresholds(self):
+        from priceshock import cli
+
+        assert cli.keep_heap() is True
+
+    def test_main_applies_the_policy_before_any_command_runs(self, monkeypatch, tmp_path):
+        from priceshock import cli
+
+        events = []
+        build_parser = cli._build_parser
+
+        def parser(*args):
+            events.append("parse")
+            return build_parser(*args)
+
+        def fixtures(args):
+            events.append("command")
+            return 0
+
+        monkeypatch.setattr(cli, "keep_heap", lambda: events.append("policy"))
+        monkeypatch.setattr(cli, "_build_parser", parser)
+        monkeypatch.setitem(cli._SUBCOMMANDS, "fixtures",
+                            (fixtures, *cli._SUBCOMMANDS["fixtures"][1:]))
+        assert run_cli("fixtures", "--out", tmp_path / "b") == 0
+        assert events == ["policy", "parse", "command"]
+
+    def test_outputs_are_byte_identical_with_the_policy_on_and_off(self, tmp_path):
+        """``priceshock run`` on the 480-household seed-1 survey_carbon inputs
+        of ``test_golden``, in two fresh interpreters, the policy a no-op in one."""
+        from test_golden import perfbench_module, sha256_tree
+
+        gen = perfbench_module("gen")
+        gen.SURVEY_TILES = 2  # 480 households
+        gen.generate("survey_carbon", 1, tmp_path / "in")
+        trees, applied = [], []
+        for noop in (False, True):
+            out = tmp_path / f"out-{noop}"
+            code = ("import sys; from priceshock import cli; keep_heap = cli.keep_heap; "
+                    f"cli.keep_heap = lambda: print(False if {noop} else keep_heap()); "
+                    f"sys.exit(cli.main(['run', '--config', {str(tmp_path / 'in' / 'config.txt')!r}, "
+                    f"'--out', {str(out)!r}, '--quiet']))")
+            applied.append(TestStartup.fresh_python(code))
+            trees.append(sha256_tree(out))
+        if platform.libc_ver()[0] == "glibc":
+            assert applied == [["True"], ["False"]]
+        assert len(trees[0]) == 11 and trees[0] == trees[1]

@@ -23,6 +23,14 @@ reads back as exactly the scaled double.
   ``|cv|`` is at most 1e-9 of the household's spending, the footprint
   after the (absent) demand response is the one before, and t8's post
   row is its pre row, each within 1e-9 relative.
+- Zero-weight households: copies of drawn households, with new ids and
+  weight 0, appended after the last row leave every table cell and every
+  column of the elasticity table within 1e-9 relative (1e-12 absolute
+  near zero), the diagnostics equal, and every original household's row
+  within 1e-9 relative. A household of no weight counts in no fit, cell
+  or table. The relation is stated for appended rows only: copies put
+  before the first row change the order in which sums are taken, which
+  has moved a cell by 2e-10.
 """
 
 import csv
@@ -39,6 +47,7 @@ from priceshock.scenario import MONEY_COLUMNS, parse_config, run_scenario
 from test_golden import perfbench_module
 
 RTOL = 1e-9
+ATOL = 1e-12  # near zero, where a relative bound is void
 # the household columns that are money: they scale with the money inputs
 SCALED_COLUMNS = MONEY_COLUMNS | {f"burden_{g}" for g in DEFAULT_REPORT_GROUPS}
 # t8's columns that are money, in its pre and post rows
@@ -159,3 +168,53 @@ def test_no_price_change_leaves_every_household_as_it_was(base):
     header, rows = got.tables["t8_atkinson"]
     pre, post = (next(row for row in rows if row[0] == state) for state in ("pre", "post"))
     assert close(post[1:], pre[1:], 1.0), header
+
+
+def near(got, want) -> bool:
+    """Each of ``got`` within RTOL of ``want``, or within ATOL of it near zero."""
+    return bool(np.allclose(np.asarray(got, dtype=float), np.asarray(want, dtype=float),
+                            rtol=RTOL, atol=ATOL))
+
+
+@settings(max_examples=3, deadline=None)
+@given(picks=st.lists(st.integers(0, 479), min_size=2, max_size=34))
+# households 138 and 51 are in the two cells of fewer than MIN_GROUP_OBS households
+# (6 and 5 of them): counted as rows, these copies would lift both cells to 10
+@example(picks=[138] * 4 + [51] * 5)
+def test_appended_zero_weight_households_change_no_value(base, picks):
+    root, want = base
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        for path in root.iterdir():
+            if path.name != "households.csv":
+                (work / path.name).write_bytes(path.read_bytes())
+        with open(root / "households.csv", newline="") as fh:
+            header, *records = list(csv.reader(fh))
+        copies = []
+        for k, i in enumerate(picks):
+            copy = dict(zip(header, records[i], strict=True), id=f"zero{k:03d}", weight="0")
+            copies.append([copy[name] for name in header])
+        with open(work / "households.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *records, *copies])
+        got = run_scenario(parse_config(work / "config.txt"))
+    for name, (header, rows) in want.tables.items():
+        got_header, got_rows = got.tables[name]
+        assert got_header == header, name
+        for row, got_row in zip(rows, got_rows, strict=True):
+            assert got_row[0] == row[0], name  # the row's label
+            assert near(got_row[1:], row[1:]), (name, row[0])
+    assert list(got.elasticities) == list(want.elasticities)
+    for name, column in want.elasticities.items():
+        if name in ("group", "category"):
+            assert list(got.elasticities[name]) == list(column), name
+        else:
+            assert near(got.elasticities[name], column), name
+    assert got.diagnostics == want.diagnostics
+    assert near(got.revenue, want.revenue)
+    position = {hh: i for i, hh in enumerate(got.household["id"].tolist())}
+    original = np.array([position[hh] for hh in want.household["id"].tolist()])
+    assert len(position) == len(original) + len(picks)
+    assert list(got.household) == list(want.household)
+    for name, column in want.household.items():
+        if name != "id":
+            assert near(got.household[name][original], column), name

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -48,6 +49,47 @@ def test_first_s_times_each_stage_in_the_warm_up_run(bundle_dir):
         assert times["first_s"] > 0, name
     # the warm-up run holds its stages, as each timed run does
     assert sum(stages[name]["first_s"] for name in load_script().STAGES) <= stages["run"]["first_s"]
+
+
+def test_each_stage_counts_its_minor_faults_in_the_warm_up_run(bundle_dir):
+    report = run("--config", bundle_dir / "config.txt", "--repeat", 1)
+    assert list(report["stages"]) == [*load_script().STAGES, "run"]
+    for name, times in report["stages"].items():
+        faults = times["minor_faults"]
+        assert type(faults) is int and faults >= 0, name
+    stages = report["stages"]
+    assert sum(stages[name]["minor_faults"] for name in load_script().STAGES) <= \
+        stages["run"]["minor_faults"]
+
+
+def test_the_runs_are_made_under_the_commands_allocator_policy(bundle_dir, tmp_path,
+                                                                monkeypatch):
+    stage_times = load_script()
+    events = []
+    run_scenario = stage_times.scenario.run_scenario
+
+    def tracked(cfg):
+        events.append("run")
+        return run_scenario(cfg)
+
+    monkeypatch.setattr(stage_times.priceshock.cli, "keep_heap", lambda: events.append("policy"))
+    monkeypatch.setattr(stage_times.scenario, "run_scenario", tracked)
+    stage_times.time_stages(bundle_dir / "config.txt", tmp_path / "out", 1)
+    assert events == ["policy", "run", "run"]
+
+
+def test_an_import_sample_times_the_package_with_numpy_already_loaded():
+    """Each ``--label`` import sample imports numpy before it starts the
+    clock, and priceshock only after."""
+    stage_times = load_script()
+    code = ("import sys, time; real = time.perf_counter; loaded = []; "
+            "time.perf_counter = lambda: (loaded.append(('numpy' in sys.modules, "
+            "'priceshock.cli' in sys.modules)), real())[1]; "
+            f"exec({stage_times.IMPORT_CHILD!r}); print(loaded)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    assert float(out[0]) > 0
+    assert out[1] == "[(True, False), (True, True)]"
 
 
 def test_import_s_is_null_where_the_package_was_already_imported(bundle_dir):
