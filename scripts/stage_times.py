@@ -25,7 +25,11 @@ each, in seconds; ``first_s``, its time in the warm-up run, which pays
 the first-use costs (lazy imports, caches, first page faults) that a
 fresh ``priceshock run`` pays too; ``minor_faults``, the minor page
 faults (``ru_minflt``) of its calls in the warm-up run, a count that
-repeats to within a few percent whatever the host's speed; and
+repeats to within a few percent whatever the host's speed, but compares
+only between invocations started the same way: a run reuses the heap
+that its process freed before it, so the same config timed from a
+script file and through ``runpy`` from another Python process reads
+different counts (``--workload`` always starts its own child); and
 ``vmhwm_mb``, the process's peak resident memory (VmHWM in
 /proc/self/status) after its call in the warm-up run, the only run whose
 peak no earlier run raised. Its ``import_s`` is the time of ``import

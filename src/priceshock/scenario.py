@@ -413,7 +413,7 @@ def recycle_revenue(revenue: float, scheme: str, weights: np.ndarray,
         if sizes is None:
             raise DataValidationError("per-capita recycling needs household sizes")
         sizes = np.asarray(sizes, dtype=float)
-        transfers = revenue * sizes / float(np.dot(weights, sizes))
+        transfers = revenue * sizes / float(np.add.reduce(weights * sizes))
         recipients = weights > 0
     elif scheme == "targeted_bottom_q":
         if target_mask is None or not np.any(target_mask):
@@ -430,7 +430,7 @@ def recycle_revenue(revenue: float, scheme: str, weights: np.ndarray,
     if len(idx):
         last = idx[-1]
         for _ in range(2):
-            residual = revenue - float(np.dot(weights, transfers))
+            residual = revenue - float(np.add.reduce(weights * transfers))
             transfers[last] += residual / weights[last]
     return transfers
 
@@ -828,7 +828,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioResult:
     totals, _, quintiles = ranked = rank_households(cfg, frame)
 
     # carbon revenue and recycling
-    revenue = float(np.dot(weights, exp @ prices.carbon)) if cfg.carbon_tax > 0 else 0.0
+    revenue = float(np.add.reduce(weights * (exp @ prices.carbon))) if cfg.carbon_tax > 0 else 0.0
     transfers = recycle_revenue(revenue, cfg.recycling, weights, sizes=sizes,
                                 target_mask=quintiles < cfg.recycling_quantile)
 
@@ -886,21 +886,15 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     w = hh["weight"]
     x = hh["x"]
     eq = hh["equivalised"]
-
-    # each quintile is a slice of one stable sort, its households in survey
-    # order, so that its sums run over the same values in the same order
     quintiles = hh["quintile"].astype(int, copy=False)
-    order = np.argsort(quintiles, kind="stable")
-    bounds = np.searchsorted(quintiles[order], np.arange(cfg.groups + 1))
-    q_rows = [slice(start, end) for start, end in zip(bounds[:-1], bounds[1:])]
-    w_q = w[order]
 
     def weighted_sums(v):
-        """The weighted sum of ``v`` over each quintile, then over all households."""
-        v_q = v[order]
-        return [*(float(np.dot(w_q[sel], v_q[sel])) for sel in q_rows), float(np.dot(w, v))]
+        """The weighted sum of ``v`` over each quintile, each household's product
+        added once in survey order, then the sum of those sums: the total."""
+        sums = np.bincount(quintiles, weights=w * v, minlength=cfg.groups)
+        return [*sums.tolist(), float(np.add.reduce(sums))]
 
-    w_sums = [*(float(w_q[sel].sum()) for sel in q_rows), float(w.sum())]
+    w_sums = weighted_sums(1.0)
     x_sums, eq_sums, burden_sums, cv_sums = map(weighted_sums, (x, eq, hh["burden"], hh["cv"]))
     spent = [weighted_sums(x * hh[f"share_{g}"]) for g in group_names]
     labels = [f"q{q + 1}" for q in range(cfg.groups)]
@@ -909,7 +903,7 @@ def build_tables(hh: dict[str, np.ndarray], group_names, cfg: RunConfig):
     # t2: aggregate budget shares, group rates, contribution decomposition
     t2_rows = []
     for g, exp_g in zip(group_names, (s[-1] for s in spent)):
-        b_g = float(np.dot(w, hh[f"burden_{g}"]))
+        b_g = weighted_sums(hh[f"burden_{g}"])[-1]
         t2_rows.append([g, exp_g / agg_x, b_g / exp_g if exp_g > 0 else 0.0, b_g / agg_x])
     total_rate = burden_sums[-1] / agg_x
     t2_rows.append(["total", 1.0, total_rate, total_rate])

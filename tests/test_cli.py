@@ -823,8 +823,10 @@ def run_edited(bundle_dir, tmp_path, capsys, lines=(), drop=()):
 class TestConfigKeys:
     """Each key is checked where it is parsed: a misspelt category, a rate
     out of range, a fuel map without its fuel table, a partial set of
-    flow-matrix files, an unknown fuel and a missing exchange rate exit 1
-    naming the key, with no traceback and no warning."""
+    flow-matrix files, an unknown fuel, a missing exchange rate, size bands
+    out of order and imputation without an income file exit 1 naming the
+    key, and a line without '=' names the file and the line, with no
+    traceback and no warning."""
 
     @pytest.mark.parametrize("lines, drop, message", [
         (["tax.fod.vat = 0.5"], (), "config key 'tax.fod.vat': unknown category 'fod'"),
@@ -856,16 +858,29 @@ class TestConfigKeys:
          "a carbon tax or fuel map needs them"),
         (["fuel_map.motor_fuels = petrl"], (),
          "config key 'fuel_map.motor_fuels': unknown fuel 'petrl', not listed in files.fuels"),
+        (["elasticity.size_bands = 5,2"], (),
+         "config key 'elasticity.size_bands': expected two increasing cuts, got '5,2'"),
+        (["scenario.impute = true"], (), "scenario.impute requires files.income"),
     ], ids=["misspelt tax category", "misspelt fuel-map category", "negative vat",
             "negative vat without the flow matrix", "zero base price",
             "fuel map without a fuel table", "no exchange rate", "pass-through above 1",
             "unknown equivalence scale", "flow matrix without its bridge",
             "bridge without its flow matrix", "fuel map without the flow matrix",
-            "unknown fuel"])
+            "unknown fuel", "size bands not increasing", "imputation without an income file"])
     def test_bad_key_exits_1_naming_it(self, bundle_dir, tmp_path, capsys, lines, drop, message):
         code, err, caught = run_edited(bundle_dir, tmp_path, capsys, lines, drop)
         assert code == 1
         assert err == f"error: {message}\n"
+        assert caught == []
+        assert not (tmp_path / "r").exists()
+
+    def test_line_without_an_equals_sign_names_the_file_and_line(self, bundle_dir, tmp_path,
+                                                                capsys):
+        code, err, caught = run_edited(bundle_dir, tmp_path, capsys, ["tax.food.vat 0.5"])
+        cfg = tmp_path / "b" / "config.txt"
+        lineno = cfg.read_text().splitlines().index("tax.food.vat 0.5") + 1
+        assert code == 1
+        assert err == f"error: {cfg}: line {lineno}: expected 'key = value'\n"
         assert caught == []
         assert not (tmp_path / "r").exists()
 

@@ -8,6 +8,10 @@ outputs (a refactor, a faster path) must leave this table alone. A change
 that alters an output on purpose updates the table in the same change and
 says why.
 
+Thread count: ``run`` on the full-size survey_carbon inputs writes the same
+bytes under one BLAS thread and under two, for every file whose sums no
+longer pass through BLAS.
+
 Tracer targets: ``perfbench/tracer.py`` times the run by wrapping
 attributes of the package's modules by name, and a name that no longer
 resolves silently reads as 0 calls and 0 s.
@@ -15,11 +19,15 @@ resolves silently reads as 0 calls and 0 s.
 
 import hashlib
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
+import priceshock
 from priceshock.cli import main
 from priceshock.fixtures import write_fixture_bundle
 
@@ -216,6 +224,29 @@ def test_every_output_file_has_its_golden_digest(outputs):
     assert sorted(outputs) == sorted(GOLDEN)
     changed = [name for name in GOLDEN if outputs[name] != GOLDEN[name]]
     assert changed == []
+
+
+# t6, t8 and t9 still sum through metrics' np.dot, whose order follows the BLAS thread count
+THREAD_STABLE = ("households.csv", "run_manifest.json", "t2_inflation_drivers.csv",
+                 "t3_budget_shares.csv", "t5_incidence.csv", "t7_welfare.csv")
+
+
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """survey_carbon at seed 1 and full size (24,000 households), run in a new
+    interpreter under 1 and under 2 BLAS threads: the same bytes."""
+    perfbench_module("gen").generate("survey_carbon", 1, tmp_path / "in")
+    src = str(Path(priceshock.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "priceshock.cli", "run", "--config",
+                        str(tmp_path / "in" / "config.txt"), "--out", str(out), "--quiet"],
+                       env=env, check=True)
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in THREAD_STABLE})
+    assert digests[0] == digests[1]
 
 
 # targets already gone from the package; pruning them from the tracer is

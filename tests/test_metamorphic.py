@@ -12,12 +12,14 @@ reads back as exactly the scaled double.
   power of 2 keeps the Engel fits' row factors sqrt(w) exact; an odd one
   moves the last bits of ``cv`` and ``ye``.
 - Redenomination: every money input times 2^k (spending and income, the
-  flow table's values, the fuel prices, the carbon tax and the exchange
-  rate) leaves every ratio cell of the tables within 1e-9 relative, and
-  scales t8's money cells, the household money columns and the revenue by
-  2^k within 1e-9 relative. Log expenditure moves by k ln 2, which is not
-  exact: the Engel fits, and with them the budget elasticities, round
-  differently, so the elasticity table is left out.
+  flow table's values, the fuel prices, the carbon tax, the exchange rate,
+  and the per-unit excise and base price of the taxed categories) leaves
+  every consumer price relative exactly as it was and every ratio cell of
+  the tables within 1e-9 relative, and scales t8's money cells, the
+  household money columns and the revenue by 2^k within 1e-9 relative.
+  Log expenditure moves by k ln 2, which is not exact: the Engel fits, and
+  with them the budget elasticities, round differently, so the elasticity
+  table is left out.
 - No price change: every ``pi`` of ``prices.csv`` and the carbon tax set
   to 0 raise no revenue and no transfer, so ``cv_net`` is ``cv``; every
   ``|cv|`` is at most 1e-9 of the household's spending, the footprint
@@ -61,6 +63,24 @@ def base(tmp_path_factory):
     gen.SURVEY_TILES = 2  # 480 households
     root = tmp_path_factory.mktemp("metamorphic")
     gen.generate("survey_carbon", 1, root)
+    return root, run_scenario(parse_config(root / "config.txt"))
+
+
+# a per-unit excise and a base price, both money, on three categories
+# that the carbon tax reaches
+TAX_KEYS = {"tax.food.excise": 0.25, "tax.food.base_price": 1.5,
+            "tax.motor_fuels.excise": 0.4, "tax.motor_fuels.base_price": 2.0,
+            "tax.electricity.excise": 0.1, "tax.electricity.base_price": 0.75}
+
+
+@pytest.fixture(scope="module")
+def taxed(base, tmp_path_factory):
+    """(input directory, the run on it) of ``base``'s inputs with TAX_KEYS set."""
+    root = tmp_path_factory.mktemp("taxed")
+    for path in base[0].iterdir():
+        (root / path.name).write_bytes(path.read_bytes())
+    with open(root / "config.txt", "a") as fh:
+        fh.writelines(f"{key} = {value!r}\n" for key, value in TAX_KEYS.items())
     return root, run_scenario(parse_config(root / "config.txt"))
 
 
@@ -122,8 +142,8 @@ def test_scaling_every_weight_by_a_power_of_4_changes_no_value(base, j):
 @settings(max_examples=4, deadline=None)
 @given(k=st.integers(1, 20))
 @example(k=10)
-def test_redenominating_every_money_input_scales_only_the_money(base, k):
-    root, want = base
+def test_redenominating_every_money_input_scales_only_the_money(taxed, k):
+    root, want = taxed
     money = {
         "households.csv": lambda c: c.startswith("exp_") or c == "inc",
         "mrio_z.csv": lambda c: c != "sector",
@@ -133,7 +153,9 @@ def test_redenominating_every_money_input_scales_only_the_money(base, k):
     }
     with tempfile.TemporaryDirectory() as work:
         got = scaled_run(root, Path(work), 2.0**k, money,
-                         ("scenario.carbon_tax", "elasticity.exchange_rate"))
+                         ("scenario.carbon_tax", "elasticity.exchange_rate", *TAX_KEYS))
+    # consumer_prices.csv's relative column
+    np.testing.assert_array_equal(got.relatives_total, want.relatives_total)
     for name, (header, rows) in want.tables.items():
         got_header, got_rows = got.tables[name]
         assert got_header == header, name
